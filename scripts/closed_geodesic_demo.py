@@ -23,11 +23,8 @@ def main():
     for data in build_pair():
         print(f"== {data.name} ==")
         for _ in range(args.n):
-            target = sample_generic_state(data.name, rng)
-            geo = construct_closed_geodesic(
-                data.name, target, epsilon=args.epsilon,
-                lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-            )
+            target = sample_generic_state(data, rng)
+            geo = construct_closed_geodesic(data, target, epsilon=args.epsilon)
             dist = max(
                 float(np.linalg.norm(geo.state.Z - target.Z)),
                 float(np.linalg.norm(geo.state.V - target.V)),

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 
 from nilflow.catalog import build_pair
-from nilflow.flow import eigenframe, flow_exact_vV, sample_generic_state
+from nilflow.flow import TangentState, eigenframe, flow_exact_vV, sample_generic_state
 from nilflow.integrals import evaluate_integrals, independence_rank, poisson_matrix
 
 
@@ -26,10 +26,9 @@ def main():
     bracket = 0.0
     ranks = Counter()
     for _ in range(args.n):
-        s = sample_generic_state("M", rng)
-        frame = eigenframe("M", s.Z)
-        v_t, V_t = flow_exact_vV(frame, s.v, s.V, args.t)
-        moved = evaluate_integrals(v=v_t, V=V_t, Z=s.Z)
+        s = sample_generic_state(m, rng)
+        v_t, V_t = flow_exact_vV(eigenframe(m, s.Z), s.v, s.V, args.t)
+        moved = evaluate_integrals(TangentState(v_t, s.z, V_t, s.Z))
         drift = max(drift, float(np.max(np.abs(moved - evaluate_integrals(s)))))
         mat = poisson_matrix(m.alg, s)
         bracket = max(bracket, float(np.max(np.abs(mat[np.triu_indices(8, 1)]))))

@@ -5,6 +5,8 @@ quaternion sign table, and the isospectral deformation family.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .lie_core import AlgebraData, RationalLattice, bracket_v
 
 # quaternion products: QUAT[(a, b)] = (sign, c) meaning a*b = sign * c
@@ -29,6 +31,12 @@ class NilmanifoldData:
     lattice_v is the lattice in v, lattice_z the lattice in z; for the
     deformation family the generating set mixes v and z and the full-rank
     ambient lattice is kept in lattice_full (None for product lattices).
+
+    frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
+    over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
+    E1, E2 (plane of frequency theta[..., 0]), E3, E4 (plane of frequency
+    theta[..., 1]) and the kernel vector Y_c.  None where no closed form is
+    known (the deformation family).
     """
 
     name: str
@@ -36,6 +44,7 @@ class NilmanifoldData:
     lattice_v: RationalLattice
     lattice_z: RationalLattice
     lattice_full: RationalLattice = None
+    frame: object = None
 
     def __post_init__(self):
         if self.lattice_v.rank != self.alg.dim_v:
@@ -93,6 +102,44 @@ def _pair_algebras():
     return alg, alg_p
 
 
+def _frame_rows(Z):
+    """The rows M and M' share: E4 = c_k (c_i Y_i + c_j Y_j) - (c_i^2 + c_j^2)
+    Y_k and Y_c = c_i Y_i + c_j Y_j + c_k Y_k; frequencies (c_k, |c|)."""
+    Z = np.asarray(Z, float)
+    ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
+    rho2 = ci * ci + cj * cj
+    theta = np.empty(Z.shape[:-1] + (2,))
+    theta[..., 0] = ck
+    theta[..., 1] = np.sqrt(rho2 + ck * ck)
+    rows = np.zeros(Z.shape[:-1] + (5, 5))
+    rows[..., 3, 2:4] = Z[..., 2:] * Z[..., :2]
+    rows[..., 3, 4] = -rho2
+    rows[..., 4, 2:] = Z
+    return rows, theta
+
+
+_FLIP = np.array([1.0, -1.0])
+
+
+def _frame_M(Z):
+    """E1 = c_i X_i + c_j X_j, E2 = -c_j Y_i + c_i Y_j,
+    E3 = |c| (c_j X_i - c_i X_j)."""
+    rows, theta = _frame_rows(Z)
+    cji = rows[..., 4, 3:1:-1]  # (c_j, c_i)
+    rows[..., 0, :2] = rows[..., 4, 2:4]
+    rows[..., 1, 2:4] = cji * -_FLIP
+    rows[..., 2, :2] = theta[..., 1:] * cji * _FLIP
+    return rows, theta
+
+
+def _frame_Mprime(Z):
+    """E1 = X_i, E2 = X_j, E3 = |c| (c_j Y_i - c_i Y_j)."""
+    rows, theta = _frame_rows(Z)
+    rows[..., 0, 0] = rows[..., 1, 1] = 1.0
+    rows[..., 2, 2:4] = theta[..., 1:] * rows[..., 4, 3:1:-1] * _FLIP
+    return rows, theta
+
+
 def _pair_lattices():
     lat_v = RationalLattice(5, tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(5)) for i in range(5)
@@ -109,8 +156,8 @@ def build_pair():
     alg, alg_p = _pair_algebras()
     lat_v, lat_z = _pair_lattices()
     return (
-        NilmanifoldData("M", alg, lat_v, lat_z),
-        NilmanifoldData("Mprime", alg_p, lat_v, lat_z),
+        NilmanifoldData("M", alg, lat_v, lat_z, frame=_frame_M),
+        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, frame=_frame_Mprime),
     )
 
 

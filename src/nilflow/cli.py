@@ -26,6 +26,7 @@ from .criteria import (
 from .flow import (
     DegenerateFrequencyError,
     TangentState,
+    default_steps,
     flow_exact_state,
     flow_rk4,
     sample_generic_state,
@@ -92,6 +93,13 @@ def _emit(text, out_path):
         print(text)
 
 
+def _require(ok, message):
+    """Reject input the command does not accept: main reports the
+    ValueError as a usage error (exit 2)."""
+    if not ok:
+        raise ValueError(message)
+
+
 def _read_state_arg(alg, args):
     if args.state is not None:
         return parse_state(alg, args.state)
@@ -109,13 +117,15 @@ def cmd_verify(args):
 
 def cmd_flow(args):
     data = get_manifold(args.manifold)
+    if args.method == "exact":
+        _require(data.frame is not None,
+                 f"manifold {data.name} has no closed-form flow; "
+                 "use --method rk4")
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     if args.method == "exact":
-        end = flow_exact_state(data.alg, args.manifold, state, args.t)
+        end = flow_exact_state(data, state, args.t)
     else:
-        from .flow import default_steps
-
         steps = default_steps(args.t, tol.rk4_steps_per_unit)
         end = flow_rk4(data.alg, state, args.t, steps)
     _emit(format_state(data.alg, end), args.out)
@@ -124,16 +134,16 @@ def cmd_flow(args):
 
 def cmd_closed_geodesic(args):
     data = get_manifold(args.manifold)
+    _require(data.frame is not None,
+             f"manifold {data.name} has no closed-geodesic construction")
     if args.target is not None:
         target = parse_state(data.alg, args.target)
     else:
         rng = np.random.Generator(np.random.Philox(args.seed))
-        target = sample_generic_state(args.manifold, rng)
+        target = sample_generic_state(data, rng)
     try:
         geo = construct_closed_geodesic(
-            args.manifold, target, epsilon=args.epsilon,
-            lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-            bound=args.bound,
+            data, target, epsilon=args.epsilon, bound=args.bound,
         )
     except DegenerateFrequencyError as e:
         raise ConstructionError(str(e)) from e
@@ -142,7 +152,7 @@ def cmd_closed_geodesic(args):
     rot_exact = (geo.tau_over_pi * geo.c[2] / 2).denominator == 1 and \
         (geo.tau_over_pi * geo.norm_c / 2).denominator == 1
     doc = {
-        "manifold": args.manifold,
+        "manifold": data.name,
         "initial_state": format_state(data.alg, geo.state),
         "c": fmt_value(list(geo.c)),
         "norm_c": fmt_value(geo.norm_c),
@@ -157,8 +167,14 @@ def cmd_closed_geodesic(args):
     return EXIT_PASS if in_gamma and rot_exact else EXIT_CHECK_FAILURE
 
 
+def _require_M(data):
+    _require(data.name == "M",
+             f"the eight integrals are integrals of M, not of {data.name}")
+
+
 def cmd_integrals(args):
     data = get_manifold(args.manifold)
+    _require_M(data)
     state = _read_state_arg(data.alg, args)
     vals = evaluate_integrals(state)
     doc = {name: fmt_value(float(x)) for name, x in zip(INTEGRAL_NAMES, vals)}
@@ -168,6 +184,7 @@ def cmd_integrals(args):
 
 def cmd_poisson(args):
     data = get_manifold(args.manifold)
+    _require_M(data)
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     mat = poisson_matrix(data.alg, state, tol.fd_step)
@@ -194,19 +211,17 @@ def cmd_criteria(args):
     cert = check_hr_presentation(data.alg, canonical_split(data.alg))
     report.add_certificate(cert)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    cert, fraction = butler_nonintegrability_sample(data.alg, 1000, rng)
-    report.add(
-        "butler_positive_dim_fraction", True, value=fraction,
-        note="sampled evidence; see certificate data",
-    )
+    cert, _ = butler_nonintegrability_sample(data.alg, 1000, rng)
+    report.add_certificate(cert)
     _emit(report.to_text(), args.out)
     return EXIT_PASS
 
 
 def cmd_cih(args):
+    _require(args.bound >= 0, f"--bound must be >= 0, got {args.bound}")
     data = get_manifold(args.manifold)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    cert = cih_certificate(data, args.bound or 3, rng)
+    cert = cih_certificate(data, args.bound, rng)
     _emit(json.dumps(cert.to_dict(), indent=2), args.out)
     return EXIT_PASS if cert.passed else EXIT_CHECK_FAILURE
 
@@ -219,20 +234,22 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, manifold=True):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, manifold=True, seed=True, config=False):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None)
+        if config:
+            sp.add_argument("--config", default=None)
         if manifold:
             sp.add_argument("--manifold", default="M")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all",
                     choices=("all",) + SUITE_NAMES)
-    common(sp, manifold=False)
+    common(sp, manifold=False, config=True)
 
     sp = sub.add_parser("flow", help="propagate a tangent state")
-    common(sp)
+    common(sp, seed=False, config=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--method", choices=("exact", "rk4"), default="exact")
     sp.add_argument("--state", default=None,
@@ -247,11 +264,11 @@ def build_parser():
                     help="target state record; sampled from --seed if omitted")
 
     sp = sub.add_parser("integrals", help="evaluate the eight integrals")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--state", default=None)
 
     sp = sub.add_parser("poisson", help="all pairwise Poisson brackets")
-    common(sp)
+    common(sp, seed=False, config=True)
     sp.add_argument("--state", default=None)
 
     sp = sub.add_parser("criteria", help="integrability criteria certificates")
@@ -260,7 +277,6 @@ def build_parser():
     sp = sub.add_parser("cih", help="clean-intersection certificate")
     common(sp)
     sp.add_argument("--bound", type=int, default=3)
-    sp.add_argument("--r2", default=None)
 
     return p
 

@@ -17,7 +17,6 @@ Three independent diagnostics that separate the pair:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -100,38 +99,6 @@ def check_hr_presentation(alg, split):
 
 # ---------------------------------------------------------------------------
 # coadjoint centralizers
-
-
-def centralizer_nlambda(alg, V, Z):
-    """Exact basis of n_lambda = {X in n : <V+Z, [X, n]> = 0} = ker j(Z) (+) z.
-
-    Independent of V because brackets land in z and only the Z-part of
-    lambda pairs with them.
-    """
-    Z = [Fraction(x) for x in Z]
-    ker = lx.nullspace(j_matrix(alg, Z))
-    basis = [list(v) + [Fraction(0)] * alg.dim_z for v in ker]
-    for r in range(alg.dim_z):
-        basis.append(
-            [Fraction(0)] * alg.dim_v
-            + [Fraction(1 if s == r else 0) for s in range(alg.dim_z)]
-        )
-    return basis
-
-
-def centralizer_nlambda_bruteforce(alg, V, Z):
-    """Direct linear-system oracle: solve <Z, [X, e_p]> = 0 for all p."""
-    Z = [Fraction(x) for x in Z]
-    rows = []
-    for p in range(alg.dim_v):
-        e = [Fraction(1 if t == p else 0) for t in range(alg.dim_v)]
-        row = []
-        for q in range(alg.dim_v):
-            eq = [Fraction(1 if t == q else 0) for t in range(alg.dim_v)]
-            br = bracket_v(alg, eq, e)
-            row.append(sum(Z[r] * br[r] for r in range(alg.dim_z)))
-        rows.append(row + [Fraction(0)] * alg.dim_z)
-    return lx.nullspace(rows) if rows else []
 
 
 def _int_kernel_v(alg, z_int):

@@ -14,7 +14,7 @@ algebra and serves as an independent cross-check.
 """
 
 from dataclasses import dataclass
-from math import ceil, cos, hypot, sin, sqrt
+from math import ceil, hypot, sqrt
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class TangentState:
 
     def flat(self):
         return np.concatenate([self.v, self.z, self.V, self.Z])
-
-    def copy(self):
-        return TangentState(self.v.copy(), self.z.copy(), self.V.copy(), self.Z.copy())
 
     @property
     def speed2(self):
@@ -64,71 +61,45 @@ class DegenerateFrequencyError(ValueError):
 
 @dataclass
 class EigenFrame:
-    """Orthonormal invariant-plane frame for j(Z) on the pair's v-space.
+    """Orthonormal invariant frame of j(Z).
 
-    planes: ((U1, U2, theta1), (U3, U4, theta2)) with j(Z) U_a = theta U_b,
-    j(Z) U_b = -theta U_a per plane; kernel is the unit kernel vector.
+    basis rows (u1, u2, u3, u4, u0): j(Z) u_a = theta u_b and
+    j(Z) u_b = -theta u_a on the planes (u1, u2) and (u3, u4), whose
+    frequencies are theta[0] and theta[1]; u0 spans the kernel.
     """
 
     Z: np.ndarray
-    planes: tuple
-    kernel: np.ndarray
+    basis: np.ndarray
+    theta: np.ndarray
 
     def components(self, V):
         """Coefficients (a1, b1, a2, b2, a0) of V in the frame."""
-        (u1, u2, _), (u3, u4, _) = self.planes
-        return (
-            float(V @ u1), float(V @ u2),
-            float(V @ u3), float(V @ u4),
-            float(V @ self.kernel),
-        )
+        return self.basis @ np.asarray(V, float)
 
-    def assemble(self, a1, b1, a2, b2, a0):
-        (u1, u2, _), (u3, u4, _) = self.planes
-        return a1 * u1 + b1 * u2 + a2 * u3 + b2 * u4 + a0 * self.kernel
+    def _combine(self, V, x, y, w):
+        """Per plane (a x - b y) u_a + (a y + b x) u_b, plus w a0 u0; x and y
+        have shape t.shape + (2,), w has shape t.shape."""
+        a = self.components(V)
+        pa, pb = a[0:4:2], a[1:4:2]
+        coef = np.empty(np.shape(w) + (5,))
+        coef[..., 0:4:2] = pa * x - pb * y
+        coef[..., 1:4:2] = pa * y + pb * x
+        coef[..., 4] = a[4] * w
+        return coef @ self.basis
 
     def rotate(self, V, t):
-        """e^{t j(Z)} V in closed form."""
-        out = np.zeros_like(np.asarray(V, float))
-        for ua, ub, theta in self.planes:
-            a, b = float(V @ ua), float(V @ ub)
-            c, s = cos(theta * t), sin(theta * t)
-            out += (a * c - b * s) * ua + (a * s + b * c) * ub
-        out += float(V @ self.kernel) * self.kernel
-        return out
+        """e^{t j(Z)} V in closed form; an array t gives t.shape + (dim_v,)."""
+        t = np.asarray(t, float)
+        wt = np.multiply.outer(t, self.theta)
+        return self._combine(V, np.cos(wt), np.sin(wt), np.ones_like(t))
 
-    def integrate_rotation(self, V, t):
-        """int_0^t e^{s j(Z)} V ds in closed form."""
-        out = t * float(V @ self.kernel) * self.kernel
-        for ua, ub, theta in self.planes:
-            a, b = float(V @ ua), float(V @ ub)
-            s, c1 = sin(theta * t) / theta, (1.0 - cos(theta * t)) / theta
-            out += (a * s - b * c1) * ua + (a * c1 + b * s) * ub
-        return out
-
-    def rotate_many(self, V, ts):
-        """e^{t j(Z)} V for an array of times; returns shape (len(ts), dim_v)."""
-        ts = np.asarray(ts, float)
-        out = np.zeros(ts.shape + (len(self.kernel),))
-        for ua, ub, theta in self.planes:
-            a, b = float(V @ ua), float(V @ ub)
-            c, s = np.cos(theta * ts), np.sin(theta * ts)
-            out += np.multiply.outer(a * c - b * s, ua)
-            out += np.multiply.outer(a * s + b * c, ub)
-        out += np.multiply.outer(np.full_like(ts, V @ self.kernel), self.kernel)
-        return out
-
-    def integrate_many(self, V, ts):
-        """int_0^t e^{s j(Z)} V ds for an array of times."""
-        ts = np.asarray(ts, float)
-        out = np.multiply.outer(ts * float(V @ self.kernel), self.kernel)
-        for ua, ub, theta in self.planes:
-            a, b = float(V @ ua), float(V @ ub)
-            s = np.sin(theta * ts) / theta
-            c1 = (1.0 - np.cos(theta * ts)) / theta
-            out += np.multiply.outer(a * s - b * c1, ua)
-            out += np.multiply.outer(a * c1 + b * s, ub)
-        return out
+    def integrate(self, V, t):
+        """int_0^t e^{s j(Z)} V ds in closed form; broadcasts over t."""
+        t = np.asarray(t, float)
+        wt = np.multiply.outer(t, self.theta)
+        return self._combine(
+            V, np.sin(wt) / self.theta, (1.0 - np.cos(wt)) / self.theta, t
+        )
 
     def j_inverse_planar(self, V):
         """Apply j(Z)^{-1} plane by plane; the kernel component is dropped.
@@ -136,119 +107,43 @@ class EigenFrame:
         On a plane, j(a U_a + b U_b) = theta (a U_b - b U_a), so
         j^{-1}(a U_a + b U_b) = (b U_a - a U_b) / theta.
         """
-        out = np.zeros_like(np.asarray(V, float))
-        for ua, ub, theta in self.planes:
-            a, b = float(V @ ua), float(V @ ub)
-            out += (b * ua - a * ub) / theta
-        return out
+        a = self.components(V)
+        coef = np.zeros(5)
+        coef[0:4:2] = a[1:4:2] / self.theta
+        coef[1:4:2] = -a[0:4:2] / self.theta
+        return coef @ self.basis
 
     def plane_part(self, V, which):
-        ua, ub, _ = self.planes[which]
-        return float(V @ ua) * ua + float(V @ ub) * ub
+        u = self.basis[2 * which:2 * which + 2]
+        return (u @ V) @ u
 
     def kernel_part(self, V):
-        return float(V @ self.kernel) * self.kernel
+        u0 = self.basis[4]
+        return float(V @ u0) * u0
 
 
-def eigenframe(name, Z, tol=1e-12):
-    """Analytic eigenframe of j(Z) for manifold "M" or "Mprime".
+def eigenframe(data, Z, tol=1e-12):
+    """The manifold's printed invariant frame of j(Z), normalized.
 
-    Requires a generic Z = c_i Z_i + c_j Z_j + c_k Z_k: both c_k != 0 and
-    (c_i, c_j) != 0, so the frequencies c_k and |c| are distinct and
-    nonzero and the kernel is the line R Y_c.
+    Requires a generic Z: both plane frequencies nonzero and no frame
+    vector collapsed (on the pair: c_k != 0 and (c_i, c_j) != 0, so the
+    frequencies c_k and |c| are distinct and the kernel is the line R Y_c).
     """
-    ci, cj, ck = (float(x) for x in Z)
-    rho = hypot(ci, cj)
-    norm = sqrt(ci * ci + cj * cj + ck * ck)
-    if abs(ck) <= tol or rho <= tol:
-        raise DegenerateFrequencyError(
-            f"degenerate precession for Z={Z!r}: need c_k != 0 and (c_i, c_j) != 0"
-        )
-    kernel = np.array([0.0, 0.0, ci, cj, ck]) / norm
-    u4 = np.array([0.0, 0.0, ck * ci, ck * cj, -rho * rho]) / (rho * norm)
-    if name == "M":
-        u1 = np.array([ci, cj, 0.0, 0.0, 0.0]) / rho
-        u2 = np.array([0.0, 0.0, -cj, ci, 0.0]) / rho
-        u3 = np.array([cj, -ci, 0.0, 0.0, 0.0]) / rho
-    elif name == "Mprime":
-        u1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        u2 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        u3 = np.array([0.0, 0.0, cj, -ci, 0.0]) / rho
-    else:
-        raise ValueError(f"no analytic eigenframe for manifold {name!r}")
-    Zf = np.array([ci, cj, ck])
-    return EigenFrame(Zf, ((u1, u2, ck), (u3, u4, norm)), kernel)
-
-
-@dataclass
-class SpectralSplit:
-    """V = V_ck + V_abs + V_0 along the invariant planes and the kernel,
-    with coefficients in the unnormalized printed frame."""
-
-    V_ck: np.ndarray
-    V_abs: np.ndarray
-    V_0: np.ndarray
-    alphas: tuple
-    beta: float
-
-
-def spectral_split(name, Z, V):
-    frame = eigenframe(name, Z)
-    V = np.asarray(V, float)
-    ci, cj, ck = (float(x) for x in Z)
-    rho2 = ci * ci + cj * cj
-    n2 = rho2 + ck * ck
-    v_ck = frame.plane_part(V, 0)
-    v_abs = frame.plane_part(V, 1)
-    v_0 = frame.kernel_part(V)
-    e4 = np.array([0.0, 0.0, ck * ci, ck * cj, -rho2])
-    if name == "M":
-        e1 = np.array([ci, cj, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 0.0, -cj, ci, 0.0])
-        e3 = sqrt(n2) * np.array([cj, -ci, 0.0, 0.0, 0.0])
-        n1 = rho2
-    else:
-        e1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        e3 = sqrt(n2) * np.array([0.0, 0.0, cj, -ci, 0.0])
-        n1 = 1.0
-    alphas = (
-        float(V @ e1) / n1, float(V @ e2) / n1,
-        float(V @ e3) / (rho2 * n2), float(V @ e4) / (rho2 * n2),
-    )
-    beta = (ci * V[2] + cj * V[3] + ck * V[4]) / n2
-    return SpectralSplit(v_ck, v_abs, v_0, alphas, beta)
-
-
-def is_generic(name, Z, V, tol=1e-9):
-    """The open-dense condition: |c| > |c_k| > 0 and all three spectral
-    components of V nonzero."""
+    if data.frame is None:
+        raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
     Z = np.asarray(Z, float)
-    ck = abs(float(Z[2]))
-    norm = float(np.linalg.norm(Z))
-    if ck <= tol or norm - ck <= tol:
-        return False
-    frame = eigenframe(name, Z, tol)
-    V = np.asarray(V, float)
-    return all(
-        float(np.linalg.norm(part)) > tol
-        for part in (frame.plane_part(V, 0), frame.plane_part(V, 1),
-                     frame.kernel_part(V))
-    )
+    rows, theta = data.frame(Z)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if not (np.all(np.abs(theta) > tol) and np.all(norms > tol)):
+        raise DegenerateFrequencyError(
+            f"degenerate precession for Z={Z.tolist()}: need c_k != 0 and "
+            "(c_i, c_j) != 0"
+        )
+    return EigenFrame(Z, rows / norms[:, None], theta)
 
 
 # ---------------------------------------------------------------------------
 # integrators
-
-
-def geodesic_field(alg, v, z, V, Z):
-    """Right-hand side of the geodesic equations; batched over leading axes."""
-    jm = j_matrix_np(alg, Z)
-    dv = V
-    dz = Z + 0.5 * bracket_v_np(alg, v, V)
-    dV = np.einsum("...qp,...p->...q", jm, V)
-    dZ = np.zeros_like(Z)
-    return dv, dz, dV, dZ
 
 
 def default_steps(t, steps_per_unit=1000):
@@ -259,16 +154,10 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
     # Z is conserved along geodesics (and across RK4 stages, since dZ = 0),
     # so j(Z) is computed once per trajectory batch.
     h = t / steps
-    tensor = alg.tensor()
-    dv, dz_dim = alg.dim_v, alg.dim_z
-    jm = np.einsum("pqr,...r->...qp", tensor, Z)
-    jm_t = np.swapaxes(jm, -1, -2)  # row-vector convention: V @ jm_t = jm V
-    tmat = tensor.reshape(dv, dv * dz_dim)
+    jm_t = np.swapaxes(j_matrix_np(alg, Z), -1, -2)  # V @ jm_t = j(Z) V
 
     def field(v, V):
-        # [v, V]_r = v_p T[p, q, r] V_q as two matmuls
-        w = (v @ tmat).reshape(v.shape[:-1] + (dv, dz_dim))
-        dz = Z + 0.5 * np.squeeze(V[..., None, :] @ w, -2)
+        dz = Z + 0.5 * bracket_v_np(alg, v, V)
         dV = np.squeeze(V[..., None, :] @ jm_t, -2)
         return V, dz, dV
 
@@ -305,8 +194,7 @@ def flow_rk4_many(alg, states, t, steps=None):
 
 def flow_exact_vV(frame, v0, V0, t):
     """Closed-form (v(t), V(t)): V precesses, v integrates the precession."""
-    V0 = np.asarray(V0, float)
-    return np.asarray(v0, float) + frame.integrate_rotation(V0, t), frame.rotate(V0, t)
+    return np.asarray(v0, float) + frame.integrate(V0, t), frame.rotate(V0, t)
 
 
 def _gauss_legendre_nodes(t, panels, order=10):
@@ -319,23 +207,21 @@ def _gauss_legendre_nodes(t, panels, order=10):
     return nodes, weights
 
 
-def flow_exact_state(alg, name, state, t):
-    """Closed-form flow of a full state on M or M'.
+def flow_exact_state(data, state, t):
+    """Closed-form flow of a full state on a manifold with an invariant frame.
 
     v and V are exact trigonometric expressions; z(t) adds t Z plus the
     integral of [v(s), V(s)]/2, evaluated by composite Gauss-Legendre on
     the closed-form integrand (spectrally accurate: the integrand is a
     trigonometric polynomial in the two frequencies).
     """
-    frame = eigenframe(name, state.Z)
+    frame = eigenframe(data, state.Z)
     t = float(t)
     vt, Vt = flow_exact_vV(frame, state.v, state.V, t)
-    max_theta = max(abs(p[2]) for p in frame.planes)
-    panels = max(4, ceil(abs(t) * max_theta / 2.0))
+    panels = max(4, ceil(abs(t) * float(np.max(np.abs(frame.theta))) / 2.0))
     nodes, weights = _gauss_legendre_nodes(t, panels)
-    vs = state.v[None, :] + frame.integrate_many(state.V, nodes)
-    Vs = frame.rotate_many(state.V, nodes)
-    integrand = bracket_v_np(alg, vs, Vs)
+    vs, Vs = flow_exact_vV(frame, state.v, state.V, nodes)
+    integrand = bracket_v_np(data.alg, vs, Vs)
     zt = state.z + t * state.Z + 0.5 * np.einsum("n,nr->r", weights, integrand)
     return TangentState(vt, zt, Vt, state.Z.copy())
 
@@ -362,15 +248,16 @@ def sample_generic_Z(rng, min_ck=0.1, min_gap=0.1, min_prod=0.05):
         return c
 
 
-def sample_generic_state(name, rng, min_comp=0.05):
+def sample_generic_state(data, rng, min_comp=0.05):
     """A random tangent state with generic Z and V hitting every frame
     direction by at least min_comp."""
+    dv, dz = data.alg.dim_v, data.alg.dim_z
     while True:
         Z = sample_generic_Z(rng)
-        frame = eigenframe(name, Z)
-        V = rng.uniform(-1.0, 1.0, size=5)
-        if min(abs(c) for c in frame.components(V)) < min_comp:
+        frame = eigenframe(data, Z)
+        V = rng.uniform(-1.0, 1.0, size=dv)
+        if np.min(np.abs(frame.components(V))) < min_comp:
             continue
-        v = rng.uniform(-1.0, 1.0, size=5)
-        z = rng.uniform(-1.0, 1.0, size=3)
+        v = rng.uniform(-1.0, 1.0, size=dv)
+        z = rng.uniform(-1.0, 1.0, size=dz)
         return TangentState(v, z, V, Z)

@@ -12,10 +12,10 @@ right-multiplication by exp(h e) (so it is frame-covariant), the fiber
 part A is the plain velocity-space gradient.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .catalog import _frame_M
+from .flow import TangentState
 from .lie_core import bracket_v_np, j_matrix_np
 
 INTEGRAL_NAMES = ("q_i", "q_j", "q_k", "h1", "h2", "k", "f_i", "f_j")
@@ -32,51 +32,22 @@ def phi(x):
     return out if out.ndim else float(out)
 
 
-def phi_factor(Z):
-    Z = np.asarray(Z, float)
-    ck = Z[..., 2]
-    n2 = np.einsum("...r,...r->...", Z, Z)
-    return phi(ck * n2)
-
-
-def c_matrix(Z):
-    """The 2x3 matrix sending y-coordinates (Y_i, Y_j, Y_k) to
-    x-coordinates (X_i, X_j) with C(Z) . j(Z)|_x = Id_x.  Requires
-    c_k |c|^2 != 0."""
-    ci, cj, ck = (float(x) for x in Z)
-    n2 = ci * ci + cj * cj + ck * ck
-    d = ck * n2
-    if d == 0.0:
-        raise ZeroDivisionError("c_matrix undefined when c_k |c|^2 = 0")
-    return np.array([
-        [-ci * cj, ci * ci + ck * ck, -cj * ck],
-        [-(cj * cj + ck * ck), ci * cj, ci * ck],
-    ]) / d
-
-
-def evaluate_integrals(state=None, *, v=None, V=None, Z=None):
-    """All eight integrals; batched over leading axes when arrays are given.
+def evaluate_integrals(state):
+    """All eight integrals at a TangentState, batched over the leading axes
+    of its arrays (z is not read).
 
     Returns shape (..., 8).  The transcendental pair is evaluated on its
     zero branch (exactly 0) wherever phi(c_k |c|^2) underflows, which
     keeps the values finite through the degenerate cone c_k = 0.
     """
-    if state is not None:
-        v, V, Z = state.v, state.V, state.Z
-    v = np.asarray(v, float)
-    V = np.asarray(V, float)
-    Z = np.asarray(Z, float)
+    v, V, Z = state.v, state.V, state.Z
     ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
     n2 = ci * ci + cj * cj + ck * ck
-    rho2 = ci * ci + cj * cj
-    norm = np.sqrt(n2)
-    e1 = ci * V[..., 0] + cj * V[..., 1]
-    e2 = -cj * V[..., 2] + ci * V[..., 3]
-    e3 = norm * (cj * V[..., 0] - ci * V[..., 1])
-    e4 = ck * (ci * V[..., 2] + cj * V[..., 3]) - rho2 * V[..., 4]
-    h1 = e1 * e1 + e2 * e2
-    h2 = e3 * e3 + e4 * e4
-    kk = ci * V[..., 2] + cj * V[..., 3] + ck * V[..., 4]
+    # <V, E_m> and <V, Y_c> in the printed frame of M
+    e = np.einsum("...mp,...p->...m", _frame_M(Z)[0], V)
+    h1 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
+    h2 = e[..., 2] * e[..., 2] + e[..., 3] * e[..., 3]
+    kk = e[..., 4]
 
     bump = phi(ck * n2)
     bump = np.asarray(bump, float)
@@ -98,158 +69,77 @@ def evaluate_integrals(state=None, *, v=None, V=None, Z=None):
     return out
 
 
-def energy(state):
-    return 0.5 * state.speed2
-
-
 # ---------------------------------------------------------------------------
 # left gradients and the symplectic calculus
 
 
-@dataclass
-class LeftGradient:
-    """B: base part (length dim_v + dim_z), A: fiber part (same length)."""
+def left_gradients_all(alg, state, h=1e-6, fn=None):
+    """Central-difference left gradients of the functions fn evaluates.
 
-    B: np.ndarray
-    A: np.ndarray
-
-
-def _perturbed_bases(alg, v, z, h):
-    """Bases (v, z) exp(+-h e) for each algebra direction e; returns
-    (plus, minus) arrays of shape (dim, dim_v) and (dim, dim_z)."""
-    dv, dz = alg.dim_v, alg.dim_z
-    n = dv + dz
-    vp = np.repeat(v[None, :], n, axis=0)
-    vm = vp.copy()
-    zp = np.repeat(z[None, :], n, axis=0)
-    zm = zp.copy()
-    for p in range(dv):
-        e = np.zeros(dv)
-        e[p] = 1.0
-        corr = 0.5 * h * bracket_v_np(alg, v, e)
-        vp[p, p] += h
-        zp[p] += corr
-        vm[p, p] -= h
-        zm[p] -= corr
-    for r in range(dz):
-        zp[dv + r, r] += h
-        zm[dv + r, r] -= h
-    return (vp, zp), (vm, zm)
-
-
-def left_gradient(f, alg, state, h=1e-6):
-    """Central-difference left gradient of a scalar f(v, z, V, Z)."""
-    dv, dz = alg.dim_v, alg.dim_z
-    n = dv + dz
-    (vp, zp), (vm, zm) = _perturbed_bases(alg, state.v, state.z, h)
-    B = np.array([
-        (f(vp[i], zp[i], state.V, state.Z) - f(vm[i], zm[i], state.V, state.Z))
-        / (2.0 * h)
-        for i in range(n)
-    ])
-    A = np.zeros(n)
-    for i in range(n):
-        dV = np.zeros(dv)
-        dZ = np.zeros(dz)
-        if i < dv:
-            dV[i] = h
-        else:
-            dZ[i - dv] = h
-        A[i] = (
-            f(state.v, state.z, state.V + dV, state.Z + dZ)
-            - f(state.v, state.z, state.V - dV, state.Z - dZ)
-        ) / (2.0 * h)
-    return LeftGradient(B, A)
-
-
-def left_gradients_all(alg, state, h=1e-6):
-    """Left gradients of all eight integrals at once.
-
-    Returns (B, A) with shapes (8, dim) each; 4 batched integral
-    evaluations total.
+    fn maps a batched TangentState to values of shape (n, k); it defaults
+    to the eight integrals.  Returns (B, A) with shapes (k, dim) each; 4
+    batched evaluations total.
     """
-    dv, dz = alg.dim_v, alg.dim_z
-    n = dv + dz
-    (vp, zp), (vm, zm) = _perturbed_bases(alg, state.v, state.z, h)
-    Vb = np.repeat(state.V[None, :], n, axis=0)
-    Zb = np.repeat(state.Z[None, :], n, axis=0)
-    fp = evaluate_integrals(v=vp, V=Vb, Z=Zb)
-    fm = evaluate_integrals(v=vm, V=Vb, Z=Zb)
-    B = (fp - fm).T / (2.0 * h)
+    if fn is None:
+        fn = evaluate_integrals
+    dv, n = alg.dim_v, alg.dim
+    step = h * np.eye(n)
+    no_v, no_z = np.zeros((n, dv)), np.zeros((n, n - dv))
 
-    Vp = np.repeat(state.V[None, :], n, axis=0)
-    Vm = Vp.copy()
-    Zp = np.repeat(state.Z[None, :], n, axis=0)
-    Zm = Zp.copy()
-    for i in range(dv):
-        Vp[i, i] += h
-        Vm[i, i] -= h
-    for r in range(dz):
-        Zp[dv + r, r] += h
-        Zm[dv + r, r] -= h
-    vb = np.repeat(state.v[None, :], n, axis=0)
-    fp = evaluate_integrals(v=vb, V=Vp, Z=Zp)
-    fm = evaluate_integrals(v=vb, V=Vm, Z=Zm)
-    A = (fp - fm).T / (2.0 * h)
+    def central(dv_, dz_, dV, dZ):
+        s = state
+        fp = fn(TangentState(s.v + dv_, s.z + dz_, s.V + dV, s.Z + dZ))
+        fm = fn(TangentState(s.v - dv_, s.z - dz_, s.V - dV, s.Z - dZ))
+        return (fp - fm).T / (2.0 * h)
+
+    # the base moves by right multiplication with exp(+-h e):
+    # (v, z) -> (v +- h e_v, z +- (h e_z + h [v, e_v] / 2))
+    base_z = step[:, dv:] + 0.5 * bracket_v_np(alg, state.v, step[:, :dv])
+    B = central(step[:, :dv], base_z, no_v, no_z)
+    A = central(no_v, no_z, step[:, :dv], step[:, dv:])
     return B, A
 
 
-def hamiltonian_field(alg, state, grad):
-    """The Hamiltonian vector field of a function with left gradient grad.
+def hamiltonian_field(alg, state, B, A):
+    """Hamiltonian vector fields of functions with left gradients (B, A),
+    one per row.
 
     Base velocity is the fiber gradient A (as a left-invariant vector);
     fiber velocity is -B plus the coadjoint correction j(Z) A_v acting on
     the V components.
     """
     dv = alg.dim_v
-    base = grad.A.copy()
-    fiber = -grad.B.copy()
-    jm = j_matrix_np(alg, state.Z)
-    fiber[:dv] += jm @ grad.A[:dv]
-    return base, fiber
+    fiber = -B
+    fiber[..., :dv] += A[..., :dv] @ j_matrix_np(alg, state.Z).T
+    return A, fiber
 
 
 def _shift_state(alg, state, base_dir, fiber_dir, h):
-    """Move a state by h along (base_dir, fiber_dir): the base moves by
-    right multiplication with exp(h base_dir), the fiber linearly."""
-    from .flow import TangentState
-
+    """Move a state by h along each row of (base_dir, fiber_dir): the base
+    moves by right multiplication with exp(h base_dir), the fiber linearly."""
     dv = alg.dim_v
-    bv, bz = base_dir[:dv], base_dir[dv:]
+    bv, bz = base_dir[..., :dv], base_dir[..., dv:]
     v = state.v + h * bv
     z = state.z + h * bz + 0.5 * h * bracket_v_np(alg, state.v, bv)
-    V = state.V + h * fiber_dir[:dv]
-    Z = state.Z + h * fiber_dir[dv:]
+    V = state.V + h * fiber_dir[..., :dv]
+    Z = state.Z + h * fiber_dir[..., dv:]
     return TangentState(v, z, V, Z)
 
 
-def poisson_bracket(f, g, alg, state, h=1e-6):
-    """{f, g} = df(X_g) by a central difference along g's Hamiltonian field."""
-    grad_g = left_gradient(g, alg, state, h)
-    base, fiber = hamiltonian_field(alg, state, grad_g)
-    sp = _shift_state(alg, state, base, fiber, h)
-    sm = _shift_state(alg, state, base, fiber, -h)
-    return (
-        f(sp.v, sp.z, sp.V, sp.Z) - f(sm.v, sm.z, sm.V, sm.Z)
-    ) / (2.0 * h)
+def poisson_matrix(alg, state, h=1e-6, fn=None):
+    """All brackets {F_a, F_b} = dF_a(X_{F_b}) of the functions fn
+    evaluates (default: the eight integrals), shape (k, k).
 
-
-def poisson_matrix(alg, state, h=1e-6):
-    """All brackets {F_a, F_b} of the eight integrals, shape (8, 8).
-
-    Gradients of all integrals are batched; each column then needs two
-    batched evaluations along the corresponding Hamiltonian field.
+    Gradients are batched; the shifts along the k Hamiltonian fields are
+    then two more batched evaluations.
     """
-    B, A = left_gradients_all(alg, state, h)
-    out = np.zeros((8, 8))
-    for b in range(8):
-        base, fiber = hamiltonian_field(alg, state, LeftGradient(B[b], A[b]))
-        sp = _shift_state(alg, state, base, fiber, h)
-        sm = _shift_state(alg, state, base, fiber, -h)
-        out[:, b] = (
-            evaluate_integrals(sp) - evaluate_integrals(sm)
-        ) / (2.0 * h)
-    return out
+    if fn is None:
+        fn = evaluate_integrals
+    B, A = left_gradients_all(alg, state, h, fn)
+    base, fiber = hamiltonian_field(alg, state, B, A)
+    fp = fn(_shift_state(alg, state, base, fiber, h))
+    fm = fn(_shift_state(alg, state, base, fiber, -h))
+    return (fp - fm).T / (2.0 * h)
 
 
 def independence_rank(alg, state, h=1e-6, svd_threshold=1e-7):

@@ -86,8 +86,15 @@ def bracket_v(alg, av, bv):
 
 
 def bracket_v_np(alg, av, bv):
-    """Float bracket of v-vectors; supports batched leading axes."""
-    return np.einsum("...p,...q,pqr->...r", av, bv, alg.tensor())
+    """Float bracket of v-vectors, broadcast over leading axes.
+
+    [a, b]_r = a_p T[p, q, r] b_q as two matmuls: a against the tensor
+    flattened to (dim_v, dim_v * dim_z), then b against the result.
+    """
+    av, bv = np.asarray(av, float), np.asarray(bv, float)
+    dv, dz = alg.dim_v, alg.dim_z
+    w = (av @ alg.tensor().reshape(dv, dv * dz)).reshape(av.shape[:-1] + (dv, dz))
+    return (bv[..., None, :] @ w)[..., 0, :]
 
 
 def j_matrix(alg, z):
@@ -120,10 +127,6 @@ class GroupElement:
             raise ValueError("component dimensions do not match the algebra")
 
 
-def group_identity(alg):
-    return GroupElement(alg, (0,) * alg.dim_v, (0,) * alg.dim_z)
-
-
 def group_mul(a, b):
     """BCH product (v, z)(v', z') = (v + v', z + z' + [v, v']/2)."""
     if a.alg is not b.alg:
@@ -133,10 +136,6 @@ def group_mul(a, b):
     v = tuple(x + y for x, y in zip(a.v, b.v))
     z = tuple(x + y + half * c for x, y, c in zip(a.z, b.z, corr))
     return GroupElement(a.alg, v, z)
-
-
-def group_inv(a):
-    return GroupElement(a.alg, tuple(-x for x in a.v), tuple(-x for x in a.z))
 
 
 def conjugate(g, h):
@@ -198,13 +197,6 @@ def lattice_contains(lat, w):
     return all(c.denominator == 1 for c in x)
 
 
-def lattice_coordinates(lat, w):
-    """Exact basis coordinates of w, or None if w is outside the span."""
-    w = [Fraction(x) for x in w]
-    cols = [list(v) for v in zip(*lat.basis)]
-    return lx.solve(cols, w)
-
-
 def dual_lattice(lat):
     """Dual basis: inverse transpose of the (full-rank) basis matrix."""
     if lat.rank != lat.ambient_dim:
@@ -213,9 +205,3 @@ def dual_lattice(lat):
     inv = lx.inverse(cols)
     # rows of inv are the dual basis vectors: <dual_i, b_j> = delta_ij
     return RationalLattice(lat.ambient_dim, tuple(tuple(row) for row in inv))
-
-
-def integer_lattice(n):
-    return RationalLattice(n, tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ))

@@ -111,49 +111,6 @@ def inverse(mat):
     return [row[n:] for row in r]
 
 
-def det(mat):
-    """Bareiss fraction-free determinant (exact for int or Fraction input)."""
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def char_poly(mat):
-    """Monic characteristic polynomial det(lambda*I - A), highest degree first.
-
-    Faddeev-LeVerrier recurrence; exact for rational input.
-    """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("char_poly requires a square matrix")
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)]
-    m = zeros(n, n)
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        m = mat_mul(a, m)
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        ck = -sum(
-            sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n)
-        ) / k
-        coeffs.append(ck)
-    return coeffs
-
-
 def integer_kernel(mat):
     """Basis of {x in Z^m : mat @ x = 0} for an integer matrix.
 

@@ -40,21 +40,21 @@ class ConstructionError(RuntimeError):
 # translational elements
 
 
-def translational_element(name, alg, state, tau):
+def translational_element(data, state, tau):
     """a = gamma(tau) gamma(0)^{-1} for a rotation period tau, from the
     structure of the flow: only the kernel part of V survives in the
     v-component, and the z-component collects the precession areas.
 
     Valid when e^{tau j(Z)} = Id; the caller is responsible for tau.
     """
-    frame = eigenframe(name, state.Z)
+    frame = eigenframe(data, state.Z)
     V = state.V
     v0 = frame.kernel_part(V)
     v_ck = frame.plane_part(V, 0)
     v_nm = frame.plane_part(V, 1)
     vperp = v_ck + v_nm
     jinv = frame.j_inverse_planar
-    br = lambda a, b: bracket_v_np(alg, a, b)
+    br = lambda a, b: bracket_v_np(data.alg, a, b)
     a_v = tau * v0
     a_z = (
         tau * state.Z
@@ -66,47 +66,29 @@ def translational_element(name, alg, state, tau):
     return a_v, a_z
 
 
-def _frame_coefficients(name, Z, V):
-    """(beta, alpha) with V_0 = beta Y_c and V_perp = sum alpha_m E_m for
-    the unnormalized invariant frame of the given manifold."""
-    ci, cj, ck = (float(x) for x in Z)
-    rho2 = ci * ci + cj * cj
-    n2 = rho2 + ck * ck
-    V = np.asarray(V, float)
-    beta = (ci * V[2] + cj * V[3] + ck * V[4]) / n2
-    e4 = np.array([0.0, 0.0, ck * ci, ck * cj, -rho2])
-    if name == "M":
-        e1 = np.array([ci, cj, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 0.0, -cj, ci, 0.0])
-        e3 = sqrt(n2) * np.array([cj, -ci, 0.0, 0.0, 0.0])
-    elif name == "Mprime":
-        e1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        e3 = sqrt(n2) * np.array([0.0, 0.0, cj, -ci, 0.0])
-    else:
-        raise ValueError(f"no frame for manifold {name!r}")
-    alphas = [
-        float(V @ e1) / (rho2 if name == "M" else 1.0),
-        float(V @ e2) / (rho2 if name == "M" else 1.0),
-        float(V @ e3) / (rho2 * n2),
-        float(V @ e4) / (rho2 * n2),
-    ]
-    return beta, alphas
+def _frame_coefficients(data, Z, V):
+    """Coefficients of V in the manifold's printed (unnormalized) frame,
+    V = sum alpha_m E_m + beta Y_c as (alpha_1..alpha_4, beta), and the
+    squared lengths of E_1..E_4, Y_c."""
+    rows, _ = data.frame(np.asarray(Z, float))
+    sq = np.einsum("ij,ij->i", rows, rows)
+    return rows @ np.asarray(V, float) / sq, sq
 
 
-def translational_element_expanded(name, state, tau):
+def translational_element_expanded(data, state, tau):
     """The same element in closed form, written in the orthogonal z-basis
     (Z_c, D, W) with D = -c_j Z_i + c_i Z_j and
     W = c_k (c_i Z_i + c_j Z_j) - (c_i^2 + c_j^2) Z_k."""
     ci, cj, ck = (float(x) for x in state.Z)
     rho2 = ci * ci + cj * cj
     n2 = rho2 + ck * ck
-    beta, al = _frame_coefficients(name, state.Z, state.V)
-    v_ck2 = (al[0] ** 2 + al[1] ** 2) * (rho2 if name == "M" else 1.0)
-    vperp2 = v_ck2 + (al[2] ** 2 + al[3] ** 2) * rho2 * n2
+    al, sq = _frame_coefficients(data, state.Z, state.V)
+    beta = al[4]
+    v_ck2 = al[0] ** 2 * sq[0] + al[1] ** 2 * sq[1]
+    vperp2 = v_ck2 + al[2] ** 2 * sq[2] + al[3] ** 2 * sq[3]
     xi, xj, yi, yj, yk = (float(x) for x in state.v)
     coef_c = tau * (1.0 + vperp2 / (2.0 * n2))
-    if name == "M":
+    if data.name == "M":
         coef_d = tau * beta * (al[1] - ck / rho2 * (xi * ci + xj * cj))
         coef_w = tau * (
             -v_ck2 / (2.0 * ck * n2)
@@ -162,7 +144,8 @@ def rationalize_sphere_direction(u, bound):
         raise ConstructionError("could not leave the degenerate cone")
     if south:
         uk = -uk
-    assert ui * ui + uj * uj + uk * uk == 1
+    if ui * ui + uj * uj + uk * uk != 1:
+        raise ConstructionError("rational point left the unit sphere")
     return ui, uj, uk
 
 
@@ -224,9 +207,10 @@ def _exact_element(c, r, t, P_D, P_W, m):
     return a_v, a_z
 
 
-def construct_closed_geodesic(name, target, epsilon=0.05, lattice_v=None,
-                              lattice_z=None, bound=None, grid=None):
-    """An exactly closed geodesic within epsilon of the target state.
+def construct_closed_geodesic(data, target, epsilon=0.05, bound=None,
+                              grid=None):
+    """An exactly closed geodesic on the manifold within epsilon of the
+    target state; the element a is checked to lie in the lattice.
 
     target: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0) and
     any v, z, V.  The free coordinates (z, and the v-coordinates not pinned
@@ -242,12 +226,16 @@ def construct_closed_geodesic(name, target, epsilon=0.05, lattice_v=None,
             "target Z lies on the degenerate cone; no generic closed geodesic "
             "construction applies"
         )
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if bound is None:
         bound = max(16, ceil(4.0 / epsilon))
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     last_err = None
     for _ in range(7):
         try:
-            geo = _construct_once(name, target, epsilon, bound, grid)
+            geo = _construct_once(data, target, epsilon, bound, grid)
         except ConstructionError as e:
             last_err = e
             bound *= 2
@@ -255,9 +243,9 @@ def construct_closed_geodesic(name, target, epsilon=0.05, lattice_v=None,
                 grid *= 2
             continue
         if geo is not None:
-            if lattice_v is not None and not lattice_contains(lattice_v, geo.a_v):
+            if not lattice_contains(data.lattice_v, geo.a_v):
                 raise ConstructionError("v-part of a left the lattice")
-            if lattice_z is not None and not lattice_contains(lattice_z, geo.a_z):
+            if not lattice_contains(data.lattice_z, geo.a_z):
                 raise ConstructionError("z-part of a left the lattice")
             return geo
         bound *= 2
@@ -268,7 +256,7 @@ def construct_closed_geodesic(name, target, epsilon=0.05, lattice_v=None,
     )
 
 
-def _construct_once(name, target, epsilon, bound, grid=None):
+def _construct_once(data, target, epsilon, bound, grid=None):
     unit = Fraction(1, grid if grid is not None else bound)
     zt = np.asarray(target.Z, float)
     norm_t = float(np.linalg.norm(zt))
@@ -284,16 +272,18 @@ def _construct_once(name, target, epsilon, bound, grid=None):
     if abs(c_f[2]) < 1e-12 or hypot(c_f[0], c_f[1]) < 1e-12:
         return None
     sigma = 2.0 * pi * q / float(norm_c)
-    frame = eigenframe(name, c_f)
+    frame = eigenframe(data, c_f)
 
     Vt = np.asarray(target.V, float)
     ck_f, n2 = c_f[2], float(c_f @ c_f)
-    beta_bar = (c_f[0] * Vt[2] + c_f[1] * Vt[3] + c_f[2] * Vt[4]) / n2
+    rows, _ = data.frame(c_f)
+    y_c = rows[4]
+    beta_bar = _frame_coefficients(data, c_f, Vt)[0][4]
     r = _approx(beta_bar * sigma, bound, grid)
     if r == 0:
         r = unit if beta_bar >= 0 else -unit
 
-    vperp_t = Vt - beta_bar * np.array([0.0, 0.0, c_f[0], c_f[1], c_f[2]])
+    vperp_t = Vt - beta_bar * y_c
     vperp2_bar = float(vperp_t @ vperp_t)
     t = _approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound, grid)
     while 2.0 * n2 * (float(t) / sigma - 1.0) <= 0.0:
@@ -319,19 +309,18 @@ def _construct_once(name, target, epsilon, bound, grid=None):
         nrm = float(np.linalg.norm(vec))
         return vec / nrm if nrm > 1e-9 else fallback
 
-    d1 = _unit(v_ck_t, frame.planes[0][0])
-    d2 = _unit(frame.plane_part(Vt, 1), frame.planes[1][0])
+    d1 = _unit(v_ck_t, frame.basis[0])
+    d2 = _unit(frame.plane_part(Vt, 1), frame.basis[2])
     beta = float(r) / sigma
-    V = beta * np.array([0.0, 0.0, c_f[0], c_f[1], c_f[2]])
-    V = V + sqrt(vck2) * d1 + sqrt(vnm2) * d2
+    V = beta * y_c + sqrt(vck2) * d1 + sqrt(vnm2) * d2
 
     # pin the base coordinates so the D and W coefficients of a_z become
     # the exact rationals P_D = r g_D and P_W = -w1 + r g_W
-    beta_c, al = _frame_coefficients(name, c_f, V)
+    al, _ = _frame_coefficients(data, c_f, V)
     rho2 = float(c_f[0] ** 2 + c_f[1] ** 2)
     ci, cj, ck = c_f
     v = np.asarray(target.v, float).copy()
-    if name == "M":
+    if data.name == "M":
         gD_bar = al[1] - ck / rho2 * (v[0] * ci + v[1] * cj)
         gW_bar = al[3] - (v[0] * cj - v[1] * ci) / rho2
         P_D = _approx(float(r) * gD_bar, bound, grid)
@@ -382,7 +371,7 @@ def _construct_once(name, target, epsilon, bound, grid=None):
 
     state = TangentState(v, np.asarray(target.z, float), V, c_f)
     return ClosedGeodesic(
-        name, c, norm_c, p, q, m, r, t, P_D, P_W, tau_over_pi,
+        data.name, c, norm_c, p, q, m, r, t, P_D, P_W, tau_over_pi,
         a_v, a_z, state,
     )
 
@@ -391,28 +380,26 @@ def _construct_once(name, target, epsilon, bound, grid=None):
 # family dimension and invariant fibers
 
 
-def _closure_constraints(name, alg, geo):
+def _closure_constraints(data, geo):
     a_v = np.array([float(x) for x in geo.a_v])
     a_z = np.array([float(x) for x in geo.a_z])
     tau = geo.tau
 
     def F(flat):
-        s = state_from_flat(alg, flat)
-        end = flow_exact_state(alg, name, s, tau)
+        s = state_from_flat(data.alg, flat)
+        end = flow_exact_state(data, s, tau)
         t_v = end.v - s.v
-        t_z = end.z - s.z - 0.5 * bracket_v_np(alg, end.v, s.v)
-        frame = eigenframe(name, s.Z)
-        rot = frame.rotate(s.V, tau) - s.V
-        return np.concatenate([t_v - a_v, t_z - a_z, rot])
+        t_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
+        return np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V])
 
     return F
 
 
-def closure_jacobian(name, alg, geo, h=1e-4):
+def closure_jacobian(data, geo, h=1e-4):
     """Fourth-order central-difference Jacobian of the 13 closure
     constraints (translational element fixed: 8; velocity rotation: 5)
     with respect to the 16 phase-space coordinates."""
-    F = _closure_constraints(name, alg, geo)
+    F = _closure_constraints(data, geo)
     x0 = geo.state.flat()
     n = x0.size
     cols = []
@@ -427,11 +414,11 @@ def closure_jacobian(name, alg, geo, h=1e-4):
     return np.stack(cols, axis=1)
 
 
-def family_dimension(name, alg, geo, h=1e-4, svd_threshold=1e-6):
+def family_dimension(data, geo, h=1e-4, svd_threshold=1e-6):
     """Dimension of the kernel of the closure constraints at the closed
     geodesic = dimension of the continuous family through it (counted in
     the full 16-dimensional phase space)."""
-    jac = closure_jacobian(name, alg, geo, h)
+    jac = closure_jacobian(data, geo, h)
     sv = np.linalg.svd(jac, compute_uv=False)
     nullity = int(np.sum(sv <= svd_threshold * sv[0])) + jac.shape[1] - sv.size
     return nullity, sv
@@ -440,27 +427,22 @@ def family_dimension(name, alg, geo, h=1e-4, svd_threshold=1e-6):
 def _coordinate_gradients(alg, state, h=1e-6):
     """Plain coordinate-space gradients of the eight integrals, (8, 16)."""
     x0 = state.flat()
-    n = x0.size
-    grads = np.zeros((8, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        sp = state_from_flat(alg, x0 + h * e)
-        sm = state_from_flat(alg, x0 - h * e)
-        grads[:, i] = (evaluate_integrals(sp) - evaluate_integrals(sm)) / (2 * h)
-    return grads
+    step = h * np.eye(x0.size)
+    fp = evaluate_integrals(state_from_flat(alg, x0 + step))
+    fm = evaluate_integrals(state_from_flat(alg, x0 - step))
+    return (fp - fm).T / (2 * h)
 
 
-def invariant_fiber_codim(name, alg, geo, h=1e-4, svd_threshold=1e-6):
+def invariant_fiber_codim(data, geo, h=1e-4, svd_threshold=1e-6):
     """Rank of the integral gradients restricted to the family's tangent
     space; 1 means the family is a one-parameter stack of invariant level
     sets.  Also returns the largest projection of the three exact central
     integrals q_W, which must vanish on the family."""
-    jac = closure_jacobian(name, alg, geo, h)
+    jac = closure_jacobian(data, geo, h)
     _, sv, vt = np.linalg.svd(jac)
     null_rows = vt[np.concatenate([sv <= svd_threshold * sv[0],
                                    np.ones(vt.shape[0] - sv.size, bool)])]
-    grads = _coordinate_gradients(alg, geo.state)
+    grads = _coordinate_gradients(data.alg, geo.state)
     norms = np.linalg.norm(grads, axis=1)
     grads = grads / np.where(norms > 0, norms, 1.0)[:, None]
     proj = grads @ null_rows.T  # (8, nullity)

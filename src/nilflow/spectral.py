@@ -5,39 +5,13 @@ certificate for the pair (M, M').
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
 from . import linalg_exact as lx
 from .lie_core import RationalLattice, bracket_v, j_matrix, lattice_contains
 from .report import Certificate
-
-
-@dataclass
-class CharPoly:
-    """Monic characteristic polynomial, coefficients highest degree first."""
-
-    coefficients: tuple
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other):
-        return tuple(self.coefficients) == tuple(other.coefficients)
-
-    def evaluate(self, x):
-        acc = Fraction(0)
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-
-def char_poly(mat):
-    if not mat or any(len(row) != len(mat) for row in mat):
-        raise ValueError("char_poly requires a square matrix")
-    return CharPoly(tuple(lx.char_poly(mat)))
 
 
 def char_poly_batch_int(mats):

@@ -8,7 +8,7 @@ by (seed, suite)).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, pi
+from math import lcm
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from .flow import (
     flow_rk4_many,
     sample_generic_state,
 )
-from .integrals import (
-    evaluate_integrals,
-    independence_rank,
-    poisson_bracket,
-    poisson_matrix,
-)
+from .integrals import evaluate_integrals, independence_rank, poisson_matrix
 from .lie_core import bracket_v_np, lattice_contains
 from .periodicity import (
     construct_closed_geodesic,
@@ -178,14 +173,14 @@ def run_flow(seed, tol=None):
     rng = _rng(seed, "flow")
     m, mp = build_pair()
     t = 10.0
-    for data, name in ((m, "M"), (mp, "Mprime")):
-        states = [sample_generic_state(name, rng) for _ in range(100)]
+    for data in (m, mp):
+        states = [sample_generic_state(data, rng) for _ in range(100)]
         flats = np.stack([s.flat() for s in states])
         steps = int(round(t * tol.rk4_steps_per_unit))
         ends = flow_rk4_many(data.alg, flats, t, steps)
         worst = 0.0
         for s, end in zip(states, ends):
-            frame = eigenframe(name, s.Z)
+            frame = eigenframe(data, s.Z)
             v_e, V_e = flow_exact_vV(frame, s.v, s.V, t)
             err = max(
                 float(np.max(np.abs(v_e - end[:5]))),
@@ -193,7 +188,7 @@ def run_flow(seed, tol=None):
             )
             worst = max(worst, err)
         report.add(
-            f"exact_vs_rk4[{name}]",
+            f"exact_vs_rk4[{data.name}]",
             worst <= 1e-8,
             value=worst,
             tolerance=1e-8,
@@ -217,13 +212,11 @@ def run_integrals(seed, tol=None):
     worst = 0.0
     ts = np.arange(1.0, 21.0)
     for _ in range(1000):
-        s = sample_generic_state("M", rng)
+        s = sample_generic_state(m, rng)
         scale = 1.0 / np.sqrt(s.speed2)
         s = TangentState(s.v, s.z, scale * s.V, scale * s.Z)
-        frame = eigenframe("M", s.Z)
-        vs = s.v[None, :] + frame.integrate_many(s.V, ts)
-        Vs = frame.rotate_many(s.V, ts)
-        vals = evaluate_integrals(v=vs, V=Vs, Z=np.broadcast_to(s.Z, (20, 3)))
+        vs, Vs = flow_exact_vV(eigenframe(m, s.Z), s.v, s.V, ts)
+        vals = evaluate_integrals(TangentState(vs, s.z, Vs, s.Z))
         base = evaluate_integrals(s)
         worst = max(worst, float(np.max(np.abs(vals - base[None, :]))))
     report.add(
@@ -237,7 +230,7 @@ def run_integrals(seed, tol=None):
     # Poisson commutation of all 28 pairs + a nonzero sanity pair
     worst = 0.0
     for _ in range(1000):
-        s = sample_generic_state("M", rng)
+        s = sample_generic_state(m, rng)
         mat = poisson_matrix(alg, s, tol.fd_step)
         iu = np.triu_indices(8, k=1)
         worst = max(worst, float(np.max(np.abs(mat[iu]))))
@@ -248,12 +241,10 @@ def run_integrals(seed, tol=None):
         tolerance=tol.bracket_tol,
         note="max |{f_a, f_b}| over 28 pairs, 10^3 generic states",
     )
-    s = sample_generic_state("M", rng)
-    sanity = poisson_bracket(
-        lambda v, z, V, Z: v[0],
-        lambda v, z, V, Z: V[0],
-        alg, s, tol.fd_step,
-    )
+    s = sample_generic_state(m, rng)
+    sanity = poisson_matrix(
+        alg, s, tol.fd_step, lambda st: np.stack([st.v[..., 0], st.V[..., 0]], -1)
+    )[0, 1]
     report.add(
         "poisson_sanity_pair",
         abs(sanity - 1.0) <= tol.bracket_tol,
@@ -265,7 +256,7 @@ def run_integrals(seed, tol=None):
     # functional independence
     full = 0
     for _ in range(1000):
-        s = sample_generic_state("M", rng)
+        s = sample_generic_state(m, rng)
         if independence_rank(alg, s, tol.fd_step, tol.svd_threshold) == 8:
             full += 1
     report.add(
@@ -304,16 +295,14 @@ def run_integrals(seed, tol=None):
 _NICE_TARGET_CS = ((3.0, 0.0, 4.0), (0.0, 3.0, 4.0), (2.0, 1.0, 2.0))
 
 
-def _nice_geodesic(name, data, rng, c_bar):
+def _nice_geodesic(data, rng, c_bar):
     """A closed geodesic with small period: target Z is an exact integer
     vector with |c| and c_k/|c| rational, and the dyadic approximation grid
     keeps the lattice multiple m (hence tau) small."""
-    target = sample_generic_state(name, rng)
+    target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, np.array(c_bar))
     return construct_closed_geodesic(
-        name, target, epsilon=0.45,
-        lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-        bound=128, grid=128,
+        data, target, epsilon=0.45, bound=128, grid=128,
     )
 
 
@@ -326,18 +315,18 @@ def run_periodicity(seed, tol=None):
     # translational elements: proof form vs expanded form vs flow oracle
     worst_forms = 0.0
     worst_flow = 0.0
-    for data, name in ((m, "M"), (mp, "Mprime")):
+    for data in (m, mp):
         for c_bar in _NICE_TARGET_CS:
-            geo = _nice_geodesic(name, data, rng, c_bar)
+            geo = _nice_geodesic(data, rng, c_bar)
             s = geo.state
-            a1v, a1z = translational_element(name, data.alg, s, geo.tau)
-            a2v, a2z = translational_element_expanded(name, s, geo.tau)
+            a1v, a1z = translational_element(data, s, geo.tau)
+            a2v, a2z = translational_element_expanded(data, s, geo.tau)
             worst_forms = max(
                 worst_forms,
                 float(np.max(np.abs(a1v - a2v))),
                 float(np.max(np.abs(a1z - a2z))),
             )
-            end = flow_exact_state(data.alg, name, s, geo.tau)
+            end = flow_exact_state(data, s, geo.tau)
             o_v = end.v - s.v
             o_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
             worst_flow = max(
@@ -366,12 +355,9 @@ def run_periodicity(seed, tol=None):
     successes = 0
     worst_eps = 0.0
     for i in range(100):
-        name, data = ("M", m) if i % 2 == 0 else ("Mprime", mp)
-        target = sample_generic_state(name, rng)
-        geo = construct_closed_geodesic(
-            "M" if i % 2 == 0 else "Mprime", target, epsilon=0.1,
-            lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-        )
+        data = (m, mp)[i % 2]
+        target = sample_generic_state(data, rng)
+        geo = construct_closed_geodesic(data, target, epsilon=0.1)
         in_gamma = lattice_contains(data.lattice_v, geo.a_v) and \
             lattice_contains(data.lattice_z, geo.a_z)
         rot = (geo.tau_over_pi * geo.c[2] / 2).denominator == 1 and \
@@ -393,20 +379,20 @@ def run_periodicity(seed, tol=None):
     )
 
     # family dimension and invariant fibers
-    for data, name in ((m, "M"), (mp, "Mprime")):
-        geo = _nice_geodesic(name, data, rng, _NICE_TARGET_CS[0])
+    for data in (m, mp):
+        geo = _nice_geodesic(data, rng, _NICE_TARGET_CS[0])
         dims = []
         for h in (1e-4, 1e-5, 1e-6):
-            nullity, _ = family_dimension(name, data.alg, geo, h)
+            nullity, _ = family_dimension(data, geo, h)
             dims.append(nullity)
         report.add(
-            f"family_dimension[{name}]",
+            f"family_dimension[{data.name}]",
             dims == [9, 9, 9],
             value=dims,
             note="nullity across FD steps 1e-4/1e-5/1e-6",
         )
-        if name == "M":
-            rank, q_proj, _ = invariant_fiber_codim(name, data.alg, geo)
+        if data is m:
+            rank, q_proj, _ = invariant_fiber_codim(data, geo)
             report.add(
                 "invariant_fiber_codim[M]",
                 rank == 1 and q_proj < 1e-6,

@@ -1,0 +1,100 @@
+"""Independent reference implementations that the tests check production
+paths against.  None of this is used by the package itself.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from nilflow import linalg_exact as lx
+from nilflow.lie_core import GroupElement, RationalLattice, bracket_v
+
+
+def det(mat):
+    """Bareiss fraction-free determinant (exact for int or Fraction input)."""
+    n = len(mat)
+    m = [[Fraction(x) for x in row] for row in mat]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def char_poly(mat):
+    """Monic characteristic polynomial det(lambda*I - A), highest degree
+    first, by the exact Faddeev-LeVerrier recurrence over Fractions (the
+    oracle for spectral.char_poly_batch_int)."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("char_poly requires a square matrix")
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeffs = [Fraction(1)]
+    m = lx.zeros(n, n)
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{k-1} I
+        m = lx.mat_mul(a, m)
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        coeffs.append(-sum(
+            sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n)
+        ) / k)
+    return coeffs
+
+
+def group_inv(a):
+    """Inverse in exponential coordinates: (v, z)^{-1} = (-v, -z)."""
+    return GroupElement(a.alg, tuple(-x for x in a.v), tuple(-x for x in a.z))
+
+
+def integer_lattice(n):
+    return RationalLattice(n, tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    ))
+
+
+def lattice_coordinates(lat, w):
+    """Exact basis coordinates of w, or None if w is outside the span."""
+    cols = [list(v) for v in zip(*lat.basis)]
+    return lx.solve(cols, [Fraction(x) for x in w])
+
+
+def centralizer_nlambda_bruteforce(alg, Z):
+    """n_lambda = {X in n : <Z, [X, e_p]> = 0 for all p} by a direct exact
+    linear system over all of n (the oracle for criteria._int_kernel_v,
+    whose kernel plus z is n_lambda)."""
+    Z = [Fraction(x) for x in Z]
+    rows = []
+    for p in range(alg.dim_v):
+        e = [Fraction(1 if t == p else 0) for t in range(alg.dim_v)]
+        row = []
+        for q in range(alg.dim_v):
+            eq = [Fraction(1 if t == q else 0) for t in range(alg.dim_v)]
+            br = bracket_v(alg, eq, e)
+            row.append(sum(Z[r] * br[r] for r in range(alg.dim_z)))
+        rows.append(row + [Fraction(0)] * alg.dim_z)
+    return lx.nullspace(rows)
+
+
+def c_matrix(Z):
+    """The 2x3 matrix sending y-coordinates (Y_i, Y_j, Y_k) to
+    x-coordinates (X_i, X_j) with C(Z) . j(Z)|_x = Id_x (the kernel-return
+    map that integrals.evaluate_integrals applies inline).  Requires
+    c_k |c|^2 != 0."""
+    ci, cj, ck = (float(x) for x in Z)
+    d = ck * (ci * ci + cj * cj + ck * ck)
+    if d == 0.0:
+        raise ZeroDivisionError("c_matrix undefined when c_k |c|^2 = 0")
+    return np.array([
+        [-ci * cj, ci * ci + ck * ck, -cj * ck],
+        [-(cj * cj + ck * ck), ci * cj, ci * ck],
+    ]) / d

@@ -24,7 +24,7 @@ M, MP = build_pair()
 
 def test_state_roundtrip():
     rng = np.random.default_rng(1)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     text = format_state(M.alg, s)
     back = parse_state(M.alg, text)
     assert np.array_equal(back.v, s.v)
@@ -85,7 +85,7 @@ def test_flow_rk4_straight_line(tmp_path):
 
 def test_flow_exact_matches_rk4(tmp_path):
     rng = np.random.default_rng(3)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     rec = format_state(M.alg, s)
     o1, o2 = tmp_path / "a.txt", tmp_path / "b.txt"
     main(["flow", "--manifold", "M", "--method", "exact", "--t", "2",
@@ -125,7 +125,7 @@ def test_closed_geodesic_degenerate_is_exit_5():
 
 def test_integrals_and_poisson_commands(tmp_path):
     rng = np.random.default_rng(5)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     rec = format_state(M.alg, s)
     assert main(["integrals", "--manifold", "M", "--state", rec,
                  "--out", str(tmp_path / "i.json")]) == EXIT_PASS
@@ -143,11 +143,65 @@ def test_cih_command(tmp_path):
     assert doc["pass"] is True
 
 
+def test_cih_bound_zero_is_honoured(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["cih", "--bound", "0", "--out", str(out)]) == EXIT_PASS
+    doc = json.loads(out.read_text())
+    spans = next(c for c in doc["checks"]
+                 if c["name"] == "rational_projectors_for_all_bracket_spans")
+    assert spans["value"]["enumerated_V"] == 1  # only V = 0, not bound 3
+
+
+def test_cih_negative_bound_is_usage_error(capsys):
+    assert main(["cih", "--bound", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--bound" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", [["--bound", "0"], ["--epsilon", "0"]])
+def test_closed_geodesic_bad_bound_or_epsilon_is_usage_error(flag, capsys):
+    assert main(["closed-geodesic", "--seed", "1"] + flag) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag[0][2:] in err and "Traceback" not in err
+
+
+def test_criteria_reports_butler_certificate(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["criteria", "--manifold", "Mprime", "--seed", "3",
+                 "--out", str(out)]) == EXIT_PASS
+    names = [c["name"] for c in json.loads(out.read_text())["body"]["checks"]]
+    assert names == ["hr_injective_presentation[algebra]",
+                     "butler_nonintegrability[sampled]"]
+
+
+PAIR_STATE = "v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 .2 .4; Z: .5 .2 1.1"
+DEFO_STATE = "v: 0 0 0 0; z: 0 0; V: 1 0 0 .2; Z: .5 .2"
+
+
+@pytest.mark.parametrize("argv, manifold", [
+    (["flow", "--method", "exact", "--state", DEFO_STATE], "defo:1/3"),
+    (["closed-geodesic", "--seed", "1"], "defo:1/3"),
+    (["integrals", "--state", PAIR_STATE], "Mprime"),
+    (["integrals", "--state", DEFO_STATE], "defo:1/3"),
+    (["poisson", "--state", PAIR_STATE], "Mprime"),
+    (["poisson", "--state", DEFO_STATE], "defo:1/3"),
+])
+def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
+    code = main(argv[:1] + ["--manifold", manifold] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and manifold in err
+    if argv[0] == "flow":
+        assert "--method rk4" in err
+
+
 def test_config_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rk4_steps_per_unit": 10}))
     rng = np.random.default_rng(7)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     rec = format_state(M.alg, s)
     assert main(["flow", "--manifold", "M", "--method", "rk4", "--t", "1",
                  "--state", rec, "--config", str(cfg),

@@ -8,14 +8,14 @@ from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair
 from nilflow.criteria import (
     _annihilator_check,
+    _int_kernel_v,
     butler_nonintegrability_sample,
     canonical_split,
-    centralizer_nlambda,
-    centralizer_nlambda_bruteforce,
     check_hr_presentation,
     cih_certificate,
     minimal_centralizer_dim,
 )
+from oracles import centralizer_nlambda_bruteforce
 
 M, MP = build_pair()
 
@@ -40,9 +40,9 @@ def test_canonical_split_shape():
 
 def test_centralizer_example_Mprime_Zk():
     # n_lambda for Z = Z_k on M': ker j'(Z_k) = R Y_k, plus all of z
-    basis = centralizer_nlambda(MP.alg, [0] * 5, [0, 0, 1])
+    assert _int_kernel_v(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
+    basis = centralizer_nlambda_bruteforce(MP.alg, [0, 0, 1])
     assert len(basis) == 4
-    span = lx.rref([list(b) for b in basis])[0]
     yk = [0, 0, 0, 0, 1, 0, 0, 0]
     aug = [list(b) for b in basis] + [yk]
     assert lx.rank(aug) == 4  # Y_k already in the span
@@ -53,18 +53,20 @@ def test_centralizer_matches_bruteforce():
     for alg in (M.alg, MP.alg):
         for _ in range(50):
             Z = [int(x) for x in rng.integers(-9, 10, size=3)]
-            a = centralizer_nlambda(alg, [0] * 5, Z)
-            b = centralizer_nlambda_bruteforce(alg, [0] * 5, Z)
+            # the production kernel of j(Z), extended by all of z
+            a = [list(v) + [0] * 3 for v in _int_kernel_v(alg, Z)]
+            a += [[0] * 5 + [int(r == s) for s in range(3)] for r in range(3)]
+            b = centralizer_nlambda_bruteforce(alg, Z)
             assert len(a) == len(b)
-            assert lx.rank([list(v) for v in a + b]) == len(a)
+            assert lx.rank(a + [list(v) for v in b]) == len(a)
 
 
 def test_centralizer_dim_case_table():
     # c_k != 0: 1 + 3; c_k = 0 != rho: 3 + 3; c = 0: 5 + 3
     for alg in (M.alg, MP.alg):
-        assert len(centralizer_nlambda(alg, [0] * 5, [1, 2, 3])) == 4
-        assert len(centralizer_nlambda(alg, [0] * 5, [2, 1, 0])) == 6
-        assert len(centralizer_nlambda(alg, [0] * 5, [0, 0, 0])) == 8
+        assert len(_int_kernel_v(alg, [1, 2, 3])) + 3 == 4
+        assert len(_int_kernel_v(alg, [2, 1, 0])) + 3 == 6
+        assert len(_int_kernel_v(alg, [0, 0, 0])) + 3 == 8
         rng = np.random.default_rng(0)
         assert minimal_centralizer_dim(alg, rng) == 4
 

@@ -1,11 +1,11 @@
 """Geodesic flow: eigenframes, closed-form propagation, RK4 cross-checks."""
 
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from nilflow.catalog import build_pair
+from nilflow.catalog import build_deformation, build_pair
 from nilflow.flow import (
     DegenerateFrequencyError,
     TangentState,
@@ -15,33 +15,31 @@ from nilflow.flow import (
     flow_exact_vV,
     flow_rk4,
     flow_rk4_many,
-    geodesic_field,
-    is_generic,
     sample_generic_state,
-    spectral_split,
     state_from_flat,
 )
 from nilflow.lie_core import j_matrix_np
 
 M, MP = build_pair()
-ALG = {"M": M.alg, "Mprime": MP.alg}
 
 
 def test_eigenframe_example_M():
-    fr = eigenframe("M", [1.0, 0.0, 1.0])
-    (u1, u2, t1), (u3, u4, t2) = fr.planes
+    fr = eigenframe(M, [1.0, 0.0, 1.0])
+    u1, u2 = fr.basis[:2]
     assert np.allclose(u1, [1, 0, 0, 0, 0])
     assert np.allclose(u2, [0, 0, 0, 1, 0])
-    assert t1 == pytest.approx(1.0)
-    assert t2 == pytest.approx(sqrt(2.0))
-    assert np.allclose(fr.kernel, np.array([0, 0, 1, 0, 1]) / sqrt(2.0))
+    assert fr.theta[0] == pytest.approx(1.0)
+    assert fr.theta[1] == pytest.approx(sqrt(2.0))
+    assert np.allclose(fr.basis[4], np.array([0, 0, 1, 0, 1]) / sqrt(2.0))
 
 
 def test_eigenframe_degenerate_raises():
     with pytest.raises(DegenerateFrequencyError):
-        eigenframe("M", [0.0, 0.0, 1.0])
+        eigenframe(M, [0.0, 0.0, 1.0])
     with pytest.raises(DegenerateFrequencyError):
-        eigenframe("Mprime", [1.0, 1.0, 0.0])
+        eigenframe(MP, [1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="defo"):
+        eigenframe(build_deformation(0.5), [1.0, 1.0])
 
 
 def test_frame_relations_random():
@@ -50,59 +48,64 @@ def test_frame_relations_random():
         Z = rng.uniform(-2, 2, size=3)
         if abs(Z[2]) < 0.1 or np.hypot(Z[0], Z[1]) < 0.1:
             continue
-        for name in ("M", "Mprime"):
-            jm = j_matrix_np(ALG[name], Z)
-            fr = eigenframe(name, Z)
-            for ua, ub, theta in fr.planes:
+        for data in (M, MP):
+            jm = j_matrix_np(data.alg, Z)
+            fr = eigenframe(data, Z)
+            u = fr.basis
+            for (ua, ub), theta in zip((u[0:2], u[2:4]), fr.theta):
                 assert np.allclose(jm @ ua, theta * ub, atol=1e-12)
                 assert np.allclose(jm @ ub, -theta * ua, atol=1e-12)
-            assert np.allclose(jm @ fr.kernel, 0.0, atol=1e-12)
+            assert np.allclose(jm @ u[4], 0.0, atol=1e-12)
             # orthonormality of the five frame vectors
-            frame = np.stack([fr.planes[0][0], fr.planes[0][1],
-                              fr.planes[1][0], fr.planes[1][1], fr.kernel])
-            assert np.allclose(frame @ frame.T, np.eye(5), atol=1e-12)
+            assert np.allclose(u @ u.T, np.eye(5), atol=1e-12)
 
 
 def test_rotate_matches_expm():
     from scipy.linalg import expm
 
     rng = np.random.default_rng(7)
-    for name in ("M", "Mprime"):
+    for data in (M, MP):
         Z = np.array([0.7, -0.3, 1.1])
-        jm = j_matrix_np(ALG[name], Z)
-        fr = eigenframe(name, Z)
-        for t in (0.3, 2.0, -5.0):
-            V = rng.uniform(-1, 1, size=5)
+        jm = j_matrix_np(data.alg, Z)
+        fr = eigenframe(data, Z)
+        ts = np.array([0.3, 2.0, -5.0])
+        V = rng.uniform(-1, 1, size=5)
+        many = fr.rotate(V, ts)
+        assert many.shape == (3, 5)
+        for t, row in zip(ts, many):
             assert np.allclose(fr.rotate(V, t), expm(t * jm) @ V, atol=1e-10)
+            assert np.allclose(row, fr.rotate(V, t), rtol=0, atol=1e-14)
 
 
 def test_integrate_rotation_is_antiderivative():
-    fr = eigenframe("M", [0.5, 0.2, 1.3])
+    fr = eigenframe(M, [0.5, 0.2, 1.3])
     V = np.array([0.3, -0.8, 0.2, 0.9, -0.4])
     h = 1e-6
     t = 1.7
-    deriv = (fr.integrate_rotation(V, t + h) - fr.integrate_rotation(V, t - h)) / (2 * h)
+    deriv = (fr.integrate(V, t + h) - fr.integrate(V, t - h)) / (2 * h)
     assert np.allclose(deriv, fr.rotate(V, t), atol=1e-8)
+    assert np.allclose(fr.integrate(V, 0.0), 0.0)
+    assert fr.integrate(V, np.array([[t]])).shape == (1, 1, 5)
 
 
 def test_exact_vs_rk4_short():
     rng = np.random.default_rng(9)
-    for name in ("M", "Mprime"):
-        s = sample_generic_state(name, rng)
-        end = flow_rk4(ALG[name], s, 1.0, 2000)
-        fr = eigenframe(name, s.Z)
+    for data in (M, MP):
+        s = sample_generic_state(data, rng)
+        end = flow_rk4(data.alg, s, 1.0, 2000)
+        fr = eigenframe(data, s.Z)
         v_e, V_e = flow_exact_vV(fr, s.v, s.V, 1.0)
         assert np.max(np.abs(end.v - v_e)) < 1e-9
         assert np.max(np.abs(end.V - V_e)) < 1e-9
         # z from quadrature agrees with RK4 too
-        full = flow_exact_state(ALG[name], name, s, 1.0)
+        full = flow_exact_state(data, s, 1.0)
         assert np.max(np.abs(end.z - full.z)) < 1e-9
 
 
 def test_rk4_is_fourth_order():
     rng = np.random.default_rng(13)
-    s = sample_generic_state("M", rng)
-    fr = eigenframe("M", s.Z)
+    s = sample_generic_state(M, rng)
+    fr = eigenframe(M, s.Z)
     v_true, V_true = flow_exact_vV(fr, s.v, s.V, 1.0)
 
     def err(steps):
@@ -115,9 +118,9 @@ def test_rk4_is_fourth_order():
 
 def test_flow_conserves_speed_and_Z():
     rng = np.random.default_rng(17)
-    for name in ("M", "Mprime"):
-        s = sample_generic_state(name, rng)
-        end = flow_rk4(ALG[name], s, 3.0, 3000)
+    for data in (M, MP):
+        s = sample_generic_state(data, rng)
+        end = flow_rk4(data.alg, s, 3.0, 3000)
         assert end.speed2 == pytest.approx(s.speed2, abs=1e-9)
         assert np.allclose(end.Z, s.Z, atol=1e-12)
         assert np.linalg.norm(end.V) == pytest.approx(
@@ -134,7 +137,7 @@ def test_straight_line_when_Z_zero():
 
 def test_flow_rk4_many_matches_single():
     rng = np.random.default_rng(19)
-    states = [sample_generic_state("M", rng) for _ in range(5)]
+    states = [sample_generic_state(M, rng) for _ in range(5)]
     flats = np.stack([s.flat() for s in states])
     ends = flow_rk4_many(M.alg, flats, 0.5, 500)
     for s, row in zip(states, ends):
@@ -144,37 +147,29 @@ def test_flow_rk4_many_matches_single():
 
 def test_state_from_flat_roundtrip():
     rng = np.random.default_rng(23)
-    s = sample_generic_state("Mprime", rng)
+    s = sample_generic_state(MP, rng)
     t = state_from_flat(MP.alg, s.flat())
     assert np.array_equal(t.v, s.v) and np.array_equal(t.Z, s.Z)
     with pytest.raises(ValueError):
         state_from_flat(MP.alg, np.zeros(7))
 
 
-def test_is_generic_flow_invariant():
-    rng = np.random.default_rng(29)
-    s = sample_generic_state("M", rng)
-    assert is_generic("M", s.Z, s.V)
-    end = flow_rk4(M.alg, s, 2.0, 2000)
-    assert is_generic("M", end.Z, end.V)
-    assert not is_generic("M", [0.0, 0.0, 1.0], s.V)
-
-
 def test_spectral_split_reconstructs():
+    # V = V_ck + V_abs + V_0 along the planes and the kernel, and the
+    # coefficients in the printed (unnormalized) frame rebuild each part
+    from nilflow.periodicity import _frame_coefficients
+
     rng = np.random.default_rng(31)
-    for name in ("M", "Mprime"):
-        s = sample_generic_state(name, rng)
-        sp = spectral_split(name, s.Z, s.V)
-        assert np.allclose(sp.V_ck + sp.V_abs + sp.V_0, s.V, atol=1e-12)
+    for data in (M, MP):
+        s = sample_generic_state(data, rng)
+        fr = eigenframe(data, s.Z)
+        parts = fr.plane_part(s.V, 0), fr.plane_part(s.V, 1), fr.kernel_part(s.V)
+        assert np.allclose(sum(parts), s.V, atol=1e-12)
         ci, cj, ck = s.Z
-        assert np.allclose(
-            sp.V_0, sp.beta * np.array([0, 0, ci, cj, ck]), atol=1e-12
-        )
-        # alphas reconstruct the plane parts in the unnormalized frame
         rho2 = ci * ci + cj * cj
         n2 = rho2 + ck * ck
         e4 = np.array([0, 0, ck * ci, ck * cj, -rho2])
-        if name == "M":
+        if data is M:
             e1 = np.array([ci, cj, 0, 0, 0])
             e2 = np.array([0, 0, -cj, ci, 0])
             e3 = sqrt(n2) * np.array([cj, -ci, 0, 0, 0])
@@ -182,16 +177,14 @@ def test_spectral_split_reconstructs():
             e1 = np.array([1.0, 0, 0, 0, 0])
             e2 = np.array([0, 1.0, 0, 0, 0])
             e3 = sqrt(n2) * np.array([0, 0, cj, -ci, 0])
-        a = sp.alphas
-        assert np.allclose(a[0] * e1 + a[1] * e2, sp.V_ck, atol=1e-12)
-        assert np.allclose(a[2] * e3 + a[3] * e4, sp.V_abs, atol=1e-12)
+        a, _ = _frame_coefficients(data, s.Z, s.V)
+        assert np.allclose(a[0] * e1 + a[1] * e2, parts[0], atol=1e-12)
+        assert np.allclose(a[2] * e3 + a[3] * e4, parts[1], atol=1e-12)
+        assert np.allclose(a[4] * np.array([0, 0, ci, cj, ck]), parts[2],
+                           atol=1e-12)
 
 
-def test_geodesic_field_shapes():
-    rng = np.random.default_rng(37)
-    s = sample_generic_state("M", rng)
-    dv, dz, dV, dZ = geodesic_field(M.alg, s.v, s.z, s.V, s.Z)
-    assert np.array_equal(dv, s.V)
-    assert np.allclose(dZ, 0.0)
-    assert dz.shape == (3,) and dV.shape == (5,)
+def test_default_steps():
     assert default_steps(2.5) == 2500
+    assert default_steps(0.0) == 1
+    assert default_steps(-1.0, 10) == 10

@@ -1,25 +1,21 @@
 """The eight integrals: values, gradients, Hamiltonian calculus."""
 
-from math import sqrt
-
 import numpy as np
 import pytest
 
 from nilflow.catalog import build_pair
-from nilflow.flow import TangentState, geodesic_field, sample_generic_state
+from nilflow.flow import TangentState, eigenframe, sample_generic_state
 from nilflow.integrals import (
     INTEGRAL_NAMES,
-    c_matrix,
     evaluate_integrals,
     hamiltonian_field,
     independence_rank,
-    left_gradient,
     left_gradients_all,
     phi,
-    phi_factor,
-    poisson_bracket,
     poisson_matrix,
 )
+from nilflow.lie_core import j_matrix_np
+from oracles import c_matrix
 
 M, MP = build_pair()
 
@@ -35,8 +31,6 @@ def test_phi_flat_at_zero():
 def test_c_matrix_inverts_j_restricted():
     # C(Z) . (x -> y part of j) = Id on the x-coordinates
     rng = np.random.default_rng(2)
-    from nilflow.lie_core import j_matrix_np
-
     for _ in range(50):
         Z = rng.uniform(-2, 2, size=3)
         if abs(Z[2]) < 0.2 or np.hypot(Z[0], Z[1]) < 0.2:
@@ -44,6 +38,12 @@ def test_c_matrix_inverts_j_restricted():
         jm = j_matrix_np(M.alg, Z)
         jxy = jm[2:5, 0:2]  # X-columns, Y-rows: j maps x into y on M
         assert np.allclose(c_matrix(Z) @ jxy, np.eye(2), atol=1e-12)
+        # f_i, f_j in evaluate_integrals apply the same map inline
+        v, V = rng.uniform(-1, 1, size=5), rng.uniform(-1, 1, size=5)
+        vals = evaluate_integrals(TangentState(v, np.zeros(3), V, Z))
+        bump = phi(Z[2] * float(Z @ Z))
+        want = bump * np.sin(2 * np.pi * (v[:2] - c_matrix(Z) @ V[2:]))
+        assert np.allclose(vals[6:], want, atol=1e-12)
 
 
 def test_c_matrix_at_ek():
@@ -59,32 +59,29 @@ def test_zero_branch_on_degenerate_cone():
     vals = evaluate_integrals(s)
     assert vals[6] == 0.0 and vals[7] == 0.0
     assert np.all(np.isfinite(vals))
-    assert phi_factor(s.Z) == 0.0
+    assert phi(s.Z[2] * float(s.Z @ s.Z)) == 0.0
 
 
 def test_quadratic_integral_values():
     rng = np.random.default_rng(4)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     vals = evaluate_integrals(s)
     assert np.allclose(vals[:3], s.Z, atol=1e-15)
     ci, cj, ck = s.Z
     k_expected = ci * s.V[2] + cj * s.V[3] + ck * s.V[4]
     assert vals[5] == pytest.approx(k_expected, abs=1e-14)
     # h1 + h2/|c|^2-weighted pieces recover |V_perp|^2: check via frames
-    from nilflow.flow import spectral_split
-
-    sp = spectral_split("M", s.Z, s.V)
+    fr = eigenframe(M, s.Z)
+    v_ck, v_abs = fr.plane_part(s.V, 0), fr.plane_part(s.V, 1)
     rho2 = ci * ci + cj * cj
     n2 = rho2 + ck * ck
-    assert vals[3] == pytest.approx(rho2 * float(sp.V_ck @ sp.V_ck), rel=1e-10)
-    assert vals[4] == pytest.approx(
-        rho2 * n2 * float(sp.V_abs @ sp.V_abs), rel=1e-10
-    )
+    assert vals[3] == pytest.approx(rho2 * float(v_ck @ v_ck), rel=1e-10)
+    assert vals[4] == pytest.approx(rho2 * n2 * float(v_abs @ v_abs), rel=1e-10)
 
 
 def test_q_gradient_exact_structure():
     rng = np.random.default_rng(6)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     B, A = left_gradients_all(M.alg, s)
     # q_i = <Z, Z_i>: no base dependence, fiber gradient = Z_i slot
     assert np.allclose(B[0], 0.0, atol=1e-9)
@@ -99,7 +96,7 @@ def test_q_gradient_exact_structure():
 
 def test_h1_gradient_analytic():
     rng = np.random.default_rng(8)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     ci, cj, ck = s.Z
     e1 = np.array([ci, cj, 0, 0, 0])
     e2 = np.array([0, 0, -cj, ci, 0])
@@ -110,34 +107,36 @@ def test_h1_gradient_analytic():
 
 def test_energy_field_is_geodesic_field():
     rng = np.random.default_rng(10)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
 
-    def energy_fn(v, z, V, Z):
-        return 0.5 * (float(np.dot(V, V)) + float(np.dot(Z, Z)))
+    def energy(st):
+        speed2 = np.sum(st.V * st.V, -1) + np.sum(st.Z * st.Z, -1)
+        return 0.5 * speed2[..., None]
 
-    grad = left_gradient(energy_fn, M.alg, s)
-    base, fiber = hamiltonian_field(M.alg, s, grad)
-    dv, dz, dV, dZ = geodesic_field(M.alg, s.v, s.z, s.V, s.Z)
-    assert np.allclose(base[:5], dv, atol=1e-10)
+    B, A = left_gradients_all(M.alg, s, fn=energy)
+    base, fiber = hamiltonian_field(M.alg, s, B, A)
+    # the geodesic equations: v' = V, V' = j(Z) V, Z' = 0
+    assert np.allclose(base[0, :5], s.V, atol=1e-10)
     # base z-velocity in the left-invariant frame is Z (the [v,V]/2 term is
     # the coordinate correction applied when moving the base point)
-    assert np.allclose(base[5:], s.Z, atol=1e-10)
-    assert np.allclose(fiber[:5], dV, atol=1e-10)
-    assert np.allclose(fiber[5:], 0.0, atol=1e-10)
+    assert np.allclose(base[0, 5:], s.Z, atol=1e-10)
+    assert np.allclose(fiber[0, :5], j_matrix_np(M.alg, s.Z) @ s.V, atol=1e-10)
+    assert np.allclose(fiber[0, 5:], 0.0, atol=1e-10)
 
 
 def test_sanity_bracket_position_momentum():
     rng = np.random.default_rng(12)
-    s = sample_generic_state("M", rng)
-    val = poisson_bracket(
-        lambda v, z, V, Z: v[0], lambda v, z, V, Z: V[0], M.alg, s
+    s = sample_generic_state(M, rng)
+    mat = poisson_matrix(
+        M.alg, s, fn=lambda st: np.stack([st.v[..., 0], st.V[..., 0]], -1)
     )
-    assert val == pytest.approx(1.0, abs=1e-9)
+    assert mat[0, 1] == pytest.approx(1.0, abs=1e-9)  # {x_i, <V, X_i>}
+    assert mat[1, 0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_poisson_matrix_antisymmetric():
     rng = np.random.default_rng(14)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     mat = poisson_matrix(M.alg, s)
     assert np.max(np.abs(mat + mat.T)) < 2e-6
 
@@ -146,7 +145,7 @@ def test_lattice_invariance():
     # integrals descend to the quotient: left translation by a lattice
     # element (integer v-part) leaves all eight values unchanged
     rng = np.random.default_rng(16)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     base = evaluate_integrals(s)
     for _ in range(100):
         av = rng.integers(-5, 6, size=5).astype(float)
@@ -156,7 +155,7 @@ def test_lattice_invariance():
 
 def test_independence_rank_generic_and_degenerate():
     rng = np.random.default_rng(18)
-    s = sample_generic_state("M", rng)
+    s = sample_generic_state(M, rng)
     assert independence_rank(M.alg, s) == 8
     degen = TangentState(s.v, s.z, s.V, np.array([1.0, 0.7, 0.0]))
     assert independence_rank(M.alg, degen) <= 6
@@ -164,11 +163,11 @@ def test_independence_rank_generic_and_degenerate():
 
 def test_batched_evaluation_matches_scalar():
     rng = np.random.default_rng(20)
-    states = [sample_generic_state("M", rng) for _ in range(7)]
+    states = [sample_generic_state(M, rng) for _ in range(7)]
     vs = np.stack([s.v for s in states])
     Vs = np.stack([s.V for s in states])
     Zs = np.stack([s.Z for s in states])
-    batch = evaluate_integrals(v=vs, V=Vs, Z=Zs)
+    batch = evaluate_integrals(TangentState(vs, np.zeros((7, 3)), Vs, Zs))
     for i, s in enumerate(states):
         assert np.allclose(batch[i], evaluate_integrals(s), atol=1e-15)
     assert len(INTEGRAL_NAMES) == 8

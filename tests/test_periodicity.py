@@ -24,17 +24,16 @@ from nilflow.periodicity import (
 )
 
 M, MP = build_pair()
-DATA = {"M": M, "Mprime": MP}
 
 # Z = (3, 0, 4): |c| = 5, c_k/|c| = 4/5, so sigma = 2 pi q / |c| = 2 pi
 COMM_Z = np.array([3.0, 0.0, 4.0])
 SIGMA = 2.0 * pi
 
 
-def random_state_with_comm_Z(name, rng):
+def random_state_with_comm_Z(data, rng):
     while True:
         V = rng.uniform(-1, 1, size=5)
-        fr = eigenframe(name, COMM_Z)
+        fr = eigenframe(data, COMM_Z)
         if min(abs(x) for x in fr.components(V)) < 0.05:
             continue
         return TangentState(
@@ -44,25 +43,23 @@ def random_state_with_comm_Z(name, rng):
 
 def test_proof_vs_expanded_forms():
     rng = np.random.default_rng(0)
-    for name in ("M", "Mprime"):
-        alg = DATA[name].alg
+    for data in (M, MP):
         for _ in range(50):
-            s = random_state_with_comm_Z(name, rng)
-            a1v, a1z = translational_element(name, alg, s, SIGMA)
-            a2v, a2z = translational_element_expanded(name, s, SIGMA)
+            s = random_state_with_comm_Z(data, rng)
+            a1v, a1z = translational_element(data, s, SIGMA)
+            a2v, a2z = translational_element_expanded(data, s, SIGMA)
             assert np.max(np.abs(a1v - a2v)) < 1e-10
             assert np.max(np.abs(a1z - a2z)) < 1e-10
 
 
 def test_translational_element_vs_flow():
     rng = np.random.default_rng(1)
-    for name in ("M", "Mprime"):
-        alg = DATA[name].alg
-        s = random_state_with_comm_Z(name, rng)
-        av, az = translational_element(name, alg, s, SIGMA)
-        end = flow_exact_state(alg, name, s, SIGMA)
+    for data in (M, MP):
+        s = random_state_with_comm_Z(data, rng)
+        av, az = translational_element(data, s, SIGMA)
+        end = flow_exact_state(data, s, SIGMA)
         ov = end.v - s.v
-        oz = end.z - s.z - 0.5 * bracket_v_np(alg, end.v, s.v)
+        oz = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
         assert np.max(np.abs(av - ov)) < 1e-9
         assert np.max(np.abs(az - oz)) < 1e-9
         # the flow really is tau-periodic in V
@@ -72,12 +69,11 @@ def test_translational_element_vs_flow():
 def test_translational_element_composes():
     # a(2 tau) = a(tau) * a(tau) in the group
     rng = np.random.default_rng(2)
-    for name in ("M", "Mprime"):
-        alg = DATA[name].alg
-        s = random_state_with_comm_Z(name, rng)
-        av, az = translational_element(name, alg, s, SIGMA)
-        av2, az2 = translational_element(name, alg, s, 2 * SIGMA)
-        a = GroupElement(alg, tuple(av), tuple(az))
+    for data in (M, MP):
+        s = random_state_with_comm_Z(data, rng)
+        av, az = translational_element(data, s, SIGMA)
+        av2, az2 = translational_element(data, s, 2 * SIGMA)
+        a = GroupElement(data.alg, tuple(av), tuple(az))
         sq = group_mul(a, a)
         assert np.max(np.abs(np.array(sq.v) - av2)) < 1e-9
         assert np.max(np.abs(np.array(sq.z) - az2)) < 1e-9
@@ -101,13 +97,9 @@ def test_rationalize_sphere_random():
 
 def test_construction_closes_exactly():
     rng = np.random.default_rng(4)
-    for name in ("M", "Mprime"):
-        data = DATA[name]
-        target = sample_generic_state(name, rng)
-        geo = construct_closed_geodesic(
-            name, target, epsilon=0.1,
-            lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-        )
+    for data in (M, MP):
+        target = sample_generic_state(data, rng)
+        geo = construct_closed_geodesic(data, target, epsilon=0.1)
         assert lattice_contains(data.lattice_v, geo.a_v)
         assert lattice_contains(data.lattice_z, geo.a_z)
         # rotation condition: tau * c_k and tau * |c| in 2 pi Z, exactly
@@ -125,16 +117,14 @@ def test_construction_closes_exactly():
 def test_constructed_geodesic_flows_home():
     # flow for tau and compare with left translation by a
     rng = np.random.default_rng(5)
-    name, data = "M", M
-    target = sample_generic_state(name, rng)
+    data = M
+    target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
     geo = construct_closed_geodesic(
-        name, target, epsilon=0.45,
-        lattice_v=data.lattice_v, lattice_z=data.lattice_z,
-        bound=64, grid=64,
+        data, target, epsilon=0.45, bound=64, grid=64,
     )
     s = geo.state
-    end = flow_exact_state(data.alg, name, s, geo.tau)
+    end = flow_exact_state(data, s, geo.tau)
     av = np.array([float(x) for x in geo.a_v])
     az = np.array([float(x) for x in geo.a_z])
     want_v = av + s.v
@@ -148,16 +138,16 @@ def test_constructed_geodesic_flows_home():
 def test_construction_rejects_degenerate_targets():
     s = TangentState([0] * 5, [0] * 3, [1, 0, 0, 0, 0], [0.0, 0.0, 2.0])
     with pytest.raises(DegenerateFrequencyError):
-        construct_closed_geodesic("M", s, epsilon=1e-9)
+        construct_closed_geodesic(M, s, epsilon=1e-9)
     s2 = TangentState([0] * 5, [0] * 3, [1, 0, 0, 0, 0], [1.0, 0.0, 0.0])
     with pytest.raises(DegenerateFrequencyError):
-        construct_closed_geodesic("M", s2, epsilon=1e-9)
+        construct_closed_geodesic(M, s2, epsilon=1e-9)
 
 
 def test_construction_error_surfaces():
     with pytest.raises((ConstructionError, DegenerateFrequencyError)):
         construct_closed_geodesic(
-            "M",
+            M,
             TangentState([0] * 5, [0] * 3, [1, 0, 0, 0, 0], [0, 0, 0]),
             epsilon=0.1,
         )

@@ -7,15 +7,14 @@ import pytest
 
 from nilflow import spectral
 from nilflow.catalog import build_pair
-from nilflow.lie_core import RationalLattice, integer_lattice, j_matrix
+from nilflow.lie_core import RationalLattice, j_matrix
+from oracles import char_poly, integer_lattice
 
 M, MP = build_pair()
 
 
 def test_char_poly_2x2():
-    cp = spectral.char_poly([[0, -1], [1, 0]])
-    assert cp.coefficients == (1, 0, 1)  # l^2 + 1
-    assert cp.evaluate(Fraction(2)) == 5
+    assert char_poly([[0, -1], [1, 0]]) == [1, 0, 1]  # l^2 + 1
 
 
 def test_char_poly_batch_matches_exact():
@@ -23,10 +22,8 @@ def test_char_poly_batch_matches_exact():
     mats = rng.integers(-6, 7, size=(40, 4, 4))
     batch = spectral.char_poly_batch_int(mats)
     for mat, row in zip(mats, batch):
-        exact = spectral.char_poly([[int(x) for x in r] for r in mat])
-        assert tuple(int(x) for x in row) == tuple(
-            int(c) for c in exact.coefficients
-        )
+        exact = char_poly([[int(x) for x in r] for r in mat])
+        assert [int(x) for x in row] == exact
 
 
 def test_char_poly_batch_overflow_guard():
@@ -41,8 +38,7 @@ def test_claimed_identity_rational_c():
     n2 = sum(x * x for x in c)
     want = (Fraction(1), 0, ck2 + n2, 0, ck2 * n2, 0)
     for alg in (M.alg, MP.alg):
-        cp = spectral.char_poly(j_matrix(alg, c))
-        assert tuple(cp.coefficients) == want
+        assert tuple(char_poly(j_matrix(alg, c))) == want
 
 
 def test_kernel_dimension_case_table():
