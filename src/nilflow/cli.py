@@ -11,6 +11,7 @@ deformation family).
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -60,7 +61,10 @@ def parse_state(alg, text):
         if not chunk:
             continue
         label, _, rest = chunk.partition(":")
-        parts[label.strip()] = [float(x) for x in rest.split()]
+        label = label.strip()
+        parts[label] = [float(x) for x in rest.split()]
+        if not all(math.isfinite(x) for x in parts[label]):
+            raise ValueError(f"field {label!r} has a non-finite number")
     dv, dz = alg.dim_v, alg.dim_z
     for label, n in (("v", dv), ("z", dz), ("V", dv), ("Z", dz)):
         if label not in parts:
@@ -121,6 +125,7 @@ def cmd_flow(args):
         _require(data.frame is not None,
                  f"manifold {data.name} has no closed-form flow; "
                  "use --method rk4")
+    _require(math.isfinite(args.t), f"--t must be finite, got {args.t}")
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     if args.method == "exact":
@@ -220,6 +225,9 @@ def cmd_criteria(args):
 def cmd_cih(args):
     _require(args.bound >= 0, f"--bound must be >= 0, got {args.bound}")
     data = get_manifold(args.manifold)
+    _require(data.frame is not None,
+             f"manifold {data.name} has no clean-intersection certificate; "
+             "cih runs on M and Mprime only")
     rng = np.random.Generator(np.random.Philox(args.seed))
     cert = cih_certificate(data, args.bound, rng)
     _emit(json.dumps(cert.to_dict(), indent=2), args.out)

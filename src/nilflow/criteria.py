@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import bracket_v, j_matrix
+from .lie_core import bracket_v, j_matrices, j_matrix
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
@@ -102,19 +102,26 @@ def check_hr_presentation(alg, split):
 
 
 def _int_kernel_v(alg, z_int):
-    """Saturated integer basis of ker j(Z) for an integer Z (fast path:
-    no rational arithmetic)."""
-    jm = j_matrix(alg, [Fraction(int(x)) for x in z_int])
-    return lx.integer_kernel([[int(x) for x in row] for row in jm])
+    """Saturated integer basis of ker j(Z) for an integer Z (no rational
+    arithmetic); for a batch (n, dim_z) of Z, the list of the n bases."""
+    mats = j_matrices(alg, z_int).tolist()
+    if np.ndim(z_int) == 1:
+        return lx.integer_kernel(mats)
+    return [lx.integer_kernel(m) for m in mats]
 
 
 def minimal_centralizer_dim(alg, rng):
     """Empirical minimum of dim n_lambda over a deterministic sample."""
-    best = alg.dim
-    for _ in range(64):
-        Z = [int(x) for x in rng.integers(-9, 10, size=alg.dim_z)]
-        best = min(best, len(_int_kernel_v(alg, Z)) + alg.dim_z)
-    return best
+    zs = [rng.integers(-9, 10, size=alg.dim_z) for _ in range(64)]
+    return min(len(k) for k in _int_kernel_v(alg, zs)) + alg.dim_z
+
+
+def _draw_regular_z(alg, rng):
+    """An integer Z with |coordinates| <= 50 and last coordinate nonzero."""
+    while True:
+        cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
+        if cand[-1] != 0:
+            return cand
 
 
 def butler_nonintegrability_sample(alg, n_samples, rng):
@@ -131,23 +138,18 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     hits = 0
     regular = 0
     witness = None
-    for _ in range(n_samples):
-        zs = []
-        while len(zs) < 2:
-            cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
-            if cand[-1] != 0:
-                zs.append(cand)
-        nl = _int_kernel_v(alg, zs[0])
-        nm = _int_kernel_v(alg, zs[1])
+    pairs = [
+        (_draw_regular_z(alg, rng), _draw_regular_z(alg, rng))
+        for _ in range(n_samples)
+    ]
+    flat = np.array(pairs, dtype=np.int64).reshape(-1, alg.dim_z)
+    kernels = _int_kernel_v(alg, flat)
+    for zs, nl, nm in zip(pairs, kernels[::2], kernels[1::2]):
         if len(nl) + alg.dim_z != min_dim or len(nm) + alg.dim_z != min_dim:
             continue
         regular += 1
-        brackets = []
-        for av in nl:
-            for bv in nm:
-                brackets.append(bracket_v(alg, av, bv))
-        dim = lx.rank(brackets) if brackets else 0
-        if dim >= 1:
+        # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero
+        if any(any(bracket_v(alg, av, bv)) for av in nl for bv in nm):
             hits += 1
         elif witness is None:
             witness = {"lambda_z": zs[0], "mu_z": zs[1]}
@@ -164,32 +166,34 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
 # clean intersection
 
 
-def _span_projector(rows):
-    """Exact orthogonal projector onto the complement of the row span."""
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    n = 3
-    if not rows:
-        return lx.identity(n), 0
-    rr, pivots = lx.rref(rows)
-    basis = [rr[i] for i in range(len(pivots))]
-    b = basis  # k x 3
-    k = len(b)
-    gram = [[sum(bi * bj for bi, bj in zip(u, w)) for w in b] for u in b]
-    ginv = lx.inverse(gram)
-    proj = lx.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            proj[i][j] = sum(
-                b[s][i] * ginv[s][t] * b[t][j] for s in range(k) for t in range(k)
-            )
-    comp = [
-        [
-            (Fraction(1 if i == j else 0)) - proj[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return comp, k
+def _primitive_rows(rows):
+    """Integer rows (..., dim) divided by the gcd of their entries and
+    signed so that the first nonzero entry is positive; zero rows stay 0."""
+    g = np.gcd.reduce(rows, axis=-1)
+    prim = rows // np.maximum(g, 1)[..., None]
+    lead = np.argmax(prim != 0, axis=-1)[..., None]
+    first = np.take_along_axis(prim, lead, -1)
+    return prim * np.where(first < 0, -1, 1)
+
+
+def _span_keys(spans):
+    """One sortable int64 key row per V for the row span of spans[V]
+    (n, rows, dim): the distinct nonzero primitive rows, each coded as one
+    integer in lexicographic order, sorted and padded with -1, so that key
+    rows sort like the tuples of their rows."""
+    prim = _primitive_rows(spans)
+    nonzero = np.any(prim != 0, axis=2)
+    bound = int(np.abs(prim).max(initial=0))
+    base = 2 * bound + 1
+    if base ** spans.shape[2] >= 2**62:
+        raise OverflowError("bracket spans too large for int64 keys")
+    codes = (prim + bound) @ (base ** np.arange(spans.shape[2] - 1, -1, -1))
+    top = np.iinfo(np.int64).max
+    codes = np.sort(np.where(nonzero, codes, top), axis=1)
+    codes[:, 1:][codes[:, 1:] == codes[:, :-1]] = top  # drop repeated rows
+    codes = np.sort(codes, axis=1)
+    codes[codes == top] = -1
+    return codes
 
 
 def _annihilator_check(alg, c):
@@ -235,47 +239,29 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
     ok, witness = char_poly_identity_check(alg, alg, 6, 0, None)
     cert.add("char_poly_structure_identity", ok, value=witness)
 
-    tensor = np.zeros((alg.dim_v, alg.dim_v, alg.dim_z), dtype=np.int64)
-    for p in range(alg.dim_v):
-        for q in range(alg.dim_v):
-            tensor[p, q] = [int(x) for x in alg.bracket_table[p][q]]
     rng_v = np.arange(-coord_bound, coord_bound + 1, dtype=np.int64)
     vs = np.stack(
         np.meshgrid(*([rng_v] * alg.dim_v), indexing="ij"), axis=-1
     ).reshape(-1, alg.dim_v)
-    spans = np.einsum("np,pqr->nqr", vs, tensor)  # [V, e_q] rows, per V
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor())  # [V, e_q] rows
+    _, first_v = np.unique(_span_keys(spans), axis=0, return_index=True)
 
-    cache = {}
+    # one integer projector N / d per distinct span, in sorted key order
+    projectors = []
     bad = None
-    for n_idx in range(vs.shape[0]):
-        rows = spans[n_idx]
-        key_rows = []
-        for row in rows:
-            g = int(np.gcd.reduce(np.abs(row))) if np.any(row) else 0
-            if g:
-                r = tuple(int(x) // g for x in row)
-                if r < tuple(-x for x in r):  # canonical sign
-                    r = tuple(-x for x in r)
-                key_rows.append(r)
-        key = tuple(sorted(set(key_rows)))
-        if key in cache:
-            continue
-        frac_rows = [[Fraction(int(x)) for x in row] for row in rows]
-        comp, span_dim = _span_projector(frac_rows)
-        # verify: projector kills the span and is idempotent
-        killed = all(
-            all(x == 0 for x in lx.mat_vec(comp, list(r)))
-            for r in frac_rows
-        )
-        idem = lx.mat_mul(comp, comp) == comp
+    for v_idx in first_v.tolist():
+        rows = spans[v_idx].tolist()
+        proj, d = lx.complement_projector(rows, alg.dim_z)
+        killed = not any(any(lx.mat_vec(proj, r)) for r in rows)
+        idem = lx.mat_mul(proj, proj) == [[d * x for x in row] for row in proj]
         if not (killed and idem):
-            bad = [int(x) for x in vs[n_idx]]
-        cache[key] = (comp, span_dim)
+            bad = vs[v_idx].tolist()
+        projectors.append((v_idx, proj, d))
     cert.add(
         "rational_projectors_for_all_bracket_spans",
         bad is None,
         value={"enumerated_V": int(vs.shape[0]),
-               "distinct_spans": len(cache),
+               "distinct_spans": len(projectors),
                "witness": bad},
     )
 
@@ -286,18 +272,18 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
         rng = np.random.Generator(np.random.Philox(0))
     records = []
     ann_ok = True
-    keys = sorted(cache.keys())
     for i in range(record_cap):
-        key = keys[int(rng.integers(0, len(keys)))]
-        comp, span_dim = cache[key]
+        v_idx, proj, d = projectors[int(rng.integers(0, len(projectors)))]
         z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
-        c = lx.mat_vec(comp, z)
+        c = [x / d for x in lx.mat_vec(proj, z)]
         eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
         if not _annihilator_check(alg, c):
             ann_ok = False
         if len(records) < record_cap:
+            prim = _primitive_rows(spans[v_idx]).tolist()
+            span = sorted({tuple(r) for r in prim if any(r)})
             records.append({
-                "span": [list(map(str, r)) for r in key],
+                "span": [list(map(str, r)) for r in span],
                 "z": [str(x) for x in z],
                 "proj_z": [str(x) for x in c],
                 "theta_squared": [str(e) for e in eigs],

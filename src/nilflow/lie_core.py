@@ -1,9 +1,10 @@
 """Two-step metric Lie algebras, their groups in exponential coordinates,
 and rational lattices.
 
-Scalars come in two modes: exact (fractions.Fraction) for certificates and
-IEEE doubles for dynamics.  Every operation here works in either mode; the
-bracket table is stored exactly and converted to a float tensor on demand.
+Scalars come in three modes: integers (int64 arrays or Python ints) for
+certificates on integer Z, exact fractions.Fraction where a certificate
+needs rationals, and IEEE doubles for dynamics.  The bracket table is
+stored exactly and converted to an integer or float tensor on demand.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
+
+
+_UNBUILT = object()  # marks a cached value not built yet (None is a value)
 
 
 @dataclass
@@ -28,6 +32,7 @@ class AlgebraData:
     z_names: tuple
     bracket_table: tuple  # bracket_table[p][q] -> tuple of dim_z Fractions
     _tensor: np.ndarray = field(default=None, repr=False, compare=False)
+    _int_tensor: object = field(default=_UNBUILT, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bracket_table) != self.dim_v:
@@ -54,6 +59,21 @@ class AlgebraData:
                     t[p, q] = [float(x) for x in self.bracket_table[p][q]]
             self._tensor = t
         return self._tensor
+
+    def int_tensor(self):
+        """Integer structure tensor T[p, q, r] = <[e_p, e_q], Z_r> (int64),
+        or None when some bracket coefficient is not an integer."""
+        if self._int_tensor is _UNBUILT:
+            table = self.bracket_table
+            integral = all(
+                Fraction(x).denominator == 1
+                for line in table for row in line for x in row
+            )
+            self._int_tensor = np.array(
+                [[[int(x) for x in row] for row in line] for line in table],
+                dtype=np.int64,
+            ) if integral else None
+        return self._int_tensor
 
 
 def bracket(alg, a, b):
@@ -107,6 +127,24 @@ def j_matrix(alg, z):
             tab = alg.bracket_table[p][q]
             jm[q][p] = sum(z[r] * tab[r] for r in range(alg.dim_z))
     return jm
+
+
+def j_matrices(alg, cs):
+    """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
+    dim_v) int64, one einsum over the integer structure tensor."""
+    t = alg.int_tensor()
+    if t is None:
+        raise ValueError("the bracket table is not integral")
+    cs = np.asarray(cs)
+    if cs.shape[-1:] != (alg.dim_z,):
+        raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
+    if not np.issubdtype(cs.dtype, np.integer):
+        raise ValueError("j_matrices takes integer z-vectors")
+    # |j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]| must stay inside int64
+    big = int(np.abs(cs).max(initial=0)) * int(np.abs(t).sum(axis=2).max())
+    if big >= 2**62:
+        raise OverflowError("z-vector entries too large for int64 j(Z)")
+    return np.einsum("pqr,...r->...qp", t, cs.astype(np.int64))
 
 
 def j_matrix_np(alg, z):

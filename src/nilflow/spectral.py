@@ -10,7 +10,7 @@ from math import isqrt
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import RationalLattice, bracket_v, j_matrix, lattice_contains
+from .lie_core import RationalLattice, bracket_v, j_matrices, lattice_contains
 from .report import Certificate
 
 
@@ -40,9 +40,12 @@ def char_poly_batch_int(mats):
 
 
 def kernel_subspace(alg, z):
-    """Exact rational basis of ker j(Z)."""
-    z = [Fraction(x) for x in z]
-    return lx.nullspace(j_matrix(alg, z))
+    """Exact rational basis of ker j(Z) for an integer Z; for a batch
+    (n, dim_z) of Z, the list of the n bases."""
+    mats = j_matrices(alg, z).tolist()
+    if np.ndim(z) == 1:
+        return lx.nullspace(mats)
+    return [lx.nullspace(m) for m in mats]
 
 
 def lattice_intersection(lat, subspace_basis):
@@ -136,26 +139,29 @@ def length_spectrum(lat, r2):
 
 
 def _dual_z_points(bound):
-    """All Z = Z_c in the dual lattice (2Z)^3 with |coordinates| <= bound."""
-    vals = [2 * k for k in range(-(bound // 2), bound // 2 + 1)]
-    return [
-        (a, b, c)
-        for a in vals
-        for b in vals
-        for c in vals
-    ]
+    """All Z = Z_c in the dual lattice (2Z)^3 with |coordinates| <= bound,
+    as an (n, 3) integer array in lexicographic order."""
+    vals = 2 * np.arange(-(bound // 2), bound // 2 + 1)
+    return _grid(vals)
 
 
-def _claimed_coeffs(c):
-    """lambda^5 + (c_k^2 + |c|^2) lambda^3 + c_k^2 |c|^2 lambda for integer c."""
-    ci, cj, ck = (int(x) for x in c)
-    n2 = ci * ci + cj * cj + ck * ck
-    return (1, 0, ck * ck + n2, 0, ck * ck * n2, 0)
+def _grid(vals):
+    """The (n, 3) integer array of all triples over vals, last axis fastest."""
+    grid = np.meshgrid(vals, vals, vals, indexing="ij")
+    return np.stack(grid, -1).reshape(-1, 3)
 
 
-def _int_j(alg, c):
-    jm = j_matrix(alg, [Fraction(x) for x in c])
-    return [[int(x) for x in row] for row in jm]
+def _claimed_coeffs(cs):
+    """lambda^5 + (c_k^2 + |c|^2) lambda^3 + c_k^2 |c|^2 lambda for each
+    integer row c of cs: (n, 3) -> (n, 6) coefficients, highest first."""
+    cs = np.asarray(cs, dtype=np.int64)
+    ck2 = cs[:, 2] ** 2
+    n2 = np.einsum("ni,ni->n", cs, cs)
+    out = np.zeros((len(cs), 6), dtype=np.int64)
+    out[:, 0] = 1
+    out[:, 2] = ck2 + n2
+    out[:, 4] = ck2 * n2
+    return out
 
 
 def char_poly_identity_check(alg, alg_p, grid_side=6, n_random=0, rng=None):
@@ -165,26 +171,25 @@ def char_poly_identity_check(alg, alg_p, grid_side=6, n_random=0, rng=None):
     pin down the degree-5-per-variable coefficient polynomials) plus random
     integer points; returns (ok, witness) with witness the first failing c.
     """
-    points = [
-        (a, b, c)
-        for a in range(grid_side)
-        for b in range(grid_side)
-        for c in range(grid_side)
-    ]
+    points = _grid(np.arange(grid_side))
     if n_random:
         draws = rng.integers(-9, 10, size=(n_random, 3))
-        points = points + [tuple(int(x) for x in row) for row in draws]
-    mats = np.array([_int_j(alg, c) for c in points], dtype=np.int64)
-    mats_p = np.array([_int_j(alg_p, c) for c in points], dtype=np.int64)
-    coeffs = char_poly_batch_int(mats)
-    coeffs_p = char_poly_batch_int(mats_p)
-    claimed = np.array([_claimed_coeffs(c) for c in points], dtype=np.int64)
-    bad = np.nonzero(
-        np.any(coeffs != coeffs_p, axis=1) | np.any(coeffs != claimed, axis=1)
-    )[0]
+        points = np.concatenate([points, draws])
+    bad = _char_poly_mismatches(alg, alg_p, points)
     if bad.size:
-        return False, points[int(bad[0])]
+        return False, tuple(int(x) for x in points[bad[0]])
     return True, None
+
+
+def _char_poly_mismatches(alg, alg_p, cs, claimed=True):
+    """Indices of the integer rows c of cs where char j(Z_c) differs from
+    char j'(Z_c) or, if claimed, from the claimed polynomial."""
+    coeffs = char_poly_batch_int(j_matrices(alg, cs))
+    coeffs_p = char_poly_batch_int(j_matrices(alg_p, cs))
+    differs = np.any(coeffs != coeffs_p, axis=1)
+    if claimed:
+        differs |= np.any(coeffs != _claimed_coeffs(cs), axis=1)
+    return np.nonzero(differs)[0]
 
 
 def gw_certificate(pair, r2, dual_bound, rng=None):
@@ -211,10 +216,8 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
     )
 
     dual_pts = _dual_z_points(dual_bound)
-    dual_int = [p for p in dual_pts if p != (0, 0, 0)]
-    mats = np.array([_int_j(alg, c) for c in dual_int], dtype=np.int64)
-    mats_p = np.array([_int_j(alg_p, c) for c in dual_int], dtype=np.int64)
-    same = bool(np.array_equal(char_poly_batch_int(mats), char_poly_batch_int(mats_p)))
+    dual_int = dual_pts[np.any(dual_pts != 0, axis=1)]
+    same = _char_poly_mismatches(alg, alg_p, dual_int, claimed=False).size == 0
     cert.add("char_poly_equal_on_dual_lattice", same, value=len(dual_int))
 
     twice_z = RationalLattice(
@@ -231,10 +234,9 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
     # kernel-lattice length spectra over the bounded dual-lattice slab
     spectra_checked = 0
     identical_lattices = 0
-    for c in _dual_z_points(dual_bound):
-        cz = [Fraction(x) for x in c]
-        ker = kernel_subspace(alg, cz)
-        ker_p = kernel_subspace(alg_p, cz)
+    kers = kernel_subspace(alg, dual_pts)
+    kers_p = kernel_subspace(alg_p, dual_pts)
+    for c, ker, ker_p in zip(dual_pts.tolist(), kers, kers_p):
         lat = lattice_intersection(m_data.lattice_v, ker)
         lat_p = lattice_intersection(mp_data.lattice_v, ker_p)
         if set(lat.basis) == set(lat_p.basis):

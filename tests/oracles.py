@@ -85,6 +85,29 @@ def centralizer_nlambda_bruteforce(alg, Z):
     return lx.nullspace(rows)
 
 
+def span_projector(rows):
+    """Exact orthogonal projector onto the complement of the row span in
+    Q^3 through a Fraction Gram inverse, with the rank of the span (the
+    oracle for linalg_exact.complement_projector)."""
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    n = 3
+    if not rows:
+        return lx.identity(n), 0
+    rr, pivots = lx.rref(rows)
+    b = [rr[i] for i in range(len(pivots))]  # k x 3
+    k = len(b)
+    gram = [[sum(bi * bj for bi, bj in zip(u, w)) for w in b] for u in b]
+    ginv = lx.inverse(gram)
+    comp = lx.identity(n)
+    for i in range(n):
+        for j in range(n):
+            comp[i][j] -= sum(
+                b[s][i] * ginv[s][t] * b[t][j]
+                for s in range(k) for t in range(k)
+            )
+    return comp, k
+
+
 def c_matrix(Z):
     """The 2x3 matrix sending y-coordinates (Y_i, Y_j, Y_k) to
     x-coordinates (X_i, X_j) with C(Z) . j(Z)|_x = Id_x (the kernel-return

@@ -40,6 +40,30 @@ def test_parse_state_errors():
         parse_state(M.alg, "z: 0 0 0; V: 1 0 0 0 0; Z: 0 0 1")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="'Z'"):
+        parse_state(M.alg,
+                    f"v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 0 0; Z: 0 0 {bad}")
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_flow_non_finite_state_is_usage_error(method, capsys):
+    code = main(["flow", "--method", method, "--state",
+                 "v: nan 0 0 0 0; z: 0 0 0; V: 1 0 0 0 0; Z: .5 .2 1.1"])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1 and "'v'" in err.err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_flow_non_finite_t_is_usage_error(t, capsys):
+    code = main(["flow", "--method", "rk4", f"--t={t}", "--state", PAIR_STATE])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1 and "--t" in err
+
+
 def test_verify_algebra_pass(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--suite", "algebra", "--seed", "7",
@@ -186,6 +210,7 @@ DEFO_STATE = "v: 0 0 0 0; z: 0 0; V: 1 0 0 .2; Z: .5 .2"
     (["integrals", "--state", DEFO_STATE], "defo:1/3"),
     (["poisson", "--state", PAIR_STATE], "Mprime"),
     (["poisson", "--state", DEFO_STATE], "defo:1/3"),
+    (["cih", "--bound", "1"], "defo:1/3"),
 ])
 def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
     code = main(argv[:1] + ["--manifold", manifold] + argv[1:])
@@ -195,6 +220,8 @@ def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
     assert len(err.strip().splitlines()) == 1 and manifold in err
     if argv[0] == "flow":
         assert "--method rk4" in err
+    if argv[0] == "cih":
+        assert "M and Mprime only" in err
 
 
 def test_config_override(tmp_path):

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilflow.catalog import build_pair
+from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
+    AlgebraData,
     GroupElement,
     RationalLattice,
     bracket,
@@ -16,6 +18,7 @@ from nilflow.lie_core import (
     conjugate,
     dual_lattice,
     group_mul,
+    j_matrices,
     j_matrix,
     j_matrix_np,
     lattice_contains,
@@ -81,6 +84,39 @@ def test_j_skew(z):
         for p in range(5):
             for q in range(5):
                 assert jm[p][q] == -jm[q][p]
+
+
+INTEGER_TENSOR_ALGEBRAS = [
+    get_manifold(s).alg for s in ("M", "Mprime", "defo:1/3")
+]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_j_matrices_match_j_matrix(data):
+    for alg in INTEGER_TENSOR_ALGEBRAS:
+        zs = data.draw(st.lists(
+            st.lists(st.integers(-60, 60), min_size=alg.dim_z,
+                     max_size=alg.dim_z),
+            min_size=1, max_size=6,
+        ))
+        batch = j_matrices(alg, zs)
+        assert batch.shape == (len(zs), alg.dim_v, alg.dim_v)
+        assert batch.dtype == np.int64
+        assert [m.tolist() for m in batch] == [j_matrix(alg, z) for z in zs]
+
+
+def test_j_matrices_rejects_rational_input():
+    assert M.alg.int_tensor().dtype == np.int64
+    with pytest.raises(ValueError):
+        j_matrices(M.alg, [[0.5, 0.0, 1.0]])
+    with pytest.raises(ValueError):
+        j_matrices(M.alg, [[1, 2]])  # wrong z-dimension
+    table = ((((0,), (Fraction(1, 2),)), ((-Fraction(1, 2),), (0,))))
+    half = AlgebraData(2, 1, ("X", "Y"), ("Z",), table)
+    assert half.int_tensor() is None
+    with pytest.raises(ValueError):
+        j_matrices(half, [[1]])
 
 
 def test_float_paths_match_exact():

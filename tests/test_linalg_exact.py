@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from nilflow import linalg_exact as lx
-from oracles import char_poly, det
+from oracles import char_poly, det, span_projector
 
 small_int = st.integers(-6, 6)
 
@@ -86,6 +88,25 @@ def test_integer_kernel_annihilates_and_saturates(mat):
     assert len(ker) == len(lx.nullspace(mat))
     if ker:
         assert lx.rank(ker) == len(ker)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_complement_projector_matches_fraction_oracle(rank):
+    rng = np.random.default_rng(40 + rank)
+    for _ in range(40):
+        basis = rng.integers(-9, 10, size=(rank, 3))
+        if lx.rank(basis.tolist()) != rank:
+            continue
+        # dependent rows (integer combinations) and zero rows, shuffled
+        combos = rng.integers(-3, 4, size=(rng.integers(0, 3), rank)) @ basis
+        rows = np.concatenate([basis, combos, np.zeros((1, 3), int)])
+        rows = rng.permutation(rows).tolist()
+        proj, d = lx.complement_projector(rows, 3)
+        comp, k = span_projector(rows)
+        assert k == rank and d > 0
+        assert all(isinstance(x, int) for row in proj for x in row)
+        assert [[Fraction(x, d) for x in row] for row in proj] == comp
+        assert lx.mat_mul(proj, proj) == [[d * x for x in row] for row in proj]
 
 
 def test_clear_denominators():
