@@ -219,7 +219,7 @@ def cmd_criteria(args):
     cert, _ = butler_nonintegrability_sample(data.alg, 1000, rng)
     report.add_certificate(cert)
     _emit(report.to_text(), args.out)
-    return EXIT_PASS
+    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
 def cmd_cih(args):
@@ -234,8 +234,16 @@ def cmd_cih(args):
     return EXIT_PASS if cert.passed else EXIT_CHECK_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one stderr line and exit 2."""
+
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="nilflow",
         description="verification laboratory for an isospectral pair of "
                     "two-step nilmanifolds with opposite integrability",

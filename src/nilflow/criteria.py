@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import bracket_v, j_matrices, j_matrix
+from .lie_core import bracket_v, j_kernels, j_matrix
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
@@ -101,27 +101,30 @@ def check_hr_presentation(alg, split):
 # coadjoint centralizers
 
 
-def _int_kernel_v(alg, z_int):
-    """Saturated integer basis of ker j(Z) for an integer Z (no rational
-    arithmetic); for a batch (n, dim_z) of Z, the list of the n bases."""
-    mats = j_matrices(alg, z_int).tolist()
-    if np.ndim(z_int) == 1:
-        return lx.integer_kernel(mats)
-    return [lx.integer_kernel(m) for m in mats]
-
-
 def minimal_centralizer_dim(alg, rng):
     """Empirical minimum of dim n_lambda over a deterministic sample."""
     zs = [rng.integers(-9, 10, size=alg.dim_z) for _ in range(64)]
-    return min(len(k) for k in _int_kernel_v(alg, zs)) + alg.dim_z
+    return min(len(k) for k in j_kernels(alg, zs)) + alg.dim_z
 
 
-def _draw_regular_z(alg, rng):
-    """An integer Z with |coordinates| <= 50 and last coordinate nonzero."""
-    while True:
-        cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
-        if cand[-1] != 0:
-            return cand
+def _draw_regular_zs(alg, rng, n):
+    """The first n integer Z with |coordinates| <= 50 and last coordinate
+    nonzero in rng's stream of dim_z-vectors, as an (n, dim_z) array: one
+    draw of n rows, then draws of exactly the rows rejected so far."""
+    zs = np.empty((0, alg.dim_z), dtype=np.int64)
+    while len(zs) < n:
+        cand = rng.integers(-50, 51, size=(n - len(zs), alg.dim_z))
+        zs = np.concatenate([zs, cand[cand[:, -1] != 0]])
+    return zs
+
+
+def _brackets_nonzero(alg, a, b):
+    """For integer v-vectors a, b (n, dim_v): whether [a_i, b_i] != 0."""
+    t = alg.int_tensor()
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
+        raise OverflowError("kernel vectors too large for int64 brackets")
+    return np.any(np.einsum("np,pqr,nq->nr", a, t, b) != 0, axis=1)
 
 
 def butler_nonintegrability_sample(alg, n_samples, rng):
@@ -135,24 +138,26 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     cert = Certificate("butler_nonintegrability", "sampled")
     min_dim = minimal_centralizer_dim(alg, rng)
     cert.data["minimal_centralizer_dim"] = min_dim
-    hits = 0
-    regular = 0
+    zs = _draw_regular_zs(alg, rng, 2 * n_samples)
+    kernels = j_kernels(alg, zs)
+    dims = np.array([len(k) for k in kernels]).reshape(-1, 2)
+    is_regular = np.all(dims + alg.dim_z == min_dim, axis=1)
+    # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero
+    hit = np.zeros(n_samples, dtype=bool)
+    lines = np.nonzero(is_regular & np.all(dims == 1, axis=1))[0].tolist()
+    if lines:
+        a = np.array([kernels[2 * i][0] for i in lines])
+        b = np.array([kernels[2 * i + 1][0] for i in lines])
+        hit[lines] = _brackets_nonzero(alg, a, b)
+    for i in np.nonzero(is_regular & np.any(dims > 1, axis=1))[0].tolist():
+        nl, nm = kernels[2 * i], kernels[2 * i + 1]
+        hit[i] = any(any(bracket_v(alg, av, bv)) for av in nl for bv in nm)
+    flat = np.nonzero(is_regular & ~hit)[0]
     witness = None
-    pairs = [
-        (_draw_regular_z(alg, rng), _draw_regular_z(alg, rng))
-        for _ in range(n_samples)
-    ]
-    flat = np.array(pairs, dtype=np.int64).reshape(-1, alg.dim_z)
-    kernels = _int_kernel_v(alg, flat)
-    for zs, nl, nm in zip(pairs, kernels[::2], kernels[1::2]):
-        if len(nl) + alg.dim_z != min_dim or len(nm) + alg.dim_z != min_dim:
-            continue
-        regular += 1
-        # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero
-        if any(any(bracket_v(alg, av, bv)) for av in nl for bv in nm):
-            hits += 1
-        elif witness is None:
-            witness = {"lambda_z": zs[0], "mu_z": zs[1]}
+    if flat.size:
+        lam, mu = zs.reshape(-1, 2, alg.dim_z)[flat[0]].tolist()
+        witness = {"lambda_z": lam, "mu_z": mu}
+    regular, hits = int(is_regular.sum()), int(hit.sum())
     fraction = hits / regular if regular else 0.0
     cert.data.update(
         {"samples": n_samples, "regular_pairs": regular,

@@ -129,6 +129,11 @@ def j_matrix(alg, z):
     return jm
 
 
+def _j_entry_bound(t, cs):
+    """|j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints."""
+    return int(np.abs(cs).max(initial=0)) * int(np.abs(t).sum(axis=2).max())
+
+
 def j_matrices(alg, cs):
     """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
     dim_v) int64, one einsum over the integer structure tensor."""
@@ -140,11 +145,42 @@ def j_matrices(alg, cs):
         raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
     if not np.issubdtype(cs.dtype, np.integer):
         raise ValueError("j_matrices takes integer z-vectors")
-    # |j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]| must stay inside int64
-    big = int(np.abs(cs).max(initial=0)) * int(np.abs(t).sum(axis=2).max())
-    if big >= 2**62:
+    if _j_entry_bound(t, cs) >= 2**62:
         raise OverflowError("z-vector entries too large for int64 j(Z)")
     return np.einsum("pqr,...r->...qp", t, cs.astype(np.int64))
+
+
+def j_kernels(alg, cs):
+    """Saturated integer basis of ker j(Z) for integer Z, batched: cs
+    (n, dim_z) -> the list of the n bases (one basis for cs (dim_z,)).
+
+    For dim_v = 5 and rank j(Z) = 4 the kernel is the line of the signed
+    4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
+    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), returned primitive
+    with its first nonzero entry positive.  Rank < 4 makes every sub-Pfaffian
+    0; those rows, and every row when dim_v != 5, go to lx.integer_kernel.
+    """
+    mats = j_matrices(alg, cs)
+    single = mats.ndim == 2
+    mats = mats.reshape(-1, alg.dim_v, alg.dim_v)
+    pf = np.zeros(mats.shape[:2], dtype=np.int64)
+    if alg.dim_v == 5:
+        # each Pfaffian is 3 products of two entries of j(Z)
+        if 3 * _j_entry_bound(alg.int_tensor(), cs) ** 2 >= 2**62:
+            raise OverflowError("z-vector entries too large for int64 Pfaffians")
+        for i in range(5):
+            a, b, c, d = (r for r in range(5) if r != i)
+            pf[:, i] = (-1) ** i * (
+                mats[:, a, b] * mats[:, c, d] - mats[:, a, c] * mats[:, b, d]
+                + mats[:, a, d] * mats[:, b, c]
+            )
+        g = np.gcd.reduce(pf, axis=1)
+        lead = pf[np.arange(len(pf)), np.argmax(pf != 0, axis=1)]
+        pf //= np.where(lead < 0, -g, np.maximum(g, 1))[:, None]
+    out = [[row] for row in pf.tolist()]
+    for i in np.nonzero(~np.any(pf != 0, axis=1))[0].tolist():
+        out[i] = lx.integer_kernel(mats[i].tolist())
+    return out[0] if single else out
 
 
 def j_matrix_np(alg, z):

@@ -10,7 +10,13 @@ from math import isqrt
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import RationalLattice, bracket_v, j_matrices, lattice_contains
+from .lie_core import (
+    RationalLattice,
+    bracket_v,
+    j_kernels,
+    j_matrices,
+    lattice_contains,
+)
 from .report import Certificate
 
 
@@ -231,19 +237,22 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
                     ok = False
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
-    # kernel-lattice length spectra over the bounded dual-lattice slab
+    # kernel-lattice length spectra over the bounded dual-lattice slab; the
+    # pair's lattice_v is Z^5, so ker j(Z) meets it in the saturated kernel
+    n = alg.dim_v
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if any(data.lattice_v.basis != eye for data in pair):
+        raise ValueError("gw_certificate needs lattice_v = Z^dim_v")
     spectra_checked = 0
     identical_lattices = 0
-    kers = kernel_subspace(alg, dual_pts)
-    kers_p = kernel_subspace(alg_p, dual_pts)
+    kers = j_kernels(alg, dual_pts)
+    kers_p = j_kernels(alg_p, dual_pts)
     for c, ker, ker_p in zip(dual_pts.tolist(), kers, kers_p):
-        lat = lattice_intersection(m_data.lattice_v, ker)
-        lat_p = lattice_intersection(mp_data.lattice_v, ker_p)
-        if set(lat.basis) == set(lat_p.basis):
+        if lx.rref(ker)[0] == lx.rref(ker_p)[0]:  # saturated: same span
             identical_lattices += 1
             continue
-        sp = length_spectrum(lat, r2)
-        sp_p = length_spectrum(lat_p, r2)
+        sp = length_spectrum(RationalLattice(n, ker), r2)
+        sp_p = length_spectrum(RationalLattice(n, ker_p), r2)
         spectra_checked += 1
         if sp != sp_p:
             cert.add(

@@ -70,7 +70,7 @@ def lattice_coordinates(lat, w):
 
 def centralizer_nlambda_bruteforce(alg, Z):
     """n_lambda = {X in n : <Z, [X, e_p]> = 0 for all p} by a direct exact
-    linear system over all of n (the oracle for criteria._int_kernel_v,
+    linear system over all of n (the oracle for lie_core.j_kernels,
     whose kernel plus z is n_lambda)."""
     Z = [Fraction(x) for x in Z]
     rows = []
@@ -83,6 +83,16 @@ def centralizer_nlambda_bruteforce(alg, Z):
             row.append(sum(Z[r] * br[r] for r in range(alg.dim_z)))
         rows.append(row + [Fraction(0)] * alg.dim_z)
     return lx.nullspace(rows)
+
+
+def draw_regular_z(alg, rng):
+    """An integer Z with |coordinates| <= 50 and last coordinate nonzero,
+    one rng call per candidate (the oracle for the batched draw of
+    criteria._draw_regular_zs)."""
+    while True:
+        cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
+        if cand[-1] != 0:
+            return cand
 
 
 def span_projector(rows):

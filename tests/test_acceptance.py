@@ -17,11 +17,11 @@ SEED = 42
 # per-suite wall-clock budget = sum of the budgets of the criteria it hosts
 BUDGETS = {
     "algebra": 1.0,       # criterion 1
-    "spectral": 10.0,     # criteria 2 + 3
+    "spectral": 3.0,      # criteria 2 + 3
     "flow": 10.0,         # criterion 7
     "integrals": 120.0,   # criteria 4 (30 s) + 5 (60 s) + 6 (30 s)
     "periodicity": 120.0, # criteria 8 (30 s) + 9 (60 s) + 10 (30 s)
-    "criteria": 15.0,     # criterion 11
+    "criteria": 3.0,      # criterion 11
     "cih": 15.0,          # criterion 12
 }
 

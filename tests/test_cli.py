@@ -192,11 +192,34 @@ def test_closed_geodesic_bad_bound_or_epsilon_is_usage_error(flag, capsys):
 
 def test_criteria_reports_butler_certificate(tmp_path):
     out = tmp_path / "r.json"
+    # the HR presentation fails on M', so the command reports a failed check
     assert main(["criteria", "--manifold", "Mprime", "--seed", "3",
-                 "--out", str(out)]) == EXIT_PASS
+                 "--out", str(out)]) == EXIT_CHECK_FAILURE
     names = [c["name"] for c in json.loads(out.read_text())["body"]["checks"]]
     assert names == ["hr_injective_presentation[algebra]",
                      "butler_nonintegrability[sampled]"]
+
+
+def test_criteria_passes_on_M(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["criteria", "--manifold", "M", "--seed", "3",
+                 "--out", str(out)]) == EXIT_PASS
+    assert json.loads(out.read_text())["body"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["verify", "--seed"],
+    ["flow", "--t", "-inf", "--state", "v: 0"],
+])
+def test_argparse_error_is_one_usage_line(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error: ")
+    if "-inf" in argv:  # argparse reads -inf as an option, not a value
+        assert "argument --t: expected one argument" in err
 
 
 PAIR_STATE = "v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 .2 .4; Z: .5 .2 1.1"

@@ -5,17 +5,18 @@ from fractions import Fraction
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.catalog import build_deformation, build_pair
+from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
     _annihilator_check,
-    _int_kernel_v,
+    _draw_regular_zs,
     butler_nonintegrability_sample,
     canonical_split,
     check_hr_presentation,
     cih_certificate,
     minimal_centralizer_dim,
 )
-from oracles import centralizer_nlambda_bruteforce
+from nilflow.lie_core import j_kernels
+from oracles import centralizer_nlambda_bruteforce, draw_regular_z
 
 M, MP = build_pair()
 
@@ -40,7 +41,7 @@ def test_canonical_split_shape():
 
 def test_centralizer_example_Mprime_Zk():
     # n_lambda for Z = Z_k on M': ker j'(Z_k) = R Y_k, plus all of z
-    assert _int_kernel_v(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
+    assert j_kernels(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
     basis = centralizer_nlambda_bruteforce(MP.alg, [0, 0, 1])
     assert len(basis) == 4
     yk = [0, 0, 0, 0, 1, 0, 0, 0]
@@ -54,7 +55,7 @@ def test_centralizer_matches_bruteforce():
         for _ in range(50):
             Z = [int(x) for x in rng.integers(-9, 10, size=3)]
             # the production kernel of j(Z), extended by all of z
-            a = [list(v) + [0] * 3 for v in _int_kernel_v(alg, Z)]
+            a = [list(v) + [0] * 3 for v in j_kernels(alg, Z)]
             a += [[0] * 5 + [int(r == s) for s in range(3)] for r in range(3)]
             b = centralizer_nlambda_bruteforce(alg, Z)
             assert len(a) == len(b)
@@ -64,9 +65,9 @@ def test_centralizer_matches_bruteforce():
 def test_centralizer_dim_case_table():
     # c_k != 0: 1 + 3; c_k = 0 != rho: 3 + 3; c = 0: 5 + 3
     for alg in (M.alg, MP.alg):
-        assert len(_int_kernel_v(alg, [1, 2, 3])) + 3 == 4
-        assert len(_int_kernel_v(alg, [2, 1, 0])) + 3 == 6
-        assert len(_int_kernel_v(alg, [0, 0, 0])) + 3 == 8
+        assert len(j_kernels(alg, [1, 2, 3])) + 3 == 4
+        assert len(j_kernels(alg, [2, 1, 0])) + 3 == 6
+        assert len(j_kernels(alg, [0, 0, 0])) + 3 == 8
         rng = np.random.default_rng(0)
         assert minimal_centralizer_dim(alg, rng) == 4
 
@@ -78,6 +79,32 @@ def test_butler_sample_separates_the_pair():
     assert cert.data["minimal_centralizer_dim"] == 4
     _, frac_m = butler_nonintegrability_sample(M.alg, 300, rng)
     assert frac_m == 0.0
+
+
+def test_batched_regular_draw_matches_per_call_oracle():
+    # the batched draw must consume rng's stream exactly as one call per
+    # candidate does; a numpy change to the stream fails here first
+    for seed in (0, 3, 7, 11, 90210):
+        for name, n in (("M", 300), ("Mprime", 57), ("defo:1/3", 500)):
+            alg = get_manifold(name).alg
+            rng = np.random.Generator(np.random.Philox(seed))
+            ref = np.random.Generator(np.random.Philox(seed))
+            zs = _draw_regular_zs(alg, rng, 2 * n)
+            assert zs.tolist() == [draw_regular_z(alg, ref)
+                                   for _ in range(2 * n)]
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+            # and through the sampler: on M every regular pair is flat, so
+            # the first flat witness is the oracle's first pair
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            cert, _ = butler_nonintegrability_sample(alg, n, rng)
+            minimal_centralizer_dim(alg, ref)
+            pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
+                     for _ in range(n)]
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+            if name == "M":
+                assert cert.data["first_flat_witness"] == {
+                    "lambda_z": pairs[0][0], "mu_z": pairs[0][1]}
 
 
 def test_annihilator_identity():

@@ -1,12 +1,14 @@
 """Group law, j-map duality, and lattice machinery."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow import linalg_exact as lx
 from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
     AlgebraData,
@@ -18,6 +20,7 @@ from nilflow.lie_core import (
     conjugate,
     dual_lattice,
     group_mul,
+    j_kernels,
     j_matrices,
     j_matrix,
     j_matrix_np,
@@ -104,6 +107,44 @@ def test_j_matrices_match_j_matrix(data):
         assert batch.shape == (len(zs), alg.dim_v, alg.dim_v)
         assert batch.dtype == np.int64
         assert [m.tolist() for m in batch] == [j_matrix(alg, z) for z in zs]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_j_kernels_match_integer_kernel(data):
+    c = st.integers(-60, 60)
+    zs = data.draw(st.lists(
+        st.tuples(c, c, st.one_of(st.just(0), c)), min_size=1, max_size=8,
+    )) + [(0, 0, 0)]
+    for alg in (M.alg, MP.alg):
+        mats = j_matrices(alg, zs)
+        with mock.patch.object(lx, "integer_kernel",
+                               wraps=lx.integer_kernel) as spy:
+            kernels = j_kernels(alg, zs)
+        # the Pfaffian line is used exactly where rank j(Z) = 4
+        fallbacks = [call.args[0] for call in spy.call_args_list]
+        assert fallbacks == [m.tolist() for m in mats
+                             if lx.rank(m.tolist()) < 4]
+        for m, ker in zip(mats, kernels):
+            assert not np.any(m @ np.array(ker).T)
+            ref = lx.integer_kernel(m.tolist())
+            if len(ref) == 1:
+                assert ker in (ref, [[-x for x in ref[0]]])
+            else:
+                assert lx.rref(ker)[0] == lx.rref(ref)[0]
+
+
+def test_j_kernels_single_z_and_guards():
+    assert j_kernels(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
+    assert j_kernels(M.alg, [[0, 0, 0]])[0] == lx.integer_kernel([[0] * 5] * 5)
+    # dim v = 4: every row goes to integer_kernel
+    defo = get_manifold("defo:1/3").alg
+    zs = [[1, 2], [0, 3], [0, 0]]
+    assert j_kernels(defo, zs) == [
+        lx.integer_kernel(m.tolist()) for m in j_matrices(defo, zs)
+    ]
+    with pytest.raises(OverflowError):
+        j_kernels(M.alg, [[2**31, 0, 1]])  # j(Z) fits int64, Pfaffians not
 
 
 def test_j_matrices_rejects_rational_input():

@@ -1,13 +1,15 @@
 """Characteristic polynomials, kernels, lattice slices, length spectra."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nilflow import linalg_exact as lx
 from nilflow import spectral
 from nilflow.catalog import build_pair
-from nilflow.lie_core import RationalLattice, j_matrix
+from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
 from oracles import char_poly, integer_lattice
 
 M, MP = build_pair()
@@ -97,3 +99,26 @@ def test_gw_certificate_small():
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "kernel_lattice_length_spectra" in names
+
+
+def test_gw_kernel_lattices_are_lattice_intersections():
+    # on lattice_v = Z^5, lattice_v meets ker j(Z) in the saturated integer
+    # kernel that gw_certificate reads; the Fraction path is the oracle
+    pts = spectral._dual_z_points(4)
+    for data in (M, MP):
+        for c, ker in zip(pts.tolist(), j_kernels(data.alg, pts)):
+            lat = spectral.lattice_intersection(
+                data.lattice_v, spectral.kernel_subspace(data.alg, c))
+            assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
+    cert = spectral.gw_certificate((M, MP), Fraction(100), 4, None)
+    value = cert.checks[-1].value  # the counts of the Fraction-path version
+    assert value == {"enumerated": 24, "identical_lattices": 101}
+
+
+def test_gw_certificate_needs_integer_lattice_v():
+    lat = RationalLattice(5, tuple(
+        tuple(2 * int(i == j) for j in range(5)) for i in range(5)
+    ))
+    with pytest.raises(ValueError):
+        spectral.gw_certificate(
+            (dataclasses.replace(M, lattice_v=lat), MP), Fraction(16), 2)
