@@ -121,6 +121,7 @@ def _draw_regular_zs(alg, rng, n):
 def _brackets_nonzero(alg, a, b):
     """For integer v-vectors a, b (n, dim_v): whether [a_i, b_i] != 0."""
     t = alg.int_tensor()
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
         raise OverflowError("kernel vectors too large for int64 brackets")
@@ -142,16 +143,14 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     kernels = j_kernels(alg, zs)
     dims = np.array([len(k) for k in kernels]).reshape(-1, 2)
     is_regular = np.all(dims + alg.dim_z == min_dim, axis=1)
-    # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero
+    # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero:
+    # one row per (pair, vector of ker lambda, vector of ker mu)
     hit = np.zeros(n_samples, dtype=bool)
-    lines = np.nonzero(is_regular & np.all(dims == 1, axis=1))[0].tolist()
-    if lines:
-        a = np.array([kernels[2 * i][0] for i in lines])
-        b = np.array([kernels[2 * i + 1][0] for i in lines])
-        hit[lines] = _brackets_nonzero(alg, a, b)
-    for i in np.nonzero(is_regular & np.any(dims > 1, axis=1))[0].tolist():
-        nl, nm = kernels[2 * i], kernels[2 * i + 1]
-        hit[i] = any(any(bracket_v(alg, av, bv)) for av in nl for bv in nm)
+    rows = [(i, av, bv) for i in np.nonzero(is_regular)[0].tolist()
+            for av in kernels[2 * i] for bv in kernels[2 * i + 1]]
+    if rows:
+        pair, a, b = zip(*rows)
+        hit[np.array(pair)[_brackets_nonzero(alg, a, b)]] = True
     flat = np.nonzero(is_regular & ~hit)[0]
     witness = None
     if flat.size:

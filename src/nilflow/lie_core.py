@@ -152,7 +152,7 @@ def j_matrices(alg, cs):
 
 def j_kernels(alg, cs):
     """Saturated integer basis of ker j(Z) for integer Z, batched: cs
-    (n, dim_z) -> the list of the n bases (one basis for cs (dim_z,)).
+    (n, dim_z) -> the list of the n bases.
 
     For dim_v = 5 and rank j(Z) = 4 the kernel is the line of the signed
     4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
@@ -161,8 +161,8 @@ def j_kernels(alg, cs):
     0; those rows, and every row when dim_v != 5, go to lx.integer_kernel.
     """
     mats = j_matrices(alg, cs)
-    single = mats.ndim == 2
-    mats = mats.reshape(-1, alg.dim_v, alg.dim_v)
+    if mats.ndim != 3:
+        raise ValueError("j_kernels takes a batch of z-vectors (n, dim_z)")
     pf = np.zeros(mats.shape[:2], dtype=np.int64)
     if alg.dim_v == 5:
         # each Pfaffian is 3 products of two entries of j(Z)
@@ -180,7 +180,7 @@ def j_kernels(alg, cs):
     out = [[row] for row in pf.tolist()]
     for i in np.nonzero(~np.any(pf != 0, axis=1))[0].tolist():
         out[i] = lx.integer_kernel(mats[i].tolist())
-    return out[0] if single else out
+    return out
 
 
 def j_matrix_np(alg, z):

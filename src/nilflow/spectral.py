@@ -45,15 +45,6 @@ def char_poly_batch_int(mats):
     return coeffs
 
 
-def kernel_subspace(alg, z):
-    """Exact rational basis of ker j(Z) for an integer Z; for a batch
-    (n, dim_z) of Z, the list of the n bases."""
-    mats = j_matrices(alg, z).tolist()
-    if np.ndim(z) == 1:
-        return lx.nullspace(mats)
-    return [lx.nullspace(m) for m in mats]
-
-
 def lattice_intersection(lat, subspace_basis):
     """The sublattice of lat lying inside span(subspace_basis), exactly.
 

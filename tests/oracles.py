@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.lie_core import GroupElement, RationalLattice, bracket_v
+from nilflow.lie_core import GroupElement, RationalLattice, bracket_v, j_matrix
 
 
 def det(mat):
@@ -83,6 +83,23 @@ def centralizer_nlambda_bruteforce(alg, Z):
             row.append(sum(Z[r] * br[r] for r in range(alg.dim_z)))
         rows.append(row + [Fraction(0)] * alg.dim_z)
     return lx.nullspace(rows)
+
+
+def kernel_subspace(alg, z):
+    """Exact rational basis of ker j(Z) by Fraction row reduction (with
+    spectral.lattice_intersection, the oracle for the kernel lattices that
+    spectral.gw_certificate reads from lie_core.j_kernels)."""
+    return lx.nullspace(j_matrix(alg, z))
+
+
+def commutator_nonzero(alg, lam, mu):
+    """Whether [n_lambda, n_mu] != 0 for integer z-vectors lambda, mu: some
+    Fraction bracket of two vectors of the integer kernels of j(lambda) and
+    j(mu) is nonzero (the oracle for the batched int64 bracket test of
+    criteria.butler_nonintegrability_sample)."""
+    ka = lx.integer_kernel(j_matrix(alg, lam))
+    kb = lx.integer_kernel(j_matrix(alg, mu))
+    return any(any(bracket_v(alg, a, b)) for a in ka for b in kb)
 
 
 def draw_regular_z(alg, rng):

@@ -15,8 +15,12 @@ from nilflow.criteria import (
     cih_certificate,
     minimal_centralizer_dim,
 )
-from nilflow.lie_core import j_kernels
-from oracles import centralizer_nlambda_bruteforce, draw_regular_z
+from nilflow.lie_core import AlgebraData, j_kernels
+from oracles import (
+    centralizer_nlambda_bruteforce,
+    commutator_nonzero,
+    draw_regular_z,
+)
 
 M, MP = build_pair()
 
@@ -41,7 +45,7 @@ def test_canonical_split_shape():
 
 def test_centralizer_example_Mprime_Zk():
     # n_lambda for Z = Z_k on M': ker j'(Z_k) = R Y_k, plus all of z
-    assert j_kernels(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
+    assert j_kernels(MP.alg, [[0, 0, 1]])[0] == [[0, 0, 0, 0, 1]]
     basis = centralizer_nlambda_bruteforce(MP.alg, [0, 0, 1])
     assert len(basis) == 4
     yk = [0, 0, 0, 0, 1, 0, 0, 0]
@@ -55,7 +59,7 @@ def test_centralizer_matches_bruteforce():
         for _ in range(50):
             Z = [int(x) for x in rng.integers(-9, 10, size=3)]
             # the production kernel of j(Z), extended by all of z
-            a = [list(v) + [0] * 3 for v in j_kernels(alg, Z)]
+            a = [list(v) + [0] * 3 for v in j_kernels(alg, [Z])[0]]
             a += [[0] * 5 + [int(r == s) for s in range(3)] for r in range(3)]
             b = centralizer_nlambda_bruteforce(alg, Z)
             assert len(a) == len(b)
@@ -65,9 +69,9 @@ def test_centralizer_matches_bruteforce():
 def test_centralizer_dim_case_table():
     # c_k != 0: 1 + 3; c_k = 0 != rho: 3 + 3; c = 0: 5 + 3
     for alg in (M.alg, MP.alg):
-        assert len(j_kernels(alg, [1, 2, 3])) + 3 == 4
-        assert len(j_kernels(alg, [2, 1, 0])) + 3 == 6
-        assert len(j_kernels(alg, [0, 0, 0])) + 3 == 8
+        assert len(j_kernels(alg, [[1, 2, 3]])[0]) + 3 == 4
+        assert len(j_kernels(alg, [[2, 1, 0]])[0]) + 3 == 6
+        assert len(j_kernels(alg, [[0, 0, 0]])[0]) + 3 == 8
         rng = np.random.default_rng(0)
         assert minimal_centralizer_dim(alg, rng) == 4
 
@@ -79,6 +83,40 @@ def test_butler_sample_separates_the_pair():
     assert cert.data["minimal_centralizer_dim"] == 4
     _, frac_m = butler_nonintegrability_sample(M.alg, 300, rng)
     assert frac_m == 0.0
+
+
+def _algebra_5(dim_z, brackets):
+    """dim v = 5 algebra with [X_p, X_q] = Z_r for each (p, q): r given."""
+    table = [[[0] * dim_z for _ in range(5)] for _ in range(5)]
+    for (p, q), r in brackets.items():
+        table[p][q][r], table[q][p][r] = 1, -1
+    return AlgebraData(
+        5, dim_z, tuple(f"X{p}" for p in range(5)),
+        tuple(f"Z{r}" for r in range(dim_z)),
+        tuple(tuple(tuple(row) for row in line) for line in table),
+    )
+
+
+def test_butler_sample_brackets_every_kernel_vector_pair():
+    # regular kernels of dimension 3 (rank j(Z) = 2, so no Pfaffian line):
+    # on R^2 (+) so(3) only the rotation axes of the two kernels bracket
+    # (the last integer_kernel basis vector, not the first), on
+    # heisenberg (+) R^3 nothing does
+    so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
+    heis = _algebra_5(1, {(0, 1): 0})
+    for alg, n in ((so3, 60), (heis, 40)):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        cert, frac = butler_nonintegrability_sample(alg, n, rng)
+        assert minimal_centralizer_dim(alg, ref) == alg.dim_z + 3
+        pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
+                 for _ in range(n)]
+        hits = [commutator_nonzero(alg, lam, mu) for lam, mu in pairs]
+        flat = [p for p, h in zip(pairs, hits) if not h]
+        assert cert.data["regular_pairs"] == n
+        assert frac == sum(hits) / n
+        assert cert.data["first_flat_witness"] == (
+            {"lambda_z": flat[0][0], "mu_z": flat[0][1]} if flat else None)
+    assert frac == 0.0  # heisenberg (+) R^3
 
 
 def test_batched_regular_draw_matches_per_call_oracle():

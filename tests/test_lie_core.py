@@ -134,8 +134,10 @@ def test_j_kernels_match_integer_kernel(data):
                 assert lx.rref(ker)[0] == lx.rref(ref)[0]
 
 
-def test_j_kernels_single_z_and_guards():
-    assert j_kernels(MP.alg, [0, 0, 1]) == [[0, 0, 0, 0, 1]]
+def test_j_kernels_batch_shape_and_guards():
+    assert j_kernels(MP.alg, [[0, 0, 1]]) == [[[0, 0, 0, 0, 1]]]
+    with pytest.raises(ValueError):
+        j_kernels(MP.alg, [0, 0, 1])  # one Z is a batch of one: [[0, 0, 1]]
     assert j_kernels(M.alg, [[0, 0, 0]])[0] == lx.integer_kernel([[0] * 5] * 5)
     # dim v = 4: every row goes to integer_kernel
     defo = get_manifold("defo:1/3").alg

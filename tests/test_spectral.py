@@ -10,7 +10,7 @@ from nilflow import linalg_exact as lx
 from nilflow import spectral
 from nilflow.catalog import build_pair
 from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
-from oracles import char_poly, integer_lattice
+from oracles import char_poly, integer_lattice, kernel_subspace
 
 M, MP = build_pair()
 
@@ -46,14 +46,14 @@ def test_claimed_identity_rational_c():
 def test_kernel_dimension_case_table():
     # (c_k != 0: kernel = R Y_c), (c_k = 0 != rho: 3-dim), (c = 0: all of v)
     for alg in (M.alg, MP.alg):
-        assert len(spectral.kernel_subspace(alg, [1, 2, 3])) == 1
-        assert len(spectral.kernel_subspace(alg, [0, 0, 2])) == 1
-        assert len(spectral.kernel_subspace(alg, [2, 1, 0])) == 3
-        assert len(spectral.kernel_subspace(alg, [0, 0, 0])) == 5
+        assert len(kernel_subspace(alg, [1, 2, 3])) == 1
+        assert len(kernel_subspace(alg, [0, 0, 2])) == 1
+        assert len(kernel_subspace(alg, [2, 1, 0])) == 3
+        assert len(kernel_subspace(alg, [0, 0, 0])) == 5
 
 
 def test_kernel_is_Yc_for_generic_c():
-    ker = spectral.kernel_subspace(M.alg, [1, 2, 3])[0]
+    ker = kernel_subspace(M.alg, [1, 2, 3])[0]
     scaled = [x / ker[4] * 3 for x in ker]  # normalize so last coord = 3
     assert scaled == [0, 0, 1, 2, 3]
 
@@ -108,7 +108,7 @@ def test_gw_kernel_lattices_are_lattice_intersections():
     for data in (M, MP):
         for c, ker in zip(pts.tolist(), j_kernels(data.alg, pts)):
             lat = spectral.lattice_intersection(
-                data.lattice_v, spectral.kernel_subspace(data.alg, c))
+                data.lattice_v, kernel_subspace(data.alg, c))
             assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
     cert = spectral.gw_certificate((M, MP), Fraction(100), 4, None)
     value = cert.checks[-1].value  # the counts of the Fraction-path version
