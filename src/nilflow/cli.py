@@ -119,6 +119,19 @@ def cmd_verify(args):
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
+def _flow_rk4_finite(data, state, t, steps_per_unit):
+    """RK4 to time t, or a usage error naming --t when the float powers of
+    the one-step map overflow (about |t| > 1e16 at 1000 steps per unit)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            end = flow_rk4(data.alg, state, t, default_steps(t, steps_per_unit))
+        except OverflowError:
+            end = None
+    _require(end is not None and np.isfinite(end.flat()).all(),
+             f"--t={t} is too large: the RK4 result is not finite")
+    return end
+
+
 def cmd_flow(args):
     data = get_manifold(args.manifold)
     if args.method == "exact":
@@ -131,8 +144,7 @@ def cmd_flow(args):
     if args.method == "exact":
         end = flow_exact_state(data, state, args.t)
     else:
-        steps = default_steps(args.t, tol.rk4_steps_per_unit)
-        end = flow_rk4(data.alg, state, args.t, steps)
+        end = _flow_rk4_finite(data, state, args.t, tol.rk4_steps_per_unit)
     _emit(format_state(data.alg, end), args.out)
     return EXIT_PASS
 
@@ -317,9 +329,9 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](args)
     except DegenerateFrequencyError as e:
-        print(f"degenerate input: {e}", file=sys.stderr)
-        if getattr(args, "method", None) == "exact":
-            print("hint: --method rk4 handles degenerate Z", file=sys.stderr)
+        hint = ("; --method rk4 handles degenerate Z"
+                if getattr(args, "method", None) == "exact" else "")
+        print(f"degenerate input: {e}{hint}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ConstructionError as e:
         print(f"construction failure: {e}", file=sys.stderr)

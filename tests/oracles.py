@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.lie_core import GroupElement, RationalLattice, bracket_v, j_matrix
+from nilflow.lie_core import (
+    GroupElement,
+    RationalLattice,
+    bracket_v,
+    bracket_v_np,
+    j_matrix,
+    j_matrix_np,
+)
 
 
 def det(mat):
@@ -148,3 +155,28 @@ def c_matrix(Z):
         [-ci * cj, ci * ci + ck * ck, -cj * ck],
         [-(cj * cj + ck * ck), ci * cj, ci * ck],
     ]) / d
+
+
+def rk4_loop(alg, v, z, V, Z, t, steps):
+    """`steps` classic RK4 steps of size t / steps on the geodesic equations,
+    one stage at a time (the oracle for the closed recurrence of
+    flow._rk4_batch); leading axes are batch axes."""
+    # Z is conserved along geodesics (and across RK4 stages, since dZ = 0),
+    # so j(Z) is computed once per trajectory batch.
+    h = t / steps
+    jm_t = np.swapaxes(j_matrix_np(alg, Z), -1, -2)  # V @ jm_t = j(Z) V
+
+    def field(v, V):
+        dz = Z + 0.5 * bracket_v_np(alg, v, V)
+        dV = np.squeeze(V[..., None, :] @ jm_t, -2)
+        return V, dz, dV
+
+    for _ in range(steps):
+        a1, b1, c1 = field(v, V)
+        a2, b2, c2 = field(v + 0.5 * h * a1, V + 0.5 * h * c1)
+        a3, b3, c3 = field(v + 0.5 * h * a2, V + 0.5 * h * c2)
+        a4, b4, c4 = field(v + h * a3, V + h * c3)
+        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        z = z + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        V = V + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    return v, z, V, Z

@@ -18,7 +18,7 @@ SEED = 42
 BUDGETS = {
     "algebra": 1.0,       # criterion 1
     "spectral": 3.0,      # criteria 2 + 3
-    "flow": 10.0,         # criterion 7
+    "flow": 1.0,          # criterion 7
     "integrals": 120.0,   # criteria 4 (30 s) + 5 (60 s) + 6 (30 s)
     "periodicity": 120.0, # criteria 8 (30 s) + 9 (60 s) + 10 (30 s)
     "criteria": 3.0,      # criterion 11

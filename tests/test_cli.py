@@ -1,6 +1,7 @@
 """CLI contract: exit codes, wire format, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,29 @@ def test_flow_non_finite_t_is_usage_error(t, capsys):
     assert len(err.strip().splitlines()) == 1 and "--t" in err
 
 
+@pytest.mark.parametrize("t", ["1e12", "-1e12"])
+def test_flow_rk4_huge_t_is_finite(t, tmp_path):
+    # 10^15 steps: the work is logarithmic in the step count
+    out = tmp_path / "end.txt"
+    code = main(["flow", "--method", "rk4", f"--t={t}", "--state", PAIR_STATE,
+                 "--out", str(out)])
+    assert code == EXIT_PASS
+    end = parse_state(M.alg, out.read_text())
+    assert np.isfinite(end.flat()).all()
+    assert np.array_equal(end.Z, parse_state(M.alg, PAIR_STATE).Z)
+
+
+@pytest.mark.parametrize("t", ["1e20", "-1e100", "1.7e308"])
+def test_flow_rk4_overflowing_t_is_usage_error(t, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "--method", "rk4", f"--t={t}",
+                     "--state", PAIR_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1 and "--t" in err.err
+
+
 def test_verify_algebra_pass(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--suite", "algebra", "--seed", "7",
@@ -91,7 +115,9 @@ def test_flow_degenerate_exact_is_exit_4(capsys):
         "--state", "v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 0 0; Z: 0 0 1",
     ])
     assert code == EXIT_DEGENERATE
-    assert "rk4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rk4" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_flow_rk4_straight_line(tmp_path):

@@ -5,7 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from nilflow.catalog import build_deformation, build_pair
+from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.flow import (
     DegenerateFrequencyError,
     TangentState,
@@ -19,6 +19,7 @@ from nilflow.flow import (
     state_from_flat,
 )
 from nilflow.lie_core import j_matrix_np
+from oracles import rk4_loop
 
 M, MP = build_pair()
 
@@ -133,6 +134,31 @@ def test_straight_line_when_Z_zero():
     end = flow_rk4(M.alg, s, 1.0, 1000)
     assert np.allclose(end.v, [1, 0, 0, 0, 0], atol=1e-12)
     assert np.allclose(end.z, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("selector", ["M", "Mprime", "defo:2/5"])
+@pytest.mark.parametrize("t", [1.7, -2.3])
+def test_rk4_recurrence_matches_step_loop(selector, t):
+    # the closed recurrence is the same discrete scheme as the stage-by-stage
+    # loop: odd and even bit patterns of N, single and batched, either sign
+    alg = get_manifold(selector).alg
+    dv, dz = alg.dim_v, alg.dim_z
+    rng = np.random.default_rng(29)
+    flats = np.concatenate([
+        rng.uniform(-1.0, 1.0, size=(4, 2 * dv + dz)),
+        rng.uniform(-2.0, 2.0, size=(4, dz)),
+    ], axis=1)
+    cut = np.cumsum([dv, dz, dv])
+    for steps in (1, 2, 3, 7, 64, 1000, 1023):
+        loop = np.concatenate(
+            rk4_loop(alg, *np.split(flats, cut, axis=1), t, steps), axis=1)
+        tol = 1e-12 * np.max(np.abs(loop))
+        batched = flow_rk4_many(alg, flats, t, steps)
+        assert np.max(np.abs(batched - loop)) <= tol, steps
+        single = flow_rk4(alg, state_from_flat(alg, flats[0]), t, steps)
+        assert np.max(np.abs(single.flat() - loop[0])) <= tol, steps
+    with pytest.raises(ValueError, match="at least one step"):
+        flow_rk4_many(alg, flats, t, 0)
 
 
 def test_flow_rk4_many_matches_single():
