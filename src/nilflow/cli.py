@@ -119,16 +119,23 @@ def cmd_verify(args):
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
-def _flow_rk4_finite(data, state, t, steps_per_unit):
-    """RK4 to time t, or a usage error naming --t when the float powers of
-    the one-step map overflow (about |t| > 1e16 at 1000 steps per unit)."""
+# Past about 1e15 RK4 steps rounding swamps the result: the one-step map's
+# computed eigenvalue moduli exceed 1 by about 1e-17, and the error grows
+# like exp(1e-17 N).
+MAX_RK4_STEPS = 10**15
+
+
+def _finite_flow(flow, t, method):
+    """flow(), or a usage error naming --t when its result is not finite
+    (the float powers of the RK4 one-step map, or the t^2 terms of the
+    closed-form z, overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            end = flow_rk4(data.alg, state, t, default_steps(t, steps_per_unit))
+            end = flow()
         except OverflowError:
             end = None
     _require(end is not None and np.isfinite(end.flat()).all(),
-             f"--t={t} is too large: the RK4 result is not finite")
+             f"--t={t} is too large: the {method} result is not finite")
     return end
 
 
@@ -142,9 +149,17 @@ def cmd_flow(args):
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     if args.method == "exact":
-        end = flow_exact_state(data, state, args.t)
+        end = _finite_flow(lambda: flow_exact_state(data, state, args.t),
+                           args.t, "exact")
     else:
-        end = _flow_rk4_finite(data, state, args.t, tol.rk4_steps_per_unit)
+        per_unit = tol.rk4_steps_per_unit
+        _require(abs(args.t) * per_unit <= MAX_RK4_STEPS,
+                 f"--t={args.t} needs more than 1e15 RK4 steps at "
+                 f"{per_unit} per unit; rounding dominates past that")
+        end = _finite_flow(
+            lambda: flow_rk4(data.alg, state, args.t,
+                             default_steps(args.t, per_unit)),
+            args.t, "RK4")
     _emit(format_state(data.alg, end), args.out)
     return EXIT_PASS
 
@@ -278,7 +293,12 @@ def build_parser():
 
     sp = sub.add_parser("flow", help="propagate a tangent state")
     common(sp, seed=False, config=True)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument(
+        "--t", type=float, default=1.0,
+        help="flow time.  rk4 takes ceil(|t| rk4_steps_per_unit) steps "
+             "(1000 per unit by default) and rejects more than 1e15 steps "
+             "(|t| > 1e12 by default), past which rounding dominates; exact "
+             "rejects a t whose result overflows (|t| from about 1e154)")
     sp.add_argument("--method", choices=("exact", "rk4"), default="exact")
     sp.add_argument("--state", default=None,
                     help="state record; stdin if omitted")

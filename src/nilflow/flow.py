@@ -9,16 +9,18 @@ frame.  The geodesic equations are
 so V precesses by the one-parameter orthogonal group e^{t j(Z)} while Z is
 conserved.  For the isospectral pair the precession splits into two
 invariant planes (frequencies c_k and |c|) plus the kernel line R Y_c,
-which gives a closed-form flow.  Classic fixed-step RK4 covers every
-algebra and serves as an independent cross-check.  With Z conserved the
-(v, V) equations are linear, so N RK4 steps are one matrix power and the
-z increments one quadratic form in the initial (v, V); both are summed
-exactly by binary doubling, in O(log N) batched matmuls instead of N
-stage evaluations.
+which gives a closed-form flow: V(t) is trigonometric in t, v(t) adds a
+linear drift along the kernel line, and z(t) is a fixed table of integrals
+of s^k e^{i gamma s} (k = 0, 1) in sinc form, so its cost does not depend
+on t.  Classic fixed-step RK4 covers every algebra and serves as an
+independent cross-check.  With Z conserved the (v, V) equations are
+linear, so N RK4 steps are one matrix power and the z increments one
+quadratic form in the initial (v, V); both are summed exactly by binary
+doubling, in O(log N) batched matmuls instead of N stage evaluations.
 """
 
 from dataclasses import dataclass
-from math import ceil, hypot, sqrt
+from math import ceil, factorial, hypot, sqrt
 
 import numpy as np
 
@@ -228,32 +230,69 @@ def flow_exact_vV(frame, v0, V0, t):
     return np.asarray(v0, float) + frame.integrate(V0, t), frame.rotate(V0, t)
 
 
-def _gauss_legendre_nodes(t, panels, order=10):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, t, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+# E_1 Taylor coefficients 1 / (n! (n + 2)); 18 terms reach 1e-17 on |x| < 1
+_E1_SERIES = np.array([1.0 / (factorial(n) * (n + 2)) for n in range(18)])
+
+
+def _moments(x):
+    """(E_0(x), E_1(x)) with E_k(x) = int_0^1 u^k e^{i x u} du, elementwise.
+
+    E_0(x) = e^{ix/2} sin(x/2) / (x/2) is the sinc form, which does not
+    cancel at any x.  E_1(x) = (e^{ix} - E_0(x)) / (ix) cancels as x -> 0,
+    so |x| < 1 sums its Taylor series sum_n (ix)^n / (n! (n + 2)) instead.
+    """
+    x = np.asarray(x, float)
+    e0 = np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
+    small = np.abs(x) < 1.0
+    xs = np.where(small, x, 0.0)
+    series = (1j * xs[..., None]) ** np.arange(_E1_SERIES.size) @ _E1_SERIES
+    e1 = np.where(
+        small, series, (np.exp(1j * x) - e0) / (1j * np.where(small, 1.0, x))
+    )
+    return e0, e1
 
 
 def flow_exact_state(data, state, t):
     """Closed-form flow of a full state on a manifold with an invariant frame.
 
-    v and V are exact trigonometric expressions; z(t) adds t Z plus the
-    integral of [v(s), V(s)]/2, evaluated by composite Gauss-Legendre on
-    the closed-form integrand (spectrally accurate: the integrand is a
-    trigonometric polynomial in the two frequencies).
+    v, V and z(t) = z_0 + t Z + (1/2) int_0^t [v(s), V(s)] ds are exact
+    closed-form expressions.  With frame
+    components (a_1, b_1, a_2, b_2, a_0) of V_0 and the complex vectors
+    W_p = (a_p + i b_p)(u_pa - i u_pb) of the planes p = 1, 2,
+
+        V(s) = Re sum_p W_p e^{i theta_p s} + a_0 u_0,
+        v(s) = v_0 + Re sum_p W_p alpha_p(s) + a_0 s u_0,
+        alpha_p(s) = (e^{i theta_p s} - 1) / (i theta_p),
+
+    and [Re A, Re B] = Re([A, B] + [A, conj B]) / 2, so the integral is
+    [v_0, int_0^t V] plus frame brackets [W_p, W_q], [W_p, conj W_q] and
+    [u_0, W_p] times integrals of s^k e^{i gamma s}, k in {0, 1} and
+    gamma in {0, +-theta_p, theta_p +- theta_q}.  Each is
+    t^{k+1} E_k(gamma t) (see `_moments`), so the cost does not depend on
+    t.  The t^2 terms overflow from about |t| = 1e154.
     """
     frame = eigenframe(data, state.Z)
     t = float(t)
     vt, Vt = flow_exact_vV(frame, state.v, state.V, t)
-    panels = max(4, ceil(abs(t) * float(np.max(np.abs(frame.theta))) / 2.0))
-    nodes, weights = _gauss_legendre_nodes(t, panels)
-    vs, Vs = flow_exact_vV(frame, state.v, state.V, nodes)
-    integrand = bracket_v_np(data.alg, vs, Vs)
-    zt = state.z + t * state.Z + 0.5 * np.einsum("n,nr->r", weights, integrand)
+    br = lambda a, b: bracket_v_np(data.alg, a, b)
+    a, u, th = frame.components(state.V), frame.basis, frame.theta
+    w = (a[0:4:2] + 1j * a[1:4:2])[:, None] * (u[0:4:2] - 1j * u[1:4:2])
+    # rows p, columns q: theta_p + theta_q, theta_p - theta_q, theta_q, -theta_q
+    tp, tq = th[:, None], th[None, :]
+    m0, m1 = _moments(t * np.stack(np.broadcast_arrays(tp + tq, tp - tq, tq, -tq)))
+    # int_0^t alpha_p(s) e^{+-i theta_q s} ds
+    same = t * (m0[0] - m0[2]) / (1j * tp)
+    conj = t * (m0[1] - m0[3]) / (1j * tp)
+    planes = (br(w[:, None], w[None, :]) * same[..., None]
+              + br(w[:, None], w.conj()[None, :]) * conj[..., None])
+    # int_0^t s e^{i theta_p s} ds - int_0^t alpha_p(s) ds, times [u_0, W_p]
+    kern = t * t * m1[2, 0] - t * (m0[2, 0] - 1.0) / (1j * th)
+    area = (
+        br(state.v, frame.integrate(state.V, t))
+        + 0.5 * planes.sum(axis=(0, 1)).real
+        + a[4] * (br(u[4], w) * kern[:, None]).sum(axis=0).real
+    )
+    zt = state.z + t * state.Z + 0.5 * area
     return TangentState(vt, zt, Vt, state.Z.copy())
 
 

@@ -414,11 +414,10 @@ def closure_jacobian(data, geo, h=1e-4):
     return np.stack(cols, axis=1)
 
 
-def family_dimension(data, geo, h=1e-4, svd_threshold=1e-6):
-    """Dimension of the kernel of the closure constraints at the closed
-    geodesic = dimension of the continuous family through it (counted in
-    the full 16-dimensional phase space)."""
-    jac = closure_jacobian(data, geo, h)
+def family_dimension(jac, svd_threshold=1e-6):
+    """Dimension of the kernel of a closure Jacobian (`closure_jacobian`)
+    at a closed geodesic = dimension of the continuous family through it
+    (counted in the full 16-dimensional phase space)."""
     sv = np.linalg.svd(jac, compute_uv=False)
     nullity = int(np.sum(sv <= svd_threshold * sv[0])) + jac.shape[1] - sv.size
     return nullity, sv
@@ -433,12 +432,12 @@ def _coordinate_gradients(alg, state, h=1e-6):
     return (fp - fm).T / (2 * h)
 
 
-def invariant_fiber_codim(data, geo, h=1e-4, svd_threshold=1e-6):
+def invariant_fiber_codim(data, geo, jac, svd_threshold=1e-6):
     """Rank of the integral gradients restricted to the family's tangent
-    space; 1 means the family is a one-parameter stack of invariant level
-    sets.  Also returns the largest projection of the three exact central
-    integrals q_W, which must vanish on the family."""
-    jac = closure_jacobian(data, geo, h)
+    space, the kernel of the closure Jacobian `jac` at geo; 1 means the
+    family is a one-parameter stack of invariant level sets.  Also returns
+    the largest projection of the three exact central integrals q_W, which
+    must vanish on the family."""
     _, sv, vt = np.linalg.svd(jac)
     null_rows = vt[np.concatenate([sv <= svd_threshold * sv[0],
                                    np.ones(vt.shape[0] - sv.size, bool)])]

@@ -3,10 +3,12 @@ paths against.  None of this is used by the package itself.
 """
 
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 
 from nilflow import linalg_exact as lx
+from nilflow.flow import TangentState, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
     GroupElement,
     RationalLattice,
@@ -180,3 +182,29 @@ def rk4_loop(alg, v, z, V, Z, t, steps):
         z = z + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         V = V + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
     return v, z, V, Z
+
+
+def _gauss_legendre_nodes(t, panels, order=10):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, t, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def flow_exact_quadrature(data, state, t):
+    """The closed-form flow with z(t) = z_0 + t Z + (1/2) int_0^t [v, V] ds
+    by composite Gauss-Legendre on the closed-form integrand, with
+    ceil(|t| max theta / 2) panels of 10 nodes (the oracle for the closed
+    form of flow.flow_exact_state; its work grows linearly in t)."""
+    frame = eigenframe(data, state.Z)
+    t = float(t)
+    vt, Vt = flow_exact_vV(frame, state.v, state.V, t)
+    panels = max(4, ceil(abs(t) * float(np.max(np.abs(frame.theta))) / 2.0))
+    nodes, weights = _gauss_legendre_nodes(t, panels)
+    vs, Vs = flow_exact_vV(frame, state.v, state.V, nodes)
+    integrand = bracket_v_np(data.alg, vs, Vs)
+    zt = state.z + t * state.Z + 0.5 * np.einsum("n,nr->r", weights, integrand)
+    return TangentState(vt, zt, Vt, state.Z.copy())

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from nilflow.cli import main
-from nilflow.suites import RUNNERS
+from nilflow.suites import RUNNERS, run_suite
 
 SEED = 42
 
@@ -19,8 +19,8 @@ BUDGETS = {
     "algebra": 1.0,       # criterion 1
     "spectral": 3.0,      # criteria 2 + 3
     "flow": 1.0,          # criterion 7
-    "integrals": 120.0,   # criteria 4 (30 s) + 5 (60 s) + 6 (30 s)
-    "periodicity": 120.0, # criteria 8 (30 s) + 9 (60 s) + 10 (30 s)
+    "integrals": 10.0,    # criteria 4 + 5 + 6
+    "periodicity": 3.0,   # criteria 8 + 9 + 10
     "criteria": 3.0,      # criterion 11
     "cih": 15.0,          # criterion 12
 }
@@ -141,7 +141,7 @@ def test_criterion_08_translational_elements(suites):
     c2 = _check(rep, "translational_vs_flow_oracle")
     ok = c1.passed and c2.passed
     _line(8, "proof vs expanded translational element <= 1e-10; both vs "
-             "flow oracle <= 1e-7, constructed geodesics on M and M'", ok,
+             "flow oracle <= 1e-9, constructed geodesics on M and M'", ok,
           f"forms {c1.value:.3g}, flow {c2.value:.3g}")
     assert ok
     assert _within_budget(suites, "periodicity")
@@ -217,3 +217,13 @@ def test_criterion_13_determinism(tmp_path):
               "bodies, exit 0", ok)
     assert code1 == 0 and code2 == 0
     assert b1 == b2
+
+
+def test_periodicity_work_is_bounded_at_seed_16():
+    # suite seed 16 draws a family-dimension geodesic with lattice multiple
+    # m = 8192; the closed-form flow makes its closure Jacobians cost the
+    # same as at seed 42.  Whether its checks pass is the construction's
+    # business (they fail today), not this test's.
+    t0 = time.perf_counter()
+    run_suite("periodicity", 16)
+    assert time.perf_counter() - t0 <= BUDGETS["periodicity"]

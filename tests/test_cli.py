@@ -1,6 +1,7 @@
 """CLI contract: exit codes, wire format, determinism."""
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -82,6 +83,42 @@ def test_flow_rk4_overflowing_t_is_usage_error(t, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["flow", "--method", "rk4", f"--t={t}",
+                     "--state", PAIR_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1 and "--t" in err.err
+
+
+@pytest.mark.parametrize("t", ["1e13", "-1e13"])
+def test_flow_rk4_past_1e15_steps_is_usage_error(t, capsys):
+    # 1e16 steps at 1000 per unit: past 1e15 rounding dominates the result
+    code = main(["flow", "--method", "rk4", f"--t={t}", "--state", PAIR_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1 and "--t" in err.err
+
+
+@pytest.mark.parametrize("t", ["1e9", "-1e9"])
+def test_flow_exact_huge_t_is_bounded(t, tmp_path):
+    # the closed-form z costs the same at every t
+    out = tmp_path / "end.txt"
+    t0 = time.perf_counter()
+    code = main(["flow", "--method", "exact", f"--t={t}", "--state",
+                 PAIR_STATE, "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_PASS
+    start, end = parse_state(M.alg, PAIR_STATE), parse_state(M.alg, out.read_text())
+    assert np.isfinite(end.flat()).all()
+    assert np.array_equal(end.Z, start.Z)
+    assert np.linalg.norm(end.V) == pytest.approx(np.linalg.norm(start.V),
+                                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("t", ["1e300", "-1e300"])
+def test_flow_exact_overflowing_t_is_usage_error(t, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "--method", "exact", f"--t={t}",
                      "--state", PAIR_STATE])
     err = capsys.readouterr()
     assert code == EXIT_USAGE and err.out == ""

@@ -1,6 +1,6 @@
 """Geodesic flow: eigenframes, closed-form propagation, RK4 cross-checks."""
 
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.flow import (
     DegenerateFrequencyError,
     TangentState,
+    _moments,
     default_steps,
     eigenframe,
     flow_exact_state,
@@ -19,7 +20,7 @@ from nilflow.flow import (
     state_from_flat,
 )
 from nilflow.lie_core import j_matrix_np
-from oracles import rk4_loop
+from oracles import flow_exact_quadrature, rk4_loop
 
 M, MP = build_pair()
 
@@ -98,9 +99,42 @@ def test_exact_vs_rk4_short():
         v_e, V_e = flow_exact_vV(fr, s.v, s.V, 1.0)
         assert np.max(np.abs(end.v - v_e)) < 1e-9
         assert np.max(np.abs(end.V - V_e)) < 1e-9
-        # z from quadrature agrees with RK4 too
+        # the closed-form z agrees with RK4 too
         full = flow_exact_state(data, s, 1.0)
         assert np.max(np.abs(end.z - full.z)) < 1e-9
+
+
+# theta_1 = c_k and theta_2 = |c|: nearly equal on the first Z, nearly
+# opposite on the second
+NEAR_DEGENERATE_Z = ([1e-7, 0.0, 0.7], [1e-4, 2e-5, -1.3])
+
+
+@pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
+@pytest.mark.parametrize("t", [0.0, 1e-6, 1.0, 50.0, 128 * pi, 1e4, -50.0])
+def test_closed_form_z_matches_quadrature(data, t):
+    rng = np.random.default_rng(31)
+    generic = [sample_generic_state(data, rng) for _ in range(3)]
+    near = [TangentState(s.v, s.z, s.V, np.array(Z))
+            for s, Z in zip(generic, NEAR_DEGENERATE_Z)]
+    for s in generic + near:
+        got = flow_exact_state(data, s, t)
+        want = flow_exact_quadrature(data, s, t)
+        bound = 1e-10 * max(1.0, float(np.max(np.abs(want.z))))
+        assert np.max(np.abs(got.z - want.z)) <= bound, s.Z
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.V, want.V)
+        assert np.array_equal(got.Z, s.Z)
+
+
+def test_moments_across_the_series_switch():
+    # E_k(x) = int_0^1 u^k e^{ixu} du against 40-node Gauss-Legendre, on
+    # both sides of |x| = 1 where the Taylor series hands over
+    xs = np.array([0.0, 1e-9, -0.3, 1.0 - 1e-12, -1.0, 1.0 + 1e-12, 2.5, -40.0])
+    u, w = np.polynomial.legendre.leggauss(40)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    phase = np.exp(1j * np.multiply.outer(xs, u))
+    e0, e1 = _moments(xs)
+    assert np.max(np.abs(e0 - phase @ w)) < 1e-14
+    assert np.max(np.abs(e1 - phase @ (u * w))) < 1e-14
 
 
 def test_rk4_is_fourth_order():

@@ -14,9 +14,11 @@ from nilflow.flow import (
     flow_exact_state,
     sample_generic_state,
 )
+from nilflow import periodicity, suites
 from nilflow.lie_core import GroupElement, bracket_v_np, group_mul, lattice_contains
 from nilflow.periodicity import (
     ConstructionError,
+    closure_jacobian,
     construct_closed_geodesic,
     rationalize_sphere_direction,
     translational_element,
@@ -151,3 +153,21 @@ def test_construction_error_surfaces():
             TangentState([0] * 5, [0] * 3, [1, 0, 0, 0, 0], [0, 0, 0]),
             epsilon=0.1,
         )
+
+
+def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
+    # the FD-step sweep 1e-4 / 1e-5 / 1e-6 on M and Mprime, and the 1e-4
+    # Jacobian reused by invariant_fiber_codim on M
+    steps = []
+
+    def counting(data, geo, h=1e-4):
+        steps.append((data.name, h))
+        return closure_jacobian(data, geo, h)
+
+    monkeypatch.setattr(periodicity, "closure_jacobian", counting)
+    monkeypatch.setattr(suites, "closure_jacobian", counting)
+    report = suites.run_periodicity(42)
+    assert sorted(steps) == sorted(
+        (name, h) for name in ("M", "Mprime") for h in (1e-4, 1e-5, 1e-6)
+    )
+    assert report.passed
