@@ -76,25 +76,27 @@ def evaluate_integrals(state):
 def left_gradients_all(alg, state, h=1e-6, fn=None):
     """Central-difference left gradients of the functions fn evaluates.
 
-    fn maps a batched TangentState to values of shape (n, k); it defaults
-    to the eight integrals.  Returns (B, A) with shapes (k, dim) each; 4
-    batched evaluations total.
+    fn maps a batched TangentState to values of shape (..., n, k); it
+    defaults to the eight integrals.  The state may carry batch axes on the
+    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each; 4
+    batched evaluations total, whatever the batch.
     """
     if fn is None:
         fn = evaluate_integrals
     dv, n = alg.dim_v, alg.dim
     step = h * np.eye(n)
     no_v, no_z = np.zeros((n, dv)), np.zeros((n, n - dv))
+    v, z = state.v[..., None, :], state.z[..., None, :]
+    V, Z = state.V[..., None, :], state.Z[..., None, :]
 
     def central(dv_, dz_, dV, dZ):
-        s = state
-        fp = fn(TangentState(s.v + dv_, s.z + dz_, s.V + dV, s.Z + dZ))
-        fm = fn(TangentState(s.v - dv_, s.z - dz_, s.V - dV, s.Z - dZ))
-        return (fp - fm).T / (2.0 * h)
+        fp = fn(TangentState(v + dv_, z + dz_, V + dV, Z + dZ))
+        fm = fn(TangentState(v - dv_, z - dz_, V - dV, Z - dZ))
+        return np.swapaxes(fp - fm, -1, -2) / (2.0 * h)
 
     # the base moves by right multiplication with exp(+-h e):
     # (v, z) -> (v +- h e_v, z +- (h e_z + h [v, e_v] / 2))
-    base_z = step[:, dv:] + 0.5 * bracket_v_np(alg, state.v, step[:, :dv])
+    base_z = step[:, dv:] + 0.5 * bracket_v_np(alg, v, step[:, :dv])
     B = central(step[:, :dv], base_z, no_v, no_z)
     A = central(no_v, no_z, step[:, :dv], step[:, dv:])
     return B, A
@@ -102,7 +104,8 @@ def left_gradients_all(alg, state, h=1e-6, fn=None):
 
 def hamiltonian_field(alg, state, B, A):
     """Hamiltonian vector fields of functions with left gradients (B, A),
-    one per row.
+    one per row; B, A have shape (..., k, dim) for a state with batch axes
+    (...).
 
     Base velocity is the fiber gradient A (as a left-invariant vector);
     fiber velocity is -B plus the coadjoint correction j(Z) A_v acting on
@@ -110,25 +113,30 @@ def hamiltonian_field(alg, state, B, A):
     """
     dv = alg.dim_v
     fiber = -B
-    fiber[..., :dv] += A[..., :dv] @ j_matrix_np(alg, state.Z).T
+    jt = np.swapaxes(j_matrix_np(alg, state.Z), -1, -2)
+    fiber[..., :dv] += A[..., :dv] @ jt
     return A, fiber
 
 
 def _shift_state(alg, state, base_dir, fiber_dir, h):
-    """Move a state by h along each row of (base_dir, fiber_dir): the base
-    moves by right multiplication with exp(h base_dir), the fiber linearly."""
+    """Move a state by h along each row of (base_dir, fiber_dir), shape
+    (..., k, dim): the base moves by right multiplication with
+    exp(h base_dir), the fiber linearly.  The result has batch axes
+    (..., k)."""
     dv = alg.dim_v
     bv, bz = base_dir[..., :dv], base_dir[..., dv:]
-    v = state.v + h * bv
-    z = state.z + h * bz + 0.5 * h * bracket_v_np(alg, state.v, bv)
-    V = state.V + h * fiber_dir[..., :dv]
-    Z = state.Z + h * fiber_dir[..., dv:]
+    v0 = state.v[..., None, :]
+    v = v0 + h * bv
+    z = state.z[..., None, :] + h * bz + 0.5 * h * bracket_v_np(alg, v0, bv)
+    V = state.V[..., None, :] + h * fiber_dir[..., :dv]
+    Z = state.Z[..., None, :] + h * fiber_dir[..., dv:]
     return TangentState(v, z, V, Z)
 
 
 def poisson_matrix(alg, state, h=1e-6, fn=None):
     """All brackets {F_a, F_b} = dF_a(X_{F_b}) of the functions fn
-    evaluates (default: the eight integrals), shape (k, k).
+    evaluates (default: the eight integrals), shape (..., k, k) for a state
+    with batch axes (...).
 
     Gradients are batched; the shifts along the k Hamiltonian fields are
     then two more batched evaluations.
@@ -139,19 +147,22 @@ def poisson_matrix(alg, state, h=1e-6, fn=None):
     base, fiber = hamiltonian_field(alg, state, B, A)
     fp = fn(_shift_state(alg, state, base, fiber, h))
     fm = fn(_shift_state(alg, state, base, fiber, -h))
-    return (fp - fm).T / (2.0 * h)
+    return np.swapaxes(fp - fm, -1, -2) / (2.0 * h)
 
 
 def independence_rank(alg, state, h=1e-6, svd_threshold=1e-7):
-    """Rank of the eight left gradients as vectors in R^16.
+    """Rank of the eight left gradients as vectors in R^16: an int for a
+    single state, an int array of shape (...) for a state with batch axes
+    (...).
 
     Rows are normalized to unit length first (zero rows stay zero) so the
     flat factor phi cannot mask directions that are genuinely present.
     """
     B, A = left_gradients_all(alg, state, h)
-    rows = np.concatenate([B, A], axis=1)
-    norms = np.linalg.norm(rows, axis=1)
+    rows = np.concatenate([B, A], axis=-1)
+    norms = np.linalg.norm(rows, axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
-    rows = rows / scale[:, None]
+    rows = rows / scale[..., None]
     sv = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sv > svd_threshold * sv[0]))
+    ranks = np.sum(sv > svd_threshold * sv[..., :1], axis=-1)
+    return ranks if ranks.ndim else int(ranks)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from nilflow import integrals, suites
 from nilflow.catalog import build_pair
-from nilflow.flow import TangentState, eigenframe, sample_generic_state
+from nilflow.flow import TangentState, eigenframe, sample_generic_state, state_from_flat
 from nilflow.integrals import (
     INTEGRAL_NAMES,
     evaluate_integrals,
@@ -171,3 +172,71 @@ def test_batched_evaluation_matches_scalar():
     for i, s in enumerate(states):
         assert np.allclose(batch[i], evaluate_integrals(s), atol=1e-15)
     assert len(INTEGRAL_NAMES) == 8
+
+
+def _sanity_pair(st):
+    return np.stack([st.v[..., 0], st.V[..., 0]], -1)
+
+
+def test_batched_fd_calculus_equals_per_state():
+    # states on the degenerate cone c_k = 0 (first, so that a threshold
+    # taken from the first state's spectrum would show) plus generic states;
+    # the batch runs the same FD stencils, so every row is bitwise the
+    # per-state one
+    rng = np.random.default_rng(22)
+    states = []
+    for _ in range(8):
+        ci, cj = rng.uniform(0.5, 2, size=2)
+        states.append(TangentState(
+            rng.uniform(-1, 1, size=5), rng.uniform(-1, 1, size=3),
+            rng.uniform(-1, 1, size=5), np.array([ci, -cj, 0.0]),
+        ))
+    states += [sample_generic_state(M, rng) for _ in range(24)]
+    flats = np.stack([s.flat() for s in states])
+    batch = state_from_flat(M.alg, flats)
+    B, A = left_gradients_all(M.alg, batch)
+    mats = poisson_matrix(M.alg, batch)
+    sanity = poisson_matrix(M.alg, batch, fn=_sanity_pair)
+    ranks = independence_rank(M.alg, batch)
+    # at a coarse threshold the generic ranks vary from state to state, which
+    # shows that each state is cut against its own largest singular value
+    coarse = independence_rank(M.alg, batch, svd_threshold=0.1)
+    assert set(coarse[8:]) == {6, 7, 8}
+    assert B.shape == A.shape == (32, 8, 8)
+    assert mats.shape == (32, 8, 8) and sanity.shape == (32, 2, 2)
+    assert ranks.shape == (32,)
+    assert list(ranks) == [6] * 8 + [8] * 24
+    # a single state is the no-batch-axis case: (k, dim), (k, k) and an int
+    # (np.array_equal also compares shapes)
+    for i, s in enumerate(states):
+        b1, a1 = left_gradients_all(M.alg, s)
+        assert np.array_equal(B[i], b1) and np.array_equal(A[i], a1)
+        assert np.array_equal(mats[i], poisson_matrix(M.alg, s))
+        assert np.array_equal(sanity[i], poisson_matrix(M.alg, s, fn=_sanity_pair))
+        rank = independence_rank(M.alg, s)
+        assert type(rank) is int and rank == ranks[i]
+        assert independence_rank(M.alg, s, svd_threshold=0.1) == coarse[i]
+    # two batch axes are the same rows again
+    grid = state_from_flat(M.alg, flats.reshape(4, 8, -1))
+    assert np.array_equal(poisson_matrix(M.alg, grid), mats.reshape(4, 8, 8, 8))
+    assert np.array_equal(independence_rank(M.alg, grid), ranks.reshape(4, 8))
+
+
+def test_run_integrals_batches_every_check(monkeypatch):
+    # one evaluation per stencil side over each whole block of states:
+    # conservation 2, commutation 4 + 2, independence 4 + 4 (the sanity
+    # pair has its own fn); the rows are the per-state ones, e.g.
+    # commutation 1000 states x (4 x 8 gradient + 2 x 8 shifted) rows
+    rows = []
+
+    def counting(state):
+        out = evaluate_integrals(state)
+        rows.append(out.size // 8)
+        return out
+
+    monkeypatch.setattr(integrals, "evaluate_integrals", counting)
+    monkeypatch.setattr(suites, "evaluate_integrals", counting)
+    report = suites.run_suite("integrals", 42)
+    assert len(rows) == 16
+    assert sum(rows) == 1000 * 21 + 1000 * (4 * 8 + 2 * 8) + 1100 * 4 * 8
+    assert report.passed
