@@ -249,8 +249,14 @@ def cmd_criteria(args):
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
+# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 1 s and
+# 240 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
+MAX_CIH_BOUND = 6
+
+
 def cmd_cih(args):
-    _require(args.bound >= 0, f"--bound must be >= 0, got {args.bound}")
+    _require(0 <= args.bound <= MAX_CIH_BOUND,
+             f"--bound must be between 0 and {MAX_CIH_BOUND}, got {args.bound}")
     data = get_manifold(args.manifold)
     _require(data.frame is not None,
              f"manifold {data.name} has no clean-intersection certificate; "
@@ -324,7 +330,8 @@ def build_parser():
 
     sp = sub.add_parser("cih", help="clean-intersection certificate")
     common(sp)
-    sp.add_argument("--bound", type=int, default=3)
+    sp.add_argument("--bound", type=int, default=3,
+                    help=f"coordinate bound, 0 to {MAX_CIH_BOUND}")
 
     return p
 

@@ -17,11 +17,12 @@ Three independent diagnostics that separate the pair:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import bracket_v, j_kernels, j_matrix
+from .lie_core import bracket_v, j_kernels
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
@@ -200,22 +201,102 @@ def _span_keys(spans):
     return codes
 
 
+def _complement_projectors(spans):
+    """Orthogonal projectors onto the complements of the row spans of
+    integer spans (n, rows, 3), in closed form and exactly in int64:
+    (N (n, 3, 3), d (n,)) with P = N / d and d > 0.
+
+    With r the first nonzero primitive row and n the first nonzero
+    primitive cross product of two rows: rank 0 gives I / 1, rank 1
+    (|r|^2 I - r r^T) / |r|^2, rank 2 n n^T / |n|^2 and rank 3 (some triple
+    product nonzero) 0 / 1.  Raises OverflowError before any product could
+    leave int64.
+    """
+    prim = _primitive_rows(np.asarray(spans, dtype=np.int64))
+    n, rows, dim = prim.shape
+    if dim != 3:
+        raise ValueError("closed-form projectors need dim z = 3")
+    if rows < 2:  # zero rows change no span, and give a pair to cross
+        prim = np.concatenate([prim, np.zeros((n, 2 - rows, 3), np.int64)], 1)
+        rows = 2
+    bound = int(np.abs(prim).max(initial=0))
+    if 2 * bound**2 >= 2**62:
+        raise OverflowError("bracket spans too large for int64 projectors")
+    a, b = np.triu_indices(rows, 1)
+    cross = _primitive_rows(np.cross(prim[:, a], prim[:, b]))
+    cbound = int(np.abs(cross).max(initial=0))
+    if 3 * max(cbound, bound) ** 2 >= 2**62:
+        raise OverflowError("bracket spans too large for int64 projectors")
+    nonzero, crossed = np.any(prim != 0, axis=2), np.any(cross != 0, axis=2)
+    idx = np.arange(n)
+    r = prim[idx, np.argmax(nonzero, axis=1)]
+    nrm = cross[idx, np.argmax(crossed, axis=1)]
+    rank2 = crossed.any(axis=1)
+    r2 = np.einsum("ni,ni->n", r, r)
+    eye = np.eye(3, dtype=np.int64)
+    proj = np.where(
+        rank2[:, None, None],
+        nrm[:, :, None] * nrm[:, None, :],
+        r2[:, None, None] * eye - r[:, :, None] * r[:, None, :],
+    )
+    d = np.where(rank2, np.einsum("ni,ni->n", nrm, nrm), r2)
+    zero = ~nonzero.any(axis=1)
+    full = np.any(np.einsum("npi,nri->npr", cross, prim) != 0, axis=(1, 2))
+    proj[zero], d[zero] = eye, 1
+    proj[full], d[full] = 0, 1
+    return proj, d
+
+
+def _projectors_exact(proj, d, spans):
+    """Whether each N / d is idempotent (N N = d N) and kills every row of
+    its span (N r = 0), in int64; OverflowError before a product could
+    wrap."""
+    spans = np.asarray(spans, dtype=np.int64)
+    nb = int(np.abs(proj).max(initial=0))
+    sb = int(np.abs(spans).max(initial=0))
+    db = int(np.abs(d).max(initial=0))
+    if max(3 * nb * nb, db * nb, 3 * nb * sb) >= 2**62:
+        raise OverflowError("projectors too large for int64 checks")
+    idem = np.all(proj @ proj == d[:, None, None] * proj, axis=(1, 2))
+    killed = ~np.any(np.einsum("nij,nrj->nri", proj, spans) != 0, axis=(1, 2))
+    return idem & killed
+
+
 def _annihilator_check(alg, c):
     """Exact check that A := j(Z_c)^2 satisfies A (A + c_k^2) (A + |c|^2) = 0,
-    pinning the eigenvalues of -j^2 inside {0, c_k^2, |c|^2}."""
+    pinning the eigenvalues of -j^2 inside {0, c_k^2, |c|^2}.
+
+    The identity is homogeneous of degree 6 in c, so it is checked on c
+    times the lcm of its denominators, with the integer structure tensor,
+    in Python ints (exact at any size).
+    """
     c = [Fraction(x) for x in c]
-    jm = j_matrix(alg, c)
+    scale = lcm(*(x.denominator for x in c))
+    c = [int(x * scale) for x in c]
+    t = alg.int_tensor().tolist()
+    n = alg.dim_v
+    jm = [[sum(x * y for x, y in zip(c, t[p][q])) for p in range(n)]
+          for q in range(n)]
     a = lx.mat_mul(jm, jm)
     ck2 = c[2] * c[2]
     n2 = sum(x * x for x in c)
-    m1 = [list(row) for row in a]
-    for i in range(5):
-        m1[i][i] += ck2
-    m2 = [list(row) for row in a]
-    for i in range(5):
-        m2[i][i] += n2
+    m1 = [[x + ck2 * (i == j) for j, x in enumerate(row)]
+          for i, row in enumerate(a)]
+    m2 = [[x + n2 * (i == j) for j, x in enumerate(row)]
+          for i, row in enumerate(a)]
     prod = lx.mat_mul(lx.mat_mul(a, m1), m2)
     return all(x == 0 for row in prod for x in row)
+
+
+def _first_rows(keys):
+    """Indices of the first occurrence of each distinct key row, in sorted
+    row order (np.unique(keys, axis=0, return_index=True)[1]): a stable
+    lexsort over the columns, then the rows where the sorted key changes."""
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    new = np.ones(len(sk), dtype=bool)
+    new[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    return order[new]
 
 
 def cih_certificate(data, coord_bound, rng=None, record_cap=40):
@@ -230,8 +311,9 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
          nonzero eigenvalues of -j(Z_c)^2 are c_k^2 and |c|^2;
       2. for every bracket span [V, n] occurring among the enumerated V,
          the orthogonal projector onto its complement is an exact rational
-         matrix (idempotence and annihilation of the span verified), so
-         proj Z is rational for every half-integer Z;
+         matrix N / d in closed form (idempotence and annihilation of the
+         span verified in integers), so proj Z is rational for every
+         half-integer Z;
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     Explicit eigenvalue records and annihilator checks are kept for a
@@ -248,24 +330,18 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
         np.meshgrid(*([rng_v] * alg.dim_v), indexing="ij"), axis=-1
     ).reshape(-1, alg.dim_v)
     spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor())  # [V, e_q] rows
-    _, first_v = np.unique(_span_keys(spans), axis=0, return_index=True)
+    first_v = _first_rows(_span_keys(spans))
 
     # one integer projector N / d per distinct span, in sorted key order
-    projectors = []
-    bad = None
-    for v_idx in first_v.tolist():
-        rows = spans[v_idx].tolist()
-        proj, d = lx.complement_projector(rows, alg.dim_z)
-        killed = not any(any(lx.mat_vec(proj, r)) for r in rows)
-        idem = lx.mat_mul(proj, proj) == [[d * x for x in row] for row in proj]
-        if not (killed and idem):
-            bad = vs[v_idx].tolist()
-        projectors.append((v_idx, proj, d))
+    distinct = spans[first_v]
+    proj, dens = _complement_projectors(distinct)
+    ok = _projectors_exact(proj, dens, distinct)
+    bad = None if ok.all() else vs[first_v[~ok][-1]].tolist()
     cert.add(
         "rational_projectors_for_all_bracket_spans",
         bad is None,
         value={"enumerated_V": int(vs.shape[0]),
-               "distinct_spans": len(projectors),
+               "distinct_spans": len(first_v),
                "witness": bad},
     )
 
@@ -276,22 +352,22 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
         rng = np.random.Generator(np.random.Philox(0))
     records = []
     ann_ok = True
-    for i in range(record_cap):
-        v_idx, proj, d = projectors[int(rng.integers(0, len(projectors)))]
+    for _ in range(record_cap):
+        k = int(rng.integers(0, len(first_v)))
         z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
-        c = [x / d for x in lx.mat_vec(proj, z)]
+        d = int(dens[k])
+        c = [x / d for x in lx.mat_vec(proj[k].tolist(), z)]
         eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
         if not _annihilator_check(alg, c):
             ann_ok = False
-        if len(records) < record_cap:
-            prim = _primitive_rows(spans[v_idx]).tolist()
-            span = sorted({tuple(r) for r in prim if any(r)})
-            records.append({
-                "span": [list(map(str, r)) for r in span],
-                "z": [str(x) for x in z],
-                "proj_z": [str(x) for x in c],
-                "theta_squared": [str(e) for e in eigs],
-            })
+        prim = _primitive_rows(distinct[k]).tolist()
+        span = sorted({tuple(r) for r in prim if any(r)})
+        records.append({
+            "span": [list(map(str, r)) for r in span],
+            "z": [str(x) for x in z],
+            "proj_z": [str(x) for x in c],
+            "theta_squared": [str(e) for e in eigs],
+        })
         if any(e <= 0 for e in eigs):
             ann_ok = False
     cert.add("sampled_annihilator_checks", ann_ok, value=len(records))

@@ -1,5 +1,5 @@
-"""Two-step metric Lie algebras, their groups in exponential coordinates,
-and rational lattices.
+"""Two-step metric Lie algebras, the skew maps j(Z) with their integer
+kernels, and rational lattices.
 
 Scalars come in three modes: integers (int64 arrays or Python ints) for
 certificates on integer Z, exact fractions.Fraction where a certificate
@@ -191,42 +191,6 @@ def j_matrix_np(alg, z):
 
 
 @dataclass
-class GroupElement:
-    """An element (v, z) = exp(v + z) of the simply connected group N(j)."""
-
-    alg: AlgebraData
-    v: tuple
-    z: tuple
-
-    def __post_init__(self):
-        if len(self.v) != self.alg.dim_v or len(self.z) != self.alg.dim_z:
-            raise ValueError("component dimensions do not match the algebra")
-
-
-def group_mul(a, b):
-    """BCH product (v, z)(v', z') = (v + v', z + z' + [v, v']/2)."""
-    if a.alg is not b.alg:
-        raise ValueError("elements live over different algebras")
-    half = Fraction(1, 2) if _is_exact(a.v) and _is_exact(b.v) else 0.5
-    corr = bracket_v(a.alg, a.v, b.v)
-    v = tuple(x + y for x, y in zip(a.v, b.v))
-    z = tuple(x + y + half * c for x, y, c in zip(a.z, b.z, corr))
-    return GroupElement(a.alg, v, z)
-
-
-def conjugate(g, h):
-    """g h g^{-1} = (v', z' + [v, v']) for g = (v, z), h = (v', z')."""
-    if g.alg is not h.alg:
-        raise ValueError("elements live over different algebras")
-    corr = bracket_v(g.alg, g.v, h.v)
-    return GroupElement(g.alg, tuple(h.v), tuple(x + c for x, c in zip(h.z, corr)))
-
-
-def _is_exact(vec):
-    return all(isinstance(x, (int, Fraction)) for x in vec)
-
-
-@dataclass
 class RationalLattice:
     """A rank-r lattice in Q^n given by an exact, independent basis."""
 
@@ -271,13 +235,3 @@ def lattice_contains(lat, w):
     if x is None:
         return False
     return all(c.denominator == 1 for c in x)
-
-
-def dual_lattice(lat):
-    """Dual basis: inverse transpose of the (full-rank) basis matrix."""
-    if lat.rank != lat.ambient_dim:
-        raise ValueError("dual_lattice requires a full-rank lattice")
-    cols = [list(v) for v in zip(*lat.basis)]  # basis vectors as columns
-    inv = lx.inverse(cols)
-    # rows of inv are the dual basis vectors: <dual_i, b_j> = delta_ij
-    return RationalLattice(lat.ambient_dim, tuple(tuple(row) for row in inv))

@@ -1,7 +1,7 @@
 """Exact linear algebra on small dense matrices.
 
 Matrices are lists of lists of fractions.Fraction or Python ints; the
-integer routines (integer_kernel, complement_projector) stay in ints.
+integer routine integer_kernel stays in ints.
 Everything is pure and allocation-happy, which is fine at the 5x5 / 8x8
 sizes used here.
 """
@@ -35,10 +35,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def rref(mat):
@@ -166,53 +162,6 @@ def integer_kernel(mat):
         if all(a[i][j] == 0 for i in range(nrows))
     ]
     return [col(u, j) for j in kernel_cols]
-
-
-def _adjugate_det(a):
-    """(adj(A), det(A)) of a square integer matrix whose leading principal
-    minors below order n are nonzero, e.g. the Gram matrix of rows of which
-    all but the last are independent.  Fraction-free Gauss-Jordan on
-    [A | I] (Bareiss 1968) ends at [det(A) I | adj(A)]; every division is
-    exact by Sylvester's identity."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
-    prev = 1
-    for p in range(n):
-        piv = m[p][p]
-        for i in range(n):
-            if i != p:
-                f = m[i][p]
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[p])]
-        prev = piv
-    return [row[n:] for row in m], prev
-
-
-def complement_projector(rows, dim):
-    """Orthogonal projector onto the complement of the span of integer
-    rows in Q^dim, exactly in integers: (N, d) with P = N / d.
-
-    B is a greedily chosen independent subset of the rows, G = B B^T its
-    Gram matrix, and P = I - B^T G^-1 B, so N = det(G) I - B^T adj(G) B and
-    d = det(G) > 0 (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.2).  Python ints throughout, so exact at any entry size.
-    """
-    basis, adj, det = [], [], 1
-    for r in rows:
-        if len(basis) == dim:
-            break
-        cand = basis + [[int(x) for x in r]]
-        gram = [[sum(x * y for x, y in zip(u, w)) for w in cand] for u in cand]
-        a, d = _adjugate_det(gram)
-        if d:
-            basis, adj, det = cand, a, d
-    w = mat_mul(adj, basis) if basis else []  # adj(G) B, k x dim
-    proj = [
-        [det * (i == j) - sum(b[i] * wr[j] for b, wr in zip(basis, w))
-         for j in range(dim)]
-        for i in range(dim)
-    ]
-    return proj, det
 
 
 def clear_denominators(vectors):

@@ -2,6 +2,7 @@
 paths against.  None of this is used by the package itself.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -10,7 +11,7 @@ import numpy as np
 from nilflow import linalg_exact as lx
 from nilflow.flow import TangentState, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
-    GroupElement,
+    AlgebraData,
     RationalLattice,
     bracket_v,
     bracket_v_np,
@@ -60,6 +61,42 @@ def char_poly(mat):
     return coeffs
 
 
+@dataclass
+class GroupElement:
+    """An element (v, z) = exp(v + z) of the simply connected group N(j)."""
+
+    alg: AlgebraData
+    v: tuple
+    z: tuple
+
+    def __post_init__(self):
+        if len(self.v) != self.alg.dim_v or len(self.z) != self.alg.dim_z:
+            raise ValueError("component dimensions do not match the algebra")
+
+
+def _is_exact(vec):
+    return all(isinstance(x, (int, Fraction)) for x in vec)
+
+
+def group_mul(a, b):
+    """BCH product (v, z)(v', z') = (v + v', z + z' + [v, v']/2)."""
+    if a.alg is not b.alg:
+        raise ValueError("elements live over different algebras")
+    half = Fraction(1, 2) if _is_exact(a.v) and _is_exact(b.v) else 0.5
+    corr = bracket_v(a.alg, a.v, b.v)
+    v = tuple(x + y for x, y in zip(a.v, b.v))
+    z = tuple(x + y + half * c for x, y, c in zip(a.z, b.z, corr))
+    return GroupElement(a.alg, v, z)
+
+
+def conjugate(g, h):
+    """g h g^{-1} = (v', z' + [v, v']) for g = (v, z), h = (v', z')."""
+    if g.alg is not h.alg:
+        raise ValueError("elements live over different algebras")
+    corr = bracket_v(g.alg, g.v, h.v)
+    return GroupElement(g.alg, tuple(h.v), tuple(x + c for x, c in zip(h.z, corr)))
+
+
 def group_inv(a):
     """Inverse in exponential coordinates: (v, z)^{-1} = (-v, -z)."""
     return GroupElement(a.alg, tuple(-x for x in a.v), tuple(-x for x in a.z))
@@ -69,6 +106,16 @@ def integer_lattice(n):
     return RationalLattice(n, tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     ))
+
+
+def dual_lattice(lat):
+    """Dual basis: inverse transpose of the (full-rank) basis matrix."""
+    if lat.rank != lat.ambient_dim:
+        raise ValueError("dual_lattice requires a full-rank lattice")
+    cols = [list(v) for v in zip(*lat.basis)]  # basis vectors as columns
+    inv = lx.inverse(cols)
+    # rows of inv are the dual basis vectors: <dual_i, b_j> = delta_ij
+    return RationalLattice(lat.ambient_dim, tuple(tuple(row) for row in inv))
 
 
 def lattice_coordinates(lat, w):
@@ -124,7 +171,7 @@ def draw_regular_z(alg, rng):
 def span_projector(rows):
     """Exact orthogonal projector onto the complement of the row span in
     Q^3 through a Fraction Gram inverse, with the rank of the span (the
-    oracle for linalg_exact.complement_projector)."""
+    oracle for the closed-form criteria._complement_projectors)."""
     rows = [r for r in rows if any(x != 0 for x in r)]
     n = 3
     if not rows:
@@ -142,6 +189,25 @@ def span_projector(rows):
                 for s in range(k) for t in range(k)
             )
     return comp, k
+
+
+def annihilator_check(alg, c):
+    """Whether A := j(Z_c)^2 satisfies A (A + c_k^2) (A + |c|^2) = 0, in
+    Fraction arithmetic on the Fraction j(Z_c) (the oracle for the scaled
+    integer check criteria._annihilator_check)."""
+    c = [Fraction(x) for x in c]
+    jm = j_matrix(alg, c)
+    a = lx.mat_mul(jm, jm)
+    ck2 = c[2] * c[2]
+    n2 = sum(x * x for x in c)
+    m1 = [list(row) for row in a]
+    for i in range(5):
+        m1[i][i] += ck2
+    m2 = [list(row) for row in a]
+    for i in range(5):
+        m2[i][i] += n2
+    prod = lx.mat_mul(lx.mat_mul(a, m1), m2)
+    return all(x == 0 for row in prod for x in row)
 
 
 def c_matrix(Z):

@@ -22,7 +22,7 @@ BUDGETS = {
     "integrals": 2.0,     # criteria 4 + 5 + 6
     "periodicity": 3.0,   # criteria 8 + 9 + 10
     "criteria": 3.0,      # criterion 11
-    "cih": 15.0,          # criterion 12
+    "cih": 1.0,           # criterion 12
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nilflow.catalog import build_pair
+from nilflow import cli
 from nilflow.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONSTRUCTION,
@@ -15,6 +16,7 @@ from nilflow.cli import (
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_CIH_BOUND,
     format_state,
     main,
     parse_state,
@@ -244,6 +246,19 @@ def test_cih_negative_bound_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "--bound" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cih_over_cap_bound_is_usage_error(capsys, monkeypatch):
+    # rejected before any V is enumerated: the certificate is never called
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("cih_certificate called above the cap")
+
+    monkeypatch.setattr(cli, "cih_certificate", enumerate_nothing)
+    for bound in (MAX_CIH_BOUND + 1, 10, 10**6):
+        assert main(["cih", "--bound", str(bound)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--bound" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("flag", [["--bound", "0"], ["--epsilon", "0"]])

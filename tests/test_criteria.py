@@ -3,12 +3,19 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
     _annihilator_check,
+    _complement_projectors,
     _draw_regular_zs,
+    _first_rows,
+    _projectors_exact,
+    _span_keys,
     butler_nonintegrability_sample,
     canonical_split,
     check_hr_presentation,
@@ -17,9 +24,11 @@ from nilflow.criteria import (
 )
 from nilflow.lie_core import AlgebraData, j_kernels
 from oracles import (
+    annihilator_check,
     centralizer_nlambda_bruteforce,
     commutator_nonzero,
     draw_regular_z,
+    span_projector,
 )
 
 M, MP = build_pair()
@@ -167,3 +176,115 @@ def test_cih_certificate_small_bound():
         for rec in cert.data["records"]:
             for s in rec["theta_squared"]:
                 assert Fraction(s) > 0
+
+
+def _assert_projector(rows, n, d):
+    """N / d equals the Fraction oracle entry by entry, N N = d N, N r = 0
+    and d > 0, all in Python ints."""
+    comp, _ = span_projector(rows)
+    assert d > 0
+    assert [[Fraction(x, d) for x in row] for row in n] == comp
+    assert lx.mat_mul(n, n) == [[d * x for x in row] for row in n]
+    assert all(not any(lx.mat_vec(n, r)) for r in rows)
+
+
+@st.composite
+def integer_row_sets(draw, entry=st.integers(-40, 40)):
+    """Rows in Z^3 spanning rank 0-3, with integer combinations of the
+    spanning rows and zero rows mixed in, in any order."""
+    rank = draw(st.integers(0, 3))
+    vec = st.lists(entry, min_size=3, max_size=3)
+    basis = draw(st.lists(vec, min_size=rank, max_size=rank))
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank,
+                                    max_size=rank), max_size=3))
+    combos = [[sum(c * b[i] for c, b in zip(cs, basis)) for i in range(3)]
+              for cs in coeffs]
+    zeros = [[0, 0, 0]] * draw(st.integers(0 if basis + combos else 1, 2))
+    return draw(st.permutations(basis + combos + zeros))
+
+
+@given(integer_row_sets())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_projector_matches_oracle(rows):
+    proj, d = _complement_projectors(np.array([rows]))
+    assert _projectors_exact(proj, d, np.array([rows])).all()
+    _assert_projector(rows, proj[0].tolist(), int(d[0]))
+
+
+@given(st.integers(1, 63), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_projector_never_wraps(bits, data):
+    # entries of up to `bits` bits: an exact projector or OverflowError,
+    # never a silently wrapped int64 result
+    entry = st.integers(-(2 ** bits - 1), 2 ** bits - 1)
+    rows = data.draw(integer_row_sets(entry))
+    try:
+        proj, d = _complement_projectors(np.array([rows]))
+        ok = _projectors_exact(proj, d, np.array([rows]))
+    except OverflowError:
+        return
+    assert ok.all()
+    _assert_projector(rows, proj[0].tolist(), int(d[0]))
+
+
+def test_closed_form_projector_overflow_guard():
+    # the rows, the cross products, then the checks' products are too large
+    for rows in ([[2**62 - 1, 1, 0]], [[2**31, 3, 0], [1, 2**31, 5]],
+                 [[2**20 + 1, 7, 3], [5, 2**20 - 1, 2]]):
+        with pytest.raises(OverflowError):
+            _complement_projectors(np.array([rows]))
+    rows = np.array([[[2**10 + 1, 7, 3], [5, 2**10 - 1, 2]]])
+    proj, d = _complement_projectors(rows)
+    with pytest.raises(OverflowError):
+        _projectors_exact(proj, d, rows)
+
+
+@pytest.mark.parametrize("name,bound", [("M", 2), ("Mprime", 3)])
+def test_projectors_of_all_cih_spans_match_oracle(name, bound):
+    alg = get_manifold(name).alg
+    rng_v = np.arange(-bound, bound + 1)
+    vs = np.stack(np.meshgrid(*[rng_v] * 5, indexing="ij"), -1).reshape(-1, 5)
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor())
+    first = _first_rows(_span_keys(spans))
+    proj, d = _complement_projectors(spans[first])
+    assert _projectors_exact(proj, d, spans[first]).all()
+    for rows, n, den in zip(spans[first].tolist(), proj.tolist(), d.tolist()):
+        _assert_projector(rows, n, den)
+
+
+def test_first_rows_is_unique_return_index():
+    rng = np.random.default_rng(12)
+    for n, k, hi in ((1, 3, 2), (50, 1, 3), (400, 4, 3), (2000, 5, 40)):
+        keys = rng.integers(-1, hi, size=(n, k))
+        want = np.unique(keys, axis=0, return_index=True)[1]
+        assert np.array_equal(_first_rows(keys), want)
+
+
+def _random_algebra(rng):
+    """A dim v = 5, dim z = 3 algebra with a random integer bracket table
+    (the annihilator identity fails for most of them)."""
+    t = rng.integers(-2, 3, size=(5, 5, 3))
+    t = np.triu(t.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+    t = t - t.transpose(1, 0, 2)
+    return AlgebraData(5, 3, tuple(f"X{p}" for p in range(5)),
+                       ("Z0", "Z1", "Z2"),
+                       tuple(tuple(tuple(int(x) for x in row) for row in line)
+                             for line in t))
+
+
+def test_annihilator_check_matches_fraction_oracle():
+    rng = np.random.default_rng(36)
+    algs = [M.alg, MP.alg] + [_random_algebra(rng) for _ in range(6)]
+    results = []
+    for alg in algs:
+        for big in (False, True):
+            for _ in range(6):
+                hi = 2**70 if big else 20
+                c = [Fraction(int(rng.integers(-9, 10)) * hi + 1,
+                              int(rng.integers(1, 7)) * (hi if big else 1))
+                     for _ in range(3)]
+                got = _annihilator_check(alg, c)
+                assert got == annihilator_check(alg, c)
+                results.append(got)
+    # scaled integers beyond int64, and both outcomes, were exercised
+    assert True in results and False in results

@@ -12,21 +12,25 @@ from nilflow import linalg_exact as lx
 from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
     AlgebraData,
-    GroupElement,
     RationalLattice,
     bracket,
     bracket_v,
     bracket_v_np,
-    conjugate,
-    dual_lattice,
-    group_mul,
     j_kernels,
     j_matrices,
     j_matrix,
     j_matrix_np,
     lattice_contains,
 )
-from oracles import group_inv, integer_lattice, lattice_coordinates
+from oracles import (
+    GroupElement,
+    conjugate,
+    dual_lattice,
+    group_inv,
+    group_mul,
+    integer_lattice,
+    lattice_coordinates,
+)
 
 M, MP = build_pair()
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from nilflow import linalg_exact as lx
+from nilflow.criteria import _complement_projectors, _projectors_exact
 from oracles import char_poly, det, span_projector
 
 small_int = st.integers(-6, 6)
@@ -92,21 +93,24 @@ def test_integer_kernel_annihilates_and_saturates(mat):
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_complement_projector_matches_fraction_oracle(rank):
+    # the closed-form int64 projectors of the cih certificate, one batch
     rng = np.random.default_rng(40 + rank)
+    spans = []
     for _ in range(40):
         basis = rng.integers(-9, 10, size=(rank, 3))
         if lx.rank(basis.tolist()) != rank:
             continue
         # dependent rows (integer combinations) and zero rows, shuffled
-        combos = rng.integers(-3, 4, size=(rng.integers(0, 3), rank)) @ basis
+        combos = rng.integers(-3, 4, size=(4 - rank, rank)) @ basis
         rows = np.concatenate([basis, combos, np.zeros((1, 3), int)])
-        rows = rng.permutation(rows).tolist()
-        proj, d = lx.complement_projector(rows, 3)
-        comp, k = span_projector(rows)
-        assert k == rank and d > 0
-        assert all(isinstance(x, int) for row in proj for x in row)
-        assert [[Fraction(x, d) for x in row] for row in proj] == comp
-        assert lx.mat_mul(proj, proj) == [[d * x for x in row] for row in proj]
+        spans.append(rng.permutation(rows))
+    proj, d = _complement_projectors(np.array(spans))
+    assert _projectors_exact(proj, d, np.array(spans)).all()
+    for rows, n, den in zip(spans, proj.tolist(), d.tolist()):
+        comp, k = span_projector(rows.tolist())
+        assert k == rank and den > 0
+        assert [[Fraction(x, den) for x in row] for row in n] == comp
+        assert lx.mat_mul(n, n) == [[den * x for x in row] for row in n]
 
 
 def test_clear_denominators():
@@ -118,4 +122,4 @@ def test_clear_denominators():
 def test_mat_vec_transpose():
     a = [[1, 2], [3, 4]]
     assert lx.mat_vec(a, [1, 1]) == [3, 7]
-    assert lx.transpose(a) == [[1, 3], [2, 4]]
+    assert lx.mat_vec([list(col) for col in zip(*a)], [1, 1]) == [4, 6]

@@ -15,7 +15,7 @@ from nilflow.flow import (
     sample_generic_state,
 )
 from nilflow import periodicity, suites
-from nilflow.lie_core import GroupElement, bracket_v_np, group_mul, lattice_contains
+from nilflow.lie_core import bracket_v_np, lattice_contains
 from nilflow.periodicity import (
     ConstructionError,
     closure_jacobian,
@@ -24,6 +24,7 @@ from nilflow.periodicity import (
     translational_element,
     translational_element_expanded,
 )
+from oracles import GroupElement, group_mul
 
 M, MP = build_pair()
 
