@@ -33,9 +33,7 @@ def main():
     rng = np.random.Generator(np.random.Philox(args.seed))
     states = [sample_generic_state(m, rng) for _ in range(args.n)]
     batch = state_from_flat(m.alg, np.stack([s.flat() for s in states]))
-    v_t, V_t = (np.stack(x) for x in zip(*(
-        flow_exact_vV(eigenframe(m, s.Z), s.v, s.V, args.t) for s in states
-    )))
+    v_t, V_t = flow_exact_vV(eigenframe(m, batch.Z), batch.v, batch.V, args.t)
     moved = evaluate_integrals(TangentState(v_t, batch.z, V_t, batch.Z))
     drift = float(np.max(np.abs(moved - evaluate_integrals(batch))))
     mats = poisson_matrix(m.alg, batch)

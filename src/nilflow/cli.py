@@ -19,6 +19,7 @@ import numpy as np
 
 from .catalog import get_manifold
 from .criteria import (
+    MAX_CIH_BOUND,
     butler_nonintegrability_sample,
     canonical_split,
     check_hr_presentation,
@@ -46,7 +47,7 @@ EXIT_DEGENERATE = 4
 EXIT_CONSTRUCTION = 5
 
 
-def format_state(alg, state):
+def format_state(state):
     f = lambda xs: " ".join(format(float(x), ".17g") for x in xs)
     return (
         f"v: {f(state.v)}; z: {f(state.z)}; "
@@ -160,7 +161,7 @@ def cmd_flow(args):
             lambda: flow_rk4(data.alg, state, args.t,
                              default_steps(args.t, per_unit)),
             args.t, "RK4")
-    _emit(format_state(data.alg, end), args.out)
+    _emit(format_state(end), args.out)
     return EXIT_PASS
 
 
@@ -185,7 +186,7 @@ def cmd_closed_geodesic(args):
         (geo.tau_over_pi * geo.norm_c / 2).denominator == 1
     doc = {
         "manifold": data.name,
-        "initial_state": format_state(data.alg, geo.state),
+        "initial_state": format_state(geo.state),
         "c": fmt_value(list(geo.c)),
         "norm_c": fmt_value(geo.norm_c),
         "p": geo.p, "q": geo.q, "m": geo.m,
@@ -247,11 +248,6 @@ def cmd_criteria(args):
     report.add_certificate(cert)
     _emit(report.to_text(), args.out)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
-
-
-# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 1 s and
-# 240 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
-MAX_CIH_BOUND = 6
 
 
 def cmd_cih(args):

@@ -299,6 +299,11 @@ def _first_rows(keys):
     return order[new]
 
 
+# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 1 s and
+# 240 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
+MAX_CIH_BOUND = 6
+
+
 def cih_certificate(data, coord_bound, rng=None, record_cap=40):
     """Certificate of Gornet's clean-intersection criterion on all lattice
     logarithms V + Z with |v-coordinates| <= bound (integers) and
@@ -317,8 +322,11 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     Explicit eigenvalue records and annihilator checks are kept for a
-    deterministic sample of elements.
+    deterministic sample of elements.  A bound outside 0..MAX_CIH_BOUND
+    raises ValueError before anything is enumerated.
     """
+    if not 0 <= coord_bound <= MAX_CIH_BOUND:
+        raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
     alg = data.alg
     cert = Certificate("clean_intersection", data.name)
 

@@ -41,7 +41,7 @@ class TangentState:
         self.Z = np.asarray(self.Z, float)
 
     def flat(self):
-        return np.concatenate([self.v, self.z, self.V, self.Z])
+        return np.concatenate([self.v, self.z, self.V, self.Z], axis=-1)
 
     @property
     def speed2(self):
@@ -67,42 +67,44 @@ class DegenerateFrequencyError(ValueError):
 
 @dataclass
 class EigenFrame:
-    """Orthonormal invariant frame of j(Z).
+    """Orthonormal invariant frame of j(Z), with batch axes (...) on the left.
 
-    basis rows (u1, u2, u3, u4, u0): j(Z) u_a = theta u_b and
-    j(Z) u_b = -theta u_a on the planes (u1, u2) and (u3, u4), whose
-    frequencies are theta[0] and theta[1]; u0 spans the kernel.
+    basis rows (u1, u2, u3, u4, u0), shape (..., 5, dim_v): j(Z) u_a =
+    theta u_b and j(Z) u_b = -theta u_a on the planes (u1, u2) and (u3, u4),
+    whose frequencies are theta[..., 0] and theta[..., 1]; u0 spans the
+    kernel.  V and t broadcast against the batch axes, and every product
+    with the basis is made once per batch entry, so a batch row equals the
+    one-state call bit for bit.
     """
 
-    Z: np.ndarray
     basis: np.ndarray
     theta: np.ndarray
 
     def components(self, V):
         """Coefficients (a1, b1, a2, b2, a0) of V in the frame."""
-        return self.basis @ np.asarray(V, float)
+        return (self.basis @ np.asarray(V, float)[..., None])[..., 0]
 
     def _combine(self, V, x, y, w):
         """Per plane (a x - b y) u_a + (a y + b x) u_b, plus w a0 u0; x and y
-        have shape t.shape + (2,), w has shape t.shape."""
+        have shape (..., 2), w the same batch shape."""
         a = self.components(V)
-        pa, pb = a[0:4:2], a[1:4:2]
-        coef = np.empty(np.shape(w) + (5,))
-        coef[..., 0:4:2] = pa * x - pb * y
-        coef[..., 1:4:2] = pa * y + pb * x
-        coef[..., 4] = a[4] * w
-        return coef @ self.basis
+        pa, pb = a[..., 0:4:2], a[..., 1:4:2]
+        ca, cb = pa * x - pb * y, pa * y + pb * x
+        coef = np.empty(ca.shape[:-1] + (5,))
+        coef[..., 0:4:2], coef[..., 1:4:2], coef[..., 4] = ca, cb, a[..., 4] * w
+        return (coef[..., None, :] @ self.basis)[..., 0, :]
 
     def rotate(self, V, t):
-        """e^{t j(Z)} V in closed form; an array t gives t.shape + (dim_v,)."""
+        """e^{t j(Z)} V in closed form; a one-Z frame and an array t give
+        t.shape + (dim_v,)."""
         t = np.asarray(t, float)
-        wt = np.multiply.outer(t, self.theta)
+        wt = t[..., None] * self.theta
         return self._combine(V, np.cos(wt), np.sin(wt), np.ones_like(t))
 
     def integrate(self, V, t):
-        """int_0^t e^{s j(Z)} V ds in closed form; broadcasts over t."""
+        """int_0^t e^{s j(Z)} V ds in closed form; broadcasts like rotate."""
         t = np.asarray(t, float)
-        wt = np.multiply.outer(t, self.theta)
+        wt = t[..., None] * self.theta
         return self._combine(
             V, np.sin(wt) / self.theta, (1.0 - np.cos(wt)) / self.theta, t
         )
@@ -114,38 +116,51 @@ class EigenFrame:
         j^{-1}(a U_a + b U_b) = (b U_a - a U_b) / theta.
         """
         a = self.components(V)
-        coef = np.zeros(5)
-        coef[0:4:2] = a[1:4:2] / self.theta
-        coef[1:4:2] = -a[0:4:2] / self.theta
-        return coef @ self.basis
+        coef = np.zeros(a.shape)
+        coef[..., 0:4:2] = a[..., 1:4:2] / self.theta
+        coef[..., 1:4:2] = -a[..., 0:4:2] / self.theta
+        return (coef[..., None, :] @ self.basis)[..., 0, :]
+
+    def _project(self, rows, V):
+        """Orthogonal projection of V onto the span of basis rows (..., k, dim_v)."""
+        coef = rows @ np.asarray(V, float)[..., None]
+        return (np.swapaxes(coef, -1, -2) @ rows)[..., 0, :]
 
     def plane_part(self, V, which):
-        u = self.basis[2 * which:2 * which + 2]
-        return (u @ V) @ u
+        return self._project(self.basis[..., 2 * which:2 * which + 2, :], V)
 
     def kernel_part(self, V):
-        u0 = self.basis[4]
-        return float(V @ u0) * u0
+        return self._project(self.basis[..., 4:, :], V)
+
+
+def _unit_frame(data, Z):
+    """Rows of the printed frame of j(Z) scaled to unit length (a row of
+    length 0 stays 0), their lengths and the frequencies."""
+    if data.frame is None:
+        raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
+    rows, theta = data.frame(Z)
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", rows, rows))
+    return rows / np.where(norms > 0.0, norms, 1.0)[..., None], norms, theta
 
 
 def eigenframe(data, Z, tol=1e-12):
-    """The manifold's printed invariant frame of j(Z), normalized.
+    """The manifold's printed invariant frame of j(Z), normalized; Z may
+    carry batch axes on the left.
 
     Requires a generic Z: both plane frequencies nonzero and no frame
     vector collapsed (on the pair: c_k != 0 and (c_i, c_j) != 0, so the
     frequencies c_k and |c| are distinct and the kernel is the line R Y_c).
+    A degenerate Z anywhere in the batch raises, naming the first one.
     """
-    if data.frame is None:
-        raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
     Z = np.asarray(Z, float)
-    rows, theta = data.frame(Z)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if not (np.all(np.abs(theta) > tol) and np.all(norms > tol)):
+    basis, norms, theta = _unit_frame(data, Z)
+    bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > tol, axis=-1)
+    if np.any(bad):
         raise DegenerateFrequencyError(
-            f"degenerate precession for Z={Z.tolist()}: need c_k != 0 and "
-            "(c_i, c_j) != 0"
+            f"degenerate precession for Z={Z[bad][0].tolist()}: need c_k != 0 "
+            "and (c_i, c_j) != 0"
         )
-    return EigenFrame(Z, rows / norms[:, None], theta)
+    return EigenFrame(basis, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +224,16 @@ def flow_rk4(alg, state, t, steps=None):
     """Classic RK4 with a fixed step; works for every algebra."""
     if steps is None:
         steps = default_steps(t)
-    v, z, V, Z = _rk4_batch(alg, state.v, state.z, state.V, state.Z, float(t), steps)
-    return TangentState(v, z, V, Z)
+    return TangentState(*_rk4_batch(alg, state.v, state.z, state.V, state.Z,
+                                    float(t), steps))
 
 
 def flow_rk4_many(alg, states, t, steps=None):
     """RK4 a stack of flat states, shape (n, 2*(dim_v + dim_z)), in lockstep."""
     if steps is None:
         steps = default_steps(t)
-    dv, dz = alg.dim_v, alg.dim_z
-    s = np.asarray(states, float)
-    v, z = s[:, :dv], s[:, dv:dv + dz]
-    V, Z = s[:, dv + dz:2 * dv + dz], s[:, 2 * dv + dz:]
-    v, z, V, Z = _rk4_batch(alg, v, z, V, Z, float(t), steps)
-    return np.concatenate([v, z, V, Z], axis=1)
+    s = state_from_flat(alg, states)
+    return TangentState(*_rk4_batch(alg, s.v, s.z, s.V, s.Z, float(t), steps)).flat()
 
 
 def flow_exact_vV(frame, v0, V0, t):
@@ -269,28 +280,31 @@ def flow_exact_state(data, state, t):
     [u_0, W_p] times integrals of s^k e^{i gamma s}, k in {0, 1} and
     gamma in {0, +-theta_p, theta_p +- theta_q}.  Each is
     t^{k+1} E_k(gamma t) (see `_moments`), so the cost does not depend on
-    t.  The t^2 terms overflow from about |t| = 1e154.
+    t.  The t^2 terms overflow from about |t| = 1e154.  The state may carry
+    batch axes on the left; t is one number.
     """
     frame = eigenframe(data, state.Z)
     t = float(t)
     vt, Vt = flow_exact_vV(frame, state.v, state.V, t)
     br = lambda a, b: bracket_v_np(data.alg, a, b)
     a, u, th = frame.components(state.V), frame.basis, frame.theta
-    w = (a[0:4:2] + 1j * a[1:4:2])[:, None] * (u[0:4:2] - 1j * u[1:4:2])
+    w = (a[..., 0:4:2] + 1j * a[..., 1:4:2])[..., None] * (
+        u[..., 0:4:2, :] - 1j * u[..., 1:4:2, :])
     # rows p, columns q: theta_p + theta_q, theta_p - theta_q, theta_q, -theta_q
-    tp, tq = th[:, None], th[None, :]
+    tp, tq = th[..., :, None], th[..., None, :]
     m0, m1 = _moments(t * np.stack(np.broadcast_arrays(tp + tq, tp - tq, tq, -tq)))
     # int_0^t alpha_p(s) e^{+-i theta_q s} ds
     same = t * (m0[0] - m0[2]) / (1j * tp)
     conj = t * (m0[1] - m0[3]) / (1j * tp)
-    planes = (br(w[:, None], w[None, :]) * same[..., None]
-              + br(w[:, None], w.conj()[None, :]) * conj[..., None])
+    wp, wq = w[..., :, None, :], w[..., None, :, :]
+    planes = (br(wp, wq) * same[..., None]
+              + br(wp, wq.conj()) * conj[..., None])
     # int_0^t s e^{i theta_p s} ds - int_0^t alpha_p(s) ds, times [u_0, W_p]
-    kern = t * t * m1[2, 0] - t * (m0[2, 0] - 1.0) / (1j * th)
+    kern = t * t * m1[2][..., 0, :] - t * (m0[2][..., 0, :] - 1.0) / (1j * th)
     area = (
         br(state.v, frame.integrate(state.V, t))
-        + 0.5 * planes.sum(axis=(0, 1)).real
-        + a[4] * (br(u[4], w) * kern[:, None]).sum(axis=0).real
+        + 0.5 * planes.sum(axis=(-3, -2)).real
+        + a[..., 4, None] * (br(u[..., 4:, :], w) * kern[..., None]).sum(axis=-2).real
     )
     zt = state.z + t * state.Z + 0.5 * area
     return TangentState(vt, zt, Vt, state.Z.copy())
@@ -319,14 +333,14 @@ def sample_generic_Z(rng, min_ck=0.1, min_gap=0.1, min_prod=0.05):
 
 
 def sample_generic_state(data, rng, min_comp=0.05):
-    """A random tangent state with generic Z and V hitting every frame
-    direction by at least min_comp."""
+    """A random tangent state with generic Z and V hitting every unit
+    frame direction by at least min_comp."""
     dv, dz = data.alg.dim_v, data.alg.dim_z
     while True:
         Z = sample_generic_Z(rng)
-        frame = eigenframe(data, Z)
+        unit, _, _ = _unit_frame(data, Z)
         V = rng.uniform(-1.0, 1.0, size=dv)
-        if np.min(np.abs(frame.components(V))) < min_comp:
+        if np.min(np.abs(unit @ V)) < min_comp:
             continue
         v = rng.uniform(-1.0, 1.0, size=dv)
         z = rng.uniform(-1.0, 1.0, size=dz)

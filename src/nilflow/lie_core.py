@@ -110,12 +110,15 @@ def bracket_v_np(alg, av, bv):
     vectors give the complex-bilinear extension.
 
     [a, b]_r = a_p T[p, q, r] b_q as two matmuls: a against the tensor
-    flattened to (dim_v, dim_v * dim_z), then b against the result.
+    flattened to (dim_v, dim_v * dim_z), then b against the result, each one
+    row vector per batch entry, so a batch row equals the one-pair call bit
+    for bit.
     """
     kind = complex if np.iscomplexobj(av) or np.iscomplexobj(bv) else float
     av, bv = np.asarray(av, kind), np.asarray(bv, kind)
     dv, dz = alg.dim_v, alg.dim_z
-    w = (av @ alg.tensor().reshape(dv, dv * dz)).reshape(av.shape[:-1] + (dv, dz))
+    w = (av[..., None, :] @ alg.tensor().reshape(dv, dv * dz)).reshape(
+        av.shape[:-1] + (dv, dz))
     return (bv[..., None, :] @ w)[..., 0, :]
 
 

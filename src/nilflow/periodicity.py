@@ -390,7 +390,7 @@ def _closure_constraints(data, geo):
         end = flow_exact_state(data, s, tau)
         t_v = end.v - s.v
         t_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
-        return np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V])
+        return np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V], axis=-1)
 
     return F
 
@@ -398,20 +398,13 @@ def _closure_constraints(data, geo):
 def closure_jacobian(data, geo, h=1e-4):
     """Fourth-order central-difference Jacobian of the 13 closure
     constraints (translational element fixed: 8; velocity rotation: 5)
-    with respect to the 16 phase-space coordinates."""
+    with respect to the 16 phase-space coordinates.  All 4 x 16 stencil
+    points x0 + k h e_i, k in (2, 1, -1, -2), flow in one batched call."""
     F = _closure_constraints(data, geo)
     x0 = geo.state.flat()
-    n = x0.size
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        f1 = F(x0 + 2 * h * e)
-        f2 = F(x0 + h * e)
-        f3 = F(x0 - h * e)
-        f4 = F(x0 - 2 * h * e)
-        cols.append((-f1 + 8.0 * f2 - 8.0 * f3 + f4) / (12.0 * h))
-    return np.stack(cols, axis=1)
+    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * h * np.eye(x0.size)
+    f = F(x0 + steps)  # (4, column, constraint)
+    return ((-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)).T
 
 
 def family_dimension(jac, svd_threshold=1e-6):

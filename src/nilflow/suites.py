@@ -155,6 +155,11 @@ def run_spectral(seed, tol=None):
 # flow
 
 
+def _stack(alg, states):
+    """One TangentState with a leading batch axis over a list of states."""
+    return state_from_flat(alg, np.stack([s.flat() for s in states]))
+
+
 def run_flow(seed, tol=None):
     tol = _tol(tol)
     report = Report("flow", seed, ["M", "Mprime"])
@@ -162,19 +167,14 @@ def run_flow(seed, tol=None):
     m, mp = build_pair()
     t = 10.0
     for data in (m, mp):
-        states = [sample_generic_state(data, rng) for _ in range(100)]
-        flats = np.stack([s.flat() for s in states])
+        states = _stack(data.alg, [sample_generic_state(data, rng) for _ in range(100)])
         steps = int(round(t * tol.rk4_steps_per_unit))
-        ends = flow_rk4_many(data.alg, flats, t, steps)
-        worst = 0.0
-        for s, end in zip(states, ends):
-            frame = eigenframe(data, s.Z)
-            v_e, V_e = flow_exact_vV(frame, s.v, s.V, t)
-            err = max(
-                float(np.max(np.abs(v_e - end[:5]))),
-                float(np.max(np.abs(V_e - end[8:13]))),
-            )
-            worst = max(worst, err)
+        ends = flow_rk4_many(data.alg, states.flat(), t, steps)
+        v_e, V_e = flow_exact_vV(eigenframe(data, states.Z), states.v, states.V, t)
+        worst = max(
+            float(np.max(np.abs(v_e - ends[:, :5]))),
+            float(np.max(np.abs(V_e - ends[:, 8:13]))),
+        )
         report.add(
             f"exact_vs_rk4[{data.name}]",
             worst <= 1e-8,
@@ -189,11 +189,6 @@ def run_flow(seed, tol=None):
 # integrals
 
 
-def _stack(alg, states):
-    """One TangentState with a leading batch axis over a list of states."""
-    return state_from_flat(alg, np.stack([s.flat() for s in states]))
-
-
 def run_integrals(seed, tol=None):
     tol = _tol(tol)
     report = Report("integrals", seed, ["M"])
@@ -204,15 +199,14 @@ def run_integrals(seed, tol=None):
     # conservation along exact trajectories, unit speed; each block of
     # states is drawn first and then evaluated in one batched call
     ts = np.arange(1.0, 21.0)
-    starts, flowed = [], []
+    starts = []
     for _ in range(1000):
         s = sample_generic_state(m, rng)
         scale = 1.0 / np.sqrt(s.speed2)
-        s = TangentState(s.v, s.z, scale * s.V, scale * s.Z)
-        starts.append(s)
-        flowed.append(flow_exact_vV(eigenframe(m, s.Z), s.v, s.V, ts))
+        starts.append(TangentState(s.v, s.z, scale * s.V, scale * s.Z))
     starts = _stack(alg, starts)
-    vs, Vs = (np.stack(x) for x in zip(*flowed))
+    vs, Vs = flow_exact_vV(eigenframe(m, starts.Z[:, None]), starts.v[:, None],
+                           starts.V[:, None], ts)
     vals = evaluate_integrals(
         TangentState(vs, starts.z[:, None], Vs, starts.Z[:, None])
     )

@@ -82,10 +82,13 @@ def test_lattice_shapes():
 def test_deformation_family():
     d = build_deformation(Fraction(1, 3))
     assert d.alg.dim_v == 4 and d.alg.dim_z == 2
-    assert d.lattice_full is not None and d.lattice_full.rank == 6
     assert bracket_v(d.alg, [1, 0, 0, 0], [0, 0, 1, 0]) == [1, 0]
-    d_float = build_deformation(0.25)
-    assert d_float.lattice_full is None
+
+
+def test_pair_is_built_once():
+    assert build_pair() is build_pair()
+    assert get_manifold("M") is build_pair()[0]
+    assert get_manifold("Mprime") is build_pair()[1]
 
 
 def test_get_manifold_selectors():

@@ -29,7 +29,7 @@ M, MP = build_pair()
 def test_state_roundtrip():
     rng = np.random.default_rng(1)
     s = sample_generic_state(M, rng)
-    text = format_state(M.alg, s)
+    text = format_state(s)
     back = parse_state(M.alg, text)
     assert np.array_equal(back.v, s.v)
     assert np.array_equal(back.z, s.z)
@@ -175,7 +175,7 @@ def test_flow_rk4_straight_line(tmp_path):
 def test_flow_exact_matches_rk4(tmp_path):
     rng = np.random.default_rng(3)
     s = sample_generic_state(M, rng)
-    rec = format_state(M.alg, s)
+    rec = format_state(s)
     o1, o2 = tmp_path / "a.txt", tmp_path / "b.txt"
     main(["flow", "--manifold", "M", "--method", "exact", "--t", "2",
           "--state", rec, "--out", str(o1)])
@@ -215,7 +215,7 @@ def test_closed_geodesic_degenerate_is_exit_5():
 def test_integrals_and_poisson_commands(tmp_path):
     rng = np.random.default_rng(5)
     s = sample_generic_state(M, rng)
-    rec = format_state(M.alg, s)
+    rec = format_state(s)
     assert main(["integrals", "--manifold", "M", "--state", rec,
                  "--out", str(tmp_path / "i.json")]) == EXIT_PASS
     assert main(["poisson", "--manifold", "M", "--state", rec,
@@ -330,7 +330,7 @@ def test_config_override(tmp_path):
     cfg.write_text(json.dumps({"rk4_steps_per_unit": 10}))
     rng = np.random.default_rng(7)
     s = sample_generic_state(M, rng)
-    rec = format_state(M.alg, s)
+    rec = format_state(s)
     assert main(["flow", "--manifold", "M", "--method", "rk4", "--t", "1",
                  "--state", rec, "--config", str(cfg),
                  "--out", str(tmp_path / "o.txt")]) == EXIT_PASS

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
+    MAX_CIH_BOUND,
     _annihilator_check,
     _complement_projectors,
     _draw_regular_zs,
@@ -176,6 +177,12 @@ def test_cih_certificate_small_bound():
         for rec in cert.data["records"]:
             for s in rec["theta_squared"]:
                 assert Fraction(s) > 0
+
+
+def test_cih_certificate_rejects_a_bound_above_the_cap():
+    for bound in (MAX_CIH_BOUND + 1, -1):
+        with pytest.raises(ValueError, match="coord_bound"):
+            cih_certificate(M, bound)
 
 
 def _assert_projector(rows, n, d):

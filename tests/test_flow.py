@@ -5,6 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
+from nilflow import flow
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.flow import (
     DegenerateFrequencyError,
@@ -16,6 +17,7 @@ from nilflow.flow import (
     flow_exact_vV,
     flow_rk4,
     flow_rk4_many,
+    sample_generic_Z,
     sample_generic_state,
     state_from_flat,
 )
@@ -125,6 +127,65 @@ def test_closed_form_z_matches_quadrature(data, t):
         assert np.array_equal(got.Z, s.Z)
 
 
+@pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
+@pytest.mark.parametrize("t", [0.7, 1e3])
+def test_batched_frame_and_flow_equal_per_state_calls(data, t):
+    rng = np.random.default_rng(37)
+    states = [sample_generic_state(data, rng) for _ in range(50)]
+    batch = state_from_flat(data.alg, np.stack([s.flat() for s in states]))
+    frame = eigenframe(data, batch.Z)
+    assert frame.basis.shape == (50, 5, 5) and frame.theta.shape == (50, 2)
+    v_b, V_b = flow_exact_vV(frame, batch.v, batch.V, t)
+    end = flow_exact_state(data, batch, t)
+    for i, s in enumerate(states):
+        fr = eigenframe(data, s.Z)
+        assert np.array_equal(frame.basis[i], fr.basis)
+        assert np.array_equal(frame.theta[i], fr.theta)
+        v_e, V_e = flow_exact_vV(fr, s.v, s.V, t)
+        assert np.array_equal(v_b[i], v_e) and np.array_equal(V_b[i], V_e)
+        one = flow_exact_state(data, s, t)
+        assert np.array_equal(end.flat()[i], one.flat())
+    # t broadcasts against the batch axes
+    ts = np.array([0.5, t])
+    v_t, V_t = flow_exact_vV(eigenframe(data, batch.Z[:, None]),
+                             batch.v[:, None], batch.V[:, None], ts)
+    assert v_t.shape == V_t.shape == (50, 2, 5)
+    assert np.array_equal(V_t[:, 1], V_b) and np.array_equal(v_t[:, 1], v_b)
+
+
+def test_batched_eigenframe_names_first_degenerate_Z():
+    Zs = np.array([[0.5, 0.2, 1.3], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(DegenerateFrequencyError, match=r"Z=\[0\.0, 0\.0, 1\.0\]"):
+        eigenframe(M, Zs)
+
+
+@pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
+def test_sampler_draws_as_a_rejection_on_the_eigenframe(data, monkeypatch):
+    # the sampler tests unit frame rows without building a frame; the
+    # states and the RNG stream are those of a rejection on the components
+    def reference(rng, min_comp=0.05):
+        while True:
+            Z = sample_generic_Z(rng)
+            V = rng.uniform(-1.0, 1.0, size=5)
+            if np.min(np.abs(eigenframe(data, Z).components(V))) < min_comp:
+                continue
+            v = rng.uniform(-1.0, 1.0, size=5)
+            z = rng.uniform(-1.0, 1.0, size=3)
+            return TangentState(v, z, V, Z)
+
+    def no_frame(*args):
+        raise AssertionError("the sampler built an EigenFrame")
+
+    # the reference above holds its own binding of eigenframe
+    monkeypatch.setattr(flow, "eigenframe", no_frame)
+    got_rng, want_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(500):
+        got = sample_generic_state(data, got_rng)
+        want = reference(want_rng)
+        assert np.array_equal(got.flat(), want.flat())
+    assert got_rng.random() == want_rng.random()
+
+
 def test_moments_across_the_series_switch():
     # E_k(x) = int_0^1 u^k e^{ixu} du against 40-node Gauss-Legendre, on
     # both sides of |x| = 1 where the Taylor series hands over
@@ -214,7 +275,7 @@ def test_state_from_flat_roundtrip():
         state_from_flat(MP.alg, np.zeros(7))
 
 
-def test_spectral_split_reconstructs():
+def test_plane_and_kernel_parts_reconstruct():
     # V = V_ck + V_abs + V_0 along the planes and the kernel, and the
     # coefficients in the printed (unnormalized) frame rebuild each part
     from nilflow.periodicity import _frame_coefficients

@@ -13,6 +13,7 @@ from nilflow.flow import (
     eigenframe,
     flow_exact_state,
     sample_generic_state,
+    state_from_flat,
 )
 from nilflow import periodicity, suites
 from nilflow.lie_core import bracket_v_np, lattice_contains
@@ -136,6 +137,45 @@ def test_constructed_geodesic_flows_home():
     assert np.max(np.abs(end.z - want_z)) < 1e-7
     assert np.max(np.abs(end.V - s.V)) < 1e-7
     assert np.max(np.abs(end.Z - s.Z)) < 1e-12
+
+
+def test_closure_jacobian_equals_per_column_stencil(monkeypatch):
+    # one batched flow over the 4 x 16 stencil points gives the columns of
+    # the fourth-order stencil built one scalar flow at a time
+    rng = np.random.default_rng(5)
+    for data in (M, MP):
+        target = sample_generic_state(data, rng)
+        target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
+        geo = construct_closed_geodesic(data, target, epsilon=0.45, bound=64,
+                                        grid=64)
+        a = np.array([float(x) for x in geo.a_v + geo.a_z])
+        x0, h = geo.state.flat(), 1e-4
+
+        def F(flat):
+            s = state_from_flat(data.alg, flat)
+            end = flow_exact_state(data, s, geo.tau)
+            t_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
+            return np.concatenate([end.v - s.v - a[:5], t_z - a[5:],
+                                   end.V - s.V])
+
+        cols = []
+        for i in range(x0.size):
+            e = np.zeros(x0.size)
+            e[i] = 1.0
+            f1, f2, f3, f4 = (F(x0 + k * h * e) for k in (2, 1, -1, -2))
+            cols.append((-f1 + 8.0 * f2 - 8.0 * f3 + f4) / (12.0 * h))
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return flow_exact_state(*args)
+
+        monkeypatch.setattr(periodicity, "flow_exact_state", counting)
+        jac = closure_jacobian(data, geo, h)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.array_equal(jac, np.stack(cols, axis=1))
 
 
 def test_construction_rejects_degenerate_targets():
