@@ -5,10 +5,11 @@ quaternion sign table, and the isospectral deformation family.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isfinite
 
 import numpy as np
 
-from .lie_core import AlgebraData, RationalLattice, bracket_v
+from .lie_core import AlgebraData, RationalLattice, lattice_brackets_in_twice
 
 # quaternion products: QUAT[(a, b)] = (sign, c) meaning a*b = sign * c
 _I, _J, _K = 0, 1, 2
@@ -49,55 +50,24 @@ class NilmanifoldData:
             raise ValueError("v-lattice must have full rank")
         if self.lattice_z.rank != self.alg.dim_z:
             raise ValueError("z-lattice must have full rank")
-        # [L_v, L_v] subset 2 L_z, checked exactly on all basis pairs
-        from .lie_core import lattice_contains
-
-        twice = RationalLattice(
-            self.alg.dim_z,
-            tuple(tuple(2 * x for x in b) for b in self.lattice_z.basis),
-        )
-        for a in self.lattice_v.basis:
-            for b in self.lattice_v.basis:
-                br = bracket_v(self.alg, a, b)
-                if not lattice_contains(twice, br):
-                    raise ValueError(
-                        f"{self.name}: bracket of lattice vectors leaves 2*L_z"
-                    )
-
-
-def _empty_table(dim_v, dim_z):
-    return [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
-
-
-def _set_bracket(table, p, q, zvec):
-    table[p][q] = [x for x in zvec]
-    table[q][p] = [-x for x in zvec]
-
-
-def _freeze(table):
-    return tuple(tuple(tuple(row) for row in line) for line in table)
+        if not lattice_brackets_in_twice(self.alg, self.lattice_v,
+                                         self.lattice_z):
+            raise ValueError(
+                f"{self.name}: bracket of lattice vectors leaves 2*L_z"
+            )
 
 
 def _pair_algebras():
-    dim_v, dim_z = 5, 3
-    tab = _empty_table(dim_v, dim_z)
-    tab_p = _empty_table(dim_v, dim_z)
+    """M has [X_a, Y_b] = Z_ab and M' has [X_a, X_b]' = [Y_a, Y_b]' = Z_ab,
+    both read off the sign table (antisymmetric because ab = -ba)."""
+    m, mp = ([[[0] * 3 for _ in range(5)] for _ in range(5)] for _ in range(2))
     for p, (lp, a) in enumerate(_V_UNITS):
         for q, (lq, b) in enumerate(_V_UNITS):
-            if a == b:
-                continue
-            sign, c = QUAT[(a, b)]
-            zvec = [Fraction(0)] * dim_z
-            zvec[c] = Fraction(sign)
-            if lp == "X" and lq == "Y":
-                # [X_a, Y_b] = Z_{ab} in M
-                _set_bracket(tab, p, q, zvec)
-            if lp == lq and p < q:
-                # [X_a, X_b]' = [Y_a, Y_b]' = Z_{ab} in M'
-                _set_bracket(tab_p, p, q, zvec)
-    alg = AlgebraData(dim_v, dim_z, V_NAMES, Z_NAMES, _freeze(tab))
-    alg_p = AlgebraData(dim_v, dim_z, V_NAMES, Z_NAMES, _freeze(tab_p))
-    return alg, alg_p
+            if a != b:
+                sign, c = QUAT[(a, b)]
+                (mp if lp == lq else m)[p][q][c] = sign
+    return (AlgebraData(5, 3, V_NAMES, Z_NAMES, m),
+            AlgebraData(5, 3, V_NAMES, Z_NAMES, mp))
 
 
 def _frame_rows(Z):
@@ -138,15 +108,13 @@ def _frame_Mprime(Z):
     return rows, theta
 
 
-def _pair_lattices():
-    lat_v = RationalLattice(5, tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(5)) for i in range(5)
-    ))
-    half = Fraction(1, 2)
-    lat_z = RationalLattice(3, tuple(
-        tuple(half if i == j else Fraction(0) for j in range(3)) for i in range(3)
-    ))
-    return lat_v, lat_z
+def _standard_lattices(dim_v, dim_z):
+    """lattice_v = Z^dim_v and lattice_z = (Z/2)^dim_z."""
+    def scaled_identity(n, x):
+        return RationalLattice(n, tuple(
+            tuple(x if i == j else 0 for j in range(n)) for i in range(n)
+        ))
+    return scaled_identity(dim_v, 1), scaled_identity(dim_z, Fraction(1, 2))
 
 
 def build_pair():
@@ -158,7 +126,7 @@ def build_pair():
 @cache
 def _build_pair():
     alg, alg_p = _pair_algebras()
-    lat_v, lat_z = _pair_lattices()
+    lat_v, lat_z = _standard_lattices(5, 3)
     return (
         NilmanifoldData("M", alg, lat_v, lat_z, frame=_frame_M),
         NilmanifoldData("Mprime", alg_p, lat_v, lat_z, frame=_frame_Mprime),
@@ -169,26 +137,33 @@ def build_deformation(t):
     """One member of the isospectral deformation family.
 
     dim v = 4, dim z = 2 with [X_1,Y_1] = [X_2,Y_2] = Z_1, [X_1,Y_2] = Z_2;
-    the lattice is generated by (X_1, X_2, Y_1, Y_2 + t*Z_2, Z_1/2, Z_2/2).
-    Exact certificates are available only for rational t.
+    lattice_v = Z^4 and lattice_z = (Z/2)^2 for every member, so t only
+    names the member ("defo:<t>").
     """
-    dim_v, dim_z = 4, 2
-    tab = _empty_table(dim_v, dim_z)
-    one = Fraction(1)
-    _set_bracket(tab, 0, 2, [one, Fraction(0)])  # [X_1, Y_1] = Z_1
-    _set_bracket(tab, 1, 3, [one, Fraction(0)])  # [X_2, Y_2] = Z_1
-    _set_bracket(tab, 0, 3, [Fraction(0), one])  # [X_1, Y_2] = Z_2
-    alg = AlgebraData(
-        dim_v, dim_z,
-        ("X_1", "X_2", "Y_1", "Y_2"), ("Z_1", "Z_2"),
-        _freeze(tab),
-    )
-    lat_v = RationalLattice(4, tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(4)) for i in range(4)
-    ))
-    half = Fraction(1, 2)
-    lat_z = RationalLattice(2, ((half, Fraction(0)), (Fraction(0), half)))
-    return NilmanifoldData(f"defo:{t}", alg, lat_v, lat_z)
+    s = [[[0, 0] for _ in range(4)] for _ in range(4)]
+    for p, q, r in ((0, 2, 0), (1, 3, 0), (0, 3, 1)):
+        s[p][q][r], s[q][p][r] = 1, -1
+    alg = AlgebraData(4, 2, ("X_1", "X_2", "Y_1", "Y_2"), ("Z_1", "Z_2"), s)
+    return NilmanifoldData(f"defo:{t}", alg, *_standard_lattices(4, 2))
+
+
+def _deformation_t(raw):
+    """The t of a "defo:<t>" selector: a Fraction where raw is rational
+    syntax, else a float.  ValueError for a zero denominator or a t that
+    is not a finite double (nan, inf, 1e400)."""
+    try:
+        t = Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"defo:{raw}: t has a zero denominator") from None
+    except ValueError:
+        t = float(raw)
+    try:
+        finite = isfinite(t)
+    except OverflowError:  # a Fraction beyond the double range
+        finite = False
+    if not finite:
+        raise ValueError(f"defo:{raw}: t must be a finite number")
+    return t
 
 
 def get_manifold(selector):
@@ -198,10 +173,5 @@ def get_manifold(selector):
     if selector == "Mprime":
         return build_pair()[1]
     if selector.startswith("defo:"):
-        raw = selector[5:]
-        try:
-            t = Fraction(raw)
-        except ValueError:
-            t = float(raw)
-        return build_deformation(t)
+        return build_deformation(_deformation_t(selector[5:]))
     raise ValueError(f"unknown manifold selector: {selector!r}")

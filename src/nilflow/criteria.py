@@ -22,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import bracket_v, j_kernels
+from .lie_core import bracket_v, j_kernels, j_matrix
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
@@ -121,7 +121,7 @@ def _draw_regular_zs(alg, rng, n):
 
 def _brackets_nonzero(alg, a, b):
     """For integer v-vectors a, b (n, dim_v): whether [a_i, b_i] != 0."""
-    t = alg.int_tensor()
+    t = alg.int_tensor
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
@@ -267,16 +267,12 @@ def _annihilator_check(alg, c):
     pinning the eigenvalues of -j^2 inside {0, c_k^2, |c|^2}.
 
     The identity is homogeneous of degree 6 in c, so it is checked on c
-    times the lcm of its denominators, with the integer structure tensor,
-    in Python ints (exact at any size).
+    times the lcm of its denominators, in Python ints (exact at any size).
     """
     c = [Fraction(x) for x in c]
     scale = lcm(*(x.denominator for x in c))
     c = [int(x * scale) for x in c]
-    t = alg.int_tensor().tolist()
-    n = alg.dim_v
-    jm = [[sum(x * y for x, y in zip(c, t[p][q])) for p in range(n)]
-          for q in range(n)]
+    jm = j_matrix(alg, c)
     a = lx.mat_mul(jm, jm)
     ck2 = c[2] * c[2]
     n2 = sum(x * x for x in c)
@@ -337,7 +333,7 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
     vs = np.stack(
         np.meshgrid(*([rng_v] * alg.dim_v), indexing="ij"), axis=-1
     ).reshape(-1, alg.dim_v)
-    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor())  # [V, e_q] rows
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)  # [V, e_q] rows
     first_v = _first_rows(_span_keys(spans))
 
     # one integer projector N / d per distinct span, in sorted key order

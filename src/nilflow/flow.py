@@ -200,7 +200,7 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
     p4 = eye + m @ p3
     a = eye + m @ (eye + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
     e = np.zeros((dz, n, n))
-    e[:, :dv, dv:] = np.moveaxis(alg.tensor(), -1, 0)
+    e[:, :dv, dv:] = np.moveaxis(alg.tensor, -1, 0)
     q = (h / 12.0) * sum(
         w * (np.swapaxes(p, -1, -2)[..., None, :, :] @ e @ p[..., None, :, :])
         for w, p in ((1.0, eye), (2.0, p2), (2.0, p3), (1.0, p4))

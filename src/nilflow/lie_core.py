@@ -3,106 +3,83 @@ kernels, and rational lattices.
 
 Scalars come in three modes: integers (int64 arrays or Python ints) for
 certificates on integer Z, exact fractions.Fraction where a certificate
-needs rationals, and IEEE doubles for dynamics.  The bracket table is
-stored exactly and converted to an integer or float tensor on demand.
+needs rationals, and IEEE doubles for dynamics.  An algebra is its integer
+structure tensor, validated once at construction; the exact bracket and
+j(Z) loop over its nonzero constants, and the float and int64 arrays are
+built from it on first use.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
 from . import linalg_exact as lx
 
 
-_UNBUILT = object()  # marks a cached value not built yet (None is a value)
-
-
 @dataclass
 class AlgebraData:
     """A two-step metric Lie algebra n = v (+) z with orthonormal bases.
 
-    bracket_table[p][q] is the z-vector [e_p, e_q] for v-basis vectors
-    e_p, e_q; it must be antisymmetric with zero diagonal.
+    structure[p][q][r] = <[e_p, e_q], Z_r> for v-basis vectors e_p, e_q, an
+    integer, antisymmetric in (p, q); construction normalizes it to nested
+    tuples of Python ints and raises ValueError on a wrong shape, a
+    non-integer constant or a table that is not antisymmetric.  terms holds
+    the nonzero constants as (p, q, r, T[p][q][r]).
     """
 
     dim_v: int
     dim_z: int
     v_names: tuple
     z_names: tuple
-    bracket_table: tuple  # bracket_table[p][q] -> tuple of dim_z Fractions
-    _tensor: np.ndarray = field(default=None, repr=False, compare=False)
-    _int_tensor: object = field(default=_UNBUILT, repr=False, compare=False)
+    structure: tuple
 
     def __post_init__(self):
-        if len(self.bracket_table) != self.dim_v:
-            raise ValueError("bracket table has wrong v-dimension")
-        for p in range(self.dim_v):
-            for q in range(self.dim_v):
-                row = self.bracket_table[p][q]
-                if len(row) != self.dim_z:
-                    raise ValueError("bracket table has wrong z-dimension")
-                neg = tuple(-x for x in self.bracket_table[q][p])
-                if tuple(row) != neg:
-                    raise ValueError("bracket table is not antisymmetric")
+        dv, dz = self.dim_v, self.dim_z
+        t = self.structure
+        if len(t) != dv or any(len(line) != dv for line in t) or any(
+                len(row) != dz for line in t for row in line):
+            raise ValueError(f"structure tensor must have shape ({dv}, {dv}, {dz})")
+        if not all(isinstance(x, Integral) for line in t for row in line
+                   for x in row):
+            raise ValueError("structure constants must be integers")
+        t = tuple(tuple(tuple(int(x) for x in row) for row in line)
+                  for line in t)
+        if any(t[p][q][r] != -t[q][p][r] for p in range(dv)
+               for q in range(dv) for r in range(dz)):
+            raise ValueError("structure tensor is not antisymmetric")
+        self.structure = t
+        self.terms = tuple(
+            (p, q, r, c) for p, line in enumerate(t) for q, row in enumerate(line)
+            for r, c in enumerate(row) if c
+        )
 
     @property
     def dim(self):
         return self.dim_v + self.dim_z
 
+    @cached_property
     def tensor(self):
         """Float structure tensor T[p, q, r] = <[e_p, e_q], Z_r>."""
-        if self._tensor is None:
-            t = np.zeros((self.dim_v, self.dim_v, self.dim_z))
-            for p in range(self.dim_v):
-                for q in range(self.dim_v):
-                    t[p, q] = [float(x) for x in self.bracket_table[p][q]]
-            self._tensor = t
-        return self._tensor
+        return np.array(self.structure, dtype=float)
 
+    @cached_property
     def int_tensor(self):
-        """Integer structure tensor T[p, q, r] = <[e_p, e_q], Z_r> (int64),
-        or None when some bracket coefficient is not an integer."""
-        if self._int_tensor is _UNBUILT:
-            table = self.bracket_table
-            integral = all(
-                Fraction(x).denominator == 1
-                for line in table for row in line for x in row
-            )
-            self._int_tensor = np.array(
-                [[[int(x) for x in row] for row in line] for line in table],
-                dtype=np.int64,
-            ) if integral else None
-        return self._int_tensor
-
-
-def bracket(alg, a, b):
-    """Lie bracket of two full algebra vectors (length dim_v + dim_z).
-
-    Only the v-components contribute; the result lives in z.
-    """
-    n = alg.dim
-    if len(a) != n or len(b) != n:
-        raise ValueError(f"expected vectors of dimension {n}")
-    out = [0] * alg.dim_z
-    for p in range(alg.dim_v):
-        ap = a[p]
-        if ap == 0:
-            continue
-        for q in range(alg.dim_v):
-            bq = b[q]
-            if bq == 0:
-                continue
-            tab = alg.bracket_table[p][q]
-            for r in range(alg.dim_z):
-                if tab[r] != 0:
-                    out[r] += ap * bq * tab[r]
-    return out
+        """Integer structure tensor T[p, q, r] = <[e_p, e_q], Z_r> (int64)."""
+        return np.array(self.structure, dtype=np.int64)
 
 
 def bracket_v(alg, av, bv):
-    """Bracket of two v-vectors (length dim_v)."""
-    return bracket(alg, list(av) + [0] * alg.dim_z, list(bv) + [0] * alg.dim_z)
+    """Exact bracket of two v-vectors (length dim_v), int or Fraction."""
+    if len(av) != alg.dim_v or len(bv) != alg.dim_v:
+        raise ValueError(f"expected v-vectors of dimension {alg.dim_v}")
+    out = [0] * alg.dim_z
+    for p, q, r, c in alg.terms:
+        out[r] += c * av[p] * bv[q]
+    return out
 
 
 def bracket_v_np(alg, av, bv):
@@ -117,20 +94,19 @@ def bracket_v_np(alg, av, bv):
     kind = complex if np.iscomplexobj(av) or np.iscomplexobj(bv) else float
     av, bv = np.asarray(av, kind), np.asarray(bv, kind)
     dv, dz = alg.dim_v, alg.dim_z
-    w = (av[..., None, :] @ alg.tensor().reshape(dv, dv * dz)).reshape(
+    w = (av[..., None, :] @ alg.tensor.reshape(dv, dv * dz)).reshape(
         av.shape[:-1] + (dv, dz))
     return (bv[..., None, :] @ w)[..., 0, :]
 
 
 def j_matrix(alg, z):
-    """The skew map j(Z) on v defined by <j(Z)X, Y> = <Z, [X, Y]>."""
+    """The skew map j(Z) on v defined by <j(Z)X, Y> = <Z, [X, Y]>, exact for
+    int or Fraction Z."""
     if len(z) != alg.dim_z:
         raise ValueError(f"expected a z-vector of dimension {alg.dim_z}")
     jm = [[0] * alg.dim_v for _ in range(alg.dim_v)]
-    for p in range(alg.dim_v):
-        for q in range(alg.dim_v):
-            tab = alg.bracket_table[p][q]
-            jm[q][p] = sum(z[r] * tab[r] for r in range(alg.dim_z))
+    for p, q, r, c in alg.terms:
+        jm[q][p] += c * z[r]
     return jm
 
 
@@ -142,9 +118,7 @@ def _j_entry_bound(t, cs):
 def j_matrices(alg, cs):
     """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
     dim_v) int64, one einsum over the integer structure tensor."""
-    t = alg.int_tensor()
-    if t is None:
-        raise ValueError("the bracket table is not integral")
+    t = alg.int_tensor
     cs = np.asarray(cs)
     if cs.shape[-1:] != (alg.dim_z,):
         raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
@@ -171,7 +145,7 @@ def j_kernels(alg, cs):
     pf = np.zeros(mats.shape[:2], dtype=np.int64)
     if alg.dim_v == 5:
         # each Pfaffian is 3 products of two entries of j(Z)
-        if 3 * _j_entry_bound(alg.int_tensor(), cs) ** 2 >= 2**62:
+        if 3 * _j_entry_bound(alg.int_tensor, cs) ** 2 >= 2**62:
             raise OverflowError("z-vector entries too large for int64 Pfaffians")
         for i in range(5):
             a, b, c, d = (r for r in range(5) if r != i)
@@ -190,7 +164,7 @@ def j_kernels(alg, cs):
 
 def j_matrix_np(alg, z):
     """Float j(Z); z may carry batch axes on the left."""
-    return np.einsum("pqr,...r->...qp", alg.tensor(), np.asarray(z, float))
+    return np.einsum("pqr,...r->...qp", alg.tensor, np.asarray(z, float))
 
 
 @dataclass
@@ -199,7 +173,6 @@ class RationalLattice:
 
     ambient_dim: int
     basis: tuple  # tuple of basis vectors, each a tuple of Fractions
-    _gram: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(
@@ -216,15 +189,6 @@ class RationalLattice:
     def rank(self):
         return len(self.basis)
 
-    def gram(self):
-        if self._gram is None:
-            g = tuple(
-                tuple(sum(a * b for a, b in zip(u, w)) for w in self.basis)
-                for u in self.basis
-            )
-            object.__setattr__(self, "_gram", g)
-        return self._gram
-
 
 def lattice_contains(lat, w):
     """Exact membership: w is an integer combination of the basis."""
@@ -238,3 +202,15 @@ def lattice_contains(lat, w):
     if x is None:
         return False
     return all(c.denominator == 1 for c in x)
+
+
+def lattice_brackets_in_twice(alg, lattice_v, lattice_z):
+    """Whether [L_v, L_v] lies in 2 L_z, checked exactly on every pair of
+    basis vectors (p < q suffices: [a, a] = 0 and [b, a] = -[a, b])."""
+    twice = RationalLattice(
+        alg.dim_z, tuple(tuple(2 * x for x in b) for b in lattice_z.basis)
+    )
+    return all(
+        lattice_contains(twice, bracket_v(alg, a, b))
+        for a, b in combinations(lattice_v.basis, 2)
+    )

@@ -12,10 +12,9 @@ import numpy as np
 from . import linalg_exact as lx
 from .lie_core import (
     RationalLattice,
-    bracket_v,
     j_kernels,
     j_matrices,
-    lattice_contains,
+    lattice_brackets_in_twice,
 )
 from .report import Certificate
 
@@ -217,15 +216,8 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
     same = _char_poly_mismatches(alg, alg_p, dual_int, claimed=False).size == 0
     cert.add("char_poly_equal_on_dual_lattice", same, value=len(dual_int))
 
-    twice_z = RationalLattice(
-        3, tuple(tuple(2 * x for x in b) for b in m_data.lattice_z.basis)
-    )
     for data in (m_data, mp_data):
-        ok = True
-        for a in data.lattice_v.basis:
-            for b in data.lattice_v.basis:
-                if not lattice_contains(twice_z, bracket_v(data.alg, a, b)):
-                    ok = False
+        ok = lattice_brackets_in_twice(data.alg, data.lattice_v, data.lattice_z)
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
     # kernel-lattice length spectra over the bounded dual-lattice slab; the

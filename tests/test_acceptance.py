@@ -4,6 +4,7 @@ Every criterion runs at seed 42 through the same suite runners the CLI
 uses; suite reports are computed once per session and shared.
 """
 
+import hashlib
 import json
 import time
 
@@ -204,19 +205,40 @@ def test_criterion_12_cih_certificates(suites):
     assert _within_budget(suites, "cih")
 
 
-def test_criterion_13_determinism(tmp_path):
-    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    code1 = main(["verify", "--suite", "all", "--seed", "42",
-                  "--out", str(p1)])
-    code2 = main(["verify", "--suite", "all", "--seed", "42",
-                  "--out", str(p2)])
-    b1 = json.dumps(json.loads(p1.read_text())["body"])
-    b2 = json.dumps(json.loads(p2.read_text())["body"])
+def _verify_all(path):
+    """`verify --suite all` at SEED: (exit code, body text as written by
+    Report.body_text)."""
+    code = main(["verify", "--suite", "all", "--seed", str(SEED),
+                 "--out", str(path)])
+    return code, json.dumps(json.loads(path.read_text())["body"], indent=2)
+
+
+@pytest.fixture(scope="module")
+def verify_runs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify")
+    return [_verify_all(out / f"r{i}.json") for i in (1, 2)]
+
+
+def test_criterion_13_determinism(verify_runs):
+    (code1, b1), (code2, b2) = verify_runs
     ok = code1 == 0 and code2 == 0 and b1 == b2
     _line(13, "verify --suite all --seed 42 twice: byte-identical report "
               "bodies, exit 0", ok)
     assert code1 == 0 and code2 == 0
     assert b1 == b2
+
+
+# sha256 of run_suite("all", 42).body_text(): a change that moves a report
+# value lists the moved values and records the new hash here and in
+# ROADMAP.md.
+BODY_SHA256_SEED_42 = (
+    "e9d94785d9dd5ec9939dd89f547fb23931bbedb44bca0216742cbfc8bb906a74"
+)
+
+
+def test_report_body_hash_is_pinned(verify_runs):
+    body = verify_runs[0][1]
+    assert hashlib.sha256(body.encode()).hexdigest() == BODY_SHA256_SEED_42
 
 
 def test_periodicity_work_is_bounded_at_seed_16():

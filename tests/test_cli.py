@@ -325,6 +325,19 @@ def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
         assert "M and Mprime only" in err
 
 
+@pytest.mark.parametrize("selector", [
+    "defo:1/0", "defo:nan", "defo:inf", "defo:-inf", "defo:1e400",
+])
+def test_bad_deformation_t_is_usage_error(selector, capsys):
+    code = main(["flow", "--manifold", selector, "--method", "rk4",
+                 "--state", DEFO_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert "Traceback" not in err.err
+    assert len(err.err.strip().splitlines()) == 1
+    assert err.err.startswith("usage error: ") and selector in err.err
+
+
 def test_config_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rk4_steps_per_unit": 10}))

@@ -251,7 +251,7 @@ def test_projectors_of_all_cih_spans_match_oracle(name, bound):
     alg = get_manifold(name).alg
     rng_v = np.arange(-bound, bound + 1)
     vs = np.stack(np.meshgrid(*[rng_v] * 5, indexing="ij"), -1).reshape(-1, 5)
-    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor())
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)
     first = _first_rows(_span_keys(spans))
     proj, d = _complement_projectors(spans[first])
     assert _projectors_exact(proj, d, spans[first]).all()

@@ -13,7 +13,6 @@ from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
-    bracket,
     bracket_v,
     bracket_v_np,
     j_kernels,
@@ -154,16 +153,43 @@ def test_j_kernels_batch_shape_and_guards():
 
 
 def test_j_matrices_rejects_rational_input():
-    assert M.alg.int_tensor().dtype == np.int64
+    assert M.alg.int_tensor.dtype == np.int64
     with pytest.raises(ValueError):
         j_matrices(M.alg, [[0.5, 0.0, 1.0]])
     with pytest.raises(ValueError):
         j_matrices(M.alg, [[1, 2]])  # wrong z-dimension
+    # a structure constant 1/2 is rejected when the algebra is built
     table = ((((0,), (Fraction(1, 2),)), ((-Fraction(1, 2),), (0,))))
-    half = AlgebraData(2, 1, ("X", "Y"), ("Z",), table)
-    assert half.int_tensor() is None
+    with pytest.raises(ValueError, match="integers"):
+        AlgebraData(2, 1, ("X", "Y"), ("Z",), table)
+
+
+def test_structure_tensor_is_validated():
+    names = (("X", "Y"), ("Z",))
+    alg = AlgebraData(2, 1, *names, [[[0], [1]], [[-1], [0]]])
+    assert alg.structure == (((0,), (1,)), ((-1,), (0,)))
+    assert alg.terms == ((0, 1, 0, 1), (1, 0, 0, -1))
+    with pytest.raises(ValueError, match="shape"):
+        AlgebraData(2, 1, *names, [[[0], [1]]])
+    with pytest.raises(ValueError, match="shape"):
+        AlgebraData(2, 1, *names, [[[0], [1, 0]], [[-1], [0]]])
+    with pytest.raises(ValueError, match="integers"):
+        AlgebraData(2, 1, *names, [[[0], [1.0]], [[-1.0], [0]]])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        AlgebraData(2, 1, *names, [[[0], [1]], [[1], [0]]])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        AlgebraData(2, 1, *names, [[[1], [0]], [[0], [0]]])  # [X, X] != 0
+
+
+def test_exact_bracket_and_j_stay_exact():
+    x, y = [Fraction(1, 2), 0, 0, 0, 0], [0, 0, 0, Fraction(1, 3), 0]
+    assert bracket_v(M.alg, x, y) == [0, 0, Fraction(1, 6)]
+    jm = j_matrix(M.alg, [0, 0, Fraction(1, 2)])
+    assert jm[3][0] == Fraction(1, 2) and isinstance(jm[3][0], Fraction)
+    assert all(type(x) is int for row in j_matrix(M.alg, [1, 2, 3])
+               for x in row)
     with pytest.raises(ValueError):
-        j_matrices(half, [[1]])
+        bracket_v(M.alg, [1, 0, 0, 0, 0, 0], [0] * 5)  # a full n-vector
 
 
 def test_float_paths_match_exact():
@@ -183,12 +209,6 @@ def test_float_paths_match_exact():
                 j_matrix_np(alg, z.astype(float)),
                 np.array([[float(x) for x in row] for row in jm]),
             )
-
-
-def test_bracket_full_vectors_ignore_z():
-    a = [1, 0, 0, 0, 0, 7, 7, 7]
-    b = [0, 0, 0, 1, 0, -3, 0, 3]
-    assert bracket(M.alg, a, b) == bracket_v(M.alg, a[:5], b[:5])
 
 
 def test_lattice_membership_and_coordinates():
