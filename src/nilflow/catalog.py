@@ -5,7 +5,7 @@ quaternion sign table, and the isospectral deformation family.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -35,8 +35,13 @@ class NilmanifoldData:
     frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
     over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
     E1, E2 (plane of frequency theta[..., 0]), E3, E4 (plane of frequency
-    theta[..., 1]) and the kernel vector Y_c.  None where no closed form is
-    known (the deformation family).
+    theta[..., 1]) and the kernel vector Y_c.  drift(c, v, al, n2) ->
+    (g_D, g_W) are the D and W coefficients of the translational element
+    over tau beta (the plane term of W left out) at base point v, frame
+    coefficients al of V and n2 = |c|^2 as the caller computed it;
+    pin(c, v, al, n2, g_D, g_W) is v with its free coordinates solved so
+    that drift returns (g_D, g_W).  All three are None where no closed
+    form is known (the deformation family).
     """
 
     name: str
@@ -44,6 +49,8 @@ class NilmanifoldData:
     lattice_v: RationalLattice
     lattice_z: RationalLattice
     frame: object = None
+    drift: object = None
+    pin: object = None
 
     def __post_init__(self):
         if self.lattice_v.rank != self.alg.dim_v:
@@ -100,12 +107,52 @@ def _frame_M(Z):
     return rows, theta
 
 
+def _drift_M(c, v, al, n2):
+    """g_D = al_2 - c_k (x_i c_i + x_j c_j) / rho^2 and
+    g_W = al_4 - (x_i c_j - x_j c_i) / rho^2, rho^2 = c_i^2 + c_j^2."""
+    ci, cj, ck = c
+    rho2 = ci * ci + cj * cj
+    return (al[1] - ck / rho2 * (v[0] * ci + v[1] * cj),
+            al[3] - (v[0] * cj - v[1] * ci) / rho2)
+
+
+def _pin_M(c, v, al, n2, g_D, g_W):
+    """x_i, x_j solved from x_i c_i + x_j c_j and x_i c_j - x_j c_i."""
+    ci, cj, ck = c
+    rho2 = ci * ci + cj * cj
+    s, d = rho2 / ck * (al[1] - g_D), rho2 * (al[3] - g_W)
+    v = np.array(v, float)
+    v[:2] = (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2
+    return v
+
+
 def _frame_Mprime(Z):
     """E1 = X_i, E2 = X_j, E3 = |c| (c_j Y_i - c_i Y_j)."""
     rows, theta = _frame_rows(Z)
     rows[..., 0, 0] = rows[..., 1, 1] = 1.0
     rows[..., 2, 2:4] = theta[..., 1:] * rows[..., 4, 3:1:-1] * _FLIP
     return rows, theta
+
+
+def _drift_Mprime(c, v, al, n2):
+    """g_D = -|c| al_3 + y_k - c_k (y_i c_i + y_j c_j) / rho^2 and
+    g_W = al_4 - (y_i c_j - y_j c_i) / rho^2."""
+    ci, cj, ck = c
+    rho2 = ci * ci + cj * cj
+    return (-sqrt(n2) * al[2] + v[4] - ck / rho2 * (v[2] * ci + v[3] * cj),
+            al[3] - (v[2] * cj - v[3] * ci) / rho2)
+
+
+def _pin_Mprime(c, v, al, n2, g_D, g_W):
+    """y_i, y_j solved from y_i c_i + y_j c_j (kept) and y_i c_j - y_j c_i,
+    then y_k."""
+    ci, cj, ck = c
+    rho2 = ci * ci + cj * cj
+    s, d = v[2] * ci + v[3] * cj, rho2 * (al[3] - g_W)
+    v = np.array(v, float)
+    v[2:] = ((ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2,
+             g_D + sqrt(n2) * al[2] + ck / rho2 * s)
+    return v
 
 
 def _standard_lattices(dim_v, dim_z):
@@ -128,8 +175,9 @@ def _build_pair():
     alg, alg_p = _pair_algebras()
     lat_v, lat_z = _standard_lattices(5, 3)
     return (
-        NilmanifoldData("M", alg, lat_v, lat_z, frame=_frame_M),
-        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, frame=_frame_Mprime),
+        NilmanifoldData("M", alg, lat_v, lat_z, _frame_M, _drift_M, _pin_M),
+        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, _frame_Mprime,
+                        _drift_Mprime, _pin_Mprime),
     )
 
 
@@ -149,8 +197,10 @@ def build_deformation(t):
 
 def _deformation_t(raw):
     """The t of a "defo:<t>" selector: a Fraction where raw is rational
-    syntax, else a float.  ValueError for a zero denominator or a t that
-    is not a finite double (nan, inf, 1e400)."""
+    syntax, else a float.  ValueError for a zero denominator, a t that is
+    not a finite double (nan, inf, 1e400), or a t whose exact numerator or
+    denominator has more than 30 digits (1e-400, 1e300), which the name
+    would print."""
     try:
         t = Fraction(raw)
     except ZeroDivisionError:
@@ -163,6 +213,11 @@ def _deformation_t(raw):
         finite = False
     if not finite:
         raise ValueError(f"defo:{raw}: t must be a finite number")
+    n, d = Fraction(t).as_integer_ratio()
+    if abs(n) >= 10**30 or d >= 10**30:
+        raise ValueError(
+            f"defo:{raw}: t needs more than 30 digits in its numerator or "
+            "denominator")
     return t
 
 

@@ -34,7 +34,6 @@ from .flow import (
     sample_generic_state,
 )
 from .integrals import INTEGRAL_NAMES, evaluate_integrals, poisson_matrix
-from .lie_core import lattice_contains
 from .periodicity import ConstructionError, construct_closed_geodesic
 from .report import Report, fmt_value
 from .suites import SUITE_NAMES, Tolerances, run_suite
@@ -180,10 +179,6 @@ def cmd_closed_geodesic(args):
         )
     except DegenerateFrequencyError as e:
         raise ConstructionError(str(e)) from e
-    in_gamma = lattice_contains(data.lattice_v, geo.a_v) and \
-        lattice_contains(data.lattice_z, geo.a_z)
-    rot_exact = (geo.tau_over_pi * geo.c[2] / 2).denominator == 1 and \
-        (geo.tau_over_pi * geo.norm_c / 2).denominator == 1
     doc = {
         "manifold": data.name,
         "initial_state": format_state(geo.state),
@@ -193,11 +188,12 @@ def cmd_closed_geodesic(args):
         "tau_over_pi": fmt_value(geo.tau_over_pi),
         "a_v": fmt_value(list(geo.a_v)),
         "a_z": fmt_value(list(geo.a_z)),
-        "a_in_gamma": "exact_pass" if in_gamma else "fail",
-        "rotation_condition": "exact_pass" if rot_exact else "fail",
+        # construction raises ConstructionError (exit 5) unless a is in Gamma
+        "a_in_gamma": "exact_pass",
+        "rotation_condition": "exact_pass" if geo.rotation_exact else "fail",
     }
     _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_PASS if in_gamma and rot_exact else EXIT_CHECK_FAILURE
+    return EXIT_PASS if geo.rotation_exact else EXIT_CHECK_FAILURE
 
 
 def _require_M(data):

@@ -15,85 +15,45 @@ Three independent diagnostics that separate the pair:
     because pi^2 is irrational).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import bracket_v, j_kernels, j_matrix
+from .lie_core import _primitive_rows, j_kernels, j_matrix
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
 
-@dataclass
-class PresentationSplit:
-    """A candidate split v = x (+) y with a distinguished functional
-    <candidate_c, .> on z."""
-
-    x_basis: tuple
-    y_basis: tuple
-    candidate_c: tuple
-
-    def __post_init__(self):
-        self.x_basis = tuple(tuple(Fraction(t) for t in b) for b in self.x_basis)
-        self.y_basis = tuple(tuple(Fraction(t) for t in b) for b in self.y_basis)
-        self.candidate_c = tuple(Fraction(t) for t in self.candidate_c)
-        rows = [list(b) for b in self.x_basis + self.y_basis]
-        if lx.rank(rows) != len(rows) or len(rows) != len(rows[0]):
-            raise ValueError("x and y must be complementary subspaces of v")
-
-
 def canonical_split(alg):
-    """x = the X-block, y = the Y-block; the distinguished functional is
-    Z_k for the pair and Z_1 for the deformation family."""
+    """(x, y, k): the indices of the X-block and of the Y-block of v, and of
+    the distinguished functional on z, Z_k for the pair and Z_1 for the
+    deformation family."""
     nx = sum(1 for n in alg.v_names if n.startswith("X"))
-    e = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(alg.dim_v))
-    if alg.dim_z == 3:
-        c = (Fraction(0), Fraction(0), Fraction(1))
-    else:
-        c = (Fraction(1),) + (Fraction(0),) * (alg.dim_z - 1)
-    return PresentationSplit(
-        tuple(e(i) for i in range(nx)),
-        tuple(e(i) for i in range(nx, alg.dim_v)),
-        c,
-    )
+    return (list(range(nx)), list(range(nx, alg.dim_v)),
+            2 if alg.dim_z == 3 else 0)
 
 
 def check_hr_presentation(alg, split):
-    """Exact certificate for an injective presentation: [x,x] = 0,
-    [y,y] = 0, and X |-> <c, [X, .]>|_y injective on x."""
+    """Exact certificate for an injective presentation, read off the integer
+    structure tensor T on the split (x, y, k) of `canonical_split`:
+    [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x."""
     cert = Certificate("hr_injective_presentation", "algebra")
+    x, y, k = split
+    t = alg.structure
 
-    def block_abelian(basis):
-        worst = None
-        for a in basis:
-            for b in basis:
-                br = bracket_v(alg, a, b)
-                if any(t != 0 for t in br):
-                    worst = [str(t) for t in br]
-        return worst is None, worst
+    for name, idx in (("bracket_xx_zero", x), ("bracket_yy_zero", y)):
+        # the witness is the last nonzero bracket of the block
+        nonzero = [t[a][b] for a in idx for b in idx if any(t[a][b])]
+        witness = [str(c) for c in nonzero[-1]] if nonzero else None
+        cert.add(name, not nonzero, value=witness)
 
-    ok, witness = block_abelian(split.x_basis)
-    cert.add("bracket_xx_zero", ok, value=witness)
-    ok, witness = block_abelian(split.y_basis)
-    cert.add("bracket_yy_zero", ok, value=witness)
-
-    c = split.candidate_c
-    pairing = [
-        [
-            sum(c[r] * br[r] for r in range(alg.dim_z))
-            for yb in split.y_basis
-            for br in [bracket_v(alg, xb, yb)]
-        ]
-        for xb in split.x_basis
-    ]
-    rk = lx.rank(pairing)
+    rk = lx.rank([[t[a][b][k] for b in y] for a in x])
     cert.add(
         "pairing_rank_equals_dim_x",
-        rk == len(split.x_basis),
-        value={"rank": rk, "dim_x": len(split.x_basis)},
+        rk == len(x),
+        value={"rank": rk, "dim_x": len(x)},
     )
     return cert
 
@@ -169,16 +129,6 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
 
 # ---------------------------------------------------------------------------
 # clean intersection
-
-
-def _primitive_rows(rows):
-    """Integer rows (..., dim) divided by the gcd of their entries and
-    signed so that the first nonzero entry is positive; zero rows stay 0."""
-    g = np.gcd.reduce(rows, axis=-1)
-    prim = rows // np.maximum(g, 1)[..., None]
-    lead = np.argmax(prim != 0, axis=-1)[..., None]
-    first = np.take_along_axis(prim, lead, -1)
-    return prim * np.where(first < 0, -1, 1)
 
 
 def _span_keys(spans):

@@ -73,33 +73,41 @@ def evaluate_integrals(state):
 # left gradients and the symplectic calculus
 
 
+def _central(alg, fn, state, base, fiber, h):
+    """Central differences of fn along each row of (base, fiber), shape
+    (..., k, dim) or (k, dim): the base moves by right multiplication with
+    exp(+-h base), (v, z) -> (v +- h b_v, z +- (h b_z + h [v, b_v] / 2)),
+    the fiber linearly.  fn values (..., k, n) give derivatives
+    (..., n, k)."""
+    dv = alg.dim_v
+    bv, bz = base[..., :dv], base[..., dv:]
+    v, z = state.v[..., None, :], state.z[..., None, :]
+    V, Z = state.V[..., None, :], state.Z[..., None, :]
+    # the bracket term is the same for +h and -h, and 0 if no row moves v
+    br = bracket_v_np(alg, v, bv) if bv.any() else 0.0
+
+    def shifted(s):
+        return fn(TangentState(v + s * bv, z + s * bz + 0.5 * s * br,
+                               V + s * fiber[..., :dv],
+                               Z + s * fiber[..., dv:]))
+
+    return np.swapaxes(shifted(h) - shifted(-h), -1, -2) / (2.0 * h)
+
+
 def left_gradients_all(alg, state, h=1e-6, fn=None):
     """Central-difference left gradients of the functions fn evaluates.
 
     fn maps a batched TangentState to values of shape (..., n, k); it
     defaults to the eight integrals.  The state may carry batch axes on the
-    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each; 4
+    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each: the
+    stencil along the base directions, then along the fiber directions; 4
     batched evaluations total, whatever the batch.
     """
     if fn is None:
         fn = evaluate_integrals
-    dv, n = alg.dim_v, alg.dim
-    step = h * np.eye(n)
-    no_v, no_z = np.zeros((n, dv)), np.zeros((n, n - dv))
-    v, z = state.v[..., None, :], state.z[..., None, :]
-    V, Z = state.V[..., None, :], state.Z[..., None, :]
-
-    def central(dv_, dz_, dV, dZ):
-        fp = fn(TangentState(v + dv_, z + dz_, V + dV, Z + dZ))
-        fm = fn(TangentState(v - dv_, z - dz_, V - dV, Z - dZ))
-        return np.swapaxes(fp - fm, -1, -2) / (2.0 * h)
-
-    # the base moves by right multiplication with exp(+-h e):
-    # (v, z) -> (v +- h e_v, z +- (h e_z + h [v, e_v] / 2))
-    base_z = step[:, dv:] + 0.5 * bracket_v_np(alg, v, step[:, :dv])
-    B = central(step[:, :dv], base_z, no_v, no_z)
-    A = central(no_v, no_z, step[:, :dv], step[:, dv:])
-    return B, A
+    eye, zero = np.eye(alg.dim), np.zeros((alg.dim, alg.dim))
+    return (_central(alg, fn, state, eye, zero, h),
+            _central(alg, fn, state, zero, eye, h))
 
 
 def hamiltonian_field(alg, state, B, A):
@@ -118,36 +126,18 @@ def hamiltonian_field(alg, state, B, A):
     return A, fiber
 
 
-def _shift_state(alg, state, base_dir, fiber_dir, h):
-    """Move a state by h along each row of (base_dir, fiber_dir), shape
-    (..., k, dim): the base moves by right multiplication with
-    exp(h base_dir), the fiber linearly.  The result has batch axes
-    (..., k)."""
-    dv = alg.dim_v
-    bv, bz = base_dir[..., :dv], base_dir[..., dv:]
-    v0 = state.v[..., None, :]
-    v = v0 + h * bv
-    z = state.z[..., None, :] + h * bz + 0.5 * h * bracket_v_np(alg, v0, bv)
-    V = state.V[..., None, :] + h * fiber_dir[..., :dv]
-    Z = state.Z[..., None, :] + h * fiber_dir[..., dv:]
-    return TangentState(v, z, V, Z)
-
-
 def poisson_matrix(alg, state, h=1e-6, fn=None):
     """All brackets {F_a, F_b} = dF_a(X_{F_b}) of the functions fn
     evaluates (default: the eight integrals), shape (..., k, k) for a state
     with batch axes (...).
 
-    Gradients are batched; the shifts along the k Hamiltonian fields are
+    Gradients are batched; the stencil along the k Hamiltonian fields is
     then two more batched evaluations.
     """
     if fn is None:
         fn = evaluate_integrals
     B, A = left_gradients_all(alg, state, h, fn)
-    base, fiber = hamiltonian_field(alg, state, B, A)
-    fp = fn(_shift_state(alg, state, base, fiber, h))
-    fm = fn(_shift_state(alg, state, base, fiber, -h))
-    return np.swapaxes(fp - fm, -1, -2) / (2.0 * h)
+    return _central(alg, fn, state, *hamiltonian_field(alg, state, B, A), h)
 
 
 def independence_rank(alg, state, h=1e-6, svd_threshold=1e-7):

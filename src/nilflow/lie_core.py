@@ -129,6 +129,16 @@ def j_matrices(alg, cs):
     return np.einsum("pqr,...r->...qp", t, cs.astype(np.int64))
 
 
+def _primitive_rows(rows):
+    """Integer rows (..., dim) divided by the gcd of their entries and
+    signed so that the first nonzero entry is positive; zero rows stay 0."""
+    g = np.gcd.reduce(rows, axis=-1)
+    prim = rows // np.maximum(g, 1)[..., None]
+    lead = np.argmax(prim != 0, axis=-1)[..., None]
+    first = np.take_along_axis(prim, lead, -1)
+    return prim * np.where(first < 0, -1, 1)
+
+
 def j_kernels(alg, cs):
     """Saturated integer basis of ker j(Z) for integer Z, batched: cs
     (n, dim_z) -> the list of the n bases.
@@ -153,9 +163,7 @@ def j_kernels(alg, cs):
                 mats[:, a, b] * mats[:, c, d] - mats[:, a, c] * mats[:, b, d]
                 + mats[:, a, d] * mats[:, b, c]
             )
-        g = np.gcd.reduce(pf, axis=1)
-        lead = pf[np.arange(len(pf)), np.argmax(pf != 0, axis=1)]
-        pf //= np.where(lead < 0, -g, np.maximum(g, 1))[:, None]
+        pf = _primitive_rows(pf)
     out = [[row] for row in pf.tolist()]
     for i in np.nonzero(~np.any(pf != 0, axis=1))[0].tolist():
         out[i] = lx.integer_kernel(mats[i].tolist())

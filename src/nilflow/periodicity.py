@@ -86,22 +86,10 @@ def translational_element_expanded(data, state, tau):
     beta = al[4]
     v_ck2 = al[0] ** 2 * sq[0] + al[1] ** 2 * sq[1]
     vperp2 = v_ck2 + al[2] ** 2 * sq[2] + al[3] ** 2 * sq[3]
-    xi, xj, yi, yj, yk = (float(x) for x in state.v)
+    g_d, g_w = data.drift((ci, cj, ck), state.v, al, n2)
     coef_c = tau * (1.0 + vperp2 / (2.0 * n2))
-    if data.name == "M":
-        coef_d = tau * beta * (al[1] - ck / rho2 * (xi * ci + xj * cj))
-        coef_w = tau * (
-            -v_ck2 / (2.0 * ck * n2)
-            + beta * (al[3] - (xi * cj - xj * ci) / rho2)
-        )
-    else:
-        coef_d = tau * beta * (
-            -sqrt(n2) * al[2] + yk - ck / rho2 * (yi * ci + yj * cj)
-        )
-        coef_w = tau * (
-            -v_ck2 / (2.0 * ck * n2)
-            + beta * (al[3] - (yi * cj - yj * ci) / rho2)
-        )
+    coef_d = tau * beta * g_d
+    coef_w = tau * (-v_ck2 / (2.0 * ck * n2) + beta * g_w)
     zc = np.array([ci, cj, ck])
     d = np.array([-cj, ci, 0.0])
     w = np.array([ck * ci, ck * cj, -rho2])
@@ -166,8 +154,9 @@ def _approx(x, bound, grid=None):
 class ClosedGeodesic:
     """An exactly-certified closed geodesic.
 
-    a_v, a_z are exact rationals; membership of a in the lattice and the
-    rotation condition tau c_k, tau |c| in 2 pi Z hold by construction.
+    a_v, a_z are exact rationals; membership of a in the lattice
+    (checked in construct_closed_geodesic) and the rotation condition
+    tau c_k, tau |c| in 2 pi Z (rotation_exact) hold by construction.
     """
 
     name: str
@@ -193,6 +182,12 @@ class ClosedGeodesic:
     def sigma_over_pi(self):
         return Fraction(2 * self.q) / self.norm_c
 
+    @property
+    def rotation_exact(self):
+        """Whether tau c_k / 2 pi and tau |c| / 2 pi are integers, exactly."""
+        return ((self.tau_over_pi * self.c[2] / 2).denominator == 1
+                and (self.tau_over_pi * self.norm_c / 2).denominator == 1)
+
 
 def _exact_element(c, r, t, P_D, P_W, m):
     ci, cj, ck = c
@@ -210,7 +205,9 @@ def _exact_element(c, r, t, P_D, P_W, m):
 def construct_closed_geodesic(data, target, epsilon=0.05, bound=None,
                               grid=None):
     """An exactly closed geodesic on the manifold within epsilon of the
-    target state; the element a is checked to lie in the lattice.
+    target state.  The element a is checked once to lie in the lattice and
+    ConstructionError is raised when it does not, so every returned
+    geodesic has a in Gamma.
 
     target: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0) and
     any v, z, V.  The free coordinates (z, and the v-coordinates not pinned
@@ -237,11 +234,7 @@ def construct_closed_geodesic(data, target, epsilon=0.05, bound=None,
         try:
             geo = _construct_once(data, target, epsilon, bound, grid)
         except ConstructionError as e:
-            last_err = e
-            bound *= 2
-            if grid is not None:
-                grid *= 2
-            continue
+            last_err, geo = e, None
         if geo is not None:
             if not lattice_contains(data.lattice_v, geo.a_v):
                 raise ConstructionError("v-part of a left the lattice")
@@ -317,36 +310,11 @@ def _construct_once(data, target, epsilon, bound, grid=None):
     # pin the base coordinates so the D and W coefficients of a_z become
     # the exact rationals P_D = r g_D and P_W = -w1 + r g_W
     al, _ = _frame_coefficients(data, c_f, V)
-    rho2 = float(c_f[0] ** 2 + c_f[1] ** 2)
-    ci, cj, ck = c_f
-    v = np.asarray(target.v, float).copy()
-    if data.name == "M":
-        gD_bar = al[1] - ck / rho2 * (v[0] * ci + v[1] * cj)
-        gW_bar = al[3] - (v[0] * cj - v[1] * ci) / rho2
-        P_D = _approx(float(r) * gD_bar, bound, grid)
-        P_W = _approx(-float(w1) + float(r) * gW_bar, bound, grid)
-        gD = float(P_D) / float(r)
-        gW = (float(P_W) + float(w1)) / float(r)
-        rhs1 = rho2 / ck * (al[1] - gD)  # x_i c_i + x_j c_j
-        rhs2 = rho2 * (al[3] - gW)      # x_i c_j - x_j c_i
-        det = -(rho2)
-        v[0] = (-ci * rhs1 - cj * rhs2) / det
-        v[1] = (-cj * rhs1 + ci * rhs2) / det
-    else:
-        gD_bar = (
-            -sqrt(n2) * al[2] + v[4] - ck / rho2 * (v[2] * ci + v[3] * cj)
-        )
-        gW_bar = al[3] - (v[2] * cj - v[3] * ci) / rho2
-        P_D = _approx(float(r) * gD_bar, bound, grid)
-        P_W = _approx(-float(w1) + float(r) * gW_bar, bound, grid)
-        gD = float(P_D) / float(r)
-        gW = (float(P_W) + float(w1)) / float(r)
-        A = v[2] * ci + v[3] * cj           # kept at the target value
-        B = rho2 * (al[3] - gW)             # y_i c_j - y_j c_i
-        det = -(rho2)
-        v[2] = (-ci * A - cj * B) / det
-        v[3] = (-cj * A + ci * B) / det
-        v[4] = gD + sqrt(n2) * al[2] + ck / rho2 * A
+    gD_bar, gW_bar = data.drift(c_f, target.v, al, n2)
+    P_D = _approx(float(r) * gD_bar, bound, grid)
+    P_W = _approx(-float(w1) + float(r) * gW_bar, bound, grid)
+    v = data.pin(c_f, target.v, al, n2, float(P_D) / float(r),
+                 (float(P_W) + float(w1)) / float(r))
 
     # closeness to the target
     errs = (

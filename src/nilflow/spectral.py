@@ -84,9 +84,6 @@ class LengthSpectrumSlice:
     cutoff: Fraction
     entries: tuple  # tuple of (squared_length: Fraction, multiplicity: int)
 
-    def __eq__(self, other):
-        return self.entries == other.entries and self.cutoff == other.cutoff
-
 
 def length_spectrum(lat, r2):
     """Exact enumeration of all lattice vectors with |w|^2 <= r2.

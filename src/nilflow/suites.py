@@ -29,7 +29,7 @@ from .flow import (
     state_from_flat,
 )
 from .integrals import evaluate_integrals, independence_rank, poisson_matrix
-from .lie_core import bracket_v_np, lattice_contains
+from .lie_core import bracket_v_np
 from .periodicity import (
     closure_jacobian,
     construct_closed_geodesic,
@@ -293,7 +293,6 @@ def _nice_geodesic(data, rng, c_bar):
 
 
 def run_periodicity(seed, tol=None):
-    tol = _tol(tol)
     report = Report("periodicity", seed, ["M", "Mprime"])
     rng = _rng(seed, "periodicity")
     m, mp = build_pair()
@@ -344,17 +343,14 @@ def run_periodicity(seed, tol=None):
         data = (m, mp)[i % 2]
         target = sample_generic_state(data, rng)
         geo = construct_closed_geodesic(data, target, epsilon=0.1)
-        in_gamma = lattice_contains(data.lattice_v, geo.a_v) and \
-            lattice_contains(data.lattice_z, geo.a_z)
-        rot = (geo.tau_over_pi * geo.c[2] / 2).denominator == 1 and \
-            (geo.tau_over_pi * geo.norm_c / 2).denominator == 1
         dist = max(
             float(np.linalg.norm(geo.state.Z - target.Z)),
             float(np.linalg.norm(geo.state.V - target.V)),
             float(np.linalg.norm(geo.state.v - target.v)),
         )
         worst_eps = max(worst_eps, dist)
-        if in_gamma and rot and dist <= 0.1:
+        # construct_closed_geodesic raises unless a is in Gamma
+        if geo.rotation_exact and dist <= 0.1:
             successes += 1
     report.add(
         "density_construction",

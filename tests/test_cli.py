@@ -327,6 +327,7 @@ def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
 
 @pytest.mark.parametrize("selector", [
     "defo:1/0", "defo:nan", "defo:inf", "defo:-inf", "defo:1e400",
+    "defo:1e-400", "defo:1e300",
 ])
 def test_bad_deformation_t_is_usage_error(selector, capsys):
     code = main(["flow", "--manifold", selector, "--method", "rk4",

@@ -48,9 +48,7 @@ def test_hr_presentation_deformation():
 
 
 def test_canonical_split_shape():
-    sp = canonical_split(M.alg)
-    assert len(sp.x_basis) == 2 and len(sp.y_basis) == 3
-    assert sp.candidate_c == (0, 0, 1)
+    assert canonical_split(M.alg) == ([0, 1], [2, 3, 4], 2)
 
 
 def test_centralizer_example_Mprime_Zk():

@@ -15,7 +15,7 @@ from nilflow.flow import (
     sample_generic_state,
     state_from_flat,
 )
-from nilflow import periodicity, suites
+from nilflow import linalg_exact, periodicity, suites
 from nilflow.lie_core import bracket_v_np, lattice_contains
 from nilflow.periodicity import (
     ConstructionError,
@@ -107,8 +107,7 @@ def test_construction_closes_exactly():
         assert lattice_contains(data.lattice_v, geo.a_v)
         assert lattice_contains(data.lattice_z, geo.a_z)
         # rotation condition: tau * c_k and tau * |c| in 2 pi Z, exactly
-        assert (geo.tau_over_pi * geo.c[2] / 2).denominator == 1
-        assert (geo.tau_over_pi * geo.norm_c / 2).denominator == 1
+        assert geo.rotation_exact
         # the defining data reproduce the initial velocity's kernel part
         beta = float(geo.r) / (pi * float(geo.sigma_over_pi))
         c = np.array([float(x) for x in geo.c])
@@ -212,3 +211,24 @@ def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
         (name, h) for name in ("M", "Mprime") for h in (1e-4, 1e-5, 1e-6)
     )
     assert report.passed
+
+
+def test_run_periodicity_checks_each_closure_once(monkeypatch):
+    # one exact membership solve for a_v and one for a_z per geodesic,
+    # inside the construction; the suite reads its result
+    geodesics, solved = [], []
+    solve = linalg_exact.solve
+
+    def constructing(*args, **kwargs):
+        geodesics.append(construct_closed_geodesic(*args, **kwargs))
+        return geodesics[-1]
+
+    def solving(a, b):
+        solved.append(tuple(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg_exact, "solve", solving)
+    monkeypatch.setattr(suites, "construct_closed_geodesic", constructing)
+    assert suites.run_periodicity(42).passed
+    assert len(geodesics) == 108
+    assert solved == [a for g in geodesics for a in (g.a_v, g.a_z)]
