@@ -8,7 +8,7 @@ import argparse
 import numpy as np
 
 from nilflow.catalog import build_pair
-from nilflow.flow import sample_generic_state
+from nilflow.flow import TangentState, sample_generic_state
 from nilflow.periodicity import construct_closed_geodesic
 
 
@@ -18,12 +18,18 @@ def main():
     ap.add_argument("--n", type=int, default=5)
     ap.add_argument("--epsilon", type=float, default=0.1)
     args = ap.parse_args()
+    if args.n < 0:
+        ap.error("--n must not be negative")
 
     rng = np.random.Generator(np.random.Philox(args.seed))
     for data in build_pair():
         print(f"== {data.name} ==")
-        for _ in range(args.n):
-            target = sample_generic_state(data, rng)
+        # the construction draws nothing, so one draw of all targets
+        # consumes the stream as one draw per target would
+        targets = sample_generic_state(data, rng, args.n)
+        for i in range(args.n):
+            target = TangentState(targets.v[i], targets.z[i], targets.V[i],
+                                  targets.Z[i])
             geo = construct_closed_geodesic(data, target, epsilon=args.epsilon)
             dist = max(
                 float(np.linalg.norm(geo.state.Z - target.Z)),

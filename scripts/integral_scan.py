@@ -14,7 +14,6 @@ from nilflow.flow import (
     eigenframe,
     flow_exact_vV,
     sample_generic_state,
-    state_from_flat,
 )
 from nilflow.integrals import evaluate_integrals, independence_rank, poisson_matrix
 
@@ -31,8 +30,7 @@ def main():
     # draw every state first, then make one batched call per quantity
     m, _ = build_pair()
     rng = np.random.Generator(np.random.Philox(args.seed))
-    states = [sample_generic_state(m, rng) for _ in range(args.n)]
-    batch = state_from_flat(m.alg, np.stack([s.flat() for s in states]))
+    batch = sample_generic_state(m, rng, args.n)
     v_t, V_t = flow_exact_vV(eigenframe(m, batch.Z), batch.v, batch.V, args.t)
     moved = evaluate_integrals(TangentState(v_t, batch.z, V_t, batch.Z))
     drift = float(np.max(np.abs(moved - evaluate_integrals(batch))))

@@ -198,9 +198,21 @@ def build_deformation(t):
 def _deformation_t(raw):
     """The t of a "defo:<t>" selector: a Fraction where raw is rational
     syntax, else a float.  ValueError for a zero denominator, a t that is
-    not a finite double (nan, inf, 1e400), or a t whose exact numerator or
-    denominator has more than 30 digits (1e-400, 1e300), which the name
-    would print."""
+    not a finite double (nan, inf), or a t whose exact numerator or
+    denominator has more than 30 digits (1e-31, 1e31), which the
+    name would print.  A decimal exponent larger in magnitude than 30 plus
+    the number of mantissa digits (1e400, 1e-1000000) is rejected before
+    parsing: no nonzero t with parts of at most 30 digits needs it, and
+    Fraction would first build 10**exponent."""
+    mantissa, sep, exponent = raw.lower().rpartition("e")
+    try:
+        e = int(exponent) if sep else 0
+    except ValueError:  # no decimal exponent, or one too long for int
+        e = 0
+    if abs(e) > 30 + sum(ch.isdigit() for ch in mantissa):
+        raise ValueError(
+            f"defo:{raw}: t needs more than 30 digits in its numerator or "
+            "denominator")
     try:
         t = Fraction(raw)
     except ZeroDivisionError:

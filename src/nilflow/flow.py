@@ -17,10 +17,13 @@ independent cross-check.  With Z conserved the (v, V) equations are
 linear, so N RK4 steps are one matrix power and the z increments one
 quadratic form in the initial (v, V); both are summed exactly by binary
 doubling, in O(log N) batched matmuls instead of N stage evaluations.
+Generic states for the checks are drawn by rejection, all n of them from
+one buffer of uniform doubles, and the RNG ends where n one-state draws
+leave it.
 """
 
 from dataclasses import dataclass
-from math import ceil, factorial, hypot, sqrt
+from math import ceil, factorial
 
 import numpy as np
 
@@ -45,7 +48,9 @@ class TangentState:
 
     @property
     def speed2(self):
-        return float(self.V @ self.V + self.Z @ self.Z)
+        """|V|^2 + |Z|^2: a float for one state, an array over batch axes."""
+        sq = np.vecdot(self.V, self.V) + np.vecdot(self.Z, self.Z)
+        return float(sq) if sq.ndim == 0 else sq
 
 
 def state_from_flat(alg, flat):
@@ -314,34 +319,73 @@ def flow_exact_state(data, state, t):
 # sampling
 
 
-def sample_generic_Z(rng, min_ck=0.1, min_gap=0.1, min_prod=0.05):
-    """Draw Z with well-separated frequencies and c_k |c|^2 bounded away
-    from 0, so the transcendental integrals stay numerically alive."""
-    while True:
-        c = rng.uniform(-2.0, 2.0, size=3)
-        ci, cj, ck = c
-        norm = sqrt(float(c @ c))
-        if abs(ck) < min_ck:
-            continue
-        if norm - abs(ck) < min_gap:
-            continue
-        if hypot(ci, cj) < min_gap:
-            continue
-        if abs(ck) * norm * norm < min_prod:
-            continue
-        return c
+# doubles drawn up front per requested state, on top of one state's width:
+# an accepted state takes 3 + 2 dim_v + dim_z of them (16 on the pair) and
+# rejections bring the mean to about 19.5, so the buffer rarely regrows
+_DRAWS_PER_STATE = 24
 
 
-def sample_generic_state(data, rng, min_comp=0.05):
-    """A random tangent state with generic Z and V hitting every unit
-    frame direction by at least min_comp."""
+def _generic_Z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):
+    """Mask of the rows c = (c_i, c_j, c_k) with well-separated frequencies
+    and c_k |c|^2 bounded away from 0, so the transcendental integrals stay
+    numerically alive."""
+    norm = np.sqrt(np.vecdot(c, c))
+    ack = np.abs(c[..., 2])
+    # np.hypot may round differently from math.hypot in the last bit, but
+    # at the default thresholds a row with rho near min_gap and
+    # |c_k| >= min_ck fails the gap test: |c| - |c_k| = rho^2 / (|c| + |c_k|)
+    # <= 0.05 there
+    rho = np.hypot(c[..., 0], c[..., 1])
+    return ((ack >= min_ck) & (norm - ack >= min_gap) & (rho >= min_gap)
+            & (ack * norm * norm >= min_prod))
+
+
+def sample_generic_state(data, rng, n=None, min_comp=0.05):
+    """Random tangent states with generic Z and V hitting every unit frame
+    direction by at least min_comp: one state with no batch axis when n is
+    None, else n states along a leading axis.
+
+    Each state is a rejection draw: Z uniform on [-2, 2]^3 until
+    `_generic_Z` holds, then V uniform on [-1, 1]^dim_v, and a new Z if V
+    misses a unit frame row by less than min_comp, then v and z uniform on
+    [-1, 1].  All n draws are read off one buffer u of rng.random doubles
+    (uniform(lo, hi) is lo + (hi - lo) u): the Z and V tests are made at
+    every offset of u at once, and a walk over the offsets, 3 doubles per
+    rejected Z, 3 + dim_v per rejected V, 3 + 2 dim_v + dim_z per state,
+    finds the states.  The buffer doubles when the walk runs out.  The RNG
+    is then reset and advanced by the doubles the walk used, so the states
+    and the RNG state after the call are those of n one-state calls.
+    """
     dv, dz = data.alg.dim_v, data.alg.dim_z
+    width = 3 + 2 * dv + dz
+    jump = (3, 3 + dv, width)  # rejected Z, rejected V, accepted
+    count = 1 if n is None else n
+    saved = rng.bit_generator.state
+    u = rng.random(_DRAWS_PER_STATE * count + width)
     while True:
-        Z = sample_generic_Z(rng)
-        unit, _, _ = _unit_frame(data, Z)
-        V = rng.uniform(-1.0, 1.0, size=dv)
-        if np.min(np.abs(unit @ V)) < min_comp:
-            continue
-        v = rng.uniform(-1.0, 1.0, size=dv)
-        z = rng.uniform(-1.0, 1.0, size=dz)
-        return TangentState(v, z, V, Z)
+        # uniform(-1, 1) draws; u is a multiple of 2^-53, so -1 + 2u and
+        # the uniform(-2, 2) draw -2 + 4u = 2 b are exact
+        b = -1.0 + 2.0 * u
+        offsets = u.size - width + 1
+        # row p is b[p:p + width], a sliding-window view of b
+        rows = np.ndarray((offsets, width), float, b, 0, (b.itemsize,) * 2)
+        Z = 2.0 * rows[:, :3]
+        z_ok = np.flatnonzero(_generic_Z(Z))
+        unit, _, _ = _unit_frame(data, Z[z_ok])
+        comp = np.abs(unit @ rows[z_ok, 3:3 + dv, None]).min(axis=(-2, -1))
+        outcome = np.zeros(offsets, np.intp)
+        outcome[z_ok] = 1 + (comp >= min_comp)
+        outcome = outcome.tolist()
+        pos, found = 0, []
+        while len(found) < count and pos < offsets:
+            if outcome[pos] == 2:
+                found.append(pos)
+            pos += jump[outcome[pos]]
+        if len(found) == count:
+            break
+        u = np.concatenate([u, rng.random(u.size)])
+    rng.bit_generator.state = saved
+    rng.random(pos)
+    row = rows[found[0] if n is None else found]
+    return TangentState(row[..., 3 + dv:3 + 2 * dv], row[..., 3 + 2 * dv:],
+                        row[..., 3:3 + dv], 2.0 * row[..., :3])

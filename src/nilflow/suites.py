@@ -167,7 +167,7 @@ def run_flow(seed, tol=None):
     m, mp = build_pair()
     t = 10.0
     for data in (m, mp):
-        states = _stack(data.alg, [sample_generic_state(data, rng) for _ in range(100)])
+        states = sample_generic_state(data, rng, 100)
         steps = int(round(t * tol.rk4_steps_per_unit))
         ends = flow_rk4_many(data.alg, states.flat(), t, steps)
         v_e, V_e = flow_exact_vV(eigenframe(data, states.Z), states.v, states.V, t)
@@ -197,14 +197,11 @@ def run_integrals(seed, tol=None):
     alg = m.alg
 
     # conservation along exact trajectories, unit speed; each block of
-    # states is drawn first and then evaluated in one batched call
+    # states is drawn in one call and then evaluated in one batched call
     ts = np.arange(1.0, 21.0)
-    starts = []
-    for _ in range(1000):
-        s = sample_generic_state(m, rng)
-        scale = 1.0 / np.sqrt(s.speed2)
-        starts.append(TangentState(s.v, s.z, scale * s.V, scale * s.Z))
-    starts = _stack(alg, starts)
+    s = sample_generic_state(m, rng, 1000)
+    scale = 1.0 / np.sqrt(s.speed2)[:, None]
+    starts = TangentState(s.v, s.z, scale * s.V, scale * s.Z)
     vs, Vs = flow_exact_vV(eigenframe(m, starts.Z[:, None]), starts.v[:, None],
                            starts.V[:, None], ts)
     vals = evaluate_integrals(
@@ -220,7 +217,7 @@ def run_integrals(seed, tol=None):
     )
 
     # Poisson commutation of all 28 pairs + a nonzero sanity pair
-    states = _stack(alg, [sample_generic_state(m, rng) for _ in range(1000)])
+    states = sample_generic_state(m, rng, 1000)
     mat = poisson_matrix(alg, states, tol.fd_step)
     iu = np.triu_indices(8, k=1)
     worst = float(np.max(np.abs(mat[:, iu[0], iu[1]])))
@@ -244,7 +241,7 @@ def run_integrals(seed, tol=None):
     )
 
     # functional independence
-    states = _stack(alg, [sample_generic_state(m, rng) for _ in range(1000)])
+    states = sample_generic_state(m, rng, 1000)
     ranks = independence_rank(alg, states, tol.fd_step, tol.svd_threshold)
     full = int(np.sum(ranks == 8))
     report.add(

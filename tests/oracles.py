@@ -4,12 +4,12 @@ paths against.  None of this is used by the package itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, hypot, sqrt
 
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.flow import TangentState, eigenframe, flow_exact_vV
+from nilflow.flow import TangentState, _unit_frame, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
@@ -166,6 +166,38 @@ def draw_regular_z(alg, rng):
         cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
         if cand[-1] != 0:
             return cand
+
+
+def generic_z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):
+    """Whether Z = c has well-separated frequencies and c_k |c|^2 bounded
+    away from 0, one Z at a time (the oracle for flow._generic_Z)."""
+    ci, cj, ck = c
+    norm = sqrt(float(c @ c))
+    return not (abs(ck) < min_ck or norm - abs(ck) < min_gap
+                or hypot(ci, cj) < min_gap or abs(ck) * norm * norm < min_prod)
+
+
+def sample_generic_Z(rng):
+    """Draw a generic Z, one rng call per candidate."""
+    while True:
+        c = rng.uniform(-2.0, 2.0, size=3)
+        if generic_z(c):
+            return c
+
+
+def sample_generic_state(data, rng, min_comp=0.05):
+    """One generic state by a rejection draw, one rng call per quantity
+    (the oracle for the batched draw of flow.sample_generic_state)."""
+    dv, dz = data.alg.dim_v, data.alg.dim_z
+    while True:
+        Z = sample_generic_Z(rng)
+        unit, _, _ = _unit_frame(data, Z)
+        V = rng.uniform(-1.0, 1.0, size=dv)
+        if np.min(np.abs(unit @ V)) < min_comp:
+            continue
+        v = rng.uniform(-1.0, 1.0, size=dv)
+        z = rng.uniform(-1.0, 1.0, size=dz)
+        return TangentState(v, z, V, Z)
 
 
 def span_projector(rows):

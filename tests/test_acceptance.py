@@ -20,7 +20,7 @@ BUDGETS = {
     "algebra": 1.0,       # criterion 1
     "spectral": 3.0,      # criteria 2 + 3
     "flow": 1.0,          # criterion 7
-    "integrals": 2.0,     # criteria 4 + 5 + 6
+    "integrals": 1.0,     # criteria 4 + 5 + 6
     "periodicity": 3.0,   # criteria 8 + 9 + 10
     "criteria": 3.0,      # criterion 11
     "cih": 1.0,           # criterion 12

@@ -327,11 +327,15 @@ def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
 
 @pytest.mark.parametrize("selector", [
     "defo:1/0", "defo:nan", "defo:inf", "defo:-inf", "defo:1e400",
-    "defo:1e-400", "defo:1e300",
+    "defo:1e-400", "defo:1e300", "defo:1e-1000000", "defo:1e1000000",
+    "defo:1e-31", "defo:1e31",
 ])
 def test_bad_deformation_t_is_usage_error(selector, capsys):
+    # a huge exponent is rejected from the string, before 10**exponent is built
+    t0 = time.perf_counter()
     code = main(["flow", "--manifold", selector, "--method", "rk4",
                  "--state", DEFO_STATE])
+    assert time.perf_counter() - t0 < 0.05
     err = capsys.readouterr()
     assert code == EXIT_USAGE and err.out == ""
     assert "Traceback" not in err.err

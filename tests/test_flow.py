@@ -1,5 +1,6 @@
 """Geodesic flow: eigenframes, closed-form propagation, RK4 cross-checks."""
 
+import math
 from math import pi, sqrt
 
 import numpy as np
@@ -17,12 +18,12 @@ from nilflow.flow import (
     flow_exact_vV,
     flow_rk4,
     flow_rk4_many,
-    sample_generic_Z,
     sample_generic_state,
     state_from_flat,
 )
 from nilflow.lie_core import j_matrix_np
-from oracles import flow_exact_quadrature, rk4_loop
+import oracles
+from oracles import flow_exact_quadrature, rk4_loop, sample_generic_Z
 
 M, MP = build_pair()
 
@@ -179,11 +180,68 @@ def test_sampler_draws_as_a_rejection_on_the_eigenframe(data, monkeypatch):
     # the reference above holds its own binding of eigenframe
     monkeypatch.setattr(flow, "eigenframe", no_frame)
     got_rng, want_rng = np.random.default_rng(41), np.random.default_rng(41)
-    for _ in range(500):
-        got = sample_generic_state(data, got_rng)
-        want = reference(want_rng)
-        assert np.array_equal(got.flat(), want.flat())
+    got = sample_generic_state(data, got_rng, 500)
+    want = [reference(want_rng) for _ in range(500)]
+    assert np.array_equal(got.flat(), np.stack([w.flat() for w in want]))
     assert got_rng.random() == want_rng.random()
+
+
+def test_generic_Z_mask_matches_the_scalar_rule():
+    # np.hypot and math.hypot round these (c_i, c_j) to opposite sides of
+    # min_gap = 0.1; the gap test decides such rows, so the mask still
+    # agrees with the scalar rule
+    gap = [(float.fromhex(a), float.fromhex(b)) for a, b in (
+        ("0x1.4f1a33972fda0p-4", "0x1.d713eb3408700p-5"),
+        ("0x1.71b7942559c80p-6", "0x1.8f08fa7f8caa0p-4"),
+        ("0x1.77ac493b78180p-5", "0x1.6bfdc0d08a0a0p-4"),
+    )]
+    assert all((np.hypot(a, b) < 0.1) != (math.hypot(a, b) < 0.1) for a, b in gap)
+    rows = np.concatenate([
+        np.array([[a, b, 1.0] for a, b in gap]),
+        np.random.default_rng(8).uniform(-2.0, 2.0, size=(2000, 3)),
+    ])
+    assert flow._generic_Z(rows).tolist() == [oracles.generic_z(r) for r in rows]
+
+
+def _replay_cases():
+    for data in (M, MP):
+        for bits in (np.random.Philox, np.random.PCG64):
+            for seed in (16, 42, 1770871321):
+                for n in (None, 1, 2, 100, 1000):
+                    yield pytest.param(
+                        data, bits, seed, n, None,
+                        id=f"{data.name}-{bits.__name__}-{seed}-{n}")
+    # one double per state plus one state's width cannot hold n >= 2 draws,
+    # so the buffer doubles until the walk finds every state
+    for n in (2, 100):
+        yield pytest.param(M, np.random.PCG64, 42, n, 1, id=f"regrow-{n}")
+
+
+@pytest.mark.parametrize("data,bits,seed,n,per_state", list(_replay_cases()))
+def test_batched_sampler_replays_the_per_state_stream(data, bits, seed, n,
+                                                      per_state, monkeypatch):
+    if per_state is not None:
+        monkeypatch.setattr(flow, "_DRAWS_PER_STATE", per_state)
+    got_rng = np.random.Generator(bits(seed))
+    want_rng = np.random.Generator(bits(seed))
+    got = sample_generic_state(data, got_rng, n)
+    want = [oracles.sample_generic_state(data, want_rng)
+            for _ in range(1 if n is None else n)]
+    for field in "vzVZ":
+        rows = np.stack([getattr(w, field) for w in want])
+        assert np.array_equal(getattr(got, field), rows[0] if n is None else rows)
+    assert np.array_equal(got_rng.random(4), want_rng.random(4))
+
+
+def test_speed2_is_batched():
+    states = sample_generic_state(M, np.random.default_rng(3), 50)
+    speed2 = states.speed2
+    assert speed2.shape == (50,)
+    for i in range(50):
+        one = TangentState(states.v[i], states.z[i], states.V[i], states.Z[i])
+        assert isinstance(one.speed2, float)
+        assert one.speed2 == speed2[i] == float(
+            states.V[i] @ states.V[i] + states.Z[i] @ states.Z[i])
 
 
 def test_moments_across_the_series_switch():

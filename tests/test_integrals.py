@@ -240,3 +240,21 @@ def test_run_integrals_batches_every_check(monkeypatch):
     assert len(rows) == 16
     assert sum(rows) == 1000 * 21 + 1000 * (4 * 8 + 2 * 8) + 1100 * 4 * 8
     assert report.passed
+
+
+def test_suites_draw_each_block_in_one_call(monkeypatch):
+    # flow draws 100 states per manifold, integrals its three blocks of
+    # 1000, each in one sampler call (the sanity state is a one-state call)
+    blocks = []
+
+    def counting(data, rng, n=None, **kw):
+        if n is not None:
+            blocks.append(n)
+        return sample_generic_state(data, rng, n, **kw)
+
+    monkeypatch.setattr(suites, "sample_generic_state", counting)
+    assert suites.run_suite("flow", 42).passed
+    assert blocks == [100, 100]
+    blocks.clear()
+    assert suites.run_suite("integrals", 42).passed
+    assert blocks == [1000, 1000, 1000]
