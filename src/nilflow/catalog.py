@@ -30,7 +30,9 @@ _V_UNITS = [("X", _I), ("X", _J), ("Y", _I), ("Y", _J), ("Y", _K)]
 class NilmanifoldData:
     """A compact two-step nilmanifold: algebra plus lattice data.
 
-    lattice_v is the lattice in v, lattice_z the lattice in z.
+    lattice_v is the lattice in v, lattice_z the lattice in z.  split =
+    (X-block, Y-block, z-functional) indexes the injective presentation;
+    has_integrals marks the manifold with the eight integrals of `integrals`.
 
     frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
     over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
@@ -48,6 +50,8 @@ class NilmanifoldData:
     alg: AlgebraData
     lattice_v: RationalLattice
     lattice_z: RationalLattice
+    split: tuple
+    has_integrals: bool = False
     frame: object = None
     drift: object = None
     pin: object = None
@@ -174,10 +178,12 @@ def build_pair():
 def _build_pair():
     alg, alg_p = _pair_algebras()
     lat_v, lat_z = _standard_lattices(5, 3)
+    split = ((0, 1), (2, 3, 4), _K)
     return (
-        NilmanifoldData("M", alg, lat_v, lat_z, _frame_M, _drift_M, _pin_M),
-        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, _frame_Mprime,
-                        _drift_Mprime, _pin_Mprime),
+        NilmanifoldData("M", alg, lat_v, lat_z, split, True, _frame_M,
+                        _drift_M, _pin_M),
+        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, split, False,
+                        _frame_Mprime, _drift_Mprime, _pin_Mprime),
     )
 
 
@@ -192,7 +198,8 @@ def build_deformation(t):
     for p, q, r in ((0, 2, 0), (1, 3, 0), (0, 3, 1)):
         s[p][q][r], s[q][p][r] = 1, -1
     alg = AlgebraData(4, 2, ("X_1", "X_2", "Y_1", "Y_2"), ("Z_1", "Z_2"), s)
-    return NilmanifoldData(f"defo:{t}", alg, *_standard_lattices(4, 2))
+    return NilmanifoldData(f"defo:{t}", alg, *_standard_lattices(4, 2),
+                           ((0, 1), (2, 3), 0))
 
 
 def _deformation_t(raw):

@@ -21,7 +21,6 @@ from .catalog import get_manifold
 from .criteria import (
     MAX_CIH_BOUND,
     butler_nonintegrability_sample,
-    canonical_split,
     check_hr_presentation,
     cih_certificate,
 )
@@ -95,6 +94,16 @@ def _emit(text, out_path):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _fail(kind, message, code):
+    """Print the one stderr line "kind: message", the message cut to 200
+    characters ending in "…" (messages quote what was typed, a selector, a
+    number, a label or a path, whatever its length); return code."""
+    message = str(message)
+    message = f"{message[:199]}…" if len(message) > 200 else message
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
 
 
 def _require(ok, message):
@@ -196,14 +205,10 @@ def cmd_closed_geodesic(args):
     return EXIT_PASS if geo.rotation_exact else EXIT_CHECK_FAILURE
 
 
-def _require_M(data):
-    _require(data.name == "M",
-             f"the eight integrals are integrals of M, not of {data.name}")
-
-
 def cmd_integrals(args):
     data = get_manifold(args.manifold)
-    _require_M(data)
+    _require(data.has_integrals,
+             f"the eight integrals are integrals of M, not of {data.name}")
     state = _read_state_arg(data.alg, args)
     vals = evaluate_integrals(state)
     doc = {name: fmt_value(float(x)) for name, x in zip(INTEGRAL_NAMES, vals)}
@@ -213,7 +218,8 @@ def cmd_integrals(args):
 
 def cmd_poisson(args):
     data = get_manifold(args.manifold)
-    _require_M(data)
+    _require(data.has_integrals,
+             f"the eight integrals are integrals of M, not of {data.name}")
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     mat = poisson_matrix(data.alg, state, tol.fd_step)
@@ -237,7 +243,7 @@ def cmd_poisson(args):
 def cmd_criteria(args):
     report = Report("criteria-cmd", args.seed, [args.manifold])
     data = get_manifold(args.manifold)
-    cert = check_hr_presentation(data.alg, canonical_split(data.alg))
+    cert = check_hr_presentation(data.alg, data.split)
     report.add_certificate(cert)
     rng = np.random.Generator(np.random.Philox(args.seed))
     cert, _ = butler_nonintegrability_sample(data.alg, 1000, rng)
@@ -263,8 +269,7 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors are one stderr line and exit 2."""
 
     def error(self, message):
-        print(f"usage error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        sys.exit(_fail("usage error", message, EXIT_USAGE))
 
 
 def build_parser():
@@ -350,17 +355,13 @@ def main(argv=None):
     except DegenerateFrequencyError as e:
         hint = ("; --method rk4 handles degenerate Z"
                 if getattr(args, "method", None) == "exact" else "")
-        print(f"degenerate input: {e}{hint}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _fail("degenerate input", f"{e}{hint}", EXIT_DEGENERATE)
     except ConstructionError as e:
-        print(f"construction failure: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        return _fail("construction failure", e, EXIT_CONSTRUCTION)
     except (ValueError, KeyError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("usage error", e, EXIT_USAGE)
     except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("I/O error", e, EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ certificate.
 
 Three independent diagnostics that separate the pair:
   * an injective presentation (x, y, c) of the algebra, sufficient for
-    integrability of the geodesic flow — the canonical split passes on M
+    integrability of the geodesic flow — the manifolds' split passes on M
     and fails on M';
   * the coadjoint-centralizer condition (positive-dimensional
     [n_lambda, n_mu] for regular lambda, mu), sufficient for
@@ -26,18 +26,9 @@ from .report import Certificate
 from .spectral import char_poly_identity_check
 
 
-def canonical_split(alg):
-    """(x, y, k): the indices of the X-block and of the Y-block of v, and of
-    the distinguished functional on z, Z_k for the pair and Z_1 for the
-    deformation family."""
-    nx = sum(1 for n in alg.v_names if n.startswith("X"))
-    return (list(range(nx)), list(range(nx, alg.dim_v)),
-            2 if alg.dim_z == 3 else 0)
-
-
 def check_hr_presentation(alg, split):
     """Exact certificate for an injective presentation, read off the integer
-    structure tensor T on the split (x, y, k) of `canonical_split`:
+    structure tensor T on a split (x, y, k), a manifold's `split`:
     [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x."""
     cert = Certificate("hr_injective_presentation", "algebra")
     x, y, k = split

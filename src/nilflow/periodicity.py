@@ -28,7 +28,7 @@ from .flow import (
     flow_exact_state,
     state_from_flat,
 )
-from .integrals import evaluate_integrals
+from .integrals import left_gradients_all
 from .lie_core import bracket_v_np, lattice_contains
 
 
@@ -76,26 +76,31 @@ def _frame_coefficients(data, Z, V):
 
 
 def translational_element_expanded(data, state, tau):
-    """The same element in closed form, written in the orthogonal z-basis
-    (Z_c, D, W) with D = -c_j Z_i + c_i Z_j and
-    W = c_k (c_i Z_i + c_j Z_j) - (c_i^2 + c_j^2) Z_k."""
-    ci, cj, ck = (float(x) for x in state.Z)
-    rho2 = ci * ci + cj * cj
-    n2 = rho2 + ck * ck
+    """The same element in closed form, `_exact_element` at m = 1 with r =
+    tau beta, t = tau (1 + |V_perp|^2 / (2 |c|^2)), P_D = tau beta g_D and
+    P_W = tau (-|V_ck|^2 / (2 c_k |c|^2) + beta g_W)."""
+    c = tuple(float(x) for x in state.Z)
+    ci, cj, ck = c
+    n2 = ci * ci + cj * cj + ck * ck
     al, sq = _frame_coefficients(data, state.Z, state.V)
     beta = al[4]
     v_ck2 = al[0] ** 2 * sq[0] + al[1] ** 2 * sq[1]
     vperp2 = v_ck2 + al[2] ** 2 * sq[2] + al[3] ** 2 * sq[3]
-    g_d, g_w = data.drift((ci, cj, ck), state.v, al, n2)
-    coef_c = tau * (1.0 + vperp2 / (2.0 * n2))
-    coef_d = tau * beta * g_d
-    coef_w = tau * (-v_ck2 / (2.0 * ck * n2) + beta * g_w)
-    zc = np.array([ci, cj, ck])
-    d = np.array([-cj, ci, 0.0])
-    w = np.array([ck * ci, ck * cj, -rho2])
-    a_v = tau * beta * np.array([0.0, 0.0, ci, cj, ck])
-    a_z = coef_c * zc + coef_d * d + coef_w * w
-    return a_v, a_z
+    g_d, g_w = data.drift(c, state.v, al, n2)
+    a_v, a_z = _exact_element(
+        c, tau * beta, tau * (1.0 + vperp2 / (2.0 * n2)), tau * beta * g_d,
+        tau * (-v_ck2 / (2.0 * ck * n2) + beta * g_w), 1)
+    return np.array(a_v, float), np.array(a_z, float)
+
+
+def flow_translation(data, state, tau):
+    """(t_v, t_z, end): the translation gamma(tau) gamma(0)^{-1} read off
+    the exact flow from state (batched over its leading axes), and the end
+    state itself."""
+    end = flow_exact_state(data, state, tau)
+    t_v = end.v - state.v
+    t_z = end.z - state.z - 0.5 * bracket_v_np(data.alg, end.v, state.v)
+    return t_v, t_z, end
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,9 @@ class ClosedGeodesic:
 
 
 def _exact_element(c, r, t, P_D, P_W, m):
+    """m times the translational element with data (r, t, P_D, P_W) in the
+    z-basis (Z_c, D, W), D = -c_j Z_i + c_i Z_j and W = c_k (c_i Z_i +
+    c_j Z_j) - (c_i^2 + c_j^2) Z_k; on Fractions or on floats."""
     ci, cj, ck = c
     rho2 = ci * ci + cj * cj
     a_v = (Fraction(0), Fraction(0), m * r * ci, m * r * cj, m * r * ck)
@@ -355,9 +363,7 @@ def _closure_constraints(data, geo):
 
     def F(flat):
         s = state_from_flat(data.alg, flat)
-        end = flow_exact_state(data, s, tau)
-        t_v = end.v - s.v
-        t_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
+        t_v, t_z, end = flow_translation(data, s, tau)
         return np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V], axis=-1)
 
     return F
@@ -384,15 +390,6 @@ def family_dimension(jac, svd_threshold=1e-6):
     return nullity, sv
 
 
-def _coordinate_gradients(alg, state, h=1e-6):
-    """Plain coordinate-space gradients of the eight integrals, (8, 16)."""
-    x0 = state.flat()
-    step = h * np.eye(x0.size)
-    fp = evaluate_integrals(state_from_flat(alg, x0 + step))
-    fm = evaluate_integrals(state_from_flat(alg, x0 - step))
-    return (fp - fm).T / (2 * h)
-
-
 def invariant_fiber_codim(data, geo, jac, svd_threshold=1e-6):
     """Rank of the integral gradients restricted to the family's tangent
     space, the kernel of the closure Jacobian `jac` at geo; 1 means the
@@ -402,7 +399,9 @@ def invariant_fiber_codim(data, geo, jac, svd_threshold=1e-6):
     _, sv, vt = np.linalg.svd(jac)
     null_rows = vt[np.concatenate([sv <= svd_threshold * sv[0],
                                    np.ones(vt.shape[0] - sv.size, bool)])]
-    grads = _coordinate_gradients(data.alg, geo.state)
+    # no integral reads z, so the left gradients (B, A) are the plain
+    # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns
+    grads = np.concatenate(left_gradients_all(data.alg, geo.state), axis=-1)
     norms = np.linalg.norm(grads, axis=1)
     grads = grads / np.where(norms > 0, norms, 1.0)[:, None]
     proj = grads @ null_rows.T  # (8, nullity)

@@ -185,14 +185,32 @@ def _char_poly_mismatches(alg, alg_p, cs, claimed=True):
     return np.nonzero(differs)[0]
 
 
+def _same_saturated_kernels(alg, cs, kers, kers_p):
+    """Per integer row c of cs, whether the saturated integer kernel bases
+    kers and kers_p (`j_kernels`) span one lattice: exactly when their ranks
+    agree and j(Z_c) kills kers_p.  In int64, checked against overflow."""
+    owner = np.repeat(np.arange(len(cs)), [len(k) for k in kers_p])
+    vecs = np.array([w for k in kers_p for w in k], np.int64)
+    vecs = vecs.reshape(-1, alg.dim_v)
+    mats = j_matrices(alg, cs)[owner]
+    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(vecs).max(initial=0))
+    if alg.dim_v * bound >= 2**62:
+        raise OverflowError("kernel vectors too large for int64 products")
+    moved = np.any(np.einsum("nqp,np->nq", mats, vecs) != 0, axis=1)
+    same = np.array([len(a) == len(b) for a, b in zip(kers, kers_p)])
+    same[owner[moved]] = False
+    return same
+
+
 def gw_certificate(pair, r2, dual_bound, rng=None):
     """Certificate for the isospectrality hypotheses of the pair.
 
     (a) char-poly equality of j(Z), j'(Z) on a deterministic grid plus all
         dual-lattice Z with bounded coordinates (and random samples when an
         rng is supplied); (b) [M,M] inside 2*Lambda for both brackets,
-        exactly; (c) kernel-lattice length-spectrum equality up to r2 for
-        bounded dual-lattice Z.
+        exactly; (c) for bounded dual-lattice Z, equality of the kernel
+        lattices, decided in integers, and where they differ, equality of
+        their length spectra up to r2.
     """
     m_data, mp_data = pair
     alg, alg_p = m_data.alg, mp_data.alg
@@ -224,21 +242,19 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
     if any(data.lattice_v.basis != eye for data in pair):
         raise ValueError("gw_certificate needs lattice_v = Z^dim_v")
     spectra_checked = 0
-    identical_lattices = 0
     kers = j_kernels(alg, dual_pts)
     kers_p = j_kernels(alg_p, dual_pts)
-    for c, ker, ker_p in zip(dual_pts.tolist(), kers, kers_p):
-        if lx.rref(ker)[0] == lx.rref(ker_p)[0]:  # saturated: same span
-            identical_lattices += 1
-            continue
-        sp = length_spectrum(RationalLattice(n, ker), r2)
-        sp_p = length_spectrum(RationalLattice(n, ker_p), r2)
+    same = _same_saturated_kernels(alg, dual_pts, kers, kers_p)
+    identical_lattices = int(same.sum())
+    for i in np.flatnonzero(~same).tolist():
+        sp = length_spectrum(RationalLattice(n, kers[i]), r2)
+        sp_p = length_spectrum(RationalLattice(n, kers_p[i]), r2)
         spectra_checked += 1
         if sp != sp_p:
             cert.add(
                 "kernel_lattice_length_spectra",
                 False,
-                value={"witness_c": c},
+                value={"witness_c": dual_pts[i].tolist()},
                 tolerance=r2,
             )
             return cert

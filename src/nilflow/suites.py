@@ -15,25 +15,23 @@ from . import spectral
 from .catalog import build_deformation, build_pair
 from .criteria import (
     butler_nonintegrability_sample,
-    canonical_split,
     check_hr_presentation,
     cih_certificate,
 )
 from .flow import (
     TangentState,
     eigenframe,
-    flow_exact_state,
     flow_exact_vV,
     flow_rk4_many,
     sample_generic_state,
     state_from_flat,
 )
 from .integrals import evaluate_integrals, independence_rank, poisson_matrix
-from .lie_core import bracket_v_np
 from .periodicity import (
     closure_jacobian,
     construct_closed_geodesic,
     family_dimension,
+    flow_translation,
     invariant_fiber_codim,
     translational_element,
     translational_element_expanded,
@@ -73,25 +71,23 @@ def _tol(tol):
 
 def _expected_j(c):
     ci, cj, ck = c
-    z = Fraction(0)
     return [
-        [z, z, z, -ck, cj],
-        [z, z, ck, z, -ci],
-        [z, -ck, z, z, z],
-        [ck, z, z, z, z],
-        [-cj, ci, z, z, z],
+        [0, 0, 0, -ck, cj],
+        [0, 0, ck, 0, -ci],
+        [0, -ck, 0, 0, 0],
+        [ck, 0, 0, 0, 0],
+        [-cj, ci, 0, 0, 0],
     ]
 
 
 def _expected_jp(c):
     ci, cj, ck = c
-    z = Fraction(0)
     return [
-        [z, -ck, z, z, z],
-        [ck, z, z, z, z],
-        [z, z, z, -ck, cj],
-        [z, z, ck, z, -ci],
-        [z, z, -cj, ci, z],
+        [0, -ck, 0, 0, 0],
+        [ck, 0, 0, 0, 0],
+        [0, 0, 0, -ck, cj],
+        [0, 0, ck, 0, -ci],
+        [0, 0, -cj, ci, 0],
     ]
 
 
@@ -101,13 +97,8 @@ def run_algebra(seed, tol=None):
     report = Report("algebra", seed, ["M", "Mprime"])
     m, mp = build_pair()
     cs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-    ok = True
-    for c in cs:
-        cf = [Fraction(x) for x in c]
-        if j_matrix(m.alg, cf) != _expected_j(cf):
-            ok = False
-        if j_matrix(mp.alg, cf) != _expected_jp(cf):
-            ok = False
+    ok = all(j_matrix(m.alg, c) == _expected_j(c)
+             and j_matrix(mp.alg, c) == _expected_jp(c) for c in cs)
     report.add(
         "golden_j_matrices",
         ok,
@@ -308,22 +299,11 @@ def run_periodicity(seed, tol=None):
                 float(np.max(np.abs(a1v - a2v))),
                 float(np.max(np.abs(a1z - a2z))),
             )
-            end = flow_exact_state(data, s, geo.tau)
-            o_v = end.v - s.v
-            o_z = end.z - s.z - 0.5 * bracket_v_np(data.alg, end.v, s.v)
-            worst_flow = max(
-                worst_flow,
-                float(np.max(np.abs(a1v - o_v))),
-                float(np.max(np.abs(a1z - o_z))),
-            )
-            # and both match the exact rational element
-            ev = np.array([float(x) for x in geo.a_v])
-            ez = np.array([float(x) for x in geo.a_z])
-            worst_flow = max(
-                worst_flow,
-                float(np.max(np.abs(a1v - ev))),
-                float(np.max(np.abs(a1z - ez))),
-            )
+            # both match the flow oracle and the exact rational element
+            exact = (np.array(geo.a_v, float), np.array(geo.a_z, float))
+            for o_v, o_z in (flow_translation(data, s, geo.tau)[:2], exact):
+                worst_flow = max(worst_flow, float(np.max(np.abs(a1v - o_v))),
+                                 float(np.max(np.abs(a1z - o_z))))
     report.add(
         "translational_forms_agree", worst_forms <= 1e-10,
         value=worst_forms, tolerance=1e-10,
@@ -388,12 +368,9 @@ def run_criteria(seed, tol=None):
     rng = _rng(seed, "criteria")
     m, mp = build_pair()
 
-    cert_m = check_hr_presentation(m.alg, canonical_split(m.alg))
-    cert_mp = check_hr_presentation(mp.alg, canonical_split(mp.alg))
-    cert_defo = check_hr_presentation(
-        build_deformation(Fraction(1, 3)).alg,
-        canonical_split(build_deformation(Fraction(1, 3)).alg),
-    )
+    defo = build_deformation(Fraction(1, 3))
+    cert_m, cert_mp, cert_defo = (check_hr_presentation(d.alg, d.split)
+                                  for d in (m, mp, defo))
     report.add("hr_presentation_M_passes", cert_m.passed)
     report.add(
         "hr_presentation_Mprime_fails_canonical_split", not cert_mp.passed,

@@ -101,6 +101,21 @@ def test_get_manifold_selectors():
         get_manifold("bogus")
 
 
+def test_split_and_integrals_are_manifold_data():
+    # (X-block, Y-block, z-functional) of the injective presentation, and
+    # whether the manifold carries the eight integrals
+    d = get_manifold("defo:1/3")
+    assert (M.split, M.has_integrals) == (((0, 1), (2, 3, 4), 2), True)
+    assert (MP.split, MP.has_integrals) == (((0, 1), (2, 3, 4), 2), False)
+    assert (d.split, d.has_integrals) == (((0, 1), (2, 3), 0), False)
+    for data, z_name in ((M, "Z_k"), (MP, "Z_k"), (d, "Z_1")):
+        x, y, k = data.split
+        names = data.alg.v_names
+        assert [names[i][0] for i in x + y] == ["X"] * len(x) + ["Y"] * len(y)
+        assert sorted(x + y) == list(range(data.alg.dim_v))
+        assert data.alg.z_names[k] == z_name
+
+
 @pytest.mark.parametrize("data, free", [(M, [0, 1]), (MP, [2, 3, 4])])
 def test_pin_inverts_drift(data, free):
     # pin solves the free base coordinates for a requested (g_D, g_W)

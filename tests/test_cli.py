@@ -343,6 +343,33 @@ def test_bad_deformation_t_is_usage_error(selector, capsys):
     assert err.err.startswith("usage error: ") and selector in err.err
 
 
+LONG = 5_000
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["flow", "--manifold", "defo:1e" + "9" * LONG, "--state", DEFO_STATE],
+     EXIT_USAGE, "usage error"),
+    (["flow", "--manifold", "defo:" + "x" * LONG, "--state", DEFO_STATE],
+     EXIT_USAGE, "usage error"),
+    (["flow", "--manifold", "Q" * LONG, "--state", PAIR_STATE],
+     EXIT_USAGE, "usage error"),
+    (["integrals", "--state", "v: " + "x" * LONG + PAIR_STATE[4:]],
+     EXIT_USAGE, "usage error"),
+    (["integrals", "--state", "Q" * LONG + ": nan; " + PAIR_STATE],
+     EXIT_USAGE, "usage error"),
+    (["flow", "--config", "/nonexistent/" + "x" * LONG, "--state",
+      PAIR_STATE], EXIT_IO, "I/O error"),
+])
+def test_error_line_is_bounded_whatever_the_input(argv, code, kind, capsys):
+    # each message quotes a 5,000-character input; the line is cut, not it
+    assert main(argv) == code
+    err = capsys.readouterr()
+    assert err.out == ""
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{kind}: ")
+    assert len(lines[0]) <= 240 and lines[0].endswith("…")
+
+
 def test_config_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rk4_steps_per_unit": 10}))

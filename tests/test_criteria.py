@@ -18,7 +18,6 @@ from nilflow.criteria import (
     _projectors_exact,
     _span_keys,
     butler_nonintegrability_sample,
-    canonical_split,
     check_hr_presentation,
     cih_certificate,
     minimal_centralizer_dim,
@@ -36,19 +35,15 @@ M, MP = build_pair()
 
 
 def test_hr_presentation_separates_the_pair():
-    assert check_hr_presentation(M.alg, canonical_split(M.alg)).passed
-    cert = check_hr_presentation(MP.alg, canonical_split(MP.alg))
+    assert check_hr_presentation(M.alg, M.split).passed
+    cert = check_hr_presentation(MP.alg, MP.split)
     assert not cert.passed
     assert cert.first_failure().name == "bracket_xx_zero"
 
 
 def test_hr_presentation_deformation():
     d = build_deformation(Fraction(1, 2))
-    assert check_hr_presentation(d.alg, canonical_split(d.alg)).passed
-
-
-def test_canonical_split_shape():
-    assert canonical_split(M.alg) == ([0, 1], [2, 3, 4], 2)
+    assert check_hr_presentation(d.alg, d.split).passed
 
 
 def test_centralizer_example_Mprime_Zk():

@@ -1,0 +1,88 @@
+"""What the benchmark reads of the program: the traced names, the argument
+names its counter hooks bind, the certificate checks they read and the
+manifolds its set-up builds.  perfbench is loaded from its files and left
+unchanged; a refactor that breaks one of these fails here instead of only
+in a traced benchmark run."""
+
+import importlib.util
+import inspect
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nilflow
+from nilflow import criteria, flow, periodicity, spectral
+from nilflow.catalog import build_deformation, build_pair, get_manifold
+from nilflow.flow import TangentState, sample_generic_state
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+M, MP = build_pair()
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod  # layers imports tracer by this name
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracer = _load("tracer")
+layers = _load("layers")
+
+
+def _hooked(fn, *args, **kwargs):
+    """Call fn, then its perfbench counter hook the way the tracer does
+    (arguments bound by name, defaults applied); returns the counts."""
+    name = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+    hooks = layers.make_hooks(flow.default_steps)
+    result = fn(*args, **kwargs)
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    counts = {}
+    hooks[name](counts, result, lambda: bound.arguments)
+    return counts
+
+
+def test_traced_names_are_public_functions():
+    found = tracer.public_functions(tracer.package_modules(nilflow))
+    missing = [n for n in layers.FUNCTIONS if n not in found]
+    assert missing == []
+    assert set(layers.make_hooks(flow.default_steps)) <= set(found)
+
+
+@pytest.mark.parametrize("steps, want", [(None, 1000), (7, 7)])
+def test_rk4_hooks_read_steps_and_t(steps, want):
+    state = sample_generic_state(M, np.random.default_rng(0))
+    counts = _hooked(flow.flow_rk4, M.alg, state, 1.0, steps=steps)
+    assert counts == {"flow.flow_rk4.state_steps": want}
+    flat = np.stack([state.flat()] * 3)
+    counts = _hooked(flow.flow_rk4_many, M.alg, flat, 1.0, steps=steps)
+    assert counts == {"flow.flow_rk4_many.state_steps": 3 * want}
+
+
+def test_closure_jacobian_hook_reads_geo():
+    s = sample_generic_state(M, np.random.default_rng(0))
+    target = TangentState(s.v, s.z, s.V, np.array([3.0, 0.0, 4.0]))
+    geo = periodicity.construct_closed_geodesic(
+        M, target, epsilon=0.45, bound=128, grid=128)
+    counts = _hooked(periodicity.closure_jacobian, M, geo)
+    assert counts == {"periodicity.closure_jacobian.geodesics": 1}
+
+
+def test_certificate_hooks_find_their_checks():
+    counts = _hooked(spectral.gw_certificate, (M, MP), Fraction(16), 2)
+    assert set(counts) == {"spectral.gw.enumerated", "spectral.gw.points"}
+    assert counts["spectral.gw.points"] == 27
+    counts = _hooked(criteria.cih_certificate, M, 1)
+    assert set(counts) == {"criteria.cih.distinct_spans",
+                           "criteria.cih.enumerated_V"}
+    assert counts["criteria.cih.enumerated_V"] == 3**5
+
+
+def test_setup_manifolds_build():
+    assert get_manifold("defo:3/5").alg.dim_v == 4
+    assert build_deformation(Fraction(1, 3)).alg.dim_z == 2

@@ -110,9 +110,24 @@ def test_gw_kernel_lattices_are_lattice_intersections():
             lat = spectral.lattice_intersection(
                 data.lattice_v, kernel_subspace(data.alg, c))
             assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
-    cert = spectral.gw_certificate((M, MP), Fraction(100), 4, None)
-    value = cert.checks[-1].value  # the counts of the Fraction-path version
-    assert value == {"enumerated": 24, "identical_lattices": 101}
+    # the integer equality decision against the rref comparison, and the
+    # counts that comparison gave at the suite's dual bound 6 and below
+    pts = spectral._dual_z_points(6)
+    kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
+    same = spectral._same_saturated_kernels(M.alg, pts, kers, kers_p)
+    assert same.tolist() == [lx.rref(a)[0] == lx.rref(b)[0]
+                             for a, b in zip(kers, kers_p)]
+    for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
+                          (6, {"enumerated": 48, "identical_lattices": 295})):
+        cert = spectral.gw_certificate((M, MP), Fraction(100), bound, None)
+        assert cert.checks[-1].value == counts
+
+
+def test_same_saturated_kernels_overflow_guard():
+    with pytest.raises(OverflowError):
+        spectral._same_saturated_kernels(
+            M.alg, np.array([[2, 2, 2]]), [[[0, 0, 1, 1, 1]]],
+            [[[2**61, 0, 0, 0, 0]]])
 
 
 def test_gw_certificate_needs_integer_lattice_v():
