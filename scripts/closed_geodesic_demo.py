@@ -31,14 +31,9 @@ def main():
             target = TangentState(targets.v[i], targets.z[i], targets.V[i],
                                   targets.Z[i])
             geo = construct_closed_geodesic(data, target, epsilon=args.epsilon)
-            dist = max(
-                float(np.linalg.norm(geo.state.Z - target.Z)),
-                float(np.linalg.norm(geo.state.V - target.V)),
-                float(np.linalg.norm(geo.state.v - target.v)),
-            )
             print(
                 f"  |c|={geo.norm_c}  c_k/|c|={geo.p}/{geo.q}  m={geo.m}  "
-                f"tau/pi={geo.tau_over_pi}  distance={dist:.4f}"
+                f"tau/pi={geo.tau_over_pi}  distance={geo.distance:.4f}"
             )
 
 

@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per check.
 
-Usage: run_verification.py [--seed N] [--out report.json]
+Usage: run_verification.py [--seed N | --seed A:B] [--out report.json]
+
+--seed A:B sweeps the seeds A, A+1, ..., B-1: one line per seed, then for
+every check with a numeric tolerance the range of value / tolerance over
+the sweep (taken on the float parts of the value; most checks bound the
+value from above, butler_fraction_Mprime bounds it from below and
+poisson_sanity_pair bounds |value - 1|), then every failing (seed,
+check).  Exit status 1 on any failure.  A sweep verifies a range of
+seeds; it is not a way to choose one.
 """
 
 import argparse
@@ -12,17 +20,34 @@ import time
 from nilflow.suites import SUITE_NAMES, run_suite
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+def _seeds(text):
+    """N, or A:B for the seeds A..B-1."""
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        return int(text)
+    seeds = range(int(lo), int(hi))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _floats(v)
+
+
+def _run_one(seed, out):
     all_pass = True
     bodies = {}
     for name in SUITE_NAMES:
         t0 = time.perf_counter()
-        rep = run_suite(name, args.seed)
+        rep = run_suite(name, seed)
         dt = time.perf_counter() - t0
         bodies[name] = rep.body()
         for c in rep.checks:
@@ -31,11 +56,52 @@ def main():
         status = "pass" if rep.passed else "FAIL"
         print(f"{name}: {status}  ({dt:.1f}s)")
         all_pass &= rep.passed
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             json.dump(bodies, fh, indent=2)
     print("overall:", "pass" if all_pass else "FAIL")
     return 0 if all_pass else 1
+
+
+def _sweep(seeds):
+    ratios = {}  # check -> [lo, hi] of value / tolerance
+    failures = []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        for name in SUITE_NAMES:
+            for c in run_suite(name, seed).checks:
+                check = f"{name}.{c.name}"
+                if not c.passed:
+                    failures.append((seed, check))
+                tol = c.tolerance
+                if isinstance(tol, (int, float)) and not isinstance(tol, bool) \
+                        and tol != 0:
+                    for x in _floats(c.value):
+                        lo, hi = ratios.setdefault(check, [x / tol, x / tol])
+                        ratios[check] = [min(lo, x / tol), max(hi, x / tol)]
+        bad = sum(1 for s, _ in failures if s == seed)
+        status = "pass" if not bad else f"FAIL ({bad} checks)"
+        print(f"seed {seed}: {status}  ({time.perf_counter() - t0:.1f}s)")
+    print("value / tolerance over the sweep:")
+    for check, (lo, hi) in ratios.items():
+        print(f"  {check}: {lo:.3g} .. {hi:.3g}")
+    for seed, check in failures:
+        print(f"FAIL seed {seed}: {check}")
+    print(f"overall: {'pass' if not failures else 'FAIL'}  "
+          f"seeds: {len(seeds)}  failing checks: {len(failures)}")
+    return 1 if failures else 0
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--seed", type=_seeds, default=42)
+    ap.add_argument("--out", default=None)
+    args = ap.parse_args()
+    if isinstance(args.seed, int):
+        return _run_one(args.seed, args.out)
+    if args.out:
+        ap.error("--out needs a single seed")
+    return _sweep(args.seed)
 
 
 if __name__ == "__main__":

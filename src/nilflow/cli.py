@@ -59,8 +59,14 @@ def parse_state(alg, text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        label, _, rest = chunk.partition(":")
+        label, sep, rest = chunk.partition(":")
         label = label.strip()
+        if not sep:
+            raise ValueError(f"state chunk {chunk!r} has no 'label:'")
+        if label not in ("v", "z", "V", "Z"):
+            raise ValueError(f"unknown state field {label!r}")
+        if label in parts:
+            raise ValueError(f"state field {label!r} given twice")
         parts[label] = [float(x) for x in rest.split()]
         if not all(math.isfinite(x) for x in parts[label]):
             raise ValueError(f"field {label!r} has a non-finite number")
@@ -197,7 +203,7 @@ def cmd_closed_geodesic(args):
         "tau_over_pi": fmt_value(geo.tau_over_pi),
         "a_v": fmt_value(list(geo.a_v)),
         "a_z": fmt_value(list(geo.a_z)),
-        # construction raises ConstructionError (exit 5) unless a is in Gamma
+        # the construction clears the lattice coordinates of a: a is in Gamma
         "a_in_gamma": "exact_pass",
         "rotation_condition": "exact_pass" if geo.rotation_exact else "fail",
     }

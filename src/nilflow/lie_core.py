@@ -198,18 +198,22 @@ class RationalLattice:
         return len(self.basis)
 
 
-def lattice_contains(lat, w):
-    """Exact membership: w is an integer combination of the basis."""
+def lattice_coordinates(lat, w):
+    """The exact coordinates x of w in the basis (w = sum x_i b_i), or None
+    when w is outside the basis's span."""
     if len(w) != lat.ambient_dim:
         raise ValueError("vector has wrong ambient dimension")
     w = [Fraction(x) for x in w]
     if lat.rank == 0:
-        return all(x == 0 for x in w)
+        return [] if all(x == 0 for x in w) else None
     cols = [list(v) for v in zip(*lat.basis)]  # ambient x rank
-    x = lx.solve(cols, w)
-    if x is None:
-        return False
-    return all(c.denominator == 1 for c in x)
+    return lx.solve(cols, w)
+
+
+def lattice_contains(lat, w):
+    """Exact membership: w is an integer combination of the basis."""
+    x = lattice_coordinates(lat, w)
+    return x is not None and all(c.denominator == 1 for c in x)
 
 
 def lattice_brackets_in_twice(alg, lattice_v, lattice_z):

@@ -29,7 +29,7 @@ from .flow import (
     state_from_flat,
 )
 from .integrals import left_gradients_all
-from .lie_core import bracket_v_np, lattice_contains
+from .lie_core import bracket_v_np, lattice_coordinates
 
 
 class ConstructionError(RuntimeError):
@@ -76,7 +76,7 @@ def _frame_coefficients(data, Z, V):
 
 
 def translational_element_expanded(data, state, tau):
-    """The same element in closed form, `_exact_element` at m = 1 with r =
+    """The same element in closed form, `_exact_element` with r =
     tau beta, t = tau (1 + |V_perp|^2 / (2 |c|^2)), P_D = tau beta g_D and
     P_W = tau (-|V_ck|^2 / (2 c_k |c|^2) + beta g_W)."""
     c = tuple(float(x) for x in state.Z)
@@ -89,7 +89,7 @@ def translational_element_expanded(data, state, tau):
     g_d, g_w = data.drift(c, state.v, al, n2)
     a_v, a_z = _exact_element(
         c, tau * beta, tau * (1.0 + vperp2 / (2.0 * n2)), tau * beta * g_d,
-        tau * (-v_ck2 / (2.0 * ck * n2) + beta * g_w), 1)
+        tau * (-v_ck2 / (2.0 * ck * n2) + beta * g_w))
     return np.array(a_v, float), np.array(a_z, float)
 
 
@@ -111,9 +111,11 @@ def rationalize_sphere_direction(u, bound):
     """A rational unit vector near the float unit vector u.
 
     Stereographic projection preserves rationality, so rounding the
-    projected point gives an exactly-unit rational vector.  The result is
-    nudged off the degenerate cone (third component 0, or equator
-    distance 0) when the rounding lands there.
+    projected point gives an exactly-unit rational vector.  When the
+    rounding lands on the degenerate cone (the pole, s = 0, or the equator,
+    s = 1) one step of 1/(2 bound) leaves it: a has denominator <= bound,
+    so the stepped s is 0 only at a = -1/(2 bound) and 1 only at
+    a = -1/(4 bound), neither of which can occur.
     """
     u = np.asarray(u, float)
     n = float(np.linalg.norm(u))
@@ -124,31 +126,17 @@ def rationalize_sphere_direction(u, bound):
     uk = -u[2] if south else u[2]
     a = Fraction(u[0] / (1.0 - uk)).limit_denominator(bound)
     b = Fraction(u[1] / (1.0 - uk)).limit_denominator(bound)
-    step = Fraction(1, 2 * bound)
-    for _ in range(64):
-        s = a * a + b * b
-        ui = 2 * a / (s + 1)
-        uj = 2 * b / (s + 1)
-        uk = (s - 1) / (s + 1)
-        if uk != 0 and (ui != 0 or uj != 0):
-            break
-        a += step
-    else:
-        raise ConstructionError("could not leave the degenerate cone")
-    if south:
-        uk = -uk
-    if ui * ui + uj * uj + uk * uk != 1:
-        raise ConstructionError("rational point left the unit sphere")
-    return ui, uj, uk
+    if a * a + b * b in (0, 1):
+        a += Fraction(1, 2 * bound)
+    s = a * a + b * b
+    uk = (s - 1) / (s + 1)
+    return 2 * a / (s + 1), 2 * b / (s + 1), -uk if south else uk
 
 
-def _approx(x, bound, grid=None):
-    """Best rational with denominator <= bound; with grid set, round to the
-    fixed grid (1/grid) Z instead so all denominators divide grid (keeps the
-    lattice multiple m, hence the period, small)."""
-    if grid is not None:
-        return Fraction(round(float(x) * grid), grid)
-    return Fraction(float(x)).limit_denominator(bound)
+def _approx(x, bound):
+    """x rounded onto the grid (1/bound) Z, so every denominator divides
+    bound (keeps the lattice multiple m, hence the period, small)."""
+    return Fraction(round(float(x) * bound), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +147,14 @@ def _approx(x, bound, grid=None):
 class ClosedGeodesic:
     """An exactly-certified closed geodesic.
 
-    a_v, a_z are exact rationals; membership of a in the lattice
-    (checked in construct_closed_geodesic) and the rotation condition
-    tau c_k, tau |c| in 2 pi Z (rotation_exact) hold by construction.
+    a_v, a_z are exact rationals: m times the element with data (r, t,
+    P_D, P_W), m the least multiple whose coordinates in the manifold's
+    lattices are integers, so a is in Gamma by construction, as is the
+    rotation condition tau c_k, tau |c| in 2 pi Z (rotation_exact).
+    distance is the largest of |Z - Z_target|, |V - V_target| and
+    |v - v_target|.
     """
 
-    name: str
     c: tuple  # exact rational Z with rational norm
     norm_c: Fraction
     p: int
@@ -178,6 +168,7 @@ class ClosedGeodesic:
     a_v: tuple
     a_z: tuple
     state: TangentState
+    distance: float
 
     @property
     def tau(self):
@@ -194,28 +185,31 @@ class ClosedGeodesic:
                 and (self.tau_over_pi * self.norm_c / 2).denominator == 1)
 
 
-def _exact_element(c, r, t, P_D, P_W, m):
-    """m times the translational element with data (r, t, P_D, P_W) in the
+def _exact_element(c, r, t, P_D, P_W):
+    """The translational element with data (r, t, P_D, P_W) in the
     z-basis (Z_c, D, W), D = -c_j Z_i + c_i Z_j and W = c_k (c_i Z_i +
     c_j Z_j) - (c_i^2 + c_j^2) Z_k; on Fractions or on floats."""
     ci, cj, ck = c
     rho2 = ci * ci + cj * cj
-    a_v = (Fraction(0), Fraction(0), m * r * ci, m * r * cj, m * r * ck)
+    a_v = (Fraction(0), Fraction(0), r * ci, r * cj, r * ck)
     zc = (ci, cj, ck)
     d = (-cj, ci, Fraction(0))
     w = (ck * ci, ck * cj, -rho2)
-    a_z = tuple(
-        m * (t * zc[i] + P_D * d[i] + P_W * w[i]) for i in range(3)
-    )
+    a_z = tuple(t * zc[i] + P_D * d[i] + P_W * w[i] for i in range(3))
     return a_v, a_z
 
 
-def construct_closed_geodesic(data, target, epsilon=0.05, bound=None,
-                              grid=None):
+def construct_closed_geodesic(data, target, epsilon=0.05, bound=None):
     """An exactly closed geodesic on the manifold within epsilon of the
-    target state.  The element a is checked once to lie in the lattice and
-    ConstructionError is raised when it does not, so every returned
-    geodesic has a in Gamma.
+    target state, with its element a in Gamma by construction.
+
+    The data |c|, r, t, P_D, P_W are rounded onto the grid (1/bound) Z
+    (bound defaults to max(16, ceil(4 / epsilon))) and the direction of c
+    to a rational point of the sphere with denominators <= bound; a miss
+    of epsilon doubles bound, up to seven times, before ConstructionError.
+    The kernel coefficient r is kept at least epsilon sigma / (4 |c|) away
+    from 0, which moves V by at most about epsilon / 4 and bounds the
+    error of the pinned base point v by (1 / bound) / |r|.
 
     target: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0) and
     any v, z, V.  The free coordinates (z, and the v-coordinates not pinned
@@ -240,29 +234,23 @@ def construct_closed_geodesic(data, target, epsilon=0.05, bound=None,
     last_err = None
     for _ in range(7):
         try:
-            geo = _construct_once(data, target, epsilon, bound, grid)
+            geo = _construct_once(data, target, epsilon, bound)
         except ConstructionError as e:
             last_err, geo = e, None
         if geo is not None:
-            if not lattice_contains(data.lattice_v, geo.a_v):
-                raise ConstructionError("v-part of a left the lattice")
-            if not lattice_contains(data.lattice_z, geo.a_z):
-                raise ConstructionError("z-part of a left the lattice")
             return geo
         bound *= 2
-        if grid is not None:
-            grid *= 2
     raise ConstructionError(
         f"could not reach epsilon={epsilon} (last: {last_err})"
     )
 
 
-def _construct_once(data, target, epsilon, bound, grid=None):
-    unit = Fraction(1, grid if grid is not None else bound)
+def _construct_once(data, target, epsilon, bound):
+    unit = Fraction(1, bound)
     zt = np.asarray(target.Z, float)
     norm_t = float(np.linalg.norm(zt))
     ui, uj, uk = rationalize_sphere_direction(zt, bound)
-    rho_s = _approx(norm_t, bound, grid)
+    rho_s = _approx(norm_t, bound)
     if rho_s <= 0:
         rho_s = unit
     c = (rho_s * ui, rho_s * uj, rho_s * uk)
@@ -280,20 +268,21 @@ def _construct_once(data, target, epsilon, bound, grid=None):
     rows, _ = data.frame(c_f)
     y_c = rows[4]
     beta_bar = _frame_coefficients(data, c_f, Vt)[0][4]
-    r = _approx(beta_bar * sigma, bound, grid)
-    if r == 0:
-        r = unit if beta_bar >= 0 else -unit
+    r = _approx(beta_bar * sigma, bound)
+    r_min = max(unit, _approx(epsilon * sigma / (4.0 * float(norm_c)), bound))
+    if abs(r) < r_min:
+        r = r_min if beta_bar >= 0 else -r_min
 
     vperp_t = Vt - beta_bar * y_c
     vperp2_bar = float(vperp_t @ vperp_t)
-    t = _approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound, grid)
+    t = _approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound)
     while 2.0 * n2 * (float(t) / sigma - 1.0) <= 0.0:
         t += unit
     vperp2 = 2.0 * n2 * (float(t) / sigma - 1.0)
 
     v_ck_t = frame.plane_part(Vt, 0)
     vck2_bar = float(v_ck_t @ v_ck_t)
-    w1 = _approx(sigma * vck2_bar / (2.0 * ck_f * n2), bound, grid)
+    w1 = _approx(sigma * vck2_bar / (2.0 * ck_f * n2), bound)
     step = unit * (1 if ck_f > 0 else -1)
     tries = 0
     while True:
@@ -319,36 +308,32 @@ def _construct_once(data, target, epsilon, bound, grid=None):
     # the exact rationals P_D = r g_D and P_W = -w1 + r g_W
     al, _ = _frame_coefficients(data, c_f, V)
     gD_bar, gW_bar = data.drift(c_f, target.v, al, n2)
-    P_D = _approx(float(r) * gD_bar, bound, grid)
-    P_W = _approx(-float(w1) + float(r) * gW_bar, bound, grid)
+    P_D = _approx(float(r) * gD_bar, bound)
+    P_W = _approx(-float(w1) + float(r) * gW_bar, bound)
     v = data.pin(c_f, target.v, al, n2, float(P_D) / float(r),
                  (float(P_W) + float(w1)) / float(r))
 
     # closeness to the target
-    errs = (
+    distance = max(
         float(np.linalg.norm(c_f - zt)),
         float(np.linalg.norm(V - Vt)),
         float(np.linalg.norm(v - np.asarray(target.v, float))),
     )
-    if max(errs) > epsilon:
+    if distance > epsilon:
         return None
 
-    # least m making a a lattice element: m r c in Z^5, 2 m a_z-coords in Z^3
-    m = 1
-    for x in (r * c[0], r * c[1], r * c[2]):
-        m = lcm(m, x.denominator)
-    av1, az1 = _exact_element(c, r, t, P_D, P_W, 1)
-    for x in az1:
-        m = lcm(m, (2 * x).denominator)
-    for x in av1:
-        m = lcm(m, x.denominator)
-    a_v, a_z = _exact_element(c, r, t, P_D, P_W, m)
+    # the least m clearing the element's coordinates in both lattices
+    a_v, a_z = _exact_element(c, r, t, P_D, P_W)
+    coords = (lattice_coordinates(data.lattice_v, a_v)
+              + lattice_coordinates(data.lattice_z, a_z))
+    m = lcm(*(x.denominator for x in coords))
+    a_v, a_z = tuple(m * x for x in a_v), tuple(m * x for x in a_z)
     tau_over_pi = Fraction(2 * m * q) / norm_c
 
     state = TangentState(v, np.asarray(target.z, float), V, c_f)
     return ClosedGeodesic(
-        data.name, c, norm_c, p, q, m, r, t, P_D, P_W, tau_over_pi,
-        a_v, a_z, state,
+        c, norm_c, p, q, m, r, t, P_D, P_W, tau_over_pi, a_v, a_z, state,
+        distance,
     )
 
 

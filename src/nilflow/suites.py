@@ -271,13 +271,11 @@ _NICE_TARGET_CS = ((3.0, 0.0, 4.0), (0.0, 3.0, 4.0), (2.0, 1.0, 2.0))
 
 def _nice_geodesic(data, rng, c_bar):
     """A closed geodesic with small period: target Z is an exact integer
-    vector with |c| and c_k/|c| rational, and the dyadic approximation grid
-    keeps the lattice multiple m (hence tau) small."""
+    vector with |c| and c_k/|c| rational, and the dyadic grid 1/128 keeps
+    the lattice multiple m (hence tau) small."""
     target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, np.array(c_bar))
-    return construct_closed_geodesic(
-        data, target, epsilon=0.45, bound=128, grid=128,
-    )
+    return construct_closed_geodesic(data, target, epsilon=0.45, bound=128)
 
 
 def run_periodicity(seed, tol=None):
@@ -320,14 +318,9 @@ def run_periodicity(seed, tol=None):
         data = (m, mp)[i % 2]
         target = sample_generic_state(data, rng)
         geo = construct_closed_geodesic(data, target, epsilon=0.1)
-        dist = max(
-            float(np.linalg.norm(geo.state.Z - target.Z)),
-            float(np.linalg.norm(geo.state.V - target.V)),
-            float(np.linalg.norm(geo.state.v - target.v)),
-        )
-        worst_eps = max(worst_eps, dist)
-        # construct_closed_geodesic raises unless a is in Gamma
-        if geo.rotation_exact and dist <= 0.1:
+        worst_eps = max(worst_eps, geo.distance)
+        # a is in Gamma by construction
+        if geo.rotation_exact and geo.distance <= 0.1:
             successes += 1
     report.add(
         "density_construction",

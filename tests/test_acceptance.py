@@ -21,7 +21,7 @@ BUDGETS = {
     "spectral": 3.0,      # criteria 2 + 3
     "flow": 1.0,          # criterion 7
     "integrals": 1.0,     # criteria 4 + 5 + 6
-    "periodicity": 3.0,   # criteria 8 + 9 + 10
+    "periodicity": 1.0,   # criteria 8 + 9 + 10
     "criteria": 3.0,      # criterion 11
     "cih": 1.0,           # criterion 12
 }
@@ -232,7 +232,7 @@ def test_criterion_13_determinism(verify_runs):
 # value lists the moved values and records the new hash here and in
 # ROADMAP.md.
 BODY_SHA256_SEED_42 = (
-    "e9d94785d9dd5ec9939dd89f547fb23931bbedb44bca0216742cbfc8bb906a74"
+    "d4f5d65a99979ff059fd93ed9356d169bfc9f91d4465d733be0b5c0e09637641"
 )
 
 
@@ -242,10 +242,9 @@ def test_report_body_hash_is_pinned(verify_runs):
 
 
 def test_periodicity_work_is_bounded_at_seed_16():
-    # suite seed 16 draws a family-dimension geodesic with lattice multiple
-    # m = 8192; the closed-form flow makes its closure Jacobians cost the
-    # same as at seed 42.  Whether its checks pass is the construction's
-    # business (they fail today), not this test's.
+    # suite seed 16 draws a family-dimension target with V almost
+    # orthogonal to Y_c; it passes within the same budget as seed 42
     t0 = time.perf_counter()
-    run_suite("periodicity", 16)
+    report = run_suite("periodicity", 16)
     assert time.perf_counter() - t0 <= BUDGETS["periodicity"]
+    assert report.passed

@@ -1,11 +1,15 @@
 """CLI contract: exit codes, wire format, determinism."""
 
+import contextlib
+import io
 import json
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.catalog import build_pair
 from nilflow import cli
@@ -49,6 +53,54 @@ def test_parse_state_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="'Z'"):
         parse_state(M.alg,
                     f"v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 0 0; Z: 0 0 {bad}")
+
+
+GOOD_FIELDS = "v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 0 0; Z: 1 1 1"
+
+
+@pytest.mark.parametrize("text, why", [
+    (GOOD_FIELDS + "; Z: 0 0 0; w: 7", "'Z' given twice"),
+    (GOOD_FIELDS + "; v: 0 0 0 0 0", "'v' given twice"),
+    (GOOD_FIELDS + "; w: 7", "unknown state field 'w'"),
+    ("x: 1; " + GOOD_FIELDS, "unknown state field 'x'"),
+    (": 1; " + GOOD_FIELDS, "unknown state field ''"),
+    ("junk; " + GOOD_FIELDS, "'junk' has no"),
+    (GOOD_FIELDS + "; 1 2 3", "'1 2 3' has no"),
+])
+def test_malformed_state_record_is_usage_error(text, why, capsys):
+    # a repeated label, an unknown label or a chunk without a label is
+    # rejected, not read past
+    assert main(["integrals", "--state", text]) == EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == "" and why in err.err
+    assert len(err.err.strip().splitlines()) == 1
+
+
+_LABELS = st.sampled_from(["v", "z", "V", "Z", " Z ", "w", "", "vV"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.text(alphabet="0123456789.eE+-naif", max_size=6),
+)
+_CHUNK = st.one_of(
+    st.tuples(_LABELS, st.lists(_NUMBER, max_size=6)).map(
+        lambda t: f"{t[0]}: {' '.join(t[1])}"),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CHUNK, max_size=6).map("; ".join))
+def test_state_text_fuzz_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["integrals", "--manifold", "M", "--state", text])
+    assert code in (EXIT_PASS, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("method", ["exact", "rk4"])

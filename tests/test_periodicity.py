@@ -1,10 +1,12 @@
 """Translational elements and the exact closed-geodesic construction."""
 
 from fractions import Fraction
-from math import pi
+from math import gcd, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.catalog import build_pair
 from nilflow.flow import (
@@ -99,6 +101,18 @@ def test_rationalize_sphere_random():
         assert err < 0.05
 
 
+@pytest.mark.parametrize("bound", range(1, 65))
+def test_rationalize_sphere_cone_edges(bound):
+    # the poles and the equator points land on the degenerate cone before
+    # the one step of 1/(2 bound) that leaves it
+    for u in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]):
+        ui, uj, uk = rationalize_sphere_direction(np.array(u, float), bound)
+        assert ui * ui + uj * uj + uk * uk == 1
+        assert uk != 0 and (ui, uj) != (0, 0)
+        err = np.linalg.norm(np.array(u) - [float(ui), float(uj), float(uk)])
+        assert err < 2.0 / bound
+
+
 def test_construction_closes_exactly():
     rng = np.random.default_rng(4)
     for data in (M, MP):
@@ -124,7 +138,7 @@ def test_constructed_geodesic_flows_home():
     target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
     geo = construct_closed_geodesic(
-        data, target, epsilon=0.45, bound=64, grid=64,
+        data, target, epsilon=0.45, bound=64,
     )
     s = geo.state
     end = flow_exact_state(data, s, geo.tau)
@@ -145,8 +159,8 @@ def test_closure_jacobian_equals_per_column_stencil(monkeypatch):
     for data in (M, MP):
         target = sample_generic_state(data, rng)
         target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
-        geo = construct_closed_geodesic(data, target, epsilon=0.45, bound=64,
-                                        grid=64)
+        geo = construct_closed_geodesic(data, target, epsilon=0.45,
+                                        bound=64)
         a = np.array([float(x) for x in geo.a_v + geo.a_z])
         x0, h = geo.state.flat(), 1e-4
 
@@ -214,8 +228,8 @@ def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
 
 
 def test_run_periodicity_checks_each_closure_once(monkeypatch):
-    # one exact membership solve for a_v and one for a_z per geodesic,
-    # inside the construction; the suite reads its result
+    # one exact coordinate solve for the v-part and one for the z-part of
+    # each geodesic's element, before it is scaled by m
     geodesics, solved = [], []
     solve = linalg_exact.solve
 
@@ -231,4 +245,105 @@ def test_run_periodicity_checks_each_closure_once(monkeypatch):
     monkeypatch.setattr(suites, "construct_closed_geodesic", constructing)
     assert suites.run_periodicity(42).passed
     assert len(geodesics) == 108
-    assert solved == [a for g in geodesics for a in (g.a_v, g.a_z)]
+    assert solved == [tuple(x / g.m for x in a)
+                      for g in geodesics for a in (g.a_v, g.a_z)]
+
+
+@pytest.mark.parametrize("seed", [16, 1770871321])
+def test_run_periodicity_passes_where_v_was_pinned_wrong(seed):
+    # at these seeds the family-dimension target has V almost orthogonal to
+    # Y_c: a kernel coefficient r of one grid unit would give the pinned
+    # base point v an O(1) error
+    assert suites.run_periodicity(seed).passed
+
+
+def _perp_target(data, seed, kind):
+    """A generic target whose V has no Y_c part at the target's Z: Z one of
+    the suite's nice integer vectors or a generic draw."""
+    rng = np.random.default_rng(seed)
+    s = sample_generic_state(data, rng)
+    Z = s.Z if kind == "generic" else np.array(suites._NICE_TARGET_CS[kind])
+    y_c = data.frame(Z)[0][4]
+    V = s.V - (s.V @ y_c) / (y_c @ y_c) * y_c
+    return TangentState(s.v, s.z, V, Z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([M, MP]),
+       st.sampled_from([(0, 0.45, 128), (1, 0.45, 128), (2, 0.45, 128),
+                        ("generic", 0.1, None), ("generic", 0.05, None)]))
+def test_construction_at_v_perp_to_y_c(seed, data, case):
+    kind, epsilon, bound = case
+    target = _perp_target(data, seed, kind)
+    geo = construct_closed_geodesic(data, target, epsilon=epsilon, bound=bound)
+    assert geo.distance <= epsilon
+    assert geo.rotation_exact
+    assert lattice_contains(data.lattice_v, geo.a_v)
+    assert lattice_contains(data.lattice_z, geo.a_z)
+
+
+def _is_prime(n):
+    """Miller-Rabin on the prime bases up to 41, exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n):
+    """The set of primes dividing n < 3.3e24, by Pollard's rho."""
+    primes, todo = set(), [n]
+    while todo:
+        k = todo.pop()
+        if k == 1:
+            continue
+        if _is_prime(k):
+            primes.add(k)
+            continue
+        d = 2 if k % 2 == 0 else k
+        c = 1
+        while d == k:
+            x = y = 2
+            d = 1
+            while d == 1:
+                x = (x * x + c) % k
+                y = (y * y + c) % k
+                y = (y * y + c) % k
+                d = gcd(x - y, k)
+            c += 1
+        todo += [d, k // d]
+    return primes
+
+
+def test_lattice_multiple_is_minimal():
+    # a = m e is in Gamma for the element e and, for each prime p dividing
+    # m, a / p = (m / p) e is not
+    rng = np.random.default_rng(6)
+    for data in (M, MP):
+        targets = [sample_generic_state(data, rng) for _ in range(10)]
+        geos = [construct_closed_geodesic(data, t, epsilon=0.1)
+                for t in targets]
+        geos += [suites._nice_geodesic(data, rng, c)
+                 for c in suites._NICE_TARGET_CS]
+        for geo in geos:
+            assert lattice_contains(data.lattice_v, geo.a_v)
+            assert lattice_contains(data.lattice_z, geo.a_z)
+            assert geo.m < 3 * 10**24
+            for p in _prime_factors(geo.m):
+                assert not (
+                    lattice_contains(data.lattice_v, [x / p for x in geo.a_v])
+                    and lattice_contains(data.lattice_z,
+                                         [x / p for x in geo.a_z]))

@@ -41,13 +41,13 @@ PINNED_STDOUT = {
     ),
     ("closed_geodesic_demo.py", "--seed", "3", "--n", "3"): (
         '== M ==\n'
-        '  |c|=97/37  c_k/|c|=-54071/122347  m=3483686126426570  tau/pi=31540172441733455424460/97  distance=0.0025\n'
-        '  |c|=29/17  c_k/|c|=72/361  m=50891262747  tau/pi=624639358956678/29  distance=0.0010\n'
-        '  |c|=33/17  c_k/|c|=2113/28105  m=5810725613000  tau/pi=504777734001310000/3  distance=0.0014\n'
+        '  |c|=21/8  c_k/|c|=-54071/122347  m=4790012290880  tau/pi=9376698140036725760/21  distance=0.0038\n'
+        '  |c|=17/10  c_k/|c|=72/361  m=260642000  tau/pi=1881835240000/17  distance=0.0063\n'
+        '  |c|=39/20  c_k/|c|=2113/28105  m=789891025000  tau/pi=887995490305000000/39  distance=0.0092\n'
         '== Mprime ==\n'
-        '  |c|=79/40  c_k/|c|=-1949911/2430889  m=22856986290108234420  tau/pi=4445023723661993268879950400/79  distance=0.0071\n'
-        '  |c|=45/29  c_k/|c|=156183/234545  m=610692076605930  tau/pi=553841122682479693820/3  distance=0.0026\n'
-        '  |c|=11/5  c_k/|c|=1096959/1411841  m=6637672380905730  tau/pi=93713380119303267489300/11  distance=0.0019\n'
+        '  |c|=79/40  c_k/|c|=-1949911/2430889  m=9454754128513600  tau/pi=1838676624696663727232000/79  distance=0.0071\n'
+        '  |c|=31/20  c_k/|c|=156183/234545  m=110022714050000  tau/pi=1032211098674290000000/31  distance=0.0031\n'
+        '  |c|=11/5  c_k/|c|=1096959/1411841  m=398659001856200  tau/pi=5628431238396592642000/11  distance=0.0019\n'
     ),
 }
 
@@ -59,17 +59,34 @@ def test_script_stdout_is_pinned(argv):
     assert res.stdout == PINNED_STDOUT[argv]
 
 
-def test_run_verification_script(tmp_path, monkeypatch, capsys):
-    # run_verification.py has no size option and runs every suite, so it is
-    # run in-process with its suite list cut to the cheap algebra suite
+def _run_verification_module():
     spec = importlib.util.spec_from_file_location(
         "run_verification", SCRIPTS / "run_verification.py"
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_run_verification_script(tmp_path, monkeypatch, capsys):
+    # run_verification.py has no size option and runs every suite, so it is
+    # run in-process with its suite list cut to the cheap algebra suite
+    mod = _run_verification_module()
     monkeypatch.setattr(mod, "SUITE_NAMES", ("algebra",))
     out = tmp_path / "r.json"
     monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out", str(out)])
     assert mod.main() == 0
     assert "overall: pass" in capsys.readouterr().out
     assert out.is_file()
+
+
+def test_run_verification_sweeps_a_seed_range(monkeypatch, capsys):
+    # every suite at seed 16, whose family-dimension target has V almost
+    # orthogonal to Y_c
+    mod = _run_verification_module()
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--seed", "16:17"])
+    assert mod.main() == 0
+    out = capsys.readouterr().out
+    assert "seed 16: pass" in out and "FAIL" not in out
+    assert "periodicity.density_construction: " in out
+    assert "overall: pass  seeds: 1  failing checks: 0" in out
