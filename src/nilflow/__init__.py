@@ -9,6 +9,7 @@ __all__ = [
     "criteria",
     "flow",
     "integrals",
+    "isometry",
     "lie_core",
     "linalg_exact",
     "periodicity",

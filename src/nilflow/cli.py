@@ -140,18 +140,19 @@ def cmd_verify(args):
 MAX_RK4_STEPS = 10**15
 
 
-def _finite_flow(flow, t, method):
-    """flow(), or a usage error naming --t when its result is not finite
-    (the float powers of the RK4 one-step map, or the t^2 terms of the
-    closed-form z, overflow)."""
-    with np.errstate(over="ignore", invalid="ignore"):
+def _finite(compute, message):
+    """compute(), or a usage error with message when it overflows or its
+    result (an array, or a state's flat vector) is not finite: the float
+    powers of the RK4 one-step map, the t^2 terms of the closed-form z, or
+    the squares in the integrals of a huge state."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            end = flow()
+            out = compute()
         except OverflowError:
-            end = None
-    _require(end is not None and np.isfinite(end.flat()).all(),
-             f"--t={t} is too large: the {method} result is not finite")
-    return end
+            out = None
+    vals = out.flat() if isinstance(out, TangentState) else out
+    _require(out is not None and np.isfinite(vals).all(), message)
+    return out
 
 
 def cmd_flow(args):
@@ -164,17 +165,18 @@ def cmd_flow(args):
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
     if args.method == "exact":
-        end = _finite_flow(lambda: flow_exact_state(data, state, args.t),
-                           args.t, "exact")
+        end = _finite(lambda: flow_exact_state(data, state, args.t),
+                      f"--t={args.t} is too large: the exact result is not "
+                      "finite")
     else:
         per_unit = tol.rk4_steps_per_unit
         _require(abs(args.t) * per_unit <= MAX_RK4_STEPS,
                  f"--t={args.t} needs more than 1e15 RK4 steps at "
                  f"{per_unit} per unit; rounding dominates past that")
-        end = _finite_flow(
+        end = _finite(
             lambda: flow_rk4(data.alg, state, args.t,
                              default_steps(args.t, per_unit)),
-            args.t, "RK4")
+            f"--t={args.t} is too large: the RK4 result is not finite")
     _emit(format_state(end), args.out)
     return EXIT_PASS
 
@@ -216,7 +218,8 @@ def cmd_integrals(args):
     _require(data.has_integrals,
              f"the eight integrals are integrals of M, not of {data.name}")
     state = _read_state_arg(data.alg, args)
-    vals = evaluate_integrals(state)
+    vals = _finite(lambda: evaluate_integrals(state),
+                   "the state is too large: the integrals are not finite")
     doc = {name: fmt_value(float(x)) for name, x in zip(INTEGRAL_NAMES, vals)}
     _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_PASS
@@ -228,7 +231,9 @@ def cmd_poisson(args):
              f"the eight integrals are integrals of M, not of {data.name}")
     state = _read_state_arg(data.alg, args)
     tol = _load_tolerances(args.config)
-    mat = poisson_matrix(data.alg, state, tol.fd_step)
+    mat = _finite(lambda: poisson_matrix(data.alg, state, tol.fd_step),
+                  "the state is too large: the Poisson brackets are not "
+                  "finite")
     rows = []
     worst = 0.0
     for a in range(8):

@@ -1,6 +1,7 @@
 """Exact spectral machinery: characteristic polynomials, kernels of j(Z),
-lattice intersections, length-spectrum slices, and the isospectrality
-certificate for the pair (M, M').
+lattice intersections, and the isospectrality certificate for the pair
+(M, M').  Length-spectrum slices stay as the oracle that the tests hold
+the certificate's isometry test (`isometry.lattices_isometric`) against.
 """
 
 from dataclasses import dataclass
@@ -32,11 +33,13 @@ def char_poly_batch_int(mats):
         raise OverflowError("entries too large for the int64 fast path")
     coeffs = np.zeros((n, d + 1), dtype=np.int64)
     coeffs[:, 0] = 1
-    m = np.zeros_like(a)
-    eye = np.eye(d, dtype=np.int64)
+    am = np.zeros_like(a)
+    diag = np.arange(d)
     for k in range(1, d + 1):
-        m = np.einsum("nij,njk->nik", a, m) + coeffs[:, k - 1, None, None] * eye
-        tr = np.einsum("nij,nji->n", a, m)
+        # M_k = A M_{k-1} + c_{k-1} I; c_k = -tr(A M_k) / k
+        am[:, diag, diag] += coeffs[:, k - 1, None]
+        am = a @ am
+        tr = np.trace(am, axis1=1, axis2=2)
         q, rem = np.divmod(-tr, k)
         if rem.any():
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
@@ -202,20 +205,27 @@ def _same_saturated_kernels(alg, cs, kers, kers_p):
     return same
 
 
-def gw_certificate(pair, r2, dual_bound, rng=None):
+def gw_certificate(pair, dual_bound, rng=None):
     """Certificate for the isospectrality hypotheses of the pair.
 
     (a) char-poly equality of j(Z), j'(Z) on a deterministic grid plus all
         dual-lattice Z with bounded coordinates (and random samples when an
         rng is supplied); (b) [M,M] inside 2*Lambda for both brackets,
         exactly; (c) for bounded dual-lattice Z, equality of the kernel
-        lattices, decided in integers, and where they differ, equality of
-        their length spectra up to r2.
+        lattices, decided in integers, and where they differ, an exact
+        isometry between them (`lattices_isometric`), which makes their
+        length spectra equal at every R.  In rank 3 the test is also
+        complete for the spectra (Schiemann, Math. Ann. 1997: ternary forms
+        are determined by their theta series), so a failure there is a
+        real witness.
     """
+    # imported on first use: only this certificate needs it, and every
+    # interpreter that imports the package would otherwise compile it
+    from .isometry import lattices_isometric
+
     m_data, mp_data = pair
     alg, alg_p = m_data.alg, mp_data.alg
     cert = Certificate("gordon_wilson_isospectrality", f"{m_data.name}/{mp_data.name}")
-    r2 = Fraction(r2)
 
     n_random = 200 if rng is not None else 0
     ok, witness = char_poly_identity_check(alg, alg_p, 6, n_random, rng)
@@ -235,37 +245,32 @@ def gw_certificate(pair, r2, dual_bound, rng=None):
         ok = lattice_brackets_in_twice(data.alg, data.lattice_v, data.lattice_z)
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
-    # kernel-lattice length spectra over the bounded dual-lattice slab; the
-    # pair's lattice_v is Z^5, so ker j(Z) meets it in the saturated kernel
+    # kernel lattices over the bounded dual-lattice slab; the pair's
+    # lattice_v is Z^5, so ker j(Z) meets it in the saturated kernel
     n = alg.dim_v
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if any(data.lattice_v.basis != eye for data in pair):
         raise ValueError("gw_certificate needs lattice_v = Z^dim_v")
-    spectra_checked = 0
     kers = j_kernels(alg, dual_pts)
     kers_p = j_kernels(alg_p, dual_pts)
     same = _same_saturated_kernels(alg, dual_pts, kers, kers_p)
-    identical_lattices = int(same.sum())
-    for i in np.flatnonzero(~same).tolist():
-        sp = length_spectrum(RationalLattice(n, kers[i]), r2)
-        sp_p = length_spectrum(RationalLattice(n, kers_p[i]), r2)
-        spectra_checked += 1
-        if sp != sp_p:
+    differing = np.flatnonzero(~same).tolist()
+    for i in differing:
+        if not lattices_isometric(kers[i], kers_p[i]):
             cert.add(
                 "kernel_lattice_length_spectra",
                 False,
                 value={"witness_c": dual_pts[i].tolist()},
-                tolerance=r2,
             )
             return cert
     cert.add(
         "kernel_lattice_length_spectra",
         True,
         value={
-            "enumerated": spectra_checked,
-            "identical_lattices": identical_lattices,
+            "enumerated": len(differing),
+            "identical_lattices": int(same.sum()),
         },
-        tolerance=r2,
-        note="finite slice up to R^2; necessary condition for isometry",
+        note="exact: each differing pair of kernel lattices is isometric, "
+             "so their length spectra agree at every R",
     )
     return cert

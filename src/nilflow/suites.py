@@ -137,7 +137,7 @@ def run_spectral(seed, tol=None):
         note="exact: equals l^5+(ck^2+|c|^2)l^3+ck^2|c|^2 l for both maps",
     )
 
-    cert = spectral.gw_certificate((m, mp), Fraction(100), 6, rng)
+    cert = spectral.gw_certificate((m, mp), 6, rng)
     report.add_certificate(cert)
     return report
 

@@ -18,7 +18,7 @@ SEED = 42
 # per-suite wall-clock budget = sum of the budgets of the criteria it hosts
 BUDGETS = {
     "algebra": 1.0,       # criterion 1
-    "spectral": 3.0,      # criteria 2 + 3
+    "spectral": 1.0,      # criteria 2 + 3
     "flow": 1.0,          # criterion 7
     "integrals": 1.0,     # criteria 4 + 5 + 6
     "periodicity": 1.0,   # criteria 8 + 9 + 10

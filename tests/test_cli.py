@@ -276,6 +276,20 @@ def test_integrals_and_poisson_commands(tmp_path):
     assert len(doc["rows"]) == 28
 
 
+@pytest.mark.parametrize("command", ["integrals", "poisson"])
+def test_integrals_of_huge_state_is_usage_error(command, capsys):
+    # finite input whose squares overflow: one line and exit 2, never a
+    # silent inf / nan in the output
+    huge = ("v: 1e300 0 0 0 0; z: 0 0 0; V: 1e300 0 0 0 0; "
+            "Z: 1e300 1e-300 1e300")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--state", huge])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1 and "not finite" in err.err
+
+
 def test_cih_command(tmp_path):
     out = tmp_path / "c.json"
     assert main(["cih", "--manifold", "Mprime", "--bound", "1",

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: oracle and property tests."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,32 @@ def test_integer_kernel_annihilates_and_saturates(mat):
     assert len(ker) == len(lx.nullspace(mat))
     if ker:
         assert lx.rank(ker) == len(ker)
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_integer_kernel_saturates_against_brute_force(mat):
+    # every integer kernel vector in the box {-2..2}^5 has integer
+    # coordinates in the returned basis, so the basis spans all of
+    # ker(mat) meet Z^5, not a finite-index sublattice of it
+    ker = lx.integer_kernel(mat)
+    box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 5, indexing="ij"),
+                   -1).reshape(-1, 5)
+    points = box[~np.any(box @ np.array(mat).T, axis=1)]
+    assert len(ker) == 5 - lx.rank(mat)
+    if not ker:
+        assert not points.any()
+        return
+    # coordinates from k columns where the basis is invertible
+    cols = next(c for c in combinations(range(5), len(ker))
+                if lx.rank([[v[i] for i in c] for v in ker]) == len(ker))
+    inv = lx.inverse([[v[i] for v in ker] for i in cols])
+    for x in points.tolist():
+        coords = lx.mat_vec(inv, [x[i] for i in cols])
+        assert all(c.denominator == 1 for c in coords)
+        assert [sum(c * v[i] for c, v in zip(coords, ker))
+                for i in range(5)] == x
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])

@@ -2,15 +2,16 @@
 
 import dataclasses
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from nilflow import linalg_exact as lx
-from nilflow import spectral
+from nilflow import isometry, spectral
 from nilflow.catalog import build_pair
 from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
-from oracles import char_poly, integer_lattice, kernel_subspace
+from oracles import char_poly, det, integer_lattice, kernel_subspace
 
 M, MP = build_pair()
 
@@ -20,17 +21,28 @@ def test_char_poly_2x2():
 
 
 def test_char_poly_batch_matches_exact():
+    # random integer matrices, not skew like j(Z), up to the entry guard
     rng = np.random.default_rng(11)
-    mats = rng.integers(-6, 7, size=(40, 4, 4))
-    batch = spectral.char_poly_batch_int(mats)
-    for mat, row in zip(mats, batch):
-        exact = char_poly([[int(x) for x in r] for r in mat])
-        assert [int(x) for x in row] == exact
+    for d in (1, 2, 4, 5, 6):
+        mats = rng.integers(-80, 81, size=(30, d, d))
+        assert not np.array_equal(mats, -mats.swapaxes(1, 2))
+        batch = spectral.char_poly_batch_int(mats)
+        for mat, row in zip(mats, batch):
+            exact = char_poly([[int(x) for x in r] for r in mat])
+            assert [int(x) for x in row] == exact
 
 
 def test_char_poly_batch_overflow_guard():
     with pytest.raises(OverflowError):
         spectral.char_poly_batch_int(np.full((1, 2, 2), 10**3))
+
+
+def test_char_poly_batch_inexact_division_guard():
+    # a 10x10 matrix within the entry guard wraps int64 in the recurrence,
+    # and the wrapped trace is not divisible by k
+    mat = np.random.default_rng(0).integers(-80, 81, size=(1, 10, 10))
+    with pytest.raises(ArithmeticError):
+        spectral.char_poly_batch_int(mat)
 
 
 def test_claimed_identity_rational_c():
@@ -94,8 +106,115 @@ def test_length_spectrum_scaled():
     )
 
 
+def _differing_kernel_pairs(bound):
+    pts = spectral._dual_z_points(bound)
+    kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
+    same = spectral._same_saturated_kernels(M.alg, pts, kers, kers_p)
+    return [(kers[i], kers_p[i]) for i in np.flatnonzero(~same)]
+
+
+def test_isometric_kernel_lattices_have_equal_slices():
+    # the isometry test against the enumeration it replaced, on every
+    # differing pair at the suite's dual bound 6
+    pairs = _differing_kernel_pairs(6)
+    assert len(pairs) == 48
+    for ker, ker_p in pairs:
+        assert isometry.lattices_isometric(ker, ker_p)
+        assert spectral.length_spectrum(RationalLattice(5, ker), 100) == \
+            spectral.length_spectrum(RationalLattice(5, ker_p), 100)
+
+
+def test_equal_determinant_non_isometric_pair_is_rejected():
+    # Gram diag(1, 1, 4) against diag(1, 2, 2): both of determinant 4, but
+    # four vectors of norm 1 against two
+    a = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    b = [[1, 0, 0], [0, 1, 1], [0, 1, -1]]
+    assert not isometry.lattices_isometric(a, b)
+    assert not isometry.lattices_isometric(b, a)
+    assert spectral.length_spectrum(RationalLattice(3, a), 1) != \
+        spectral.length_spectrum(RationalLattice(3, b), 1)
+
+
+def test_isometry_survives_basis_change_and_orthogonal_map():
+    # a unimodular change of basis and a signed coordinate permutation give
+    # an isometric lattice, and the reduced Gram matrices need not agree
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        basis = rng.integers(-4, 5, size=(3, 4))
+        if lx.rank(basis.tolist()) < 3:
+            continue
+        unimodular = np.triu(rng.integers(-3, 4, size=(3, 3)), 1) + np.eye(
+            3, dtype=int)
+        perm = np.eye(4, dtype=int)[rng.permutation(4)]
+        signed = perm * rng.choice([-1, 1], size=4)
+        image = (unimodular @ basis @ signed)[rng.permutation(3)].tolist()
+        assert isometry.lattices_isometric(basis.tolist(), image)
+        # a sublattice of index 2 is never isometric to the lattice
+        doubled = [[2 * x for x in image[0]]] + image[1:]
+        assert not isometry.lattices_isometric(basis.tolist(), doubled)
+
+
+def _successive_minima(basis):
+    """The squared successive minima of a rank-3 integer lattice, by brute
+    force over a coordinate box of the inverse-Gram bound."""
+    b = np.array(basis)
+    gram = b @ b.T
+    r2 = max(np.diag(gram))  # some basis vector reaches every minimum
+    ginv = lx.inverse(gram.tolist())
+    side = [isqrt(int(r2 * ginv[i][i])) for i in range(3)]
+    axes = [np.arange(-m, m + 1) for m in side]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+    vecs = coords @ b
+    norms = np.einsum("ni,ni->n", vecs, vecs)
+    minima, chosen = [], []
+    for i in np.argsort(norms, kind="stable"):
+        if norms[i] and lx.rank(chosen + [vecs[i].tolist()]) > len(chosen):
+            chosen.append(vecs[i].tolist())
+            minima.append(int(norms[i]))
+            if len(chosen) == 3:
+                return minima
+
+
+def test_greedy_reduction_reaches_the_successive_minima():
+    # greedy reduction is Minkowski-reduced in rank 3: the norms of the
+    # reduced basis are the successive minima, with the lattice unchanged
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        basis = rng.integers(-5, 6, size=(3, 4)).tolist()
+        if lx.rank(basis) < 3:
+            continue
+        reduced = isometry._greedy_reduce(basis)
+        assert [sum(x * x for x in v) for v in reduced] == \
+            _successive_minima(basis)
+        columns = [list(c) for c in zip(*basis)]
+        assert all(x.denominator == 1
+                   for v in reduced for x in lx.solve(columns, v))
+        gram = lambda rows: (np.array(rows) @ np.array(rows).T).tolist()
+        assert det(gram(reduced)) == det(gram(basis))
+
+
+def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
+    # swap every rank-3 kernel of M' for a lattice of another determinant,
+    # which j(Z) does not kill: the first such dual point is the witness
+    real = spectral.j_kernels
+
+    def fake(alg, cs):
+        kers = real(alg, cs)
+        if alg is MP.alg:
+            kers = [[[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 1, -1, 0, 0]]
+                    if len(k) == 3 else k for k in kers]
+        return kers
+
+    monkeypatch.setattr(spectral, "j_kernels", fake)
+    cert = spectral.gw_certificate((M, MP), 6, None)
+    assert not cert.passed
+    check = cert.checks[-1]
+    assert check.name == "kernel_lattice_length_spectra" and not check.passed
+    assert check.value == {"witness_c": [-6, -6, 0]}
+
+
 def test_gw_certificate_small():
-    cert = spectral.gw_certificate((M, MP), Fraction(16), 2, None)
+    cert = spectral.gw_certificate((M, MP), 2, None)
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "kernel_lattice_length_spectra" in names
@@ -119,7 +238,7 @@ def test_gw_kernel_lattices_are_lattice_intersections():
                              for a, b in zip(kers, kers_p)]
     for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
                           (6, {"enumerated": 48, "identical_lattices": 295})):
-        cert = spectral.gw_certificate((M, MP), Fraction(100), bound, None)
+        cert = spectral.gw_certificate((M, MP), bound, None)
         assert cert.checks[-1].value == counts
 
 
@@ -136,4 +255,4 @@ def test_gw_certificate_needs_integer_lattice_v():
     ))
     with pytest.raises(ValueError):
         spectral.gw_certificate(
-            (dataclasses.replace(M, lattice_v=lat), MP), Fraction(16), 2)
+            (dataclasses.replace(M, lattice_v=lat), MP), 2)
