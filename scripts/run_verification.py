@@ -6,10 +6,9 @@ Usage: run_verification.py [--seed N | --seed A:B] [--out report.json]
 --seed A:B sweeps the seeds A, A+1, ..., B-1: one line per seed, then for
 every check with a numeric tolerance the range of value / tolerance over
 the sweep (taken on the float parts of the value; most checks bound the
-value from above, butler_fraction_Mprime bounds it from below and
-poisson_sanity_pair bounds |value - 1|), then every failing (seed,
-check).  Exit status 1 on any failure.  A sweep verifies a range of
-seeds; it is not a way to choose one.
+value from above, butler_fraction_Mprime bounds it from below), then every
+failing (seed, check).  Exit status 1 on any failure.  A sweep verifies a
+range of seeds; it is not a way to choose one.
 """
 
 import argparse

@@ -25,9 +25,9 @@ from .criteria import (
     cih_certificate,
 )
 from .flow import (
+    RK4_STEPS_PER_UNIT,
     DegenerateFrequencyError,
     TangentState,
-    default_steps,
     flow_exact_state,
     flow_rk4,
     sample_generic_state,
@@ -35,7 +35,7 @@ from .flow import (
 from .integrals import INTEGRAL_NAMES, evaluate_integrals, poisson_matrix
 from .periodicity import ConstructionError, construct_closed_geodesic
 from .report import Report, fmt_value
-from .suites import SUITE_NAMES, Tolerances, run_suite
+from .suites import BRACKET_TOL, SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -81,19 +81,6 @@ def parse_state(alg, text):
     return TangentState(parts["v"], parts["z"], parts["V"], parts["Z"])
 
 
-def _load_tolerances(path):
-    if path is None:
-        return Tolerances()
-    with open(path) as fh:
-        raw = json.load(fh)
-    tol = Tolerances()
-    for key, val in raw.items():
-        if not hasattr(tol, key):
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(tol, key, type(getattr(tol, key))(val))
-    return tol
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -126,9 +113,8 @@ def _read_state_arg(alg, args):
 
 
 def cmd_verify(args):
-    tol = _load_tolerances(args.config)
     t0 = time.perf_counter()
-    report = run_suite(args.suite, args.seed, tol)
+    report = run_suite(args.suite, args.seed)
     report.wall_time_s = time.perf_counter() - t0
     _emit(report.to_text(), args.out)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
@@ -163,20 +149,17 @@ def cmd_flow(args):
                  "use --method rk4")
     _require(math.isfinite(args.t), f"--t must be finite, got {args.t}")
     state = _read_state_arg(data.alg, args)
-    tol = _load_tolerances(args.config)
     if args.method == "exact":
         end = _finite(lambda: flow_exact_state(data, state, args.t),
                       f"--t={args.t} is too large: the exact result is not "
                       "finite")
     else:
-        per_unit = tol.rk4_steps_per_unit
-        _require(abs(args.t) * per_unit <= MAX_RK4_STEPS,
+        # compared in floats: default_steps(t) overflows once |t| * 1000 is inf
+        _require(abs(args.t) * RK4_STEPS_PER_UNIT <= MAX_RK4_STEPS,
                  f"--t={args.t} needs more than 1e15 RK4 steps at "
-                 f"{per_unit} per unit; rounding dominates past that")
-        end = _finite(
-            lambda: flow_rk4(data.alg, state, args.t,
-                             default_steps(args.t, per_unit)),
-            f"--t={args.t} is too large: the RK4 result is not finite")
+                 f"{RK4_STEPS_PER_UNIT} per unit; rounding dominates past that")
+        end = _finite(lambda: flow_rk4(data.alg, state, args.t),
+                      f"--t={args.t} is too large: the RK4 result is not finite")
     _emit(format_state(end), args.out)
     return EXIT_PASS
 
@@ -230,8 +213,7 @@ def cmd_poisson(args):
     _require(data.has_integrals,
              f"the eight integrals are integrals of M, not of {data.name}")
     state = _read_state_arg(data.alg, args)
-    tol = _load_tolerances(args.config)
-    mat = _finite(lambda: poisson_matrix(data.alg, state, tol.fd_step),
+    mat = _finite(lambda: poisson_matrix(data.alg, state),
                   "the state is too large: the Poisson brackets are not "
                   "finite")
     rows = []
@@ -243,12 +225,12 @@ def cmd_poisson(args):
             rows.append({
                 "pair": f"{{{INTEGRAL_NAMES[a]}, {INTEGRAL_NAMES[b]}}}",
                 "bracket": fmt_value(val),
-                "tolerance": fmt_value(tol.bracket_tol),
-                "pass": abs(val) <= tol.bracket_tol,
+                "tolerance": fmt_value(BRACKET_TOL),
+                "pass": abs(val) <= BRACKET_TOL,
             })
     doc = {"rows": rows, "max_abs": fmt_value(worst)}
     _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_PASS if worst <= tol.bracket_tol else EXIT_CHECK_FAILURE
+    return EXIT_PASS if worst <= BRACKET_TOL else EXIT_CHECK_FAILURE
 
 
 def cmd_criteria(args):
@@ -291,28 +273,25 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, manifold=True, seed=True, config=False):
+    def common(sp, manifold=True, seed=True):
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        if config:
-            sp.add_argument("--config", default=None)
         if manifold:
             sp.add_argument("--manifold", default="M")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all",
                     choices=("all",) + SUITE_NAMES)
-    common(sp, manifold=False, config=True)
+    common(sp, manifold=False)
 
     sp = sub.add_parser("flow", help="propagate a tangent state")
-    common(sp, seed=False, config=True)
+    common(sp, seed=False)
     sp.add_argument(
         "--t", type=float, default=1.0,
-        help="flow time.  rk4 takes ceil(|t| rk4_steps_per_unit) steps "
-             "(1000 per unit by default) and rejects more than 1e15 steps "
-             "(|t| > 1e12 by default), past which rounding dominates; exact "
-             "rejects a t whose result overflows (|t| from about 1e154)")
+        help="flow time.  rk4 takes ceil(1000 |t|) steps and rejects more "
+             "than 1e15 steps (|t| > 1e12), past which rounding dominates; "
+             "exact rejects a t whose result overflows (|t| from about 1e154)")
     sp.add_argument("--method", choices=("exact", "rk4"), default="exact")
     sp.add_argument("--state", default=None,
                     help="state record; stdin if omitted")
@@ -330,7 +309,7 @@ def build_parser():
     sp.add_argument("--state", default=None)
 
     sp = sub.add_parser("poisson", help="all pairwise Poisson brackets")
-    common(sp, seed=False, config=True)
+    common(sp, seed=False)
     sp.add_argument("--state", default=None)
 
     sp = sub.add_parser("criteria", help="integrability criteria certificates")

@@ -239,9 +239,10 @@ def _first_rows(keys):
 # cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 1 s and
 # 240 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
 MAX_CIH_BOUND = 6
+CIH_RECORDS = 40
 
 
-def cih_certificate(data, coord_bound, rng=None, record_cap=40):
+def cih_certificate(data, coord_bound, rng=None):
     """Certificate of Gornet's clean-intersection criterion on all lattice
     logarithms V + Z with |v-coordinates| <= bound (integers) and
     |z-coordinates| <= bound (half-integers).
@@ -259,15 +260,15 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     Explicit eigenvalue records and annihilator checks are kept for a
-    deterministic sample of elements.  A bound outside 0..MAX_CIH_BOUND
-    raises ValueError before anything is enumerated.
+    deterministic sample of CIH_RECORDS elements.  A bound outside
+    0..MAX_CIH_BOUND raises ValueError before anything is enumerated.
     """
     if not 0 <= coord_bound <= MAX_CIH_BOUND:
         raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
     alg = data.alg
     cert = Certificate("clean_intersection", data.name)
 
-    ok, witness = char_poly_identity_check(alg, alg, 6, 0, None)
+    ok, witness = char_poly_identity_check(alg, alg)
     cert.add("char_poly_structure_identity", ok, value=witness)
 
     rng_v = np.arange(-coord_bound, coord_bound + 1, dtype=np.int64)
@@ -297,7 +298,7 @@ def cih_certificate(data, coord_bound, rng=None, record_cap=40):
         rng = np.random.Generator(np.random.Philox(0))
     records = []
     ann_ok = True
-    for _ in range(record_cap):
+    for _ in range(CIH_RECORDS):
         k = int(rng.integers(0, len(first_v)))
         z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
         d = int(dens[k])

@@ -148,18 +148,18 @@ def _unit_frame(data, Z):
     return rows / np.where(norms > 0.0, norms, 1.0)[..., None], norms, theta
 
 
-def eigenframe(data, Z, tol=1e-12):
+def eigenframe(data, Z):
     """The manifold's printed invariant frame of j(Z), normalized; Z may
     carry batch axes on the left.
 
-    Requires a generic Z: both plane frequencies nonzero and no frame
-    vector collapsed (on the pair: c_k != 0 and (c_i, c_j) != 0, so the
+    Requires a generic Z: both |plane frequencies| and every frame row
+    length above 1e-12 (on the pair: c_k != 0 and (c_i, c_j) != 0, so the
     frequencies c_k and |c| are distinct and the kernel is the line R Y_c).
     A degenerate Z anywhere in the batch raises, naming the first one.
     """
     Z = np.asarray(Z, float)
     basis, norms, theta = _unit_frame(data, Z)
-    bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > tol, axis=-1)
+    bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > 1e-12, axis=-1)
     if np.any(bad):
         raise DegenerateFrequencyError(
             f"degenerate precession for Z={Z[bad][0].tolist()}: need c_k != 0 "
@@ -172,8 +172,12 @@ def eigenframe(data, Z, tol=1e-12):
 # integrators
 
 
-def default_steps(t, steps_per_unit=1000):
-    return max(1, ceil(abs(float(t)) * steps_per_unit))
+RK4_STEPS_PER_UNIT = 1000
+
+
+def default_steps(t):
+    """RK4 steps for flow time t: step size at most 1 / RK4_STEPS_PER_UNIT."""
+    return max(1, ceil(abs(float(t)) * RK4_STEPS_PER_UNIT))
 
 
 def _rk4_batch(alg, v, z, V, Z, t, steps):
@@ -325,29 +329,28 @@ def flow_exact_state(data, state, t):
 _DRAWS_PER_STATE = 24
 
 
-def _generic_Z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):
+def _generic_Z(c):
     """Mask of the rows c = (c_i, c_j, c_k) with well-separated frequencies
-    and c_k |c|^2 bounded away from 0, so the transcendental integrals stay
-    numerically alive."""
+    (|c_k|, |c| - |c_k| and |(c_i, c_j)| all at least 0.1) and c_k |c|^2 at
+    least 0.05, so the transcendental integrals stay numerically alive."""
     norm = np.sqrt(np.vecdot(c, c))
     ack = np.abs(c[..., 2])
-    # np.hypot may round differently from math.hypot in the last bit, but
-    # at the default thresholds a row with rho near min_gap and
-    # |c_k| >= min_ck fails the gap test: |c| - |c_k| = rho^2 / (|c| + |c_k|)
-    # <= 0.05 there
+    # np.hypot may round differently from math.hypot in the last bit, but a
+    # row with rho near 0.1 and |c_k| >= 0.1 fails the gap test:
+    # |c| - |c_k| = rho^2 / (|c| + |c_k|) <= 0.05 there
     rho = np.hypot(c[..., 0], c[..., 1])
-    return ((ack >= min_ck) & (norm - ack >= min_gap) & (rho >= min_gap)
-            & (ack * norm * norm >= min_prod))
+    return ((ack >= 0.1) & (norm - ack >= 0.1) & (rho >= 0.1)
+            & (ack * norm * norm >= 0.05))
 
 
-def sample_generic_state(data, rng, n=None, min_comp=0.05):
+def sample_generic_state(data, rng, n=None):
     """Random tangent states with generic Z and V hitting every unit frame
-    direction by at least min_comp: one state with no batch axis when n is
+    direction by at least 0.05: one state with no batch axis when n is
     None, else n states along a leading axis.
 
     Each state is a rejection draw: Z uniform on [-2, 2]^3 until
     `_generic_Z` holds, then V uniform on [-1, 1]^dim_v, and a new Z if V
-    misses a unit frame row by less than min_comp, then v and z uniform on
+    misses a unit frame row by less than 0.05, then v and z uniform on
     [-1, 1].  All n draws are read off one buffer u of rng.random doubles
     (uniform(lo, hi) is lo + (hi - lo) u): the Z and V tests are made at
     every offset of u at once, and a walk over the offsets, 3 doubles per
@@ -374,7 +377,7 @@ def sample_generic_state(data, rng, n=None, min_comp=0.05):
         unit, _, _ = _unit_frame(data, Z[z_ok])
         comp = np.abs(unit @ rows[z_ok, 3:3 + dv, None]).min(axis=(-2, -1))
         outcome = np.zeros(offsets, np.intp)
-        outcome[z_ok] = 1 + (comp >= min_comp)
+        outcome[z_ok] = 1 + (comp >= 0.05)
         outcome = outcome.tolist()
         pos, found = 0, []
         while len(found) < count and pos < offsets:

@@ -73,12 +73,16 @@ def evaluate_integrals(state):
 # left gradients and the symplectic calculus
 
 
-def _central(alg, fn, state, base, fiber, h):
+FD_STEP = 1e-6
+
+
+def _central(alg, fn, state, base, fiber):
     """Central differences of fn along each row of (base, fiber), shape
     (..., k, dim) or (k, dim): the base moves by right multiplication with
     exp(+-h base), (v, z) -> (v +- h b_v, z +- (h b_z + h [v, b_v] / 2)),
-    the fiber linearly.  fn values (..., k, n) give derivatives
-    (..., n, k)."""
+    the fiber linearly, h = FD_STEP.  fn values (..., k, n) give
+    derivatives (..., n, k)."""
+    h = FD_STEP
     dv = alg.dim_v
     bv, bz = base[..., :dv], base[..., dv:]
     v, z = state.v[..., None, :], state.z[..., None, :]
@@ -94,7 +98,7 @@ def _central(alg, fn, state, base, fiber, h):
     return np.swapaxes(shifted(h) - shifted(-h), -1, -2) / (2.0 * h)
 
 
-def left_gradients_all(alg, state, h=1e-6, fn=None):
+def left_gradients_all(alg, state, fn=None):
     """Central-difference left gradients of the functions fn evaluates.
 
     fn maps a batched TangentState to values of shape (..., n, k); it
@@ -106,8 +110,8 @@ def left_gradients_all(alg, state, h=1e-6, fn=None):
     if fn is None:
         fn = evaluate_integrals
     eye, zero = np.eye(alg.dim), np.zeros((alg.dim, alg.dim))
-    return (_central(alg, fn, state, eye, zero, h),
-            _central(alg, fn, state, zero, eye, h))
+    return (_central(alg, fn, state, eye, zero),
+            _central(alg, fn, state, zero, eye))
 
 
 def hamiltonian_field(alg, state, B, A):
@@ -126,7 +130,7 @@ def hamiltonian_field(alg, state, B, A):
     return A, fiber
 
 
-def poisson_matrix(alg, state, h=1e-6, fn=None):
+def poisson_matrix(alg, state, fn=None):
     """All brackets {F_a, F_b} = dF_a(X_{F_b}) of the functions fn
     evaluates (default: the eight integrals), shape (..., k, k) for a state
     with batch axes (...).
@@ -136,23 +140,27 @@ def poisson_matrix(alg, state, h=1e-6, fn=None):
     """
     if fn is None:
         fn = evaluate_integrals
-    B, A = left_gradients_all(alg, state, h, fn)
-    return _central(alg, fn, state, *hamiltonian_field(alg, state, B, A), h)
+    B, A = left_gradients_all(alg, state, fn)
+    return _central(alg, fn, state, *hamiltonian_field(alg, state, B, A))
 
 
-def independence_rank(alg, state, h=1e-6, svd_threshold=1e-7):
+RANK_THRESHOLD = 1e-7
+
+
+def independence_rank(alg, state):
     """Rank of the eight left gradients as vectors in R^16: an int for a
     single state, an int array of shape (...) for a state with batch axes
     (...).
 
     Rows are normalized to unit length first (zero rows stay zero) so the
-    flat factor phi cannot mask directions that are genuinely present.
+    flat factor phi cannot mask directions that are genuinely present; a
+    singular value counts when it exceeds RANK_THRESHOLD times the largest.
     """
-    B, A = left_gradients_all(alg, state, h)
+    B, A = left_gradients_all(alg, state)
     rows = np.concatenate([B, A], axis=-1)
     norms = np.linalg.norm(rows, axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
     rows = rows / scale[..., None]
     sv = np.linalg.svd(rows, compute_uv=False)
-    ranks = np.sum(sv > svd_threshold * sv[..., :1], axis=-1)
+    ranks = np.sum(sv > RANK_THRESHOLD * sv[..., :1], axis=-1)
     return ranks if ranks.ndim else int(ranks)

@@ -366,23 +366,27 @@ def closure_jacobian(data, geo, h=1e-4):
     return ((-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)).T
 
 
-def family_dimension(jac, svd_threshold=1e-6):
+NULL_THRESHOLD = 1e-6
+
+
+def family_dimension(jac):
     """Dimension of the kernel of a closure Jacobian (`closure_jacobian`)
     at a closed geodesic = dimension of the continuous family through it
-    (counted in the full 16-dimensional phase space)."""
+    (counted in the full 16-dimensional phase space); a singular value at
+    most NULL_THRESHOLD times the largest counts as zero."""
     sv = np.linalg.svd(jac, compute_uv=False)
-    nullity = int(np.sum(sv <= svd_threshold * sv[0])) + jac.shape[1] - sv.size
+    nullity = int(np.sum(sv <= NULL_THRESHOLD * sv[0])) + jac.shape[1] - sv.size
     return nullity, sv
 
 
-def invariant_fiber_codim(data, geo, jac, svd_threshold=1e-6):
+def invariant_fiber_codim(data, geo, jac):
     """Rank of the integral gradients restricted to the family's tangent
     space, the kernel of the closure Jacobian `jac` at geo; 1 means the
     family is a one-parameter stack of invariant level sets.  Also returns
     the largest projection of the three exact central integrals q_W, which
     must vanish on the family."""
     _, sv, vt = np.linalg.svd(jac)
-    null_rows = vt[np.concatenate([sv <= svd_threshold * sv[0],
+    null_rows = vt[np.concatenate([sv <= NULL_THRESHOLD * sv[0],
                                    np.ones(vt.shape[0] - sv.size, bool)])]
     # no integral reads z, so the left gradients (B, A) are the plain
     # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns

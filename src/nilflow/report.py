@@ -75,7 +75,7 @@ class Certificate:
 @dataclass
 class Report:
     """A suite report; the serialized body is byte-reproducible for a fixed
-    (seed, version, flags) and excludes wall time."""
+    suite, seed and program version, and excludes wall time."""
 
     suite: str
     seed: int

@@ -106,8 +106,8 @@ def test_criterion_05_poisson_commutation(suites):
     c2 = _check(rep, "poisson_sanity_pair")
     ok = c1.passed and c2.passed
     _line(5, "max |{f_a,f_b}| over 28 pairs x 10^3 states <= 1e-6 "
-             "(FD step 1e-6); sanity pair = 1 +- 1e-6", ok,
-          f"max {c1.value:.3g}, sanity {c2.value:.9f}")
+             "(FD step 1e-6); |sanity pair - 1| <= 1e-6", ok,
+          f"max {c1.value:.3g}, sanity off by {c2.value:.3g}")
     assert ok
     assert _within_budget(suites, "integrals")
 
@@ -232,7 +232,7 @@ def test_criterion_13_determinism(verify_runs):
 # value lists the moved values and records the new hash here and in
 # ROADMAP.md.
 BODY_SHA256_SEED_42 = (
-    "d4f5d65a99979ff059fd93ed9356d169bfc9f91d4465d733be0b5c0e09637641"
+    "3ccce454b2d68132585867c59265b2eb47c2b840f91eb4c9f75a7cfe6eaa2815"
 )
 
 

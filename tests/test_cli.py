@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow.catalog import build_pair
-from nilflow import cli
+from nilflow import cli, suites
 from nilflow.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONSTRUCTION,
@@ -274,6 +274,8 @@ def test_integrals_and_poisson_commands(tmp_path):
                  "--out", str(tmp_path / "p.json")]) == EXIT_PASS
     doc = json.loads((tmp_path / "p.json").read_text())
     assert len(doc["rows"]) == 28
+    # the benchmark's output check reads the first row's tolerance
+    assert {float(r["tolerance"]) for r in doc["rows"]} == {suites.BRACKET_TOL}
 
 
 @pytest.mark.parametrize("command", ["integrals", "poisson"])
@@ -423,7 +425,7 @@ LONG = 5_000
      EXIT_USAGE, "usage error"),
     (["integrals", "--state", "Q" * LONG + ": nan; " + PAIR_STATE],
      EXIT_USAGE, "usage error"),
-    (["flow", "--config", "/nonexistent/" + "x" * LONG, "--state",
+    (["flow", "--out", "/nonexistent/" + "x" * LONG, "--state",
       PAIR_STATE], EXIT_IO, "I/O error"),
 ])
 def test_error_line_is_bounded_whatever_the_input(argv, code, kind, capsys):
@@ -436,19 +438,21 @@ def test_error_line_is_bounded_whatever_the_input(argv, code, kind, capsys):
     assert len(lines[0]) <= 240 and lines[0].endswith("…")
 
 
-def test_config_override(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "algebra"],
+    ["flow", "--method", "rk4", "--state", PAIR_STATE],
+    ["poisson", "--state", PAIR_STATE],
+])
+def test_tolerances_are_not_configurable(argv, tmp_path, capsys):
+    # the acceptance tolerances are fixed in the program: no file loosens them
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rk4_steps_per_unit": 10}))
-    rng = np.random.default_rng(7)
-    s = sample_generic_state(M, rng)
-    rec = format_state(s)
-    assert main(["flow", "--manifold", "M", "--method", "rk4", "--t", "1",
-                 "--state", rec, "--config", str(cfg),
-                 "--out", str(tmp_path / "o.txt")]) == EXIT_PASS
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_key": 1}))
-    assert main(["flow", "--manifold", "M", "--method", "rk4", "--t", "1",
-                 "--state", rec, "--config", str(bad)]) == EXIT_USAGE
+    cfg.write_text(json.dumps({"bracket_tol": 1.0}))
+    assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == ""
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "--config" in lines[0]
 
 
 def test_out_path_io_error(tmp_path):

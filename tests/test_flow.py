@@ -366,4 +366,4 @@ def test_plane_and_kernel_parts_reconstruct():
 def test_default_steps():
     assert default_steps(2.5) == 2500
     assert default_steps(0.0) == 1
-    assert default_steps(-1.0, 10) == 10
+    assert default_steps(-1.0) == 1000

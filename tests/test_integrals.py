@@ -178,7 +178,7 @@ def _sanity_pair(st):
     return np.stack([st.v[..., 0], st.V[..., 0]], -1)
 
 
-def test_batched_fd_calculus_equals_per_state():
+def test_batched_fd_calculus_equals_per_state(monkeypatch):
     # states on the degenerate cone c_k = 0 (first, so that a threshold
     # taken from the first state's spectrum would show) plus generic states;
     # the batch runs the same FD stencils, so every row is bitwise the
@@ -198,10 +198,6 @@ def test_batched_fd_calculus_equals_per_state():
     mats = poisson_matrix(M.alg, batch)
     sanity = poisson_matrix(M.alg, batch, fn=_sanity_pair)
     ranks = independence_rank(M.alg, batch)
-    # at a coarse threshold the generic ranks vary from state to state, which
-    # shows that each state is cut against its own largest singular value
-    coarse = independence_rank(M.alg, batch, svd_threshold=0.1)
-    assert set(coarse[8:]) == {6, 7, 8}
     assert B.shape == A.shape == (32, 8, 8)
     assert mats.shape == (32, 8, 8) and sanity.shape == (32, 2, 2)
     assert ranks.shape == (32,)
@@ -215,11 +211,16 @@ def test_batched_fd_calculus_equals_per_state():
         assert np.array_equal(sanity[i], poisson_matrix(M.alg, s, fn=_sanity_pair))
         rank = independence_rank(M.alg, s)
         assert type(rank) is int and rank == ranks[i]
-        assert independence_rank(M.alg, s, svd_threshold=0.1) == coarse[i]
     # two batch axes are the same rows again
     grid = state_from_flat(M.alg, flats.reshape(4, 8, -1))
     assert np.array_equal(poisson_matrix(M.alg, grid), mats.reshape(4, 8, 8, 8))
     assert np.array_equal(independence_rank(M.alg, grid), ranks.reshape(4, 8))
+    # at a coarse threshold the generic ranks vary from state to state, which
+    # shows that each state is cut against its own largest singular value
+    monkeypatch.setattr(integrals, "RANK_THRESHOLD", 0.1)
+    coarse = independence_rank(M.alg, batch)
+    assert set(coarse[8:]) == {6, 7, 8}
+    assert [independence_rank(M.alg, s) for s in states] == coarse.tolist()
 
 
 def test_run_integrals_batches_every_check(monkeypatch):
@@ -247,10 +248,10 @@ def test_suites_draw_each_block_in_one_call(monkeypatch):
     # 1000, each in one sampler call (the sanity state is a one-state call)
     blocks = []
 
-    def counting(data, rng, n=None, **kw):
+    def counting(data, rng, n=None):
         if n is not None:
             blocks.append(n)
-        return sample_generic_state(data, rng, n, **kw)
+        return sample_generic_state(data, rng, n)
 
     monkeypatch.setattr(suites, "sample_generic_state", counting)
     assert suites.run_suite("flow", 42).passed

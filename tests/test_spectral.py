@@ -21,10 +21,12 @@ def test_char_poly_2x2():
 
 
 def test_char_poly_batch_matches_exact():
-    # random integer matrices, not skew like j(Z), up to the entry guard
+    # random integer matrices, not skew like j(Z), entries up to 80, and
+    # 5x5 ones with every entry +-80
     rng = np.random.default_rng(11)
-    for d in (1, 2, 4, 5, 6):
-        mats = rng.integers(-80, 81, size=(30, d, d))
+    batches = [rng.integers(-80, 81, size=(30, d, d)) for d in (1, 2, 4, 5, 6)]
+    batches.append(np.random.default_rng(4).choice([-80, 80], size=(20, 5, 5)))
+    for mats in batches:
         assert not np.array_equal(mats, -mats.swapaxes(1, 2))
         batch = spectral.char_poly_batch_int(mats)
         for mat, row in zip(mats, batch):
@@ -33,16 +35,16 @@ def test_char_poly_batch_matches_exact():
 
 
 def test_char_poly_batch_overflow_guard():
+    # 10x10 matrices with entries in [-80, 80] wrap int64 in the recurrence:
+    # seed 3 used to return a wrong polynomial, seed 0 a non-divisible trace;
+    # the guard on d and max|a| rejects both before any work
     with pytest.raises(OverflowError):
-        spectral.char_poly_batch_int(np.full((1, 2, 2), 10**3))
+        spectral.char_poly_batch_int(np.full((1, 2, 2), 10**9))
+    for seed in (3, 0):
+        mat = np.random.default_rng(seed).integers(-80, 81, size=(1, 10, 10))
+        with pytest.raises(OverflowError):
+            spectral.char_poly_batch_int(mat)
 
-
-def test_char_poly_batch_inexact_division_guard():
-    # a 10x10 matrix within the entry guard wraps int64 in the recurrence,
-    # and the wrapped trace is not divisible by k
-    mat = np.random.default_rng(0).integers(-80, 81, size=(1, 10, 10))
-    with pytest.raises(ArithmeticError):
-        spectral.char_poly_batch_int(mat)
 
 
 def test_claimed_identity_rational_c():
