@@ -35,16 +35,22 @@ def test_char_poly_batch_matches_exact():
 
 
 def test_char_poly_batch_overflow_guard():
-    # 10x10 matrices with entries in [-80, 80] wrap int64 in the recurrence:
-    # seed 3 used to return a wrong polynomial, seed 0 a non-divisible trace;
-    # the guard on d and max|a| rejects both before any work
+    # a 10x10 matrix with entries in [-80, 80] wraps int64 in the recurrence
+    # and used to return a wrong polynomial; the guard on d and max|a|
+    # rejects it before any work
     with pytest.raises(OverflowError):
         spectral.char_poly_batch_int(np.full((1, 2, 2), 10**9))
-    for seed in (3, 0):
-        mat = np.random.default_rng(seed).integers(-80, 81, size=(1, 10, 10))
-        with pytest.raises(OverflowError):
-            spectral.char_poly_batch_int(mat)
+    mat = np.random.default_rng(3).integers(-80, 81, size=(1, 10, 10))
+    with pytest.raises(OverflowError):
+        spectral.char_poly_batch_int(mat)
 
+
+def test_char_poly_batch_inexact_division_guard():
+    # a 10x10 matrix whose wrapped trace is not divisible by k: the guard on
+    # d and max|a| rejects it before the floor division could hide that
+    mat = np.random.default_rng(0).integers(-80, 81, size=(1, 10, 10))
+    with pytest.raises(OverflowError):
+        spectral.char_poly_batch_int(mat)
 
 
 def test_claimed_identity_rational_c():
