@@ -174,11 +174,17 @@ def cmd_closed_geodesic(args):
         rng = np.random.Generator(np.random.Philox(args.seed))
         target = sample_generic_state(data, rng)
     try:
-        geo = construct_closed_geodesic(
-            data, target, epsilon=args.epsilon, bound=args.bound,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            geo = construct_closed_geodesic(
+                data, target, epsilon=args.epsilon, bound=args.bound,
+            )
     except DegenerateFrequencyError as e:
         raise ConstructionError(str(e)) from e
+    except OverflowError as e:
+        # the rounding onto the grid overflows: a huge --epsilon forces a
+        # huge kernel coefficient r, a huge --bound a huge grid
+        raise ValueError(f"--epsilon={args.epsilon} or --bound is too "
+                         "large: the construction overflows") from e
     doc = {
         "manifold": data.name,
         "initial_state": format_state(geo.state),

@@ -242,7 +242,7 @@ MAX_CIH_BOUND = 6
 CIH_RECORDS = 40
 
 
-def cih_certificate(data, coord_bound, rng=None):
+def cih_certificate(data, coord_bound, rng):
     """Certificate of Gornet's clean-intersection criterion on all lattice
     logarithms V + Z with |v-coordinates| <= bound (integers) and
     |z-coordinates| <= bound (half-integers).
@@ -259,8 +259,8 @@ def cih_certificate(data, coord_bound, rng=None):
          half-integer Z;
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
-    Explicit eigenvalue records and annihilator checks are kept for a
-    deterministic sample of CIH_RECORDS elements.  A bound outside
+    Explicit eigenvalue records and annihilator checks are kept for
+    CIH_RECORDS elements drawn from rng.  A bound outside
     0..MAX_CIH_BOUND raises ValueError before anything is enumerated.
     """
     if not 0 <= coord_bound <= MAX_CIH_BOUND:
@@ -294,8 +294,6 @@ def cih_certificate(data, coord_bound, rng=None):
     # sampled explicit eigenvalue records with exact annihilator checks
     half = Fraction(1, 2)
     z_vals = [half * k for k in range(-2 * coord_bound, 2 * coord_bound + 1)]
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
     records = []
     ann_ok = True
     for _ in range(CIH_RECORDS):

@@ -77,17 +77,26 @@ class EigenFrame:
     basis rows (u1, u2, u3, u4, u0), shape (..., 5, dim_v): j(Z) u_a =
     theta u_b and j(Z) u_b = -theta u_a on the planes (u1, u2) and (u3, u4),
     whose frequencies are theta[..., 0] and theta[..., 1]; u0 spans the
-    kernel.  V and t broadcast against the batch axes, and every product
+    kernel.  rows are the manifold's printed (unnormalized) frame rows
+    (E_1, E_2, E_3, E_4, Y_c) with squared lengths sq, so u = rows /
+    sqrt(sq).  V and t broadcast against the batch axes, and every product
     with the basis is made once per batch entry, so a batch row equals the
     one-state call bit for bit.
     """
 
     basis: np.ndarray
     theta: np.ndarray
+    rows: np.ndarray
+    sq: np.ndarray
 
     def components(self, V):
         """Coefficients (a1, b1, a2, b2, a0) of V in the frame."""
         return (self.basis @ np.asarray(V, float)[..., None])[..., 0]
+
+    def printed_coefficients(self, V):
+        """Coefficients (alpha_1..alpha_4, beta) of V in the printed frame,
+        V = sum alpha_m E_m + beta Y_c."""
+        return (self.rows @ np.asarray(V, float)[..., None])[..., 0] / self.sq
 
     def _combine(self, V, x, y, w):
         """Per plane (a x - b y) u_a + (a y + b x) u_b, plus w a0 u0; x and y
@@ -139,13 +148,15 @@ class EigenFrame:
 
 
 def _unit_frame(data, Z):
-    """Rows of the printed frame of j(Z) scaled to unit length (a row of
-    length 0 stays 0), their lengths and the frequencies."""
+    """The printed frame of j(Z) as an EigenFrame, not checked for
+    degeneracy: a row of length 0 stays 0 in the basis."""
     if data.frame is None:
         raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
     rows, theta = data.frame(Z)
-    norms = np.sqrt(np.einsum("...ij,...ij->...i", rows, rows))
-    return rows / np.where(norms > 0.0, norms, 1.0)[..., None], norms, theta
+    sq = np.einsum("...ij,...ij->...i", rows, rows)
+    norms = np.sqrt(sq)
+    return EigenFrame(rows / np.where(norms > 0.0, norms, 1.0)[..., None],
+                      theta, rows, sq)
 
 
 def eigenframe(data, Z):
@@ -158,14 +169,15 @@ def eigenframe(data, Z):
     A degenerate Z anywhere in the batch raises, naming the first one.
     """
     Z = np.asarray(Z, float)
-    basis, norms, theta = _unit_frame(data, Z)
-    bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > 1e-12, axis=-1)
+    frame = _unit_frame(data, Z)
+    bad = ~np.all(np.concatenate([np.abs(frame.theta), np.sqrt(frame.sq)],
+                                 axis=-1) > 1e-12, axis=-1)
     if np.any(bad):
         raise DegenerateFrequencyError(
             f"degenerate precession for Z={Z[bad][0].tolist()}: need c_k != 0 "
             "and (c_i, c_j) != 0"
         )
-    return EigenFrame(basis, theta)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +386,7 @@ def sample_generic_state(data, rng, n=None):
         rows = np.ndarray((offsets, width), float, b, 0, (b.itemsize,) * 2)
         Z = 2.0 * rows[:, :3]
         z_ok = np.flatnonzero(_generic_Z(Z))
-        unit, _, _ = _unit_frame(data, Z[z_ok])
+        unit = _unit_frame(data, Z[z_ok]).basis
         comp = np.abs(unit @ rows[z_ok, 3:3 + dv, None]).min(axis=(-2, -1))
         outcome = np.zeros(offsets, np.intp)
         outcome[z_ok] = 1 + (comp >= 0.05)

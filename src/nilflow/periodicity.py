@@ -17,7 +17,7 @@ the result).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, hypot, lcm, pi, sqrt
+from math import ceil, floor, hypot, inf, isinf, lcm, pi, sqrt
 
 import numpy as np
 
@@ -66,15 +66,6 @@ def translational_element(data, state, tau):
     return a_v, a_z
 
 
-def _frame_coefficients(data, Z, V):
-    """Coefficients of V in the manifold's printed (unnormalized) frame,
-    V = sum alpha_m E_m + beta Y_c as (alpha_1..alpha_4, beta), and the
-    squared lengths of E_1..E_4, Y_c."""
-    rows, _ = data.frame(np.asarray(Z, float))
-    sq = np.einsum("ij,ij->i", rows, rows)
-    return rows @ np.asarray(V, float) / sq, sq
-
-
 def translational_element_expanded(data, state, tau):
     """The same element in closed form, `_exact_element` with r =
     tau beta, t = tau (1 + |V_perp|^2 / (2 |c|^2)), P_D = tau beta g_D and
@@ -82,7 +73,8 @@ def translational_element_expanded(data, state, tau):
     c = tuple(float(x) for x in state.Z)
     ci, cj, ck = c
     n2 = ci * ci + cj * cj + ck * ck
-    al, sq = _frame_coefficients(data, state.Z, state.V)
+    frame = eigenframe(data, state.Z)
+    al, sq = frame.printed_coefficients(state.V), frame.sq
     beta = al[4]
     v_ck2 = al[0] ** 2 * sq[0] + al[1] ** 2 * sq[1]
     vperp2 = v_ck2 + al[2] ** 2 * sq[2] + al[3] ** 2 * sq[3]
@@ -225,20 +217,18 @@ def construct_closed_geodesic(data, target, epsilon=0.05, bound=None):
             "target Z lies on the degenerate cone; no generic closed geodesic "
             "construction applies"
         )
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < inf or isinf(4.0 / epsilon):
+        raise ValueError(f"epsilon must be > 0 and finite, with 4 / epsilon "
+                         f"finite, got {epsilon}")
     if bound is None:
         bound = max(16, ceil(4.0 / epsilon))
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    last_err = None
     for _ in range(7):
         try:
-            geo = _construct_once(data, target, epsilon, bound)
+            return _construct_once(data, target, epsilon, bound)
         except ConstructionError as e:
-            last_err, geo = e, None
-        if geo is not None:
-            return geo
+            last_err = e
         bound *= 2
     raise ConstructionError(
         f"could not reach epsilon={epsilon} (last: {last_err})"
@@ -246,53 +236,44 @@ def construct_closed_geodesic(data, target, epsilon=0.05, bound=None):
 
 
 def _construct_once(data, target, epsilon, bound):
+    """One attempt on the grid (1/bound) Z: the closed geodesic within
+    epsilon of target, or ConstructionError naming the distance reached."""
     unit = Fraction(1, bound)
     zt = np.asarray(target.Z, float)
-    norm_t = float(np.linalg.norm(zt))
     ui, uj, uk = rationalize_sphere_direction(zt, bound)
-    rho_s = _approx(norm_t, bound)
-    if rho_s <= 0:
-        rho_s = unit
-    c = (rho_s * ui, rho_s * uj, rho_s * uk)
-    norm_c = rho_s
-    ratio = Fraction(uk)  # c_k / |c|, already in lowest terms
-    p, q = ratio.numerator, ratio.denominator
+    norm_c = max(unit, _approx(np.linalg.norm(zt), bound))
+    c = (norm_c * ui, norm_c * uj, norm_c * uk)
+    p, q = uk.numerator, uk.denominator  # c_k / |c| in lowest terms
     c_f = np.array([float(x) for x in c])
-    if abs(c_f[2]) < 1e-12 or hypot(c_f[0], c_f[1]) < 1e-12:
-        return None
     sigma = 2.0 * pi * q / float(norm_c)
     frame = eigenframe(data, c_f)
 
     Vt = np.asarray(target.V, float)
     ck_f, n2 = c_f[2], float(c_f @ c_f)
-    rows, _ = data.frame(c_f)
-    y_c = rows[4]
-    beta_bar = _frame_coefficients(data, c_f, Vt)[0][4]
+    y_c = frame.rows[4]
+    beta_bar = frame.printed_coefficients(Vt)[4]
     r = _approx(beta_bar * sigma, bound)
     r_min = max(unit, _approx(epsilon * sigma / (4.0 * float(norm_c)), bound))
     if abs(r) < r_min:
         r = r_min if beta_bar >= 0 else -r_min
 
+    # |V_perp|^2 = 2 |c|^2 (t / sigma - 1) and |V_ck|^2 = 2 c_k |c|^2 w1 /
+    # sigma, so c_k w1 must lie in (0, t - sigma); t is raised to the first
+    # grid point with t - sigma > |c_k| / bound, which leaves that interval
+    # a grid point for w1, and w1 is its rounded target clamped into it
     vperp_t = Vt - beta_bar * y_c
     vperp2_bar = float(vperp_t @ vperp_t)
-    t = _approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound)
-    while 2.0 * n2 * (float(t) / sigma - 1.0) <= 0.0:
-        t += unit
+    t = max(_approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound),
+            Fraction(floor(sigma * bound + abs(ck_f)) + 1, bound))
     vperp2 = 2.0 * n2 * (float(t) / sigma - 1.0)
 
     v_ck_t = frame.plane_part(Vt, 0)
     vck2_bar = float(v_ck_t @ v_ck_t)
-    w1 = _approx(sigma * vck2_bar / (2.0 * ck_f * n2), bound)
-    step = unit * (1 if ck_f > 0 else -1)
-    tries = 0
-    while True:
-        vck2 = 2.0 * ck_f * n2 * float(w1) / sigma
-        if 0.0 < vck2 < vperp2:
-            break
-        w1 = w1 + step if vck2 <= 0.0 else w1 - step
-        tries += 1
-        if tries > 4 * bound:
-            raise ConstructionError("no room for the first plane component")
+    k_max = ceil((float(t) - sigma) * bound / abs(ck_f)) - 1
+    k = min(max(round(sigma * vck2_bar / (2.0 * abs(ck_f) * n2) * bound), 1),
+            k_max)
+    w1 = Fraction(k if ck_f > 0 else -k, bound)
+    vck2 = 2.0 * ck_f * n2 * float(w1) / sigma
     vnm2 = vperp2 - vck2
 
     def _unit(vec, fallback):
@@ -306,7 +287,7 @@ def _construct_once(data, target, epsilon, bound):
 
     # pin the base coordinates so the D and W coefficients of a_z become
     # the exact rationals P_D = r g_D and P_W = -w1 + r g_W
-    al, _ = _frame_coefficients(data, c_f, V)
+    al = frame.printed_coefficients(V)
     gD_bar, gW_bar = data.drift(c_f, target.v, al, n2)
     P_D = _approx(float(r) * gD_bar, bound)
     P_W = _approx(-float(w1) + float(r) * gW_bar, bound)
@@ -319,8 +300,9 @@ def _construct_once(data, target, epsilon, bound):
         float(np.linalg.norm(V - Vt)),
         float(np.linalg.norm(v - np.asarray(target.v, float))),
     )
-    if distance > epsilon:
-        return None
+    if not distance <= epsilon:
+        raise ConstructionError(
+            f"distance {distance} > epsilon={epsilon} at bound {bound}")
 
     # the least m clearing the element's coordinates in both lattices
     a_v, a_z = _exact_element(c, r, t, P_D, P_W)
@@ -369,25 +351,24 @@ def closure_jacobian(data, geo, h=1e-4):
 NULL_THRESHOLD = 1e-6
 
 
-def family_dimension(jac):
-    """Dimension of the kernel of a closure Jacobian (`closure_jacobian`)
-    at a closed geodesic = dimension of the continuous family through it
-    (counted in the full 16-dimensional phase space); a singular value at
-    most NULL_THRESHOLD times the largest counts as zero."""
-    sv = np.linalg.svd(jac, compute_uv=False)
-    nullity = int(np.sum(sv <= NULL_THRESHOLD * sv[0])) + jac.shape[1] - sv.size
-    return nullity, sv
+def family_kernel(jac):
+    """Orthonormal rows spanning the kernel of a closure Jacobian
+    (`closure_jacobian`) at a closed geodesic; their number is the
+    dimension of the continuous family through it (counted in the full
+    16-dimensional phase space).  A singular value at most NULL_THRESHOLD
+    times the largest counts as zero, and so does each column past the
+    rows of a wide matrix."""
+    _, sv, vt = np.linalg.svd(jac)
+    return vt[np.concatenate([sv <= NULL_THRESHOLD * sv[0],
+                              np.ones(vt.shape[0] - sv.size, bool)])]
 
 
-def invariant_fiber_codim(data, geo, jac):
+def invariant_fiber_codim(data, geo, null_rows):
     """Rank of the integral gradients restricted to the family's tangent
-    space, the kernel of the closure Jacobian `jac` at geo; 1 means the
+    space, spanned by `family_kernel` rows null_rows at geo; 1 means the
     family is a one-parameter stack of invariant level sets.  Also returns
     the largest projection of the three exact central integrals q_W, which
     must vanish on the family."""
-    _, sv, vt = np.linalg.svd(jac)
-    null_rows = vt[np.concatenate([sv <= NULL_THRESHOLD * sv[0],
-                                   np.ones(vt.shape[0] - sv.size, bool)])]
     # no integral reads z, so the left gradients (B, A) are the plain
     # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns
     grads = np.concatenate(left_gradients_all(data.alg, geo.state), axis=-1)

@@ -205,12 +205,12 @@ def _same_saturated_kernels(alg, cs, kers, kers_p):
     return same
 
 
-def gw_certificate(pair, dual_bound, rng=None):
+def gw_certificate(pair, dual_bound, rng):
     """Certificate for the isospectrality hypotheses of the pair.
 
     (a) char-poly equality of j(Z), j'(Z) on a deterministic grid plus all
-        dual-lattice Z with bounded coordinates (and random samples when an
-        rng is supplied); (b) [M,M] inside 2*Lambda for both brackets,
+        dual-lattice Z with bounded coordinates and 200 random integer Z
+        drawn from rng; (b) [M,M] inside 2*Lambda for both brackets,
         exactly; (c) for bounded dual-lattice Z, equality of the kernel
         lattices, decided in integers, and where they differ, an exact
         isometry between them (`lattices_isometric`), which makes their
@@ -227,8 +227,7 @@ def gw_certificate(pair, dual_bound, rng=None):
     alg, alg_p = m_data.alg, mp_data.alg
     cert = Certificate("gordon_wilson_isospectrality", f"{m_data.name}/{mp_data.name}")
 
-    n_random = 200 if rng is not None else 0
-    ok, witness = char_poly_identity_check(alg, alg_p, n_random, rng)
+    ok, witness = char_poly_identity_check(alg, alg_p, 200, rng)
     cert.add(
         "char_poly_identity_grid",
         ok,

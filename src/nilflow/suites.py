@@ -23,13 +23,12 @@ from .flow import (
     flow_exact_vV,
     flow_rk4_many,
     sample_generic_state,
-    state_from_flat,
 )
 from .integrals import evaluate_integrals, independence_rank, poisson_matrix
 from .periodicity import (
     closure_jacobian,
     construct_closed_geodesic,
-    family_dimension,
+    family_kernel,
     flow_translation,
     invariant_fiber_codim,
     translational_element,
@@ -137,11 +136,6 @@ def run_spectral(seed):
 # flow
 
 
-def _stack(alg, states):
-    """One TangentState with a leading batch axis over a list of states."""
-    return state_from_flat(alg, np.stack([s.flat() for s in states]))
-
-
 def run_flow(seed):
     report = Report("flow", seed, ["M", "Mprime"])
     rng = _rng(seed, "flow")
@@ -230,16 +224,17 @@ def run_integrals(seed):
         value={"rank8_count": full, "samples": 1000},
         tolerance="≥ 99%",
     )
-    degen = []
-    for _ in range(100):
-        ci, cj = rng.uniform(-2, 2, size=2)
-        while ci * ci + cj * cj < 0.25:
-            ci, cj = rng.uniform(-2, 2, size=2)
-        degen.append(TangentState(
-            rng.uniform(-1, 1, size=5), rng.uniform(-1, 1, size=3),
-            rng.uniform(-1, 1, size=5), np.array([ci, cj, 0.0]),
-        ))
-    ranks = independence_rank(alg, _stack(alg, degen))
+    # c_k = 0 and |(c_i, c_j)| >= 1/2: one draw of 100 rows, then draws of
+    # exactly the rows rejected so far
+    cij = np.empty((0, 2))
+    while len(cij) < 100:
+        cand = rng.uniform(-2, 2, size=(100 - len(cij), 2))
+        cij = np.concatenate([cij, cand[np.vecdot(cand, cand) >= 0.25]])
+    degen = TangentState(
+        rng.uniform(-1, 1, size=(100, 5)), rng.uniform(-1, 1, size=(100, 3)),
+        rng.uniform(-1, 1, size=(100, 5)), np.pad(cij, ((0, 0), (0, 1))),
+    )
+    ranks = independence_rank(alg, degen)
     worst_rank = int(np.max(ranks))
     report.add(
         "independence_rank_degenerate",
@@ -321,8 +316,9 @@ def run_periodicity(seed):
     # family dimension and invariant fibers
     for data in (m, mp):
         geo = _nice_geodesic(data, rng, _NICE_TARGET_CS[0])
-        jacs = [closure_jacobian(data, geo, h) for h in (1e-4, 1e-5, 1e-6)]
-        dims = [family_dimension(jac)[0] for jac in jacs]
+        kernels = [family_kernel(closure_jacobian(data, geo, h))
+                   for h in (1e-4, 1e-5, 1e-6)]
+        dims = [len(k) for k in kernels]
         report.add(
             f"family_dimension[{data.name}]",
             dims == [9, 9, 9],
@@ -330,7 +326,7 @@ def run_periodicity(seed):
             note="nullity across FD steps 1e-4/1e-5/1e-6",
         )
         if data is m:
-            rank, q_proj, _ = invariant_fiber_codim(data, geo, jacs[0])
+            rank, q_proj, _ = invariant_fiber_codim(data, geo, kernels[0])
             report.add(
                 "invariant_fiber_codim[M]",
                 rank == 1 and q_proj < 1e-6,

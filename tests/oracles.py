@@ -191,7 +191,7 @@ def sample_generic_state(data, rng, min_comp=0.05):
     dv, dz = data.alg.dim_v, data.alg.dim_z
     while True:
         Z = sample_generic_Z(rng)
-        unit, _, _ = _unit_frame(data, Z)
+        unit = _unit_frame(data, Z).basis
         V = rng.uniform(-1.0, 1.0, size=dv)
         if np.min(np.abs(unit @ V)) < min_comp:
             continue

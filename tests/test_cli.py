@@ -329,11 +329,18 @@ def test_cih_over_cap_bound_is_usage_error(capsys, monkeypatch):
         assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", [["--bound", "0"], ["--epsilon", "0"]])
+@pytest.mark.parametrize("flag", [
+    ["--bound", "0"], ["--epsilon", "0"], ["--epsilon", "inf"],
+    ["--epsilon", "1e-320"], ["--epsilon", "1e200"],
+    ["--bound", str(10**400)],
+])
 def test_closed_geodesic_bad_bound_or_epsilon_is_usage_error(flag, capsys):
+    # inf and 1e-320 overflow the default grid 4 / epsilon, 1e200 the kernel
+    # coefficient r >= epsilon sigma / (4 |c|), and 10^400 the float grid
     assert main(["closed-geodesic", "--seed", "1"] + flag) == EXIT_USAGE
     err = capsys.readouterr().err
     assert flag[0][2:] in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_criteria_reports_butler_certificate(tmp_path):

@@ -175,7 +175,7 @@ def test_cih_certificate_small_bound():
 def test_cih_certificate_rejects_a_bound_above_the_cap():
     for bound in (MAX_CIH_BOUND + 1, -1):
         with pytest.raises(ValueError, match="coord_bound"):
-            cih_certificate(M, bound)
+            cih_certificate(M, bound, np.random.default_rng(0))
 
 
 def _assert_projector(rows, n, d):

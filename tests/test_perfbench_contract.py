@@ -74,10 +74,11 @@ def test_closure_jacobian_hook_reads_geo():
 
 
 def test_certificate_hooks_find_their_checks():
-    counts = _hooked(spectral.gw_certificate, (M, MP), 2)
+    counts = _hooked(spectral.gw_certificate, (M, MP), 2,
+                     np.random.default_rng(0))
     assert set(counts) == {"spectral.gw.enumerated", "spectral.gw.points"}
     assert counts["spectral.gw.points"] == 27
-    counts = _hooked(criteria.cih_certificate, M, 1)
+    counts = _hooked(criteria.cih_certificate, M, 1, np.random.default_rng(0))
     assert set(counts) == {"criteria.cih.distinct_spans",
                            "criteria.cih.enumerated_V"}
     assert counts["criteria.cih.enumerated_V"] == 3**5

@@ -1,5 +1,6 @@
 """Translational elements and the exact closed-geodesic construction."""
 
+import time
 from fractions import Fraction
 from math import gcd, pi
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow.catalog import build_pair
+from nilflow.cli import EXIT_CONSTRUCTION, format_state, main
 from nilflow.flow import (
     DegenerateFrequencyError,
     TangentState,
@@ -207,6 +209,26 @@ def test_construction_error_surfaces():
             TangentState([0] * 5, [0] * 3, [1, 0, 0, 0, 0], [0, 0, 0]),
             epsilon=0.1,
         )
+
+
+def test_construction_work_is_bounded_when_v_lies_along_y_c(capsys):
+    # V along Y_c leaves V_perp, hence t - sigma and the room for w1, at
+    # their least; t and w1 are chosen in closed form, so each of the seven
+    # attempts is straight-line work whatever epsilon is
+    target = TangentState([0] * 5, [0] * 3, [0, 0, 0, 0.6, 0.8], [0, 3.0, 4.0])
+    t0 = time.perf_counter()
+    try:
+        geo = construct_closed_geodesic(M, target, epsilon=5e-4)
+    except ConstructionError:
+        pass
+    else:
+        assert geo.distance <= 5e-4 and geo.rotation_exact
+    assert time.perf_counter() - t0 < 1.0
+    assert main(["closed-geodesic", "--epsilon", "5e-4",
+                 "--target", format_state(target)]) == EXIT_CONSTRUCTION
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("construction failure: ")
 
 
 def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):

@@ -214,7 +214,7 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
         return kers
 
     monkeypatch.setattr(spectral, "j_kernels", fake)
-    cert = spectral.gw_certificate((M, MP), 6, None)
+    cert = spectral.gw_certificate((M, MP), 6, np.random.default_rng(0))
     assert not cert.passed
     check = cert.checks[-1]
     assert check.name == "kernel_lattice_length_spectra" and not check.passed
@@ -222,7 +222,7 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
 
 
 def test_gw_certificate_small():
-    cert = spectral.gw_certificate((M, MP), 2, None)
+    cert = spectral.gw_certificate((M, MP), 2, np.random.default_rng(0))
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "kernel_lattice_length_spectra" in names
@@ -246,7 +246,8 @@ def test_gw_kernel_lattices_are_lattice_intersections():
                              for a, b in zip(kers, kers_p)]
     for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
                           (6, {"enumerated": 48, "identical_lattices": 295})):
-        cert = spectral.gw_certificate((M, MP), bound, None)
+        cert = spectral.gw_certificate((M, MP), bound,
+                                       np.random.default_rng(0))
         assert cert.checks[-1].value == counts
 
 
@@ -263,4 +264,5 @@ def test_gw_certificate_needs_integer_lattice_v():
     ))
     with pytest.raises(ValueError):
         spectral.gw_certificate(
-            (dataclasses.replace(M, lattice_v=lat), MP), 2)
+            (dataclasses.replace(M, lattice_v=lat), MP), 2,
+            np.random.default_rng(0))
