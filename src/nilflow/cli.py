@@ -240,13 +240,17 @@ def cmd_poisson(args):
 
 
 def cmd_criteria(args):
+    t0 = time.perf_counter()
     report = Report("criteria-cmd", args.seed, [args.manifold])
     data = get_manifold(args.manifold)
     cert = check_hr_presentation(data.alg, data.split)
     report.add_certificate(cert)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    cert, _ = butler_nonintegrability_sample(data.alg, 1000, rng)
+    cert, fraction = butler_nonintegrability_sample(data.alg, 1000, rng)
     report.add_certificate(cert)
+    report.add(f"butler_positive_dim_fraction[{data.name}]", cert.passed,
+               value=fraction, note=f"regular pairs: {cert.data['regular_pairs']}")
+    report.wall_time_s = time.perf_counter() - t0
     _emit(report.to_text(), args.out)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 

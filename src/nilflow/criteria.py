@@ -54,9 +54,9 @@ def check_hr_presentation(alg, split):
 
 
 def minimal_centralizer_dim(alg, rng):
-    """Empirical minimum of dim n_lambda over a deterministic sample."""
-    zs = [rng.integers(-9, 10, size=alg.dim_z) for _ in range(64)]
-    return min(len(k) for k in j_kernels(alg, zs)) + alg.dim_z
+    """Empirical minimum of dim n_lambda over 64 integer Z drawn from rng."""
+    _, dims = j_kernels(alg, rng.integers(-9, 10, size=(64, alg.dim_z)))
+    return int(dims.min()) + alg.dim_z
 
 
 def _draw_regular_zs(alg, rng, n):
@@ -68,16 +68,6 @@ def _draw_regular_zs(alg, rng, n):
         cand = rng.integers(-50, 51, size=(n - len(zs), alg.dim_z))
         zs = np.concatenate([zs, cand[cand[:, -1] != 0]])
     return zs
-
-
-def _brackets_nonzero(alg, a, b):
-    """For integer v-vectors a, b (n, dim_v): whether [a_i, b_i] != 0."""
-    t = alg.int_tensor
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
-        raise OverflowError("kernel vectors too large for int64 brackets")
-    return np.any(np.einsum("np,pqr,nq->nr", a, t, b) != 0, axis=1)
 
 
 def butler_nonintegrability_sample(alg, n_samples, rng):
@@ -92,17 +82,20 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     min_dim = minimal_centralizer_dim(alg, rng)
     cert.data["minimal_centralizer_dim"] = min_dim
     zs = _draw_regular_zs(alg, rng, 2 * n_samples)
-    kernels = j_kernels(alg, zs)
-    dims = np.array([len(k) for k in kernels]).reshape(-1, 2)
-    is_regular = np.all(dims + alg.dim_z == min_dim, axis=1)
+    basis, dims = j_kernels(alg, zs)
+    is_regular = np.all((dims + alg.dim_z == min_dim).reshape(-1, 2), axis=1)
     # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero:
-    # one row per (pair, vector of ker lambda, vector of ker mu)
+    # one int64 matmul brackets every pair; the zero padding brackets to 0
+    dv, k, t = alg.dim_v, basis.shape[1], alg.int_tensor
+    pairs = basis.reshape(n_samples, 2, k, dv)[is_regular]
+    bound = int(np.abs(pairs).max(initial=0)) ** 2
+    if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
+        raise OverflowError("kernel vectors too large for int64 brackets")
+    outer = pairs[:, 0, :, None, :, None] * pairs[:, 1, None, :, None, :]
+    brackets = outer.reshape(-1, dv * dv) @ t.reshape(dv * dv, alg.dim_z)
     hit = np.zeros(n_samples, dtype=bool)
-    rows = [(i, av, bv) for i in np.nonzero(is_regular)[0].tolist()
-            for av in kernels[2 * i] for bv in kernels[2 * i + 1]]
-    if rows:
-        pair, a, b = zip(*rows)
-        hit[np.array(pair)[_brackets_nonzero(alg, a, b)]] = True
+    hit[is_regular] = np.any(
+        brackets.reshape(len(pairs), k * k * alg.dim_z) != 0, axis=1)
     flat = np.nonzero(is_regular & ~hit)[0]
     witness = None
     if flat.size:

@@ -140,14 +140,15 @@ def _primitive_rows(rows):
 
 
 def j_kernels(alg, cs):
-    """Saturated integer basis of ker j(Z) for integer Z, batched: cs
-    (n, dim_z) -> the list of the n bases.
+    """Saturated integer bases of ker j(Z) for integer Z, batched: cs
+    (n, dim_z) -> (basis, dims), basis int64 (n, k, dim_v) with the dims[i]
+    basis vectors of ker j(Z_i) in row i, then zero rows.
 
-    For dim_v = 5 and rank j(Z) = 4 the kernel is the line of the signed
-    4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
-    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), returned primitive
-    with its first nonzero entry positive.  Rank < 4 makes every sub-Pfaffian
-    0; those rows, and every row when dim_v != 5, go to lx.integer_kernel.
+    For dim_v = 5 and rank j(Z) = 4 the kernel is the line (k = 1) of the
+    signed 4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
+    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), primitive with its
+    first nonzero entry positive.  Rank < 4 makes every sub-Pfaffian 0;
+    those rows, and every row when dim_v != 5, go to lx.integer_kernel.
     """
     mats = j_matrices(alg, cs)
     if mats.ndim != 3:
@@ -164,10 +165,16 @@ def j_kernels(alg, cs):
                 + mats[:, a, d] * mats[:, b, c]
             )
         pf = _primitive_rows(pf)
-    out = [[row] for row in pf.tolist()]
-    for i in np.nonzero(~np.any(pf != 0, axis=1))[0].tolist():
-        out[i] = lx.integer_kernel(mats[i].tolist())
-    return out
+    fallback = np.flatnonzero(~np.any(pf != 0, axis=1))
+    kers = [lx.integer_kernel(mats[i].tolist()) for i in fallback.tolist()]
+    dims = np.ones(len(pf), dtype=int)
+    dims[fallback] = [len(ker) for ker in kers]
+    basis = np.zeros((len(pf), dims.max(initial=1), alg.dim_v), np.int64)
+    basis[:, 0] = pf
+    for i, ker in zip(fallback.tolist(), kers):
+        if ker:
+            basis[i, :len(ker)] = ker
+    return basis, dims
 
 
 def j_matrix_np(alg, z):

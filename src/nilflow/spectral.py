@@ -188,21 +188,16 @@ def _char_poly_mismatches(alg, alg_p, cs, claimed=True):
     return np.nonzero(differs)[0]
 
 
-def _same_saturated_kernels(alg, cs, kers, kers_p):
-    """Per integer row c of cs, whether the saturated integer kernel bases
-    kers and kers_p (`j_kernels`) span one lattice: exactly when their ranks
-    agree and j(Z_c) kills kers_p.  In int64, checked against overflow."""
-    owner = np.repeat(np.arange(len(cs)), [len(k) for k in kers_p])
-    vecs = np.array([w for k in kers_p for w in k], np.int64)
-    vecs = vecs.reshape(-1, alg.dim_v)
-    mats = j_matrices(alg, cs)[owner]
-    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(vecs).max(initial=0))
+def _same_saturated_kernels(alg, cs, dims, basis_p, dims_p):
+    """Per integer row c of cs, whether saturated kernel bases of `j_kernels`
+    with dims and (basis_p, dims_p) span one lattice: exactly when the dims
+    agree and j(Z_c) kills basis_p.  In int64, checked against overflow."""
+    mats = j_matrices(alg, cs)
+    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis_p).max(initial=0))
     if alg.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
-    moved = np.any(np.einsum("nqp,np->nq", mats, vecs) != 0, axis=1)
-    same = np.array([len(a) == len(b) for a, b in zip(kers, kers_p)])
-    same[owner[moved]] = False
-    return same
+    moved = np.any(basis_p @ mats.transpose(0, 2, 1) != 0, axis=(1, 2))
+    return (dims == dims_p) & ~moved
 
 
 def gw_certificate(pair, dual_bound, rng):
@@ -250,12 +245,13 @@ def gw_certificate(pair, dual_bound, rng):
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if any(data.lattice_v.basis != eye for data in pair):
         raise ValueError("gw_certificate needs lattice_v = Z^dim_v")
-    kers = j_kernels(alg, dual_pts)
-    kers_p = j_kernels(alg_p, dual_pts)
-    same = _same_saturated_kernels(alg, dual_pts, kers, kers_p)
+    basis, dims = j_kernels(alg, dual_pts)
+    basis_p, dims_p = j_kernels(alg_p, dual_pts)
+    same = _same_saturated_kernels(alg, dual_pts, dims, basis_p, dims_p)
     differing = np.flatnonzero(~same).tolist()
     for i in differing:
-        if not lattices_isometric(kers[i], kers_p[i]):
+        if not lattices_isometric(basis[i, :dims[i]].tolist(),
+                                  basis_p[i, :dims_p[i]].tolist()):
             cert.add(
                 "kernel_lattice_length_spectra",
                 False,

@@ -148,6 +148,13 @@ def kernel_subspace(alg, z):
     return lx.nullspace(j_matrix(alg, z))
 
 
+def kernel_rows(kers):
+    """The per-Z bases of a lie_core.j_kernels result (basis, dims), as
+    lists of Python-int rows without the zero padding."""
+    basis, dims = kers
+    return [b[:d].tolist() for b, d in zip(basis, dims)]
+
+
 def commutator_nonzero(alg, lam, mu):
     """Whether [n_lambda, n_mu] != 0 for integer z-vectors lambda, mu: some
     Fraction bracket of two vectors of the integer kernels of j(lambda) and
@@ -166,6 +173,39 @@ def draw_regular_z(alg, rng):
         cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
         if cand[-1] != 0:
             return cand
+
+
+def butler_sample_lists(alg, n_samples, rng):
+    """The Butler sample with one Python list per kernel, as
+    (positive_dim_fraction, regular_pairs, first_flat_witness,
+    minimal_centralizer_dim): 64 per-call draws for the minimal dimension,
+    per-call regular draws, each kernel from lx.integer_kernel, and one
+    einsum bracket over the zipped kernel-vector pairs of the regular pairs
+    (the oracle for the padded-array path of
+    criteria.butler_nonintegrability_sample)."""
+    zs = [rng.integers(-9, 10, size=alg.dim_z) for _ in range(64)]
+    min_dim = min(len(lx.integer_kernel(j_matrix(alg, z.tolist())))
+                  for z in zs) + alg.dim_z
+    zs = [draw_regular_z(alg, rng) for _ in range(2 * n_samples)]
+    kernels = [lx.integer_kernel(j_matrix(alg, z)) for z in zs]
+    dims = np.array([len(k) for k in kernels]).reshape(-1, 2)
+    is_regular = np.all(dims + alg.dim_z == min_dim, axis=1)
+    hit = np.zeros(n_samples, dtype=bool)
+    rows = [(i, av, bv) for i in np.nonzero(is_regular)[0].tolist()
+            for av in kernels[2 * i] for bv in kernels[2 * i + 1]]
+    if rows:
+        pair, a, b = zip(*rows)
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        nonzero = np.any(
+            np.einsum("np,pqr,nq->nr", a, alg.int_tensor, b) != 0, axis=1)
+        hit[np.array(pair)[nonzero]] = True
+    flat = np.nonzero(is_regular & ~hit)[0]
+    witness = None
+    if flat.size:
+        witness = {"lambda_z": zs[2 * flat[0]], "mu_z": zs[2 * flat[0] + 1]}
+    regular = int(is_regular.sum())
+    fraction = int(hit.sum()) / regular if regular else 0.0
+    return fraction, regular, witness, min_dim
 
 
 def generic_z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):

@@ -22,7 +22,7 @@ BUDGETS = {
     "flow": 1.0,          # criterion 7
     "integrals": 1.0,     # criteria 4 + 5 + 6
     "periodicity": 1.0,   # criteria 8 + 9 + 10
-    "criteria": 3.0,      # criterion 11
+    "criteria": 1.0,      # criterion 11
     "cih": 1.0,           # criterion 12
 }
 

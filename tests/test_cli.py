@@ -348,16 +348,27 @@ def test_criteria_reports_butler_certificate(tmp_path):
     # the HR presentation fails on M', so the command reports a failed check
     assert main(["criteria", "--manifold", "Mprime", "--seed", "3",
                  "--out", str(out)]) == EXIT_CHECK_FAILURE
-    names = [c["name"] for c in json.loads(out.read_text())["body"]["checks"]]
+    doc = json.loads(out.read_text())
+    names = [c["name"] for c in doc["body"]["checks"]]
     assert names == ["hr_injective_presentation[algebra]",
-                     "butler_nonintegrability[sampled]"]
+                     "butler_nonintegrability[sampled]",
+                     "butler_positive_dim_fraction[Mprime]"]
+    row = doc["body"]["checks"][-1]
+    assert row["pass"] and float(row["value"]) >= 0.999
+    assert row["note"] == "regular pairs: 1000"
+    assert float(doc["wall_time_s"]) > 0
 
 
 def test_criteria_passes_on_M(tmp_path):
     out = tmp_path / "r.json"
     assert main(["criteria", "--manifold", "M", "--seed", "3",
                  "--out", str(out)]) == EXIT_PASS
-    assert json.loads(out.read_text())["body"]["pass"] is True
+    doc = json.loads(out.read_text())
+    assert doc["body"]["pass"] is True
+    row = doc["body"]["checks"][-1]
+    assert row["name"] == "butler_positive_dim_fraction[M]"
+    assert float(row["value"]) == 0.0 and row["note"].startswith("regular pairs: ")
+    assert float(doc["wall_time_s"]) > 0
 
 
 @pytest.mark.parametrize("argv", [

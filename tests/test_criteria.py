@@ -25,6 +25,7 @@ from nilflow.criteria import (
 from nilflow.lie_core import AlgebraData, j_kernels
 from oracles import (
     annihilator_check,
+    butler_sample_lists,
     centralizer_nlambda_bruteforce,
     commutator_nonzero,
     draw_regular_z,
@@ -48,7 +49,8 @@ def test_hr_presentation_deformation():
 
 def test_centralizer_example_Mprime_Zk():
     # n_lambda for Z = Z_k on M': ker j'(Z_k) = R Y_k, plus all of z
-    assert j_kernels(MP.alg, [[0, 0, 1]])[0] == [[0, 0, 0, 0, 1]]
+    basis, dims = j_kernels(MP.alg, [[0, 0, 1]])
+    assert dims.tolist() == [1] and basis[0, :1].tolist() == [[0, 0, 0, 0, 1]]
     basis = centralizer_nlambda_bruteforce(MP.alg, [0, 0, 1])
     assert len(basis) == 4
     yk = [0, 0, 0, 0, 1, 0, 0, 0]
@@ -62,7 +64,8 @@ def test_centralizer_matches_bruteforce():
         for _ in range(50):
             Z = [int(x) for x in rng.integers(-9, 10, size=3)]
             # the production kernel of j(Z), extended by all of z
-            a = [list(v) + [0] * 3 for v in j_kernels(alg, [Z])[0]]
+            basis, dims = j_kernels(alg, [Z])
+            a = [v + [0] * 3 for v in basis[0, :dims[0]].tolist()]
             a += [[0] * 5 + [int(r == s) for s in range(3)] for r in range(3)]
             b = centralizer_nlambda_bruteforce(alg, Z)
             assert len(a) == len(b)
@@ -72,9 +75,8 @@ def test_centralizer_matches_bruteforce():
 def test_centralizer_dim_case_table():
     # c_k != 0: 1 + 3; c_k = 0 != rho: 3 + 3; c = 0: 5 + 3
     for alg in (M.alg, MP.alg):
-        assert len(j_kernels(alg, [[1, 2, 3]])[0]) + 3 == 4
-        assert len(j_kernels(alg, [[2, 1, 0]])[0]) + 3 == 6
-        assert len(j_kernels(alg, [[0, 0, 0]])[0]) + 3 == 8
+        _, dims = j_kernels(alg, [[1, 2, 3], [2, 1, 0], [0, 0, 0]])
+        assert (dims + 3).tolist() == [4, 6, 8]
         rng = np.random.default_rng(0)
         assert minimal_centralizer_dim(alg, rng) == 4
 
@@ -86,6 +88,23 @@ def test_butler_sample_separates_the_pair():
     assert cert.data["minimal_centralizer_dim"] == 4
     _, frac_m = butler_nonintegrability_sample(M.alg, 300, rng)
     assert frac_m == 0.0
+
+
+def test_butler_sample_matches_list_oracle():
+    # the padded-array sample against the list-based one, kernel by kernel
+    # from integer_kernel, on the pair and the dim_v = 4 deformation
+    for name in ("M", "Mprime", "defo:1/3"):
+        alg = get_manifold(name).alg
+        for seed in (0, 3, 42, 90210):
+            rng = np.random.Generator(np.random.Philox(seed))
+            ref = np.random.Generator(np.random.Philox(seed))
+            cert, frac = butler_nonintegrability_sample(alg, 500, rng)
+            assert (frac, cert.data["regular_pairs"],
+                    cert.data["first_flat_witness"],
+                    cert.data["minimal_centralizer_dim"]) == \
+                butler_sample_lists(alg, 500, ref)
+            assert cert.data["positive_dim_fraction"] == frac
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def _algebra_5(dim_z, brackets):

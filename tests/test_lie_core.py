@@ -28,6 +28,7 @@ from oracles import (
     group_inv,
     group_mul,
     integer_lattice,
+    kernel_rows,
     lattice_coordinates,
 )
 
@@ -123,7 +124,7 @@ def test_j_kernels_match_integer_kernel(data):
         mats = j_matrices(alg, zs)
         with mock.patch.object(lx, "integer_kernel",
                                wraps=lx.integer_kernel) as spy:
-            kernels = j_kernels(alg, zs)
+            kernels = kernel_rows(j_kernels(alg, zs))
         # the Pfaffian line is used exactly where rank j(Z) = 4
         fallbacks = [call.args[0] for call in spy.call_args_list]
         assert fallbacks == [m.tolist() for m in mats
@@ -137,19 +138,45 @@ def test_j_kernels_match_integer_kernel(data):
                 assert lx.rref(ker)[0] == lx.rref(ref)[0]
 
 
+def test_j_kernels_contract():
+    # int64 bases (n, k, dim_v) padded with zero rows past dims[i], and
+    # dims[i] the rank of the integer kernel, on generic, degenerate and
+    # zero Z of both dim_v = 5 algebras and the dim_v = 4 deformation
+    defo = get_manifold("defo:1/3").alg
+    cases = ((M.alg, [[1, 2, 3], [2, 1, 0], [0, 0, 0], [4, -7, 5]], 5),
+             (MP.alg, [[0, 0, 1], [3, 0, 0], [-2, 5, 9]], 3),
+             (defo, [[1, 2], [0, 3], [0, 0]], 4))
+    for alg, zs, k in cases:
+        basis, dims = j_kernels(alg, zs)
+        assert basis.dtype == np.int64
+        assert basis.shape == (len(zs), k, alg.dim_v)
+        assert dims.shape == (len(zs),)
+        assert np.issubdtype(dims.dtype, np.integer)
+        for b, d, m in zip(basis, dims, j_matrices(alg, zs)):
+            assert d == len(lx.integer_kernel(m.tolist()))
+            assert not np.any(b[d:])
+            assert np.all(np.any(b[:d] != 0, axis=1))
+    # k = 1 when every Z is generic: the Pfaffian line alone
+    basis, dims = j_kernels(M.alg, [[1, 2, 3], [4, -7, 5]])
+    assert basis.shape == (2, 1, 5) and dims.tolist() == [1, 1]
+
+
 def test_j_kernels_batch_shape_and_guards():
-    assert j_kernels(MP.alg, [[0, 0, 1]]) == [[[0, 0, 0, 0, 1]]]
+    assert kernel_rows(j_kernels(MP.alg, [[0, 0, 1]])) == [[[0, 0, 0, 0, 1]]]
     with pytest.raises(ValueError):
         j_kernels(MP.alg, [0, 0, 1])  # one Z is a batch of one: [[0, 0, 1]]
-    assert j_kernels(M.alg, [[0, 0, 0]])[0] == lx.integer_kernel([[0] * 5] * 5)
+    assert kernel_rows(j_kernels(M.alg, [[0, 0, 0]]))[0] == \
+        lx.integer_kernel([[0] * 5] * 5)
     # dim v = 4: every row goes to integer_kernel
     defo = get_manifold("defo:1/3").alg
     zs = [[1, 2], [0, 3], [0, 0]]
-    assert j_kernels(defo, zs) == [
+    assert kernel_rows(j_kernels(defo, zs)) == [
         lx.integer_kernel(m.tolist()) for m in j_matrices(defo, zs)
     ]
     with pytest.raises(OverflowError):
         j_kernels(M.alg, [[2**31, 0, 1]])  # j(Z) fits int64, Pfaffians not
+    with pytest.raises(OverflowError):
+        j_kernels(M.alg, [[2**62, 0, 1]])  # j(Z) itself does not fit
 
 
 def test_j_matrices_rejects_rational_input():

@@ -11,7 +11,13 @@ from nilflow import linalg_exact as lx
 from nilflow import isometry, spectral
 from nilflow.catalog import build_pair
 from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
-from oracles import char_poly, det, integer_lattice, kernel_subspace
+from oracles import (
+    char_poly,
+    det,
+    integer_lattice,
+    kernel_rows,
+    kernel_subspace,
+)
 
 M, MP = build_pair()
 
@@ -117,8 +123,9 @@ def test_length_spectrum_scaled():
 def _differing_kernel_pairs(bound):
     pts = spectral._dual_z_points(bound)
     kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
-    same = spectral._same_saturated_kernels(M.alg, pts, kers, kers_p)
-    return [(kers[i], kers_p[i]) for i in np.flatnonzero(~same)]
+    same = spectral._same_saturated_kernels(M.alg, pts, kers[1], *kers_p)
+    rows, rows_p = kernel_rows(kers), kernel_rows(kers_p)
+    return [(rows[i], rows_p[i]) for i in np.flatnonzero(~same)]
 
 
 def test_isometric_kernel_lattices_have_equal_slices():
@@ -207,11 +214,12 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
     real = spectral.j_kernels
 
     def fake(alg, cs):
-        kers = real(alg, cs)
+        basis, dims = real(alg, cs)
         if alg is MP.alg:
-            kers = [[[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 1, -1, 0, 0]]
-                    if len(k) == 3 else k for k in kers]
-        return kers
+            basis = basis.copy()
+            basis[dims == 3, :3] = [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0],
+                                    [0, 1, -1, 0, 0]]
+        return basis, dims
 
     monkeypatch.setattr(spectral, "j_kernels", fake)
     cert = spectral.gw_certificate((M, MP), 6, np.random.default_rng(0))
@@ -233,7 +241,7 @@ def test_gw_kernel_lattices_are_lattice_intersections():
     # kernel that gw_certificate reads; the Fraction path is the oracle
     pts = spectral._dual_z_points(4)
     for data in (M, MP):
-        for c, ker in zip(pts.tolist(), j_kernels(data.alg, pts)):
+        for c, ker in zip(pts.tolist(), kernel_rows(j_kernels(data.alg, pts))):
             lat = spectral.lattice_intersection(
                 data.lattice_v, kernel_subspace(data.alg, c))
             assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
@@ -241,9 +249,9 @@ def test_gw_kernel_lattices_are_lattice_intersections():
     # counts that comparison gave at the suite's dual bound 6 and below
     pts = spectral._dual_z_points(6)
     kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
-    same = spectral._same_saturated_kernels(M.alg, pts, kers, kers_p)
-    assert same.tolist() == [lx.rref(a)[0] == lx.rref(b)[0]
-                             for a, b in zip(kers, kers_p)]
+    same = spectral._same_saturated_kernels(M.alg, pts, kers[1], *kers_p)
+    assert same.tolist() == [lx.rref(a)[0] == lx.rref(b)[0] for a, b in
+                             zip(kernel_rows(kers), kernel_rows(kers_p))]
     for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
                           (6, {"enumerated": 48, "identical_lattices": 295})):
         cert = spectral.gw_certificate((M, MP), bound,
@@ -254,8 +262,8 @@ def test_gw_kernel_lattices_are_lattice_intersections():
 def test_same_saturated_kernels_overflow_guard():
     with pytest.raises(OverflowError):
         spectral._same_saturated_kernels(
-            M.alg, np.array([[2, 2, 2]]), [[[0, 0, 1, 1, 1]]],
-            [[[2**61, 0, 0, 0, 0]]])
+            M.alg, np.array([[2, 2, 2]]), np.array([1]),
+            np.array([[[2**61, 0, 0, 0, 0]]]), np.array([1]))
 
 
 def test_gw_certificate_needs_integer_lattice_v():
