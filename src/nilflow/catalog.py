@@ -5,11 +5,11 @@ quaternion sign table, and the isospectral deformation family.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
-from .lie_core import AlgebraData, RationalLattice, lattice_brackets_in_twice
+from .lie_core import AlgebraData, lattice_brackets_in_twice
 
 # quaternion products: QUAT[(a, b)] = (sign, c) meaning a*b = sign * c
 _I, _J, _K = 0, 1, 2
@@ -30,7 +30,9 @@ _V_UNITS = [("X", _I), ("X", _J), ("Y", _I), ("Y", _J), ("Y", _K)]
 class NilmanifoldData:
     """A compact two-step nilmanifold: algebra plus lattice data.
 
-    lattice_v is the lattice in v, lattice_z the lattice in z.  split =
+    The lattice is log Gamma = scale_v Z^dim_v (+) scale_z Z^dim_z, with
+    positive rational scales (Z^dim_v and (Z/2)^dim_z for every manifold
+    here); [L_v, L_v] must lie in 2 L_z, so that Gamma is a group.  split =
     (X-block, Y-block, z-functional) indexes the injective presentation;
     has_integrals marks the manifold with the eight integrals of `integrals`.
 
@@ -42,27 +44,26 @@ class NilmanifoldData:
     over tau beta (the plane term of W left out) at base point v, frame
     coefficients al of V and n2 = |c|^2 as the caller computed it;
     pin(c, v, al, n2, g_D, g_W) is v with its free coordinates solved so
-    that drift returns (g_D, g_W).  All three are None where no closed
-    form is known (the deformation family).
+    that drift returns (g_D, g_W).  Both take batch axes on the left of
+    every argument.  All three are None where no closed form is known (the
+    deformation family).
     """
 
     name: str
     alg: AlgebraData
-    lattice_v: RationalLattice
-    lattice_z: RationalLattice
     split: tuple
     has_integrals: bool = False
     frame: object = None
     drift: object = None
     pin: object = None
+    scale_v: Fraction = Fraction(1)
+    scale_z: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        if self.lattice_v.rank != self.alg.dim_v:
-            raise ValueError("v-lattice must have full rank")
-        if self.lattice_z.rank != self.alg.dim_z:
-            raise ValueError("z-lattice must have full rank")
-        if not lattice_brackets_in_twice(self.alg, self.lattice_v,
-                                         self.lattice_z):
+        if not (self.scale_v > 0 and self.scale_z > 0):
+            raise ValueError("lattice scales must be positive")
+        if not lattice_brackets_in_twice(self.alg, self.scale_v,
+                                         self.scale_z):
             raise ValueError(
                 f"{self.name}: bracket of lattice vectors leaves 2*L_z"
             )
@@ -114,19 +115,20 @@ def _frame_M(Z):
 def _drift_M(c, v, al, n2):
     """g_D = al_2 - c_k (x_i c_i + x_j c_j) / rho^2 and
     g_W = al_4 - (x_i c_j - x_j c_i) / rho^2, rho^2 = c_i^2 + c_j^2."""
-    ci, cj, ck = c
+    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
+    xi, xj = v[..., 0], v[..., 1]
     rho2 = ci * ci + cj * cj
-    return (al[1] - ck / rho2 * (v[0] * ci + v[1] * cj),
-            al[3] - (v[0] * cj - v[1] * ci) / rho2)
+    return (al[..., 1] - ck / rho2 * (xi * ci + xj * cj),
+            al[..., 3] - (xi * cj - xj * ci) / rho2)
 
 
 def _pin_M(c, v, al, n2, g_D, g_W):
     """x_i, x_j solved from x_i c_i + x_j c_j and x_i c_j - x_j c_i."""
-    ci, cj, ck = c
+    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
     rho2 = ci * ci + cj * cj
-    s, d = rho2 / ck * (al[1] - g_D), rho2 * (al[3] - g_W)
+    s, d = rho2 / ck * (al[..., 1] - g_D), rho2 * (al[..., 3] - g_W)
     v = np.array(v, float)
-    v[:2] = (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2
+    v[..., 0], v[..., 1] = (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2
     return v
 
 
@@ -141,31 +143,25 @@ def _frame_Mprime(Z):
 def _drift_Mprime(c, v, al, n2):
     """g_D = -|c| al_3 + y_k - c_k (y_i c_i + y_j c_j) / rho^2 and
     g_W = al_4 - (y_i c_j - y_j c_i) / rho^2."""
-    ci, cj, ck = c
+    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
+    yi, yj = v[..., 2], v[..., 3]
     rho2 = ci * ci + cj * cj
-    return (-sqrt(n2) * al[2] + v[4] - ck / rho2 * (v[2] * ci + v[3] * cj),
-            al[3] - (v[2] * cj - v[3] * ci) / rho2)
+    return (-np.sqrt(n2) * al[..., 2] + v[..., 4]
+            - ck / rho2 * (yi * ci + yj * cj),
+            al[..., 3] - (yi * cj - yj * ci) / rho2)
 
 
 def _pin_Mprime(c, v, al, n2, g_D, g_W):
     """y_i, y_j solved from y_i c_i + y_j c_j (kept) and y_i c_j - y_j c_i,
     then y_k."""
-    ci, cj, ck = c
+    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
     rho2 = ci * ci + cj * cj
-    s, d = v[2] * ci + v[3] * cj, rho2 * (al[3] - g_W)
     v = np.array(v, float)
-    v[2:] = ((ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2,
-             g_D + sqrt(n2) * al[2] + ck / rho2 * s)
+    s, d = v[..., 2] * ci + v[..., 3] * cj, rho2 * (al[..., 3] - g_W)
+    v[..., 2], v[..., 3], v[..., 4] = (
+        (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2,
+        g_D + np.sqrt(n2) * al[..., 2] + ck / rho2 * s)
     return v
-
-
-def _standard_lattices(dim_v, dim_z):
-    """lattice_v = Z^dim_v and lattice_z = (Z/2)^dim_z."""
-    def scaled_identity(n, x):
-        return RationalLattice(n, tuple(
-            tuple(x if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-    return scaled_identity(dim_v, 1), scaled_identity(dim_z, Fraction(1, 2))
 
 
 def build_pair():
@@ -177,13 +173,11 @@ def build_pair():
 @cache
 def _build_pair():
     alg, alg_p = _pair_algebras()
-    lat_v, lat_z = _standard_lattices(5, 3)
     split = ((0, 1), (2, 3, 4), _K)
     return (
-        NilmanifoldData("M", alg, lat_v, lat_z, split, True, _frame_M,
-                        _drift_M, _pin_M),
-        NilmanifoldData("Mprime", alg_p, lat_v, lat_z, split, False,
-                        _frame_Mprime, _drift_Mprime, _pin_Mprime),
+        NilmanifoldData("M", alg, split, True, _frame_M, _drift_M, _pin_M),
+        NilmanifoldData("Mprime", alg_p, split, False, _frame_Mprime,
+                        _drift_Mprime, _pin_Mprime),
     )
 
 
@@ -198,8 +192,7 @@ def build_deformation(t):
     for p, q, r in ((0, 2, 0), (1, 3, 0), (0, 3, 1)):
         s[p][q][r], s[q][p][r] = 1, -1
     alg = AlgebraData(4, 2, ("X_1", "X_2", "Y_1", "Y_2"), ("Z_1", "Z_2"), s)
-    return NilmanifoldData(f"defo:{t}", alg, *_standard_lattices(4, 2),
-                           ((0, 1), (2, 3), 0))
+    return NilmanifoldData(f"defo:{t}", alg, ((0, 1), (2, 3), 0))
 
 
 def _deformation_t(raw):

@@ -173,6 +173,9 @@ def cmd_closed_geodesic(args):
     else:
         rng = np.random.Generator(np.random.Philox(args.seed))
         target = sample_generic_state(data, rng)
+    size = math.sqrt(target.speed2)
+    _require(not args.epsilon > size, f"--epsilon={args.epsilon} exceeds "
+             f"the target's size |(V, Z)| = {size:.6g}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             geo = construct_closed_geodesic(
@@ -181,8 +184,8 @@ def cmd_closed_geodesic(args):
     except DegenerateFrequencyError as e:
         raise ConstructionError(str(e)) from e
     except OverflowError as e:
-        # the rounding onto the grid overflows: a huge --epsilon forces a
-        # huge kernel coefficient r, a huge --bound a huge grid
+        # the rounding onto the grid overflows: a huge --bound, or the
+        # default grid 4 / epsilon of a tiny --epsilon
         raise ValueError(f"--epsilon={args.epsilon} or --bound is too "
                          "large: the construction overflows") from e
     doc = {

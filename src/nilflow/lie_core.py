@@ -12,7 +12,6 @@ built from it on first use.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from numbers import Integral
 
 import numpy as np
@@ -117,16 +116,19 @@ def _j_entry_bound(t, cs):
 
 def j_matrices(alg, cs):
     """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
-    dim_v) int64, one einsum over the integer structure tensor."""
+    dim_v) int64, one int64 matmul of cs against the integer structure
+    tensor with (p, q) transposed and flattened, j(Z)_qp = T[p, q] . Z."""
     t = alg.int_tensor
+    dv, dz = alg.dim_v, alg.dim_z
     cs = np.asarray(cs)
-    if cs.shape[-1:] != (alg.dim_z,):
-        raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
+    if cs.shape[-1:] != (dz,):
+        raise ValueError(f"expected z-vectors of dimension {dz}")
     if not np.issubdtype(cs.dtype, np.integer):
         raise ValueError("j_matrices takes integer z-vectors")
     if _j_entry_bound(t, cs) >= 2**62:
         raise OverflowError("z-vector entries too large for int64 j(Z)")
-    return np.einsum("pqr,...r->...qp", t, cs.astype(np.int64))
+    qp = t.transpose(1, 0, 2).reshape(dv * dv, dz)
+    return (cs.astype(np.int64) @ qp.T).reshape(cs.shape[:-1] + (dv, dv))
 
 
 def _primitive_rows(rows):
@@ -205,31 +207,11 @@ class RationalLattice:
         return len(self.basis)
 
 
-def lattice_coordinates(lat, w):
-    """The exact coordinates x of w in the basis (w = sum x_i b_i), or None
-    when w is outside the basis's span."""
-    if len(w) != lat.ambient_dim:
-        raise ValueError("vector has wrong ambient dimension")
-    w = [Fraction(x) for x in w]
-    if lat.rank == 0:
-        return [] if all(x == 0 for x in w) else None
-    cols = [list(v) for v in zip(*lat.basis)]  # ambient x rank
-    return lx.solve(cols, w)
-
-
-def lattice_contains(lat, w):
-    """Exact membership: w is an integer combination of the basis."""
-    x = lattice_coordinates(lat, w)
-    return x is not None and all(c.denominator == 1 for c in x)
-
-
-def lattice_brackets_in_twice(alg, lattice_v, lattice_z):
-    """Whether [L_v, L_v] lies in 2 L_z, checked exactly on every pair of
-    basis vectors (p < q suffices: [a, a] = 0 and [b, a] = -[a, b])."""
-    twice = RationalLattice(
-        alg.dim_z, tuple(tuple(2 * x for x in b) for b in lattice_z.basis)
-    )
-    return all(
-        lattice_contains(twice, bracket_v(alg, a, b))
-        for a, b in combinations(lattice_v.basis, 2)
-    )
+def lattice_brackets_in_twice(alg, scale_v, scale_z):
+    """Whether [L_v, L_v] lies in 2 L_z for L_v = scale_v Z^dim_v and L_z =
+    scale_z Z^dim_z: [scale_v e_p, scale_v e_q] = scale_v^2 T[p, q] lies in
+    2 scale_z Z^dim_z exactly when every structure constant is a multiple
+    of the denominator of scale_v^2 / (2 scale_z), an integer test (in
+    plain Python over alg.terms: building a manifold builds no array)."""
+    den = (Fraction(scale_v) ** 2 / (2 * Fraction(scale_z))).denominator
+    return all(c % den == 0 for *_, c in alg.terms)

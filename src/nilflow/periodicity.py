@@ -9,15 +9,16 @@ Choosing c = rho * u with u a *rational point of the unit sphere* makes
 both |c| and c_k/|c| rational at once; stereographic projection preserves
 rationality, which is what makes such c dense.
 
-Exactness split: the returned lattice element a and the period as a
-multiple of pi are exact rationals; the initial state itself is a float
-vector (its defining data r, t, P_D, P_W are the exact rationals stored on
-the result).
+Exactness split: the construction rounds floats, batched over targets in
+numpy, onto the grid (1/bound) Z as Python-int numerators; from them each
+row's lattice element a, lattice multiple and period over pi are exact (in
+Python ints, stored as Fractions).  The initial state is a float vector
+(its defining data r, t, P_D, P_W are the exact rationals on the result).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, hypot, inf, isinf, lcm, pi, sqrt
+from math import ceil, floor, gcd, inf, isinf, lcm, pi
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .flow import (
     state_from_flat,
 )
 from .integrals import left_gradients_all
-from .lie_core import bracket_v_np, lattice_coordinates
+from .lie_core import bracket_v_np
 
 
 class ConstructionError(RuntimeError):
@@ -70,7 +71,7 @@ def translational_element_expanded(data, state, tau):
     """The same element in closed form, `_exact_element` with r =
     tau beta, t = tau (1 + |V_perp|^2 / (2 |c|^2)), P_D = tau beta g_D and
     P_W = tau (-|V_ck|^2 / (2 c_k |c|^2) + beta g_W)."""
-    c = tuple(float(x) for x in state.Z)
+    c = np.asarray(state.Z, float)
     ci, cj, ck = c
     n2 = ci * ci + cj * cj + ck * ck
     frame = eigenframe(data, state.Z)
@@ -125,10 +126,9 @@ def rationalize_sphere_direction(u, bound):
     return 2 * a / (s + 1), 2 * b / (s + 1), -uk if south else uk
 
 
-def _approx(x, bound):
-    """x rounded onto the grid (1/bound) Z, so every denominator divides
-    bound (keeps the lattice multiple m, hence the period, small)."""
-    return Fraction(round(float(x) * bound), bound)
+def _norm(x):
+    """Norms over the last axis, each row's double that of np.linalg.norm."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,6 @@ class ClosedGeodesic:
         return pi * float(self.tau_over_pi)
 
     @property
-    def sigma_over_pi(self):
-        return Fraction(2 * self.q) / self.norm_c
-
-    @property
     def rotation_exact(self):
         """Whether tau c_k / 2 pi and tau |c| / 2 pi are integers, exactly."""
         return ((self.tau_over_pi * self.c[2] / 2).denominator == 1
@@ -180,143 +176,167 @@ class ClosedGeodesic:
 def _exact_element(c, r, t, P_D, P_W):
     """The translational element with data (r, t, P_D, P_W) in the
     z-basis (Z_c, D, W), D = -c_j Z_i + c_i Z_j and W = c_k (c_i Z_i +
-    c_j Z_j) - (c_i^2 + c_j^2) Z_k; on Fractions or on floats."""
+    c_j Z_j) - (c_i^2 + c_j^2) Z_k; on ints, Fractions or floats."""
     ci, cj, ck = c
     rho2 = ci * ci + cj * cj
-    a_v = (Fraction(0), Fraction(0), r * ci, r * cj, r * ck)
-    zc = (ci, cj, ck)
-    d = (-cj, ci, Fraction(0))
+    a_v = (0, 0, r * ci, r * cj, r * ck)
+    d = (-cj, ci, 0)
     w = (ck * ci, ck * cj, -rho2)
-    a_z = tuple(t * zc[i] + P_D * d[i] + P_W * w[i] for i in range(3))
+    a_z = tuple(t * c[i] + P_D * d[i] + P_W * w[i] for i in range(3))
     return a_v, a_z
 
 
-def construct_closed_geodesic(data, target, epsilon=0.05, bound=None):
-    """An exactly closed geodesic on the manifold within epsilon of the
-    target state, with its element a in Gamma by construction.
+def _closed_geodesic(data, c, uk, ks, bound, state, distance):
+    """One row's ClosedGeodesic in Python ints, from c (Fractions), its
+    c_k / |c| = uk and the grid numerators ks of (|c|, r, t, P_D, P_W):
+    with c = C / D, a_v = N_v / (bound D) and a_z = N_z / (bound D^2),
+    times the least m that puts both in the manifold's lattices."""
+    k_c, k_r, k_t, k_d, k_w = ks
+    D = lcm(*(x.denominator for x in c))
+    n_v, n_z = _exact_element([x.numerator * D // x.denominator for x in c],
+                              k_r, k_t * D, k_d * D, k_w)
+    q_v, q_z = bound * D, bound * D * D
+    # m clears the lattice coordinates a_v / s_v and a_z / s_z: for x / q in
+    # s Z, s = s_n / s_d, that is q s_n / gcd(q s_n, x s_d over every x)
+    m = lcm(*(q * s.numerator // gcd(q * s.numerator,
+                                     *(x * s.denominator for x in n))
+              for n, q, s in ((n_v, q_v, data.scale_v),
+                              (n_z, q_z, data.scale_z))))
+    return ClosedGeodesic(
+        c, Fraction(k_c, bound), uk.numerator, uk.denominator, m,
+        *(Fraction(k, bound) for k in ks[1:]),
+        Fraction(2 * m * uk.denominator * bound, k_c),
+        tuple(Fraction(m * x, q_v) for x in n_v),
+        tuple(Fraction(m * x, q_z) for x in n_z), state, distance)
 
-    The data |c|, r, t, P_D, P_W are rounded onto the grid (1/bound) Z
-    (bound defaults to max(16, ceil(4 / epsilon))) and the direction of c
-    to a rational point of the sphere with denominators <= bound; a miss
-    of epsilon doubles bound, up to seven times, before ConstructionError.
-    The kernel coefficient r is kept at least epsilon sigma / (4 |c|) away
-    from 0, which moves V by at most about epsilon / 4 and bounds the
-    error of the pinned base point v by (1 / bound) / |r|.
 
-    target: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0) and
-    any v, z, V.  The free coordinates (z, and the v-coordinates not pinned
-    by the construction) are taken from the target unchanged.
+def construct_closed_geodesic(data, targets, epsilon=0.05, bound=None):
+    """Exactly closed geodesics within epsilon of the targets, each with
+    its element a in Gamma by construction.
+
+    targets: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0),
+    one state (returns one ClosedGeodesic) or n states along a leading
+    axis (returns a list of n; row i is the one-state result for target
+    i).  z and the v-coordinates not pinned are taken from the target.
+
+    An attempt is one pass over the rows: the float rounding in numpy on
+    one frame, the exact element per row in Python ints.  |c|, r, t, P_D,
+    P_W are rounded onto the grid (1/bound) Z (bound defaults to
+    max(16, ceil(4 / epsilon))), the direction of c to a rational point of
+    the sphere with denominators <= bound.  The rows that miss epsilon are
+    tried again as one batch at double the bound, up to seven attempts in
+    all, before ConstructionError names the first row still missing.  r is
+    kept at least e sigma / (4 |c|) from 0, e the smaller of epsilon and
+    the target's size |(V, Z)|: this moves V by at most about e / 4 and
+    bounds the error of the pinned base point v by (1 / bound) / |r|.
 
     Degenerate targets (on the cone c_k |c| (|c| - |c_k|) = 0) are
-    rejected since no commensurable precession exists nearby in a
-    quantitative sense.
+    rejected, naming the first such row: no commensurable precession
+    exists nearby in a quantitative sense.
     """
-    zt = np.asarray(target.Z, float)
-    if np.linalg.norm(zt) < 1e-9 or hypot(zt[0], zt[1]) < 1e-9 or abs(zt[2]) < 1e-9:
+    one = np.ndim(targets.Z) == 1
+    flat = np.atleast_2d(targets.flat())
+    zs = state_from_flat(data.alg, flat).Z
+    row = lambda i: "" if one else f"row {i}: "
+    bad = np.flatnonzero((np.hypot(zs[:, 0], zs[:, 1]) < 1e-9)
+                         | (np.abs(zs[:, 2]) < 1e-9))
+    if bad.size:
         raise DegenerateFrequencyError(
-            "target Z lies on the degenerate cone; no generic closed geodesic "
-            "construction applies"
-        )
+            f"{row(bad[0])}target Z={zs[bad[0]].tolist()} lies on the "
+            "degenerate cone; no generic closed geodesic construction applies")
     if not 0 < epsilon < inf or isinf(4.0 / epsilon):
         raise ValueError(f"epsilon must be > 0 and finite, with 4 / epsilon "
                          f"finite, got {epsilon}")
-    if bound is None:
-        bound = max(16, ceil(4.0 / epsilon))
+    bound = max(16, ceil(4.0 / epsilon)) if bound is None else bound
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    geos, todo = [None] * len(zs), np.arange(len(zs))
     for _ in range(7):
-        try:
-            return _construct_once(data, target, epsilon, bound)
-        except ConstructionError as e:
-            last_err = e
+        built, distance = _construct_once(
+            data, state_from_flat(data.alg, flat[todo]), epsilon, bound)
+        for i, geo in zip(todo, built):
+            geos[i] = geo
+        miss = ~(distance <= epsilon)
+        todo, missed = todo[miss], distance[miss]
+        if not todo.size:
+            return geos[0] if one else geos
         bound *= 2
     raise ConstructionError(
-        f"could not reach epsilon={epsilon} (last: {last_err})"
-    )
+        f"could not reach epsilon={epsilon} (last: {row(todo[0])}distance "
+        f"{missed[0]} > epsilon={epsilon} at bound {bound // 2})")
 
 
 def _construct_once(data, target, epsilon, bound):
-    """One attempt on the grid (1/bound) Z: the closed geodesic within
-    epsilon of target, or ConstructionError naming the distance reached."""
-    unit = Fraction(1, bound)
-    zt = np.asarray(target.Z, float)
-    ui, uj, uk = rationalize_sphere_direction(zt, bound)
-    norm_c = max(unit, _approx(np.linalg.norm(zt), bound))
-    c = (norm_c * ui, norm_c * uj, norm_c * uk)
-    p, q = uk.numerator, uk.denominator  # c_k / |c| in lowest terms
-    c_f = np.array([float(x) for x in c])
-    sigma = 2.0 * pi * q / float(norm_c)
+    """One attempt on the grid (1/bound) Z for a batch of targets: their
+    closed geodesics, None where a row misses epsilon, and the distances.
+    Grid values are Python-int numerators k (object arrays, exact at any
+    size), read in floats as k / bound."""
+    ints = lambda x, f=round: np.array([f(y) for y in x.tolist()], object)
+    floats = lambda k: (k / bound).astype(float)
+    zt, Vt, vt = target.Z, target.V, target.v
+    sphere = [rationalize_sphere_direction(z, bound) for z in zt]
+    k_c = np.maximum(ints(_norm(zt) * bound), 1)
+    c = [tuple(nc * x for x in u) for nc, u in
+         zip((Fraction(k, bound) for k in k_c), sphere)]
+    c_f = np.array([[float(x) for x in ci] for ci in c], float).reshape(-1, 3)
+    q = np.array([u[2].denominator for u in sphere], float)  # c_k/|c| = p/q
+    norm_f = floats(k_c)
+    sigma = 2.0 * pi * q / norm_f
     frame = eigenframe(data, c_f)
 
-    Vt = np.asarray(target.V, float)
-    ck_f, n2 = c_f[2], float(c_f @ c_f)
-    y_c = frame.rows[4]
-    beta_bar = frame.printed_coefficients(Vt)[4]
-    r = _approx(beta_bar * sigma, bound)
-    r_min = max(unit, _approx(epsilon * sigma / (4.0 * float(norm_c)), bound))
-    if abs(r) < r_min:
-        r = r_min if beta_bar >= 0 else -r_min
+    ck_f, n2 = c_f[:, 2], np.vecdot(c_f, c_f)
+    y_c = frame.rows[:, 4]
+    beta_bar = frame.printed_coefficients(Vt)[:, 4]
+    reach = np.minimum(epsilon, np.sqrt(target.speed2))
+    k_min = np.maximum(ints(reach * sigma / (4.0 * norm_f) * bound), 1)
+    k_r = ints(beta_bar * sigma * bound)
+    k_r = np.where(np.abs(k_r) >= k_min, k_r,
+                   np.where(beta_bar >= 0, k_min, -k_min))
+    r_f = floats(k_r)
 
     # |V_perp|^2 = 2 |c|^2 (t / sigma - 1) and |V_ck|^2 = 2 c_k |c|^2 w1 /
     # sigma, so c_k w1 must lie in (0, t - sigma); t is raised to the first
     # grid point with t - sigma > |c_k| / bound, which leaves that interval
     # a grid point for w1, and w1 is its rounded target clamped into it
-    vperp_t = Vt - beta_bar * y_c
-    vperp2_bar = float(vperp_t @ vperp_t)
-    t = max(_approx(sigma * (1.0 + vperp2_bar / (2.0 * n2)), bound),
-            Fraction(floor(sigma * bound + abs(ck_f)) + 1, bound))
-    vperp2 = 2.0 * n2 * (float(t) / sigma - 1.0)
-
+    vperp_t = Vt - beta_bar[:, None] * y_c
+    k_t = np.maximum(
+        ints(sigma * (1.0 + np.vecdot(vperp_t, vperp_t) / (2.0 * n2)) * bound),
+        ints(sigma * bound + np.abs(ck_f), floor) + 1)
+    t_f = floats(k_t)
     v_ck_t = frame.plane_part(Vt, 0)
-    vck2_bar = float(v_ck_t @ v_ck_t)
-    k_max = ceil((float(t) - sigma) * bound / abs(ck_f)) - 1
-    k = min(max(round(sigma * vck2_bar / (2.0 * abs(ck_f) * n2) * bound), 1),
-            k_max)
-    w1 = Fraction(k if ck_f > 0 else -k, bound)
-    vck2 = 2.0 * ck_f * n2 * float(w1) / sigma
-    vnm2 = vperp2 - vck2
-
-    def _unit(vec, fallback):
-        nrm = float(np.linalg.norm(vec))
-        return vec / nrm if nrm > 1e-9 else fallback
-
-    d1 = _unit(v_ck_t, frame.basis[0])
-    d2 = _unit(frame.plane_part(Vt, 1), frame.basis[2])
-    beta = float(r) / sigma
-    V = beta * y_c + sqrt(vck2) * d1 + sqrt(vnm2) * d2
+    k_max = ints((t_f - sigma) * bound / np.abs(ck_f), ceil) - 1
+    k_w1 = np.minimum(np.maximum(ints(sigma * np.vecdot(v_ck_t, v_ck_t)
+                                      / (2.0 * np.abs(ck_f) * n2) * bound), 1),
+                      k_max)
+    k_w1 = np.where(ck_f > 0, k_w1, -k_w1)
+    w1_f = floats(k_w1)
+    # c_k w1 < t - sigma, so only rounding can make |V_nm|^2 negative
+    vnm2 = np.maximum(2.0 * n2 * (t_f / sigma - 1.0)
+                      - 2.0 * ck_f * n2 * w1_f / sigma, 0.0)
+    unit = lambda x, e: np.where(_norm(x)[:, None] > 1e-9,
+                                 x / np.maximum(_norm(x), 1e-9)[:, None], e)
+    V = ((r_f / sigma)[:, None] * y_c
+         + np.sqrt(2.0 * ck_f * n2 * w1_f / sigma)[:, None]
+         * unit(v_ck_t, frame.basis[:, 0])
+         + np.sqrt(vnm2)[:, None] * unit(frame.plane_part(Vt, 1),
+                                         frame.basis[:, 2]))
 
     # pin the base coordinates so the D and W coefficients of a_z become
     # the exact rationals P_D = r g_D and P_W = -w1 + r g_W
     al = frame.printed_coefficients(V)
-    gD_bar, gW_bar = data.drift(c_f, target.v, al, n2)
-    P_D = _approx(float(r) * gD_bar, bound)
-    P_W = _approx(-float(w1) + float(r) * gW_bar, bound)
-    v = data.pin(c_f, target.v, al, n2, float(P_D) / float(r),
-                 (float(P_W) + float(w1)) / float(r))
+    gD_bar, gW_bar = data.drift(c_f, vt, al, n2)
+    k_d, k_w = ints(r_f * gD_bar * bound), ints((-w1_f + r_f * gW_bar) * bound)
+    v = data.pin(c_f, vt, al, n2, floats(k_d) / r_f, (floats(k_w) + w1_f) / r_f)
 
     # closeness to the target
-    distance = max(
-        float(np.linalg.norm(c_f - zt)),
-        float(np.linalg.norm(V - Vt)),
-        float(np.linalg.norm(v - np.asarray(target.v, float))),
-    )
-    if not distance <= epsilon:
-        raise ConstructionError(
-            f"distance {distance} > epsilon={epsilon} at bound {bound}")
-
-    # the least m clearing the element's coordinates in both lattices
-    a_v, a_z = _exact_element(c, r, t, P_D, P_W)
-    coords = (lattice_coordinates(data.lattice_v, a_v)
-              + lattice_coordinates(data.lattice_z, a_z))
-    m = lcm(*(x.denominator for x in coords))
-    a_v, a_z = tuple(m * x for x in a_v), tuple(m * x for x in a_z)
-    tau_over_pi = Fraction(2 * m * q) / norm_c
-
-    state = TangentState(v, np.asarray(target.z, float), V, c_f)
-    return ClosedGeodesic(
-        c, norm_c, p, q, m, r, t, P_D, P_W, tau_over_pi, a_v, a_z, state,
-        distance,
-    )
+    distance = np.max([_norm(c_f - zt), _norm(V - Vt), _norm(v - vt)], axis=0)
+    ks = zip(k_c, k_r, k_t, k_d, k_w)
+    return [
+        _closed_geodesic(data, c[i], sphere[i][2], k, bound,
+                         TangentState(v[i], target.z[i], V[i], c_f[i]), d)
+        if d <= epsilon else None
+        for i, (d, k) in enumerate(zip(distance.tolist(), ks))
+    ], distance
 
 
 # ---------------------------------------------------------------------------

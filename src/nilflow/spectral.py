@@ -236,15 +236,15 @@ def gw_certificate(pair, dual_bound, rng):
     cert.add("char_poly_equal_on_dual_lattice", same, value=len(dual_int))
 
     for data in (m_data, mp_data):
-        ok = lattice_brackets_in_twice(data.alg, data.lattice_v, data.lattice_z)
+        ok = lattice_brackets_in_twice(data.alg, data.scale_v, data.scale_z)
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
-    # kernel lattices over the bounded dual-lattice slab; the pair's
-    # lattice_v is Z^5, so ker j(Z) meets it in the saturated kernel
-    n = alg.dim_v
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if any(data.lattice_v.basis != eye for data in pair):
-        raise ValueError("gw_certificate needs lattice_v = Z^dim_v")
+    # kernel lattices over the bounded dual-lattice slab (the dual of
+    # (Z/2)^3 is (2Z)^3); the pair's lattice_v is Z^5, so ker j(Z) meets it
+    # in the saturated kernel
+    if any((d.scale_v, d.scale_z) != (1, Fraction(1, 2)) for d in pair):
+        raise ValueError("gw_certificate needs lattice_v = Z^dim_v and "
+                         "lattice_z = (Z/2)^dim_z")
     basis, dims = j_kernels(alg, dual_pts)
     basis_p, dims_p = j_kernels(alg_p, dual_pts)
     same = _same_saturated_kernels(alg, dual_pts, dims, basis_p, dims_p)

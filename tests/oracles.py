@@ -102,12 +102,6 @@ def group_inv(a):
     return GroupElement(a.alg, tuple(-x for x in a.v), tuple(-x for x in a.z))
 
 
-def integer_lattice(n):
-    return RationalLattice(n, tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ))
-
-
 def dual_lattice(lat):
     """Dual basis: inverse transpose of the (full-rank) basis matrix."""
     if lat.rank != lat.ambient_dim:
@@ -118,10 +112,54 @@ def dual_lattice(lat):
     return RationalLattice(lat.ambient_dim, tuple(tuple(row) for row in inv))
 
 
+def scaled_lattice(n, scale):
+    """scale Z^n as a RationalLattice basis."""
+    return RationalLattice(n, tuple(
+        tuple(Fraction(scale) if i == j else 0 for j in range(n))
+        for i in range(n)
+    ))
+
+
+def integer_lattice(n):
+    return scaled_lattice(n, 1)
+
+
+def manifold_lattices(data):
+    """The manifold's lattices (L_v, L_z) as RationalLattice bases, read
+    off its scales."""
+    alg = data.alg
+    return (scaled_lattice(alg.dim_v, data.scale_v),
+            scaled_lattice(alg.dim_z, data.scale_z))
+
+
 def lattice_coordinates(lat, w):
-    """Exact basis coordinates of w, or None if w is outside the span."""
-    cols = [list(v) for v in zip(*lat.basis)]
-    return lx.solve(cols, [Fraction(x) for x in w])
+    """The exact coordinates x of w in the basis (w = sum x_i b_i) by a
+    Fraction solve, or None when w is outside the basis's span (the a in
+    Gamma oracle for the integer lattice multiple of
+    periodicity.construct_closed_geodesic)."""
+    if len(w) != lat.ambient_dim:
+        raise ValueError("vector has wrong ambient dimension")
+    w = [Fraction(x) for x in w]
+    if lat.rank == 0:
+        return [] if all(x == 0 for x in w) else None
+    cols = [list(v) for v in zip(*lat.basis)]  # ambient x rank
+    return lx.solve(cols, w)
+
+
+def lattice_contains(lat, w):
+    """Exact membership: w is an integer combination of the basis."""
+    x = lattice_coordinates(lat, w)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+def brackets_in_twice(alg, lattice_v, lattice_z):
+    """Whether [L_v, L_v] lies in 2 L_z, by exact membership of every
+    bracket of two basis vectors (the oracle for the integer test
+    lie_core.lattice_brackets_in_twice)."""
+    twice = RationalLattice(
+        alg.dim_z, tuple(tuple(2 * x for x in b) for b in lattice_z.basis))
+    return all(lattice_contains(twice, bracket_v(alg, a, b))
+               for a in lattice_v.basis for b in lattice_v.basis)
 
 
 def centralizer_nlambda_bruteforce(alg, Z):

@@ -241,6 +241,23 @@ def test_report_body_hash_is_pinned(verify_runs):
     assert hashlib.sha256(body.encode()).hexdigest() == BODY_SHA256_SEED_42
 
 
+# the same hash at two more seeds, so that a change cannot move a value
+# that seed 42 happens not to reach
+BODY_SHA256_SEED_7 = (
+    "ef8875c2443fca9c0a2bfcec403033b686ff1ee3e973b685bc089ccb97bd1b2c"
+)
+BODY_SHA256_SEED_90210 = (
+    "111c03397138c57415c1fa64b44108917935bbf0a8e112cae4df1830c7f1eb8d"
+)
+
+
+@pytest.mark.parametrize("seed, want", [(7, BODY_SHA256_SEED_7),
+                                        (90210, BODY_SHA256_SEED_90210)])
+def test_report_body_hash_is_pinned_at_more_seeds(seed, want):
+    body = run_suite("all", seed).body_text()
+    assert hashlib.sha256(body.encode()).hexdigest() == want
+
+
 def test_periodicity_work_is_bounded_at_seed_16():
     # suite seed 16 draws a family-dimension target with V almost
     # orthogonal to Y_c; it passes within the same budget as seed 42

@@ -1,5 +1,6 @@
 """The concrete pair and the deformation family."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.lie_core import bracket_v, j_matrix
+from oracles import manifold_lattices
 
 M, MP = build_pair()
 
@@ -75,9 +77,15 @@ def test_y_block_abelian_on_M():
 
 
 def test_lattice_shapes():
-    assert M.lattice_v.rank == 5
-    assert M.lattice_z.basis[0][0] == Fraction(1, 2)
-    assert MP.lattice_v.basis == M.lattice_v.basis
+    # log Gamma = Z^5 (+) (Z/2)^3 on both manifolds, held as two scales
+    assert (M.scale_v, M.scale_z) == (1, Fraction(1, 2))
+    assert (MP.scale_v, MP.scale_z) == (M.scale_v, M.scale_z)
+    lat_v, lat_z = manifold_lattices(M)
+    assert lat_v.rank == 5 and lat_z.rank == 3
+    assert lat_z.basis[0][0] == Fraction(1, 2)
+    # [L_v, L_v] in 2 L_z is checked at construction
+    with pytest.raises(ValueError):
+        dataclasses.replace(M, scale_z=1)
 
 
 def test_deformation_family():

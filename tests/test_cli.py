@@ -335,11 +335,27 @@ def test_cih_over_cap_bound_is_usage_error(capsys, monkeypatch):
     ["--bound", str(10**400)],
 ])
 def test_closed_geodesic_bad_bound_or_epsilon_is_usage_error(flag, capsys):
-    # inf and 1e-320 overflow the default grid 4 / epsilon, 1e200 the kernel
-    # coefficient r >= epsilon sigma / (4 |c|), and 10^400 the float grid
+    # inf and 1e-320 overflow the default grid 4 / epsilon, 1e200 exceeds
+    # the target's size, and 10^400 overflows the float grid
     assert main(["closed-geodesic", "--seed", "1"] + flag) == EXIT_USAGE
     err = capsys.readouterr().err
     assert flag[0][2:] in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "--epsilon", "1e20"],
+    ["--epsilon", "1e300",
+     "--target", "v: 0 0 0 0 0; z: 0 0 0; V: 0 0 0 0.6 0.8; Z: 0 3 4"],
+])
+def test_closed_geodesic_epsilon_past_the_target_is_usage_error(argv, capsys):
+    # an epsilon larger than the target's size |(V, Z)| is rejected in one
+    # line; it used to build V of order epsilon (exit 0) or overflow to a
+    # distance of inf (exit 5)
+    assert main(["closed-geodesic"] + argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --epsilon=")
+    assert "exceeds the target's size" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -19,17 +19,21 @@ from nilflow.lie_core import (
     j_matrices,
     j_matrix,
     j_matrix_np,
-    lattice_contains,
+    lattice_brackets_in_twice,
 )
 from oracles import (
     GroupElement,
+    brackets_in_twice,
     conjugate,
     dual_lattice,
     group_inv,
     group_mul,
     integer_lattice,
     kernel_rows,
+    lattice_contains,
     lattice_coordinates,
+    manifold_lattices,
+    scaled_lattice,
 )
 
 M, MP = build_pair()
@@ -111,6 +115,36 @@ def test_j_matrices_match_j_matrix(data):
         assert batch.shape == (len(zs), alg.dim_v, alg.dim_v)
         assert batch.dtype == np.int64
         assert [m.tolist() for m in batch] == [j_matrix(alg, z) for z in zs]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_j_matrices_equal_the_einsum(seed):
+    # the matmul on the (q, p)-transposed tensor gives the int64 matrices
+    # of the einsum "pqr,...r->...qp", bit for bit
+    rng = np.random.default_rng(seed)
+    for alg in INTEGER_TENSOR_ALGEBRAS:
+        zs = rng.integers(-10**6, 10**6, size=(4, 7, alg.dim_z))
+        want = np.einsum("pqr,...r->...qp", alg.int_tensor, zs)
+        got = j_matrices(alg, zs)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(j_matrices(alg, zs[0, 0]), want[0, 0])
+
+
+@pytest.mark.parametrize("scale_v, scale_z", [
+    (1, Fraction(1, 2)), (1, 1), (2, 1), (Fraction(1, 2), Fraction(1, 8)),
+    (Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 2), Fraction(9, 8)),
+    (Fraction(2, 3), Fraction(1, 3)),
+])
+def test_lattice_brackets_in_twice_matches_membership(scale_v, scale_z):
+    # the integer test on the structure constants against exact
+    # membership of every bracket of two basis vectors
+    for alg in INTEGER_TENSOR_ALGEBRAS:
+        lat_v = scaled_lattice(alg.dim_v, scale_v)
+        lat_z = scaled_lattice(alg.dim_z, scale_z)
+        assert lattice_brackets_in_twice(alg, scale_v, scale_z) == \
+            brackets_in_twice(alg, lat_v, lat_z)
 
 
 @given(st.data())
@@ -239,7 +273,7 @@ def test_float_paths_match_exact():
 
 
 def test_lattice_membership_and_coordinates():
-    lat = M.lattice_z  # (1/2 Z)^3
+    lat = manifold_lattices(M)[1]  # (1/2 Z)^3
     assert lattice_contains(lat, [Fraction(3, 2), 0, -2])
     assert not lattice_contains(lat, [Fraction(1, 3), 0, 0])
     coords = lattice_coordinates(lat, [Fraction(3, 2), 0, -2])
@@ -251,14 +285,15 @@ def test_lattice_membership_and_coordinates():
 
 
 def test_dual_of_half_lattice_is_double_lattice():
-    dual = dual_lattice(M.lattice_z)
+    lattice_z = manifold_lattices(M)[1]
+    dual = dual_lattice(lattice_z)
     for b in dual.basis:
         assert lattice_contains(
             RationalLattice(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2))), b
         )
     # and <dual_i, basis_j> integer (here: delta_ij)
     for db in dual.basis:
-        for lb in M.lattice_z.basis:
+        for lb in lattice_z.basis:
             pairing = sum(a * b for a, b in zip(db, lb))
             assert pairing.denominator == 1
 

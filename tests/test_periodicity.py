@@ -2,7 +2,8 @@
 
 import time
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, lcm, pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nilflow.flow import (
     state_from_flat,
 )
 from nilflow import linalg_exact, periodicity, suites
-from nilflow.lie_core import bracket_v_np, lattice_contains
+from nilflow.lie_core import bracket_v_np
 from nilflow.periodicity import (
     ConstructionError,
     closure_jacobian,
@@ -29,13 +30,25 @@ from nilflow.periodicity import (
     translational_element,
     translational_element_expanded,
 )
-from oracles import GroupElement, group_mul
+from oracles import (
+    GroupElement,
+    group_mul,
+    lattice_contains,
+    lattice_coordinates,
+    manifold_lattices,
+)
 
 M, MP = build_pair()
 
 # Z = (3, 0, 4): |c| = 5, c_k/|c| = 4/5, so sigma = 2 pi q / |c| = 2 pi
 COMM_Z = np.array([3.0, 0.0, 4.0])
 SIGMA = 2.0 * pi
+
+
+def in_gamma(data, a_v, a_z):
+    """Exact a in Gamma through the Fraction coordinates of the oracle."""
+    lat_v, lat_z = manifold_lattices(data)
+    return lattice_contains(lat_v, a_v) and lattice_contains(lat_z, a_z)
 
 
 def random_state_with_comm_Z(data, rng):
@@ -120,12 +133,11 @@ def test_construction_closes_exactly():
     for data in (M, MP):
         target = sample_generic_state(data, rng)
         geo = construct_closed_geodesic(data, target, epsilon=0.1)
-        assert lattice_contains(data.lattice_v, geo.a_v)
-        assert lattice_contains(data.lattice_z, geo.a_z)
+        assert in_gamma(data, geo.a_v, geo.a_z)
         # rotation condition: tau * c_k and tau * |c| in 2 pi Z, exactly
         assert geo.rotation_exact
         # the defining data reproduce the initial velocity's kernel part
-        beta = float(geo.r) / (pi * float(geo.sigma_over_pi))
+        beta = float(geo.r) / (2 * pi * geo.q / float(geo.norm_c))
         c = np.array([float(x) for x in geo.c])
         n2 = float(c @ c)
         assert geo.state.V @ np.array([0, 0, *c]) / n2 == pytest.approx(
@@ -250,25 +262,99 @@ def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
 
 
 def test_run_periodicity_checks_each_closure_once(monkeypatch):
-    # one exact coordinate solve for the v-part and one for the z-part of
-    # each geodesic's element, before it is scaled by m
-    geodesics, solved = [], []
-    solve = linalg_exact.solve
+    # the 100 density targets go to one batched construction call per
+    # manifold, and the eight nice geodesics to one call each; the lattice
+    # multiple m is integer arithmetic, so no Fraction solve is made
+    calls = []
 
-    def constructing(*args, **kwargs):
-        geodesics.append(construct_closed_geodesic(*args, **kwargs))
-        return geodesics[-1]
+    def constructing(data, targets, **kwargs):
+        calls.append((data.name, np.shape(targets.Z)))
+        return construct_closed_geodesic(data, targets, **kwargs)
 
-    def solving(a, b):
-        solved.append(tuple(b))
-        return solve(a, b)
+    def solving(*args):
+        raise AssertionError("the construction made a Fraction solve")
 
     monkeypatch.setattr(linalg_exact, "solve", solving)
     monkeypatch.setattr(suites, "construct_closed_geodesic", constructing)
     assert suites.run_periodicity(42).passed
-    assert len(geodesics) == 108
-    assert solved == [tuple(x / g.m for x in a)
-                      for g in geodesics for a in (g.a_v, g.a_z)]
+    assert calls == (
+        [("M", (3,))] * 3 + [("Mprime", (3,))] * 3
+        + [("M", (50, 3)), ("Mprime", (50, 3)), ("M", (3,)), ("Mprime", (3,))])
+
+
+def _row(states, i):
+    return TangentState(states.v[i], states.z[i], states.V[i], states.Z[i])
+
+
+def _fields(geo):
+    """Every ClosedGeodesic field, the state as its bytes."""
+    return (geo.c, geo.norm_c, geo.p, geo.q, geo.m, geo.r, geo.t, geo.P_D,
+            geo.P_W, geo.tau_over_pi, geo.a_v, geo.a_z,
+            geo.state.flat().tobytes(), geo.distance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([M, MP]),
+       st.integers(1, 12), st.sampled_from([(0.3, 2), (0.45, 2), (0.1, None)]))
+def test_batched_construction_equals_one_call_per_target(seed, data, n, case):
+    # at bound 2 many rows miss and are retried at 4, 8, ...
+    epsilon, bound = case
+    rng = np.random.default_rng(seed)
+    targets = sample_generic_state(data, rng, n)
+    geos = construct_closed_geodesic(data, targets, epsilon=epsilon,
+                                     bound=bound)
+    assert len(geos) == n
+    lat_v, lat_z = manifold_lattices(data)
+    for i, geo in enumerate(geos):
+        one = construct_closed_geodesic(data, _row(targets, i),
+                                        epsilon=epsilon, bound=bound)
+        assert _fields(geo) == _fields(one)
+        assert all(isinstance(x, Fraction) for x in
+                   geo.c + geo.a_v + geo.a_z + (geo.r, geo.t, geo.P_D, geo.P_W))
+        # the integer lattice multiple against the Fraction coordinates
+        coords = (lattice_coordinates(lat_v, [x / geo.m for x in geo.a_v])
+                  + lattice_coordinates(lat_z, [x / geo.m for x in geo.a_z]))
+        assert geo.m == lcm(*(x.denominator for x in coords))
+    # a degenerate row anywhere in the batch is named
+    bad = int(rng.integers(n))
+    Z = targets.Z.copy()
+    Z[bad] = (0.0, 0.0, 2.0) if seed % 2 else (1.0, -1.0, 0.0)
+    with pytest.raises(DegenerateFrequencyError, match=f"row {bad}: "):
+        construct_closed_geodesic(
+            data, TangentState(targets.v, targets.z, targets.V, Z),
+            epsilon=epsilon, bound=bound)
+
+
+def test_batched_construction_retries_the_missing_rows():
+    # rows that miss epsilon go again as one sub-batch at double the bound
+    targets = sample_generic_state(M, np.random.default_rng(0), 40)
+    with mock.patch.object(periodicity, "_construct_once",
+                           wraps=periodicity._construct_once) as spy:
+        geos = construct_closed_geodesic(M, targets, epsilon=0.3, bound=2)
+    attempts = [(len(call.args[1].Z), call.args[3])
+                for call in spy.call_args_list]
+    assert len(attempts) >= 2
+    assert [b for _, b in attempts] == [2 << k for k in range(len(attempts))]
+    sizes = [k for k, _ in attempts]
+    assert sizes[0] == 40 and sizes == sorted(sizes, reverse=True)
+    assert all(geo.distance <= 0.3 for geo in geos)
+
+
+@pytest.mark.parametrize("epsilon", [1e20, 1e300])
+@pytest.mark.parametrize("kind", ["sampled", "along_y_c"])
+def test_huge_epsilon_keeps_the_state_near_the_target(kind, epsilon):
+    # the floor on r is capped at the target's size, so an epsilon far past
+    # it gives the state of epsilon = |(V, Z)| and no overflow
+    if kind == "sampled":
+        target = sample_generic_state(M, np.random.default_rng(1))
+    else:
+        target = TangentState([0] * 5, [0] * 3, [0, 0, 0, 0.6, 0.8],
+                              [0, 3.0, 4.0])
+    size = np.sqrt(target.speed2)
+    geo = construct_closed_geodesic(M, target, epsilon=epsilon)
+    assert geo.distance < 0.5 * size and geo.rotation_exact
+    capped = construct_closed_geodesic(M, target, epsilon=size)
+    assert _fields(geo) == _fields(capped)
 
 
 @pytest.mark.parametrize("seed", [16, 1770871321])
@@ -300,8 +386,7 @@ def test_construction_at_v_perp_to_y_c(seed, data, case):
     geo = construct_closed_geodesic(data, target, epsilon=epsilon, bound=bound)
     assert geo.distance <= epsilon
     assert geo.rotation_exact
-    assert lattice_contains(data.lattice_v, geo.a_v)
-    assert lattice_contains(data.lattice_z, geo.a_z)
+    assert in_gamma(data, geo.a_v, geo.a_z)
 
 
 def _is_prime(n):
@@ -361,11 +446,8 @@ def test_lattice_multiple_is_minimal():
         geos += [suites._nice_geodesic(data, rng, c)
                  for c in suites._NICE_TARGET_CS]
         for geo in geos:
-            assert lattice_contains(data.lattice_v, geo.a_v)
-            assert lattice_contains(data.lattice_z, geo.a_z)
+            assert in_gamma(data, geo.a_v, geo.a_z)
             assert geo.m < 3 * 10**24
             for p in _prime_factors(geo.m):
-                assert not (
-                    lattice_contains(data.lattice_v, [x / p for x in geo.a_v])
-                    and lattice_contains(data.lattice_z,
-                                         [x / p for x in geo.a_z]))
+                assert not in_gamma(data, [x / p for x in geo.a_v],
+                                    [x / p for x in geo.a_z])

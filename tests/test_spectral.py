@@ -17,6 +17,7 @@ from oracles import (
     integer_lattice,
     kernel_rows,
     kernel_subspace,
+    manifold_lattices,
 )
 
 M, MP = build_pair()
@@ -243,7 +244,7 @@ def test_gw_kernel_lattices_are_lattice_intersections():
     for data in (M, MP):
         for c, ker in zip(pts.tolist(), kernel_rows(j_kernels(data.alg, pts))):
             lat = spectral.lattice_intersection(
-                data.lattice_v, kernel_subspace(data.alg, c))
+                manifold_lattices(data)[0], kernel_subspace(data.alg, c))
             assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
     # the integer equality decision against the rref comparison, and the
     # counts that comparison gave at the suite's dual bound 6 and below
@@ -267,10 +268,9 @@ def test_same_saturated_kernels_overflow_guard():
 
 
 def test_gw_certificate_needs_integer_lattice_v():
-    lat = RationalLattice(5, tuple(
-        tuple(2 * int(i == j) for j in range(5)) for i in range(5)
-    ))
-    with pytest.raises(ValueError):
-        spectral.gw_certificate(
-            (dataclasses.replace(M, lattice_v=lat), MP), 2,
-            np.random.default_rng(0))
+    # lattice_v = 2 Z^5, and by the same guard lattice_z = (Z/4)^3
+    for changed in (dict(scale_v=2), dict(scale_z=Fraction(1, 4))):
+        with pytest.raises(ValueError, match="gw_certificate needs"):
+            spectral.gw_certificate(
+                (dataclasses.replace(M, **changed), MP), 2,
+                np.random.default_rng(0))
