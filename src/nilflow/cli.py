@@ -177,17 +177,9 @@ def cmd_closed_geodesic(args):
     _require(not args.epsilon > size, f"--epsilon={args.epsilon} exceeds "
              f"the target's size |(V, Z)| = {size:.6g}")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            geo = construct_closed_geodesic(
-                data, target, epsilon=args.epsilon, bound=args.bound,
-            )
+        geo = construct_closed_geodesic(data, target, epsilon=args.epsilon)
     except DegenerateFrequencyError as e:
         raise ConstructionError(str(e)) from e
-    except OverflowError as e:
-        # the rounding onto the grid overflows: a huge --bound, or the
-        # default grid 4 / epsilon of a tiny --epsilon
-        raise ValueError(f"--epsilon={args.epsilon} or --bound is too "
-                         "large: the construction overflows") from e
     doc = {
         "manifold": data.name,
         "initial_state": format_state(geo.state),
@@ -312,8 +304,10 @@ def build_parser():
     sp = sub.add_parser("closed-geodesic",
                         help="construct an exactly closed geodesic")
     common(sp)
-    sp.add_argument("--epsilon", type=float, default=0.05)
-    sp.add_argument("--bound", type=int, default=None)
+    sp.add_argument(
+        "--epsilon", type=float, default=0.05,
+        help="distance to the target, from 2^-52 |(V, Z)| (the target's "
+             "float resolution) to the target's size |(V, Z)|")
     sp.add_argument("--target", default=None,
                     help="target state record; sampled from --seed if omitted")
 

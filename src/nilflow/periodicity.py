@@ -18,7 +18,7 @@ Python ints, stored as Fractions).  The initial state is a float vector
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, inf, isinf, lcm, pi
+from math import ceil, floor, gcd, lcm, pi
 
 import numpy as np
 
@@ -119,9 +119,10 @@ def rationalize_sphere_direction(u, bound):
     uk = -u[2] if south else u[2]
     a = Fraction(u[0] / (1.0 - uk)).limit_denominator(bound)
     b = Fraction(u[1] / (1.0 - uk)).limit_denominator(bound)
-    if a * a + b * b in (0, 1):
-        a += Fraction(1, 2 * bound)
     s = a * a + b * b
+    if s in (0, 1):
+        a += Fraction(1, 2 * bound)
+        s = a * a + b * b
     uk = (s - 1) / (s + 1)
     return 2 * a / (s + 1), 2 * b / (s + 1), -uk if south else uk
 
@@ -210,7 +211,7 @@ def _closed_geodesic(data, c, uk, ks, bound, state, distance):
         tuple(Fraction(m * x, q_z) for x in n_z), state, distance)
 
 
-def construct_closed_geodesic(data, targets, epsilon=0.05, bound=None):
+def construct_closed_geodesic(data, targets, epsilon=0.05):
     """Exactly closed geodesics within epsilon of the targets, each with
     its element a in Gamma by construction.
 
@@ -221,11 +222,13 @@ def construct_closed_geodesic(data, targets, epsilon=0.05, bound=None):
 
     An attempt is one pass over the rows: the float rounding in numpy on
     one frame, the exact element per row in Python ints.  |c|, r, t, P_D,
-    P_W are rounded onto the grid (1/bound) Z (bound defaults to
-    max(16, ceil(4 / epsilon))), the direction of c to a rational point of
-    the sphere with denominators <= bound.  The rows that miss epsilon are
-    tried again as one batch at double the bound, up to seven attempts in
-    all, before ConstructionError names the first row still missing.  r is
+    P_W are rounded onto the grid (1/bound) Z, the direction of c to a
+    rational point of the sphere with denominators <= bound.  Every row
+    starts at bound = max(16, ceil(4 / epsilon)), and the rows that miss
+    epsilon are tried again as one batch at double the bound until all
+    are within it; a value that the floats cannot hold ends the doubling
+    with ConstructionError, naming epsilon and the grid.  epsilon must be
+    at least 2^-52 |(V, Z)|, the float resolution of the targets.  r is
     kept at least e sigma / (4 |c|) from 0, e the smaller of epsilon and
     the target's size |(V, Z)|: this moves V by at most about e / 4 and
     bounds the error of the pinned base point v by (1 / bound) / |r|.
@@ -244,34 +247,40 @@ def construct_closed_geodesic(data, targets, epsilon=0.05, bound=None):
         raise DegenerateFrequencyError(
             f"{row(bad[0])}target Z={zs[bad[0]].tolist()} lies on the "
             "degenerate cone; no generic closed geodesic construction applies")
-    if not 0 < epsilon < inf or isinf(4.0 / epsilon):
-        raise ValueError(f"epsilon must be > 0 and finite, with 4 / epsilon "
-                         f"finite, got {epsilon}")
-    bound = max(16, ceil(4.0 / epsilon)) if bound is None else bound
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    floor_eps = 2.0 ** -52 * np.sqrt(np.max(targets.speed2))
+    if not epsilon >= floor_eps:
+        raise ValueError(f"epsilon must be at least 2^-52 |(V, Z)| = "
+                         f"{floor_eps:.3g}, the float resolution of the "
+                         f"target, got {epsilon}")
+    start = bound = max(16, ceil(4.0 / epsilon))
     geos, todo = [None] * len(zs), np.arange(len(zs))
-    for _ in range(7):
-        built, distance = _construct_once(
-            data, state_from_flat(data.alg, flat[todo]), epsilon, bound)
+    while todo.size:
+        try:
+            built, distance = _construct_once(
+                data, state_from_flat(data.alg, flat[todo]), epsilon, bound)
+        except OverflowError as e:
+            raise ConstructionError(
+                f"could not reach epsilon={epsilon} ({row(todo[0])}the floats "
+                f"run out at the grid 1/({start} * 2^"
+                f"{(bound // start).bit_length() - 1}))") from e
         for i, geo in zip(todo, built):
             geos[i] = geo
-        miss = ~(distance <= epsilon)
-        todo, missed = todo[miss], distance[miss]
-        if not todo.size:
-            return geos[0] if one else geos
+        todo = todo[~(distance <= epsilon)]
         bound *= 2
-    raise ConstructionError(
-        f"could not reach epsilon={epsilon} (last: {row(todo[0])}distance "
-        f"{missed[0]} > epsilon={epsilon} at bound {bound // 2})")
+    return geos[0] if one else geos
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _construct_once(data, target, epsilon, bound):
     """One attempt on the grid (1/bound) Z for a batch of targets: their
     closed geodesics, None where a row misses epsilon, and the distances.
     Grid values are Python-int numerators k (object arrays, exact at any
-    size), read in floats as k / bound."""
-    ints = lambda x, f=round: np.array([f(y) for y in x.tolist()], object)
+    size), read in floats as k / bound; OverflowError where the floats
+    cannot hold a value."""
+    def ints(x, f=round):
+        if not np.isfinite(x).all():
+            raise OverflowError("a grid value is not a finite float")
+        return np.array([f(y) for y in x.tolist()], object)
     floats = lambda k: (k / bound).astype(float)
     zt, Vt, vt = target.Z, target.V, target.v
     sphere = [rationalize_sphere_direction(z, bound) for z in zt]

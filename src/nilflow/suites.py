@@ -23,7 +23,6 @@ from .flow import (
     flow_exact_vV,
     flow_rk4_many,
     sample_generic_state,
-    state_from_flat,
 )
 from .integrals import evaluate_integrals, independence_rank, poisson_matrix
 from .periodicity import (
@@ -255,11 +254,12 @@ _NICE_TARGET_CS = ((3.0, 0.0, 4.0), (0.0, 3.0, 4.0), (2.0, 1.0, 2.0))
 
 def _nice_geodesic(data, rng, c_bar):
     """A closed geodesic with small period: target Z is an exact integer
-    vector with |c| and c_k/|c| rational, and the dyadic grid 1/128 keeps
-    the lattice multiple m (hence tau) small."""
+    vector with |c| and c_k/|c| rational, and epsilon = 0.45 starts the
+    grid at 1/16, doubled only on a miss, so it stays dyadic and keeps the
+    lattice multiple m (hence tau) small."""
     target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, np.array(c_bar))
-    return construct_closed_geodesic(data, target, epsilon=0.45, bound=128)
+    return construct_closed_geodesic(data, target, epsilon=0.45)
 
 
 def run_periodicity(seed):
@@ -295,14 +295,10 @@ def run_periodicity(seed):
         value=worst_flow, tolerance=1e-9,
     )
 
-    # density: 100 random targets per the open-dense construction, drawn
-    # alternately on M and M', then one construction call per manifold
-    targets = [sample_generic_state((m, mp)[i % 2], rng).flat()
-               for i in range(100)]
-    geos = [g for k, data in enumerate((m, mp)) for g in
-            construct_closed_geodesic(
-                data, state_from_flat(data.alg, np.stack(targets[k::2])),
-                epsilon=0.1)]
+    # density: 100 random targets per the open-dense construction, one
+    # draw of 50 and one construction call per manifold
+    geos = [g for data in (m, mp) for g in construct_closed_geodesic(
+        data, sample_generic_state(data, rng, 50), epsilon=0.1)]
     worst_eps = max(geo.distance for geo in geos)
     # a is in Gamma by construction
     successes = sum(geo.rotation_exact and geo.distance <= 0.1 for geo in geos)

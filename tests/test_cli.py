@@ -330,17 +330,27 @@ def test_cih_over_cap_bound_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag", [
-    ["--bound", "0"], ["--epsilon", "0"], ["--epsilon", "inf"],
-    ["--epsilon", "1e-320"], ["--epsilon", "1e200"],
-    ["--bound", str(10**400)],
+    ["--epsilon", "0"], ["--epsilon", "inf"], ["--epsilon", "1e-320"],
+    ["--epsilon", "1e200"], ["--epsilon", "1e-300"], ["--epsilon", "1e-16"],
 ])
 def test_closed_geodesic_bad_bound_or_epsilon_is_usage_error(flag, capsys):
-    # inf and 1e-320 overflow the default grid 4 / epsilon, 1e200 exceeds
-    # the target's size, and 10^400 overflows the float grid
+    # inf and 1e200 exceed the target's size |(V, Z)|; 0, 1e-320, 1e-300 and
+    # 1e-16 lie below its float resolution 2^-52 |(V, Z)| (7.2e-16 here)
     assert main(["closed-geodesic", "--seed", "1"] + flag) == EXIT_USAGE
     err = capsys.readouterr().err
     assert flag[0][2:] in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_closed_geodesic_has_no_bound_option(capsys):
+    # the grid follows epsilon alone: there is no grid knob to set
+    assert main(["closed-geodesic", "--seed", "1", "--bound", "64"]) == \
+        EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == ""
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "--bound" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,8 +67,7 @@ def test_rk4_hooks_read_steps_and_t(steps, want):
 def test_closure_jacobian_hook_reads_geo():
     s = sample_generic_state(M, np.random.default_rng(0))
     target = TangentState(s.v, s.z, s.V, np.array([3.0, 0.0, 4.0]))
-    geo = periodicity.construct_closed_geodesic(
-        M, target, epsilon=0.45, bound=128)
+    geo = periodicity.construct_closed_geodesic(M, target, epsilon=0.45)
     counts = _hooked(periodicity.closure_jacobian, M, geo)
     assert counts == {"periodicity.closure_jacobian.geodesics": 1}
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow.catalog import build_pair
-from nilflow.cli import EXIT_CONSTRUCTION, format_state, main
+from nilflow.cli import EXIT_CONSTRUCTION, EXIT_PASS, format_state, main
 from nilflow.flow import (
     DegenerateFrequencyError,
     TangentState,
@@ -151,9 +151,7 @@ def test_constructed_geodesic_flows_home():
     data = M
     target = sample_generic_state(data, rng)
     target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
-    geo = construct_closed_geodesic(
-        data, target, epsilon=0.45, bound=64,
-    )
+    geo = construct_closed_geodesic(data, target, epsilon=0.45)
     s = geo.state
     end = flow_exact_state(data, s, geo.tau)
     av = np.array([float(x) for x in geo.a_v])
@@ -173,8 +171,7 @@ def test_closure_jacobian_equals_per_column_stencil(monkeypatch):
     for data in (M, MP):
         target = sample_generic_state(data, rng)
         target = TangentState(target.v, target.z, target.V, COMM_Z.copy())
-        geo = construct_closed_geodesic(data, target, epsilon=0.45,
-                                        bound=64)
+        geo = construct_closed_geodesic(data, target, epsilon=0.45)
         a = np.array([float(x) for x in geo.a_v + geo.a_z])
         x0, h = geo.state.flat(), 1e-4
 
@@ -223,23 +220,36 @@ def test_construction_error_surfaces():
         )
 
 
+ALONG_Y_C = TangentState([0] * 5, [0] * 3, [0, 0, 0, 0.6, 0.8],
+                        [0, 3.0, 4.0])
+
+
 def test_construction_work_is_bounded_when_v_lies_along_y_c(capsys):
     # V along Y_c leaves V_perp, hence t - sigma and the room for w1, at
-    # their least; t and w1 are chosen in closed form, so each of the seven
-    # attempts is straight-line work whatever epsilon is
-    target = TangentState([0] * 5, [0] * 3, [0, 0, 0, 0.6, 0.8], [0, 3.0, 4.0])
-    t0 = time.perf_counter()
-    try:
-        geo = construct_closed_geodesic(M, target, epsilon=5e-4)
-    except ConstructionError:
-        pass
-    else:
-        assert geo.distance <= 5e-4 and geo.rotation_exact
-    assert time.perf_counter() - t0 < 1.0
+    # their least: the grid keeps doubling past 4 / epsilon until the row is
+    # within epsilon, each attempt straight-line work
+    for epsilon in (5e-4, 5e-6):
+        t0 = time.perf_counter()
+        geo = construct_closed_geodesic(M, ALONG_Y_C, epsilon=epsilon)
+        assert time.perf_counter() - t0 < 1.0
+        assert geo.distance <= epsilon and geo.rotation_exact
+        assert in_gamma(M, geo.a_v, geo.a_z)
     assert main(["closed-geodesic", "--epsilon", "5e-4",
-                 "--target", format_state(target)]) == EXIT_CONSTRUCTION
+                 "--target", format_state(ALONG_Y_C)]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+
+
+def test_construction_out_of_float_reach_is_a_construction_error(capsys):
+    # at 1e-7 the grid runs past what the floats resolve before the row is
+    # within epsilon: the rounding meets a non-finite value and stops
+    t0 = time.perf_counter()
+    with pytest.raises(ConstructionError, match=r"epsilon=1e-07 .*grid"):
+        construct_closed_geodesic(M, ALONG_Y_C, epsilon=1e-7)
+    assert time.perf_counter() - t0 < 1.0
+    assert main(["closed-geodesic", "--epsilon", "1e-7",
+                 "--target", format_state(ALONG_Y_C)]) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("construction failure: ")
 
 
@@ -282,6 +292,13 @@ def test_run_periodicity_checks_each_closure_once(monkeypatch):
         + [("M", (50, 3)), ("Mprime", (50, 3)), ("M", (3,)), ("Mprime", (3,))])
 
 
+def _nice(states):
+    """The states with Z set to the suite's integer vectors in turn."""
+    cs = suites._NICE_TARGET_CS
+    Z = np.array([cs[i % len(cs)] for i in range(len(states.Z))], float)
+    return TangentState(states.v, states.z, states.V, Z)
+
+
 def _row(states, i):
     return TangentState(states.v[i], states.z[i], states.V[i], states.Z[i])
 
@@ -295,19 +312,21 @@ def _fields(geo):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([M, MP]),
-       st.integers(1, 12), st.sampled_from([(0.3, 2), (0.45, 2), (0.1, None)]))
-def test_batched_construction_equals_one_call_per_target(seed, data, n, case):
-    # at bound 2 many rows miss and are retried at 4, 8, ...
-    epsilon, bound = case
+       st.integers(1, 12), st.sampled_from([0.3, 0.45, 0.1]), st.booleans())
+def test_batched_construction_equals_one_call_per_target(seed, data, n,
+                                                         epsilon, nice):
+    # with the suite's integer Z many rows miss the first grid 1/16 of
+    # epsilon 0.3 and 0.45 and are retried at 1/32, 1/64, ...
     rng = np.random.default_rng(seed)
     targets = sample_generic_state(data, rng, n)
-    geos = construct_closed_geodesic(data, targets, epsilon=epsilon,
-                                     bound=bound)
+    if nice:
+        targets = _nice(targets)
+    geos = construct_closed_geodesic(data, targets, epsilon=epsilon)
     assert len(geos) == n
     lat_v, lat_z = manifold_lattices(data)
     for i, geo in enumerate(geos):
         one = construct_closed_geodesic(data, _row(targets, i),
-                                        epsilon=epsilon, bound=bound)
+                                        epsilon=epsilon)
         assert _fields(geo) == _fields(one)
         assert all(isinstance(x, Fraction) for x in
                    geo.c + geo.a_v + geo.a_z + (geo.r, geo.t, geo.P_D, geo.P_W))
@@ -322,22 +341,24 @@ def test_batched_construction_equals_one_call_per_target(seed, data, n, case):
     with pytest.raises(DegenerateFrequencyError, match=f"row {bad}: "):
         construct_closed_geodesic(
             data, TangentState(targets.v, targets.z, targets.V, Z),
-            epsilon=epsilon, bound=bound)
+            epsilon=epsilon)
 
 
 def test_batched_construction_retries_the_missing_rows():
-    # rows that miss epsilon go again as one sub-batch at double the bound
-    targets = sample_generic_state(M, np.random.default_rng(0), 40)
+    # rows that miss epsilon go again as one sub-batch at double the bound;
+    # epsilon = 0.45 starts every row at max(16, ceil(4 / epsilon)) = 16,
+    # which about half of the suite's integer-Z targets miss
+    targets = _nice(sample_generic_state(M, np.random.default_rng(0), 40))
     with mock.patch.object(periodicity, "_construct_once",
                            wraps=periodicity._construct_once) as spy:
-        geos = construct_closed_geodesic(M, targets, epsilon=0.3, bound=2)
+        geos = construct_closed_geodesic(M, targets, epsilon=0.45)
     attempts = [(len(call.args[1].Z), call.args[3])
                 for call in spy.call_args_list]
     assert len(attempts) >= 2
-    assert [b for _, b in attempts] == [2 << k for k in range(len(attempts))]
+    assert [b for _, b in attempts] == [16 << k for k in range(len(attempts))]
     sizes = [k for k, _ in attempts]
     assert sizes[0] == 40 and sizes == sorted(sizes, reverse=True)
-    assert all(geo.distance <= 0.3 for geo in geos)
+    assert all(geo.distance <= 0.45 for geo in geos)
 
 
 @pytest.mark.parametrize("epsilon", [1e20, 1e300])
@@ -378,12 +399,12 @@ def _perp_target(data, seed, kind):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([M, MP]),
-       st.sampled_from([(0, 0.45, 128), (1, 0.45, 128), (2, 0.45, 128),
-                        ("generic", 0.1, None), ("generic", 0.05, None)]))
+       st.sampled_from([(0, 0.45), (1, 0.45), (2, 0.45),
+                        ("generic", 0.1), ("generic", 0.05)]))
 def test_construction_at_v_perp_to_y_c(seed, data, case):
-    kind, epsilon, bound = case
+    kind, epsilon = case
     target = _perp_target(data, seed, kind)
-    geo = construct_closed_geodesic(data, target, epsilon=epsilon, bound=bound)
+    geo = construct_closed_geodesic(data, target, epsilon=epsilon)
     assert geo.distance <= epsilon
     assert geo.rotation_exact
     assert in_gamma(data, geo.a_v, geo.a_z)
