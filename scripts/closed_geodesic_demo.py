@@ -8,7 +8,7 @@ import argparse
 import numpy as np
 
 from nilflow.catalog import build_pair
-from nilflow.flow import TangentState, sample_generic_state
+from nilflow.flow import sample_generic_state
 from nilflow.periodicity import construct_closed_geodesic
 
 
@@ -24,13 +24,8 @@ def main():
     rng = np.random.Generator(np.random.Philox(args.seed))
     for data in build_pair():
         print(f"== {data.name} ==")
-        # the construction draws nothing, so one draw of all targets
-        # consumes the stream as one draw per target would
         targets = sample_generic_state(data, rng, args.n)
-        for i in range(args.n):
-            target = TangentState(targets.v[i], targets.z[i], targets.V[i],
-                                  targets.Z[i])
-            geo = construct_closed_geodesic(data, target, epsilon=args.epsilon)
+        for geo in construct_closed_geodesic(data, targets, epsilon=args.epsilon):
             print(
                 f"  |c|={geo.norm_c}  c_k/|c|={geo.p}/{geo.q}  m={geo.m}  "
                 f"tau/pi={geo.tau_over_pi}  distance={geo.distance:.4f}"

@@ -17,9 +17,8 @@ independent cross-check.  With Z conserved the (v, V) equations are
 linear, so N RK4 steps are one matrix power and the z increments one
 quadratic form in the initial (v, V); both are summed exactly by binary
 doubling, in O(log N) batched matmuls instead of N stage evaluations.
-Generic states for the checks are drawn by rejection, all n of them from
-one buffer of uniform doubles, and the RNG ends where n one-state draws
-leave it.
+Generic states for the checks are drawn by rejection on whole rows of
+uniform doubles, so n states at once equal n one-state draws.
 """
 
 from dataclasses import dataclass
@@ -335,12 +334,6 @@ def flow_exact_state(data, state, t):
 # sampling
 
 
-# doubles drawn up front per requested state, on top of one state's width:
-# an accepted state takes 3 + 2 dim_v + dim_z of them (16 on the pair) and
-# rejections bring the mean to about 19.5, so the buffer rarely regrows
-_DRAWS_PER_STATE = 24
-
-
 def _generic_Z(c):
     """Mask of the rows c = (c_i, c_j, c_k) with well-separated frequencies
     (|c_k|, |c| - |c_k| and |(c_i, c_j)| all at least 0.1) and c_k |c|^2 at
@@ -360,47 +353,28 @@ def sample_generic_state(data, rng, n=None):
     direction by at least 0.05: one state with no batch axis when n is
     None, else n states along a leading axis.
 
-    Each state is a rejection draw: Z uniform on [-2, 2]^3 until
-    `_generic_Z` holds, then V uniform on [-1, 1]^dim_v, and a new Z if V
-    misses a unit frame row by less than 0.05, then v and z uniform on
-    [-1, 1].  All n draws are read off one buffer u of rng.random doubles
-    (uniform(lo, hi) is lo + (hi - lo) u): the Z and V tests are made at
-    every offset of u at once, and a walk over the offsets, 3 doubles per
-    rejected Z, 3 + dim_v per rejected V, 3 + 2 dim_v + dim_z per state,
-    finds the states.  The buffer doubles when the walk runs out.  The RNG
-    is then reset and advanced by the doubles the walk used, so the states
-    and the RNG state after the call are those of n one-state calls.
+    A candidate is one row of rng.uniform(-1, 1) doubles laid out as
+    (Z / 2, V, v, z), so Z is uniform on [-2, 2]^3 (doubling is exact).  A
+    row is kept, in draw order, when `_generic_Z` holds and V meets every
+    unit frame row by at least 0.05; frames are built only for the rows
+    whose Z passes.  One draw of n rows is followed by draws of exactly the
+    rows still missing, so the rows read are a prefix of the row stream:
+    the states and the RNG state after the call are those of n one-state
+    calls.
     """
-    dv, dz = data.alg.dim_v, data.alg.dim_z
-    width = 3 + 2 * dv + dz
-    jump = (3, 3 + dv, width)  # rejected Z, rejected V, accepted
+    if n is not None and n < 0:
+        raise ValueError(f"n must be None or a count of states >= 0, got {n}")
+    dv = data.alg.dim_v
     count = 1 if n is None else n
-    saved = rng.bit_generator.state
-    u = rng.random(_DRAWS_PER_STATE * count + width)
-    while True:
-        # uniform(-1, 1) draws; u is a multiple of 2^-53, so -1 + 2u and
-        # the uniform(-2, 2) draw -2 + 4u = 2 b are exact
-        b = -1.0 + 2.0 * u
-        offsets = u.size - width + 1
-        # row p is b[p:p + width], a sliding-window view of b
-        rows = np.ndarray((offsets, width), float, b, 0, (b.itemsize,) * 2)
-        Z = 2.0 * rows[:, :3]
-        z_ok = np.flatnonzero(_generic_Z(Z))
-        unit = _unit_frame(data, Z[z_ok]).basis
-        comp = np.abs(unit @ rows[z_ok, 3:3 + dv, None]).min(axis=(-2, -1))
-        outcome = np.zeros(offsets, np.intp)
-        outcome[z_ok] = 1 + (comp >= 0.05)
-        outcome = outcome.tolist()
-        pos, found = 0, []
-        while len(found) < count and pos < offsets:
-            if outcome[pos] == 2:
-                found.append(pos)
-            pos += jump[outcome[pos]]
-        if len(found) == count:
-            break
-        u = np.concatenate([u, rng.random(u.size)])
-    rng.bit_generator.state = saved
-    rng.random(pos)
-    row = rows[found[0] if n is None else found]
+    width = 3 + 2 * dv + data.alg.dim_z
+    rows = np.empty((0, width))
+    while len(rows) < count:
+        cand = rng.uniform(-1.0, 1.0, size=(count - len(rows), width))
+        Z = 2.0 * cand[:, :3]
+        ok = np.flatnonzero(_generic_Z(Z))
+        unit = _unit_frame(data, Z[ok]).basis
+        comp = np.abs(unit @ cand[ok, 3:3 + dv, None]).min(axis=(-2, -1))
+        rows = np.concatenate([rows, cand[ok[comp >= 0.05]]])
+    row = rows[0] if n is None else rows
     return TangentState(row[..., 3 + dv:3 + 2 * dv], row[..., 3 + 2 * dv:],
                         row[..., 3:3 + dv], 2.0 * row[..., :3])

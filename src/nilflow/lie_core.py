@@ -71,16 +71,6 @@ class AlgebraData:
         return np.array(self.structure, dtype=np.int64)
 
 
-def bracket_v(alg, av, bv):
-    """Exact bracket of two v-vectors (length dim_v), int or Fraction."""
-    if len(av) != alg.dim_v or len(bv) != alg.dim_v:
-        raise ValueError(f"expected v-vectors of dimension {alg.dim_v}")
-    out = [0] * alg.dim_z
-    for p, q, r, c in alg.terms:
-        out[r] += c * av[p] * bv[q]
-    return out
-
-
 def bracket_v_np(alg, av, bv):
     """Float bracket of v-vectors, broadcast over leading axes; complex
     vectors give the complex-bilinear extension.

@@ -226,9 +226,11 @@ def construct_closed_geodesic(data, targets, epsilon=0.05):
     rational point of the sphere with denominators <= bound.  Every row
     starts at bound = max(16, ceil(4 / epsilon)), and the rows that miss
     epsilon are tried again as one batch at double the bound until all
-    are within it; a value that the floats cannot hold ends the doubling
-    with ConstructionError, naming epsilon and the grid.  epsilon must be
-    at least 2^-52 |(V, Z)|, the float resolution of the targets.  r is
+    are within it; a value that the floats cannot hold, or a grid finer
+    than the floats resolve t - sigma, ends the doubling with
+    ConstructionError, naming epsilon and the grid.  epsilon must be
+    positive and at least 2^-52 |(V, Z)|, the float resolution of the
+    targets; an empty batch returns [].  r is
     kept at least e sigma / (4 |c|) from 0, e the smaller of epsilon and
     the target's size |(V, Z)|: this moves V by at most about e / 4 and
     bounds the error of the pinned base point v by (1 / bound) / |r|.
@@ -247,11 +249,11 @@ def construct_closed_geodesic(data, targets, epsilon=0.05):
         raise DegenerateFrequencyError(
             f"{row(bad[0])}target Z={zs[bad[0]].tolist()} lies on the "
             "degenerate cone; no generic closed geodesic construction applies")
-    floor_eps = 2.0 ** -52 * np.sqrt(np.max(targets.speed2))
-    if not epsilon >= floor_eps:
-        raise ValueError(f"epsilon must be at least 2^-52 |(V, Z)| = "
-                         f"{floor_eps:.3g}, the float resolution of the "
-                         f"target, got {epsilon}")
+    floor_eps = 2.0 ** -52 * np.sqrt(np.max(targets.speed2, initial=0.0))
+    if not (epsilon > 0 and epsilon >= floor_eps):
+        raise ValueError(f"epsilon must be positive and at least 2^-52 "
+                         f"|(V, Z)| = {floor_eps:.3g}, the float resolution "
+                         f"of the target, got {epsilon}")
     start = bound = max(16, ceil(4.0 / epsilon))
     geos, todo = [None] * len(zs), np.arange(len(zs))
     while todo.size:
@@ -276,7 +278,7 @@ def _construct_once(data, target, epsilon, bound):
     closed geodesics, None where a row misses epsilon, and the distances.
     Grid values are Python-int numerators k (object arrays, exact at any
     size), read in floats as k / bound; OverflowError where the floats
-    cannot hold a value."""
+    cannot hold a value or resolve t - sigma to a grid step of w1."""
     def ints(x, f=round):
         if not np.isfinite(x).all():
             raise OverflowError("a grid value is not a finite float")
@@ -314,6 +316,9 @@ def _construct_once(data, target, epsilon, bound):
     t_f = floats(k_t)
     v_ck_t = frame.plane_part(Vt, 0)
     k_max = ints((t_f - sigma) * bound / np.abs(ck_f), ceil) - 1
+    # k_max >= 1 in exact arithmetic, so only rounding of t - sigma breaks it
+    if (k_max < 1).any():
+        raise OverflowError("the grid is finer than the floats resolve t - sigma")
     k_w1 = np.minimum(np.maximum(ints(sigma * np.vecdot(v_ck_t, v_ck_t)
                                       / (2.0 * np.abs(ck_f) * n2) * bound), 1),
                       k_max)

@@ -13,11 +13,20 @@ from nilflow.flow import TangentState, _unit_frame, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
-    bracket_v,
     bracket_v_np,
     j_matrix,
     j_matrix_np,
 )
+
+
+def bracket_v(alg, av, bv):
+    """Exact bracket of two v-vectors (length dim_v), int or Fraction."""
+    if len(av) != alg.dim_v or len(bv) != alg.dim_v:
+        raise ValueError(f"expected v-vectors of dimension {alg.dim_v}")
+    out = [0] * alg.dim_z
+    for p, q, r, c in alg.terms:
+        out[r] += c * av[p] * bv[q]
+    return out
 
 
 def det(mat):
@@ -255,27 +264,20 @@ def generic_z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):
                 or hypot(ci, cj) < min_gap or abs(ck) * norm * norm < min_prod)
 
 
-def sample_generic_Z(rng):
-    """Draw a generic Z, one rng call per candidate."""
-    while True:
-        c = rng.uniform(-2.0, 2.0, size=3)
-        if generic_z(c):
-            return c
-
-
 def sample_generic_state(data, rng, min_comp=0.05):
-    """One generic state by a rejection draw, one rng call per quantity
-    (the oracle for the batched draw of flow.sample_generic_state)."""
+    """One generic state by a rejection draw on whole candidates: Z, V, v
+    and z drawn in that order, one rng call each, then tested (the oracle
+    for the batched draw of flow.sample_generic_state)."""
     dv, dz = data.alg.dim_v, data.alg.dim_z
     while True:
-        Z = sample_generic_Z(rng)
-        unit = _unit_frame(data, Z).basis
+        Z = rng.uniform(-2.0, 2.0, size=3)
         V = rng.uniform(-1.0, 1.0, size=dv)
-        if np.min(np.abs(unit @ V)) < min_comp:
-            continue
         v = rng.uniform(-1.0, 1.0, size=dv)
         z = rng.uniform(-1.0, 1.0, size=dz)
-        return TangentState(v, z, V, Z)
+        if not generic_z(Z):
+            continue
+        if np.min(np.abs(_unit_frame(data, Z).basis @ V)) >= min_comp:
+            return TangentState(v, z, V, Z)
 
 
 def span_projector(rows):

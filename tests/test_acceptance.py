@@ -232,7 +232,7 @@ def test_criterion_13_determinism(verify_runs):
 # value lists the moved values and records the new hash here and in
 # ROADMAP.md.
 BODY_SHA256_SEED_42 = (
-    "5b702fdb404f142661323e70492457cc49c6da2a78846164a365fb6d6ca06aab"
+    "2099b6520cffa82ab74afabb04203369b45657b4c44916e1f1351c5a0ff3e113"
 )
 
 
@@ -244,10 +244,10 @@ def test_report_body_hash_is_pinned(verify_runs):
 # the same hash at two more seeds, so that a change cannot move a value
 # that seed 42 happens not to reach
 BODY_SHA256_SEED_7 = (
-    "00cb6284a80dfd8b57c02b325a715f97590eaf91e78e3a2fd9003546e863ea98"
+    "763e10df22f665e1e78495dfaa21368fcec5ba8ba5d7cd1503423064017e5e97"
 )
 BODY_SHA256_SEED_90210 = (
-    "25d31cceb1b75d5fd45a1e7f64193eb86428416084854208c7ea6d265f044853"
+    "d0da79358492ce4910dd4366444d581169ee1c06a2df5a57b5f4ed35edf61c2e"
 )
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nilflow.catalog import build_deformation, build_pair, get_manifold
-from nilflow.lie_core import bracket_v, j_matrix
-from oracles import manifold_lattices
+from nilflow.lie_core import j_matrix
+from oracles import bracket_v, manifold_lattices
 
 M, MP = build_pair()
 

@@ -23,7 +23,7 @@ from nilflow.flow import (
 )
 from nilflow.lie_core import j_matrix_np
 import oracles
-from oracles import flow_exact_quadrature, rk4_loop, sample_generic_Z
+from oracles import flow_exact_quadrature, rk4_loop
 
 M, MP = build_pair()
 
@@ -166,12 +166,14 @@ def test_sampler_draws_as_a_rejection_on_the_eigenframe(data, monkeypatch):
     # states and the RNG stream are those of a rejection on the components
     def reference(rng, min_comp=0.05):
         while True:
-            Z = sample_generic_Z(rng)
+            Z = rng.uniform(-2.0, 2.0, size=3)
             V = rng.uniform(-1.0, 1.0, size=5)
-            if np.min(np.abs(eigenframe(data, Z).components(V))) < min_comp:
-                continue
             v = rng.uniform(-1.0, 1.0, size=5)
             z = rng.uniform(-1.0, 1.0, size=3)
+            if not oracles.generic_z(Z):
+                continue
+            if np.min(np.abs(eigenframe(data, Z).components(V))) < min_comp:
+                continue
             return TangentState(v, z, V, Z)
 
     def no_frame(*args):
@@ -209,19 +211,12 @@ def _replay_cases():
             for seed in (16, 42, 1770871321):
                 for n in (None, 1, 2, 100, 1000):
                     yield pytest.param(
-                        data, bits, seed, n, None,
+                        data, bits, seed, n,
                         id=f"{data.name}-{bits.__name__}-{seed}-{n}")
-    # one double per state plus one state's width cannot hold n >= 2 draws,
-    # so the buffer doubles until the walk finds every state
-    for n in (2, 100):
-        yield pytest.param(M, np.random.PCG64, 42, n, 1, id=f"regrow-{n}")
 
 
-@pytest.mark.parametrize("data,bits,seed,n,per_state", list(_replay_cases()))
-def test_batched_sampler_replays_the_per_state_stream(data, bits, seed, n,
-                                                      per_state, monkeypatch):
-    if per_state is not None:
-        monkeypatch.setattr(flow, "_DRAWS_PER_STATE", per_state)
+@pytest.mark.parametrize("data,bits,seed,n", list(_replay_cases()))
+def test_batched_sampler_replays_the_per_state_stream(data, bits, seed, n):
     got_rng = np.random.Generator(bits(seed))
     want_rng = np.random.Generator(bits(seed))
     got = sample_generic_state(data, got_rng, n)
@@ -231,6 +226,30 @@ def test_batched_sampler_replays_the_per_state_stream(data, bits, seed, n,
         rows = np.stack([getattr(w, field) for w in want])
         assert np.array_equal(getattr(got, field), rows[0] if n is None else rows)
     assert np.array_equal(got_rng.random(4), want_rng.random(4))
+
+
+def test_sampler_rejects_a_negative_count():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"\bn\b.*-1"):
+        sample_generic_state(M, rng, -1)
+    empty = sample_generic_state(M, rng, 0)
+    assert empty.V.shape == (0, 5) and empty.Z.shape == (0, 3)
+    assert np.array_equal(rng.random(4), np.random.default_rng(0).random(4))
+
+
+@pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
+def test_sampler_builds_frames_only_for_rows_it_may_keep(data, monkeypatch):
+    # a frame is built only for a candidate row whose Z passes, and about
+    # 0.7 of the rows that reach the V test are kept
+    built, unit_frame = [], flow._unit_frame
+
+    def counting(data, Z):
+        built.append(len(Z))
+        return unit_frame(data, Z)
+
+    monkeypatch.setattr(flow, "_unit_frame", counting)
+    sample_generic_state(data, np.random.default_rng(42), 1000)
+    assert sum(built) <= 1.5 * 1000
 
 
 def test_speed2_is_batched():

@@ -13,7 +13,6 @@ from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
-    bracket_v,
     bracket_v_np,
     j_kernels,
     j_matrices,
@@ -23,6 +22,7 @@ from nilflow.lie_core import (
 )
 from oracles import (
     GroupElement,
+    bracket_v,
     brackets_in_twice,
     conjugate,
     dual_lattice,

@@ -241,11 +241,15 @@ def test_construction_work_is_bounded_when_v_lies_along_y_c(capsys):
 
 def test_construction_out_of_float_reach_is_a_construction_error(capsys):
     # at 1e-7 the grid runs past what the floats resolve before the row is
-    # within epsilon: the rounding meets a non-finite value and stops
+    # within epsilon: t - sigma no longer holds a grid step of w1, and the
+    # construction stops there
     t0 = time.perf_counter()
-    with pytest.raises(ConstructionError, match=r"epsilon=1e-07 .*grid"):
+    with pytest.raises(ConstructionError, match=r"epsilon=1e-07 .*grid") as exc:
         construct_closed_geodesic(M, ALONG_Y_C, epsilon=1e-7)
     assert time.perf_counter() - t0 < 1.0
+    assert isinstance(exc.value.__cause__, OverflowError)
+    assert "finer than the floats resolve t - sigma" in str(exc.value.__cause__)
+    assert "1/(40000000 * 2^29)" in str(exc.value)
     assert main(["closed-geodesic", "--epsilon", "1e-7",
                  "--target", format_state(ALONG_Y_C)]) == EXIT_CONSTRUCTION
     err = capsys.readouterr().err
@@ -342,6 +346,13 @@ def test_batched_construction_equals_one_call_per_target(seed, data, n,
         construct_closed_geodesic(
             data, TangentState(targets.v, targets.z, targets.V, Z),
             epsilon=epsilon)
+
+
+def test_empty_batch_constructs_nothing():
+    targets = sample_generic_state(M, np.random.default_rng(0), 0)
+    assert construct_closed_geodesic(M, targets, epsilon=0.1) == []
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        construct_closed_geodesic(M, targets, epsilon=0.0)
 
 
 def test_batched_construction_retries_the_missing_rows():

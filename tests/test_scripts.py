@@ -30,24 +30,24 @@ def test_script_runs(name):
     assert res.stdout.strip()
 
 
-# stdout of the scripts when each drew its states one sampler call per
-# state; the batched draws consume the same RNG stream, so it is unchanged
+# stdout of the scripts at seed 3; each draws all its states in one
+# sampler call, which consumes the RNG stream as one call per state would
 PINNED_STDOUT = {
     ("integral_scan.py", "--seed", "3", "--n", "50"): (
         'states: 50   t = 10.0\n'
         'max conservation drift: 2.842e-14\n'
-        'max pairwise Poisson bracket: 7.283e-08\n'
+        'max pairwise Poisson bracket: 8.527e-08\n'
         'independence ranks: {8: 50}\n'
     ),
     ("closed_geodesic_demo.py", "--seed", "3", "--n", "3"): (
         '== M ==\n'
         '  |c|=21/8  c_k/|c|=-54071/122347  m=4790012290880  tau/pi=9376698140036725760/21  distance=0.0038\n'
-        '  |c|=17/10  c_k/|c|=72/361  m=260642000  tau/pi=1881835240000/17  distance=0.0063\n'
-        '  |c|=39/20  c_k/|c|=2113/28105  m=789891025000  tau/pi=887995490305000000/39  distance=0.0092\n'
+        '  |c|=9/5  c_k/|c|=52257/119969  m=7196280480500  tau/pi=8633305729651045000/9  distance=0.0117\n'
+        '  |c|=2  c_k/|c|=-344711/434041  m=1883915896810  tau/pi=817696739767309210  distance=0.0107\n'
         '== Mprime ==\n'
-        '  |c|=79/40  c_k/|c|=-1949911/2430889  m=9454754128513600  tau/pi=1838676624696663727232000/79  distance=0.0071\n'
-        '  |c|=31/20  c_k/|c|=156183/234545  m=110022714050000  tau/pi=1032211098674290000000/31  distance=0.0031\n'
-        '  |c|=11/5  c_k/|c|=1096959/1411841  m=398659001856200  tau/pi=5628431238396592642000/11  distance=0.0019\n'
+        '  |c|=17/8  c_k/|c|=637511/687681  m=25221608413920  tau/pi=277510734331086712320/17  distance=0.0040\n'
+        '  |c|=19/10  c_k/|c|=1602167/1946281  m=1515203892384400  tau/pi=58980250937476048328000/19  distance=0.0093\n'
+        '  |c|=43/20  c_k/|c|=-47668/111533  m=49758440356000  tau/pi=221988325129029920000/43  distance=0.0049\n'
     ),
 }
 
