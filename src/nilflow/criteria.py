@@ -16,12 +16,11 @@ Three independent diagnostics that separate the pair:
 """
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import _primitive_rows, j_kernels, j_matrix
+from .lie_core import _primitive_rows, j_kernels
 from .report import Certificate
 from .spectral import char_poly_identity_check
 
@@ -115,107 +114,66 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
 # clean intersection
 
 
-def _span_keys(spans):
-    """One sortable int64 key row per V for the row span of spans[V]
-    (n, rows, dim): the distinct nonzero primitive rows, each coded as one
-    integer in lexicographic order, sorted and padded with -1, so that key
-    rows sort like the tuples of their rows."""
-    prim = _primitive_rows(spans)
-    nonzero = np.any(prim != 0, axis=2)
-    bound = int(np.abs(prim).max(initial=0))
-    base = 2 * bound + 1
-    if base ** spans.shape[2] >= 2**62:
-        raise OverflowError("bracket spans too large for int64 keys")
-    codes = (prim + bound) @ (base ** np.arange(spans.shape[2] - 1, -1, -1))
-    top = np.iinfo(np.int64).max
-    codes = np.sort(np.where(nonzero, codes, top), axis=1)
-    codes[:, 1:][codes[:, 1:] == codes[:, :-1]] = top  # drop repeated rows
-    codes = np.sort(codes, axis=1)
-    codes[codes == top] = -1
-    return codes
-
-
 def _complement_projectors(spans):
     """Orthogonal projectors onto the complements of the row spans of
-    integer spans (n, rows, 3), in closed form and exactly in int64:
-    (N (n, 3, 3), d (n,)) with P = N / d and d > 0.
+    integer spans A (n, rows, 3), exactly in int64 from the Gram matrix
+    G = A^T A and its adjugate alone: (N (n, 3, 3), d (n,), rank (n,)) with
+    P = N / d in lowest terms (gcd of N and d is 1, d > 0), so that (N, d)
+    is a canonical key of the span.
 
-    With r the first nonzero primitive row and n the first nonzero
-    primitive cross product of two rows: rank 0 gives I / 1, rank 1
-    (|r|^2 I - r r^T) / |r|^2, rank 2 n n^T / |n|^2 and rank 3 (some triple
-    product nonzero) 0 / 1.  Raises OverflowError before any product could
-    leave int64.
+    det G != 0 gives rank 3 and 0 / 1; adj G != 0 rank 2 and
+    adj G / tr adj G; G != 0 rank 1 and (tr G I - G) / tr G; G = 0 rank 0
+    and I / 1.  Raises OverflowError before any product could leave int64.
     """
-    prim = _primitive_rows(np.asarray(spans, dtype=np.int64))
-    n, rows, dim = prim.shape
+    a = np.asarray(spans, dtype=np.int64)
+    n, rows, dim = a.shape
     if dim != 3:
         raise ValueError("closed-form projectors need dim z = 3")
-    if rows < 2:  # zero rows change no span, and give a pair to cross
-        prim = np.concatenate([prim, np.zeros((n, 2 - rows, 3), np.int64)], 1)
-        rows = 2
-    bound = int(np.abs(prim).max(initial=0))
-    if 2 * bound**2 >= 2**62:
-        raise OverflowError("bracket spans too large for int64 projectors")
-    a, b = np.triu_indices(rows, 1)
-    cross = _primitive_rows(np.cross(prim[:, a], prim[:, b]))
-    cbound = int(np.abs(cross).max(initial=0))
-    if 3 * max(cbound, bound) ** 2 >= 2**62:
-        raise OverflowError("bracket spans too large for int64 projectors")
-    nonzero, crossed = np.any(prim != 0, axis=2), np.any(cross != 0, axis=2)
-    idx = np.arange(n)
-    r = prim[idx, np.argmax(nonzero, axis=1)]
-    nrm = cross[idx, np.argmax(crossed, axis=1)]
-    rank2 = crossed.any(axis=1)
-    r2 = np.einsum("ni,ni->n", r, r)
+    if rows * int(np.abs(a).max(initial=0)) ** 2 >= 2**62:
+        raise OverflowError("bracket spans too large for int64 Gram matrices")
+    g = a.transpose(0, 2, 1) @ a
+    gb = int(np.abs(g).max(initial=0))
+    if 2 * gb**2 >= 2**62:
+        raise OverflowError("Gram matrices too large for int64 adjugates")
+    # adj G is the transposed cofactor matrix; G is symmetric, so is adj G
+    r1, r2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
+    adj = g[:, r1, r1.T] * g[:, r2, r2.T]
+    adj -= g[:, r1, r2.T] * g[:, r2, r1.T]
+    if 3 * gb * int(np.abs(adj).max(initial=0)) >= 2**62:
+        raise OverflowError("Gram matrices too large for int64 determinants")
+    det = np.sum(g[:, 0] * adj[:, 0], axis=1)
+    tr_g = np.trace(g, axis1=1, axis2=2)
+    rank = np.select([det != 0, np.any(adj != 0, axis=(1, 2)), tr_g != 0],
+                     [3, 2, 1])
     eye = np.eye(3, dtype=np.int64)
-    proj = np.where(
-        rank2[:, None, None],
-        nrm[:, :, None] * nrm[:, None, :],
-        r2[:, None, None] * eye - r[:, :, None] * r[:, None, :],
-    )
-    d = np.where(rank2, np.einsum("ni,ni->n", nrm, nrm), r2)
-    zero = ~nonzero.any(axis=1)
-    full = np.any(np.einsum("npi,nri->npr", cross, prim) != 0, axis=(1, 2))
-    proj[zero], d[zero] = eye, 1
-    proj[full], d[full] = 0, 1
-    return proj, d
+    proj, d = tr_g[:, None, None] * eye - g, tr_g
+    two = rank == 2
+    proj[two], d[two] = adj[two], np.trace(adj[two], axis1=1, axis2=2)
+    proj[rank == 3], d[rank == 3] = 0, 1
+    proj[rank == 0], d[rank == 0] = eye, 1
+    div = np.gcd(np.gcd.reduce(proj.reshape(n, 9), axis=1), d)
+    proj //= div[:, None, None]
+    d //= div
+    return proj, d, rank
 
 
-def _projectors_exact(proj, d, spans):
-    """Whether each N / d is idempotent (N N = d N) and kills every row of
-    its span (N r = 0), in int64; OverflowError before a product could
-    wrap."""
+def _projectors_exact(proj, d, rank, spans):
+    """Whether each N / d is the orthogonal projector onto the complement
+    of its span of the given rank: N symmetric, N N = d N, tr N = d (3 -
+    rank) and N r = 0 for every row r, in int64.  A symmetric idempotent
+    that kills the rows and has that trace has kernel exactly the span.
+    OverflowError before a product could wrap."""
     spans = np.asarray(spans, dtype=np.int64)
     nb = int(np.abs(proj).max(initial=0))
     sb = int(np.abs(spans).max(initial=0))
     db = int(np.abs(d).max(initial=0))
-    if max(3 * nb * nb, db * nb, 3 * nb * sb) >= 2**62:
+    if max(3 * nb * nb, db * nb, 3 * nb * sb, 3 * db) >= 2**62:
         raise OverflowError("projectors too large for int64 checks")
+    sym = np.all(proj == proj.transpose(0, 2, 1), axis=(1, 2))
     idem = np.all(proj @ proj == d[:, None, None] * proj, axis=(1, 2))
-    killed = ~np.any(np.einsum("nij,nrj->nri", proj, spans) != 0, axis=(1, 2))
-    return idem & killed
-
-
-def _annihilator_check(alg, c):
-    """Exact check that A := j(Z_c)^2 satisfies A (A + c_k^2) (A + |c|^2) = 0,
-    pinning the eigenvalues of -j^2 inside {0, c_k^2, |c|^2}.
-
-    The identity is homogeneous of degree 6 in c, so it is checked on c
-    times the lcm of its denominators, in Python ints (exact at any size).
-    """
-    c = [Fraction(x) for x in c]
-    scale = lcm(*(x.denominator for x in c))
-    c = [int(x * scale) for x in c]
-    jm = j_matrix(alg, c)
-    a = lx.mat_mul(jm, jm)
-    ck2 = c[2] * c[2]
-    n2 = sum(x * x for x in c)
-    m1 = [[x + ck2 * (i == j) for j, x in enumerate(row)]
-          for i, row in enumerate(a)]
-    m2 = [[x + n2 * (i == j) for j, x in enumerate(row)]
-          for i, row in enumerate(a)]
-    prod = lx.mat_mul(lx.mat_mul(a, m1), m2)
-    return all(x == 0 for row in prod for x in row)
+    trace = np.trace(proj, axis1=1, axis2=2) == d * (3 - rank)
+    killed = ~np.any(proj @ spans.transpose(0, 2, 1) != 0, axis=(1, 2))
+    return sym & idem & trace & killed
 
 
 def _first_rows(keys):
@@ -229,8 +187,8 @@ def _first_rows(keys):
     return order[new]
 
 
-# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 1 s and
-# 240 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
+# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 0.9 s and
+# 220 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
 MAX_CIH_BOUND = 6
 CIH_RECORDS = 40
 
@@ -245,16 +203,18 @@ def cih_certificate(data, coord_bound, rng):
          l^5 + (c_k^2+|c|^2) l^3 + c_k^2 |c|^2 l identically (pinned on an
          integer grid large enough to determine the coefficients), so the
          nonzero eigenvalues of -j(Z_c)^2 are c_k^2 and |c|^2;
-      2. for every bracket span [V, n] occurring among the enumerated V,
-         the orthogonal projector onto its complement is an exact rational
-         matrix N / d in closed form (idempotence and annihilation of the
-         span verified in integers), so proj Z is rational for every
-         half-integer Z;
+      2. for every enumerated V, the orthogonal projector onto the
+         complement of the bracket span [V, n] is an exact rational matrix
+         N / d, read off the Gram matrix of the span (symmetry, idempotence,
+         trace 3 - rank and annihilation of the span verified in integers),
+         so proj Z is rational for every half-integer Z;
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
-    Explicit eigenvalue records and annihilator checks are kept for
-    CIH_RECORDS elements drawn from rng.  A bound outside
-    0..MAX_CIH_BOUND raises ValueError before anything is enumerated.
+    N / d in lowest terms is the span's key: `distinct_spans` counts the
+    distinct keys.  Explicit eigenvalue records (span, z, proj z, theta^2)
+    are kept as data for CIH_RECORDS elements drawn from rng over the
+    spans.  A bound outside 0..MAX_CIH_BOUND raises ValueError before
+    anything is enumerated.
     """
     if not 0 <= coord_bound <= MAX_CIH_BOUND:
         raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
@@ -269,13 +229,11 @@ def cih_certificate(data, coord_bound, rng):
         np.meshgrid(*([rng_v] * alg.dim_v), indexing="ij"), axis=-1
     ).reshape(-1, alg.dim_v)
     spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)  # [V, e_q] rows
-    first_v = _first_rows(_span_keys(spans))
-
-    # one integer projector N / d per distinct span, in sorted key order
-    distinct = spans[first_v]
-    proj, dens = _complement_projectors(distinct)
-    ok = _projectors_exact(proj, dens, distinct)
-    bad = None if ok.all() else vs[first_v[~ok][-1]].tolist()
+    proj, dens, rank = _complement_projectors(spans)
+    ok = _projectors_exact(proj, dens, rank, spans)
+    # one V per span, in sorted key order
+    first_v = _first_rows(np.concatenate([proj.reshape(-1, 9), dens[:, None]], 1))
+    bad = None if ok.all() else vs[np.flatnonzero(~ok)[-1]].tolist()
     cert.add(
         "rational_projectors_for_all_bracket_spans",
         bad is None,
@@ -284,20 +242,17 @@ def cih_certificate(data, coord_bound, rng):
                "witness": bad},
     )
 
-    # sampled explicit eigenvalue records with exact annihilator checks
+    # explicit eigenvalue records, drawn over the spans
     half = Fraction(1, 2)
     z_vals = [half * k for k in range(-2 * coord_bound, 2 * coord_bound + 1)]
     records = []
-    ann_ok = True
     for _ in range(CIH_RECORDS):
-        k = int(rng.integers(0, len(first_v)))
+        k = first_v[int(rng.integers(0, len(first_v)))]
         z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
         d = int(dens[k])
         c = [x / d for x in lx.mat_vec(proj[k].tolist(), z)]
         eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
-        if not _annihilator_check(alg, c):
-            ann_ok = False
-        prim = _primitive_rows(distinct[k]).tolist()
+        prim = _primitive_rows(spans[k]).tolist()
         span = sorted({tuple(r) for r in prim if any(r)})
         records.append({
             "span": [list(map(str, r)) for r in span],
@@ -305,9 +260,6 @@ def cih_certificate(data, coord_bound, rng):
             "proj_z": [str(x) for x in c],
             "theta_squared": [str(e) for e in eigs],
         })
-        if any(e <= 0 for e in eigs):
-            ann_ok = False
-    cert.add("sampled_annihilator_checks", ann_ok, value=len(records))
     cert.data["records"] = records
     cert.data["covered_elements"] = int(vs.shape[0]) * len(z_vals) ** 3
     return cert

@@ -127,7 +127,7 @@ def run_spectral(seed):
         note="exact: equals l^5+(ck^2+|c|^2)l^3+ck^2|c|^2 l for both maps",
     )
 
-    cert = spectral.gw_certificate((m, mp), 6, rng)
+    cert = spectral.gw_certificate((m, mp), 6)
     report.add_certificate(cert)
     return report
 

@@ -283,7 +283,7 @@ def sample_generic_state(data, rng, min_comp=0.05):
 def span_projector(rows):
     """Exact orthogonal projector onto the complement of the row span in
     Q^3 through a Fraction Gram inverse, with the rank of the span (the
-    oracle for the closed-form criteria._complement_projectors)."""
+    oracle for the int64 Gram-adjugate criteria._complement_projectors)."""
     rows = [r for r in rows if any(x != 0 for x in r)]
     n = 3
     if not rows:
@@ -305,8 +305,10 @@ def span_projector(rows):
 
 def annihilator_check(alg, c):
     """Whether A := j(Z_c)^2 satisfies A (A + c_k^2) (A + |c|^2) = 0, in
-    Fraction arithmetic on the Fraction j(Z_c) (the oracle for the scaled
-    integer check criteria._annihilator_check)."""
+    Fraction arithmetic on the Fraction j(Z_c).  This is j p(j) = 0 with
+    p(l) = l (l^2 + c_k^2)(l^2 + |c|^2), so by Cayley-Hamilton it follows
+    from the char-poly identity that spectral.char_poly_identity_check
+    proves; the tests hold that corollary on M and M'."""
     c = [Fraction(x) for x in c]
     jm = j_matrix(alg, c)
     a = lx.mat_mul(jm, jm)

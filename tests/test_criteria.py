@@ -11,12 +11,10 @@ from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
     MAX_CIH_BOUND,
-    _annihilator_check,
     _complement_projectors,
     _draw_regular_zs,
     _first_rows,
     _projectors_exact,
-    _span_keys,
     butler_nonintegrability_sample,
     check_hr_presentation,
     cih_certificate,
@@ -168,12 +166,15 @@ def test_batched_regular_draw_matches_per_call_oracle():
 
 
 def test_annihilator_identity():
+    # A (A + c_k^2)(A + |c|^2) = 0 for A = j(Z_c)^2 is j p(j) = 0 with
+    # p(l) = l (l^2 + c_k^2)(l^2 + |c|^2), Cayley-Hamilton for the char-poly
+    # identity that the certificates prove; here in Fraction arithmetic
     rng = np.random.default_rng(35)
     for alg in (M.alg, MP.alg):
         for _ in range(20):
             c = [Fraction(int(x), int(d)) for x, d in
                  zip(rng.integers(-9, 10, size=3), rng.integers(1, 4, size=3))]
-            assert _annihilator_check(alg, c)
+            assert annihilator_check(alg, c)
 
 
 def test_cih_certificate_small_bound():
@@ -184,6 +185,9 @@ def test_cih_certificate_small_bound():
         assert by_name["rational_projectors_for_all_bracket_spans"].value[
             "enumerated_V"
         ] == 3 ** 5
+        assert [c.name for c in cert.checks] == [
+            "char_poly_structure_identity",
+            "rational_projectors_for_all_bracket_spans"]
         assert len(cert.data["records"]) == 40
         # every record's nonzero eigenvalues are positive rationals
         for rec in cert.data["records"]:
@@ -197,11 +201,34 @@ def test_cih_certificate_rejects_a_bound_above_the_cap():
             cih_certificate(M, bound, np.random.default_rng(0))
 
 
-def _assert_projector(rows, n, d):
-    """N / d equals the Fraction oracle entry by entry, N N = d N, N r = 0
-    and d > 0, all in Python ints."""
-    comp, _ = span_projector(rows)
-    assert d > 0
+# distinct bracket spans [V, n] over |V coordinates| <= bound, on M and M'
+# alike; bound 1 is counted by the Fraction oracle below, bounds 2 and 3
+# through one oracle projector per span
+CIH_SPANS = {0: 1, 1: 16, 2: 52, 3: 148}
+
+
+def _cih_spans(alg, bound):
+    rng_v = np.arange(-bound, bound + 1)
+    vs = np.stack(np.meshgrid(*[rng_v] * 5, indexing="ij"), -1).reshape(-1, 5)
+    return np.einsum("np,pqr->nqr", vs, alg.int_tensor)
+
+
+def test_distinct_spans_counts_spans():
+    for data in (M, MP):
+        for bound, want in CIH_SPANS.items():
+            cert = cih_certificate(data, bound, np.random.default_rng(0))
+            value = cert.checks[1].value
+            assert value["distinct_spans"] == want
+        oracle = {tuple(map(tuple, span_projector(rows)[0]))
+                  for rows in _cih_spans(data.alg, 1).tolist()}
+        assert len(oracle) == CIH_SPANS[1]
+
+
+def _assert_projector(rows, n, d, rank):
+    """N / d equals the Fraction oracle entry by entry, with its rank,
+    N N = d N, N r = 0 and d > 0, all in Python ints."""
+    comp, k = span_projector(rows)
+    assert d > 0 and k == rank
     assert [[Fraction(x, d) for x in row] for row in n] == comp
     assert lx.mat_mul(n, n) == [[d * x for x in row] for row in n]
     assert all(not any(lx.mat_vec(n, r)) for r in rows)
@@ -225,9 +252,9 @@ def integer_row_sets(draw, entry=st.integers(-40, 40)):
 @given(integer_row_sets())
 @settings(max_examples=300, deadline=None)
 def test_closed_form_projector_matches_oracle(rows):
-    proj, d = _complement_projectors(np.array([rows]))
-    assert _projectors_exact(proj, d, np.array([rows])).all()
-    _assert_projector(rows, proj[0].tolist(), int(d[0]))
+    proj, d, rank = _complement_projectors(np.array([rows]))
+    assert _projectors_exact(proj, d, rank, np.array([rows])).all()
+    _assert_projector(rows, proj[0].tolist(), int(d[0]), int(rank[0]))
 
 
 @given(st.integers(1, 63), st.data())
@@ -238,37 +265,58 @@ def test_closed_form_projector_never_wraps(bits, data):
     entry = st.integers(-(2 ** bits - 1), 2 ** bits - 1)
     rows = data.draw(integer_row_sets(entry))
     try:
-        proj, d = _complement_projectors(np.array([rows]))
-        ok = _projectors_exact(proj, d, np.array([rows]))
+        proj, d, rank = _complement_projectors(np.array([rows]))
+        ok = _projectors_exact(proj, d, rank, np.array([rows]))
     except OverflowError:
         return
     assert ok.all()
-    _assert_projector(rows, proj[0].tolist(), int(d[0]))
+    _assert_projector(rows, proj[0].tolist(), int(d[0]), int(rank[0]))
 
 
 def test_closed_form_projector_overflow_guard():
-    # the rows, the cross products, then the checks' products are too large
-    for rows in ([[2**62 - 1, 1, 0]], [[2**31, 3, 0], [1, 2**31, 5]],
-                 [[2**20 + 1, 7, 3], [5, 2**20 - 1, 2]]):
-        with pytest.raises(OverflowError):
+    # one case per guard, each tripping one step below the product it
+    # protects: rows max|a|^2, 2 max|G|^2, 3 max|G| max|adj|, then the
+    # check's products
+    for rows, guard in (
+            ([[2**31, 0, 0]], "int64 Gram"),
+            ([[2**16, 0, 0]], "int64 adjugates"),
+            ([[2**11, 0, 0], [0, 2**10, 0], [0, 0, 2**10]],
+             "int64 determinants")):
+        with pytest.raises(OverflowError, match=guard):
             _complement_projectors(np.array([rows]))
     rows = np.array([[[2**10 + 1, 7, 3], [5, 2**10 - 1, 2]]])
-    proj, d = _complement_projectors(rows)
-    with pytest.raises(OverflowError):
-        _projectors_exact(proj, d, rows)
+    proj, d, rank = _complement_projectors(rows)
+    with pytest.raises(OverflowError, match="int64 checks"):
+        _projectors_exact(proj, d, rank, rows)
+
+
+def test_projector_check_rejects_a_too_small_projector():
+    # N = 0 and diag(0, 1, 0) are idempotent and kill the rank-1 span, but
+    # their traces 0 and 1 are not 3 - 1; a non-symmetric idempotent fails
+    rows = np.array([[[1, 0, 0], [2, 0, 0]]] * 3)
+    proj = np.array([np.zeros((3, 3)), np.diag([0, 1, 0]),
+                     [[0, 1, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.int64)
+    d, rank = np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
+    assert not _projectors_exact(proj, d, rank, rows).any()
+    proj, d, rank = _complement_projectors(rows)
+    assert _projectors_exact(proj, d, rank, rows).all()
 
 
 @pytest.mark.parametrize("name,bound", [("M", 2), ("Mprime", 3)])
 def test_projectors_of_all_cih_spans_match_oracle(name, bound):
-    alg = get_manifold(name).alg
-    rng_v = np.arange(-bound, bound + 1)
-    vs = np.stack(np.meshgrid(*[rng_v] * 5, indexing="ij"), -1).reshape(-1, 5)
-    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)
-    first = _first_rows(_span_keys(spans))
-    proj, d = _complement_projectors(spans[first])
-    assert _projectors_exact(proj, d, spans[first]).all()
-    for rows, n, den in zip(spans[first].tolist(), proj.tolist(), d.tolist()):
-        _assert_projector(rows, n, den)
+    # the check on every V, the oracle at one V per span: pairwise distinct
+    # oracle projectors, so the keys count spans
+    spans = _cih_spans(get_manifold(name).alg, bound)
+    proj, d, rank = _complement_projectors(spans)
+    assert _projectors_exact(proj, d, rank, spans).all()
+    first = _first_rows(np.concatenate([proj.reshape(-1, 9), d[:, None]], 1))
+    assert len(first) == CIH_SPANS[bound]
+    comps = set()
+    for i in first.tolist():
+        rows = spans[i].tolist()
+        _assert_projector(rows, proj[i].tolist(), int(d[i]), int(rank[i]))
+        comps.add(tuple(map(tuple, span_projector(rows)[0])))
+    assert len(comps) == len(first)
 
 
 def test_first_rows_is_unique_return_index():
@@ -277,33 +325,3 @@ def test_first_rows_is_unique_return_index():
         keys = rng.integers(-1, hi, size=(n, k))
         want = np.unique(keys, axis=0, return_index=True)[1]
         assert np.array_equal(_first_rows(keys), want)
-
-
-def _random_algebra(rng):
-    """A dim v = 5, dim z = 3 algebra with a random integer bracket table
-    (the annihilator identity fails for most of them)."""
-    t = rng.integers(-2, 3, size=(5, 5, 3))
-    t = np.triu(t.transpose(2, 0, 1), 1).transpose(1, 2, 0)
-    t = t - t.transpose(1, 0, 2)
-    return AlgebraData(5, 3, tuple(f"X{p}" for p in range(5)),
-                       ("Z0", "Z1", "Z2"),
-                       tuple(tuple(tuple(int(x) for x in row) for row in line)
-                             for line in t))
-
-
-def test_annihilator_check_matches_fraction_oracle():
-    rng = np.random.default_rng(36)
-    algs = [M.alg, MP.alg] + [_random_algebra(rng) for _ in range(6)]
-    results = []
-    for alg in algs:
-        for big in (False, True):
-            for _ in range(6):
-                hi = 2**70 if big else 20
-                c = [Fraction(int(rng.integers(-9, 10)) * hi + 1,
-                              int(rng.integers(1, 7)) * (hi if big else 1))
-                     for _ in range(3)]
-                got = _annihilator_check(alg, c)
-                assert got == annihilator_check(alg, c)
-                results.append(got)
-    # scaled integers beyond int64, and both outcomes, were exercised
-    assert True in results and False in results

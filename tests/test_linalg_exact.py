@@ -131,8 +131,9 @@ def test_complement_projector_matches_fraction_oracle(rank):
         combos = rng.integers(-3, 4, size=(4 - rank, rank)) @ basis
         rows = np.concatenate([basis, combos, np.zeros((1, 3), int)])
         spans.append(rng.permutation(rows))
-    proj, d = _complement_projectors(np.array(spans))
-    assert _projectors_exact(proj, d, np.array(spans)).all()
+    proj, d, ranks = _complement_projectors(np.array(spans))
+    assert _projectors_exact(proj, d, ranks, np.array(spans)).all()
+    assert (ranks == rank).all()
     for rows, n, den in zip(spans, proj.tolist(), d.tolist()):
         comp, k = span_projector(rows.tolist())
         assert k == rank and den > 0

@@ -73,8 +73,7 @@ def test_closure_jacobian_hook_reads_geo():
 
 
 def test_certificate_hooks_find_their_checks():
-    counts = _hooked(spectral.gw_certificate, (M, MP), 2,
-                     np.random.default_rng(0))
+    counts = _hooked(spectral.gw_certificate, (M, MP), 2)
     assert set(counts) == {"spectral.gw.enumerated", "spectral.gw.points"}
     assert counts["spectral.gw.points"] == 27
     counts = _hooked(criteria.cih_certificate, M, 1, np.random.default_rng(0))

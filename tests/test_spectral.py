@@ -223,7 +223,7 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
         return basis, dims
 
     monkeypatch.setattr(spectral, "j_kernels", fake)
-    cert = spectral.gw_certificate((M, MP), 6, np.random.default_rng(0))
+    cert = spectral.gw_certificate((M, MP), 6)
     assert not cert.passed
     check = cert.checks[-1]
     assert check.name == "kernel_lattice_length_spectra" and not check.passed
@@ -231,7 +231,7 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
 
 
 def test_gw_certificate_small():
-    cert = spectral.gw_certificate((M, MP), 2, np.random.default_rng(0))
+    cert = spectral.gw_certificate((M, MP), 2)
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "kernel_lattice_length_spectra" in names
@@ -255,8 +255,7 @@ def test_gw_kernel_lattices_are_lattice_intersections():
                              zip(kernel_rows(kers), kernel_rows(kers_p))]
     for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
                           (6, {"enumerated": 48, "identical_lattices": 295})):
-        cert = spectral.gw_certificate((M, MP), bound,
-                                       np.random.default_rng(0))
+        cert = spectral.gw_certificate((M, MP), bound)
         assert cert.checks[-1].value == counts
 
 
@@ -272,5 +271,4 @@ def test_gw_certificate_needs_integer_lattice_v():
     for changed in (dict(scale_v=2), dict(scale_z=Fraction(1, 4))):
         with pytest.raises(ValueError, match="gw_certificate needs"):
             spectral.gw_certificate(
-                (dataclasses.replace(M, **changed), MP), 2,
-                np.random.default_rng(0))
+                (dataclasses.replace(M, **changed), MP), 2)
