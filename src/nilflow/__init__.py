@@ -9,7 +9,6 @@ __all__ = [
     "criteria",
     "flow",
     "integrals",
-    "isometry",
     "lie_core",
     "linalg_exact",
     "periodicity",

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg_exact as lx
 from .lie_core import _primitive_rows, j_kernels
 from .report import Certificate
-from .spectral import char_poly_identity_check
+from .spectral import _grid, char_poly_identity_check
 
 
 def check_hr_presentation(alg, split):
@@ -224,10 +224,8 @@ def cih_certificate(data, coord_bound, rng):
     ok, witness = char_poly_identity_check(alg, alg)
     cert.add("char_poly_structure_identity", ok, value=witness)
 
-    rng_v = np.arange(-coord_bound, coord_bound + 1, dtype=np.int64)
-    vs = np.stack(
-        np.meshgrid(*([rng_v] * alg.dim_v), indexing="ij"), axis=-1
-    ).reshape(-1, alg.dim_v)
+    vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
+               alg.dim_v)
     spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)  # [V, e_q] rows
     proj, dens, rank = _complement_projectors(spans)
     ok = _projectors_exact(proj, dens, rank, spans)

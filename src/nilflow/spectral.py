@@ -1,11 +1,12 @@
 """Exact spectral machinery: characteristic polynomials, kernels of j(Z),
 lattice intersections, and the isospectrality certificate for the pair
 (M, M').  Length-spectrum slices stay as the oracle that the tests hold
-the certificate's isometry test (`isometry.lattices_isometric`) against.
+the certificate's permutation witnesses (`_kernel_isometries`) against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 
 import numpy as np
@@ -137,14 +138,14 @@ def length_spectrum(lat, r2):
 def _dual_z_points(bound):
     """All Z = Z_c in the dual lattice (2Z)^3 with |coordinates| <= bound,
     as an (n, 3) integer array in lexicographic order."""
-    vals = 2 * np.arange(-(bound // 2), bound // 2 + 1)
-    return _grid(vals)
+    return _grid(2 * np.arange(-(bound // 2), bound // 2 + 1), 3)
 
 
-def _grid(vals):
-    """The (n, 3) integer array of all triples over vals, last axis fastest."""
-    grid = np.meshgrid(vals, vals, vals, indexing="ij")
-    return np.stack(grid, -1).reshape(-1, 3)
+def _grid(vals, dim):
+    """The (n, dim) integer array of all dim-tuples over vals, last axis
+    fastest."""
+    grid = np.meshgrid(*([vals] * dim), indexing="ij")
+    return np.stack(grid, -1).reshape(-1, dim)
 
 
 def _claimed_coeffs(cs):
@@ -167,7 +168,7 @@ def char_poly_identity_check(alg, alg_p):
     degree-5-per-variable coefficient polynomials; returns (ok, witness)
     with witness the first failing c.
     """
-    points = _grid(np.arange(6))
+    points = _grid(np.arange(6), 3)
     bad = _char_poly_mismatches(alg, alg_p, points)
     if bad.size:
         return False, tuple(int(x) for x in points[bad[0]])
@@ -185,35 +186,54 @@ def _char_poly_mismatches(alg, alg_p, cs, claimed=True):
     return np.nonzero(differs)[0]
 
 
-def _same_saturated_kernels(alg, cs, dims, basis_p, dims_p):
-    """Per integer row c of cs, whether saturated kernel bases of `j_kernels`
-    with dims and (basis_p, dims_p) span one lattice: exactly when the dims
-    agree and j(Z_c) kills basis_p.  In int64, checked against overflow."""
-    mats = j_matrices(alg, cs)
-    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis_p).max(initial=0))
-    if alg.dim_v * bound >= 2**62:
+def _kernel_isometries(alg_p, cs, basis, dims, dims_p):
+    """Per integer row c of cs, the index in permutations(range(dim_v))
+    (the identity first) of the first coordinate permutation P with
+    j'(Z_c) P b = 0 for every row b of the saturated kernel basis (basis,
+    dims) of `j_kernels` for j, where dims == dims_p; -1 where none does.
+
+    A hit is an isometry of the kernel lattices: L = ker j ∩ Z^5 gives
+    P(L) = Z^5 ∩ P(ker j), which lies in ker j' of the same dimension, so
+    P(L) = Z^5 ∩ ker j' = L', and the orthogonal P restricts to an
+    isometry L -> L'.  Index 0 means L = L'.  A miss says only that no
+    coordinate permutation maps L onto L'.  The identity is tried on every
+    row, the other permutations only where it fails.  In int64, checked
+    against overflow.
+    """
+    mats = j_matrices(alg_p, cs)
+    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis).max(initial=0))
+    if alg_p.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
-    moved = np.any(basis_p @ mats.transpose(0, 2, 1) != 0, axis=(1, 2))
-    return (dims == dims_p) & ~moved
+    perms = np.array(list(permutations(range(alg_p.dim_v))))
+    index = np.where(dims == dims_p, 0, -1)
+    moved = np.any(mats @ basis.transpose(0, 2, 1) != 0, axis=(1, 2))
+    rows = np.flatnonzero(moved & (index == 0))
+    # j' applied to every permuted basis vector of those rows at once
+    permuted = basis[rows][:, :, perms]  # (rows, k, perms, dim_v)
+    images = np.einsum("rkpj,rij->rpki", permuted, mats[rows])
+    killed = ~np.any(images != 0, axis=(2, 3))
+    index[rows] = np.where(killed.any(axis=1), killed.argmax(axis=1), -1)
+    return index
 
 
 def gw_certificate(pair, dual_bound):
     """Certificate for the isospectrality hypotheses of the pair.
 
     (a) char-poly equality of j(Z), j'(Z) on the coefficient-pinning grid
-        and on all dual-lattice Z with bounded coordinates; (b) [M,M] inside 2*Lambda for both brackets,
-        exactly; (c) for bounded dual-lattice Z, equality of the kernel
-        lattices, decided in integers, and where they differ, an exact
-        isometry between them (`lattices_isometric`), which makes their
-        length spectra equal at every R.  In rank 3 the test is also
-        complete for the spectra (Schiemann, Math. Ann. 1997: ternary forms
-        are determined by their theta series), so a failure there is a
-        real witness.
+        and on all dual-lattice Z with bounded coordinates;
+    (b) [M,M] inside 2*Lambda for both brackets, exactly;
+    (c) for bounded dual-lattice Z, a coordinate permutation P that maps
+        the kernel lattice of j(Z) onto that of j'(Z) (`_kernel_isometries`),
+        an isometry, which makes their length spectra equal at every R;
+        on the pair, j'(Z) = P j(Z) P^T at c_k = 0 for the swap X_a <-> Y_a,
+        and the kernel lattices are identical elsewhere.
+    The pair must have lattice_v = Z^dim_v and lattice_z = (Z/2)^dim_z,
+    checked before any work: then the dual of lattice_z is (2Z)^3, and
+    ker j(Z) meets lattice_v in the saturated integer kernel.
     """
-    # imported on first use: only this certificate needs it, and every
-    # interpreter that imports the package would otherwise compile it
-    from .isometry import lattices_isometric
-
+    if any((d.scale_v, d.scale_z) != (1, Fraction(1, 2)) for d in pair):
+        raise ValueError("gw_certificate needs lattice_v = Z^dim_v and "
+                         "lattice_z = (Z/2)^dim_z")
     m_data, mp_data = pair
     alg, alg_p = m_data.alg, mp_data.alg
     cert = Certificate("gordon_wilson_isospectrality", f"{m_data.name}/{mp_data.name}")
@@ -235,33 +255,28 @@ def gw_certificate(pair, dual_bound):
         ok = lattice_brackets_in_twice(data.alg, data.scale_v, data.scale_z)
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
-    # kernel lattices over the bounded dual-lattice slab (the dual of
-    # (Z/2)^3 is (2Z)^3); the pair's lattice_v is Z^5, so ker j(Z) meets it
-    # in the saturated kernel
-    if any((d.scale_v, d.scale_z) != (1, Fraction(1, 2)) for d in pair):
-        raise ValueError("gw_certificate needs lattice_v = Z^dim_v and "
-                         "lattice_z = (Z/2)^dim_z")
     basis, dims = j_kernels(alg, dual_pts)
-    basis_p, dims_p = j_kernels(alg_p, dual_pts)
-    same = _same_saturated_kernels(alg, dual_pts, dims, basis_p, dims_p)
-    differing = np.flatnonzero(~same).tolist()
-    for i in differing:
-        if not lattices_isometric(basis[i, :dims[i]].tolist(),
-                                  basis_p[i, :dims_p[i]].tolist()):
-            cert.add(
-                "kernel_lattice_length_spectra",
-                False,
-                value={"witness_c": dual_pts[i].tolist()},
-            )
-            return cert
+    dims_p = j_kernels(alg_p, dual_pts)[1]
+    index = _kernel_isometries(alg_p, dual_pts, basis, dims, dims_p)
+    if np.any(index < 0):
+        cert.add(
+            "kernel_lattice_length_spectra",
+            False,
+            value={"witness_c": dual_pts[np.argmax(index < 0)].tolist()},
+            note="no coordinate permutation maps the kernel lattice of j "
+                 "onto that of j' at witness_c",
+        )
+        return cert
     cert.add(
         "kernel_lattice_length_spectra",
         True,
         value={
-            "enumerated": len(differing),
-            "identical_lattices": int(same.sum()),
+            "enumerated": int(np.sum(index > 0)),
+            "identical_lattices": int(np.sum(index == 0)),
         },
-        note="exact: each differing pair of kernel lattices is isometric, "
-             "so their length spectra agree at every R",
+        note="exact: at each Z a coordinate permutation P maps L = ker j ∩ "
+             "Z^5 into ker j' of the same dimension, so P(L) = Z^5 ∩ ker j' "
+             "= L' and P is an isometry L -> L': the length spectra agree "
+             "at every R",
     )
     return cert

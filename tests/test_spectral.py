@@ -2,18 +2,17 @@
 
 import dataclasses
 from fractions import Fraction
-from math import isqrt
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from nilflow import linalg_exact as lx
-from nilflow import isometry, spectral
+from nilflow import spectral
 from nilflow.catalog import build_pair
 from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
 from oracles import (
     char_poly,
-    det,
     integer_lattice,
     kernel_rows,
     kernel_subspace,
@@ -121,107 +120,68 @@ def test_length_spectrum_scaled():
     )
 
 
-def _differing_kernel_pairs(bound):
+PERMS = list(permutations(range(5)))
+
+
+def _permutation_witnesses(bound):
+    """The dual points at bound, the saturated kernel rows of j and j' at
+    each, and the permutation index of `_kernel_isometries` there."""
     pts = spectral._dual_z_points(bound)
     kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
-    same = spectral._same_saturated_kernels(M.alg, pts, kers[1], *kers_p)
-    rows, rows_p = kernel_rows(kers), kernel_rows(kers_p)
-    return [(rows[i], rows_p[i]) for i in np.flatnonzero(~same)]
+    index = spectral._kernel_isometries(MP.alg, pts, *kers, kers_p[1])
+    return pts, kernel_rows(kers), kernel_rows(kers_p), index
 
 
 def test_isometric_kernel_lattices_have_equal_slices():
-    # the isometry test against the enumeration it replaced, on every
-    # differing pair at the suite's dual bound 6
-    pairs = _differing_kernel_pairs(6)
-    assert len(pairs) == 48
-    for ker, ker_p in pairs:
-        assert isometry.lattices_isometric(ker, ker_p)
-        assert spectral.length_spectrum(RationalLattice(5, ker), 100) == \
-            spectral.length_spectrum(RationalLattice(5, ker_p), 100)
+    # each permutation witness against the enumeration oracle, on every
+    # row at the suite's dual bound 6 that needs a permutation
+    _, rows, rows_p, index = _permutation_witnesses(6)
+    moved = np.flatnonzero(index > 0)
+    assert len(moved) == 48
+    for i in moved:
+        image = [[v[j] for j in PERMS[index[i]]] for v in rows[i]]
+        assert lx.rref(image)[0] == lx.rref(rows_p[i])[0]
+        assert spectral.length_spectrum(RationalLattice(5, rows[i]), 100) == \
+            spectral.length_spectrum(RationalLattice(5, rows_p[i]), 100)
 
 
-def test_equal_determinant_non_isometric_pair_is_rejected():
-    # Gram diag(1, 1, 4) against diag(1, 2, 2): both of determinant 4, but
-    # four vectors of norm 1 against two
-    a = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
-    b = [[1, 0, 0], [0, 1, 1], [0, 1, -1]]
-    assert not isometry.lattices_isometric(a, b)
-    assert not isometry.lattices_isometric(b, a)
-    assert spectral.length_spectrum(RationalLattice(3, a), 1) != \
-        spectral.length_spectrum(RationalLattice(3, b), 1)
+def test_permuted_rows_are_the_points_with_ck_zero():
+    # at c_k = 0, j'(Z) = P j(Z) P^T for the swap X_a <-> Y_a; elsewhere,
+    # and at c = 0, the kernel lattices are identical
+    for bound in (2, 4, 6):
+        pts, _, _, index = _permutation_witnesses(bound)
+        assert np.all(index >= 0)
+        want = (pts[:, 2] == 0) & np.any(pts != 0, axis=1)
+        assert (index > 0).tolist() == want.tolist()
 
 
-def test_isometry_survives_basis_change_and_orthogonal_map():
-    # a unimodular change of basis and a signed coordinate permutation give
-    # an isometric lattice, and the reduced Gram matrices need not agree
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        basis = rng.integers(-4, 5, size=(3, 4))
-        if lx.rank(basis.tolist()) < 3:
-            continue
-        unimodular = np.triu(rng.integers(-3, 4, size=(3, 3)), 1) + np.eye(
-            3, dtype=int)
-        perm = np.eye(4, dtype=int)[rng.permutation(4)]
-        signed = perm * rng.choice([-1, 1], size=4)
-        image = (unimodular @ basis @ signed)[rng.permutation(3)].tolist()
-        assert isometry.lattices_isometric(basis.tolist(), image)
-        # a sublattice of index 2 is never isometric to the lattice
-        doubled = [[2 * x for x in image[0]]] + image[1:]
-        assert not isometry.lattices_isometric(basis.tolist(), doubled)
-
-
-def _successive_minima(basis):
-    """The squared successive minima of a rank-3 integer lattice, by brute
-    force over a coordinate box of the inverse-Gram bound."""
-    b = np.array(basis)
-    gram = b @ b.T
-    r2 = max(np.diag(gram))  # some basis vector reaches every minimum
-    ginv = lx.inverse(gram.tolist())
-    side = [isqrt(int(r2 * ginv[i][i])) for i in range(3)]
-    axes = [np.arange(-m, m + 1) for m in side]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
-    vecs = coords @ b
-    norms = np.einsum("ni,ni->n", vecs, vecs)
-    minima, chosen = [], []
-    for i in np.argsort(norms, kind="stable"):
-        if norms[i] and lx.rank(chosen + [vecs[i].tolist()]) > len(chosen):
-            chosen.append(vecs[i].tolist())
-            minima.append(int(norms[i]))
-            if len(chosen) == 3:
-                return minima
-
-
-def test_greedy_reduction_reaches_the_successive_minima():
-    # greedy reduction is Minkowski-reduced in rank 3: the norms of the
-    # reduced basis are the successive minima, with the lattice unchanged
-    rng = np.random.default_rng(8)
-    for _ in range(40):
-        basis = rng.integers(-5, 6, size=(3, 4)).tolist()
-        if lx.rank(basis) < 3:
-            continue
-        reduced = isometry._greedy_reduce(basis)
-        assert [sum(x * x for x in v) for v in reduced] == \
-            _successive_minima(basis)
-        columns = [list(c) for c in zip(*basis)]
-        assert all(x.denominator == 1
-                   for v in reduced for x in lx.solve(columns, v))
-        gram = lambda rows: (np.array(rows) @ np.array(rows).T).tolist()
-        assert det(gram(reduced)) == det(gram(basis))
+def test_kernel_isometries_need_equal_dims():
+    # the same lattice, but dims_p claims one more kernel vector
+    pts = np.array([[2, 2, 2], [2, 2, 0]])
+    basis, dims = j_kernels(M.alg, pts)
+    index = spectral._kernel_isometries(MP.alg, pts, basis, dims, dims + 1)
+    assert index.tolist() == [-1, -1]
+    index = spectral._kernel_isometries(MP.alg, pts, basis, dims, dims)
+    assert index[0] == 0 and index[1] > 0
 
 
 def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
-    # swap every rank-3 kernel of M' for a lattice of another determinant,
-    # which j(Z) does not kill: the first such dual point is the witness
+    # swap every rank-3 kernel of M for a lattice that no permutation moves
+    # into ker j'(Z): the first such dual point is the witness
     real = spectral.j_kernels
 
     def fake(alg, cs):
         basis, dims = real(alg, cs)
-        if alg is MP.alg:
+        if alg is M.alg:
             basis = basis.copy()
             basis[dims == 3, :3] = [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0],
                                     [0, 1, -1, 0, 0]]
         return basis, dims
 
+    pts = spectral._dual_z_points(6)
+    index = spectral._kernel_isometries(MP.alg, pts, *fake(M.alg, pts),
+                                        real(MP.alg, pts)[1])
+    assert np.sum(index < 0) == 36
     monkeypatch.setattr(spectral, "j_kernels", fake)
     cert = spectral.gw_certificate((M, MP), 6)
     assert not cert.passed
@@ -246,28 +206,31 @@ def test_gw_kernel_lattices_are_lattice_intersections():
             lat = spectral.lattice_intersection(
                 manifold_lattices(data)[0], kernel_subspace(data.alg, c))
             assert lx.rref(ker)[0] == lx.rref(list(lat.basis))[0]
-    # the integer equality decision against the rref comparison, and the
-    # counts that comparison gave at the suite's dual bound 6 and below
-    pts = spectral._dual_z_points(6)
-    kers, kers_p = j_kernels(M.alg, pts), j_kernels(MP.alg, pts)
-    same = spectral._same_saturated_kernels(M.alg, pts, kers[1], *kers_p)
-    assert same.tolist() == [lx.rref(a)[0] == lx.rref(b)[0] for a, b in
-                             zip(kernel_rows(kers), kernel_rows(kers_p))]
+    # the identity witness against the rref comparison, and the counts
+    # that comparison gave at the suite's dual bound 6 and below
+    _, rows, rows_p, index = _permutation_witnesses(6)
+    assert (index == 0).tolist() == [lx.rref(a)[0] == lx.rref(b)[0]
+                                     for a, b in zip(rows, rows_p)]
     for bound, counts in ((4, {"enumerated": 24, "identical_lattices": 101}),
                           (6, {"enumerated": 48, "identical_lattices": 295})):
         cert = spectral.gw_certificate((M, MP), bound)
         assert cert.checks[-1].value == counts
 
 
-def test_same_saturated_kernels_overflow_guard():
+def test_kernel_isometries_overflow_guard():
     with pytest.raises(OverflowError):
-        spectral._same_saturated_kernels(
-            M.alg, np.array([[2, 2, 2]]), np.array([1]),
-            np.array([[[2**61, 0, 0, 0, 0]]]), np.array([1]))
+        spectral._kernel_isometries(
+            MP.alg, np.array([[2, 2, 2]]),
+            np.array([[[2**61, 0, 0, 0, 0]]]), np.array([1]), np.array([1]))
 
 
-def test_gw_certificate_needs_integer_lattice_v():
-    # lattice_v = 2 Z^5, and by the same guard lattice_z = (Z/4)^3
+def test_gw_certificate_needs_integer_lattice_v(monkeypatch):
+    # lattice_v = 2 Z^5, and by the same guard lattice_z = (Z/4)^3: rejected
+    # before the char-poly grid or any other work
+    def never(*args):
+        raise AssertionError("gw_certificate worked on a wrong pair")
+
+    monkeypatch.setattr(spectral, "char_poly_identity_check", never)
     for changed in (dict(scale_v=2), dict(scale_z=Fraction(1, 4))):
         with pytest.raises(ValueError, match="gw_certificate needs"):
             spectral.gw_certificate(
