@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Run every verification suite and print a one-line summary per check.
+"""Run every verification suite over a range of seeds and summarise each
+check.
 
-Usage: run_verification.py [--seed N | --seed A:B] [--out report.json]
+Usage: run_verification.py [--seed N | --seed A:B]
 
---seed A:B sweeps the seeds A, A+1, ..., B-1: one line per seed, then for
-every check with a numeric tolerance the range of value / tolerance over
-the sweep (taken on the float parts of the value; most checks bound the
-value from above, butler_fraction_Mprime bounds it from below), then every
-failing (seed, check).  Exit status 1 on any failure.  A sweep verifies a
-range of seeds; it is not a way to choose one.
+--seed A:B sweeps the seeds A, A+1, ..., B-1, and --seed N (default 42) is
+the sweep N:N+1: one line per seed, then for every check with a numeric
+tolerance the range of value / tolerance over the sweep (taken on the
+float parts of the value; most checks bound the value from above,
+butler_fraction_Mprime bounds it from below), then every failing (seed,
+check).  Exit status 1 on any failure.  A sweep verifies a range of
+seeds; it is not a way to choose one.
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -20,11 +21,9 @@ from nilflow.suites import SUITE_NAMES, run_suite
 
 
 def _seeds(text):
-    """N, or A:B for the seeds A..B-1."""
+    """The seeds A..B-1 of A:B, or N alone for N."""
     lo, sep, hi = text.partition(":")
-    if not sep:
-        return int(text)
-    seeds = range(int(lo), int(hi))
+    seeds = range(int(lo), int(hi) if sep else int(lo) + 1)
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
@@ -39,27 +38,6 @@ def _floats(value):
     elif isinstance(value, (list, tuple)):
         for v in value:
             yield from _floats(v)
-
-
-def _run_one(seed, out):
-    all_pass = True
-    bodies = {}
-    for name in SUITE_NAMES:
-        t0 = time.perf_counter()
-        rep = run_suite(name, seed)
-        dt = time.perf_counter() - t0
-        bodies[name] = rep.body()
-        for c in rep.checks:
-            mark = "ok " if c.passed else "FAIL"
-            print(f"  [{mark}] {name}.{c.name}")
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{name}: {status}  ({dt:.1f}s)")
-        all_pass &= rep.passed
-    if out:
-        with open(out, "w") as fh:
-            json.dump(bodies, fh, indent=2)
-    print("overall:", "pass" if all_pass else "FAIL")
-    return 0 if all_pass else 1
 
 
 def _sweep(seeds):
@@ -93,14 +71,8 @@ def _sweep(seeds):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=_seeds, default=42)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
-    if isinstance(args.seed, int):
-        return _run_one(args.seed, args.out)
-    if args.out:
-        ap.error("--out needs a single seed")
-    return _sweep(args.seed)
+    ap.add_argument("--seed", type=_seeds, default="42")
+    return _sweep(ap.parse_args().seed)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 quaternion sign table, and the isospectral deformation family.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isfinite
 
 import numpy as np
 
@@ -42,11 +42,9 @@ class NilmanifoldData:
     theta[..., 1]) and the kernel vector Y_c.  drift(c, v, al, n2) ->
     (g_D, g_W) are the D and W coefficients of the translational element
     over tau beta (the plane term of W left out) at base point v, frame
-    coefficients al of V and n2 = |c|^2 as the caller computed it;
-    pin(c, v, al, n2, g_D, g_W) is v with its free coordinates solved so
-    that drift returns (g_D, g_W).  Both take batch axes on the left of
-    every argument.  All three are None where no closed form is known (the
-    deformation family).
+    coefficients al of V and n2 = |c|^2 as the caller computed it, affine
+    in v and batched over axes on the left of every argument.  Both are
+    None where no closed form is known (the deformation family).
     """
 
     name: str
@@ -55,7 +53,6 @@ class NilmanifoldData:
     has_integrals: bool = False
     frame: object = None
     drift: object = None
-    pin: object = None
     scale_v: Fraction = Fraction(1)
     scale_z: Fraction = Fraction(1, 2)
 
@@ -122,16 +119,6 @@ def _drift_M(c, v, al, n2):
             al[..., 3] - (xi * cj - xj * ci) / rho2)
 
 
-def _pin_M(c, v, al, n2, g_D, g_W):
-    """x_i, x_j solved from x_i c_i + x_j c_j and x_i c_j - x_j c_i."""
-    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
-    rho2 = ci * ci + cj * cj
-    s, d = rho2 / ck * (al[..., 1] - g_D), rho2 * (al[..., 3] - g_W)
-    v = np.array(v, float)
-    v[..., 0], v[..., 1] = (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2
-    return v
-
-
 def _frame_Mprime(Z):
     """E1 = X_i, E2 = X_j, E3 = |c| (c_j Y_i - c_i Y_j)."""
     rows, theta = _frame_rows(Z)
@@ -151,19 +138,6 @@ def _drift_Mprime(c, v, al, n2):
             al[..., 3] - (yi * cj - yj * ci) / rho2)
 
 
-def _pin_Mprime(c, v, al, n2, g_D, g_W):
-    """y_i, y_j solved from y_i c_i + y_j c_j (kept) and y_i c_j - y_j c_i,
-    then y_k."""
-    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
-    rho2 = ci * ci + cj * cj
-    v = np.array(v, float)
-    s, d = v[..., 2] * ci + v[..., 3] * cj, rho2 * (al[..., 3] - g_W)
-    v[..., 2], v[..., 3], v[..., 4] = (
-        (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2,
-        g_D + np.sqrt(n2) * al[..., 2] + ck / rho2 * s)
-    return v
-
-
 def build_pair():
     """The isospectral pair (M-data, M'-data), built once per process and
     shared read-only (cached in _build_pair: perfbench traces this name)."""
@@ -175,9 +149,9 @@ def _build_pair():
     alg, alg_p = _pair_algebras()
     split = ((0, 1), (2, 3, 4), _K)
     return (
-        NilmanifoldData("M", alg, split, True, _frame_M, _drift_M, _pin_M),
+        NilmanifoldData("M", alg, split, True, _frame_M, _drift_M),
         NilmanifoldData("Mprime", alg_p, split, False, _frame_Mprime,
-                        _drift_Mprime, _pin_Mprime),
+                        _drift_Mprime),
     )
 
 
@@ -196,41 +170,16 @@ def build_deformation(t):
 
 
 def _deformation_t(raw):
-    """The t of a "defo:<t>" selector: a Fraction where raw is rational
-    syntax, else a float.  ValueError for a zero denominator, a t that is
-    not a finite double (nan, inf), or a t whose exact numerator or
-    denominator has more than 30 digits (1e-31, 1e31), which the
-    name would print.  A decimal exponent larger in magnitude than 30 plus
-    the number of mantissa digits (1e400, 1e-1000000) is rejected before
-    parsing: no nonzero t with parts of at most 30 digits needs it, and
-    Fraction would first build 10**exponent."""
-    mantissa, sep, exponent = raw.lower().rpartition("e")
-    try:
-        e = int(exponent) if sep else 0
-    except ValueError:  # no decimal exponent, or one too long for int
-        e = 0
-    if abs(e) > 30 + sum(ch.isdigit() for ch in mantissa):
-        raise ValueError(
-            f"defo:{raw}: t needs more than 30 digits in its numerator or "
-            "denominator")
-    try:
-        t = Fraction(raw)
-    except ZeroDivisionError:
-        raise ValueError(f"defo:{raw}: t has a zero denominator") from None
-    except ValueError:
-        t = float(raw)
-    try:
-        finite = isfinite(t)
-    except OverflowError:  # a Fraction beyond the double range
-        finite = False
-    if not finite:
-        raise ValueError(f"defo:{raw}: t must be a finite number")
-    n, d = Fraction(t).as_integer_ratio()
-    if abs(n) >= 10**30 or d >= 10**30:
-        raise ValueError(
-            f"defo:{raw}: t needs more than 30 digits in its numerator or "
-            "denominator")
-    return t
+    """The t of a "defo:<t>" selector, p or p/q in integers of at most 30
+    digits each (every report prints t in the manifold's name), as a
+    Fraction; ValueError for anything else and for q = 0."""
+    if re.fullmatch(r"[+-]?\d{1,30}(/\d{1,30})?", raw):
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"defo:{raw}: t must be p or p/q, integers of at most "
+                     "30 digits each, q nonzero")
 
 
 def get_manifold(selector):

@@ -233,7 +233,8 @@ def construct_closed_geodesic(data, targets, epsilon=0.05):
     targets; an empty batch returns [].  r is
     kept at least e sigma / (4 |c|) from 0, e the smaller of epsilon and
     the target's size |(V, Z)|: this moves V by at most about e / 4 and
-    bounds the error of the pinned base point v by (1 / bound) / |r|.
+    bounds the error of the pinned base point v by (1 / bound) / (|r| s),
+    s the least singular value of drift's linear part in v.
 
     Degenerate targets (on the cone c_k |c| (|c| - |c_k|) = 0) are
     rejected, naming the first such row: no commensurable precession
@@ -272,13 +273,31 @@ def construct_closed_geodesic(data, targets, epsilon=0.05):
     return geos[0] if one else geos
 
 
+def _pin(data, c, v, al, n2, g_D, g_W):
+    """v moved by the least change that makes data.drift return (g_D, g_W),
+    batched over axes on the left of every argument.  drift is affine in v,
+    so its linear part J (..., 2, dim_v) is drift at the unit vectors less
+    drift at 0 (one batched call), and the least change is J^T (J J^T)^-1 r
+    for the residual r = (g_D, g_W) - drift(v); it leaves the coordinates
+    that drift does not read as they are."""
+    dim = v.shape[-1]
+    ends = np.stack(data.drift(c[..., None, :], np.eye(dim + 1, dim),
+                               np.zeros_like(al[..., None, :]),
+                               np.asarray(n2)[..., None]), -2)
+    jac = ends[..., :dim] - ends[..., dim:]
+    r = np.stack([g_D, g_W], -1) - np.stack(data.drift(c, v, al, n2), -1)
+    return v + (jac.mT @ np.linalg.solve(jac @ jac.mT, r[..., None]))[..., 0]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _construct_once(data, target, epsilon, bound):
     """One attempt on the grid (1/bound) Z for a batch of targets: their
     closed geodesics, None where a row misses epsilon, and the distances.
-    Grid values are Python-int numerators k (object arrays, exact at any
-    size), read in floats as k / bound; OverflowError where the floats
-    cannot hold a value or resolve t - sigma to a grid step of w1."""
+    The base point is the target's, moved by the least change (`_pin`)
+    that puts the D and W coefficients of a_z on the grid.  Grid values
+    are Python-int numerators k (object arrays, exact at any size), read
+    in floats as k / bound; OverflowError where the floats cannot hold a
+    value or resolve t - sigma to a grid step of w1."""
     def ints(x, f=round):
         if not np.isfinite(x).all():
             raise OverflowError("a grid value is not a finite float")
@@ -340,7 +359,8 @@ def _construct_once(data, target, epsilon, bound):
     al = frame.printed_coefficients(V)
     gD_bar, gW_bar = data.drift(c_f, vt, al, n2)
     k_d, k_w = ints(r_f * gD_bar * bound), ints((-w1_f + r_f * gW_bar) * bound)
-    v = data.pin(c_f, vt, al, n2, floats(k_d) / r_f, (floats(k_w) + w1_f) / r_f)
+    v = _pin(data, c_f, vt, al, n2, floats(k_d) / r_f,
+             (floats(k_w) + w1_f) / r_f)
 
     # closeness to the target
     distance = np.max([_norm(c_f - zt), _norm(V - Vt), _norm(v - vt)], axis=0)

@@ -186,11 +186,13 @@ def _char_poly_mismatches(alg, alg_p, cs, claimed=True):
     return np.nonzero(differs)[0]
 
 
-def _kernel_isometries(alg_p, cs, basis, dims, dims_p):
+def _kernel_isometries(alg_p, cs, basis, dims):
     """Per integer row c of cs, the index in permutations(range(dim_v))
     (the identity first) of the first coordinate permutation P with
     j'(Z_c) P b = 0 for every row b of the saturated kernel basis (basis,
-    dims) of `j_kernels` for j, where dims == dims_p; -1 where none does.
+    dims) of `j_kernels` for j, where dims equals the nullity of j'(Z_c);
+    -1 where none does.  j'(Z_c) is skew, so its nullity is the number of
+    trailing zero coefficients of its characteristic polynomial.
 
     A hit is an isometry of the kernel lattices: L = ker j ∩ Z^5 gives
     P(L) = Z^5 ∩ P(ker j), which lies in ker j' of the same dimension, so
@@ -204,6 +206,7 @@ def _kernel_isometries(alg_p, cs, basis, dims, dims_p):
     bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis).max(initial=0))
     if alg_p.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
+    dims_p = np.argmax(char_poly_batch_int(mats)[:, ::-1] != 0, axis=1)
     perms = np.array(list(permutations(range(alg_p.dim_v))))
     index = np.where(dims == dims_p, 0, -1)
     moved = np.any(mats @ basis.transpose(0, 2, 1) != 0, axis=(1, 2))
@@ -255,9 +258,7 @@ def gw_certificate(pair, dual_bound):
         ok = lattice_brackets_in_twice(data.alg, data.scale_v, data.scale_z)
         cert.add(f"bracket_of_lattice_in_2Lambda[{data.name}]", ok)
 
-    basis, dims = j_kernels(alg, dual_pts)
-    dims_p = j_kernels(alg_p, dual_pts)[1]
-    index = _kernel_isometries(alg_p, dual_pts, basis, dims, dims_p)
+    index = _kernel_isometries(alg_p, dual_pts, *j_kernels(alg, dual_pts))
     if np.any(index < 0):
         cert.add(
             "kernel_lattice_length_spectra",

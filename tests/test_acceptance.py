@@ -83,8 +83,9 @@ def test_criterion_03_isospectrality_hypotheses(suites):
     rep = suites.get("spectral")
     c = _check(rep, "gordon_wilson_isospectrality[M/Mprime]")
     ok = c.passed
-    _line(3, "[M,M] = 2*Lambda both brackets; kernel-lattice length "
-             "spectra equal up to R^2=100, dual coords {-6..6} (exact)", ok,
+    _line(3, "[M,M] = 2*Lambda both brackets; kernel lattices matched by "
+             "a coordinate permutation, so length spectra equal at every R, "
+             "dual coords {-6..6} (exact)", ok,
           f"{suites.times['spectral']:.1f}s")
     assert ok
     assert _within_budget(suites, "spectral")
@@ -232,7 +233,7 @@ def test_criterion_13_determinism(verify_runs):
 # value lists the moved values and records the new hash here and in
 # ROADMAP.md.
 BODY_SHA256_SEED_42 = (
-    "a91bea79329c8d0910cb36da8ecd9557c895f3cc7ee1a01fb673bc00c3a0417c"
+    "9dc6b54b7790c9d18bc9ea3d0f47bc2d39b81376a5abb383f60f34ede3dada88"
 )
 
 
@@ -244,10 +245,10 @@ def test_report_body_hash_is_pinned(verify_runs):
 # the same hash at two more seeds, so that a change cannot move a value
 # that seed 42 happens not to reach
 BODY_SHA256_SEED_7 = (
-    "07f44d00f46d4ae92c90cdf8dee9f6b18ff33d0b0fabe3cf11c9a17a5b91ad48"
+    "e929d392b02d02a943fbd138d47789b2e51f4de9b6c80825bb7da4ee9aba2dca"
 )
 BODY_SHA256_SEED_90210 = (
-    "ef91ce1335665540e1a5763f611baa6f36512af5d795beba64387a59ed346ec7"
+    "50169507482f210e02b0c0cce9264c1828a6c04c382b4eac3a6bf2d06e6c6c40"
 )
 
 

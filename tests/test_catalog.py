@@ -3,7 +3,6 @@
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nilflow.catalog import build_deformation, build_pair, get_manifold
@@ -92,7 +91,8 @@ def test_deformation_family():
     d = build_deformation(Fraction(1, 3))
     assert d.alg.dim_v == 4 and d.alg.dim_z == 2
     assert bracket_v(d.alg, [1, 0, 0, 0], [0, 0, 1, 0]) == [1, 0]
-    assert d.frame is None and d.drift is None and d.pin is None
+    assert d.frame is None and d.drift is None
+    assert not hasattr(d, "pin")
 
 
 def test_pair_is_built_once():
@@ -122,21 +122,3 @@ def test_split_and_integrals_are_manifold_data():
         assert [names[i][0] for i in x + y] == ["X"] * len(x) + ["Y"] * len(y)
         assert sorted(x + y) == list(range(data.alg.dim_v))
         assert data.alg.z_names[k] == z_name
-
-
-@pytest.mark.parametrize("data, free", [(M, [0, 1]), (MP, [2, 3, 4])])
-def test_pin_inverts_drift(data, free):
-    # pin solves the free base coordinates for a requested (g_D, g_W)
-    rng = np.random.default_rng(11)
-    kept = [i for i in range(5) if i not in free]
-    for _ in range(100):
-        c = rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-        v, al, g = rng.normal(size=5), rng.normal(size=5), rng.normal(size=2)
-        n2 = float(c @ c)
-        pinned = data.pin(c, v, al, n2, *g)
-        assert np.allclose(data.drift(c, pinned, al, n2), g, rtol=0,
-                           atol=1e-12)
-        assert np.array_equal(pinned[kept], v[kept])
-        if data is MP:  # y_i c_i + y_j c_j is kept
-            assert pinned[2:4] @ c[:2] == pytest.approx(v[2:4] @ c[:2],
-                                                        abs=1e-12)

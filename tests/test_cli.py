@@ -438,17 +438,25 @@ def test_wrong_manifold_is_usage_error(argv, manifold, capsys):
         assert "M and Mprime only" in err
 
 
-HUGE_EXPONENT = ["defo:1e400", "defo:1e-400", "defo:1e300",
-                 "defo:1e-1000000", "defo:1e1000000"]
+@pytest.mark.parametrize("selector, name", [
+    ("defo:3/5", "defo:3/5"), ("defo:7", "defo:7"),
+    ("defo:-2/6", "defo:-1/3"),
+])
+def test_deformation_t_is_p_over_q(selector, name, capsys):
+    assert catalog.get_manifold(selector).name == name
+    assert main(["flow", "--manifold", selector, "--method", "rk4",
+                 "--state", DEFO_STATE]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("selector", [
-    "defo:1/0", "defo:nan", "defo:inf", "defo:-inf", *HUGE_EXPONENT,
-    "defo:1e-31", "defo:1e31",
+    "defo:1/0", "defo:nan", "defo:inf", "defo:-inf", "defo:0.5",
+    "defo:1e400", "defo:1e-400", "defo:1e300", "defo:1e-1000000",
+    "defo:1e1000000", "defo:1e-31", "defo:1e31", "defo:1/" + "1" * 31,
 ])
 def test_bad_deformation_t_is_usage_error(selector, capsys, monkeypatch):
-    # a huge exponent is rejected from the string, before Fraction would
-    # build 10**exponent
+    # t is p or p/q, integers of at most 30 digits each; anything else is
+    # rejected from the string, before Fraction is reached
     parsed = []
 
     def fraction(*args):
@@ -458,13 +466,14 @@ def test_bad_deformation_t_is_usage_error(selector, capsys, monkeypatch):
     monkeypatch.setattr(catalog, "Fraction", fraction)
     code = main(["flow", "--manifold", selector, "--method", "rk4",
                  "--state", DEFO_STATE])
-    # the rest reach Fraction, which shows the patch is live
-    assert (parsed == []) == (selector in HUGE_EXPONENT)
+    # of these, only defo:1/0 is p/q in form and reaches Fraction
+    assert (parsed != []) == (selector == "defo:1/0")
     err = capsys.readouterr()
     assert code == EXIT_USAGE and err.out == ""
     assert "Traceback" not in err.err
     assert len(err.err.strip().splitlines()) == 1
     assert err.err.startswith("usage error: ") and selector in err.err
+    assert "p/q" in err.err
 
 
 LONG = 5_000

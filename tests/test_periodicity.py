@@ -100,6 +100,47 @@ def test_translational_element_composes():
         assert np.max(np.abs(np.array(sq.z) - az2)) < 1e-9
 
 
+def _pin_M_closed_form(c, v, al, g_D, g_W):
+    """The per-manifold inverse of drift on M that `_pin` replaced: x_i,
+    x_j solved from x_i c_i + x_j c_j and x_i c_j - x_j c_i."""
+    ci, cj, ck = c[..., 0], c[..., 1], c[..., 2]
+    rho2 = ci * ci + cj * cj
+    s, d = rho2 / ck * (al[..., 1] - g_D), rho2 * (al[..., 3] - g_W)
+    v = np.array(v, float)
+    v[..., 0], v[..., 1] = (ci * s + cj * d) / rho2, (cj * s - ci * d) / rho2
+    return v
+
+
+@pytest.mark.parametrize("n", [None, 50], ids=["one", "batch"])
+@pytest.mark.parametrize("data, support", [(M, [0, 1]), (MP, [2, 3, 4])],
+                         ids=["M", "Mprime"])
+def test_pin_is_the_least_change_that_fixes_drift(data, support, n):
+    rng = np.random.default_rng(11)
+    shape = () if n is None else (n,)
+    c = (rng.uniform(0.5, 2.0, size=shape + (3,))
+         * rng.choice([-1.0, 1.0], size=shape + (3,)))
+    v, al = rng.normal(size=shape + (5,)), rng.normal(size=shape + (5,))
+    g_D, g_W = rng.normal(size=(2,) + shape)
+    n2 = np.vecdot(c, c)
+    pinned = periodicity._pin(data, c, v, al, n2, g_D, g_W)
+    assert pinned.shape == v.shape
+    assert np.allclose(data.drift(c, pinned, al, n2), (g_D, g_W), rtol=0,
+                       atol=1e-12)
+    kept = [i for i in range(5) if i not in support]
+    assert np.array_equal(pinned[..., kept], v[..., kept])
+    # the step lies in the row space of drift's linear part, read off one
+    # state at a time by unit steps of v, so it is the least change
+    for i in np.ndindex(shape):
+        drift = lambda x: np.array(data.drift(c[i], x, al[i], n2[i]))
+        jac = np.array([drift(v[i] + e) - drift(v[i]) for e in np.eye(5)])
+        step = pinned[i] - v[i]
+        coef = np.linalg.lstsq(jac, step, rcond=None)[0]
+        assert np.allclose(jac @ coef, step, rtol=0, atol=1e-9)
+    if data is M:  # J's two rows are orthogonal on x_i, x_j alone
+        assert np.allclose(pinned, _pin_M_closed_form(c, v, al, g_D, g_W),
+                           rtol=1e-12, atol=1e-12)
+
+
 def test_rationalize_sphere_example():
     ui, uj, uk = rationalize_sphere_direction(np.array([0.6, 0.0, 0.8]), 64)
     assert (ui, uj, uk) == (Fraction(3, 5), 0, Fraction(4, 5))
