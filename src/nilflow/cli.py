@@ -10,6 +10,7 @@ deformation family).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,8 +71,7 @@ def parse_state(alg, text):
         parts[label] = [float(x) for x in rest.split()]
         if not all(math.isfinite(x) for x in parts[label]):
             raise ValueError(f"field {label!r} has a non-finite number")
-    dv, dz = alg.dim_v, alg.dim_z
-    for label, n in (("v", dv), ("z", dz), ("V", dv), ("Z", dz)):
+    for label, n in zip("vzVZ", (alg.dim_v, alg.dim_z) * 2):
         if label not in parts:
             raise ValueError(f"state record missing field {label!r}")
         if len(parts[label]) != n:
@@ -107,9 +107,8 @@ def _require(ok, message):
 
 
 def _read_state_arg(alg, args):
-    if args.state is not None:
-        return parse_state(alg, args.state)
-    return parse_state(alg, sys.stdin.read())
+    return parse_state(alg, sys.stdin.read() if args.state is None
+                       else args.state)
 
 
 def cmd_verify(args):
@@ -251,8 +250,6 @@ def cmd_criteria(args):
 
 
 def cmd_cih(args):
-    _require(0 <= args.bound <= MAX_CIH_BOUND,
-             f"--bound must be between 0 and {MAX_CIH_BOUND}, got {args.bound}")
     data = get_manifold(args.manifold)
     _require(data.frame is not None,
              f"manifold {data.name} has no clean-intersection certificate; "
@@ -270,6 +267,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail("usage error", message, EXIT_USAGE))
 
 
+def _seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+@functools.cache  # one parser per process, built on first use
 def build_parser():
     p = _Parser(
         prog="nilflow",
@@ -280,7 +285,7 @@ def build_parser():
 
     def common(sp, manifold=True, seed=True):
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--out", default=None)
         if manifold:
             sp.add_argument("--manifold", default="M")
@@ -325,7 +330,7 @@ def build_parser():
     sp = sub.add_parser("cih", help="clean-intersection certificate")
     common(sp)
     sp.add_argument("--bound", type=int, default=3,
-                    help=f"coordinate bound, 0 to {MAX_CIH_BOUND}")
+                    choices=range(MAX_CIH_BOUND + 1), help="coordinate bound")
 
     return p
 
@@ -342,9 +347,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

@@ -240,24 +240,23 @@ def cih_certificate(data, coord_bound, rng):
                "witness": bad},
     )
 
-    # explicit eigenvalue records, drawn over the spans
-    half = Fraction(1, 2)
-    z_vals = [half * k for k in range(-2 * coord_bound, 2 * coord_bound + 1)]
-    records = []
-    for _ in range(CIH_RECORDS):
-        k = first_v[int(rng.integers(0, len(first_v)))]
-        z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
-        d = int(dens[k])
-        c = [x / d for x in lx.mat_vec(proj[k].tolist(), z)]
-        eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
-        prim = _primitive_rows(spans[k]).tolist()
-        span = sorted({tuple(r) for r in prim if any(r)})
-        records.append({
-            "span": [list(map(str, r)) for r in span],
-            "z": [str(x) for x in z],
-            "proj_z": [str(x) for x in c],
-            "theta_squared": [str(e) for e in eigs],
-        })
-    cert.data["records"] = records
-    cert.data["covered_elements"] = int(vs.shape[0]) * len(z_vals) ** 3
+    # eigenvalue records over the spans: per record one scalar draw of k
+    # and of each 2z_i + 2 bound, in stream order; then, for all records at
+    # once in integers, proj z = N (2z) / 2d and theta^2 = c_k^2, |c|^2
+    # over (2d)^2
+    sizes = (len(first_v),) + (4 * coord_bound + 1,) * 3
+    draws = np.array([[rng.integers(0, n) for n in sizes]
+                      for _ in range(CIH_RECORDS)])
+    ks, z2 = first_v[draws[:, 0]], draws[:, 1:] - 2 * coord_bound
+    num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
+    cert.data["records"] = [{
+        "span": [list(map(str, r))
+                 for r in sorted({tuple(r) for r in prim if any(r)})],
+        "z": [str(Fraction(x, 2)) for x in z],
+        "proj_z": [str(Fraction(x, d)) for x in n],
+        "theta_squared": [str(Fraction(e, d * d)) for e in
+                          sorted({n[2] * n[2], sum(x * x for x in n)} - {0})],
+    } for n, d, z, prim in zip(num, (2 * dens[ks]).tolist(), z2.tolist(),
+                               _primitive_rows(spans[ks]).tolist())]
+    cert.data["covered_elements"] = int(vs.shape[0]) * sizes[1] ** 3
     return cert

@@ -33,10 +33,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
-
-
 def rref(mat):
     """Reduced row echelon form; returns (R, pivot_columns)."""
     m = [[Fraction(x) for x in row] for row in mat]

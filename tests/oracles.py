@@ -9,10 +9,12 @@ from math import ceil, hypot, sqrt
 import numpy as np
 
 from nilflow import linalg_exact as lx
+from nilflow.criteria import _complement_projectors
 from nilflow.flow import TangentState, _unit_frame, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
+    _primitive_rows,
     bracket_v_np,
     j_matrix,
     j_matrix_np,
@@ -278,6 +280,45 @@ def sample_generic_state(data, rng, min_comp=0.05):
             continue
         if np.min(np.abs(_unit_frame(data, Z).basis @ V)) >= min_comp:
             return TangentState(v, z, V, Z)
+
+
+def mat_vec(a, v):
+    """Exact matrix-vector product of lists (int or Fraction entries)."""
+    return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
+
+
+def cih_records(alg, coord_bound, rng, n_records):
+    """The eigenvalue records of criteria.cih_certificate one by one in
+    Fraction arithmetic, with its covered_elements: per record the span
+    drawn over the distinct complement projectors (first V of each, in
+    sorted key order, by np.unique), then z as three half-integers in
+    [-bound, bound], proj z = N z / d and the nonzero theta^2 in
+    {c_k^2, |c|^2}, sorted, all printed as str."""
+    vals = np.arange(-coord_bound, coord_bound + 1)
+    vs = np.stack(np.meshgrid(*[vals] * alg.dim_v, indexing="ij"),
+                  -1).reshape(-1, alg.dim_v)
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)
+    proj, dens, _ = _complement_projectors(spans)
+    keys = np.concatenate([proj.reshape(-1, 9), dens[:, None]], 1)
+    first_v = np.unique(keys, axis=0, return_index=True)[1]
+    half = Fraction(1, 2)
+    z_vals = [half * k for k in range(-2 * coord_bound, 2 * coord_bound + 1)]
+    records = []
+    for _ in range(n_records):
+        k = first_v[int(rng.integers(0, len(first_v)))]
+        z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
+        d = int(dens[k])
+        c = [x / d for x in mat_vec(proj[k].tolist(), z)]
+        eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
+        prim = _primitive_rows(spans[k]).tolist()
+        span = sorted({tuple(r) for r in prim if any(r)})
+        records.append({
+            "span": [list(map(str, r)) for r in span],
+            "z": [str(x) for x in z],
+            "proj_z": [str(x) for x in c],
+            "theta_squared": [str(e) for e in eigs],
+        })
+    return records, len(vs) * len(z_vals) ** 3
 
 
 def span_projector(rows):

@@ -413,7 +413,48 @@ def test_argparse_error_is_one_usage_line(argv, capsys):
         assert "argument --t: expected one argument" in err
 
 
+@pytest.mark.parametrize("command", [
+    "cih", "criteria", "closed-geodesic", "verify"])
+def test_negative_seed_names_the_option(command, capsys):
+    # rejected by the parser, before an RNG is built from it
+    assert main([command, "--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == "" and "Traceback" not in err.err
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "--seed" in lines[0]
+
+
 PAIR_STATE = "v: 0 0 0 0 0; z: 0 0 0; V: 1 0 0 .2 .4; Z: .5 .2 1.1"
+
+
+def test_one_parser_serves_every_call(capsys):
+    # usage errors leave the cached parser as they found it: each call
+    # gives the exit code and output it gives as the first call of a fresh
+    # parser, and the parser is built once for all of them
+    calls = [
+        ["cih", "--no-such-option"],
+        ["cih", "--bound", "7"],
+        ["cih", "--bound", "1", "--seed", "3"],
+        ["flow", "--state", PAIR_STATE],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls * 3] == first * 3
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * len(calls) - 1)
+    assert [code for code, _, _ in first] == [EXIT_USAGE] * 2 + [EXIT_PASS] * 2
+
+
 DEFO_STATE = "v: 0 0 0 0; z: 0 0; V: 1 0 0 .2; Z: .5 .2"
 
 

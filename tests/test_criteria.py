@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
+    CIH_RECORDS,
     MAX_CIH_BOUND,
     _complement_projectors,
     _draw_regular_zs,
@@ -25,8 +26,10 @@ from oracles import (
     annihilator_check,
     butler_sample_lists,
     centralizer_nlambda_bruteforce,
+    cih_records,
     commutator_nonzero,
     draw_regular_z,
+    mat_vec,
     span_projector,
 )
 
@@ -195,6 +198,22 @@ def test_cih_certificate_small_bound():
                 assert Fraction(s) > 0
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_cih_records_match_fraction_oracle(bound):
+    # the int64 records equal the per-record Fraction loop on the same
+    # draws, and both leave the stream at the same place
+    for data in (M, MP):
+        for seed in (0, 1, 3, 7, 90210):
+            rng = np.random.Generator(np.random.Philox(seed))
+            rng_o = np.random.Generator(np.random.Philox(seed))
+            cert = cih_certificate(data, bound, rng)
+            records, covered = cih_records(data.alg, bound, rng_o,
+                                           CIH_RECORDS)
+            assert cert.data["records"] == records
+            assert cert.data["covered_elements"] == covered
+            assert rng.integers(0, 2**62) == rng_o.integers(0, 2**62)
+
+
 def test_cih_certificate_rejects_a_bound_above_the_cap():
     for bound in (MAX_CIH_BOUND + 1, -1):
         with pytest.raises(ValueError, match="coord_bound"):
@@ -231,7 +250,7 @@ def _assert_projector(rows, n, d, rank):
     assert d > 0 and k == rank
     assert [[Fraction(x, d) for x in row] for row in n] == comp
     assert lx.mat_mul(n, n) == [[d * x for x in row] for row in n]
-    assert all(not any(lx.mat_vec(n, r)) for r in rows)
+    assert all(not any(mat_vec(n, r)) for r in rows)
 
 
 @st.composite
