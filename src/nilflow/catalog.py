@@ -9,7 +9,7 @@ from functools import cache
 
 import numpy as np
 
-from .lie_core import AlgebraData, lattice_brackets_in_twice
+from .lie_core import AlgebraData
 
 # quaternion products: QUAT[(a, b)] = (sign, c) meaning a*b = sign * c
 _I, _J, _K = 0, 1, 2
@@ -19,22 +19,21 @@ QUAT = {
     (_K, _I): (1, _J), (_I, _K): (-1, _J),
 }
 
-V_NAMES = ("X_i", "X_j", "Y_i", "Y_j", "Y_k")
-Z_NAMES = ("Z_i", "Z_j", "Z_k")
-
-# v-basis index -> (letter, quaternion unit); X_k is omitted by construction
+# v-basis index -> (letter, quaternion unit): X_i, X_j, Y_i, Y_j, Y_k (X_k
+# is omitted by construction); the z-basis is Z_i, Z_j, Z_k
 _V_UNITS = [("X", _I), ("X", _J), ("Y", _I), ("Y", _J), ("Y", _K)]
 
 
 @dataclass
 class NilmanifoldData:
-    """A compact two-step nilmanifold: algebra plus lattice data.
+    """A compact two-step nilmanifold: algebra plus the one lattice.
 
-    The lattice is log Gamma = scale_v Z^dim_v (+) scale_z Z^dim_z, with
-    positive rational scales (Z^dim_v and (Z/2)^dim_z for every manifold
-    here); [L_v, L_v] must lie in 2 L_z, so that Gamma is a group.  split =
-    (X-block, Y-block, z-functional) indexes the injective presentation;
-    has_integrals marks the manifold with the eight integrals of `integrals`.
+    The lattice is log Gamma = Z^dim_v (+) (1/2) Z^dim_z on every manifold
+    here, fixed rather than held: [L_v, L_v] = T lies in 2 L_z = Z^dim_z
+    because every structure constant is an integer, which AlgebraData
+    enforces, so Gamma is a group.  split = (X-block, Y-block, z-functional)
+    indexes the injective presentation; has_integrals marks the manifold
+    with the eight integrals of `integrals`.
 
     frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
     over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
@@ -53,17 +52,6 @@ class NilmanifoldData:
     has_integrals: bool = False
     frame: object = None
     drift: object = None
-    scale_v: Fraction = Fraction(1)
-    scale_z: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        if not (self.scale_v > 0 and self.scale_z > 0):
-            raise ValueError("lattice scales must be positive")
-        if not lattice_brackets_in_twice(self.alg, self.scale_v,
-                                         self.scale_z):
-            raise ValueError(
-                f"{self.name}: bracket of lattice vectors leaves 2*L_z"
-            )
 
 
 def _pair_algebras():
@@ -75,8 +63,7 @@ def _pair_algebras():
             if a != b:
                 sign, c = QUAT[(a, b)]
                 (mp if lp == lq else m)[p][q][c] = sign
-    return (AlgebraData(5, 3, V_NAMES, Z_NAMES, m),
-            AlgebraData(5, 3, V_NAMES, Z_NAMES, mp))
+    return AlgebraData(m), AlgebraData(mp)
 
 
 def _frame_rows(Z):
@@ -158,15 +145,14 @@ def _build_pair():
 def build_deformation(t):
     """One member of the isospectral deformation family.
 
-    dim v = 4, dim z = 2 with [X_1,Y_1] = [X_2,Y_2] = Z_1, [X_1,Y_2] = Z_2;
-    lattice_v = Z^4 and lattice_z = (Z/2)^2 for every member, so t only
-    names the member ("defo:<t>").
+    dim v = 4, dim z = 2 with [X_1,Y_1] = [X_2,Y_2] = Z_1, [X_1,Y_2] = Z_2
+    on the basis X_1, X_2, Y_1, Y_2; the algebra and the lattice are the
+    same for every member, so t only names the member ("defo:<t>").
     """
     s = [[[0, 0] for _ in range(4)] for _ in range(4)]
     for p, q, r in ((0, 2, 0), (1, 3, 0), (0, 3, 1)):
         s[p][q][r], s[q][p][r] = 1, -1
-    alg = AlgebraData(4, 2, ("X_1", "X_2", "Y_1", "Y_2"), ("Z_1", "Z_2"), s)
-    return NilmanifoldData(f"defo:{t}", alg, ((0, 1), (2, 3), 0))
+    return NilmanifoldData(f"defo:{t}", AlgebraData(s), ((0, 1), (2, 3), 0))
 
 
 def _deformation_t(raw):

@@ -221,7 +221,7 @@ def cih_certificate(data, coord_bound, rng):
     alg = data.alg
     cert = Certificate("clean_intersection", data.name)
 
-    ok, witness = char_poly_identity_check(alg, alg)
+    ok, witness = char_poly_identity_check(alg)
     cert.add("char_poly_structure_identity", ok, value=witness)
 
     vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),

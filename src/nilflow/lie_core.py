@@ -24,24 +24,23 @@ class AlgebraData:
     """A two-step metric Lie algebra n = v (+) z with orthonormal bases.
 
     structure[p][q][r] = <[e_p, e_q], Z_r> for v-basis vectors e_p, e_q, an
-    integer, antisymmetric in (p, q); construction normalizes it to nested
-    tuples of Python ints and raises ValueError on a wrong shape, a
-    non-integer constant or a table that is not antisymmetric.  terms holds
-    the nonzero constants as (p, q, r, T[p][q][r]).
+    integer, antisymmetric in (p, q), and the one field: dim_v and dim_z are
+    read off its shape.  Construction normalizes it to nested tuples of
+    Python ints and raises ValueError unless it is a nonempty dim_v x dim_v
+    x dim_z box with dim_z > 0, of integers, antisymmetric.  terms holds the
+    nonzero constants as (p, q, r, T[p][q][r]).
     """
 
-    dim_v: int
-    dim_z: int
-    v_names: tuple
-    z_names: tuple
     structure: tuple
 
     def __post_init__(self):
-        dv, dz = self.dim_v, self.dim_z
         t = self.structure
-        if len(t) != dv or any(len(line) != dv for line in t) or any(
+        dv = len(t)
+        dz = len(t[0][0]) if dv and len(t[0]) else 0
+        if not dz or any(len(line) != dv for line in t) or any(
                 len(row) != dz for line in t for row in line):
-            raise ValueError(f"structure tensor must have shape ({dv}, {dv}, {dz})")
+            raise ValueError("structure tensor must have a nonempty shape "
+                             "(dim_v, dim_v, dim_z)")
         if not all(isinstance(x, Integral) for line in t for row in line
                    for x in row):
             raise ValueError("structure constants must be integers")
@@ -51,6 +50,7 @@ class AlgebraData:
                for q in range(dv) for r in range(dz)):
             raise ValueError("structure tensor is not antisymmetric")
         self.structure = t
+        self.dim_v, self.dim_z = dv, dz
         self.terms = tuple(
             (p, q, r, c) for p, line in enumerate(t) for q, row in enumerate(line)
             for r, c in enumerate(row) if c
@@ -195,13 +195,3 @@ class RationalLattice:
     @property
     def rank(self):
         return len(self.basis)
-
-
-def lattice_brackets_in_twice(alg, scale_v, scale_z):
-    """Whether [L_v, L_v] lies in 2 L_z for L_v = scale_v Z^dim_v and L_z =
-    scale_z Z^dim_z: [scale_v e_p, scale_v e_q] = scale_v^2 T[p, q] lies in
-    2 scale_z Z^dim_z exactly when every structure constant is a multiple
-    of the denominator of scale_v^2 / (2 scale_z), an integer test (in
-    plain Python over alg.terms: building a manifold builds no array)."""
-    den = (Fraction(scale_v) ** 2 / (2 * Fraction(scale_z))).denominator
-    return all(c % den == 0 for *_, c in alg.terms)

@@ -141,8 +141,8 @@ class ClosedGeodesic:
     """An exactly-certified closed geodesic.
 
     a_v, a_z are exact rationals: m times the element with data (r, t,
-    P_D, P_W), m the least multiple whose coordinates in the manifold's
-    lattices are integers, so a is in Gamma by construction, as is the
+    P_D, P_W), m the least multiple with a_v in Z^dim_v and a_z in
+    (1/2) Z^dim_z, so a is in Gamma by construction, as is the
     rotation condition tau c_k, tau |c| in 2 pi Z (rotation_exact).
     distance is the largest of |Z - Z_target|, |V - V_target| and
     |v - v_target|.
@@ -187,22 +187,19 @@ def _exact_element(c, r, t, P_D, P_W):
     return a_v, a_z
 
 
-def _closed_geodesic(data, c, uk, ks, bound, state, distance):
+def _closed_geodesic(c, uk, ks, bound, state, distance):
     """One row's ClosedGeodesic in Python ints, from c (Fractions), its
     c_k / |c| = uk and the grid numerators ks of (|c|, r, t, P_D, P_W):
     with c = C / D, a_v = N_v / (bound D) and a_z = N_z / (bound D^2),
-    times the least m that puts both in the manifold's lattices."""
+    times the least m that puts a in log Gamma = Z^dim_v (+) (1/2) Z^dim_z."""
     k_c, k_r, k_t, k_d, k_w = ks
     D = lcm(*(x.denominator for x in c))
     n_v, n_z = _exact_element([x.numerator * D // x.denominator for x in c],
                               k_r, k_t * D, k_d * D, k_w)
     q_v, q_z = bound * D, bound * D * D
-    # m clears the lattice coordinates a_v / s_v and a_z / s_z: for x / q in
-    # s Z, s = s_n / s_d, that is q s_n / gcd(q s_n, x s_d over every x)
-    m = lcm(*(q * s.numerator // gcd(q * s.numerator,
-                                     *(x * s.denominator for x in n))
-              for n, q, s in ((n_v, q_v, data.scale_v),
-                              (n_z, q_z, data.scale_z))))
+    # m clears a_v into Z^dim_v and 2 a_z into Z^dim_z: m x / q is an
+    # integer for every numerator x exactly when q / gcd(q, every x) | m
+    m = lcm(q_v // gcd(q_v, *n_v), q_z // gcd(q_z, *(2 * x for x in n_z)))
     return ClosedGeodesic(
         c, Fraction(k_c, bound), uk.numerator, uk.denominator, m,
         *(Fraction(k, bound) for k in ks[1:]),
@@ -366,7 +363,7 @@ def _construct_once(data, target, epsilon, bound):
     distance = np.max([_norm(c_f - zt), _norm(V - Vt), _norm(v - vt)], axis=0)
     ks = zip(k_c, k_r, k_t, k_d, k_w)
     return [
-        _closed_geodesic(data, c[i], sphere[i][2], k, bound,
+        _closed_geodesic(c[i], sphere[i][2], k, bound,
                          TangentState(v[i], target.z[i], V[i], c_f[i]), d)
         if d <= epsilon else None
         for i, (d, k) in enumerate(zip(distance.tolist(), ks))

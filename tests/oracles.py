@@ -136,11 +136,11 @@ def integer_lattice(n):
 
 
 def manifold_lattices(data):
-    """The manifold's lattices (L_v, L_z) as RationalLattice bases, read
-    off its scales."""
+    """The manifold's lattices (L_v, L_z) = (Z^dim_v, (1/2) Z^dim_z) as
+    RationalLattice bases, the same on every manifold."""
     alg = data.alg
-    return (scaled_lattice(alg.dim_v, data.scale_v),
-            scaled_lattice(alg.dim_z, data.scale_z))
+    return (integer_lattice(alg.dim_v),
+            scaled_lattice(alg.dim_z, Fraction(1, 2)))
 
 
 def lattice_coordinates(lat, w):
@@ -165,8 +165,8 @@ def lattice_contains(lat, w):
 
 def brackets_in_twice(alg, lattice_v, lattice_z):
     """Whether [L_v, L_v] lies in 2 L_z, by exact membership of every
-    bracket of two basis vectors (the oracle for the integer test
-    lie_core.lattice_brackets_in_twice)."""
+    bracket of two basis vectors (the oracle for the integer check of
+    lie_core.AlgebraData, which is this condition on the fixed lattice)."""
     twice = RationalLattice(
         alg.dim_z, tuple(tuple(2 * x for x in b) for b in lattice_z.basis))
     return all(lattice_contains(twice, bracket_v(alg, a, b))

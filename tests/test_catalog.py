@@ -1,13 +1,13 @@
 """The concrete pair and the deformation family."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from nilflow import catalog
 from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.lie_core import j_matrix
-from oracles import bracket_v, manifold_lattices
+from oracles import bracket_v, brackets_in_twice, manifold_lattices
 
 M, MP = build_pair()
 
@@ -76,15 +76,13 @@ def test_y_block_abelian_on_M():
 
 
 def test_lattice_shapes():
-    # log Gamma = Z^5 (+) (Z/2)^3 on both manifolds, held as two scales
-    assert (M.scale_v, M.scale_z) == (1, Fraction(1, 2))
-    assert (MP.scale_v, MP.scale_z) == (M.scale_v, M.scale_z)
+    # log Gamma = Z^dim_v (+) (1/2) Z^dim_z on every manifold, and
+    # [L_v, L_v] lies in 2 L_z by exact membership of every bracket
     lat_v, lat_z = manifold_lattices(M)
     assert lat_v.rank == 5 and lat_z.rank == 3
-    assert lat_z.basis[0][0] == Fraction(1, 2)
-    # [L_v, L_v] in 2 L_z is checked at construction
-    with pytest.raises(ValueError):
-        dataclasses.replace(M, scale_z=1)
+    assert lat_z.basis[0] == (Fraction(1, 2), 0, 0)
+    for data in (M, MP, build_deformation(Fraction(1, 3))):
+        assert brackets_in_twice(data.alg, *manifold_lattices(data))
 
 
 def test_deformation_family():
@@ -116,9 +114,11 @@ def test_split_and_integrals_are_manifold_data():
     assert (M.split, M.has_integrals) == (((0, 1), (2, 3, 4), 2), True)
     assert (MP.split, MP.has_integrals) == (((0, 1), (2, 3, 4), 2), False)
     assert (d.split, d.has_integrals) == (((0, 1), (2, 3), 0), False)
-    for data, z_name in ((M, "Z_k"), (MP, "Z_k"), (d, "Z_1")):
+    for data in (M, MP):
         x, y, k = data.split
-        names = data.alg.v_names
-        assert [names[i][0] for i in x + y] == ["X"] * len(x) + ["Y"] * len(y)
+        letters = [catalog._V_UNITS[i][0] for i in x + y]
+        assert letters == ["X"] * len(x) + ["Y"] * len(y)
+        assert k == catalog._K
+    for data in (M, MP, d):
+        x, y, _ = data.split
         assert sorted(x + y) == list(range(data.alg.dim_v))
-        assert data.alg.z_names[k] == z_name

@@ -113,11 +113,7 @@ def _algebra_5(dim_z, brackets):
     table = [[[0] * dim_z for _ in range(5)] for _ in range(5)]
     for (p, q), r in brackets.items():
         table[p][q][r], table[q][p][r] = 1, -1
-    return AlgebraData(
-        5, dim_z, tuple(f"X{p}" for p in range(5)),
-        tuple(f"Z{r}" for r in range(dim_z)),
-        tuple(tuple(tuple(row) for row in line) for line in table),
-    )
+    return AlgebraData(table)
 
 
 def test_butler_sample_brackets_every_kernel_vector_pair():

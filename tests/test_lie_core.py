@@ -1,5 +1,6 @@
 """Group law, j-map duality, and lattice machinery."""
 
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +19,6 @@ from nilflow.lie_core import (
     j_matrices,
     j_matrix,
     j_matrix_np,
-    lattice_brackets_in_twice,
 )
 from oracles import (
     GroupElement,
@@ -138,13 +138,25 @@ def test_j_matrices_equal_the_einsum(seed):
     (Fraction(2, 3), Fraction(1, 3)),
 ])
 def test_lattice_brackets_in_twice_matches_membership(scale_v, scale_z):
-    # the integer test on the structure constants against exact
-    # membership of every bracket of two basis vectors
+    # [s_v e_p, s_v e_q] = s_v^2 T[p, q] lies in 2 s_z Z^dim_z exactly when
+    # s T is an integer table, s = s_v^2 / (2 s_z): so on the fixed lattice
+    # Z^dim_v (+) (1/2) Z^dim_z, where s = 1, the condition is the integer
+    # check of AlgebraData, which accepts s T exactly when every bracket of
+    # two basis vectors lies in 2 L_z
+    s = Fraction(scale_v) ** 2 / (2 * Fraction(scale_z))
     for alg in INTEGER_TENSOR_ALGEBRAS:
         lat_v = scaled_lattice(alg.dim_v, scale_v)
         lat_z = scaled_lattice(alg.dim_z, scale_z)
-        assert lattice_brackets_in_twice(alg, scale_v, scale_z) == \
-            brackets_in_twice(alg, lat_v, lat_z)
+        scaled = [[[int(x) if x.denominator == 1 else x
+                    for x in (s * c for c in row)] for row in line]
+                  for line in alg.structure]
+        try:
+            AlgebraData(scaled)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == brackets_in_twice(alg, lat_v, lat_z)
 
 
 @given(st.data())
@@ -222,24 +234,34 @@ def test_j_matrices_rejects_rational_input():
     # a structure constant 1/2 is rejected when the algebra is built
     table = ((((0,), (Fraction(1, 2),)), ((-Fraction(1, 2),), (0,))))
     with pytest.raises(ValueError, match="integers"):
-        AlgebraData(2, 1, ("X", "Y"), ("Z",), table)
+        AlgebraData(table)
+
+
+# tables AlgebraData rejects, each with the word its message carries
+BAD_STRUCTURES = [
+    ([[[0], [1]]], "shape"),
+    ([[[0], [1, 0]], [[-1], [0]]], "shape"),
+    ([], "shape"),  # empty
+    ([[[], []], [[], []]], "shape"),  # dim_z = 0
+    ([[[0], [1.0]], [[-1.0], [0]]], "integers"),
+    ([[[0], [1]], [[1], [0]]], "antisymmetric"),
+    ([[[1], [0]], [[0], [0]]], "antisymmetric"),  # [X, X] != 0
+]
 
 
 def test_structure_tensor_is_validated():
-    names = (("X", "Y"), ("Z",))
-    alg = AlgebraData(2, 1, *names, [[[0], [1]], [[-1], [0]]])
+    alg = AlgebraData([[[0], [1]], [[-1], [0]]])
+    assert (alg.dim_v, alg.dim_z) == (2, 1)
     assert alg.structure == (((0,), (1,)), ((-1,), (0,)))
     assert alg.terms == ((0, 1, 0, 1), (1, 0, 0, -1))
-    with pytest.raises(ValueError, match="shape"):
-        AlgebraData(2, 1, *names, [[[0], [1]]])
-    with pytest.raises(ValueError, match="shape"):
-        AlgebraData(2, 1, *names, [[[0], [1, 0]], [[-1], [0]]])
-    with pytest.raises(ValueError, match="integers"):
-        AlgebraData(2, 1, *names, [[[0], [1.0]], [[-1.0], [0]]])
-    with pytest.raises(ValueError, match="antisymmetric"):
-        AlgebraData(2, 1, *names, [[[0], [1]], [[1], [0]]])
-    with pytest.raises(ValueError, match="antisymmetric"):
-        AlgebraData(2, 1, *names, [[[1], [0]], [[0], [0]]])  # [X, X] != 0
+    for table, word in BAD_STRUCTURES:
+        with pytest.raises(ValueError, match=word):
+            AlgebraData(table)
+    # the structure tensor is the one field; dim_v and dim_z are its shape
+    for alg, dims in zip(INTEGER_TENSOR_ALGEBRAS, [(5, 3), (5, 3), (4, 2)]):
+        assert [f.name for f in dataclasses.fields(alg)] == ["structure"]
+        assert alg.int_tensor.shape == (dims[0],) + dims
+        assert (alg.dim_v, alg.dim_z) == dims
 
 
 def test_exact_bracket_and_j_stay_exact():

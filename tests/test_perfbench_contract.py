@@ -6,6 +6,7 @@ in a traced benchmark run."""
 
 import importlib.util
 import inspect
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.flow import TangentState, sample_generic_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 M, MP = build_pair()
 
 
@@ -85,3 +87,25 @@ def test_certificate_hooks_find_their_checks():
 def test_setup_manifolds_build():
     assert get_manifold("defo:3/5").alg.dim_v == 4
     assert build_deformation(Fraction(1, 3)).alg.dim_z == 2
+
+
+# installs the tracer the way a traced benchmark pass does: every public
+# function wrapped and every import site rebound, or TracerError
+INSTALL = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import nilflow, nilflow.flow, layers, tracer, workloads
+tracer.Tracer().install(nilflow, layers.FUNCTIONS,
+                        layers.make_hooks(nilflow.flow.default_steps),
+                        extra_modules=[workloads])
+"""
+
+
+def test_tracer_installs():
+    # in a fresh interpreter, so the rebinding does not leak into this
+    # session; an original left bound (say, a public function held in a
+    # module-level tuple) fails here, not only in a traced benchmark run
+    run = subprocess.run(
+        [sys.executable, "-c", INSTALL, str(SRC), str(PERFBENCH)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -10,7 +10,7 @@ import pytest
 from nilflow import linalg_exact as lx
 from nilflow import spectral
 from nilflow.catalog import build_pair
-from nilflow.lie_core import RationalLattice, j_kernels, j_matrix
+from nilflow.lie_core import AlgebraData, RationalLattice, j_kernels, j_matrix
 from oracles import (
     char_poly,
     integer_lattice,
@@ -224,14 +224,23 @@ def test_kernel_isometries_overflow_guard():
             np.array([[[2**61, 0, 0, 0, 0]]]), np.array([1]))
 
 
-def test_gw_certificate_needs_integer_lattice_v(monkeypatch):
-    # lattice_v = 2 Z^5, and by the same guard lattice_z = (Z/4)^3: rejected
-    # before the char-poly grid or any other work
-    def never(*args):
-        raise AssertionError("gw_certificate worked on a wrong pair")
-
-    monkeypatch.setattr(spectral, "char_poly_identity_check", never)
-    for changed in (dict(scale_v=2), dict(scale_z=Fraction(1, 4))):
-        with pytest.raises(ValueError, match="gw_certificate needs"):
-            spectral.gw_certificate(
-                (dataclasses.replace(M, **changed), MP), 2)
+def test_char_poly_identity_failure_path():
+    # M with one antisymmetric pair of structure constants doubled
+    p, q, r, _ = M.alg.terms[0]
+    t = [[list(row) for row in line] for line in M.alg.structure]
+    t[p][q][r] *= 2
+    t[q][p][r] *= 2
+    bad = AlgebraData(t)
+    # the first point of {0..5}^3 where char j(Z_c) misses the claim
+    points = spectral._grid(np.arange(6), 3)
+    claimed = spectral._claimed_coeffs(points).tolist()
+    first = next(tuple(c) for c, want in zip(points.tolist(), claimed)
+                 if char_poly(j_matrix(bad, c)) != want)
+    assert spectral.char_poly_identity_check(M.alg) == (True, None)
+    assert spectral.char_poly_identity_check(bad) == (False, first)
+    assert spectral.char_poly_identity_check(M.alg, bad) == (False, first)
+    assert spectral.char_poly_identity_check(bad, MP.alg) == (False, first)
+    cert = spectral.gw_certificate((M, dataclasses.replace(MP, alg=bad)), 2)
+    rows = {check.name: check.passed for check in cert.checks}
+    assert rows["char_poly_identity_grid"] is False
+    assert rows["char_poly_equal_on_dual_lattice"] is False
