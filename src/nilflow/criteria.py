@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import _primitive_rows, j_kernels
+from .lie_core import _abs_max, _primitive_rows, j_kernels
 from .report import Certificate
 from .spectral import _grid, char_poly_identity_check
 
@@ -84,17 +84,20 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     basis, dims = j_kernels(alg, zs)
     is_regular = np.all((dims + alg.dim_z == min_dim).reshape(-1, 2), axis=1)
     # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero:
-    # one int64 matmul brackets every pair; the zero padding brackets to 0
-    dv, k, t = alg.dim_v, basis.shape[1], alg.int_tensor
-    pairs = basis.reshape(n_samples, 2, k, dv)[is_regular]
+    # every pair of kernel vectors bracketed at once as planes, one signed
+    # add per nonzero constant; the zero padding brackets to 0
+    k = basis.shape[1]
+    pairs = np.moveaxis(basis.reshape(n_samples, 2, k, alg.dim_v)[is_regular],
+                        -1, 0)  # (dim_v, pairs, 2, k)
     bound = int(np.abs(pairs).max(initial=0)) ** 2
-    if bound * int(np.abs(t).sum(axis=(0, 1)).max()) >= 2**62:
+    if bound * int(np.abs(alg.int_tensor).sum(axis=(0, 1)).max()) >= 2**62:
         raise OverflowError("kernel vectors too large for int64 brackets")
-    outer = pairs[:, 0, :, None, :, None] * pairs[:, 1, None, :, None, :]
-    brackets = outer.reshape(-1, dv * dv) @ t.reshape(dv * dv, alg.dim_z)
+    lam, mu = pairs[:, :, 0, :, None], pairs[:, :, 1, None, :]
+    brackets = np.zeros((alg.dim_z, pairs.shape[1], k, k), dtype=np.int64)
+    for p, q, r, c in alg.terms:
+        brackets[r] += c * lam[p] * mu[q]
     hit = np.zeros(n_samples, dtype=bool)
-    hit[is_regular] = np.any(
-        brackets.reshape(len(pairs), k * k * alg.dim_z) != 0, axis=1)
+    hit[is_regular] = np.any(brackets != 0, axis=(0, 2, 3))
     flat = np.nonzero(is_regular & ~hit)[0]
     witness = None
     if flat.size:
@@ -114,34 +117,52 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
 # clean intersection
 
 
+def _gram_adjugate(planes):
+    """The Gram matrix G = A^T A of integer spans A held as entry planes
+    (rows, 3, n), its adjugate and det G, as int64 planes (3, 3, n), (3, 3,
+    n) and (n,).  Raises OverflowError before any product could leave
+    int64, and ValueError unless the spans lie in a 3-dimensional z."""
+    rows, dim, n = planes.shape
+    if dim != 3:
+        raise ValueError("closed-form projectors need dim z = 3")
+    if rows * _abs_max(planes) ** 2 >= 2**62:
+        raise OverflowError("bracket spans too large for int64 Gram matrices")
+    g = np.empty((3, 3, n), dtype=np.int64)
+    for i in range(3):
+        for j in range(i, 3):
+            g[i, j] = g[j, i] = np.sum(planes[:, i] * planes[:, j], axis=0)
+    gb = _abs_max(g)
+    if 2 * gb**2 >= 2**62:
+        raise OverflowError("Gram matrices too large for int64 adjugates")
+    # adj G is the transposed cofactor matrix; G is symmetric, so is adj G
+    adj = np.empty_like(g)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(i, 3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[i, j] = adj[j, i] = (g[i1, j1] * g[i2, j2]
+                                     - g[i1, j2] * g[i2, j1])
+    if 3 * gb * _abs_max(adj) >= 2**62:
+        raise OverflowError("Gram matrices too large for int64 determinants")
+    det = g[0, 0] * adj[0, 0] + g[0, 1] * adj[0, 1] + g[0, 2] * adj[0, 2]
+    return g, adj, det
+
+
 def _complement_projectors(spans):
     """Orthogonal projectors onto the complements of the row spans of
     integer spans A (n, rows, 3), exactly in int64 from the Gram matrix
-    G = A^T A and its adjugate alone: (N (n, 3, 3), d (n,), rank (n,)) with
-    P = N / d in lowest terms (gcd of N and d is 1, d > 0), so that (N, d)
-    is a canonical key of the span.
+    G = A^T A and its adjugate alone (`_gram_adjugate`): (N (n, 3, 3), d
+    (n,), rank (n,)) with P = N / d in lowest terms (gcd of N and d is 1,
+    d > 0), so that (N, d) is a canonical key of the span.
 
     det G != 0 gives rank 3 and 0 / 1; adj G != 0 rank 2 and
     adj G / tr adj G; G != 0 rank 1 and (tr G I - G) / tr G; G = 0 rank 0
     and I / 1.  Raises OverflowError before any product could leave int64.
     """
     a = np.asarray(spans, dtype=np.int64)
-    n, rows, dim = a.shape
-    if dim != 3:
-        raise ValueError("closed-form projectors need dim z = 3")
-    if rows * int(np.abs(a).max(initial=0)) ** 2 >= 2**62:
-        raise OverflowError("bracket spans too large for int64 Gram matrices")
-    g = a.transpose(0, 2, 1) @ a
-    gb = int(np.abs(g).max(initial=0))
-    if 2 * gb**2 >= 2**62:
-        raise OverflowError("Gram matrices too large for int64 adjugates")
-    # adj G is the transposed cofactor matrix; G is symmetric, so is adj G
-    r1, r2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
-    adj = g[:, r1, r1.T] * g[:, r2, r2.T]
-    adj -= g[:, r1, r2.T] * g[:, r2, r1.T]
-    if 3 * gb * int(np.abs(adj).max(initial=0)) >= 2**62:
-        raise OverflowError("Gram matrices too large for int64 determinants")
-    det = np.sum(g[:, 0] * adj[:, 0], axis=1)
+    n = a.shape[0]
+    g, adj, det = _gram_adjugate(a.transpose(1, 2, 0))
+    g, adj = g.transpose(2, 0, 1), adj.transpose(2, 0, 1)
     tr_g = np.trace(g, axis1=1, axis2=2)
     rank = np.select([det != 0, np.any(adj != 0, axis=(1, 2)), tr_g != 0],
                      [3, 2, 1])
@@ -176,6 +197,22 @@ def _projectors_exact(proj, d, rank, spans):
     return sym & idem & trace & killed
 
 
+def _span_projectors(planes):
+    """(N, d, rank, ok) of every span held as entry planes (rows, 3, n), as
+    `_complement_projectors` and `_projectors_exact` give them on the whole
+    batch, with both run only on the rows where det G = 0.  det G != 0 is
+    rank 3, whose projector is N = 0, d = 1, and every check of
+    `_projectors_exact` reads 0 = 0 there."""
+    n = planes.shape[2]
+    low = np.flatnonzero(_gram_adjugate(planes)[2] == 0)
+    spans = planes[:, :, low].transpose(2, 0, 1)
+    proj = np.zeros((n, 3, 3), dtype=np.int64)
+    dens, rank, ok = np.ones(n, np.int64), np.full(n, 3), np.ones(n, bool)
+    proj[low], dens[low], rank[low] = _complement_projectors(spans)
+    ok[low] = _projectors_exact(proj[low], dens[low], rank[low], spans)
+    return proj, dens, rank, ok
+
+
 def _first_rows(keys):
     """Indices of the first occurrence of each distinct key row, in sorted
     row order (np.unique(keys, axis=0, return_index=True)[1]): a stable
@@ -187,8 +224,9 @@ def _first_rows(keys):
     return order[new]
 
 
-# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 0.9 s and
-# 220 MB); bound 10 would be 4.1e6 V and several GB of span arrays.
+# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 0.2 s and
+# 155 MB peak on a 2-core x86_64 host); bound 10 would be 4.1e6 V and
+# several GB of span arrays.
 MAX_CIH_BOUND = 6
 CIH_RECORDS = 40
 
@@ -205,9 +243,12 @@ def cih_certificate(data, coord_bound, rng):
          nonzero eigenvalues of -j(Z_c)^2 are c_k^2 and |c|^2;
       2. for every enumerated V, the orthogonal projector onto the
          complement of the bracket span [V, n] is an exact rational matrix
-         N / d, read off the Gram matrix of the span (symmetry, idempotence,
-         trace 3 - rank and annihilation of the span verified in integers),
-         so proj Z is rational for every half-integer Z;
+         N / d, read off the Gram matrix G of the span: where det G != 0
+         the span is all of z and N = 0, d = 1, for which symmetry,
+         idempotence, trace 3 - rank = 0 and annihilation of the span all
+         read 0 = 0; on the rows with det G = 0 (a sixth of them at bound
+         3) N / d comes from adj G or G and those four checks run in
+         integers; so proj Z is rational for every half-integer Z;
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     N / d in lowest terms is the span's key: `distinct_spans` counts the
@@ -226,11 +267,19 @@ def cih_certificate(data, coord_bound, rng):
 
     vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
                alg.dim_v)
-    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)  # [V, e_q] rows
-    proj, dens, rank = _complement_projectors(spans)
-    ok = _projectors_exact(proj, dens, rank, spans)
-    # one V per span, in sorted key order
-    first_v = _first_rows(np.concatenate([proj.reshape(-1, 9), dens[:, None]], 1))
+    # the [V, e_q] rows as planes (dim_v, dim_z, n)
+    vt = np.ascontiguousarray(vs.T)
+    planes = np.zeros((alg.dim_v, alg.dim_z, len(vs)), dtype=np.int64)
+    for p, q, r, c in alg.terms:
+        planes[q, r] += c * vt[p]
+    proj, dens, rank, ok = _span_projectors(planes)
+    # one V per span, in sorted key order: the rank-3 spans share one key,
+    # so the rank-deficient V and the first rank-3 V hold every first V
+    heads = rank < 3
+    heads[np.argmax(rank == 3)] = True  # all rows are heads without rank 3
+    heads = np.flatnonzero(heads)
+    first_v = heads[_first_rows(np.concatenate(
+        [proj[heads].reshape(-1, 9), dens[heads, None]], 1))]
     bad = None if ok.all() else vs[np.flatnonzero(~ok)[-1]].tolist()
     cert.add(
         "rational_projectors_for_all_bracket_spans",
@@ -249,6 +298,7 @@ def cih_certificate(data, coord_bound, rng):
                       for _ in range(CIH_RECORDS)])
     ks, z2 = first_v[draws[:, 0]], draws[:, 1:] - 2 * coord_bound
     num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
+    prims = _primitive_rows(planes[:, :, ks].transpose(2, 0, 1)).tolist()
     cert.data["records"] = [{
         "span": [list(map(str, r))
                  for r in sorted({tuple(r) for r in prim if any(r)})],
@@ -257,6 +307,6 @@ def cih_certificate(data, coord_bound, rng):
         "theta_squared": [str(Fraction(e, d * d)) for e in
                           sorted({n[2] * n[2], sum(x * x for x in n)} - {0})],
     } for n, d, z, prim in zip(num, (2 * dens[ks]).tolist(), z2.tolist(),
-                               _primitive_rows(spans[ks]).tolist())]
+                               prims)]
     cert.data["covered_elements"] = int(vs.shape[0]) * sizes[1] ** 3
     return cert

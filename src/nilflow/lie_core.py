@@ -12,6 +12,8 @@ built from it on first use.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import prod
 from numbers import Integral
 
 import numpy as np
@@ -99,36 +101,83 @@ def j_matrix(alg, z):
     return jm
 
 
+def _abs_max(a):
+    """max|a| over an integer array as a Python int, 0 when a is empty."""
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
 def _j_entry_bound(t, cs):
     """|j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints."""
     return int(np.abs(cs).max(initial=0)) * int(np.abs(t).sum(axis=2).max())
 
 
-def j_matrices(alg, cs):
-    """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
-    dim_v) int64, one int64 matmul of cs against the integer structure
-    tensor with (p, q) transposed and flattened, j(Z)_qp = T[p, q] . Z."""
-    t = alg.int_tensor
-    dv, dz = alg.dim_v, alg.dim_z
+def _j_planes(alg, cs):
+    """Integer j(Z) for integer Z as entry planes: cs (..., dim_z) -> int64
+    (dim_v, dim_v, n), n the number of z-vectors, plane [q, p] holding
+    j(Z)_qp = T[p, q] . Z for every Z, built by one signed add of a
+    z-coordinate plane per nonzero constant."""
     cs = np.asarray(cs)
-    if cs.shape[-1:] != (dz,):
-        raise ValueError(f"expected z-vectors of dimension {dz}")
+    if cs.shape[-1:] != (alg.dim_z,):
+        raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
     if not np.issubdtype(cs.dtype, np.integer):
         raise ValueError("j_matrices takes integer z-vectors")
-    if _j_entry_bound(t, cs) >= 2**62:
+    if _j_entry_bound(alg.int_tensor, cs) >= 2**62:
         raise OverflowError("z-vector entries too large for int64 j(Z)")
-    qp = t.transpose(1, 0, 2).reshape(dv * dv, dz)
-    return (cs.astype(np.int64) @ qp.T).reshape(cs.shape[:-1] + (dv, dv))
+    zt = np.ascontiguousarray(cs.reshape(-1, alg.dim_z).T, dtype=np.int64)
+    planes = np.zeros((alg.dim_v, alg.dim_v, zt.shape[1]), dtype=np.int64)
+    for p, q, r, c in alg.terms:
+        planes[q, p] += c * zt[r]
+    return planes
+
+
+def j_matrices(alg, cs):
+    """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
+    dim_v) int64, a view of the entry planes of `_j_planes`."""
+    planes = _j_planes(alg, cs)
+    return planes.transpose(2, 0, 1).reshape(
+        np.shape(cs)[:-1] + planes.shape[:2])
+
+
+def _pfaffians(planes):
+    """The Pfaffians of all even principal submatrices of skew integer
+    matrices held as entry planes (d, d, n): {S: (n,) int64} over the
+    sorted index tuples S of size 2, 4, ..., d, each expanded along its
+    first row, Pf(S) = sum_j (-1)^(j+1) a[s_0, s_j] Pf(S without s_0, s_j).
+
+    A Pfaffian of size 2k is a sum of (2k-1)!! signed products of k
+    entries, so every partial sum stays below (2k-1)!! e^k for e =
+    max|a_ij|; where that reaches 2^63 at the largest k, OverflowError
+    before any work.
+    """
+    d = planes.shape[0]
+    top = _abs_max(planes)
+    if prod(range(1, 2 * (d // 2), 2)) * top ** (d // 2) >= 2**63:
+        raise OverflowError(f"entries up to {top} too large for int64 "
+                            f"{d}x{d} Pfaffians")
+    pf = {s: planes[s] for s in combinations(range(d), 2)}
+    for size in range(4, d + 1, 2):
+        for s in combinations(range(d), size):
+            acc = planes[s[0], s[1]] * pf[s[2:]]
+            for j in range(2, size):
+                term = planes[s[0], s[j]] * pf[s[1:j] + s[j + 1:]]
+                if j % 2:
+                    acc += term
+                else:
+                    acc -= term
+            pf[s] = acc
+    return pf
 
 
 def _primitive_rows(rows):
     """Integer rows (..., dim) divided by the gcd of their entries and
-    signed so that the first nonzero entry is positive; zero rows stay 0."""
-    g = np.gcd.reduce(rows, axis=-1)
-    prim = rows // np.maximum(g, 1)[..., None]
-    lead = np.argmax(prim != 0, axis=-1)[..., None]
-    first = np.take_along_axis(prim, lead, -1)
-    return prim * np.where(first < 0, -1, 1)
+    signed so that the first nonzero entry is positive; zero rows stay 0.
+    Column by column, so the work is elementwise over the leading axes."""
+    cols = np.moveaxis(rows, -1, 0)
+    g = np.maximum(np.gcd.reduce(cols, axis=0), 1)
+    first = cols[-1]
+    for col in cols[-2::-1]:
+        first = np.where(col != 0, col, first)
+    return rows // np.where(first < 0, -g, g)[..., None]
 
 
 def j_kernels(alg, cs):
@@ -138,30 +187,28 @@ def j_kernels(alg, cs):
 
     For dim_v = 5 and rank j(Z) = 4 the kernel is the line (k = 1) of the
     signed 4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
-    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), primitive with its
-    first nonzero entry positive.  Rank < 4 makes every sub-Pfaffian 0;
-    those rows, and every row when dim_v != 5, go to lx.integer_kernel.
+    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), read off `_pfaffians`,
+    primitive with its first nonzero entry positive.  Rank < 4 makes every
+    sub-Pfaffian 0; those rows, and every row when dim_v != 5, go to
+    lx.integer_kernel.
     """
-    mats = j_matrices(alg, cs)
-    if mats.ndim != 3:
+    if np.ndim(cs) != 2:
         raise ValueError("j_kernels takes a batch of z-vectors (n, dim_z)")
-    pf = np.zeros(mats.shape[:2], dtype=np.int64)
-    if alg.dim_v == 5:
-        # each Pfaffian is 3 products of two entries of j(Z)
-        if 3 * _j_entry_bound(alg.int_tensor, cs) ** 2 >= 2**62:
-            raise OverflowError("z-vector entries too large for int64 Pfaffians")
+    planes = _j_planes(alg, cs)
+    dv, n = alg.dim_v, planes.shape[2]
+    pf = np.zeros((dv, n), dtype=np.int64)
+    if dv == 5:
+        sub = _pfaffians(planes)
         for i in range(5):
-            a, b, c, d = (r for r in range(5) if r != i)
-            pf[:, i] = (-1) ** i * (
-                mats[:, a, b] * mats[:, c, d] - mats[:, a, c] * mats[:, b, d]
-                + mats[:, a, d] * mats[:, b, c]
-            )
-        pf = _primitive_rows(pf)
+            minor = sub[tuple(r for r in range(5) if r != i)]
+            pf[i] = -minor if i % 2 else minor
+    pf = _primitive_rows(pf.T)
     fallback = np.flatnonzero(~np.any(pf != 0, axis=1))
-    kers = [lx.integer_kernel(mats[i].tolist()) for i in fallback.tolist()]
-    dims = np.ones(len(pf), dtype=int)
+    kers = [lx.integer_kernel(planes[:, :, i].tolist())
+            for i in fallback.tolist()]
+    dims = np.ones(n, dtype=int)
     dims[fallback] = [len(ker) for ker in kers]
-    basis = np.zeros((len(pf), dims.max(initial=1), alg.dim_v), np.int64)
+    basis = np.zeros((n, dims.max(initial=1), dv), np.int64)
     basis[:, 0] = pf
     for i, ker in zip(fallback.tolist(), kers):
         if ker:

@@ -7,12 +7,13 @@ the certificate's permutation witnesses (`_kernel_isometries`) against.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
+from math import comb, isqrt, prod
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import RationalLattice, j_kernels, j_matrices
+from .lie_core import (RationalLattice, _abs_max, _j_planes, _pfaffians,
+                       j_kernels)
 from .report import Certificate
 
 
@@ -44,6 +45,29 @@ def char_poly_batch_int(mats):
         # the coefficients are integers, so the division is exact
         coeffs[:, k] = -np.trace(am, axis1=1, axis2=2) // k
     return coeffs
+
+
+def _skew_char_poly(planes):
+    """det(l I - A) of skew integer matrices held as entry planes (d, d, n)
+    (`_j_planes`): (n, d+1) int64 coefficients, highest degree first.
+
+    A principal minor of a skew matrix is 0 at odd size and the square of
+    its Pfaffian at even size, so the coefficient of l^(d-2k) is the sum of
+    the squared 2k x 2k principal Pfaffians (`_pfaffians`) and the odd
+    coefficients are 0.  Exact whenever e = max|a_ij| has C(d, 2k)
+    ((2k-1)!!)^2 e^(2k) < 2^63 for every k, which bounds each partial sum;
+    else OverflowError before any work.
+    """
+    d, _, n = planes.shape
+    top = _abs_max(planes)
+    if any(comb(d, 2 * k) * prod(range(1, 2 * k, 2)) ** 2 * top ** (2 * k)
+           >= 2**63 for k in range(1, d // 2 + 1)):
+        raise OverflowError(f"{d}x{d} entries up to {top} may overflow int64")
+    coeffs = np.zeros((d + 1, n), dtype=np.int64)
+    coeffs[0] = 1
+    for s, pf in _pfaffians(planes).items():
+        coeffs[len(s)] += pf * pf
+    return coeffs.T
 
 
 def lattice_intersection(lat, subspace_basis):
@@ -174,7 +198,7 @@ def char_poly_identity_check(*algs):
 def _char_poly_mismatches(alg, cs):
     """Indices of the integer rows c of cs where char j(Z_c) differs from
     the claimed polynomial."""
-    coeffs = char_poly_batch_int(j_matrices(alg, cs))
+    coeffs = _skew_char_poly(_j_planes(alg, cs))
     return np.flatnonzero(np.any(coeffs != _claimed_coeffs(cs), axis=1))
 
 
@@ -194,19 +218,22 @@ def _kernel_isometries(alg_p, cs, basis, dims):
     row, the other permutations only where it fails.  In int64, checked
     against overflow.
     """
-    mats = j_matrices(alg_p, cs)
+    planes = _j_planes(alg_p, cs)
+    mats = planes.transpose(2, 0, 1)
     bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis).max(initial=0))
     if alg_p.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
-    dims_p = np.argmax(char_poly_batch_int(mats)[:, ::-1] != 0, axis=1)
+    dims_p = np.argmax(_skew_char_poly(planes)[:, ::-1] != 0, axis=1)
     perms = np.array(list(permutations(range(alg_p.dim_v))))
     index = np.where(dims == dims_p, 0, -1)
     moved = np.any(mats @ basis.transpose(0, 2, 1) != 0, axis=(1, 2))
     rows = np.flatnonzero(moved & (index == 0))
     # j' applied to every permuted basis vector of those rows at once
     permuted = basis[rows][:, :, perms]  # (rows, k, perms, dim_v)
-    images = np.einsum("rkpj,rij->rpki", permuted, mats[rows])
-    killed = ~np.any(images != 0, axis=(2, 3))
+    r, k, n_perms, dv = permuted.shape
+    images = permuted.reshape(r, k * n_perms, dv) @ \
+        mats[rows].transpose(0, 2, 1)
+    killed = ~np.any(images.reshape(permuted.shape) != 0, axis=(1, 3))
     index[rows] = np.where(killed.any(axis=1), killed.argmax(axis=1), -1)
     return index
 

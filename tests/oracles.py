@@ -54,7 +54,7 @@ def det(mat):
 def char_poly(mat):
     """Monic characteristic polynomial det(lambda*I - A), highest degree
     first, by the exact Faddeev-LeVerrier recurrence over Fractions (the
-    oracle for spectral.char_poly_batch_int)."""
+    oracle for spectral._skew_char_poly and spectral.char_poly_batch_int)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("char_poly requires a square matrix")

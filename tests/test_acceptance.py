@@ -18,12 +18,12 @@ SEED = 42
 # per-suite wall-clock budget = sum of the budgets of the criteria it hosts
 BUDGETS = {
     "algebra": 1.0,       # criterion 1
-    "spectral": 1.0,      # criteria 2 + 3
+    "spectral": 0.5,      # criteria 2 + 3
     "flow": 1.0,          # criterion 7
     "integrals": 1.0,     # criteria 4 + 5 + 6
     "periodicity": 1.0,   # criteria 8 + 9 + 10
-    "criteria": 1.0,      # criterion 11
-    "cih": 1.0,           # criterion 12
+    "criteria": 0.5,      # criterion 11
+    "cih": 0.5,           # criterion 12
 }
 
 

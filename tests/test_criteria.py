@@ -1,5 +1,7 @@
 """Integrability criteria and the clean-intersection certificate."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from nilflow.criteria import (
     _draw_regular_zs,
     _first_rows,
     _projectors_exact,
+    _span_projectors,
     butler_nonintegrability_sample,
     check_hr_presentation,
     cih_certificate,
@@ -237,6 +240,40 @@ def test_distinct_spans_counts_spans():
         oracle = {tuple(map(tuple, span_projector(rows)[0]))
                   for rows in _cih_spans(data.alg, 1).tolist()}
         assert len(oracle) == CIH_SPANS[1]
+
+
+# sha256 of json.dumps(cih_certificate(...).to_dict(), indent=2) with the
+# rng Generator(Philox(0)): the report keeps only a certificate's check
+# count, so these pin its records, first-span order and distinct_spans
+CIH_SHA256 = {
+    ("M", 1): "4eb496ea82f83f6655f53401f01ce72b03f4ecaade08603bb4a01c5a2206b41e",
+    ("M", 3): "5ad6a3aab0dd65811eaca13aba99fd49f5758078bc23f19d7a4875233f71c797",
+    ("Mprime", 1):
+        "93b9b7c99191aa7a5476fe68780500d9e78f493d04890393a6441e2ee94ee7de",
+    ("Mprime", 3):
+        "d1bf5adf73c3e4c6d03fcdda16c44038481d550ab029a77b83a2c7227d375523",
+}
+
+
+@pytest.mark.parametrize("name,bound", sorted(CIH_SHA256))
+def test_cih_certificate_outputs_are_pinned(name, bound):
+    rng = np.random.Generator(np.random.Philox(0))
+    cert = cih_certificate(get_manifold(name), bound, rng)
+    text = json.dumps(cert.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == CIH_SHA256[name, bound]
+
+
+@pytest.mark.parametrize("name", ["M", "Mprime"])
+def test_det_g_split_matches_the_full_batch(name):
+    # on all 16,807 V at bound 3 the split runs the projector steps on the
+    # 2,695 rank-deficient spans alone and gives the whole batch's arrays
+    spans = _cih_spans(get_manifold(name).alg, 3)
+    proj, d, rank = _complement_projectors(spans)
+    ok = _projectors_exact(proj, d, rank, spans)
+    split = _span_projectors(np.ascontiguousarray(spans.transpose(1, 2, 0)))
+    for got, want in zip(split, (proj, d, rank, ok)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert ok.all() and np.count_nonzero(rank == 3) == 14_112
 
 
 def _assert_projector(rows, n, d, rank):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from nilflow.catalog import build_pair, get_manifold
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
+    _primitive_rows,
     bracket_v_np,
     j_kernels,
     j_matrices,
@@ -182,6 +184,30 @@ def test_j_kernels_match_integer_kernel(data):
                 assert ker in (ref, [[-x for x in ref[0]]])
             else:
                 assert lx.rref(ker)[0] == lx.rref(ref)[0]
+
+
+def _primitive_reference(row):
+    """row divided by the gcd of its entries, first nonzero entry
+    positive, in Python ints; the zero row stays 0."""
+    g = gcd(*row)
+    if not g:
+        return row
+    sign = 1 if next(x for x in row if x) > 0 else -1
+    return [sign * x // g for x in row]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_primitive_rows_match_per_row_reference(seed):
+    # rows with common factors, leading zeros and zero rows, in C order and
+    # with the row axis outermost in memory, as j_kernels passes them
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-4, 5, size=(6, 4, 5)) * rng.integers(1, 7, (6, 4, 1))
+    rows[0, 0], rows[1, :, :2] = 0, 0
+    want = [[_primitive_reference(r) for r in block] for block in rows.tolist()]
+    columns = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    for arr in (rows, np.moveaxis(columns, 0, -1)):
+        assert _primitive_rows(arr).tolist() == want
 
 
 def test_j_kernels_contract():

@@ -3,14 +3,21 @@
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 from nilflow import linalg_exact as lx
 from nilflow import spectral
-from nilflow.catalog import build_pair
-from nilflow.lie_core import AlgebraData, RationalLattice, j_kernels, j_matrix
+from nilflow.catalog import build_pair, get_manifold
+from nilflow.lie_core import (
+    AlgebraData,
+    RationalLattice,
+    _j_planes,
+    j_kernels,
+    j_matrix,
+)
 from oracles import (
     char_poly,
     integer_lattice,
@@ -57,6 +64,83 @@ def test_char_poly_batch_inexact_division_guard():
     mat = np.random.default_rng(0).integers(-80, 81, size=(1, 10, 10))
     with pytest.raises(OverflowError):
         spectral.char_poly_batch_int(mat)
+
+
+def _planes(mats):
+    """Matrices (n, d, d) as the entry planes (d, d, n) of `_j_planes`."""
+    return np.ascontiguousarray(np.asarray(mats, np.int64).transpose(1, 2, 0))
+
+
+def _skew(signs):
+    """The skew matrices with the strict upper triangles of signs."""
+    upper = np.triu(signs, 1)
+    return upper - upper.transpose(0, 2, 1)
+
+
+def test_skew_char_poly_matches_fraction_oracle():
+    # random skew integer matrices of every size 1..6: full ones, rank <= 2
+    # ones u v^T - v u^T, ones with a zero row and column, and 0
+    rng = np.random.default_rng(32)
+    for d in range(1, 7):
+        full = _skew(rng.integers(-40, 41, size=(20, d, d)))
+        u, v = rng.integers(-6, 7, size=(2, 10, d, 1))
+        low = u * v.transpose(0, 2, 1) - v * u.transpose(0, 2, 1)
+        holed = _skew(rng.integers(-40, 41, size=(10, d, d)))
+        holed[:, 0], holed[:, :, 0] = 0, 0
+        mats = np.concatenate([full, low, holed, np.zeros((1, d, d), int)])
+        coeffs = spectral._skew_char_poly(_planes(mats))
+        assert coeffs.shape == (len(mats), d + 1)
+        assert coeffs.dtype == np.int64
+        for mat, row in zip(mats.tolist(), coeffs.tolist()):
+            assert row == char_poly(mat)
+
+
+def test_skew_char_poly_of_j_matches_fraction_oracle():
+    # j(Z) of both algebras of the pair and of the dim_v = 4 deformation,
+    # at generic Z, at Z with last coordinate 0, and at Z = 0
+    rng = np.random.default_rng(5)
+    for alg in (M.alg, MP.alg, get_manifold("defo:1/3").alg):
+        zs = rng.integers(-30, 31, size=(40, alg.dim_z))
+        zs[:5, -1], zs[5] = 0, 0
+        coeffs = spectral._skew_char_poly(_j_planes(alg, zs))
+        assert coeffs.shape == (40, alg.dim_v + 1)
+        for z, row in zip(zs.tolist(), coeffs.tolist()):
+            assert row == char_poly(j_matrix(alg, z))
+
+
+def _first_unsafe_entry(d):
+    """The least e with C(d, 2k) ((2k-1)!!)^2 e^(2k) >= 2^63 for some k."""
+    def unsafe(e):
+        return any(comb(d, 2 * k) * prod(range(1, 2 * k, 2)) ** 2
+                   * e ** (2 * k) >= 2**63 for k in range(1, d // 2 + 1))
+    lo, hi = 0, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if unsafe(mid) else (mid, hi)
+    return hi
+
+
+def test_skew_char_poly_guard_at_first_unsafe_entry(monkeypatch):
+    # entries up to e - 1 are exact, against the oracle; one entry of e
+    # raises OverflowError before any Pfaffian is formed
+    rng = np.random.default_rng(9)
+    unsafe = {}
+    for d in range(2, 7):
+        e = _first_unsafe_entry(d)
+        safe = _skew(rng.choice([-1, 1], size=(3, d, d)) * (e - 1))
+        coeffs = spectral._skew_char_poly(_planes(safe))
+        for mat, row in zip(safe.tolist(), coeffs.tolist()):
+            assert row == char_poly(mat)
+        unsafe[d] = safe.copy()
+        unsafe[d][0, 0, d - 1], unsafe[d][0, d - 1, 0] = e, -e
+
+    def no_work(planes):
+        raise AssertionError("Pfaffians formed past the guard")
+
+    monkeypatch.setattr(spectral, "_pfaffians", no_work)
+    for mats in unsafe.values():
+        with pytest.raises(OverflowError):
+            spectral._skew_char_poly(_planes(mats))
 
 
 def test_claimed_identity_rational_c():
