@@ -150,15 +150,16 @@ def cmd_flow(args):
     state = _read_state_arg(data.alg, args)
     if args.method == "exact":
         end = _finite(lambda: flow_exact_state(data, state, args.t),
-                      f"--t={args.t} is too large: the exact result is not "
-                      "finite")
+                      f"--t={args.t} or the state is too large: the exact "
+                      "result is not finite")
     else:
         # compared in floats: default_steps(t) overflows once |t| * 1000 is inf
         _require(abs(args.t) * RK4_STEPS_PER_UNIT <= MAX_RK4_STEPS,
                  f"--t={args.t} needs more than 1e15 RK4 steps at "
                  f"{RK4_STEPS_PER_UNIT} per unit; rounding dominates past that")
         end = _finite(lambda: flow_rk4(data.alg, state, args.t),
-                      f"--t={args.t} is too large: the RK4 result is not finite")
+                      f"--t={args.t} or the state is too large: the RK4 "
+                      "result is not finite")
     _emit(format_state(end), args.out)
     return EXIT_PASS
 
@@ -172,7 +173,10 @@ def cmd_closed_geodesic(args):
     else:
         rng = np.random.Generator(np.random.Philox(args.seed))
         target = sample_generic_state(data, rng)
-    size = math.sqrt(target.speed2)
+    with np.errstate(over="ignore"):
+        size = math.sqrt(target.speed2)
+    _require(math.isfinite(size), "the target is too large: its size "
+             f"|(V, Z)| = {size:.6g} is not finite")
     _require(not args.epsilon > size, f"--epsilon={args.epsilon} exceeds "
              f"the target's size |(V, Z)| = {size:.6g}")
     try:

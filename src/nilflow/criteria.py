@@ -89,7 +89,7 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     k = basis.shape[1]
     pairs = np.moveaxis(basis.reshape(n_samples, 2, k, alg.dim_v)[is_regular],
                         -1, 0)  # (dim_v, pairs, 2, k)
-    bound = int(np.abs(pairs).max(initial=0)) ** 2
+    bound = _abs_max(pairs) ** 2
     if bound * int(np.abs(alg.int_tensor).sum(axis=(0, 1)).max()) >= 2**62:
         raise OverflowError("kernel vectors too large for int64 brackets")
     lam, mu = pairs[:, :, 0, :, None], pairs[:, :, 1, None, :]
@@ -148,36 +148,6 @@ def _gram_adjugate(planes):
     return g, adj, det
 
 
-def _complement_projectors(spans):
-    """Orthogonal projectors onto the complements of the row spans of
-    integer spans A (n, rows, 3), exactly in int64 from the Gram matrix
-    G = A^T A and its adjugate alone (`_gram_adjugate`): (N (n, 3, 3), d
-    (n,), rank (n,)) with P = N / d in lowest terms (gcd of N and d is 1,
-    d > 0), so that (N, d) is a canonical key of the span.
-
-    det G != 0 gives rank 3 and 0 / 1; adj G != 0 rank 2 and
-    adj G / tr adj G; G != 0 rank 1 and (tr G I - G) / tr G; G = 0 rank 0
-    and I / 1.  Raises OverflowError before any product could leave int64.
-    """
-    a = np.asarray(spans, dtype=np.int64)
-    n = a.shape[0]
-    g, adj, det = _gram_adjugate(a.transpose(1, 2, 0))
-    g, adj = g.transpose(2, 0, 1), adj.transpose(2, 0, 1)
-    tr_g = np.trace(g, axis1=1, axis2=2)
-    rank = np.select([det != 0, np.any(adj != 0, axis=(1, 2)), tr_g != 0],
-                     [3, 2, 1])
-    eye = np.eye(3, dtype=np.int64)
-    proj, d = tr_g[:, None, None] * eye - g, tr_g
-    two = rank == 2
-    proj[two], d[two] = adj[two], np.trace(adj[two], axis1=1, axis2=2)
-    proj[rank == 3], d[rank == 3] = 0, 1
-    proj[rank == 0], d[rank == 0] = eye, 1
-    div = np.gcd(np.gcd.reduce(proj.reshape(n, 9), axis=1), d)
-    proj //= div[:, None, None]
-    d //= div
-    return proj, d, rank
-
-
 def _projectors_exact(proj, d, rank, spans):
     """Whether each N / d is the orthogonal projector onto the complement
     of its span of the given rank: N symmetric, N N = d N, tr N = d (3 -
@@ -185,9 +155,7 @@ def _projectors_exact(proj, d, rank, spans):
     that kills the rows and has that trace has kernel exactly the span.
     OverflowError before a product could wrap."""
     spans = np.asarray(spans, dtype=np.int64)
-    nb = int(np.abs(proj).max(initial=0))
-    sb = int(np.abs(spans).max(initial=0))
-    db = int(np.abs(d).max(initial=0))
+    nb, sb, db = _abs_max(proj), _abs_max(spans), _abs_max(d)
     if max(3 * nb * nb, db * nb, 3 * nb * sb, 3 * db) >= 2**62:
         raise OverflowError("projectors too large for int64 checks")
     sym = np.all(proj == proj.transpose(0, 2, 1), axis=(1, 2))
@@ -198,19 +166,40 @@ def _projectors_exact(proj, d, rank, spans):
 
 
 def _span_projectors(planes):
-    """(N, d, rank, ok) of every span held as entry planes (rows, 3, n), as
-    `_complement_projectors` and `_projectors_exact` give them on the whole
-    batch, with both run only on the rows where det G = 0.  det G != 0 is
-    rank 3, whose projector is N = 0, d = 1, and every check of
-    `_projectors_exact` reads 0 = 0 there."""
+    """Orthogonal projectors onto the complements of the spans of integer
+    rows held as entry planes (rows, 3, n), exactly in int64 from the Gram
+    matrix G = A^T A and its adjugate alone (`_gram_adjugate`, one pass
+    for every span): (N (n, 3, 3), d (n,), rank (n,), ok (n,)) with P = N /
+    d in lowest terms (gcd of N and d is 1, d > 0), so that (N, d) is a
+    canonical key of the span, and ok from `_projectors_exact`.
+
+    det G != 0 gives rank 3 and 0 / 1, for which every check of
+    `_projectors_exact` reads 0 = 0; only the det G = 0 rows go further.
+    G and adj G are positive semidefinite, so there tr adj G > 0 gives rank
+    2 and adj G / tr adj G; else tr G > 0 rank 1 and (tr G I - G) / tr G;
+    else G = 0, rank 0 and I / 1.  Raises OverflowError before any product
+    could leave int64.
+    """
     n = planes.shape[2]
-    low = np.flatnonzero(_gram_adjugate(planes)[2] == 0)
+    g, adj, det = _gram_adjugate(planes)
+    low = np.flatnonzero(det == 0)
+    g, adj = g[:, :, low].transpose(2, 0, 1), adj[:, :, low].transpose(2, 0, 1)
+    tr_g = np.trace(g, axis1=1, axis2=2)
+    tr_adj = np.trace(adj, axis1=1, axis2=2)
+    two = tr_adj > 0
+    d = np.maximum(tr_g, 1)  # G = 0 (rank 0): d = 1 and N = I
+    proj = d[:, None, None] * np.eye(3, dtype=np.int64) - g
+    proj[two], d[two] = adj[two], tr_adj[two]
+    div = np.gcd(np.gcd.reduce(proj.reshape(-1, 9), axis=1), d)
+    proj //= div[:, None, None]
+    d //= div
+    rank = np.select([two, tr_g > 0], [2, 1])
     spans = planes[:, :, low].transpose(2, 0, 1)
-    proj = np.zeros((n, 3, 3), dtype=np.int64)
-    dens, rank, ok = np.ones(n, np.int64), np.full(n, 3), np.ones(n, bool)
-    proj[low], dens[low], rank[low] = _complement_projectors(spans)
-    ok[low] = _projectors_exact(proj[low], dens[low], rank[low], spans)
-    return proj, dens, rank, ok
+    proj_all = np.zeros((n, 3, 3), dtype=np.int64)
+    dens, ranks, ok = np.ones(n, np.int64), np.full(n, 3), np.ones(n, bool)
+    proj_all[low], dens[low], ranks[low] = proj, d, rank
+    ok[low] = _projectors_exact(proj, d, rank, spans)
+    return proj_all, dens, ranks, ok
 
 
 def _first_rows(keys):
@@ -225,7 +214,7 @@ def _first_rows(keys):
 
 
 # cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 0.2 s and
-# 155 MB peak on a 2-core x86_64 host); bound 10 would be 4.1e6 V and
+# 160 MB peak on a 2-core x86_64 host); bound 10 would be 4.1e6 V and
 # several GB of span arrays.
 MAX_CIH_BOUND = 6
 CIH_RECORDS = 40

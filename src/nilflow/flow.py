@@ -146,18 +146,6 @@ class EigenFrame:
         return self._project(self.basis[..., 4:, :], V)
 
 
-def _unit_frame(data, Z):
-    """The printed frame of j(Z) as an EigenFrame, not checked for
-    degeneracy: a row of length 0 stays 0 in the basis."""
-    if data.frame is None:
-        raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
-    rows, theta = data.frame(Z)
-    sq = np.einsum("...ij,...ij->...i", rows, rows)
-    norms = np.sqrt(sq)
-    return EigenFrame(rows / np.where(norms > 0.0, norms, 1.0)[..., None],
-                      theta, rows, sq)
-
-
 def eigenframe(data, Z):
     """The manifold's printed invariant frame of j(Z), normalized; Z may
     carry batch axes on the left.
@@ -167,16 +155,20 @@ def eigenframe(data, Z):
     frequencies c_k and |c| are distinct and the kernel is the line R Y_c).
     A degenerate Z anywhere in the batch raises, naming the first one.
     """
+    if data.frame is None:
+        raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
     Z = np.asarray(Z, float)
-    frame = _unit_frame(data, Z)
-    bad = ~np.all(np.concatenate([np.abs(frame.theta), np.sqrt(frame.sq)],
-                                 axis=-1) > 1e-12, axis=-1)
+    rows, theta = data.frame(Z)
+    sq = np.einsum("...ij,...ij->...i", rows, rows)
+    norms = np.sqrt(sq)
+    bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > 1e-12,
+                  axis=-1)
     if np.any(bad):
         raise DegenerateFrequencyError(
             f"degenerate precession for Z={Z[bad][0].tolist()}: need c_k != 0 "
             "and (c_i, c_j) != 0"
         )
-    return frame
+    return EigenFrame(rows / norms[..., None], theta, rows, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +348,11 @@ def sample_generic_state(data, rng, n=None):
     A candidate is one row of rng.uniform(-1, 1) doubles laid out as
     (Z / 2, V, v, z), so Z is uniform on [-2, 2]^3 (doubling is exact).  A
     row is kept, in draw order, when `_generic_Z` holds and V meets every
-    unit frame row by at least 0.05; frames are built only for the rows
-    whose Z passes.  One draw of n rows is followed by draws of exactly the
-    rows still missing, so the rows read are a prefix of the row stream:
-    the states and the RNG state after the call are those of n one-state
-    calls.
+    unit frame row by at least 0.05; frames (`eigenframe`) are built only
+    for the rows whose Z passes, so its degeneracy check never fires.  One
+    draw of n rows is followed by draws of exactly the rows still missing,
+    so the rows read are a prefix of the row stream: the states and the
+    RNG state after the call are those of n one-state calls.
     """
     if n is not None and n < 0:
         raise ValueError(f"n must be None or a count of states >= 0, got {n}")
@@ -372,7 +364,7 @@ def sample_generic_state(data, rng, n=None):
         cand = rng.uniform(-1.0, 1.0, size=(count - len(rows), width))
         Z = 2.0 * cand[:, :3]
         ok = np.flatnonzero(_generic_Z(Z))
-        unit = _unit_frame(data, Z[ok]).basis
+        unit = eigenframe(data, Z[ok]).basis
         comp = np.abs(unit @ cand[ok, 3:3 + dv, None]).min(axis=(-2, -1))
         rows = np.concatenate([rows, cand[ok[comp >= 0.05]]])
     row = rows[0] if n is None else rows

@@ -108,7 +108,7 @@ def _abs_max(a):
 
 def _j_entry_bound(t, cs):
     """|j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints."""
-    return int(np.abs(cs).max(initial=0)) * int(np.abs(t).sum(axis=2).max())
+    return _abs_max(cs) * int(np.abs(t).sum(axis=2).max())
 
 
 def _j_planes(alg, cs):

@@ -31,7 +31,7 @@ def char_poly_batch_int(mats):
     """
     a = np.asarray(mats, dtype=np.int64)
     n, d, _ = a.shape
-    top = max(-int(a.min(initial=0)), int(a.max(initial=0)))
+    top = _abs_max(a)
     if d * 2**d * max(1, d * top) ** d >= 2**63:
         raise OverflowError(f"{d}x{d} entries up to {top} may overflow int64")
     coeffs = np.zeros((n, d + 1), dtype=np.int64)
@@ -220,7 +220,7 @@ def _kernel_isometries(alg_p, cs, basis, dims):
     """
     planes = _j_planes(alg_p, cs)
     mats = planes.transpose(2, 0, 1)
-    bound = int(np.abs(mats).max(initial=0)) * int(np.abs(basis).max(initial=0))
+    bound = _abs_max(mats) * _abs_max(basis)
     if alg_p.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
     dims_p = np.argmax(_skew_char_poly(planes)[:, ::-1] != 0, axis=1)

@@ -9,8 +9,8 @@ from math import ceil, hypot, sqrt
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.criteria import _complement_projectors
-from nilflow.flow import TangentState, _unit_frame, eigenframe, flow_exact_vV
+from nilflow.criteria import _span_projectors
+from nilflow.flow import TangentState, eigenframe, flow_exact_vV
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
@@ -278,7 +278,7 @@ def sample_generic_state(data, rng, min_comp=0.05):
         z = rng.uniform(-1.0, 1.0, size=dz)
         if not generic_z(Z):
             continue
-        if np.min(np.abs(_unit_frame(data, Z).basis @ V)) >= min_comp:
+        if np.min(np.abs(eigenframe(data, Z).basis @ V)) >= min_comp:
             return TangentState(v, z, V, Z)
 
 
@@ -298,7 +298,8 @@ def cih_records(alg, coord_bound, rng, n_records):
     vs = np.stack(np.meshgrid(*[vals] * alg.dim_v, indexing="ij"),
                   -1).reshape(-1, alg.dim_v)
     spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)
-    proj, dens, _ = _complement_projectors(spans)
+    proj, dens, _, _ = _span_projectors(
+        np.ascontiguousarray(spans.transpose(1, 2, 0)))
     keys = np.concatenate([proj.reshape(-1, 9), dens[:, None]], 1)
     first_v = np.unique(keys, axis=0, return_index=True)[1]
     half = Fraction(1, 2)
@@ -324,7 +325,7 @@ def cih_records(alg, coord_bound, rng, n_records):
 def span_projector(rows):
     """Exact orthogonal projector onto the complement of the row span in
     Q^3 through a Fraction Gram inverse, with the rank of the span (the
-    oracle for the int64 Gram-adjugate criteria._complement_projectors)."""
+    oracle for the int64 Gram-adjugate criteria._span_projectors)."""
     rows = [r for r in rows if any(x != 0 for x in r)]
     n = 3
     if not rows:

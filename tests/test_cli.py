@@ -180,6 +180,21 @@ def test_flow_exact_overflowing_t_is_usage_error(t, capsys):
     assert len(err.err.strip().splitlines()) == 1 and "--t" in err.err
 
 
+HUGE_V_STATE = "v: 0 0 0 0 0; z: 0 0 0; V: 1e200 0 0 0 0; Z: 1 1 1"
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_flow_of_huge_state_names_the_state(method, capsys):
+    # at t = 1 only the state can be at fault, so the line names it too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "--method", method, "--state", HUGE_V_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1
+    assert "the state is too large" in err.err
+
+
 def test_verify_algebra_pass(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--suite", "algebra", "--seed", "7",
@@ -368,6 +383,18 @@ def test_closed_geodesic_epsilon_past_the_target_is_usage_error(argv, capsys):
     assert err.startswith("usage error: --epsilon=")
     assert "exceeds the target's size" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_closed_geodesic_of_a_target_of_infinite_size_is_usage_error(capsys):
+    # |(V, Z)| overflows to inf: rejected as the target's fault in one line,
+    # with no numpy warning and no blame on epsilon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["closed-geodesic", "--target", HUGE_V_STATE])
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE and err.out == ""
+    assert len(err.err.strip().splitlines()) == 1
+    assert "the target is too large" in err.err and "epsilon" not in err.err
 
 
 def test_criteria_reports_butler_certificate(tmp_path):

@@ -14,7 +14,6 @@ from nilflow.catalog import build_deformation, build_pair, get_manifold
 from nilflow.criteria import (
     CIH_RECORDS,
     MAX_CIH_BOUND,
-    _complement_projectors,
     _draw_regular_zs,
     _first_rows,
     _projectors_exact,
@@ -231,6 +230,12 @@ def _cih_spans(alg, bound):
     return np.einsum("np,pqr->nqr", vs, alg.int_tensor)
 
 
+def _projectors(spans):
+    """`_span_projectors` of spans given as (n, rows, 3) row sets."""
+    spans = np.asarray(spans, dtype=np.int64)
+    return _span_projectors(np.ascontiguousarray(spans.transpose(1, 2, 0)))
+
+
 def test_distinct_spans_counts_spans():
     for data in (M, MP):
         for bound, want in CIH_SPANS.items():
@@ -264,16 +269,14 @@ def test_cih_certificate_outputs_are_pinned(name, bound):
 
 
 @pytest.mark.parametrize("name", ["M", "Mprime"])
-def test_det_g_split_matches_the_full_batch(name):
-    # on all 16,807 V at bound 3 the split runs the projector steps on the
-    # 2,695 rank-deficient spans alone and gives the whole batch's arrays
-    spans = _cih_spans(get_manifold(name).alg, 3)
-    proj, d, rank = _complement_projectors(spans)
-    ok = _projectors_exact(proj, d, rank, spans)
-    split = _span_projectors(np.ascontiguousarray(spans.transpose(1, 2, 0)))
-    for got, want in zip(split, (proj, d, rank, ok)):
-        assert got.shape == want.shape and np.array_equal(got, want)
-    assert ok.all() and np.count_nonzero(rank == 3) == 14_112
+def test_projectors_of_all_bound_3_spans_check(name):
+    # all 16,807 V at bound 3: every projector passes its integer check, and
+    # the 14,112 rank-3 spans, which skip it, all carry N = 0, d = 1
+    proj, d, rank, ok = _projectors(_cih_spans(get_manifold(name).alg, 3))
+    assert ok.shape == (16_807,) and ok.all()
+    full = rank == 3
+    assert np.count_nonzero(full) == 14_112
+    assert not proj[full].any() and (d[full] == 1).all()
 
 
 def _assert_projector(rows, n, d, rank):
@@ -304,8 +307,8 @@ def integer_row_sets(draw, entry=st.integers(-40, 40)):
 @given(integer_row_sets())
 @settings(max_examples=300, deadline=None)
 def test_closed_form_projector_matches_oracle(rows):
-    proj, d, rank = _complement_projectors(np.array([rows]))
-    assert _projectors_exact(proj, d, rank, np.array([rows])).all()
+    proj, d, rank, ok = _projectors([rows])
+    assert ok.all()
     _assert_projector(rows, proj[0].tolist(), int(d[0]), int(rank[0]))
 
 
@@ -317,8 +320,7 @@ def test_closed_form_projector_never_wraps(bits, data):
     entry = st.integers(-(2 ** bits - 1), 2 ** bits - 1)
     rows = data.draw(integer_row_sets(entry))
     try:
-        proj, d, rank = _complement_projectors(np.array([rows]))
-        ok = _projectors_exact(proj, d, rank, np.array([rows]))
+        proj, d, rank, ok = _projectors([rows])
     except OverflowError:
         return
     assert ok.all()
@@ -328,18 +330,25 @@ def test_closed_form_projector_never_wraps(bits, data):
 def test_closed_form_projector_overflow_guard():
     # one case per guard, each tripping one step below the product it
     # protects: rows max|a|^2, 2 max|G|^2, 3 max|G| max|adj|, then the
-    # check's products
+    # check's products on a rank-2 span
     for rows, guard in (
             ([[2**31, 0, 0]], "int64 Gram"),
             ([[2**16, 0, 0]], "int64 adjugates"),
             ([[2**11, 0, 0], [0, 2**10, 0], [0, 0, 2**10]],
-             "int64 determinants")):
+             "int64 determinants"),
+            ([[2**10 + 1, 7, 3], [5, 2**10 - 1, 2]], "int64 checks")):
         with pytest.raises(OverflowError, match=guard):
-            _complement_projectors(np.array([rows]))
-    rows = np.array([[[2**10 + 1, 7, 3], [5, 2**10 - 1, 2]]])
-    proj, d, rank = _complement_projectors(rows)
+            _projectors([rows])
+
+
+def test_projector_check_reads_the_most_negative_int64():
+    # |-2^63| wraps to -2^63 under np.abs; the check's guard must still see
+    # a span entry that large and refuse rather than wrap N r
+    rows = np.array([[[-2**63, 0, 0]]])
+    proj = np.diag([0, 1, 1]).astype(np.int64)[None]
+    one = np.ones(1, dtype=np.int64)
     with pytest.raises(OverflowError, match="int64 checks"):
-        _projectors_exact(proj, d, rank, rows)
+        _projectors_exact(proj, one, one, rows)
 
 
 def test_projector_check_rejects_a_too_small_projector():
@@ -350,8 +359,7 @@ def test_projector_check_rejects_a_too_small_projector():
                      [[0, 1, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.int64)
     d, rank = np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
     assert not _projectors_exact(proj, d, rank, rows).any()
-    proj, d, rank = _complement_projectors(rows)
-    assert _projectors_exact(proj, d, rank, rows).all()
+    assert _projectors(rows)[3].all()
 
 
 @pytest.mark.parametrize("name,bound", [("M", 2), ("Mprime", 3)])
@@ -359,8 +367,8 @@ def test_projectors_of_all_cih_spans_match_oracle(name, bound):
     # the check on every V, the oracle at one V per span: pairwise distinct
     # oracle projectors, so the keys count spans
     spans = _cih_spans(get_manifold(name).alg, bound)
-    proj, d, rank = _complement_projectors(spans)
-    assert _projectors_exact(proj, d, rank, spans).all()
+    proj, d, rank, ok = _projectors(spans)
+    assert ok.all()
     first = _first_rows(np.concatenate([proj.reshape(-1, 9), d[:, None]], 1))
     assert len(first) == CIH_SPANS[bound]
     comps = set()

@@ -161,9 +161,9 @@ def test_batched_eigenframe_names_first_degenerate_Z():
 
 
 @pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
-def test_sampler_draws_as_a_rejection_on_the_eigenframe(data, monkeypatch):
-    # the sampler tests unit frame rows without the checked eigenframe; the
-    # states and the RNG stream are those of a rejection on the components
+def test_sampler_draws_as_a_rejection_on_the_eigenframe(data):
+    # the states and the RNG stream are those of a rejection on the
+    # components
     def reference(rng, min_comp=0.05):
         while True:
             Z = rng.uniform(-2.0, 2.0, size=3)
@@ -176,11 +176,6 @@ def test_sampler_draws_as_a_rejection_on_the_eigenframe(data, monkeypatch):
                 continue
             return TangentState(v, z, V, Z)
 
-    def no_frame(*args):
-        raise AssertionError("the sampler called eigenframe")
-
-    # the reference above holds its own binding of eigenframe
-    monkeypatch.setattr(flow, "eigenframe", no_frame)
     got_rng, want_rng = np.random.default_rng(41), np.random.default_rng(41)
     got = sample_generic_state(data, got_rng, 500)
     want = [reference(want_rng) for _ in range(500)]
@@ -241,13 +236,13 @@ def test_sampler_rejects_a_negative_count():
 def test_sampler_builds_frames_only_for_rows_it_may_keep(data, monkeypatch):
     # a frame is built only for a candidate row whose Z passes, and about
     # 0.7 of the rows that reach the V test are kept
-    built, unit_frame = [], flow._unit_frame
+    built, frame = [], flow.eigenframe
 
     def counting(data, Z):
         built.append(len(Z))
-        return unit_frame(data, Z)
+        return frame(data, Z)
 
-    monkeypatch.setattr(flow, "_unit_frame", counting)
+    monkeypatch.setattr(flow, "eigenframe", counting)
     sample_generic_state(data, np.random.default_rng(42), 1000)
     assert sum(built) <= 1.5 * 1000
 

@@ -251,6 +251,16 @@ def test_j_kernels_batch_shape_and_guards():
         j_kernels(M.alg, [[2**62, 0, 1]])  # j(Z) itself does not fit
 
 
+def test_j_guard_reads_the_most_negative_int64():
+    # |-2^63| is not an int64 (np.abs wraps it to -2^63): the j(Z) guard
+    # rejects it itself, before a wrapped, non-skew j(Z) reaches a caller
+    # or the Pfaffian guard
+    cs = np.array([[-2**63, 0, 1]], dtype=np.int64)
+    for build in (j_matrices, j_kernels):
+        with pytest.raises(OverflowError, match="z-vector entries"):
+            build(M.alg, cs)
+
+
 def test_j_matrices_rejects_rational_input():
     assert M.alg.int_tensor.dtype == np.int64
     with pytest.raises(ValueError):

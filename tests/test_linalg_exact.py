@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from nilflow import linalg_exact as lx
-from nilflow.criteria import _complement_projectors, _projectors_exact
+from nilflow.criteria import _span_projectors
 from oracles import char_poly, det, mat_vec, span_projector
 
 small_int = st.integers(-6, 6)
@@ -131,8 +131,9 @@ def test_complement_projector_matches_fraction_oracle(rank):
         combos = rng.integers(-3, 4, size=(4 - rank, rank)) @ basis
         rows = np.concatenate([basis, combos, np.zeros((1, 3), int)])
         spans.append(rng.permutation(rows))
-    proj, d, ranks = _complement_projectors(np.array(spans))
-    assert _projectors_exact(proj, d, ranks, np.array(spans)).all()
+    planes = np.ascontiguousarray(np.array(spans).transpose(1, 2, 0))
+    proj, d, ranks, ok = _span_projectors(planes)
+    assert ok.all()
     assert (ranks == rank).all()
     for rows, n, den in zip(spans, proj.tolist(), d.tolist()):
         comp, k = span_projector(rows.tolist())
