@@ -39,7 +39,11 @@ def check_hr_presentation(alg, split):
         witness = [str(c) for c in nonzero[-1]] if nonzero else None
         cert.add(name, not nonzero, value=witness)
 
-    rk = lx.rank([[t[a][b][k] for b in y] for a in x])
+    # the pairing's rank is |y| less the dimension of its integer kernel; an
+    # empty x block has rank 0, which integer_kernel would read as a matrix
+    # with no columns
+    block = [[t[a][b][k] for b in y] for a in x]
+    rk = len(y) - len(lx.integer_kernel(block)) if block else 0
     cert.add(
         "pairing_rank_equals_dim_x",
         rk == len(x),
@@ -278,13 +282,11 @@ def cih_certificate(data, coord_bound, rng):
                "witness": bad},
     )
 
-    # eigenvalue records over the spans: per record one scalar draw of k
-    # and of each 2z_i + 2 bound, in stream order; then, for all records at
-    # once in integers, proj z = N (2z) / 2d and theta^2 = c_k^2, |c|^2
-    # over (2d)^2
+    # eigenvalue records over the spans: one draw of (k, 2z + 2 bound) per
+    # record, all records at once; then, in integers, proj z = N (2z) / 2d
+    # and theta^2 = c_k^2, |c|^2 over (2d)^2
     sizes = (len(first_v),) + (4 * coord_bound + 1,) * 3
-    draws = np.array([[rng.integers(0, n) for n in sizes]
-                      for _ in range(CIH_RECORDS)])
+    draws = rng.integers(0, sizes, size=(CIH_RECORDS, 4))
     ks, z2 = first_v[draws[:, 0]], draws[:, 1:] - 2 * coord_bound
     num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
     prims = _primitive_rows(planes[:, :, ks].transpose(2, 0, 1)).tolist()

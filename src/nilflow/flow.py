@@ -81,6 +81,12 @@ class EigenFrame:
     sqrt(sq).  V and t broadcast against the batch axes, and every product
     with the basis is made once per batch entry, so a batch row equals the
     one-state call bit for bit.
+
+    V is read in the frame along one path: `components` (or, in the printed
+    frame, `printed_coefficients`).  Every map the frame diagonalizes
+    (rotate, integrate, plane_part, kernel_part, j_inverse_planar) is one
+    `_combine` of those components with per-plane weights (x, y) and a
+    kernel weight w.
     """
 
     basis: np.ndarray
@@ -99,7 +105,7 @@ class EigenFrame:
 
     def _combine(self, V, x, y, w):
         """Per plane (a x - b y) u_a + (a y + b x) u_b, plus w a0 u0; x and y
-        have shape (..., 2), w the same batch shape."""
+        broadcast against shape (..., 2), w against the batch shape."""
         a = self.components(V)
         pa, pb = a[..., 0:4:2], a[..., 1:4:2]
         ca, cb = pa * x - pb * y, pa * y + pb * x
@@ -128,22 +134,13 @@ class EigenFrame:
         On a plane, j(a U_a + b U_b) = theta (a U_b - b U_a), so
         j^{-1}(a U_a + b U_b) = (b U_a - a U_b) / theta.
         """
-        a = self.components(V)
-        coef = np.zeros(a.shape)
-        coef[..., 0:4:2] = a[..., 1:4:2] / self.theta
-        coef[..., 1:4:2] = -a[..., 0:4:2] / self.theta
-        return (coef[..., None, :] @ self.basis)[..., 0, :]
-
-    def _project(self, rows, V):
-        """Orthogonal projection of V onto the span of basis rows (..., k, dim_v)."""
-        coef = rows @ np.asarray(V, float)[..., None]
-        return (np.swapaxes(coef, -1, -2) @ rows)[..., 0, :]
+        return self._combine(V, 0.0, -1.0 / self.theta, 0.0)
 
     def plane_part(self, V, which):
-        return self._project(self.basis[..., 2 * which:2 * which + 2, :], V)
+        return self._combine(V, np.eye(2)[which], 0.0, 0.0)
 
     def kernel_part(self, V):
-        return self._project(self.basis[..., 4:, :], V)
+        return self._combine(V, 0.0, 0.0, 1.0)
 
 
 def eigenframe(data, Z):
@@ -297,7 +294,7 @@ def flow_exact_state(data, state, t):
     """
     frame = eigenframe(data, state.Z)
     t = float(t)
-    vt, Vt = flow_exact_vV(frame, state.v, state.V, t)
+    iV = frame.integrate(state.V, t)
     br = lambda a, b: bracket_v_np(data.alg, a, b)
     a, u, th = frame.components(state.V), frame.basis, frame.theta
     w = (a[..., 0:4:2] + 1j * a[..., 1:4:2])[..., None] * (
@@ -314,12 +311,13 @@ def flow_exact_state(data, state, t):
     # int_0^t s e^{i theta_p s} ds - int_0^t alpha_p(s) ds, times [u_0, W_p]
     kern = t * t * m1[2][..., 0, :] - t * (m0[2][..., 0, :] - 1.0) / (1j * th)
     area = (
-        br(state.v, frame.integrate(state.V, t))
+        br(state.v, iV)
         + 0.5 * planes.sum(axis=(-3, -2)).real
         + a[..., 4, None] * (br(u[..., 4:, :], w) * kern[..., None]).sum(axis=-2).real
     )
     zt = state.z + t * state.Z + 0.5 * area
-    return TangentState(vt, zt, Vt, state.Z.copy())
+    return TangentState(state.v + iV, zt, frame.rotate(state.V, t),
+                        state.Z.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ INTEGRAL_NAMES = ("q_i", "q_j", "q_k", "h1", "h2", "k", "f_i", "f_j")
 
 def phi(x):
     """The flat bump exp(-1/x^2), extended by 0 at x = 0 (all derivatives
-    vanish there, which is what makes f_i, f_j smooth through c_k = 0)."""
+    vanish there, which is what makes f_i, f_j smooth through c_k = 0).
+    Returns an array of x's shape, 0-d for a scalar x."""
     x = np.asarray(x, float)
     out = np.zeros_like(x)
     nz = x != 0.0
     with np.errstate(over="ignore", under="ignore"):
         out[nz] = np.exp(-1.0 / (x[nz] * x[nz]))
-    return out if out.ndim else float(out)
+    return out
 
 
 def evaluate_integrals(state):
@@ -50,7 +51,6 @@ def evaluate_integrals(state):
     kk = e[..., 4]
 
     bump = phi(ck * n2)
-    bump = np.asarray(bump, float)
     live = bump > 0.0
     d = np.where(live, ck * n2, 1.0)
     yi, yj, yk = V[..., 2], V[..., 3], V[..., 4]
@@ -61,12 +61,11 @@ def evaluate_integrals(state):
     f_i = np.where(live, bump * np.sin(2.0 * np.pi * arg_i), 0.0)
     f_j = np.where(live, bump * np.sin(2.0 * np.pi * arg_j), 0.0)
 
-    out = np.stack(
+    return np.stack(
         [np.broadcast_to(ci, h1.shape), np.broadcast_to(cj, h1.shape),
          np.broadcast_to(ck, h1.shape), h1, h2, kk, f_i, f_j],
         axis=-1,
     )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -374,28 +374,19 @@ def _construct_once(data, target, epsilon, bound):
 # family dimension and invariant fibers
 
 
-def _closure_constraints(data, geo):
-    a_v = np.array([float(x) for x in geo.a_v])
-    a_z = np.array([float(x) for x in geo.a_z])
-    tau = geo.tau
-
-    def F(flat):
-        s = state_from_flat(data.alg, flat)
-        t_v, t_z, end = flow_translation(data, s, tau)
-        return np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V], axis=-1)
-
-    return F
-
-
 def closure_jacobian(data, geo, h=1e-4):
     """Fourth-order central-difference Jacobian of the 13 closure
     constraints (translational element fixed: 8; velocity rotation: 5)
     with respect to the 16 phase-space coordinates.  All 4 x 16 stencil
     points x0 + k h e_i, k in (2, 1, -1, -2), flow in one batched call."""
-    F = _closure_constraints(data, geo)
+    a_v = np.array([float(x) for x in geo.a_v])
+    a_z = np.array([float(x) for x in geo.a_z])
     x0 = geo.state.flat()
     steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * h * np.eye(x0.size)
-    f = F(x0 + steps)  # (4, column, constraint)
+    s = state_from_flat(data.alg, x0 + steps)
+    t_v, t_z, end = flow_translation(data, s, geo.tau)
+    # the constraints at every stencil point: (4, column, constraint)
+    f = np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V], axis=-1)
     return ((-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)).T
 
 

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, wire format, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -597,3 +598,60 @@ def test_exit_constants_are_distinct():
     codes = {EXIT_PASS, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_IO,
              EXIT_DEGENERATE, EXIT_CONSTRUCTION}
     assert codes == {0, 1, 2, 3, 4, 5}
+
+
+# the state of every pinned flow, integrals and poisson request: nonzero v
+# and z, so every term of the closed-form flow enters the output
+PINNED_STATE = ("v: .3 -.7 .1 .5 -.2; z: .4 0 -.6; V: 1 -.3 .25 .2 .4; "
+                "Z: .5 .2 1.1")
+PINNED_DEFO_STATE = "v: .3 -.7 .1 .5; z: .4 -.6; V: 1 -.3 .25 .2; Z: .5 .2"
+PINNED_REQUESTS = {
+    "flow-exact-M": ["flow", "--manifold", "M", "--method", "exact",
+                     "--t", "2.5", "--state", PINNED_STATE],
+    "flow-exact-Mprime": ["flow", "--manifold", "Mprime", "--method", "exact",
+                          "--t", "2.5", "--state", PINNED_STATE],
+    "flow-rk4-M": ["flow", "--manifold", "M", "--method", "rk4",
+                   "--t", "0.5", "--state", PINNED_STATE],
+    "flow-rk4-defo": ["flow", "--manifold", "defo:1/3", "--method", "rk4",
+                      "--t", "0.5", "--state", PINNED_DEFO_STATE],
+    "integrals-M": ["integrals", "--manifold", "M", "--state", PINNED_STATE],
+    "poisson-M": ["poisson", "--manifold", "M", "--state", PINNED_STATE],
+    **{f"closed-geodesic-{name}-{seed}":
+       ["closed-geodesic", "--manifold", name, "--seed", str(seed)]
+       for name in ("M", "Mprime") for seed in (0, 7, 42)},
+}
+# sha256 of each request's stdout, every request exiting 0: a change that
+# moves any printed digit fails here
+CLI_SHA256 = {
+    "flow-exact-M":
+        "19c0cbfa54bfc5ebb42ce5e81af3aeedb7b6703661cc4cce451ab2e85689b7ba",
+    "flow-exact-Mprime":
+        "93a72023a027bf21413755bea23177cc3b3305e81472a286fb22e8d04bae5f46",
+    "flow-rk4-M":
+        "0e87b2b2943f9801e321d4578c6c1d541f085c33b12bb0264ed5d4a265469a7c",
+    "flow-rk4-defo":
+        "e9d9e6ed857f3f9d151284d2defb354458fee36a805d8dcd93929b99e00d2c07",
+    "integrals-M":
+        "e63783d95ce39ea2f355b283d27589fa5dd6767030ff92e124d62c3529a4358c",
+    "poisson-M":
+        "7b5bca3687fa4215fae3f724dc1c3ea266a2bc96a1ebef700daefee771e52967",
+    "closed-geodesic-M-0":
+        "1591bc4f2004b9d899b7d52bebb54cb705b386fc93653aa1085791126b38eb82",
+    "closed-geodesic-M-7":
+        "29caeaf77c6ed727ccb0e8a9557d95eef2b99353986db98e1710c76b59ba2df1",
+    "closed-geodesic-M-42":
+        "7908e39292464630fb9ed08b0a69c5a0b8d3dc7801fad0e320074e8a588fc1a1",
+    "closed-geodesic-Mprime-0":
+        "a37e1195d82849236cf1d18581dc1ea87869df7cef0ed190d95f3bf143528092",
+    "closed-geodesic-Mprime-7":
+        "06413b5096f2adc35fb8f31ccacb26b069e08a54030bada26906bbdda5e262a9",
+    "closed-geodesic-Mprime-42":
+        "17084cda69c2e2cf1cc98244f4a98a429dbb0c1aa2cbd9c7828783b2d266697d",
+}
+
+
+@pytest.mark.parametrize("request_id", sorted(CLI_SHA256))
+def test_cli_outputs_are_pinned(request_id, capsys):
+    assert main(PINNED_REQUESTS[request_id]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[request_id]

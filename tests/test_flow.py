@@ -375,6 +375,23 @@ def test_plane_and_kernel_parts_reconstruct():
                            atol=1e-12)
 
 
+@pytest.mark.parametrize("data", [M, MP], ids=["M", "Mprime"])
+def test_j_inverse_planar_inverts_j_off_the_kernel(data):
+    # j(Z) j^{-1}(V) = V less its kernel part, and a batched call equals
+    # the one-state calls row by row
+    rng = np.random.default_rng(41)
+    batch = sample_generic_state(data, rng, 40)
+    frame = eigenframe(data, batch.Z)
+    inv = frame.j_inverse_planar(batch.V)
+    lhs = (j_matrix_np(data.alg, batch.Z) @ inv[..., None])[..., 0]
+    rhs = batch.V - frame.kernel_part(batch.V)
+    err = np.max(np.abs(lhs - rhs), axis=-1)
+    assert np.all(err <= 1e-12 * np.max(np.abs(batch.V), axis=-1))
+    for i in range(len(batch.Z)):
+        one = eigenframe(data, batch.Z[i]).j_inverse_planar(batch.V[i])
+        assert np.array_equal(inv[i], one)
+
+
 def test_default_steps():
     assert default_steps(2.5) == 2500
     assert default_steps(0.0) == 1
