@@ -17,7 +17,7 @@ import argparse
 import sys
 import time
 
-from nilflow.suites import SUITE_NAMES, run_suite
+from nilflow.suites import run_suite
 
 
 def _seeds(text):
@@ -45,17 +45,16 @@ def _sweep(seeds):
     failures = []
     for seed in seeds:
         t0 = time.perf_counter()
-        for name in SUITE_NAMES:
-            for c in run_suite(name, seed).checks:
-                check = f"{name}.{c.name}"
-                if not c.passed:
-                    failures.append((seed, check))
-                tol = c.tolerance
-                if isinstance(tol, (int, float)) and not isinstance(tol, bool) \
-                        and tol != 0:
-                    for x in _floats(c.value):
-                        lo, hi = ratios.setdefault(check, [x / tol, x / tol])
-                        ratios[check] = [min(lo, x / tol), max(hi, x / tol)]
+        # the "all" report names each check suite.check
+        for c in run_suite("all", seed).checks:
+            if not c.passed:
+                failures.append((seed, c.name))
+            tol = c.tolerance
+            if isinstance(tol, (int, float)) and not isinstance(tol, bool) \
+                    and tol != 0:
+                for x in _floats(c.value):
+                    lo, hi = ratios.setdefault(c.name, [x / tol, x / tol])
+                    ratios[c.name] = [min(lo, x / tol), max(hi, x / tol)]
         bad = sum(1 for s, _ in failures if s == seed)
         status = "pass" if not bad else f"FAIL ({bad} checks)"
         print(f"seed {seed}: {status}  ({time.perf_counter() - t0:.1f}s)")

@@ -245,7 +245,6 @@ def cmd_criteria(args):
     report.add_certificate(cert)
     rng = np.random.Generator(np.random.Philox(args.seed))
     cert, fraction = butler_nonintegrability_sample(data.alg, 1000, rng)
-    report.add_certificate(cert)
     report.add(f"butler_positive_dim_fraction[{data.name}]", cert.passed,
                value=fraction, note=f"regular pairs: {cert.data['regular_pairs']}")
     report.wall_time_s = time.perf_counter() - t0

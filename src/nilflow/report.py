@@ -43,14 +43,9 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Certificate:
-    """Pass/fail evidence for one criterion (isospectrality, HR, Butler, CIH)."""
-
-    criterion: str
-    subject: str
-    checks: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+class _CheckList:
+    """The pass/fail logic shared by certificates and reports, over the
+    CheckRecord list `checks` that each of them holds."""
 
     def add(self, name, passed, value=None, tolerance=None, note=""):
         self.checks.append(CheckRecord(name, bool(passed), value, tolerance, note))
@@ -58,6 +53,19 @@ class Certificate:
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
+
+    def first_failure(self):
+        return next((c for c in self.checks if not c.passed), None)
+
+
+@dataclass
+class Certificate(_CheckList):
+    """Pass/fail evidence for one criterion (isospectrality, HR, Butler, CIH)."""
+
+    criterion: str
+    subject: str
+    checks: list = field(default_factory=list)
+    data: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -68,12 +76,9 @@ class Certificate:
             "data": fmt_value(self.data),
         }
 
-    def first_failure(self):
-        return next((c for c in self.checks if not c.passed), None)
-
 
 @dataclass
-class Report:
+class Report(_CheckList):
     """A suite report; the serialized body is byte-reproducible for a fixed
     suite, seed and program version, and excludes wall time."""
 
@@ -83,9 +88,6 @@ class Report:
     checks: list = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def add(self, name, passed, value=None, tolerance=None, note=""):
-        self.checks.append(CheckRecord(name, bool(passed), value, tolerance, note))
-
     def add_certificate(self, cert):
         self.add(
             f"{cert.criterion}[{cert.subject}]",
@@ -93,10 +95,6 @@ class Report:
             value={"checks": len(cert.checks)},
             note=(cert.first_failure().name if not cert.passed else ""),
         )
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
 
     def body(self):
         return {

@@ -227,18 +227,18 @@ def draw_regular_z(alg, rng):
 def butler_sample_lists(alg, n_samples, rng):
     """The Butler sample with one Python list per kernel, as
     (positive_dim_fraction, regular_pairs, first_flat_witness,
-    minimal_centralizer_dim): 64 per-call draws for the minimal dimension,
-    per-call regular draws, each kernel from lx.integer_kernel, and one
-    einsum bracket over the zipped kernel-vector pairs of the regular pairs
-    (the oracle for the padded-array path of
+    regular_dim): per-call regular draws, each kernel from
+    lx.integer_kernel, the regular dimension the least kernel dimension of
+    the sample plus dim_z (None for an empty sample), and one einsum
+    bracket over the zipped kernel-vector pairs of the regular pairs (the
+    oracle for the padded-array path of
     criteria.butler_nonintegrability_sample)."""
-    zs = [rng.integers(-9, 10, size=alg.dim_z) for _ in range(64)]
-    min_dim = min(len(lx.integer_kernel(j_matrix(alg, z.tolist())))
-                  for z in zs) + alg.dim_z
     zs = [draw_regular_z(alg, rng) for _ in range(2 * n_samples)]
     kernels = [lx.integer_kernel(j_matrix(alg, z)) for z in zs]
+    regular_dim = (min(len(k) for k in kernels) + alg.dim_z
+                   if kernels else None)
     dims = np.array([len(k) for k in kernels]).reshape(-1, 2)
-    is_regular = np.all(dims + alg.dim_z == min_dim, axis=1)
+    is_regular = np.all(dims + alg.dim_z == regular_dim, axis=1)
     hit = np.zeros(n_samples, dtype=bool)
     rows = [(i, av, bv) for i in np.nonzero(is_regular)[0].tolist()
             for av in kernels[2 * i] for bv in kernels[2 * i + 1]]
@@ -254,7 +254,7 @@ def butler_sample_lists(alg, n_samples, rng):
         witness = {"lambda_z": zs[2 * flat[0]], "mu_z": zs[2 * flat[0] + 1]}
     regular = int(is_regular.sum())
     fraction = int(hit.sum()) / regular if regular else 0.0
-    return fraction, regular, witness, min_dim
+    return fraction, regular, witness, regular_dim
 
 
 def generic_z(c, min_ck=0.1, min_gap=0.1, min_prod=0.05):

@@ -406,7 +406,6 @@ def test_criteria_reports_butler_certificate(tmp_path):
     doc = json.loads(out.read_text())
     names = [c["name"] for c in doc["body"]["checks"]]
     assert names == ["hr_injective_presentation[algebra]",
-                     "butler_nonintegrability[sampled]",
                      "butler_positive_dim_fraction[Mprime]"]
     row = doc["body"]["checks"][-1]
     assert row["pass"] and float(row["value"]) >= 0.999
@@ -655,3 +654,38 @@ def test_cli_outputs_are_pinned(request_id, capsys):
     assert main(PINNED_REQUESTS[request_id]) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[request_id]
+
+
+# sha256 of the body of each `nilflow criteria` report, as Report.body_text()
+# prints it (the report's wall_time_s varies, so only the body is pinned),
+# with its exit code: the HR presentation fails on Mprime
+CRITERIA_SHA256 = {
+    ("M", 0): (
+        EXIT_PASS,
+        "073f82cd61dfbb957a9d875c764c0edd105785546827e0dde0319d87c14e0351"),
+    ("M", 42): (
+        EXIT_PASS,
+        "4e400e69e9e63cee32850c00e21d831e4eafd34071c4a22d34e67ea9ae2695df"),
+    ("Mprime", 0): (
+        EXIT_CHECK_FAILURE,
+        "206ccf3eadc57dd4c8374d15e66631e86ea418a3b88d38572dd14cee788304fe"),
+    ("Mprime", 42): (
+        EXIT_CHECK_FAILURE,
+        "cf3d09deb20c3b6d712ecea1cce46e422c96cd8dee833330adaa7efb14242419"),
+    ("defo:1/3", 0): (
+        EXIT_PASS,
+        "338fcda441d4aa11b92ba3573698b52aab4da3a45e9a0775d8d775c5f9390473"),
+    ("defo:1/3", 42): (
+        EXIT_PASS,
+        "d1d87ed123b65465a5b72d0f631b0c3168a27448b8d815ad22675dff7299a5e2"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CRITERIA_SHA256),
+                         ids=str)
+def test_criteria_bodies_are_pinned(name, seed, capsys):
+    code, want = CRITERIA_SHA256[name, seed]
+    assert main(["criteria", "--manifold", name, "--seed", str(seed)]) == code
+    body = json.loads(capsys.readouterr().out)["body"]
+    text = json.dumps(body, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -21,7 +21,6 @@ from nilflow.criteria import (
     butler_nonintegrability_sample,
     check_hr_presentation,
     cih_certificate,
-    minimal_centralizer_dim,
 )
 from nilflow.lie_core import AlgebraData, j_kernels
 from oracles import (
@@ -80,34 +79,52 @@ def test_centralizer_dim_case_table():
     for alg in (M.alg, MP.alg):
         _, dims = j_kernels(alg, [[1, 2, 3], [2, 1, 0], [0, 0, 0]])
         assert (dims + 3).tolist() == [4, 6, 8]
-        rng = np.random.default_rng(0)
-        assert minimal_centralizer_dim(alg, rng) == 4
 
 
 def test_butler_sample_separates_the_pair():
     rng = np.random.default_rng(33)
     cert, frac_mp = butler_nonintegrability_sample(MP.alg, 300, rng)
     assert frac_mp >= 0.99
-    assert cert.data["minimal_centralizer_dim"] == 4
+    assert cert.data["regular_dim"] == 4
     _, frac_m = butler_nonintegrability_sample(M.alg, 300, rng)
     assert frac_m == 0.0
 
 
 def test_butler_sample_matches_list_oracle():
     # the padded-array sample against the list-based one, kernel by kernel
-    # from integer_kernel, on the pair and the dim_v = 4 deformation
-    for name in ("M", "Mprime", "defo:1/3"):
+    # from integer_kernel, on the pair and the dim_v = 4 deformation; the
+    # regular dimension, the least dim ker j(Z) + dim_z over the sample, is
+    # a line plus z on the pair and ker 0 plus z on the deformation
+    for name, regular_dim in (("M", 4), ("Mprime", 4), ("defo:1/3", 2)):
         alg = get_manifold(name).alg
         for seed in (0, 3, 42, 90210):
             rng = np.random.Generator(np.random.Philox(seed))
             ref = np.random.Generator(np.random.Philox(seed))
             cert, frac = butler_nonintegrability_sample(alg, 500, rng)
+            assert cert.data["regular_dim"] == regular_dim
             assert (frac, cert.data["regular_pairs"],
                     cert.data["first_flat_witness"],
-                    cert.data["minimal_centralizer_dim"]) == \
+                    cert.data["regular_dim"]) == \
                 butler_sample_lists(alg, 500, ref)
             assert cert.data["positive_dim_fraction"] == frac
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_butler_empty_sample_has_no_regular_pair():
+    for name in ("M", "Mprime", "defo:1/3"):
+        alg = get_manifold(name).alg
+        rng = np.random.default_rng(5)
+        cert, frac = butler_nonintegrability_sample(alg, 0, rng)
+        assert frac == 0.0 and not cert.passed
+        assert [(c.name, c.passed, c.value) for c in cert.checks] == [
+            ("regular_pairs_sampled", False, 0)]
+        assert cert.data == {"samples": 0, "regular_dim": None,
+                             "regular_pairs": 0, "positive_dim_fraction": 0.0,
+                             "first_flat_witness": None}
+        assert butler_sample_lists(alg, 0, rng) == (0.0, 0, None, None)
+        # an empty sample draws nothing
+        assert rng.integers(0, 2**62) == \
+            np.random.default_rng(5).integers(0, 2**62)
 
 
 def _algebra_5(dim_z, brackets):
@@ -128,7 +145,7 @@ def test_butler_sample_brackets_every_kernel_vector_pair():
     for alg, n in ((so3, 60), (heis, 40)):
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
         cert, frac = butler_nonintegrability_sample(alg, n, rng)
-        assert minimal_centralizer_dim(alg, ref) == alg.dim_z + 3
+        assert cert.data["regular_dim"] == alg.dim_z + 3
         pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
                  for _ in range(n)]
         hits = [commutator_nonzero(alg, lam, mu) for lam, mu in pairs]
@@ -157,7 +174,6 @@ def test_batched_regular_draw_matches_per_call_oracle():
             rng = np.random.default_rng(seed)
             ref = np.random.default_rng(seed)
             cert, _ = butler_nonintegrability_sample(alg, n, rng)
-            minimal_centralizer_dim(alg, ref)
             pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
                      for _ in range(n)]
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from nilflow import suites
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -19,10 +21,11 @@ def _run_verification_module():
 
 def test_run_verification_script(monkeypatch, capsys):
     # run_verification.py has no size option and runs every suite, so it is
-    # run in-process with its suite list cut to the cheap algebra suite; the
-    # default seed 42 is the sweep of that one seed
+    # run in-process with the suite list of run_suite("all", seed) cut to
+    # the cheap algebra suite; the default seed 42 is the sweep of that one
+    # seed
     mod = _run_verification_module()
-    monkeypatch.setattr(mod, "SUITE_NAMES", ("algebra",))
+    monkeypatch.setattr(suites, "SUITE_NAMES", ("algebra",))
     monkeypatch.setattr(sys, "argv", ["run_verification.py"])
     assert mod.main() == 0
     out = capsys.readouterr().out

@@ -277,8 +277,21 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
 def test_gw_certificate_small():
     cert = spectral.gw_certificate((M, MP), 2)
     assert cert.passed
-    names = [c.name for c in cert.checks]
-    assert "kernel_lattice_length_spectra" in names
+    # the grid proof and the permutation witnesses: the lattice-bracket
+    # rows hold by construction, and the proven identity is not evaluated
+    # again on the dual points
+    assert [c.name for c in cert.checks] == ["char_poly_identity_grid",
+                                             "kernel_lattice_length_spectra"]
+
+
+def test_char_poly_identity_holds_on_the_dual_points():
+    # the grid proof covers every Z; here it is read on the 342 nonzero
+    # dual points that gw_certificate enumerates at the suite's bound 6
+    pts = spectral._dual_z_points(6)
+    pts = pts[np.any(pts != 0, axis=1)]
+    assert len(pts) == 342
+    for data in (M, MP):
+        assert spectral._char_poly_mismatches(data.alg, pts).size == 0
 
 
 def test_gw_kernel_lattices_are_lattice_intersections():
@@ -327,4 +340,3 @@ def test_char_poly_identity_failure_path():
     cert = spectral.gw_certificate((M, dataclasses.replace(MP, alg=bad)), 2)
     rows = {check.name: check.passed for check in cert.checks}
     assert rows["char_poly_identity_grid"] is False
-    assert rows["char_poly_equal_on_dual_lattice"] is False
