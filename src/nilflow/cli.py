@@ -192,12 +192,12 @@ def cmd_closed_geodesic(args):
         "tau_over_pi": fmt_value(geo.tau_over_pi),
         "a_v": fmt_value(list(geo.a_v)),
         "a_z": fmt_value(list(geo.a_z)),
-        # the construction clears the lattice coordinates of a: a is in Gamma
-        "a_in_gamma": "exact_pass",
+        "a_in_gamma": "exact_pass" if geo.in_gamma else "fail",
         "rotation_condition": "exact_pass" if geo.rotation_exact else "fail",
     }
     _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_PASS if geo.rotation_exact else EXIT_CHECK_FAILURE
+    ok = geo.in_gamma and geo.rotation_exact
+    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 
 def cmd_integrals(args):

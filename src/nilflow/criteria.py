@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
+from .flow import draw_rows
 from .lie_core import _abs_max, _primitive_rows, j_kernels
 from .report import Certificate
 from .spectral import _grid, char_poly_identity_check
@@ -56,17 +57,6 @@ def check_hr_presentation(alg, split):
 # coadjoint centralizers
 
 
-def _draw_regular_zs(alg, rng, n):
-    """The first n integer Z with |coordinates| <= 50 and last coordinate
-    nonzero in rng's stream of dim_z-vectors, as an (n, dim_z) array: one
-    draw of n rows, then draws of exactly the rows rejected so far."""
-    zs = np.empty((0, alg.dim_z), dtype=np.int64)
-    while len(zs) < n:
-        cand = rng.integers(-50, 51, size=(n - len(zs), alg.dim_z))
-        zs = np.concatenate([zs, cand[cand[:, -1] != 0]])
-    return zs
-
-
 def butler_nonintegrability_sample(alg, n_samples, rng):
     """Sampled check of the positive-dimensional-commutator condition.
 
@@ -77,7 +67,9 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     open-dense condition, not a proof of density.
     """
     cert = Certificate("butler_nonintegrability", "sampled")
-    zs = _draw_regular_zs(alg, rng, 2 * n_samples)
+    zs = draw_rows(2 * n_samples,
+                   lambda k: rng.integers(-50, 51, size=(k, alg.dim_z)),
+                   lambda z: z[:, -1] != 0)
     basis, dims = j_kernels(alg, zs)
     # dim n_lambda = dim ker j(Z) + dim_z; its least value over the sample
     # is the regular dimension, which an empty sample does not have

@@ -18,7 +18,7 @@ linear, so N RK4 steps are one matrix power and the z increments one
 quadratic form in the initial (v, V); both are summed exactly by binary
 doubling, in O(log N) batched matmuls instead of N stage evaluations.
 Generic states for the checks are drawn by rejection on whole rows of
-uniform doubles, so n states at once equal n one-state draws.
+uniform doubles (`draw_rows`), so n states at once equal n one-state draws.
 """
 
 from dataclasses import dataclass
@@ -338,6 +338,18 @@ def _generic_Z(c):
             & (ack * norm * norm >= 0.05))
 
 
+def draw_rows(n, draw, keep):
+    """The first n rows that keep (a mask or index array over a block)
+    accepts from the stream that draw(k) continues: one draw of n rows,
+    then of exactly the rows still missing, from draw(0).  The rows read
+    are a prefix of the stream, so n rows at once equal n one-row draws."""
+    rows = draw(0)
+    while len(rows) < n:
+        block = draw(n - len(rows))
+        rows = np.concatenate([rows, block[keep(block)]])
+    return rows
+
+
 def sample_generic_state(data, rng, n=None):
     """Random tangent states with generic Z and V hitting every unit frame
     direction by at least 0.05: one state with no batch axis when n is
@@ -345,26 +357,24 @@ def sample_generic_state(data, rng, n=None):
 
     A candidate is one row of rng.uniform(-1, 1) doubles laid out as
     (Z / 2, V, v, z), so Z is uniform on [-2, 2]^3 (doubling is exact).  A
-    row is kept, in draw order, when `_generic_Z` holds and V meets every
+    row is kept (`draw_rows`) when `_generic_Z` holds and V meets every
     unit frame row by at least 0.05; frames (`eigenframe`) are built only
-    for the rows whose Z passes, so its degeneracy check never fires.  One
-    draw of n rows is followed by draws of exactly the rows still missing,
-    so the rows read are a prefix of the row stream: the states and the
-    RNG state after the call are those of n one-state calls.
+    for the rows whose Z passes, so its degeneracy check never fires.
     """
     if n is not None and n < 0:
         raise ValueError(f"n must be None or a count of states >= 0, got {n}")
     dv = data.alg.dim_v
-    count = 1 if n is None else n
     width = 3 + 2 * dv + data.alg.dim_z
-    rows = np.empty((0, width))
-    while len(rows) < count:
-        cand = rng.uniform(-1.0, 1.0, size=(count - len(rows), width))
+
+    def keep(cand):  # the kept rows of a block, as indices
         Z = 2.0 * cand[:, :3]
         ok = np.flatnonzero(_generic_Z(Z))
         unit = eigenframe(data, Z[ok]).basis
         comp = np.abs(unit @ cand[ok, 3:3 + dv, None]).min(axis=(-2, -1))
-        rows = np.concatenate([rows, cand[ok[comp >= 0.05]]])
+        return ok[comp >= 0.05]
+
+    rows = draw_rows(1 if n is None else n,
+                     lambda k: rng.uniform(-1.0, 1.0, size=(k, width)), keep)
     row = rows[0] if n is None else rows
     return TangentState(row[..., 3 + dv:3 + 2 * dv], row[..., 3 + 2 * dv:],
                         row[..., 3:3 + dv], 2.0 * row[..., :3])

@@ -86,8 +86,8 @@ def _central(alg, fn, state, base, fiber):
     bv, bz = base[..., :dv], base[..., dv:]
     v, z = state.v[..., None, :], state.z[..., None, :]
     V, Z = state.V[..., None, :], state.Z[..., None, :]
-    # the bracket term is the same for +h and -h, and 0 if no row moves v
-    br = bracket_v_np(alg, v, bv) if bv.any() else 0.0
+    # the bracket term is the same for +h and -h
+    br = bracket_v_np(alg, v, bv)
 
     def shifted(s):
         return fn(TangentState(v + s * bv, z + s * bz + 0.5 * s * br,
@@ -102,15 +102,15 @@ def left_gradients_all(alg, state, fn=None):
 
     fn maps a batched TangentState to values of shape (..., n, k); it
     defaults to the eight integrals.  The state may carry batch axes on the
-    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each: the
-    stencil along the base directions, then along the fiber directions; 4
-    batched evaluations total, whatever the batch.
+    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each: one
+    stencil over the 2 dim unit directions, base rows first, so 2 batched
+    evaluations total, whatever the batch.
     """
     if fn is None:
         fn = evaluate_integrals
-    eye, zero = np.eye(alg.dim), np.zeros((alg.dim, alg.dim))
-    return (_central(alg, fn, state, eye, zero),
-            _central(alg, fn, state, zero, eye))
+    eye = np.eye(2 * alg.dim)
+    grads = _central(alg, fn, state, eye[:, :alg.dim], eye[:, alg.dim:])
+    return grads[..., :alg.dim], grads[..., alg.dim:]
 
 
 def hamiltonian_field(alg, state, B, A):

@@ -12,8 +12,8 @@ rationality, which is what makes such c dense.
 Exactness split: the construction rounds floats, batched over targets in
 numpy, onto the grid (1/bound) Z as Python-int numerators; from them each
 row's lattice element a, lattice multiple and period over pi are exact (in
-Python ints, stored as Fractions).  The initial state is a float vector
-(its defining data r, t, P_D, P_W are the exact rationals on the result).
+Python ints, stored as Fractions), and whether a lies in Gamma is read off
+them (`ClosedGeodesic.in_gamma`).  The initial state is a float vector.
 """
 
 from dataclasses import dataclass
@@ -140,10 +140,10 @@ def _norm(x):
 class ClosedGeodesic:
     """An exactly-certified closed geodesic.
 
-    a_v, a_z are exact rationals: m times the element with data (r, t,
-    P_D, P_W), m the least multiple with a_v in Z^dim_v and a_z in
-    (1/2) Z^dim_z, so a is in Gamma by construction, as is the
-    rotation condition tau c_k, tau |c| in 2 pi Z (rotation_exact).
+    a_v, a_z are exact rationals: m times the element that the
+    construction puts on its grid, m the least multiple with a_v in
+    Z^dim_v and a_z in (1/2) Z^dim_z.  in_gamma (a in Gamma) and
+    rotation_exact (tau c_k, tau |c| in 2 pi Z) read the exact fields.
     distance is the largest of |Z - Z_target|, |V - V_target| and
     |v - v_target|.
     """
@@ -153,10 +153,6 @@ class ClosedGeodesic:
     p: int
     q: int
     m: int
-    r: Fraction
-    t: Fraction
-    P_D: Fraction
-    P_W: Fraction
     tau_over_pi: Fraction
     a_v: tuple
     a_z: tuple
@@ -172,6 +168,12 @@ class ClosedGeodesic:
         """Whether tau c_k / 2 pi and tau |c| / 2 pi are integers, exactly."""
         return ((self.tau_over_pi * self.c[2] / 2).denominator == 1
                 and (self.tau_over_pi * self.norm_c / 2).denominator == 1)
+
+    @property
+    def in_gamma(self):
+        """Whether a is in log Gamma = Z^dim_v (+) (1/2) Z^dim_z, exactly."""
+        return (all(x.denominator == 1 for x in self.a_v)
+                and all(x.denominator in (1, 2) for x in self.a_z))
 
 
 def _exact_element(c, r, t, P_D, P_W):
@@ -202,15 +204,14 @@ def _closed_geodesic(c, uk, ks, bound, state, distance):
     m = lcm(q_v // gcd(q_v, *n_v), q_z // gcd(q_z, *(2 * x for x in n_z)))
     return ClosedGeodesic(
         c, Fraction(k_c, bound), uk.numerator, uk.denominator, m,
-        *(Fraction(k, bound) for k in ks[1:]),
         Fraction(2 * m * uk.denominator * bound, k_c),
         tuple(Fraction(m * x, q_v) for x in n_v),
         tuple(Fraction(m * x, q_z) for x in n_z), state, distance)
 
 
-def construct_closed_geodesic(data, targets, epsilon=0.05):
+def construct_closed_geodesic(data, targets, epsilon):
     """Exactly closed geodesics within epsilon of the targets, each with
-    its element a in Gamma by construction.
+    its element a in Gamma.
 
     targets: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0),
     one state (returns one ClosedGeodesic) or n states along a leading
@@ -410,7 +411,7 @@ def invariant_fiber_codim(data, geo, null_rows):
     space, spanned by `family_kernel` rows null_rows at geo; 1 means the
     family is a one-parameter stack of invariant level sets.  Also returns
     the largest projection of the three exact central integrals q_W, which
-    must vanish on the family."""
+    must vanish on the family: (rank, q_proj)."""
     # no integral reads z, so the left gradients (B, A) are the plain
     # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns
     grads = np.concatenate(left_gradients_all(data.alg, geo.state), axis=-1)
@@ -420,4 +421,4 @@ def invariant_fiber_codim(data, geo, null_rows):
     psv = np.linalg.svd(proj, compute_uv=False)
     rank = int(np.sum(psv > 1e-3 * max(psv[0], 1e-30)))
     q_proj = float(np.max(np.abs(proj[:3])))
-    return rank, q_proj, psv
+    return rank, q_proj

@@ -184,9 +184,9 @@ def char_poly_identity_check(*algs):
     """Exact check that each algebra's j(Z_c) has the claimed characteristic
     polynomial.
 
-    Evaluates on the integer grid {0..5}^3, which pins down the
-    degree-5-per-variable coefficient polynomials; returns (ok, witness)
-    with witness the first c of the grid where some algebra misses.
+    On the grid {0..5}^3, which proves it at every c: each coefficient has
+    degree <= 4 per coordinate (e_4 = sum Pf^2).  Returns (ok, witness),
+    witness the first c of the grid where some algebra misses.
     """
     points = _grid(np.arange(6), 3)
     bad = [i for alg in algs for i in _char_poly_mismatches(alg, points)[:1]]

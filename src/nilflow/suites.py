@@ -19,6 +19,7 @@ from .criteria import (
 )
 from .flow import (
     TangentState,
+    draw_rows,
     eigenframe,
     flow_exact_vV,
     flow_rk4_many,
@@ -98,9 +99,9 @@ def run_algebra(seed):
 
 
 def _random_rational_cs(rng, n):
-    """n random rational c-vectors, denominator-cleared to primitive
-    integer vectors (the characteristic-polynomial identity is scale
-    covariant, so clearing denominators loses nothing)."""
+    """n random rational c-vectors, each times the lcm of its denominators
+    but not divided by its gcd ((2, 2, 2) stays); the char-poly identity is
+    scale covariant, so clearing denominators loses nothing."""
     num = rng.integers(-5, 6, size=(n, 3))
     den = rng.integers(1, 5, size=(n, 3))
     scale = np.lcm.reduce(den, axis=1)
@@ -221,12 +222,9 @@ def run_integrals(seed):
         value={"rank8_count": full, "samples": 1000},
         tolerance="≥ 99%",
     )
-    # c_k = 0 and |(c_i, c_j)| >= 1/2: one draw of 100 rows, then draws of
-    # exactly the rows rejected so far
-    cij = np.empty((0, 2))
-    while len(cij) < 100:
-        cand = rng.uniform(-2, 2, size=(100 - len(cij), 2))
-        cij = np.concatenate([cij, cand[np.vecdot(cand, cand) >= 0.25]])
+    # c_k = 0 and |(c_i, c_j)| >= 1/2
+    cij = draw_rows(100, lambda k: rng.uniform(-2, 2, size=(k, 2)),
+                    lambda c: np.vecdot(c, c) >= 0.25)
     degen = TangentState(
         rng.uniform(-1, 1, size=(100, 5)), rng.uniform(-1, 1, size=(100, 3)),
         rng.uniform(-1, 1, size=(100, 5)), np.pad(cij, ((0, 0), (0, 1))),
@@ -249,14 +247,14 @@ def run_integrals(seed):
 _NICE_TARGET_CS = ((3.0, 0.0, 4.0), (0.0, 3.0, 4.0), (2.0, 1.0, 2.0))
 
 
-def _nice_geodesic(data, rng, c_bar):
-    """A closed geodesic with small period: target Z is an exact integer
-    vector with |c| and c_k/|c| rational, and epsilon = 0.45 starts the
-    grid at 1/16, doubled only on a miss, so it stays dyadic and keeps the
-    lattice multiple m (hence tau) small."""
-    target = sample_generic_state(data, rng)
-    target = TangentState(target.v, target.z, target.V, np.array(c_bar))
-    return construct_closed_geodesic(data, target, epsilon=0.45)
+def _nice_geodesics(data, rng, c_bars):
+    """Closed geodesics with small period, one per integer target Z in
+    c_bars (|c| and c_k/|c| rational), from one draw and one construction
+    call: epsilon = 0.45 starts the grid at 1/16, doubled only on a miss, so
+    it stays dyadic and keeps the lattice multiple m (hence tau) small."""
+    t = sample_generic_state(data, rng, len(c_bars))
+    targets = TangentState(t.v, t.z, t.V, np.array(c_bars))
+    return construct_closed_geodesic(data, targets, epsilon=0.45)
 
 
 def run_periodicity(seed):
@@ -268,8 +266,7 @@ def run_periodicity(seed):
     worst_forms = 0.0
     worst_flow = 0.0
     for data in (m, mp):
-        for c_bar in _NICE_TARGET_CS:
-            geo = _nice_geodesic(data, rng, c_bar)
+        for geo in _nice_geodesics(data, rng, _NICE_TARGET_CS):
             s = geo.state
             a1v, a1z = translational_element(data, s, geo.tau)
             a2v, a2z = translational_element_expanded(data, s, geo.tau)
@@ -297,8 +294,8 @@ def run_periodicity(seed):
     geos = [g for data in (m, mp) for g in construct_closed_geodesic(
         data, sample_generic_state(data, rng, 50), epsilon=0.1)]
     worst_eps = max(geo.distance for geo in geos)
-    # a is in Gamma by construction
-    successes = sum(geo.rotation_exact and geo.distance <= 0.1 for geo in geos)
+    successes = sum(geo.in_gamma and geo.rotation_exact and geo.distance <= 0.1
+                    for geo in geos)
     report.add(
         "density_construction",
         successes == 100,
@@ -309,7 +306,7 @@ def run_periodicity(seed):
 
     # family dimension and invariant fibers
     for data in (m, mp):
-        geo = _nice_geodesic(data, rng, _NICE_TARGET_CS[0])
+        geo, = _nice_geodesics(data, rng, _NICE_TARGET_CS[:1])
         kernels = [family_kernel(closure_jacobian(data, geo, h))
                    for h in (1e-4, 1e-5, 1e-6)]
         dims = [len(k) for k in kernels]
@@ -320,7 +317,7 @@ def run_periodicity(seed):
             note="nullity across FD steps 1e-4/1e-5/1e-6",
         )
         if data is m:
-            rank, q_proj, _ = invariant_fiber_codim(data, geo, kernels[0])
+            rank, q_proj = invariant_fiber_codim(data, geo, kernels[0])
             report.add(
                 "invariant_fiber_codim[M]",
                 rank == 1 and q_proj < 1e-6,

@@ -217,7 +217,7 @@ def commutator_nonzero(alg, lam, mu):
 def draw_regular_z(alg, rng):
     """An integer Z with |coordinates| <= 50 and last coordinate nonzero,
     one rng call per candidate (the oracle for the batched draw of
-    criteria._draw_regular_zs)."""
+    the Butler sample's `draw_rows`)."""
     while True:
         cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
         if cand[-1] != 0:

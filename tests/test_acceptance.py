@@ -15,15 +15,18 @@ from nilflow.suites import RUNNERS, run_suite
 
 SEED = 42
 
-# per-suite wall-clock budget = sum of the budgets of the criteria it hosts
+# per-suite wall-clock budget = sum of the budgets of the criteria it hosts:
+# 4x the worst time measured (the cold first run at seed 42 in fresh
+# interpreters and warm sweeps over seeds 0-149, on a 2-core x86_64 host),
+# rounded up to the next 0.1 s
 BUDGETS = {
-    "algebra": 1.0,       # criterion 1
-    "spectral": 0.5,      # criteria 2 + 3
-    "flow": 1.0,          # criterion 7
-    "integrals": 1.0,     # criteria 4 + 5 + 6
-    "periodicity": 1.0,   # criteria 8 + 9 + 10
-    "criteria": 0.5,      # criterion 11
-    "cih": 0.5,           # criterion 12
+    "algebra": 0.1,       # criterion 1
+    "spectral": 0.2,      # criteria 2 + 3
+    "flow": 0.2,          # criterion 7
+    "integrals": 0.6,     # criteria 4 + 5 + 6
+    "periodicity": 0.3,   # criteria 8 + 9 + 10
+    "criteria": 0.2,      # criterion 11
+    "cih": 0.2,           # criterion 12
 }
 
 
@@ -83,10 +86,10 @@ def test_criterion_03_isospectrality_hypotheses(suites):
     rep = suites.get("spectral")
     c = _check(rep, "gordon_wilson_isospectrality[M/Mprime]")
     ok = c.passed
-    _line(3, "[M,M] = 2*Lambda both brackets; kernel lattices matched by "
-             "a coordinate permutation, so length spectra equal at every R, "
-             "dual coords {-6..6} (exact)", ok,
-          f"{suites.times['spectral']:.1f}s")
+    _line(3, "char poly identity proved on the grid {0..5}^3; kernel "
+             "lattices matched by coordinate-permutation witnesses, so "
+             "length spectra equal at every R, dual coords {-6..6} (exact)",
+          ok, f"{suites.times['spectral']:.1f}s")
     assert ok
     assert _within_budget(suites, "spectral")
 

@@ -28,6 +28,7 @@ from nilflow.cli import (
     parse_state,
 )
 from nilflow.flow import sample_generic_state
+from test_faults import _m_plus_one
 
 M, MP = build_pair()
 
@@ -263,6 +264,16 @@ def test_closed_geodesic_success(tmp_path):
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
     assert doc["a_in_gamma"] == "exact_pass"
+    assert doc["rotation_condition"] == "exact_pass"
+
+
+def test_closed_geodesic_outside_gamma_exits_1(capsys, monkeypatch):
+    # with the multiple m + 1 the geodesic still closes, but a leaves Gamma
+    _m_plus_one(monkeypatch)
+    assert main(["closed-geodesic", "--seed", "3"]) == EXIT_CHECK_FAILURE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"] == 5332743108495681
+    assert doc["a_in_gamma"] == "fail"
     assert doc["rotation_condition"] == "exact_pass"
 
 

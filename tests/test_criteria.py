@@ -1,6 +1,7 @@
 """Integrability criteria and the clean-intersection certificate."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
+from nilflow import criteria
 from nilflow.criteria import (
     CIH_RECORDS,
     MAX_CIH_BOUND,
-    _draw_regular_zs,
     _first_rows,
     _projectors_exact,
     _span_projectors,
@@ -22,6 +23,7 @@ from nilflow.criteria import (
     check_hr_presentation,
     cih_certificate,
 )
+from nilflow.flow import draw_rows
 from nilflow.lie_core import AlgebraData, j_kernels
 from oracles import (
     annihilator_check,
@@ -157,29 +159,31 @@ def test_butler_sample_brackets_every_kernel_vector_pair():
     assert frac == 0.0  # heisenberg (+) R^3
 
 
-def test_batched_regular_draw_matches_per_call_oracle():
-    # the batched draw must consume rng's stream exactly as one call per
-    # candidate does; a numpy change to the stream fails here first
-    for seed in (0, 3, 7, 11, 90210):
+def test_batched_regular_draw_matches_per_call_oracle(monkeypatch):
+    # the sampler's batched draw must consume rng's stream exactly as one
+    # call per candidate does; a numpy change to the stream fails here first
+    drawn = []
+
+    def recording(*args):
+        drawn.append(draw_rows(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(criteria, "draw_rows", recording)
+    gens = (lambda s: np.random.Generator(np.random.Philox(s)),
+            np.random.default_rng)
+    for seed, gen in itertools.product((0, 3, 7, 11, 90210), gens):
         for name, n in (("M", 300), ("Mprime", 57), ("defo:1/3", 500)):
             alg = get_manifold(name).alg
-            rng = np.random.Generator(np.random.Philox(seed))
-            ref = np.random.Generator(np.random.Philox(seed))
-            zs = _draw_regular_zs(alg, rng, 2 * n)
-            assert zs.tolist() == [draw_regular_z(alg, ref)
-                                   for _ in range(2 * n)]
-            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
-            # and through the sampler: on M every regular pair is flat, so
-            # the first flat witness is the oracle's first pair
-            rng = np.random.default_rng(seed)
-            ref = np.random.default_rng(seed)
+            rng, ref = gen(seed), gen(seed)
             cert, _ = butler_nonintegrability_sample(alg, n, rng)
-            pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
-                     for _ in range(n)]
+            want = [draw_regular_z(alg, ref) for _ in range(2 * n)]
+            assert drawn.pop().tolist() == want
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+            # on M every regular pair is flat, so the first flat witness
+            # is the oracle's first pair
             if name == "M":
                 assert cert.data["first_flat_witness"] == {
-                    "lambda_z": pairs[0][0], "mu_z": pairs[0][1]}
+                    "lambda_z": want[0], "mu_z": want[1]}
 
 
 def test_annihilator_identity():

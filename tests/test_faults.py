@@ -148,9 +148,10 @@ FAULTS = {
          "criteria.hr_presentation_M_passes",
          "criteria.hr_presentation_Mprime_fails_canonical_split",
          "criteria.butler_fraction_Mprime", "criteria.butler_fraction_M"}),
-    # no row reads whether a is in Gamma: the note of density_construction
-    # says it holds by construction, and a wrong m keeps every row passing
-    "lattice_multiple_m_plus_one": (_m_plus_one, set()),
+    # tau scales with m, so only the a in Gamma test of the density rows sees
+    # it
+    "lattice_multiple_m_plus_one": (
+        _m_plus_one, {"periodicity.density_construction"}),
     # f_j = sin(2 pi v[1]): not conserved, and alive at c_k = 0
     "integral_f_j_not_conserved": (
         _integral_f_j(lambda s, out: np.sin(2 * np.pi * s.v[..., 1])),
@@ -174,10 +175,6 @@ UNMOVED = {
     "integrals.poisson_sanity_pair":
         "{v[0], V[0]} = 1 is the canonical pairing of T*N, the same for "
         "every algebra and read off coordinate functions, not the integrals",
-    "periodicity.density_construction":
-        "passes by construction: the grid is refined until every row is "
-        "within epsilon, and tau |c| / 2 pi = m q, tau c_k / 2 pi = m p hold "
-        "for every m, so the rotation condition is exact even for a wrong m",
     "criteria.hr_presentation_deformation_passes":
         "the deformation is built by build_deformation, apart from the pair "
         "that the data faults replace, and its split is exact in its "

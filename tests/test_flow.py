@@ -13,6 +13,7 @@ from nilflow.flow import (
     TangentState,
     _moments,
     default_steps,
+    draw_rows,
     eigenframe,
     flow_exact_state,
     flow_exact_vV,
@@ -221,6 +222,26 @@ def test_batched_sampler_replays_the_per_state_stream(data, bits, seed, n):
         rows = np.stack([getattr(w, field) for w in want])
         assert np.array_equal(getattr(got, field), rows[0] if n is None else rows)
     assert np.array_equal(got_rng.random(4), want_rng.random(4))
+
+
+@pytest.mark.parametrize("index", [False, True], ids=["mask", "index"])
+def test_draw_rows_reads_a_prefix_of_the_stream(index):
+    # from draw(0), one draw of n rows, then draws of exactly the rows still
+    # missing; keep may return a mask or an index array
+    sizes, stream = [], np.arange(100)[:, None]
+
+    def draw(k):
+        start = sum(sizes)
+        sizes.append(k)
+        return stream[start:start + k]
+
+    def keep(block):
+        mask = block[:, 0] % 3 != 0
+        return np.flatnonzero(mask) if index else mask
+
+    rows = draw_rows(10, draw, keep)
+    assert rows[:, 0].tolist() == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
+    assert sizes == [0, 10, 4, 1]
 
 
 def test_sampler_rejects_a_negative_count():

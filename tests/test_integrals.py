@@ -224,10 +224,11 @@ def test_batched_fd_calculus_equals_per_state(monkeypatch):
 
 
 def test_run_integrals_batches_every_check(monkeypatch):
-    # one evaluation per stencil side over each whole block of states:
-    # conservation 2, commutation 4 + 2, independence 4 + 4 (the sanity
-    # pair has its own fn); the rows are the per-state ones, e.g.
-    # commutation 1000 states x (4 x 8 gradient + 2 x 8 shifted) rows
+    # one evaluation per stencil side over each whole block of states, the
+    # gradient stencil one pass over all 16 directions: conservation 2,
+    # commutation 2 + 2, independence 2 + 2 (the sanity pair has its own
+    # fn); the rows are the per-state ones, e.g. commutation 1000 states x
+    # (2 x 16 gradient + 2 x 8 shifted) rows
     rows = []
 
     def counting(state):
@@ -238,8 +239,8 @@ def test_run_integrals_batches_every_check(monkeypatch):
     monkeypatch.setattr(integrals, "evaluate_integrals", counting)
     monkeypatch.setattr(suites, "evaluate_integrals", counting)
     report = suites.run_suite("integrals", 42)
-    assert len(rows) == 16
-    assert sum(rows) == 1000 * 21 + 1000 * (4 * 8 + 2 * 8) + 1100 * 4 * 8
+    assert len(rows) == 10
+    assert sum(rows) == 1000 * 21 + 1000 * (2 * 16 + 2 * 8) + 1100 * 2 * 16
     assert report.passed
 
 

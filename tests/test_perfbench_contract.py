@@ -4,6 +4,7 @@ manifolds its set-up builds.  perfbench is loaded from its files and left
 unchanged; a refactor that breaks one of these fails here instead of only
 in a traced benchmark run."""
 
+import ast
 import importlib.util
 import inspect
 import subprocess
@@ -54,6 +55,32 @@ def test_traced_names_are_public_functions():
     missing = [n for n in layers.FUNCTIONS if n not in found]
     assert missing == []
     assert set(layers.make_hooks(flow.default_steps)) <= set(found)
+
+
+def _unreferenced_definitions():
+    """The module-level functions and classes of src/nilflow, as
+    "module.name", that no Name, Attribute or import alias in src/nilflow
+    refers to outside their own definition."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((SRC / "nilflow").glob("*.py"))}
+    # the names each top-level statement refers to, by (module, index)
+    refs = {(mod, i): {n.id if isinstance(n, ast.Name) else
+                       n.attr if isinstance(n, ast.Attribute) else n.name
+                       for n in ast.walk(stmt)
+                       if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            for mod, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    return {f"{mod}.{stmt.name}"
+            for mod, tree in trees.items()
+            for i, stmt in enumerate(tree.body) if isinstance(stmt, defs)
+            and not any(stmt.name in names for key, names in refs.items()
+                        if key != (mod, i))}
+
+
+def test_unreferenced_code_is_only_traced_names():
+    # a function that no src code reaches may stay only while the
+    # benchmark traces it by name; anything else unreferenced is dead code
+    assert _unreferenced_definitions() <= set(layers.FUNCTIONS)
 
 
 @pytest.mark.parametrize("steps, want", [(None, 1000), (7, 7)])

@@ -1,6 +1,7 @@
 """Translational elements and the exact closed-geodesic construction."""
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm, pi
 from unittest import mock
@@ -174,14 +175,16 @@ def test_construction_closes_exactly():
     for data in (M, MP):
         target = sample_generic_state(data, rng)
         geo = construct_closed_geodesic(data, target, epsilon=0.1)
-        assert in_gamma(data, geo.a_v, geo.a_z)
+        assert in_gamma(data, geo.a_v, geo.a_z) and geo.in_gamma
         # rotation condition: tau * c_k and tau * |c| in 2 pi Z, exactly
         assert geo.rotation_exact
-        # the defining data reproduce the initial velocity's kernel part
-        beta = float(geo.r) / (2 * pi * geo.q / float(geo.norm_c))
+        # the element reproduces the initial velocity's kernel part: a_v / m
+        # = r (0, 0, c) with r = sigma beta
+        n2 = sum(x * x for x in geo.c)
+        r = sum(a * x for a, x in zip(geo.a_v[2:], geo.c)) / (geo.m * n2)
+        beta = float(r) / (2 * pi * geo.q / float(geo.norm_c))
         c = np.array([float(x) for x in geo.c])
-        n2 = float(c @ c)
-        assert geo.state.V @ np.array([0, 0, *c]) / n2 == pytest.approx(
+        assert geo.state.V @ np.array([0, 0, *c]) / float(n2) == pytest.approx(
             beta, abs=1e-12
         )
 
@@ -317,9 +320,10 @@ def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
 
 
 def test_run_periodicity_checks_each_closure_once(monkeypatch):
-    # the 100 density targets go to one batched construction call per
-    # manifold, and the eight nice geodesics to one call each; the lattice
-    # multiple m is integer arithmetic, so no Fraction solve is made
+    # one batched construction call per manifold for each block: the six
+    # translational targets, the 100 density targets and the family
+    # target; the lattice multiple m is integer arithmetic, so no Fraction
+    # solve is made
     calls = []
 
     def constructing(data, targets, **kwargs):
@@ -332,9 +336,8 @@ def test_run_periodicity_checks_each_closure_once(monkeypatch):
     monkeypatch.setattr(linalg_exact, "solve", solving)
     monkeypatch.setattr(suites, "construct_closed_geodesic", constructing)
     assert suites.run_periodicity(42).passed
-    assert calls == (
-        [("M", (3,))] * 3 + [("Mprime", (3,))] * 3
-        + [("M", (50, 3)), ("Mprime", (50, 3)), ("M", (3,)), ("Mprime", (3,))])
+    assert calls == [(name, (k, 3)) for k in (3, 50, 1)
+                     for name in ("M", "Mprime")]
 
 
 def _nice(states):
@@ -350,9 +353,8 @@ def _row(states, i):
 
 def _fields(geo):
     """Every ClosedGeodesic field, the state as its bytes."""
-    return (geo.c, geo.norm_c, geo.p, geo.q, geo.m, geo.r, geo.t, geo.P_D,
-            geo.P_W, geo.tau_over_pi, geo.a_v, geo.a_z,
-            geo.state.flat().tobytes(), geo.distance)
+    return (geo.c, geo.norm_c, geo.p, geo.q, geo.m, geo.tau_over_pi,
+            geo.a_v, geo.a_z, geo.state.flat().tobytes(), geo.distance)
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,8 +375,7 @@ def test_batched_construction_equals_one_call_per_target(seed, data, n,
         one = construct_closed_geodesic(data, _row(targets, i),
                                         epsilon=epsilon)
         assert _fields(geo) == _fields(one)
-        assert all(isinstance(x, Fraction) for x in
-                   geo.c + geo.a_v + geo.a_z + (geo.r, geo.t, geo.P_D, geo.P_W))
+        assert all(isinstance(x, Fraction) for x in geo.c + geo.a_v + geo.a_z)
         # the integer lattice multiple against the Fraction coordinates
         coords = (lattice_coordinates(lat_v, [x / geo.m for x in geo.a_v])
                   + lattice_coordinates(lat_z, [x / geo.m for x in geo.a_z]))
@@ -516,11 +517,12 @@ def test_lattice_multiple_is_minimal():
         targets = [sample_generic_state(data, rng) for _ in range(10)]
         geos = [construct_closed_geodesic(data, t, epsilon=0.1)
                 for t in targets]
-        geos += [suites._nice_geodesic(data, rng, c)
-                 for c in suites._NICE_TARGET_CS]
+        geos += suites._nice_geodesics(data, rng, suites._NICE_TARGET_CS)
         for geo in geos:
-            assert in_gamma(data, geo.a_v, geo.a_z)
+            assert in_gamma(data, geo.a_v, geo.a_z) and geo.in_gamma
             assert geo.m < 3 * 10**24
             for p in _prime_factors(geo.m):
-                assert not in_gamma(data, [x / p for x in geo.a_v],
-                                    [x / p for x in geo.a_z])
+                a_v = tuple(x / p for x in geo.a_v)
+                a_z = tuple(x / p for x in geo.a_z)
+                assert not in_gamma(data, a_v, a_z)
+                assert not replace(geo, a_v=a_v, a_z=a_z).in_gamma
