@@ -9,7 +9,11 @@ phi(x) = exp(-1/x^2) at x = c_k |c|^2 and the kernel-return map C(Z).
 
 Gradients are *left* gradients: the base part B differentiates along
 right-multiplication by exp(h e) (so it is frame-covariant), the fiber
-part A is the plain velocity-space gradient.
+part A is the plain velocity-space gradient.  The eight integrals have
+them in closed form (`_gradients`), which the Hamiltonian fields of
+`poisson_matrix` and the independence rank read; any other function gets
+them from one central-difference stencil.  The brackets are the same
+stencil, step FD_STEP, of the values along the Hamiltonian fields.
 """
 
 import numpy as np
@@ -33,6 +37,29 @@ def phi(x):
     return out
 
 
+def _parts(state):
+    """What the integrals and their gradients share, batched like the
+    state: c = (c_i, c_j, c_k), n2 = |c|^2, the printed frame (rows, theta)
+    of j(Z) with e = rows V, x = c_k |c|^2 and phi(x), the live mask (phi
+    does not underflow), d = x on it and 1 off it, and the pair
+    cx = C(Z) V_Y = N / d and arg = (v_i, v_j) - cx of f_i, f_j."""
+    v, V, Z = state.v, state.V, state.Z
+    ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
+    n2 = ci * ci + cj * cj + ck * ck
+    # <V, E_m> and <V, Y_c> in the printed frame of M
+    rows, theta = _frame_M(Z)
+    e = np.einsum("...mp,...p->...m", rows, V)
+    x = ck * n2
+    bump = phi(x)
+    live = bump > 0.0
+    d = np.where(live, x, 1.0)
+    yi, yj, yk = V[..., 2], V[..., 3], V[..., 4]
+    cx = np.stack(
+        [(-ci * cj * yi + (ci * ci + ck * ck) * yj - cj * ck * yk) / d,
+         (-(cj * cj + ck * ck) * yi + ci * cj * yj + ci * ck * yk) / d], -1)
+    return (ci, cj, ck), n2, rows, theta, e, bump, live, d, cx, v[..., :2] - cx
+
+
 def evaluate_integrals(state):
     """All eight integrals at a TangentState, batched over the leading axes
     of its arrays (z is not read).
@@ -41,29 +68,14 @@ def evaluate_integrals(state):
     zero branch (exactly 0) wherever phi(c_k |c|^2) underflows, which
     keeps the values finite through the degenerate cone c_k = 0.
     """
-    v, V, Z = state.v, state.V, state.Z
-    ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
-    n2 = ci * ci + cj * cj + ck * ck
-    # <V, E_m> and <V, Y_c> in the printed frame of M
-    e = np.einsum("...mp,...p->...m", _frame_M(Z)[0], V)
+    c, _, _, _, e, bump, live, _, _, arg = _parts(state)
     h1 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
     h2 = e[..., 2] * e[..., 2] + e[..., 3] * e[..., 3]
-    kk = e[..., 4]
-
-    bump = phi(ck * n2)
-    live = bump > 0.0
-    d = np.where(live, ck * n2, 1.0)
-    yi, yj, yk = V[..., 2], V[..., 3], V[..., 4]
-    cx_i = (-ci * cj * yi + (ci * ci + ck * ck) * yj - cj * ck * yk) / d
-    cx_j = (-(cj * cj + ck * ck) * yi + ci * cj * yj + ci * ck * yk) / d
-    arg_i = v[..., 0] - cx_i
-    arg_j = v[..., 1] - cx_j
-    f_i = np.where(live, bump * np.sin(2.0 * np.pi * arg_i), 0.0)
-    f_j = np.where(live, bump * np.sin(2.0 * np.pi * arg_j), 0.0)
-
+    f = np.where(live[..., None], bump[..., None] * np.sin(2.0 * np.pi * arg),
+                 0.0)
     return np.stack(
-        [np.broadcast_to(ci, h1.shape), np.broadcast_to(cj, h1.shape),
-         np.broadcast_to(ck, h1.shape), h1, h2, kk, f_i, f_j],
+        [np.broadcast_to(w, h1.shape) for w in c]
+        + [h1, h2, e[..., 4], f[..., 0], f[..., 1]],
         axis=-1,
     )
 
@@ -97,17 +109,69 @@ def _central(alg, fn, state, base, fiber):
     return np.swapaxes(shifted(h) - shifted(-h), -1, -2) / (2.0 * h)
 
 
-def left_gradients_all(alg, state, fn=None):
-    """Central-difference left gradients of the functions fn evaluates.
+def _gradients(state):
+    """Closed-form left gradients (B, A) of the eight integrals, shapes
+    (..., 8, 8) each.
 
-    fn maps a batched TangentState to values of shape (..., n, k); it
-    defaults to the eight integrals.  The state may carry batch axes on the
-    left of its arrays.  Returns (B, A) with shapes (..., k, dim) each: one
+    No integral reads z, so B = (dF/dv, 0), and only f_i, f_j read v.  h1,
+    h2 and k are read off e = R V, R the printed rows of `_frame_M`, so
+    de/dV = R and only dR/dZ V is written out.  f = phi(x) sin(2 pi arg)
+    with phi' = 2 phi / x^3, and the rational parts (arg and x) are
+    + - x / only.  The f rows are 0 where phi underflows, the zero branch
+    of `evaluate_integrals`.
+    """
+    (ci, cj, ck), n2, rows, theta, e, bump, live, d, cx, arg = _parts(state)
+    x0, x1, y0, y1, y2 = np.moveaxis(state.V, -1, 0)
+    B = np.zeros(n2.shape + (8, 8))
+    A = np.zeros(n2.shape + (8, 8))
+    A[..., (0, 1, 2), (5, 6, 7)] = 1.0
+    # h1, h2 = sums of e_m^2 over a plane's pair m, k = e_4
+    te = 2.0 * e
+    A[..., 3:5, :5] = (te[..., 0:4:2, None] * rows[..., 0:4:2, :]
+                       + te[..., 1:4:2, None] * rows[..., 1:4:2, :])
+    A[..., 5, :5] = rows[..., 4, :]
+    A[..., 3, 5] = te[..., 0] * x0 + te[..., 1] * y1
+    A[..., 3, 6] = te[..., 0] * x1 - te[..., 1] * y0
+    # e_2 = |c| (c_j x_0 - c_i x_1): de_2/dZ = c e_2 / n2 + |c| (-x_1, x_0, 0)
+    q, u, w = te[..., 2] * e[..., 2] / n2, te[..., 2] * theta[..., 1], te[..., 3]
+    A[..., 4, 5] = q * ci - u * x1 + w * (ck * y0 - 2.0 * ci * y2)
+    A[..., 4, 6] = q * cj + u * x0 + w * (ck * y1 - 2.0 * cj * y2)
+    A[..., 4, 7] = q * ck + w * (ci * y0 + cj * y1)
+    A[..., 5, 5:] = state.V[..., 2:]
+    # arg = (v_i, v_j) - N / d with N = P (y_0, y_1, y_2); dn and dx are
+    # the Z-gradients of N and x
+    pair = n2.shape + (2, 3)
+    p = np.stack([-ci * cj, ci * ci + ck * ck, -cj * ck,
+                  -(cj * cj + ck * ck), ci * cj, ci * ck], -1).reshape(pair)
+    dn = np.stack([-cj * y0 + 2.0 * ci * y1, -ci * y0 - ck * y2,
+                   2.0 * ck * y1 - cj * y2, cj * y1 + ck * y2,
+                   -2.0 * cj * y0 + ci * y1, -2.0 * ck * y0 + ci * y2],
+                  -1).reshape(pair)
+    dx = np.stack([2.0 * ck * ci, 2.0 * ck * cj, n2 + 2.0 * ck * ck], -1)
+    amp = np.where(live[..., None], 2.0 * np.pi * bump[..., None]
+                   * np.cos(2.0 * np.pi * arg), 0.0)
+    slope = np.where(live[..., None], (2.0 * bump / (d * d * d))[..., None]
+                     * np.sin(2.0 * np.pi * arg), 0.0)
+    ad = (amp / d[..., None])[..., None]
+    B[..., (6, 7), (0, 1)] = amp
+    A[..., 6:, 2:5] = -ad * p
+    A[..., 6:, 5:] = (slope[..., None] * dx[..., None, :]
+                      - ad * (dn - cx[..., None] * dx[..., None, :]))
+    return B, A
+
+
+def left_gradients_all(alg, state, fn=None):
+    """Left gradients (B, A) of the functions fn evaluates, shapes
+    (..., k, dim) each for a state with batch axes (...).
+
+    With fn None they are the closed-form gradients of the eight integrals
+    (`_gradients`).  Otherwise fn maps a batched TangentState to values of
+    shape (..., n, k), and the gradients are central differences: one
     stencil over the 2 dim unit directions, base rows first, so 2 batched
     evaluations total, whatever the batch.
     """
     if fn is None:
-        fn = evaluate_integrals
+        return _gradients(state)
     eye = np.eye(2 * alg.dim)
     grads = _central(alg, fn, state, eye[:, :alg.dim], eye[:, alg.dim:])
     return grads[..., :alg.dim], grads[..., alg.dim:]
@@ -134,22 +198,22 @@ def poisson_matrix(alg, state, fn=None):
     evaluates (default: the eight integrals), shape (..., k, k) for a state
     with batch axes (...).
 
-    Gradients are batched; the stencil along the k Hamiltonian fields is
-    then two more batched evaluations.
+    The fields are built from the gradients (closed form for the
+    integrals, the FD stencil for fn); the stencil along the k Hamiltonian
+    fields is then two batched evaluations.
     """
-    if fn is None:
-        fn = evaluate_integrals
     B, A = left_gradients_all(alg, state, fn)
-    return _central(alg, fn, state, *hamiltonian_field(alg, state, B, A))
+    return _central(alg, evaluate_integrals if fn is None else fn, state,
+                    *hamiltonian_field(alg, state, B, A))
 
 
 RANK_THRESHOLD = 1e-7
 
 
 def independence_rank(alg, state):
-    """Rank of the eight left gradients as vectors in R^16: an int for a
-    single state, an int array of shape (...) for a state with batch axes
-    (...).
+    """Rank of the eight closed-form left gradients as vectors in R^16: an
+    int for a single state, an int array of shape (...) for a state with
+    batch axes (...).
 
     Rows are normalized to unit length first (zero rows stay zero) so the
     flat factor phi cannot mask directions that are genuinely present; a

@@ -23,7 +23,7 @@ BUDGETS = {
     "algebra": 0.1,       # criterion 1
     "spectral": 0.2,      # criteria 2 + 3
     "flow": 0.2,          # criterion 7
-    "integrals": 0.6,     # criteria 4 + 5 + 6
+    "integrals": 0.4,     # criteria 4 + 5 + 6
     "periodicity": 0.3,   # criteria 8 + 9 + 10
     "criteria": 0.2,      # criterion 11
     "cih": 0.2,           # criterion 12
@@ -236,7 +236,7 @@ def test_criterion_13_determinism(verify_runs):
 # value lists the moved values and records the new hash here and in
 # ROADMAP.md.
 BODY_SHA256_SEED_42 = (
-    "f238c53983967c842923d56e14d017b0473fff64e68a6099a3b30c2ce56c86c1"
+    "a2d13024fad420a45ea8c12f47aabcf066ce6811b3fd9bdda99ba25f8f031fc8"
 )
 
 
@@ -248,10 +248,10 @@ def test_report_body_hash_is_pinned(verify_runs):
 # the same hash at two more seeds, so that a change cannot move a value
 # that seed 42 happens not to reach
 BODY_SHA256_SEED_7 = (
-    "86066193b9637d1e04a935dd6864c90ffc6b386c3a9c89c8b0781a98379c1f29"
+    "4f640b1f6ee4779e5b00b9404a4fb58ebebd46b012b13caaa891facc83c5b825"
 )
 BODY_SHA256_SEED_90210 = (
-    "ee47e13cd88a1a59d243ba3716633d6ec32acdd21f52a8ecb916d33385733605"
+    "7afc489bf1758629c5bdf9d4c6f63ce3ea7001d8a7101d7e4c15113c6027f169"
 )
 
 

@@ -644,7 +644,7 @@ CLI_SHA256 = {
     "integrals-M":
         "e63783d95ce39ea2f355b283d27589fa5dd6767030ff92e124d62c3529a4358c",
     "poisson-M":
-        "7b5bca3687fa4215fae3f724dc1c3ea266a2bc96a1ebef700daefee771e52967",
+        "8582d17e982bb2ca204ded92735f60fb3994b3af7724d9ca859343eb827bb61c",
     "closed-geodesic-M-0":
         "1591bc4f2004b9d899b7d52bebb54cb705b386fc93653aa1085791126b38eb82",
     "closed-geodesic-M-7":

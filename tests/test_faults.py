@@ -3,10 +3,10 @@ its set of rows at seed 42.
 
 A fault of the manifold data replaces `catalog._build_pair`, which every
 suite reads through `build_pair`; a fault of the code wraps one function
-(the lattice multiple m, the integrals, the CIH projectors, the
-Pfaffians).  The suites then run one at a time.  A row that no fault can
-turn false shows nothing, so every row that none of these faults moves is
-listed with the reason it cannot fail here.
+(the lattice multiple m, the integrals or their closed-form gradients,
+the CIH projectors, the Pfaffians).  The suites then run one at a time.
+A row that no fault can turn false shows nothing, so every row that none
+of these faults moves is listed with the reason it cannot fail here.
 """
 
 from dataclasses import replace
@@ -68,9 +68,24 @@ def _m_plus_one(mp):
     mp.setattr(periodicity, "_closed_geodesic", wrong)
 
 
-def _integral_f_j(f_j):
+def _gradient_f_j(grad):
+    """The fault that replaces the closed-form gradient row of f_j
+    (`integrals._gradients`) by grad(state, B, A) -> (b, a)."""
+    def apply(mp):
+        real = integrals._gradients
+
+        def wrong(state):
+            B, A = real(state)
+            B[..., 7, :], A[..., 7, :] = grad(state, B, A)
+            return B, A
+        mp.setattr(integrals, "_gradients", wrong)
+    return apply
+
+
+def _integral_f_j(f_j, grad):
     """The fault that replaces the integral f_j of evaluate_integrals by
-    f_j(state, values)."""
+    f_j(state, values), and its closed-form gradient by the replacement's
+    own, grad as in `_gradient_f_j`."""
     def apply(mp):
         real = integrals.evaluate_integrals
 
@@ -80,7 +95,19 @@ def _integral_f_j(f_j):
             return out
         mp.setattr(integrals, "evaluate_integrals", wrong)
         mp.setattr(suites, "evaluate_integrals", wrong)
+        _gradient_f_j(grad)(mp)
     return apply
+
+
+def _sin_v_j_gradient(state, B, A):
+    """The left gradient of sin(2 pi v[1]): only dv[1] is nonzero."""
+    b = np.zeros_like(B[..., 7, :])
+    b[..., 1] = 2 * np.pi * np.cos(2 * np.pi * state.v[..., 1])
+    return b, 0.0
+
+
+def _f_i_gradient(state, B, A):
+    return B[..., 6, :], A[..., 6, :]
 
 
 def _adjugate_perturbed(mp):
@@ -154,14 +181,21 @@ FAULTS = {
         _m_plus_one, {"periodicity.density_construction"}),
     # f_j = sin(2 pi v[1]): not conserved, and alive at c_k = 0
     "integral_f_j_not_conserved": (
-        _integral_f_j(lambda s, out: np.sin(2 * np.pi * s.v[..., 1])),
+        _integral_f_j(lambda s, out: np.sin(2 * np.pi * s.v[..., 1]),
+                      _sin_v_j_gradient),
         {"integrals.conservation_drift", "integrals.poisson_commutation",
          "integrals.independence_rank_degenerate",
          "periodicity.invariant_fiber_codim[M]"}),
     # f_j = f_i: conserved and in involution, but dependent
     "integral_f_j_is_f_i": (
-        _integral_f_j(lambda s, out: out[..., 6]),
+        _integral_f_j(lambda s, out: out[..., 6], _f_i_gradient),
         {"integrals.independence_rank_generic"}),
+    # the closed form alone says grad f_j = grad f_i, while the values of
+    # f_j are right
+    "gradient_f_j_is_f_i": (
+        _gradient_f_j(_f_i_gradient),
+        {"integrals.gradient_forms_agree",
+         "integrals.independence_rank_generic"}),
     "projector_adjugate_perturbed": (
         _adjugate_perturbed,
         {"cih.clean_intersection[M]", "cih.clean_intersection[Mprime]"}),

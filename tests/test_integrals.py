@@ -106,6 +106,36 @@ def test_h1_gradient_analytic():
     assert np.allclose(A[3][:5], want, atol=1e-7)
 
 
+def test_closed_form_gradients_match_the_fd_stencil():
+    rng = np.random.default_rng(24)
+    s = sample_generic_state(M, rng, 1000)
+    fd = np.concatenate(left_gradients_all(M.alg, s, evaluate_integrals), -1)
+    gap = np.concatenate(left_gradients_all(M.alg, s), -1) - fd
+    rel = np.linalg.norm(gap, axis=-1) / np.linalg.norm(fd, axis=-1)
+    assert np.max(rel) <= suites.GRADIENT_TOL
+
+
+def test_closed_form_f_rows_vanish_at_ck_zero():
+    rng = np.random.default_rng(26)
+    s = sample_generic_state(M, rng, 100)
+    s.Z[:, 2] = 0.0
+    B, A = left_gradients_all(M.alg, s)
+    assert np.all(B[:, 6:] == 0.0) and np.all(A[:, 6:] == 0.0)
+    assert np.any(A[:, :6] != 0.0)
+
+
+def test_closed_form_brackets_vanish_bilinearly():
+    # {F_a, F_b} = B_a . base_b + A_a . fiber_b on the Hamiltonian fields,
+    # with no finite difference anywhere
+    rng = np.random.default_rng(28)
+    s = sample_generic_state(M, rng, 1000)
+    B, A = left_gradients_all(M.alg, s)
+    base, fiber = hamiltonian_field(M.alg, s, B, A)
+    br = B @ np.swapaxes(base, -1, -2) + A @ np.swapaxes(fiber, -1, -2)
+    assert np.max(np.abs(br)) <= 1e-10
+    assert np.max(np.abs(br + np.swapaxes(br, -1, -2))) <= 1e-10
+
+
 def test_energy_field_is_geodesic_field():
     rng = np.random.default_rng(10)
     s = sample_generic_state(M, rng)
@@ -181,8 +211,8 @@ def _sanity_pair(st):
 def test_batched_fd_calculus_equals_per_state(monkeypatch):
     # states on the degenerate cone c_k = 0 (first, so that a threshold
     # taken from the first state's spectrum would show) plus generic states;
-    # the batch runs the same FD stencils, so every row is bitwise the
-    # per-state one
+    # the batch runs the same closed form and FD stencils, so every row is
+    # bitwise the per-state one
     rng = np.random.default_rng(22)
     states = []
     for _ in range(8):
@@ -195,10 +225,11 @@ def test_batched_fd_calculus_equals_per_state(monkeypatch):
     flats = np.stack([s.flat() for s in states])
     batch = state_from_flat(M.alg, flats)
     B, A = left_gradients_all(M.alg, batch)
+    Bf, Af = left_gradients_all(M.alg, batch, evaluate_integrals)
     mats = poisson_matrix(M.alg, batch)
     sanity = poisson_matrix(M.alg, batch, fn=_sanity_pair)
     ranks = independence_rank(M.alg, batch)
-    assert B.shape == A.shape == (32, 8, 8)
+    assert B.shape == A.shape == Bf.shape == Af.shape == (32, 8, 8)
     assert mats.shape == (32, 8, 8) and sanity.shape == (32, 2, 2)
     assert ranks.shape == (32,)
     assert list(ranks) == [6] * 8 + [8] * 24
@@ -207,6 +238,8 @@ def test_batched_fd_calculus_equals_per_state(monkeypatch):
     for i, s in enumerate(states):
         b1, a1 = left_gradients_all(M.alg, s)
         assert np.array_equal(B[i], b1) and np.array_equal(A[i], a1)
+        b1, a1 = left_gradients_all(M.alg, s, evaluate_integrals)
+        assert np.array_equal(Bf[i], b1) and np.array_equal(Af[i], a1)
         assert np.array_equal(mats[i], poisson_matrix(M.alg, s))
         assert np.array_equal(sanity[i], poisson_matrix(M.alg, s, fn=_sanity_pair))
         rank = independence_rank(M.alg, s)
@@ -224,11 +257,12 @@ def test_batched_fd_calculus_equals_per_state(monkeypatch):
 
 
 def test_run_integrals_batches_every_check(monkeypatch):
-    # one evaluation per stencil side over each whole block of states, the
-    # gradient stencil one pass over all 16 directions: conservation 2,
-    # commutation 2 + 2, independence 2 + 2 (the sanity pair has its own
-    # fn); the rows are the per-state ones, e.g. commutation 1000 states x
-    # (2 x 16 gradient + 2 x 8 shifted) rows
+    # one evaluation per stencil side over each whole block of states:
+    # conservation 2, commutation 2 along the 8 Hamiltonian fields, and the
+    # gradient consistency row 2 over all 16 directions of its 100 states;
+    # the gradients of the commutation and independence blocks are closed
+    # form, and the sanity pair has its own fn; the rows are the per-state
+    # ones, e.g. commutation 1000 states x 2 x 8 shifted rows
     rows = []
 
     def counting(state):
@@ -239,8 +273,8 @@ def test_run_integrals_batches_every_check(monkeypatch):
     monkeypatch.setattr(integrals, "evaluate_integrals", counting)
     monkeypatch.setattr(suites, "evaluate_integrals", counting)
     report = suites.run_suite("integrals", 42)
-    assert len(rows) == 10
-    assert sum(rows) == 1000 * 21 + 1000 * (2 * 16 + 2 * 8) + 1100 * 2 * 16
+    assert len(rows) == 6
+    assert sum(rows) == 1000 * 21 + 1000 * 2 * 8 + 100 * 2 * 16
     assert report.passed
 
 
