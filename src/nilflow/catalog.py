@@ -5,7 +5,7 @@ quaternion sign table, and the isospectral deformation family.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -66,34 +66,49 @@ def _pair_algebras():
     return AlgebraData(m), AlgebraData(mp)
 
 
-def _frame_rows(Z):
-    """The rows M and M' share: E4 = c_k (c_i Y_i + c_j Y_j) - (c_i^2 + c_j^2)
-    Y_k and Y_c = c_i Y_i + c_j Y_j + c_k Y_k; frequencies (c_k, |c|)."""
-    Z = np.asarray(Z, float)
-    ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
+def _shared(Z):
+    """(c_i, c_j, c_k, |c|) and the rows M and M' share, E4 = c_k (c_i Y_i
+    + c_j Y_j) - (c_i^2 + c_j^2) Y_k and Y_c = c_i Y_i + c_j Y_j + c_k Y_k,
+    as nonzero entries (row, column, value) in the order np.einsum sums a
+    row's products (columns 2, 4, 3), so a sum over them is bit for bit
+    the product with the dense row."""
+    ci, cj, ck = np.moveaxis(np.asarray(Z, float), -1, 0)
     rho2 = ci * ci + cj * cj
-    theta = np.empty(Z.shape[:-1] + (2,))
-    theta[..., 0] = ck
-    theta[..., 1] = np.sqrt(rho2 + ck * ck)
-    rows = np.zeros(Z.shape[:-1] + (5, 5))
-    rows[..., 3, 2:4] = Z[..., 2:] * Z[..., :2]
-    rows[..., 3, 4] = -rho2
-    rows[..., 4, 2:] = Z
+    return ci, cj, ck, np.sqrt(rho2 + ck * ck), (
+        (3, 2, ck * ci), (3, 4, -rho2), (3, 3, ck * cj), (4, 2, ci),
+        (4, 4, ck), (4, 3, cj))
+
+
+def _entries_M(Z):
+    """M's printed rows as entries, and the frequencies (c_k, |c|):
+    E1 = c_i X_i + c_j X_j, E2 = -c_j Y_i + c_i Y_j, E3 = |c| (c_j X_i -
+    c_i X_j), then the shared rows."""
+    ci, cj, ck, n, shared = _shared(Z)
+    return ((0, 0, ci), (0, 1, cj), (1, 2, -cj), (1, 3, ci), (2, 0, n * cj),
+            (2, 1, -(n * ci))) + shared, (ck, n)
+
+
+def _entries_Mprime(Z):
+    """E1 = X_i, E2 = X_j, E3 = |c| (c_j Y_i - c_i Y_j), then the shared
+    rows."""
+    ci, cj, ck, n, shared = _shared(Z)
+    return ((0, 0, 1.0), (1, 1, 1.0), (2, 2, n * cj),
+            (2, 3, -(n * ci))) + shared, (ck, n)
+
+
+def _dense(entries, Z):
+    """The printed frame (rows, theta) of `NilmanifoldData.frame`, entries(Z)
+    scattered into dense (..., 5, 5) rows."""
+    at, (ck, n) = entries(Z)
+    rows, theta = np.zeros(n.shape + (5, 5)), np.empty(n.shape + (2,))
+    for r, col, x in at:
+        rows[..., r, col] = x
+    theta[..., 0], theta[..., 1] = ck, n
     return rows, theta
 
 
-_FLIP = np.array([1.0, -1.0])
-
-
-def _frame_M(Z):
-    """E1 = c_i X_i + c_j X_j, E2 = -c_j Y_i + c_i Y_j,
-    E3 = |c| (c_j X_i - c_i X_j)."""
-    rows, theta = _frame_rows(Z)
-    cji = rows[..., 4, 3:1:-1]  # (c_j, c_i)
-    rows[..., 0, :2] = rows[..., 4, 2:4]
-    rows[..., 1, 2:4] = cji * -_FLIP
-    rows[..., 2, :2] = theta[..., 1:] * cji * _FLIP
-    return rows, theta
+_frame_M = partial(_dense, _entries_M)
+_frame_Mprime = partial(_dense, _entries_Mprime)
 
 
 def _drift_M(c, v, al, n2):
@@ -104,14 +119,6 @@ def _drift_M(c, v, al, n2):
     rho2 = ci * ci + cj * cj
     return (al[..., 1] - ck / rho2 * (xi * ci + xj * cj),
             al[..., 3] - (xi * cj - xj * ci) / rho2)
-
-
-def _frame_Mprime(Z):
-    """E1 = X_i, E2 = X_j, E3 = |c| (c_j Y_i - c_i Y_j)."""
-    rows, theta = _frame_rows(Z)
-    rows[..., 0, 0] = rows[..., 1, 1] = 1.0
-    rows[..., 2, 2:4] = theta[..., 1:] * rows[..., 4, 3:1:-1] * _FLIP
-    return rows, theta
 
 
 def _drift_Mprime(c, v, al, n2):

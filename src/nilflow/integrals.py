@@ -11,14 +11,16 @@ Gradients are *left* gradients: the base part B differentiates along
 right-multiplication by exp(h e) (so it is frame-covariant), the fiber
 part A is the plain velocity-space gradient.  The eight integrals have
 them in closed form (`_gradients`), which the Hamiltonian fields of
-`poisson_matrix` and the independence rank read; any other function gets
-them from one central-difference stencil.  The brackets are the same
-stencil, step FD_STEP, of the values along the Hamiltonian fields.
+`poisson_matrix` read; any other function gets them from one
+central-difference stencil.  The brackets are the same stencil, step
+FD_STEP, of the values along the Hamiltonian fields.  The rank is read
+off the closed form's blocks, 3 + [amp_i != 0] + [amp_j != 0] + [(e_0,
+e_1) != 0] + [(e_2, e_3) != 0] + [c != 0]: 8 off a proper analytic set.
 """
 
 import numpy as np
 
-from .catalog import _frame_M
+from .catalog import _entries_M
 from .flow import TangentState
 from .lie_core import bracket_v_np, j_matrix_np
 
@@ -39,16 +41,18 @@ def phi(x):
 
 def _parts(state):
     """What the integrals and their gradients share, batched like the
-    state: c = (c_i, c_j, c_k), n2 = |c|^2, the printed frame (rows, theta)
-    of j(Z) with e = rows V, x = c_k |c|^2 and phi(x), the live mask (phi
-    does not underflow), d = x on it and 1 off it, and the pair
-    cx = C(Z) V_Y = N / d and arg = (v_i, v_j) - cx of f_i, f_j."""
+    state: c = (c_i, c_j, c_k), n2 = |c|^2, the printed rows R of M as
+    their nonzero entries and |c|, the list e = R V (summed over the
+    entries), x = c_k |c|^2 and phi(x), the live mask (phi does not
+    underflow), d = x on it and 1 off it, and the pair cx = C(Z) V_Y = N /
+    d and arg = (v_i, v_j) - cx of f_i, f_j."""
     v, V, Z = state.v, state.V, state.Z
     ci, cj, ck = Z[..., 0], Z[..., 1], Z[..., 2]
     n2 = ci * ci + cj * cj + ck * ck
     # <V, E_m> and <V, Y_c> in the printed frame of M
-    rows, theta = _frame_M(Z)
-    e = np.einsum("...mp,...p->...m", rows, V)
+    at, (_, norm), e = *_entries_M(Z), [None] * 5
+    for m, p, r in at:
+        e[m] = r * V[..., p] if e[m] is None else e[m] + r * V[..., p]
     x = ck * n2
     bump = phi(x)
     live = bump > 0.0
@@ -57,7 +61,7 @@ def _parts(state):
     cx = np.stack(
         [(-ci * cj * yi + (ci * ci + ck * ck) * yj - cj * ck * yk) / d,
          (-(cj * cj + ck * ck) * yi + ci * cj * yj + ci * ck * yk) / d], -1)
-    return (ci, cj, ck), n2, rows, theta, e, bump, live, d, cx, v[..., :2] - cx
+    return (ci, cj, ck), n2, at, norm, e, bump, live, d, cx, v[..., :2] - cx
 
 
 def evaluate_integrals(state):
@@ -69,13 +73,12 @@ def evaluate_integrals(state):
     keeps the values finite through the degenerate cone c_k = 0.
     """
     c, _, _, _, e, bump, live, _, _, arg = _parts(state)
-    h1 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
-    h2 = e[..., 2] * e[..., 2] + e[..., 3] * e[..., 3]
     f = np.where(live[..., None], bump[..., None] * np.sin(2.0 * np.pi * arg),
                  0.0)
     return np.stack(
-        [np.broadcast_to(w, h1.shape) for w in c]
-        + [h1, h2, e[..., 4], f[..., 0], f[..., 1]],
+        [np.broadcast_to(w, e[4].shape) for w in c]
+        + [e[0] * e[0] + e[1] * e[1], e[2] * e[2] + e[3] * e[3], e[4],
+           f[..., 0], f[..., 1]],
         axis=-1,
     )
 
@@ -114,26 +117,26 @@ def _gradients(state):
     (..., 8, 8) each.
 
     No integral reads z, so B = (dF/dv, 0), and only f_i, f_j read v.  h1,
-    h2 and k are read off e = R V, R the printed rows of `_frame_M`, so
-    de/dV = R and only dR/dZ V is written out.  f = phi(x) sin(2 pi arg)
+    h2 and k are read off e = R V, R the printed rows of M, so de/dV = R
+    and only dR/dZ V is written out.  f = phi(x) sin(2 pi arg)
     with phi' = 2 phi / x^3, and the rational parts (arg and x) are
     + - x / only.  The f rows are 0 where phi underflows, the zero branch
     of `evaluate_integrals`.
     """
-    (ci, cj, ck), n2, rows, theta, e, bump, live, d, cx, arg = _parts(state)
+    (ci, cj, ck), n2, at, norm, e, bump, live, d, cx, arg = _parts(state)
     x0, x1, y0, y1, y2 = np.moveaxis(state.V, -1, 0)
     B = np.zeros(n2.shape + (8, 8))
     A = np.zeros(n2.shape + (8, 8))
     A[..., (0, 1, 2), (5, 6, 7)] = 1.0
-    # h1, h2 = sums of e_m^2 over a plane's pair m, k = e_4
-    te = 2.0 * e
-    A[..., 3:5, :5] = (te[..., 0:4:2, None] * rows[..., 0:4:2, :]
-                       + te[..., 1:4:2, None] * rows[..., 1:4:2, :])
-    A[..., 5, :5] = rows[..., 4, :]
-    A[..., 3, 5] = te[..., 0] * x0 + te[..., 1] * y1
-    A[..., 3, 6] = te[..., 0] * x1 - te[..., 1] * y0
+    # h1, h2 = sums of e_m^2 over a plane's pair m, k = e_4; the two rows
+    # of a plane have disjoint supports, so each entry is one product
+    te = [2.0 * x for x in e]
+    for m, p, r in at:
+        A[..., 3 + m // 2, p] = r if m == 4 else te[m] * r
+    A[..., 3, 5] = te[0] * x0 + te[1] * y1
+    A[..., 3, 6] = te[0] * x1 - te[1] * y0
     # e_2 = |c| (c_j x_0 - c_i x_1): de_2/dZ = c e_2 / n2 + |c| (-x_1, x_0, 0)
-    q, u, w = te[..., 2] * e[..., 2] / n2, te[..., 2] * theta[..., 1], te[..., 3]
+    q, u, w = te[2] * e[2] / n2, te[2] * norm, te[3]
     A[..., 4, 5] = q * ci - u * x1 + w * (ck * y0 - 2.0 * ci * y2)
     A[..., 4, 6] = q * cj + u * x0 + w * (ck * y1 - 2.0 * cj * y2)
     A[..., 4, 7] = q * ck + w * (ci * y0 + cj * y1)
@@ -207,23 +210,21 @@ def poisson_matrix(alg, state, fn=None):
                     *hamiltonian_field(alg, state, B, A))
 
 
-RANK_THRESHOLD = 1e-7
-
-
 def independence_rank(alg, state):
     """Rank of the eight closed-form left gradients as vectors in R^16: an
     int for a single state, an int array of shape (...) for a state with
     batch axes (...).
 
-    Rows are normalized to unit length first (zero rows stay zero) so the
-    flat factor phi cannot mask directions that are genuinely present; a
-    singular value counts when it exceeds RANK_THRESHOLD times the largest.
+    Read off the block structure, no SVD: the q rows are [0 | 0, I_3], B
+    is nonzero only at (f_i, v_i) and (f_j, v_j), amp = 2 pi phi cos(2 pi
+    arg), and on V the h1, h2, k rows are 2 (e_0 E_1 + e_1 E_2), 2 (e_2 E_3
+    + e_3 E_4) and Y_c, from mutually orthogonal rows.  So rank = 3 + [amp_i
+    != 0] + [amp_j != 0] + [(e_0, e_1) != 0] + [(e_2, e_3) != 0] + [c != 0],
+    each an exact test on entries (no square to underflow): 8 off the
+    proper analytic set c_k cos(2 pi arg_i) cos(2 pi arg_j) h1 h2 = 0, at
+    most 6 on c_k = 0 (and, in floats, where phi underflows).
     """
     B, A = left_gradients_all(alg, state)
-    rows = np.concatenate([B, A], axis=-1)
-    norms = np.linalg.norm(rows, axis=-1)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    rows = rows / scale[..., None]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    ranks = np.sum(sv > RANK_THRESHOLD * sv[..., :1], axis=-1)
+    ranks = (3 + (B[..., 6, 0] != 0.0) + (B[..., 7, 1] != 0.0)
+             + np.sum(np.any(A[..., 3:6, :5] != 0.0, axis=-1), axis=-1))
     return ranks if ranks.ndim else int(ranks)

@@ -100,31 +100,47 @@ def flow_translation(data, state, tau):
 # rational points of the sphere
 
 
-def rationalize_sphere_direction(u, bound):
-    """A rational unit vector near the float unit vector u.
+def _limit_denominator(x, bound):
+    """(p, q) of Fraction(x).limit_denominator(bound), by its continued
+    fraction on the ints of x.as_integer_ratio()."""
+    n, d = x.as_integer_ratio()
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1, den = 0, 1, 1, 0, d
+    while q0 + (a := n // d) * q1 <= bound:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # p1/q1 is nearer iff d/(q1 den) <= half the gap 1/(q1 (q0 + k q1))
+    near = 2 * d * (q0 + k * q1) <= den
+    return (p1, q1) if near else (p0 + k * p1, q0 + k * q1)
+
+
+def rationalize_sphere_direction(us, bound):
+    """Rational unit vectors near the float directions us (n, 3): per row
+    the ints (N_i, N_j, N_k, W) in lowest terms, u = N / W exactly.
 
     Stereographic projection preserves rationality, so rounding the
-    projected point gives an exactly-unit rational vector.  When the
-    rounding lands on the degenerate cone (the pole, s = 0, or the equator,
-    s = 1) one step of 1/(2 bound) leaves it: a has denominator <= bound,
-    so the stepped s is 0 only at a = -1/(2 bound) and 1 only at
-    a = -1/(4 bound), neither of which can occur.
+    projected point (a, b) in ints gives an exactly-unit rational vector.
+    When the rounding lands on the degenerate cone (s = a^2 + b^2 = 0 or 1)
+    one step of 1/(2 bound) leaves it: a has denominator <= bound, so the
+    stepped s is 0 only at a = -1/(2 bound) and 1 only at a = -1/(4
+    bound), neither of which can occur.
     """
-    u = np.asarray(u, float)
-    n = float(np.linalg.norm(u))
-    if n == 0.0:
-        raise DegenerateFrequencyError("cannot rationalize the zero direction")
-    u = u / n
-    south = u[2] > 0.5  # project from the pole far from u
-    uk = -u[2] if south else u[2]
-    a = Fraction(u[0] / (1.0 - uk)).limit_denominator(bound)
-    b = Fraction(u[1] / (1.0 - uk)).limit_denominator(bound)
-    s = a * a + b * b
-    if s in (0, 1):
-        a += Fraction(1, 2 * bound)
-        s = a * a + b * b
-    uk = (s - 1) / (s + 1)
-    return 2 * a / (s + 1), 2 * b / (s + 1), -uk if south else uk
+    u = us / _norm(us)[:, None]
+    south = u[:, 2] > 0.5  # project from the pole far from u
+    out = []
+    for (x, y), flip in zip((u[:, :2] / (1.0 - np.where(
+            south, -u[:, 2], u[:, 2]))[:, None]).tolist(), south.tolist()):
+        (pa, qa), (pb, qb) = (_limit_denominator(x, bound),
+                              _limit_denominator(y, bound))
+        A, B, Q = pa * qb, pb * qa, qa * qb  # a = A / Q, b = B / Q
+        if A * A + B * B in (0, Q * Q):
+            A, B, Q = 2 * bound * A + Q, 2 * bound * B, 2 * bound * Q
+        r2, q2 = A * A + B * B, Q * Q  # u = (2 a, 2 b, s - 1) / (s + 1)
+        row = (2 * A * Q, 2 * B * Q, q2 - r2 if flip else r2 - q2, r2 + q2)
+        out.append(tuple(x // gcd(*row) for x in row))
+    return out
 
 
 def _norm(x):
@@ -189,22 +205,22 @@ def _exact_element(c, r, t, P_D, P_W):
     return a_v, a_z
 
 
-def _closed_geodesic(c, uk, ks, bound, state, distance):
-    """One row's ClosedGeodesic in Python ints, from c (Fractions), its
-    c_k / |c| = uk and the grid numerators ks of (|c|, r, t, P_D, P_W):
-    with c = C / D, a_v = N_v / (bound D) and a_z = N_z / (bound D^2),
-    times the least m that puts a in log Gamma = Z^dim_v (+) (1/2) Z^dim_z."""
+def _closed_geodesic(u, ks, bound, state, distance):
+    """One row's ClosedGeodesic in Python ints, from its sphere point u =
+    (N, W) and the grid numerators ks of (|c|, r, t, P_D, P_W): with c =
+    k_c N / D, D = bound W, a_v = N_v / (bound D) and a_z = N_z / (bound
+    D^2), times the least m that puts a in log Gamma = Z^dim_v (+) (1/2)
+    Z^dim_z.  Only the fields are Fractions."""
     k_c, k_r, k_t, k_d, k_w = ks
-    D = lcm(*(x.denominator for x in c))
-    n_v, n_z = _exact_element([x.numerator * D // x.denominator for x in c],
-                              k_r, k_t * D, k_d * D, k_w)
+    C, D, g = [k_c * x for x in u[:3]], bound * u[3], gcd(u[2], u[3])
+    n_v, n_z = _exact_element(C, k_r, k_t * D, k_d * D, k_w)
     q_v, q_z = bound * D, bound * D * D
     # m clears a_v into Z^dim_v and 2 a_z into Z^dim_z: m x / q is an
     # integer for every numerator x exactly when q / gcd(q, every x) | m
     m = lcm(q_v // gcd(q_v, *n_v), q_z // gcd(q_z, *(2 * x for x in n_z)))
     return ClosedGeodesic(
-        c, Fraction(k_c, bound), uk.numerator, uk.denominator, m,
-        Fraction(2 * m * uk.denominator * bound, k_c),
+        tuple(Fraction(x, D) for x in C), Fraction(k_c, bound), u[2] // g,
+        u[3] // g, m, Fraction(2 * m * (u[3] // g) * bound, k_c),
         tuple(Fraction(m * x, q_v) for x in n_v),
         tuple(Fraction(m * x, q_z) for x in n_z), state, distance)
 
@@ -221,18 +237,19 @@ def construct_closed_geodesic(data, targets, epsilon):
     An attempt is one pass over the rows: the float rounding in numpy on
     one frame, the exact element per row in Python ints.  |c|, r, t, P_D,
     P_W are rounded onto the grid (1/bound) Z, the direction of c to a
-    rational point of the sphere with denominators <= bound.  Every row
-    starts at bound = max(16, ceil(4 / epsilon)), and the rows that miss
-    epsilon are tried again as one batch at double the bound until all
-    are within it; a value that the floats cannot hold, or a grid finer
-    than the floats resolve t - sigma, ends the doubling with
-    ConstructionError, naming epsilon and the grid.  epsilon must be
-    positive and at least 2^-52 |(V, Z)|, the float resolution of the
-    targets; an empty batch returns [].  r is
-    kept at least e sigma / (4 |c|) from 0, e the smaller of epsilon and
-    the target's size |(V, Z)|: this moves V by at most about e / 4 and
-    bounds the error of the pinned base point v by (1 / bound) / (|r| s),
-    s the least singular value of drift's linear part in v.
+    rational point of the sphere with denominators <= bound, both in ints
+    (no Fraction arithmetic before the result's fields).  Every row starts
+    at bound = max(16, ceil(4 / epsilon)), and the rows that miss epsilon
+    are tried again as one batch at double the bound until all are within
+    it; a value that the floats cannot hold, or a grid finer than the
+    floats resolve t - sigma, ends the doubling with ConstructionError,
+    naming epsilon and the grid.  epsilon must be positive and at least
+    2^-52 |(V, Z)|, the float resolution of the targets; an empty batch
+    returns [].  r is kept at least e sigma / (4 |c|) from 0, e the smaller
+    of epsilon and the target's size |(V, Z)|: this moves V by at most
+    about e / 4 and bounds the error of the pinned base point v by (1 /
+    bound) / (|r| s), s the least singular value of drift's linear part in
+    v.
 
     Degenerate targets (on the cone c_k |c| (|c| - |c_k|) = 0) are
     rejected, naming the first such row: no commensurable precession
@@ -302,12 +319,12 @@ def _construct_once(data, target, epsilon, bound):
         return np.array([f(y) for y in x.tolist()], object)
     floats = lambda k: (k / bound).astype(float)
     zt, Vt, vt = target.Z, target.V, target.v
-    sphere = [rationalize_sphere_direction(z, bound) for z in zt]
+    sphere = rationalize_sphere_direction(zt, bound)
     k_c = np.maximum(ints(_norm(zt) * bound), 1)
-    c = [tuple(nc * x for x in u) for nc, u in
-         zip((Fraction(k, bound) for k in k_c), sphere)]
-    c_f = np.array([[float(x) for x in ci] for ci in c], float).reshape(-1, 3)
-    q = np.array([u[2].denominator for u in sphere], float)  # c_k/|c| = p/q
+    # c = k_c N / (bound W), int true division rounding once; c_k/|c| = p/q
+    c_f = np.array([[k * x / (bound * u[3]) for x in u[:3]] for k, u in
+                    zip(k_c.tolist(), sphere)], float).reshape(-1, 3)
+    q = np.array([u[3] // gcd(u[2], u[3]) for u in sphere], float)
     norm_f = floats(k_c)
     sigma = 2.0 * pi * q / norm_f
     frame = eigenframe(data, c_f)
@@ -364,7 +381,7 @@ def _construct_once(data, target, epsilon, bound):
     distance = np.max([_norm(c_f - zt), _norm(V - Vt), _norm(v - vt)], axis=0)
     ks = zip(k_c, k_r, k_t, k_d, k_w)
     return [
-        _closed_geodesic(c[i], sphere[i][2], k, bound,
+        _closed_geodesic(sphere[i], k, bound,
                          TangentState(v[i], target.z[i], V[i], c_f[i]), d)
         if d <= epsilon else None
         for i, (d, k) in enumerate(zip(distance.tolist(), ks))
@@ -378,17 +395,20 @@ def _construct_once(data, target, epsilon, bound):
 def closure_jacobian(data, geo, h=1e-4):
     """Fourth-order central-difference Jacobian of the 13 closure
     constraints (translational element fixed: 8; velocity rotation: 5)
-    with respect to the 16 phase-space coordinates.  All 4 x 16 stencil
-    points x0 + k h e_i, k in (2, 1, -1, -2), flow in one batched call."""
+    with respect to the 16 phase-space coordinates, shape h.shape + (13,
+    16).  All 4 x 16 stencil points x0 + k h e_i, k in (2, 1, -1, -2), of
+    every step h flow in one batched call."""
     a_v = np.array([float(x) for x in geo.a_v])
     a_z = np.array([float(x) for x in geo.a_z])
-    x0 = geo.state.flat()
-    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * h * np.eye(x0.size)
-    s = state_from_flat(data.alg, x0 + steps)
+    x0, h = geo.state.flat(), np.asarray(h, float)
+    hs = h.reshape(-1, 1, 1)
+    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None, None] * hs
+    s = state_from_flat(data.alg, x0 + steps * np.eye(x0.size))
     t_v, t_z, end = flow_translation(data, s, geo.tau)
-    # the constraints at every stencil point: (4, column, constraint)
+    # the constraints at every stencil point: (4, step, column, constraint)
     f = np.concatenate([t_v - a_v, t_z - a_z, end.V - s.V], axis=-1)
-    return ((-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)).T
+    jac = ((-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * hs)).mT
+    return jac.reshape(h.shape + jac.shape[1:])
 
 
 NULL_THRESHOLD = 1e-6
@@ -415,6 +435,8 @@ def invariant_fiber_codim(data, geo, null_rows):
     # no integral reads z, so the left gradients (B, A) are the plain
     # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns
     grads = np.concatenate(left_gradients_all(data.alg, geo.state), axis=-1)
+    # over each row's power of two first: exact, and no square underflows
+    grads = np.ldexp(grads, -np.frexp(np.abs(grads).max(-1))[1][:, None])
     norms = np.linalg.norm(grads, axis=1)
     grads = grads / np.where(norms > 0, norms, 1.0)[:, None]
     proj = grads @ null_rows.T  # (8, nullity)

@@ -170,6 +170,16 @@ def run_flow(seed):
 # integrals
 
 
+def _gradient_gaps(alg, states):
+    """|closed form - FD| / |FD| per gradient row, both over the power of
+    two of FD's largest entry, so a flat f row's norm does not underflow."""
+    fd = np.concatenate(left_gradients_all(alg, states, evaluate_integrals), -1)
+    gap = np.concatenate(left_gradients_all(alg, states), -1) - fd
+    exp = -np.frexp(np.abs(fd).max(-1))[1][..., None]
+    norm = lambda x: np.linalg.norm(np.ldexp(x, exp), axis=-1)
+    return norm(gap) / np.maximum(norm(fd), np.finfo(float).tiny)
+
+
 def run_integrals(seed):
     report = Report("integrals", seed, ["M"])
     rng = _rng(seed, "integrals")
@@ -212,10 +222,7 @@ def run_integrals(seed):
     # the first 10^2 commutation states (no new draw)
     head = TangentState(states.v[:100], states.z[:100], states.V[:100],
                         states.Z[:100])
-    fd = np.concatenate(left_gradients_all(alg, head, evaluate_integrals), -1)
-    gap = np.concatenate(left_gradients_all(alg, head), -1) - fd
-    worst = float(np.max(np.linalg.norm(gap, axis=-1) / np.maximum(
-        np.linalg.norm(fd, axis=-1), np.finfo(float).tiny)))
+    worst = float(np.max(_gradient_gaps(alg, head)))
     report.add(
         "gradient_forms_agree",
         worst <= GRADIENT_TOL,
@@ -332,8 +339,8 @@ def run_periodicity(seed):
     # family dimension and invariant fibers
     for data in (m, mp):
         geo, = _nice_geodesics(data, rng, _NICE_TARGET_CS[:1])
-        kernels = [family_kernel(closure_jacobian(data, geo, h))
-                   for h in (1e-4, 1e-5, 1e-6)]
+        kernels = [family_kernel(jac)
+                   for jac in closure_jacobian(data, geo, (1e-4, 1e-5, 1e-6))]
         dims = [len(k) for k in kernels]
         report.add(
             f"family_dimension[{data.name}]",

@@ -11,6 +11,7 @@ import numpy as np
 from nilflow import linalg_exact as lx
 from nilflow.criteria import _span_projectors
 from nilflow.flow import TangentState, eigenframe, flow_exact_vV
+from nilflow.integrals import left_gradients_all
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
@@ -430,3 +431,42 @@ def flow_exact_quadrature(data, state, t):
     integrand = bracket_v_np(data.alg, vs, Vs)
     zt = state.z + t * state.Z + 0.5 * np.einsum("n,nr->r", weights, integrand)
     return TangentState(vt, zt, Vt, state.Z.copy())
+
+
+RANK_THRESHOLD = 1e-7
+
+
+def independence_rank_svd(alg, state, threshold=RANK_THRESHOLD):
+    """Rank of the eight closed-form left gradients by the SVD of their
+    rows, each row first divided by the power of two of its largest entry
+    (so its square cannot underflow) and then normalized; a singular value
+    counts when it exceeds threshold times the state's largest (the oracle
+    for the block-structure formula of integrals.independence_rank)."""
+    rows = np.concatenate(left_gradients_all(alg, state), axis=-1)
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(-1))[1][..., None])
+    norms = np.linalg.norm(rows, axis=-1)
+    rows = rows / np.where(norms > 0.0, norms, 1.0)[..., None]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    ranks = np.sum(sv > threshold * sv[..., :1], axis=-1)
+    return ranks if ranks.ndim else int(ranks)
+
+
+def rationalize_sphere_direction(u, bound):
+    """A rational unit vector near the float unit vector u, in Fractions:
+    two limit_denominator calls on the stereographic point, one step of
+    1/(2 bound) off the pole or the equator, then the inverse projection
+    (the oracle for the integer path of
+    periodicity.rationalize_sphere_direction)."""
+    u = np.asarray(u, float)
+    n = float(np.linalg.norm(u))
+    u = u / n
+    south = u[2] > 0.5
+    uk = -u[2] if south else u[2]
+    a = Fraction(u[0] / (1.0 - uk)).limit_denominator(bound)
+    b = Fraction(u[1] / (1.0 - uk)).limit_denominator(bound)
+    s = a * a + b * b
+    if s in (0, 1):
+        a += Fraction(1, 2 * bound)
+        s = a * a + b * b
+    uk = (s - 1) / (s + 1)
+    return 2 * a / (s + 1), 2 * b / (s + 1), -uk if south else uk

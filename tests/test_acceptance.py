@@ -23,8 +23,8 @@ BUDGETS = {
     "algebra": 0.1,       # criterion 1
     "spectral": 0.2,      # criteria 2 + 3
     "flow": 0.2,          # criterion 7
-    "integrals": 0.4,     # criteria 4 + 5 + 6
-    "periodicity": 0.3,   # criteria 8 + 9 + 10
+    "integrals": 0.2,     # criteria 4 + 5 + 6
+    "periodicity": 0.2,   # criteria 8 + 9 + 10
     "criteria": 0.2,      # criterion 11
     "cih": 0.2,           # criterion 12
 }

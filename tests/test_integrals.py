@@ -16,7 +16,7 @@ from nilflow.integrals import (
     poisson_matrix,
 )
 from nilflow.lie_core import j_matrix_np
-from oracles import c_matrix
+from oracles import c_matrix, independence_rank_svd
 
 M, MP = build_pair()
 
@@ -208,7 +208,7 @@ def _sanity_pair(st):
     return np.stack([st.v[..., 0], st.V[..., 0]], -1)
 
 
-def test_batched_fd_calculus_equals_per_state(monkeypatch):
+def test_batched_fd_calculus_equals_per_state():
     # states on the degenerate cone c_k = 0 (first, so that a threshold
     # taken from the first state's spectrum would show) plus generic states;
     # the batch runs the same closed form and FD stencils, so every row is
@@ -248,12 +248,46 @@ def test_batched_fd_calculus_equals_per_state(monkeypatch):
     grid = state_from_flat(M.alg, flats.reshape(4, 8, -1))
     assert np.array_equal(poisson_matrix(M.alg, grid), mats.reshape(4, 8, 8, 8))
     assert np.array_equal(independence_rank(M.alg, grid), ranks.reshape(4, 8))
-    # at a coarse threshold the generic ranks vary from state to state, which
-    # shows that each state is cut against its own largest singular value
-    monkeypatch.setattr(integrals, "RANK_THRESHOLD", 0.1)
-    coarse = independence_rank(M.alg, batch)
+    # the SVD oracle at a coarse threshold: the generic ranks vary from
+    # state to state, which shows that each state is cut against its own
+    # largest singular value
+    coarse = independence_rank_svd(M.alg, batch, threshold=0.1)
     assert set(coarse[8:]) == {7, 8}
-    assert [independence_rank(M.alg, s) for s in states] == coarse.tolist()
+    assert [independence_rank_svd(M.alg, s, threshold=0.1)
+            for s in states] == coarse.tolist()
+
+
+def test_independence_rank_formula_equals_the_svd_oracle():
+    # the block-structure formula against the normalized SVD rank on 20 x
+    # 1000 generic states (seed 8 holds state 814 in the flat band) and on
+    # the c_k = 0 block
+    for seed in range(20):
+        states = sample_generic_state(M, np.random.default_rng(seed), 1000)
+        assert np.array_equal(independence_rank(M.alg, states),
+                              independence_rank_svd(M.alg, states))
+    rng = np.random.default_rng(20)
+    cij = rng.uniform(0.5, 2.0, size=(100, 2)) * rng.choice([-1, 1], (100, 2))
+    degen = TangentState(rng.uniform(-1, 1, size=(100, 5)),
+                         rng.uniform(-1, 1, size=(100, 3)),
+                         rng.uniform(-1, 1, size=(100, 5)),
+                         np.pad(cij, ((0, 0), (0, 1))))
+    ranks = independence_rank(M.alg, degen)
+    assert np.array_equal(ranks, independence_rank_svd(M.alg, degen))
+    assert set(ranks) == {6}
+
+
+def test_flat_band_state_keeps_its_f_rows():
+    # x = c_k |c|^2 = -0.050: phi = 6e-174, so the squares of the f rows
+    # underflow; the prescale by a power of two keeps the rank at 8 and the
+    # gap of the f rows to the FD stencil nonzero
+    s = sample_generic_state(M, np.random.default_rng(8), 1000)
+    state = TangentState(s.v[814], s.z[814], s.V[814], s.Z[814])
+    x = s.Z[814, 2] * (s.Z[814] @ s.Z[814])
+    assert -0.051 < x < -0.050 and 0.0 < phi(x) < 1e-154
+    assert independence_rank(M.alg, state) == 8
+    assert independence_rank_svd(M.alg, state) == 8
+    gaps = suites._gradient_gaps(M.alg, state)
+    assert np.all(gaps[6:] > 0.0) and np.all(gaps <= suites.GRADIENT_TOL)
 
 
 def test_run_integrals_batches_every_check(monkeypatch):
@@ -294,3 +328,20 @@ def test_suites_draw_each_block_in_one_call(monkeypatch):
     blocks.clear()
     assert suites.run_suite("integrals", 42).passed
     assert blocks == [1000, 1000, 1000]
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (1000,), (4, 8)])
+def test_e_from_entries_equals_the_dense_rows(shape):
+    # e = R V summed over the nonzero entries of M's printed rows is bit for
+    # bit the einsum over the dense rows that _frame_M scatters them into,
+    # and the conservation block's broadcast (one Z per 20 V) too
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    Z, V = rng.normal(size=shape + (3,)), rng.normal(size=shape + (5,))
+    rows, _ = M.frame(Z)
+    state = TangentState(np.zeros(shape + (5,)), np.zeros(shape + (3,)), V, Z)
+    e = np.stack(integrals._parts(state)[4], -1)
+    assert np.array_equal(e, np.einsum("...mp,...p->...m", rows, V))
+    Zb, Vb = Z[..., None, :], rng.normal(size=shape + (20, 5))
+    state = TangentState(np.zeros(Vb.shape), np.zeros(shape + (20, 3)), Vb, Zb)
+    e = np.stack(integrals._parts(state)[4], -1)
+    assert np.array_equal(e, np.einsum("...mp,...p->...m", rows[..., None, :, :], Vb))

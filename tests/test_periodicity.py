@@ -31,6 +31,7 @@ from nilflow.periodicity import (
     translational_element,
     translational_element_expanded,
 )
+import oracles
 from oracles import (
     GroupElement,
     group_mul,
@@ -142,8 +143,14 @@ def test_pin_is_the_least_change_that_fixes_drift(data, support, n):
                            rtol=1e-12, atol=1e-12)
 
 
+def _sphere(u, bound):
+    """The one row of rationalize_sphere_direction at u, as Fractions."""
+    (*num, w), = rationalize_sphere_direction(np.array([u], float), bound)
+    return tuple(Fraction(x, w) for x in num)
+
+
 def test_rationalize_sphere_example():
-    ui, uj, uk = rationalize_sphere_direction(np.array([0.6, 0.0, 0.8]), 64)
+    ui, uj, uk = _sphere([0.6, 0.0, 0.8], 64)
     assert (ui, uj, uk) == (Fraction(3, 5), 0, Fraction(4, 5))
 
 
@@ -152,22 +159,43 @@ def test_rationalize_sphere_random():
     for _ in range(100):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        ui, uj, uk = rationalize_sphere_direction(u, 256)
+        ui, uj, uk = _sphere(u, 256)
         assert ui * ui + uj * uj + uk * uk == 1  # exact unit
         err = np.linalg.norm(u - np.array([float(ui), float(uj), float(uk)]))
         assert err < 0.05
+
+
+CONE_EDGES = ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0.6, 0.8, 0])
 
 
 @pytest.mark.parametrize("bound", range(1, 65))
 def test_rationalize_sphere_cone_edges(bound):
     # the poles and the equator points land on the degenerate cone before
     # the one step of 1/(2 bound) that leaves it
-    for u in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]):
-        ui, uj, uk = rationalize_sphere_direction(np.array(u, float), bound)
+    for u in CONE_EDGES:
+        ui, uj, uk = _sphere(u, bound)
         assert ui * ui + uj * uj + uk * uk == 1
         assert uk != 0 and (ui, uj) != (0, 0)
         err = np.linalg.norm(np.array(u) - [float(ui), float(uj), float(uk)])
         assert err < 2.0 / bound
+
+
+@pytest.mark.parametrize("bound", [16, 40, 1000, 2**20, 2**40])
+def test_rationalize_sphere_equals_the_fraction_oracle(bound):
+    # the integer continued fractions give the Fraction path's exact point,
+    # in lowest terms, on 10^4 random directions (unnormalized, and some
+    # near the poles and the equator) and on the cone edges
+    rng = np.random.default_rng(bound % 1000)
+    us = rng.normal(size=(10_000, 3)) * rng.choice([1e-3, 1.0, 1e3], (10_000, 1))
+    us[:1000, :2] *= 1e-6
+    us[1000:2000, 2] *= 1e-6
+    us = np.concatenate([us, np.array(CONE_EDGES, float)])
+    rows = rationalize_sphere_direction(us, bound)
+    assert len(rows) == len(us)
+    for u, (*num, w) in zip(us, rows):
+        assert w > 0 and gcd(*num, w) == 1
+        assert tuple(Fraction(x, w) for x in num) == \
+            oracles.rationalize_sphere_direction(u, bound)
 
 
 def test_construction_closes_exactly():
@@ -240,10 +268,17 @@ def test_closure_jacobian_equals_per_column_stencil(monkeypatch):
             return flow_exact_state(*args)
 
         monkeypatch.setattr(periodicity, "flow_exact_state", counting)
+        steps = [1e-5, h, 1e-6]
         jac = closure_jacobian(data, geo, h)
+        jacs = closure_jacobian(data, geo, steps)
         monkeypatch.undo()
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert np.array_equal(jac, np.stack(cols, axis=1))
+        # an array of steps flows all 3 x 4 x 16 points in one call, and
+        # each Jacobian is bit for bit the one-step call's
+        assert jacs.shape == (3, 13, 16)
+        for k, step in enumerate(steps):
+            assert np.array_equal(jacs[k], closure_jacobian(data, geo, step))
 
 
 def test_construction_rejects_degenerate_targets():
@@ -302,20 +337,19 @@ def test_construction_out_of_float_reach_is_a_construction_error(capsys):
 
 
 def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
-    # the FD-step sweep 1e-4 / 1e-5 / 1e-6 on M and Mprime, and the 1e-4
-    # Jacobian reused by invariant_fiber_codim on M
+    # the FD-step sweep 1e-4 / 1e-5 / 1e-6 on M and Mprime, one call (one
+    # batched flow) per manifold, and the 1e-4 Jacobian reused by
+    # invariant_fiber_codim on M
     steps = []
 
     def counting(data, geo, h=1e-4):
-        steps.append((data.name, h))
+        steps.append((data.name, tuple(h)))
         return closure_jacobian(data, geo, h)
 
     monkeypatch.setattr(periodicity, "closure_jacobian", counting)
     monkeypatch.setattr(suites, "closure_jacobian", counting)
     report = suites.run_periodicity(42)
-    assert sorted(steps) == sorted(
-        (name, h) for name in ("M", "Mprime") for h in (1e-4, 1e-5, 1e-6)
-    )
+    assert steps == [(name, (1e-4, 1e-5, 1e-6)) for name in ("M", "Mprime")]
     assert report.passed
 
 
