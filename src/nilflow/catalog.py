@@ -5,7 +5,7 @@ quaternion sign table, and the isospectral deformation family.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -35,15 +35,17 @@ class NilmanifoldData:
     indexes the injective presentation; has_integrals marks the manifold
     with the eight integrals of `integrals`.
 
-    frame(Z) -> (rows, theta) is the printed invariant frame of j(Z), batched
-    over leading axes of Z: rows (..., 5, dim_v) are the unnormalized
-    E1, E2 (plane of frequency theta[..., 0]), E3, E4 (plane of frequency
-    theta[..., 1]) and the kernel vector Y_c.  drift(c, v, al, n2) ->
-    (g_D, g_W) are the D and W coefficients of the translational element
-    over tau beta (the plane term of W left out) at base point v, frame
-    coefficients al of V and n2 = |c|^2 as the caller computed it, affine
-    in v and batched over axes on the left of every argument.  Both are
-    None where no closed form is known (the deformation family).
+    frame(Z) -> (entries, (theta_1, theta_2)) is the printed invariant frame
+    of j(Z), batched over leading axes of Z, as a table of the nonzero
+    entries (row, column, value) of the unnormalized rows E1, E2 (plane of
+    frequency theta_1), E3, E4 (plane of frequency theta_2) and the kernel
+    vector Y_c; `flow.eigenframe` scatters it into (..., 5, dim_v) rows.
+    drift(c, v, al, n2) -> (g_D, g_W) are the D and W coefficients of the
+    translational element over tau beta (the plane term of W left out) at
+    base point v, frame coefficients al of V and n2 = |c|^2 as the caller
+    computed it, affine in v and batched over axes on the left of every
+    argument.  Both are None where no closed form is known (the
+    deformation family).
     """
 
     name: str
@@ -96,21 +98,6 @@ def _entries_Mprime(Z):
             (2, 3, -(n * ci))) + shared, (ck, n)
 
 
-def _dense(entries, Z):
-    """The printed frame (rows, theta) of `NilmanifoldData.frame`, entries(Z)
-    scattered into dense (..., 5, 5) rows."""
-    at, (ck, n) = entries(Z)
-    rows, theta = np.zeros(n.shape + (5, 5)), np.empty(n.shape + (2,))
-    for r, col, x in at:
-        rows[..., r, col] = x
-    theta[..., 0], theta[..., 1] = ck, n
-    return rows, theta
-
-
-_frame_M = partial(_dense, _entries_M)
-_frame_Mprime = partial(_dense, _entries_Mprime)
-
-
 def _drift_M(c, v, al, n2):
     """g_D = al_2 - c_k (x_i c_i + x_j c_j) / rho^2 and
     g_W = al_4 - (x_i c_j - x_j c_i) / rho^2, rho^2 = c_i^2 + c_j^2."""
@@ -143,8 +130,8 @@ def _build_pair():
     alg, alg_p = _pair_algebras()
     split = ((0, 1), (2, 3, 4), _K)
     return (
-        NilmanifoldData("M", alg, split, True, _frame_M, _drift_M),
-        NilmanifoldData("Mprime", alg_p, split, False, _frame_Mprime,
+        NilmanifoldData("M", alg, split, True, _entries_M, _drift_M),
+        NilmanifoldData("Mprime", alg_p, split, False, _entries_Mprime,
                         _drift_Mprime),
     )
 

@@ -144,7 +144,8 @@ class EigenFrame:
 
 
 def eigenframe(data, Z):
-    """The manifold's printed invariant frame of j(Z), normalized; Z may
+    """The manifold's printed invariant frame of j(Z), its entry table
+    (`NilmanifoldData.frame`) scattered into rows and normalized; Z may
     carry batch axes on the left.
 
     Requires a generic Z: both |plane frequencies| and every frame row
@@ -155,7 +156,12 @@ def eigenframe(data, Z):
     if data.frame is None:
         raise ValueError(f"manifold {data.name} has no closed-form invariant frame")
     Z = np.asarray(Z, float)
-    rows, theta = data.frame(Z)
+    entries, (t1, t2) = data.frame(Z)
+    theta = np.empty(t2.shape + (2,))
+    theta[..., 0], theta[..., 1] = t1, t2
+    rows = np.zeros(t2.shape + (5, data.alg.dim_v))
+    for r, col, x in entries:
+        rows[..., r, col] = x
     sq = np.einsum("...ij,...ij->...i", rows, rows)
     norms = np.sqrt(sq)
     bad = ~np.all(np.concatenate([np.abs(theta), norms], axis=-1) > 1e-12,
@@ -180,8 +186,9 @@ def default_steps(t):
     return max(1, ceil(abs(float(t)) * RK4_STEPS_PER_UNIT))
 
 
-def _rk4_batch(alg, v, z, V, Z, t, steps):
-    """`steps` classic RK4 steps of size h = t / steps, summed in closed form.
+def _rk4_batch(alg, v, z, V, Z, t, steps=None):
+    """`steps` classic RK4 steps of size h = t / steps, summed in closed form;
+    steps=None takes `default_steps(t)`.
 
     With Z fixed, x = (v, V) obeys the linear system x' = L x with
     L = [[0, I], [0, j(Z)]], so the stage inputs are P_i x with P_1 = I,
@@ -195,6 +202,8 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
     O(log N) batched (2 dim_v)-square matmuls.  Leading axes of the
     arguments are batch axes.
     """
+    if steps is None:
+        steps = default_steps(t)
     if steps < 1:
         raise ValueError(f"RK4 needs at least one step, got {steps}")
     h = t / steps
@@ -231,16 +240,12 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
 
 def flow_rk4(alg, state, t, steps=None):
     """Classic RK4 with a fixed step; works for every algebra."""
-    if steps is None:
-        steps = default_steps(t)
     return TangentState(*_rk4_batch(alg, state.v, state.z, state.V, state.Z,
                                     float(t), steps))
 
 
 def flow_rk4_many(alg, states, t, steps=None):
     """RK4 a stack of flat states, shape (n, 2*(dim_v + dim_z)), in lockstep."""
-    if steps is None:
-        steps = default_steps(t)
     s = state_from_flat(alg, states)
     return TangentState(*_rk4_batch(alg, s.v, s.z, s.V, s.Z, float(t), steps)).flat()
 

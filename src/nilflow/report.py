@@ -50,6 +50,11 @@ class _CheckList:
     def add(self, name, passed, value=None, tolerance=None, note=""):
         self.checks.append(CheckRecord(name, bool(passed), value, tolerance, note))
 
+    def add_bounded(self, name, value, tolerance, note=""):
+        """A row that passes when value <= tolerance (so a NaN fails), the
+        bound written once for the test and the printed tolerance."""
+        self.add(name, value <= tolerance, value, tolerance, note)
+
     @property
     def passed(self):
         return all(c.passed for c in self.checks)

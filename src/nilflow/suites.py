@@ -156,11 +156,8 @@ def run_flow(seed):
             float(np.max(np.abs(v_e - ends.v))),
             float(np.max(np.abs(V_e - ends.V))),
         )
-        report.add(
-            f"exact_vs_rk4[{data.name}]",
-            worst <= 1e-8,
-            value=worst,
-            tolerance=1e-8,
+        report.add_bounded(
+            f"exact_vs_rk4[{data.name}]", worst, 1e-8,
             note="(v, V) at t=10, 100 generic states, rk4 step 1e-3",
         )
     return report
@@ -198,11 +195,8 @@ def run_integrals(seed):
         TangentState(vs, starts.z[:, None], Vs, starts.Z[:, None])
     )
     worst = float(np.max(np.abs(vals - evaluate_integrals(starts)[:, None])))
-    report.add(
-        "conservation_drift",
-        worst <= CONSERVATION_TOL,
-        value=worst,
-        tolerance=CONSERVATION_TOL,
+    report.add_bounded(
+        "conservation_drift", worst, CONSERVATION_TOL,
         note="8 integrals, 10^3 unit-speed generic states, t in 1..20",
     )
 
@@ -211,11 +205,8 @@ def run_integrals(seed):
     mat = poisson_matrix(alg, states)
     iu = np.triu_indices(8, k=1)
     worst = float(np.max(np.abs(mat[:, iu[0], iu[1]])))
-    report.add(
-        "poisson_commutation",
-        worst <= BRACKET_TOL,
-        value=worst,
-        tolerance=BRACKET_TOL,
+    report.add_bounded(
+        "poisson_commutation", worst, BRACKET_TOL,
         note="max |{f_a, f_b}| over 28 pairs, 10^3 generic states",
     )
     # the closed-form gradients against the FD stencil of the values, on
@@ -223,11 +214,8 @@ def run_integrals(seed):
     head = TangentState(states.v[:100], states.z[:100], states.V[:100],
                         states.Z[:100])
     worst = float(np.max(_gradient_gaps(alg, head)))
-    report.add(
-        "gradient_forms_agree",
-        worst <= GRADIENT_TOL,
-        value=worst,
-        tolerance=GRADIENT_TOL,
+    report.add_bounded(
+        "gradient_forms_agree", worst, GRADIENT_TOL,
         note="max |closed form - FD| / |FD| per gradient row, FD step "
              "1e-6, 10^2 generic states",
     )
@@ -236,11 +224,8 @@ def run_integrals(seed):
         alg, s, fn=lambda st: np.stack([st.v[..., 0], st.V[..., 0]], -1)
     )[0, 1]
     off = abs(sanity - 1.0)
-    report.add(
-        "poisson_sanity_pair",
-        off <= BRACKET_TOL,
-        value=off,
-        tolerance=BRACKET_TOL,
+    report.add_bounded(
+        "poisson_sanity_pair", off, BRACKET_TOL,
         note="{x_i coordinate, <V, X_i>} = 1",
     )
 
@@ -312,27 +297,22 @@ def run_periodicity(seed):
             for o_v, o_z in (flow_translation(data, s, geo.tau)[:2], exact):
                 worst_flow = max(worst_flow, float(np.max(np.abs(a1v - o_v))),
                                  float(np.max(np.abs(a1z - o_z))))
-    report.add(
-        "translational_forms_agree", worst_forms <= 1e-10,
-        value=worst_forms, tolerance=1e-10,
-    )
-    report.add(
-        "translational_vs_flow_oracle", worst_flow <= 1e-9,
-        value=worst_flow, tolerance=1e-9,
-    )
+    report.add_bounded("translational_forms_agree", worst_forms, 1e-10)
+    report.add_bounded("translational_vs_flow_oracle", worst_flow, 1e-9)
 
     # density: 100 random targets per the open-dense construction, one
     # draw of 50 and one construction call per manifold
+    eps = 0.1
     geos = [g for data in (m, mp) for g in construct_closed_geodesic(
-        data, sample_generic_state(data, rng, 50), epsilon=0.1)]
+        data, sample_generic_state(data, rng, 50), epsilon=eps)]
     worst_eps = max(geo.distance for geo in geos)
-    successes = sum(geo.in_gamma and geo.rotation_exact and geo.distance <= 0.1
+    successes = sum(geo.in_gamma and geo.rotation_exact and geo.distance <= eps
                     for geo in geos)
     report.add(
         "density_construction",
         successes == 100,
         value={"successes": successes, "worst_distance": worst_eps},
-        tolerance=0.1,
+        tolerance=eps,
         note="exact a in Gamma and exact rotation condition, 100 targets",
     )
 
@@ -350,11 +330,12 @@ def run_periodicity(seed):
         )
         if data is m:
             rank, q_proj = invariant_fiber_codim(data, geo, kernels[0])
+            tol = 1e-6
             report.add(
                 "invariant_fiber_codim[M]",
-                rank == 1 and q_proj < 1e-6,
+                rank == 1 and q_proj <= tol,
                 value={"rank": rank, "q_gradient_projection": q_proj},
-                tolerance=1e-6,
+                tolerance=tol,
             )
     return report
 
@@ -378,15 +359,16 @@ def run_criteria(seed):
     )
     report.add("hr_presentation_deformation_passes", cert_defo.passed)
 
-    cert, frac_mp = butler_nonintegrability_sample(mp.alg, 10_000, rng)
+    samples, least = 10_000, 0.999
+    cert, frac_mp = butler_nonintegrability_sample(mp.alg, samples, rng)
     report.add(
         "butler_fraction_Mprime",
-        frac_mp >= 0.999,
+        frac_mp >= least,
         value=frac_mp,
-        tolerance=0.999,
+        tolerance=least,
         note=f"regular pairs: {cert.data['regular_pairs']}",
     )
-    cert, frac_m = butler_nonintegrability_sample(m.alg, 10_000, rng)
+    cert, frac_m = butler_nonintegrability_sample(m.alg, samples, rng)
     report.add(
         "butler_fraction_M",
         frac_m == 0.0,

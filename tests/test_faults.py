@@ -47,8 +47,8 @@ def _drift_offset(drift, off):
 
 def _theta_scaled(frame, scale):
     def scaled(Z):
-        rows, theta = frame(Z)
-        return rows, theta * scale
+        entries, theta = frame(Z)
+        return entries, tuple(x * scale for x in theta)
     return scaled
 
 

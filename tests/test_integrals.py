@@ -333,11 +333,11 @@ def test_suites_draw_each_block_in_one_call(monkeypatch):
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (1000,), (4, 8)])
 def test_e_from_entries_equals_the_dense_rows(shape):
     # e = R V summed over the nonzero entries of M's printed rows is bit for
-    # bit the einsum over the dense rows that _frame_M scatters them into,
+    # bit the einsum over the dense rows that eigenframe scatters them into,
     # and the conservation block's broadcast (one Z per 20 V) too
     rng = np.random.default_rng(len(shape) + sum(shape))
     Z, V = rng.normal(size=shape + (3,)), rng.normal(size=shape + (5,))
-    rows, _ = M.frame(Z)
+    rows = eigenframe(M, Z).rows
     state = TangentState(np.zeros(shape + (5,)), np.zeros(shape + (3,)), V, Z)
     e = np.stack(integrals._parts(state)[4], -1)
     assert np.array_equal(e, np.einsum("...mp,...p->...m", rows, V))

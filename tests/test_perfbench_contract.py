@@ -57,30 +57,110 @@ def test_traced_names_are_public_functions():
     assert set(layers.make_hooks(flow.default_steps)) <= set(found)
 
 
-def _unreferenced_definitions():
-    """The module-level functions and classes of src/nilflow, as
-    "module.name", that no Name, Attribute or import alias in src/nilflow
-    refers to outside their own definition."""
-    trees = {p.stem: ast.parse(p.read_text())
-             for p in sorted((SRC / "nilflow").glob("*.py"))}
-    # the names each top-level statement refers to, by (module, index)
-    refs = {(mod, i): {n.id if isinstance(n, ast.Name) else
-                       n.attr if isinstance(n, ast.Attribute) else n.name
-                       for n in ast.walk(stmt)
-                       if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
-            for mod, tree in trees.items() for i, stmt in enumerate(tree.body)}
-    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
-    return {f"{mod}.{stmt.name}"
-            for mod, tree in trees.items()
-            for i, stmt in enumerate(tree.body) if isinstance(stmt, defs)
-            and not any(stmt.name in names for key, names in refs.items()
-                        if key != (mod, i))}
+# what the program runs: the CLI, the suites, and the names perfbench's
+# workloads and set-up call
+ROOTS = {"cli.main", "suites.run_suite", "catalog.get_manifold",
+         "catalog.build_pair", "catalog.build_deformation",
+         "integrals.evaluate_integrals", "integrals.INTEGRAL_NAMES",
+         "cli.parse_state", "report.fmt_value", "flow.default_steps"}
+
+# the definitions that only perfbench's traced names keep: each is traced
+# or reached only from traced names, and goes when the benchmark stops
+# tracing it
+UNREACHABLE = {
+    "lie_core.j_matrix", "lie_core.RationalLattice",
+    "linalg_exact.zeros", "linalg_exact.identity", "linalg_exact.mat_mul",
+    "linalg_exact.rref", "linalg_exact.rank", "linalg_exact.nullspace",
+    "linalg_exact.solve", "linalg_exact.inverse",
+    "linalg_exact.clear_denominators",
+    "spectral.char_poly_batch_int", "spectral.lattice_intersection",
+    "spectral.length_spectrum", "spectral.LengthSpectrumSlice",
+}
+
+
+def _reference_graph():
+    """(graph, defs, run) over src/nilflow, every name as "module.name".
+
+    graph maps each top-level name to the names its binding statement
+    refers to, resolved per module: a bare name to its module's own
+    binding or to the `from .m import n` it came from, and alias.attr on a
+    module alias (`from . import m as alias`) to m.attr; any other
+    attribute (`frame.rank`) is no reference.  defs are the top-level
+    functions and classes; run are the names that the other top-level
+    statements (`if __name__ == ...`) refer to."""
+    graph, defs, run = {}, set(), set()
+    for path in sorted((SRC / "nilflow").glob("*.py")):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        names, aliases = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        names[a.asname or a.name] = f"{node.module}.{a.name}"
+        bound = {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                bound[stmt] = [stmt.name]
+                defs.add(f"{mod}.{stmt.name}")
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                bound[stmt] = [n.id for n in ast.walk(stmt) if
+                               isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Store)]
+        own = {n for ns in bound.values() for n in ns}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            refs = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    refs.add(f"{mod}.{n.id}" if n.id in own
+                             else names.get(n.id))
+                elif (isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name)
+                      and n.value.id in aliases):
+                    refs.add(f"{aliases[n.value.id]}.{n.attr}")
+            refs.discard(None)
+            for name in bound.get(stmt, ()):
+                graph.setdefault(f"{mod}.{name}", set()).update(refs)
+            if stmt not in bound:
+                run |= refs
+    return graph, defs, run
+
+
+def _reached(graph, roots):
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
 
 
 def test_unreferenced_code_is_only_traced_names():
-    # a function that no src code reaches may stay only while the
-    # benchmark traces it by name; anything else unreferenced is dead code
-    assert _unreferenced_definitions() <= set(layers.FUNCTIONS)
+    # a definition that neither the program nor the benchmark's calls
+    # reach may stay only while the benchmark traces it, or a traced name
+    # reaches it; anything else is dead code
+    graph, defs, run = _reference_graph()
+    assert ROOTS <= set(graph)
+    unreachable = defs - _reached(graph, ROOTS | run)
+    assert unreachable == UNREACHABLE
+    assert unreachable <= _reached(graph, set(layers.FUNCTIONS))
+
+
+def test_reference_graph_resolves_names_per_module():
+    # RationalLattice calls lx.rank, the module alias; length_spectrum reads
+    # lat.rank, an attribute of its argument, which is no reference
+    graph, _, _ = _reference_graph()
+    assert "linalg_exact.rank" in graph["lie_core.RationalLattice"]
+    assert "linalg_exact.rank" not in graph["spectral.length_spectrum"]
+    assert "linalg_exact.inverse" in graph["spectral.length_spectrum"]
+    # a name from `from .m import n`, and a bare name of the module itself
+    assert {"spectral._grid", "criteria._span_projectors"} <= graph[
+        "criteria.cih_certificate"]
 
 
 @pytest.mark.parametrize("steps, want", [(None, 1000), (7, 7)])

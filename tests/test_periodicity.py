@@ -479,7 +479,7 @@ def _perp_target(data, seed, kind):
     rng = np.random.default_rng(seed)
     s = sample_generic_state(data, rng)
     Z = s.Z if kind == "generic" else np.array(suites._NICE_TARGET_CS[kind])
-    y_c = data.frame(Z)[0][4]
+    y_c = eigenframe(data, Z).rows[4]
     V = s.V - (s.V @ y_c) / (y_c @ y_c) * y_c
     return TangentState(s.v, s.z, V, Z)
 

@@ -1,8 +1,12 @@
 """Report serialization invariants."""
 
 from fractions import Fraction
+from numbers import Real
+
+import pytest
 
 from nilflow.report import Certificate, CheckRecord, Report, fmt_value
+from nilflow.suites import run_suite
 
 
 def test_fmt_value_modes():
@@ -46,3 +50,37 @@ def test_check_record_dict():
     d = rec.to_dict()
     assert d["value"] == "1/3"
     assert d["tolerance"] == "9.9999999999999995e-07"
+
+
+def test_add_bounded_passes_at_equality_and_fails_on_nan():
+    r = Report("demo", 0, ["M"])
+    r.add_bounded("equal", 1e-8, 1e-8, note="at the bound")
+    r.add_bounded("over", 2e-8, 1e-8)
+    r.add_bounded("nan", float("nan"), 1e-8)
+    assert [c.passed for c in r.checks] == [True, False, False]
+    # the record is the hand-written add with the bound written twice
+    hand = Report("demo", 0, ["M"])
+    hand.add("equal", 1e-8 <= 1e-8, value=1e-8, tolerance=1e-8,
+             note="at the bound")
+    assert r.checks[0] == hand.checks[0]
+    assert r.checks[0].to_dict() == hand.checks[0].to_dict()
+
+
+# the one suite row whose tolerance is a lower bound
+LOWER_BOUNDS = {"criteria.butler_fraction_Mprime"}
+
+
+@pytest.mark.parametrize("seed", [42, 7, 90210])
+def test_every_numeric_row_passes_exactly_within_its_tolerance(seed):
+    # a row that prints a number and a numeric tolerance passes exactly
+    # when the value is within it: value <= tolerance, or >= for a lower
+    # bound, so a printed bound cannot drift from the one tested
+    rows = [c for c in run_suite("all", seed).checks
+            if all(isinstance(x, Real) and not isinstance(x, bool)
+                   for x in (c.value, c.tolerance))]
+    assert len(rows) == 9
+    assert {c.name for c in rows} >= LOWER_BOUNDS
+    for c in rows:
+        within = (c.value >= c.tolerance if c.name in LOWER_BOUNDS
+                  else c.value <= c.tolerance)
+        assert c.passed == within, c.name
