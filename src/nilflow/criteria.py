@@ -15,13 +15,14 @@ Three independent diagnostics that separate the pair:
     because pi^2 is irrational).
 """
 
-from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import numpy as np
 
 from . import linalg_exact as lx
 from .flow import draw_rows
-from .lie_core import _abs_max, _primitive_rows, j_kernels
+from .lie_core import AlgebraData, _abs_max, _primitive_rows, j_kernels
 from .report import Certificate
 from .spectral import _grid, char_poly_identity_check
 
@@ -235,26 +236,71 @@ def cih_certificate(data, coord_bound, rng):
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     N / d in lowest terms is the span's key: `distinct_spans` counts the
-    distinct keys.  Explicit eigenvalue records (span, z, proj z, theta^2)
-    are kept as data for CIH_RECORDS elements drawn from rng over the
-    spans.  A bound outside 0..MAX_CIH_BOUND raises ValueError before
-    anything is enumerated.
+    distinct keys.  Steps 1 and 2 do not depend on rng and are cached in
+    the process: step 1 once per structure tensor
+    (`char_poly_identity_check`), step 2 once per structure tensor and
+    bound (`_cih_table`).  Explicit eigenvalue records (span, z, proj z,
+    theta^2) are kept as data for CIH_RECORDS elements drawn from rng over
+    the spans, printed as p/q from integers.  A bound outside
+    0..MAX_CIH_BOUND raises ValueError before anything is enumerated.
     """
     if not 0 <= coord_bound <= MAX_CIH_BOUND:
         raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
-    alg = data.alg
     cert = Certificate("clean_intersection", data.name)
+    cert.add("char_poly_structure_identity",
+             *char_poly_identity_check(data.alg))
+    n_v, bad, proj, dens2, spans = _cih_table(data.alg.structure,
+                                              coord_bound)
+    cert.add(
+        "rational_projectors_for_all_bracket_spans",
+        bad is None,
+        value={"enumerated_V": n_v, "distinct_spans": len(spans),
+               "witness": bad},
+    )
 
-    ok, witness = char_poly_identity_check(alg)
-    cert.add("char_poly_structure_identity", ok, value=witness)
+    # eigenvalue records over the spans: one draw of (k, 2z + 2 bound) per
+    # record, all records at once; then, in integers, proj z = N (2z) / 2d
+    # and theta^2 = c_k^2, |c|^2 over (2d)^2
+    sizes = (len(spans),) + (4 * coord_bound + 1,) * 3
+    draws = rng.integers(0, sizes, size=(CIH_RECORDS, 4))
+    ks, z2 = draws[:, 0], draws[:, 1:] - 2 * coord_bound
+    num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
+    cert.data.update(records=[{
+        "span": [list(r) for r in spans[k]],
+        "z": [_ratio(x, 2) for x in z],
+        "proj_z": [_ratio(x, d) for x in n],
+        "theta_squared": [_ratio(e, d * d) for e in
+                          sorted({n[2] * n[2], sum(x * x for x in n)} - {0})],
+    } for k, n, d, z in zip(ks.tolist(), num, dens2[ks].tolist(),
+                            z2.tolist())],
+        covered_elements=n_v * sizes[1] ** 3)
+    return cert
 
+
+def _ratio(p, q):
+    """str(Fraction(p, q)) for ints p and q > 0: p/q in lowest terms, the
+    integer alone when that denominator is 1."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}".removesuffix("/1")
+
+
+@cache
+def _cih_table(structure, coord_bound):
+    """The seed-free part of `cih_certificate` for the algebra with this
+    structure tensor: (number of enumerated V, the last V whose projector
+    fails its check as a tuple or None, then per distinct span in sorted
+    key order N (n, 3, 3), 2d (n,) and the span's primitive nonzero rows,
+    sorted, printed).  Only the distinct spans are kept, not the (2 bound +
+    1)^dim_v bracket planes.  Every call at the key gets the same objects:
+    the witness and the rows are tuples, and callers read the two arrays
+    only through index arrays, which copy."""
+    alg = AlgebraData(structure)
     vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
                alg.dim_v)
     # the [V, e_q] rows as planes (dim_v, dim_z, n)
-    vt = np.ascontiguousarray(vs.T)
     planes = np.zeros((alg.dim_v, alg.dim_z, len(vs)), dtype=np.int64)
     for p, q, r, c in alg.terms:
-        planes[q, r] += c * vt[p]
+        planes[q, r] += c * vs[:, p]
     proj, dens, rank, ok = _span_projectors(planes)
     # one V per span, in sorted key order: the rank-3 spans share one key,
     # so the rank-deficient V and the first rank-3 V hold every first V
@@ -263,31 +309,9 @@ def cih_certificate(data, coord_bound, rng):
     heads = np.flatnonzero(heads)
     first_v = heads[_first_rows(np.concatenate(
         [proj[heads].reshape(-1, 9), dens[heads, None]], 1))]
-    bad = None if ok.all() else vs[np.flatnonzero(~ok)[-1]].tolist()
-    cert.add(
-        "rational_projectors_for_all_bracket_spans",
-        bad is None,
-        value={"enumerated_V": int(vs.shape[0]),
-               "distinct_spans": len(first_v),
-               "witness": bad},
-    )
-
-    # eigenvalue records over the spans: one draw of (k, 2z + 2 bound) per
-    # record, all records at once; then, in integers, proj z = N (2z) / 2d
-    # and theta^2 = c_k^2, |c|^2 over (2d)^2
-    sizes = (len(first_v),) + (4 * coord_bound + 1,) * 3
-    draws = rng.integers(0, sizes, size=(CIH_RECORDS, 4))
-    ks, z2 = first_v[draws[:, 0]], draws[:, 1:] - 2 * coord_bound
-    num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
-    prims = _primitive_rows(planes[:, :, ks].transpose(2, 0, 1)).tolist()
-    cert.data["records"] = [{
-        "span": [list(map(str, r))
-                 for r in sorted({tuple(r) for r in prim if any(r)})],
-        "z": [str(Fraction(x, 2)) for x in z],
-        "proj_z": [str(Fraction(x, d)) for x in n],
-        "theta_squared": [str(Fraction(e, d * d)) for e in
-                          sorted({n[2] * n[2], sum(x * x for x in n)} - {0})],
-    } for n, d, z, prim in zip(num, (2 * dens[ks]).tolist(), z2.tolist(),
-                               prims)]
-    cert.data["covered_elements"] = int(vs.shape[0]) * sizes[1] ** 3
-    return cert
+    bad = None if ok.all() else tuple(vs[~ok][-1].tolist())
+    prims = _primitive_rows(planes[:, :, first_v].transpose(2, 0, 1))
+    spans = tuple(tuple(tuple(map(str, r)) for r in
+                        sorted({tuple(r) for r in prim if any(r)}))
+                  for prim in prims.tolist())
+    return len(vs), bad, proj[first_v], 2 * dens[first_v], spans

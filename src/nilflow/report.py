@@ -9,19 +9,19 @@ from fractions import Fraction
 
 def fmt_value(x):
     """Render a value for a report: exact fractions as "p/q", doubles with
-    17 significant digits, containers recursively."""
-    if isinstance(x, bool) or x is None:
+    17 significant digits, containers recursively.  The Fraction test, an
+    abstract-class isinstance, comes after the cheap branches that most
+    leaves take."""
+    if x is None or isinstance(x, (int, str)):  # bool is an int
         return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
         return format(x, ".17g")
-    if isinstance(x, int):
-        return x
     if isinstance(x, (list, tuple)):
         return [fmt_value(v) for v in x]
     if isinstance(x, dict):
         return {str(k): fmt_value(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
     return str(x)
 
 

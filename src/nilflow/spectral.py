@@ -6,14 +6,15 @@ the certificate's permutation witnesses (`_kernel_isometries`) against.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb, isqrt, prod
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .lie_core import (RationalLattice, _abs_max, _j_planes, _pfaffians,
-                       j_kernels)
+from .lie_core import (AlgebraData, RationalLattice, _abs_max, _j_planes,
+                       _pfaffians, j_kernels)
 from .report import Certificate
 
 
@@ -163,8 +164,7 @@ def _dual_z_points(bound):
 def _grid(vals, dim):
     """The (n, dim) integer array of all dim-tuples over vals, last axis
     fastest."""
-    grid = np.meshgrid(*([vals] * dim), indexing="ij")
-    return np.stack(grid, -1).reshape(-1, dim)
+    return vals[np.indices((len(vals),) * dim).reshape(dim, -1).T]
 
 
 def _claimed_coeffs(cs):
@@ -186,13 +186,21 @@ def char_poly_identity_check(*algs):
 
     On the grid {0..5}^3, which proves it at every c: each coefficient has
     degree <= 4 per coordinate (e_4 = sum Pf^2).  Returns (ok, witness),
-    witness the first c of the grid where some algebra misses.
+    witness the first c of the grid where some algebra misses.  The proof
+    runs once per structure tensor in a process (`_char_poly_witness`).
     """
+    bad = {_char_poly_witness(alg.structure) for alg in algs} - {None}
+    return not bad, min(bad, default=None)
+
+
+@cache
+def _char_poly_witness(structure):
+    """The first c of the grid {0..5}^3, in its lexicographic order, where
+    char j(Z_c) of the algebra with this structure tensor misses the
+    claimed polynomial, as a tuple of ints; None where it holds."""
     points = _grid(np.arange(6), 3)
-    bad = [i for alg in algs for i in _char_poly_mismatches(alg, points)[:1]]
-    if bad:
-        return False, tuple(int(x) for x in points[min(bad)])
-    return True, None
+    miss = _char_poly_mismatches(AlgebraData(structure), points)
+    return next(map(tuple, points[miss].tolist()), None)
 
 
 def _char_poly_mismatches(alg, cs):

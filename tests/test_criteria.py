@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
-from nilflow import criteria
+from nilflow import cli, criteria
 from nilflow.criteria import (
     CIH_RECORDS,
     MAX_CIH_BOUND,
@@ -280,12 +280,56 @@ CIH_SHA256 = {
 }
 
 
+def _cih_sha256(name, bound, seed=0):
+    rng = np.random.Generator(np.random.Philox(seed))
+    cert = cih_certificate(get_manifold(name), bound, rng)
+    return hashlib.sha256(json.dumps(cert.to_dict(), indent=2).encode()
+                          ).hexdigest()
+
+
 @pytest.mark.parametrize("name,bound", sorted(CIH_SHA256))
 def test_cih_certificate_outputs_are_pinned(name, bound):
-    rng = np.random.Generator(np.random.Philox(0))
-    cert = cih_certificate(get_manifold(name), bound, rng)
-    text = json.dumps(cert.to_dict(), indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == CIH_SHA256[name, bound]
+    # cold: the span table built by this call; warm: read back after a
+    # call at another bound and seed filled the cache further
+    criteria._cih_table.cache_clear()
+    assert _cih_sha256(name, bound) == CIH_SHA256[name, bound]
+    _cih_sha256(name, 2, seed=5)
+    assert _cih_sha256(name, bound) == CIH_SHA256[name, bound]
+
+
+def test_cih_span_table_is_built_once_per_bound(monkeypatch):
+    calls = []
+
+    def counting(planes):
+        calls.append(planes.shape)
+        return _span_projectors(planes)
+
+    monkeypatch.setattr(criteria, "_span_projectors", counting)
+    criteria._cih_table.cache_clear()
+    try:
+        for seed in ("0", "1"):
+            assert cli.main(["cih", "--bound", "1", "--seed", seed]) == 0
+    finally:
+        criteria._cih_table.cache_clear()
+    assert len(calls) == 1
+
+
+def test_cih_records_share_nothing_with_the_cache():
+    first = cih_certificate(M, 1, np.random.default_rng(3))
+    want = json.dumps(cih_certificate(M, 1, np.random.default_rng(3)
+                                      ).to_dict())
+    for rec in first.data["records"]:
+        for row in rec["span"]:
+            row.append("x")
+        for field in rec.values():
+            field.append("x")
+    again = cih_certificate(M, 1, np.random.default_rng(3))
+    assert json.dumps(again.to_dict()) == want
+
+
+def test_ratio_prints_as_fraction():
+    assert all(criteria._ratio(x, d) == str(Fraction(x, d))
+               for x in range(-50, 51) for d in range(1, 61))
 
 
 @pytest.mark.parametrize("name", ["M", "Mprime"])

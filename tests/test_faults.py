@@ -4,7 +4,9 @@ its set of rows at seed 42.
 A fault of the manifold data replaces `catalog._build_pair`, which every
 suite reads through `build_pair`; a fault of the code wraps one function
 (the lattice multiple m, the integrals or their closed-form gradients,
-the CIH projectors, the Pfaffians).  The suites then run one at a time.
+the CIH projectors, the Pfaffians).  The suites then run one at a time,
+with the seed-free lemmas that the program caches per structure tensor
+cleared before and after, so no cached result hides a fault.
 A row that no fault can turn false shows nothing, so every row that none
 of these faults moves is listed with the reason it cannot fail here.
 """
@@ -15,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilflow import catalog, criteria, integrals, lie_core, periodicity, suites
+from nilflow import (catalog, criteria, integrals, lie_core, periodicity,
+                     spectral, suites)
 from nilflow.lie_core import AlgebraData
 from nilflow.suites import SUITE_NAMES, run_suite
 
@@ -216,14 +219,26 @@ UNMOVED = {
 }
 
 
+def _clear_seed_free_caches():
+    """Forget the seed-free lemmas cached per structure tensor, so that a
+    fault of the code they run is not hidden by a result computed before
+    it, nor left behind in one computed under it."""
+    criteria._cih_table.cache_clear()
+    spectral._char_poly_witness.cache_clear()
+
+
 def _rows(fault):
     """{suite.row: passed} over every suite at SEED under fault (None: no
-    fault)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if fault is not None:
-            fault(mp)
-        return {f"{suite}.{c.name}": c.passed for suite in SUITE_NAMES
-                for c in run_suite(suite, SEED).checks}
+    fault), with the seed-free caches cleared on the way in and out."""
+    _clear_seed_free_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if fault is not None:
+                fault(mp)
+            return {f"{suite}.{c.name}": c.passed for suite in SUITE_NAMES
+                    for c in run_suite(suite, SEED).checks}
+    finally:
+        _clear_seed_free_caches()
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -231,6 +246,16 @@ def test_fault_fails_exactly_its_rows(fault):
     apply, want = FAULTS[fault]
     rows = _rows(apply)
     assert {name for name, ok in rows.items() if not ok} == want
+
+
+def test_fault_of_a_cached_lemma_fails_after_a_warm_run():
+    # the cih suite fills the span table first; the perturbed adjugate must
+    # still fail both cih rows, not read the table computed without it
+    assert run_suite("cih", SEED).passed
+    apply, want = FAULTS["projector_adjugate_perturbed"]
+    rows = _rows(apply)
+    assert {name for name, ok in rows.items() if not ok} == want
+    assert run_suite("cih", SEED).passed
 
 
 def test_faults_leave_only_the_listed_rows_unmoved():

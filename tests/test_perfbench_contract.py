@@ -160,7 +160,7 @@ def test_reference_graph_resolves_names_per_module():
     assert "linalg_exact.inverse" in graph["spectral.length_spectrum"]
     # a name from `from .m import n`, and a bare name of the module itself
     assert {"spectral._grid", "criteria._span_projectors"} <= graph[
-        "criteria.cih_certificate"]
+        "criteria._cih_table"]
 
 
 @pytest.mark.parametrize("steps, want", [(None, 1000), (7, 7)])
