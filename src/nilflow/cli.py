@@ -81,14 +81,6 @@ def parse_state(alg, text):
     return TangentState(parts["v"], parts["z"], parts["V"], parts["Z"])
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _fail(kind, message, code):
     """Print the one stderr line "kind: message", the message cut to 200
     characters ending in "…" (messages quote what was typed, a selector, a
@@ -111,12 +103,37 @@ def _read_state_arg(alg, args):
                        else args.state)
 
 
+def _seeded(args):
+    """The random stream of --seed."""
+    return np.random.Generator(np.random.Philox(args.seed))
+
+
+def _with_frame(args, lacks):
+    """The --manifold, which must have its closed-form frame; lacks words
+    what a manifold without one lacks."""
+    data = get_manifold(args.manifold)
+    _require(data.frame is not None, f"manifold {data.name} {lacks}")
+    return data
+
+
+def _integrals_state(args):
+    """(alg, state) of the --manifold, which must carry the eight
+    integrals, and the state read from --state or stdin."""
+    data = get_manifold(args.manifold)
+    _require(data.has_integrals,
+             f"the eight integrals are integrals of M, not of {data.name}")
+    return data.alg, _read_state_arg(data.alg, args)
+
+
+# Each command returns (output, passed): the text, or a JSON document as a
+# dict, and whether its checks passed; main writes it and maps the verdict.
+
+
 def cmd_verify(args):
     t0 = time.perf_counter()
     report = run_suite(args.suite, args.seed)
     report.wall_time_s = time.perf_counter() - t0
-    _emit(report.to_text(), args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return report.to_text(), report.passed
 
 
 # Past about 1e15 RK4 steps rounding swamps the result: the one-step map's
@@ -141,11 +158,8 @@ def _finite(compute, message):
 
 
 def cmd_flow(args):
-    data = get_manifold(args.manifold)
-    if args.method == "exact":
-        _require(data.frame is not None,
-                 f"manifold {data.name} has no closed-form flow; "
-                 "use --method rk4")
+    data = (_with_frame(args, "has no closed-form flow; use --method rk4")
+            if args.method == "exact" else get_manifold(args.manifold))
     _require(math.isfinite(args.t), f"--t must be finite, got {args.t}")
     state = _read_state_arg(data.alg, args)
     if args.method == "exact":
@@ -160,19 +174,15 @@ def cmd_flow(args):
         end = _finite(lambda: flow_rk4(data.alg, state, args.t),
                       f"--t={args.t} or the state is too large: the RK4 "
                       "result is not finite")
-    _emit(format_state(end), args.out)
-    return EXIT_PASS
+    return format_state(end), True
 
 
 def cmd_closed_geodesic(args):
-    data = get_manifold(args.manifold)
-    _require(data.frame is not None,
-             f"manifold {data.name} has no closed-geodesic construction")
+    data = _with_frame(args, "has no closed-geodesic construction")
     if args.target is not None:
         target = parse_state(data.alg, args.target)
     else:
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        target = sample_generic_state(data, rng)
+        target = sample_generic_state(data, _seeded(args))
     with np.errstate(over="ignore"):
         size = math.sqrt(target.speed2)
     _require(math.isfinite(size), "the target is too large: its size "
@@ -195,29 +205,20 @@ def cmd_closed_geodesic(args):
         "a_in_gamma": "exact_pass" if geo.in_gamma else "fail",
         "rotation_condition": "exact_pass" if geo.rotation_exact else "fail",
     }
-    _emit(json.dumps(doc, indent=2), args.out)
-    ok = geo.in_gamma and geo.rotation_exact
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    return doc, geo.in_gamma and geo.rotation_exact
 
 
 def cmd_integrals(args):
-    data = get_manifold(args.manifold)
-    _require(data.has_integrals,
-             f"the eight integrals are integrals of M, not of {data.name}")
-    state = _read_state_arg(data.alg, args)
+    _, state = _integrals_state(args)
     vals = _finite(lambda: evaluate_integrals(state),
                    "the state is too large: the integrals are not finite")
-    doc = {name: fmt_value(float(x)) for name, x in zip(INTEGRAL_NAMES, vals)}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_PASS
+    return {name: fmt_value(float(x))
+            for name, x in zip(INTEGRAL_NAMES, vals)}, True
 
 
 def cmd_poisson(args):
-    data = get_manifold(args.manifold)
-    _require(data.has_integrals,
-             f"the eight integrals are integrals of M, not of {data.name}")
-    state = _read_state_arg(data.alg, args)
-    mat = _finite(lambda: poisson_matrix(data.alg, state),
+    alg, state = _integrals_state(args)
+    mat = _finite(lambda: poisson_matrix(alg, state),
                   "the state is too large: the Poisson brackets are not "
                   "finite")
     rows = []
@@ -232,9 +233,7 @@ def cmd_poisson(args):
                 "tolerance": fmt_value(BRACKET_TOL),
                 "pass": abs(val) <= BRACKET_TOL,
             })
-    doc = {"rows": rows, "max_abs": fmt_value(worst)}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_PASS if worst <= BRACKET_TOL else EXIT_CHECK_FAILURE
+    return {"rows": rows, "max_abs": fmt_value(worst)}, worst <= BRACKET_TOL
 
 
 def cmd_criteria(args):
@@ -243,24 +242,19 @@ def cmd_criteria(args):
     data = get_manifold(args.manifold)
     cert = check_hr_presentation(data.alg, data.split)
     report.add_certificate(cert)
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    cert, fraction = butler_nonintegrability_sample(data.alg, 1000, rng)
+    cert, fraction = butler_nonintegrability_sample(data.alg, 1000,
+                                                    _seeded(args))
     report.add(f"butler_positive_dim_fraction[{data.name}]", cert.passed,
                value=fraction, note=f"regular pairs: {cert.data['regular_pairs']}")
     report.wall_time_s = time.perf_counter() - t0
-    _emit(report.to_text(), args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return report.to_text(), report.passed
 
 
 def cmd_cih(args):
-    data = get_manifold(args.manifold)
-    _require(data.frame is not None,
-             f"manifold {data.name} has no clean-intersection certificate; "
-             "cih runs on M and Mprime only")
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    cert = cih_certificate(data, args.bound, rng)
-    _emit(json.dumps(cert.to_dict(), indent=2), args.out)
-    return EXIT_PASS if cert.passed else EXIT_CHECK_FAILURE
+    data = _with_frame(args, "has no clean-intersection certificate; cih "
+                             "runs on M and Mprime only")
+    cert = cih_certificate(data, args.bound, _seeded(args))
+    return cert.to_dict(), cert.passed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,7 +349,15 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
+        output, passed = COMMANDS[args.command](args)
+        text = (output if isinstance(output, str)
+                else json.dumps(output, indent=2))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return EXIT_PASS if passed else EXIT_CHECK_FAILURE
     except DegenerateFrequencyError as e:
         hint = ("; --method rk4 handles degenerate Z"
                 if getattr(args, "method", None) == "exact" else "")

@@ -30,20 +30,20 @@ from .spectral import _grid, char_poly_identity_check
 def check_hr_presentation(alg, split):
     """Exact certificate for an injective presentation, read off the integer
     structure tensor T on a split (x, y, k), a manifold's `split`:
-    [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x."""
+    [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x.  The
+    witness of a block is its last nonzero bracket; the pairing's rank is
+    |y| less the dimension of the integer kernel of T[x][y][k], and 0 for
+    an empty x block."""
     cert = Certificate("hr_injective_presentation", "algebra")
     x, y, k = split
     t = alg.structure
 
     for name, idx in (("bracket_xx_zero", x), ("bracket_yy_zero", y)):
-        # the witness is the last nonzero bracket of the block
         nonzero = [t[a][b] for a in idx for b in idx if any(t[a][b])]
         witness = [str(c) for c in nonzero[-1]] if nonzero else None
         cert.add(name, not nonzero, value=witness)
 
-    # the pairing's rank is |y| less the dimension of its integer kernel; an
-    # empty x block has rank 0, which integer_kernel would read as a matrix
-    # with no columns
+    # integer_kernel would read an empty x block as a matrix with no columns
     block = [[t[a][b][k] for b in y] for a in x]
     rk = len(y) - len(lx.integer_kernel(block)) if block else 0
     cert.add(
@@ -66,6 +66,12 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     ker j(Z) + dim_z among the sample's own 2 n_samples kernels), and
     tests dim [n_lambda, n_mu] >= 1.  Statistical evidence for an
     open-dense condition, not a proof of density.
+
+    The integer Z are drawn through `flow.draw_rows`, and their kernels and
+    kernel dimensions come from one `j_kernels` call, with no separate
+    draw for the regular dimension; an empty sample has no regular pair.
+    Every pair of kernel vectors of the regular pairs is bracketed at once
+    from the zero-padded bases, one signed add per nonzero constant.
     """
     cert = Certificate("butler_nonintegrability", "sampled")
     zs = draw_rows(2 * n_samples,
@@ -77,9 +83,8 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     regular_dim = int(dims.min()) + alg.dim_z if dims.size else None
     is_regular = np.all((dims + alg.dim_z == regular_dim).reshape(-1, 2),
                         axis=1)
-    # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero:
-    # every pair of kernel vectors bracketed at once as planes, one signed
-    # add per nonzero constant; the zero padding brackets to 0
+    # dim [n_lambda, n_mu] >= 1 iff some kernel-vector bracket is nonzero;
+    # the zero padding brackets to 0
     k = basis.shape[1]
     pairs = np.moveaxis(basis.reshape(n_samples, 2, k, alg.dim_v)[is_regular],
                         -1, 0)  # (dim_v, pairs, 2, k)
@@ -236,13 +241,15 @@ def cih_certificate(data, coord_bound, rng):
       3. hence every nonzero eigenvalue theta^2 is a positive rational and
          theta is never in pi*Q (pi^2 irrational).
     N / d in lowest terms is the span's key: `distinct_spans` counts the
-    distinct keys.  Steps 1 and 2 do not depend on rng and are cached in
-    the process: step 1 once per structure tensor
-    (`char_poly_identity_check`), step 2 once per structure tensor and
-    bound (`_cih_table`).  Explicit eigenvalue records (span, z, proj z,
-    theta^2) are kept as data for CIH_RECORDS elements drawn from rng over
-    the spans, printed as p/q from integers.  A bound outside
-    0..MAX_CIH_BOUND raises ValueError before anything is enumerated.
+    distinct keys (148 on each manifold of the pair at bound 3).  Steps 1
+    and 2 do not depend on rng and are cached in the process: step 1 once
+    per structure tensor (`char_poly_identity_check`), step 2 once per
+    structure tensor and bound (`_cih_table`).  Explicit eigenvalue records
+    (span, z, proj z, theta^2) are kept as data for CIH_RECORDS elements
+    drawn from rng over the spans in one `rng.integers` call, computed at
+    once from int64 numerators and printed as p/q from Python ints
+    (`_ratio`, with no Fraction).  A bound outside 0..MAX_CIH_BOUND raises
+    ValueError before anything is enumerated.
     """
     if not 0 <= coord_bound <= MAX_CIH_BOUND:
         raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
@@ -293,7 +300,10 @@ def _cih_table(structure, coord_bound):
     sorted, printed).  Only the distinct spans are kept, not the (2 bound +
     1)^dim_v bracket planes.  Every call at the key gets the same objects:
     the witness and the rows are tuples, and callers read the two arrays
-    only through index arrays, which copy."""
+    only through index arrays, which copy.  So a process that certifies
+    many seeds, as `scripts/run_verification.py --seed A:B` does, pays for
+    the table once per manifold and bound, and a `perfbench --trace 1`
+    run, whose traced passes follow its untraced ones, times it warm."""
     alg = AlgebraData(structure)
     vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
                alg.dim_v)

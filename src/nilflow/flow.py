@@ -48,8 +48,7 @@ class TangentState:
     @property
     def speed2(self):
         """|V|^2 + |Z|^2: a float for one state, an array over batch axes."""
-        sq = np.vecdot(self.V, self.V) + np.vecdot(self.Z, self.Z)
-        return float(sq) if sq.ndim == 0 else sq
+        return np.vecdot(self.V, self.V) + np.vecdot(self.Z, self.Z)
 
 
 def state_from_flat(alg, flat):
@@ -186,9 +185,9 @@ def default_steps(t):
     return max(1, ceil(abs(float(t)) * RK4_STEPS_PER_UNIT))
 
 
-def _rk4_batch(alg, v, z, V, Z, t, steps=None):
+def _rk4_batch(alg, v, z, V, Z, t, steps):
     """`steps` classic RK4 steps of size h = t / steps, summed in closed form;
-    steps=None takes `default_steps(t)`.
+    steps None takes `default_steps(t)`.
 
     With Z fixed, x = (v, V) obeys the linear system x' = L x with
     L = [[0, I], [0, j(Z)]], so the stage inputs are P_i x with P_1 = I,
@@ -251,7 +250,8 @@ def flow_rk4_many(alg, states, t, steps=None):
 
 
 def flow_exact_vV(frame, v0, V0, t):
-    """Closed-form (v(t), V(t)): V precesses, v integrates the precession."""
+    """Closed-form (v(t), V(t)): V precesses, v integrates the precession.
+    Batch axes on the left, as in the frame; t broadcasts against them."""
     return np.asarray(v0, float) + frame.integrate(V0, t), frame.rotate(V0, t)
 
 
@@ -294,8 +294,10 @@ def flow_exact_state(data, state, t):
     [u_0, W_p] times integrals of s^k e^{i gamma s}, k in {0, 1} and
     gamma in {0, +-theta_p, theta_p +- theta_q}.  Each is
     t^{k+1} E_k(gamma t) (see `_moments`), so the cost does not depend on
-    t.  The t^2 terms overflow from about |t| = 1e154.  The state may carry
-    batch axes on the left; t is one number.
+    t.  V is integrated once, and v(t) and z(t) are built from that one
+    int V.  The t^2 terms overflow from about |t| = 1e154.  The state may
+    carry batch axes on the left, and a batch row equals the one-state call
+    bit for bit; t is one number.
     """
     frame = eigenframe(data, state.Z)
     t = float(t)
@@ -347,7 +349,10 @@ def draw_rows(n, draw, keep):
     """The first n rows that keep (a mask or index array over a block)
     accepts from the stream that draw(k) continues: one draw of n rows,
     then of exactly the rows still missing, from draw(0).  The rows read
-    are a prefix of the stream, so n rows at once equal n one-row draws."""
+    are a prefix of the stream, so n rows at once equal n one-row draws,
+    the RNG state afterwards included.  The one row-rejection rule of the
+    package: the sampler, the Butler sample of `criteria` (its integer Z)
+    and the c_k = 0 block of the integrals suite draw through it."""
     rows = draw(0)
     while len(rows) < n:
         block = draw(n - len(rows))
@@ -364,7 +369,8 @@ def sample_generic_state(data, rng, n=None):
     (Z / 2, V, v, z), so Z is uniform on [-2, 2]^3 (doubling is exact).  A
     row is kept (`draw_rows`) when `_generic_Z` holds and V meets every
     unit frame row by at least 0.05; frames (`eigenframe`) are built only
-    for the rows whose Z passes, so its degeneracy check never fires.
+    for the rows whose Z passes, so its degeneracy check never fires.  A
+    negative n raises ValueError.
     """
     if n is not None and n < 0:
         raise ValueError(f"n must be None or a count of states >= 0, got {n}")

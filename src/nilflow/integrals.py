@@ -12,7 +12,8 @@ right-multiplication by exp(h e) (so it is frame-covariant), the fiber
 part A is the plain velocity-space gradient.  The eight integrals have
 them in closed form (`_gradients`), which the Hamiltonian fields of
 `poisson_matrix` read; any other function gets them from one
-central-difference stencil.  The brackets are the same stencil, step
+central-difference stencil; the suite row `gradient_forms_agree` ties the
+closed form to that stencil.  The brackets are the same stencil, step
 FD_STEP, of the values along the Hamiltonian fields.  The rank is read
 off the closed form's blocks, 3 + [amp_i != 0] + [amp_j != 0] + [(e_0,
 e_1) != 0] + [(e_2, e_3) != 0] + [c != 0]: 8 off a proper analytic set.
@@ -135,8 +136,10 @@ def _gradients(state):
         A[..., 3 + m // 2, p] = r if m == 4 else te[m] * r
     A[..., 3, 5] = te[0] * x0 + te[1] * y1
     A[..., 3, 6] = te[0] * x1 - te[1] * y0
-    # e_2 = |c| (c_j x_0 - c_i x_1): de_2/dZ = c e_2 / n2 + |c| (-x_1, x_0, 0)
-    q, u, w = te[2] * e[2] / n2, te[2] * norm, te[3]
+    # e_2 = |c| (c_j x_0 - c_i x_1): de_2/dZ = c e_2 / n2 + |c| (-x_1, x_0, 0),
+    # and h2 = O(|c|^4), so its gradient is 0 at c = 0
+    q = te[2] * e[2] / np.where(n2 > 0.0, n2, 1.0)
+    u, w = te[2] * norm, te[3]
     A[..., 4, 5] = q * ci - u * x1 + w * (ck * y0 - 2.0 * ci * y2)
     A[..., 4, 6] = q * cj + u * x0 + w * (ck * y1 - 2.0 * cj * y2)
     A[..., 4, 7] = q * ck + w * (ci * y0 + cj * y1)

@@ -106,11 +106,6 @@ def _abs_max(a):
     return max(-int(a.min(initial=0)), int(a.max(initial=0)))
 
 
-def _j_entry_bound(t, cs):
-    """|j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints."""
-    return _abs_max(cs) * int(np.abs(t).sum(axis=2).max())
-
-
 def _j_planes(alg, cs):
     """Integer j(Z) for integer Z as entry planes: cs (..., dim_z) -> int64
     (dim_v, dim_v, n), n the number of z-vectors, plane [q, p] holding
@@ -121,7 +116,8 @@ def _j_planes(alg, cs):
         raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
     if not np.issubdtype(cs.dtype, np.integer):
         raise ValueError("j_matrices takes integer z-vectors")
-    if _j_entry_bound(alg.int_tensor, cs) >= 2**62:
+    # |j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints
+    if _abs_max(cs) * int(np.abs(alg.int_tensor).sum(axis=2).max()) >= 2**62:
         raise OverflowError("z-vector entries too large for int64 j(Z)")
     zt = np.ascontiguousarray(cs.reshape(-1, alg.dim_z).T, dtype=np.int64)
     planes = np.zeros((alg.dim_v, alg.dim_v, zt.shape[1]), dtype=np.int64)
@@ -190,7 +186,7 @@ def j_kernels(alg, cs):
     (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), read off `_pfaffians`,
     primitive with its first nonzero entry positive.  Rank < 4 makes every
     sub-Pfaffian 0; those rows, and every row when dim_v != 5, go to
-    lx.integer_kernel.
+    lx.integer_kernel (Hermite reduction).
     """
     if np.ndim(cs) != 2:
         raise ValueError("j_kernels takes a batch of z-vectors (n, dim_z)")
@@ -223,7 +219,8 @@ def j_matrix_np(alg, z):
 
 @dataclass
 class RationalLattice:
-    """A rank-r lattice in Q^n given by an exact, independent basis."""
+    """A rank-r lattice in Q^n given by an exact, independent basis, for
+    the lattice intersections of `spectral`."""
 
     ambient_dim: int
     basis: tuple  # tuple of basis vectors, each a tuple of Fractions

@@ -89,7 +89,8 @@ def translational_element_expanded(data, state, tau):
 def flow_translation(data, state, tau):
     """(t_v, t_z, end): the translation gamma(tau) gamma(0)^{-1} read off
     the exact flow from state (batched over its leading axes), and the end
-    state itself."""
+    state itself; the oracle of the translational element and the
+    closure constraints read it."""
     end = flow_exact_state(data, state, tau)
     t_v = end.v - state.v
     t_z = end.z - state.z - 0.5 * bracket_v_np(data.alg, end.v, state.v)
@@ -125,7 +126,9 @@ def rationalize_sphere_direction(us, bound):
     When the rounding lands on the degenerate cone (s = a^2 + b^2 = 0 or 1)
     one step of 1/(2 bound) leaves it: a has denominator <= bound, so the
     stepped s is 0 only at a = -1/(2 bound) and 1 only at a = -1/(4
-    bound), neither of which can occur.
+    bound), neither of which can occur.  The best approximation is the
+    continued fraction on the ints of each float, so an exact Pythagorean
+    direction such as (3/5, 0, 4/5) comes back exactly.
     """
     u = us / _norm(us)[:, None]
     south = u[:, 2] > 0.5  # project from the pole far from u
@@ -161,7 +164,8 @@ class ClosedGeodesic:
     Z^dim_v and a_z in (1/2) Z^dim_z.  in_gamma (a in Gamma) and
     rotation_exact (tau c_k, tau |c| in 2 pi Z) read the exact fields.
     distance is the largest of |Z - Z_target|, |V - V_target| and
-    |v - v_target|.
+    |v - v_target|.  The grid values r, t, P_D and P_W are not kept: a / m
+    is the element they define.
     """
 
     c: tuple  # exact rational Z with rational norm
@@ -229,27 +233,29 @@ def construct_closed_geodesic(data, targets, epsilon):
     """Exactly closed geodesics within epsilon of the targets, each with
     its element a in Gamma.
 
-    targets: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0),
-    one state (returns one ClosedGeodesic) or n states along a leading
-    axis (returns a list of n; row i is the one-state result for target
-    i).  z and the v-coordinates not pinned are taken from the target.
+    targets: a TangentState with generic Z (c_k != 0, (c_i, c_j) != 0), one
+    state (returns one ClosedGeodesic) or n states along a leading axis
+    (returns a list of n; row i is the one-state result for target i, bit
+    for bit).  z and the v-coordinates not pinned are taken from the
+    target.
 
     An attempt is one pass over the rows: the float rounding in numpy on
-    one frame, the exact element per row in Python ints.  |c|, r, t, P_D,
-    P_W are rounded onto the grid (1/bound) Z, the direction of c to a
-    rational point of the sphere with denominators <= bound, both in ints
-    (no Fraction arithmetic before the result's fields).  Every row starts
-    at bound = max(16, ceil(4 / epsilon)), and the rows that miss epsilon
-    are tried again as one batch at double the bound until all are within
-    it; a value that the floats cannot hold, or a grid finer than the
-    floats resolve t - sigma, ends the doubling with ConstructionError,
-    naming epsilon and the grid.  epsilon must be positive and at least
+    one `EigenFrame`, whose printed rows give V's coefficients, the exact
+    element per row in Python ints.  |c|, r, t, P_D, P_W are rounded onto
+    the grid (1/bound) Z, the direction of c to a rational point of the
+    sphere with denominators <= bound, both in ints (no Fraction arithmetic
+    before the result's fields).  Every row starts at bound = max(16,
+    ceil(4 / epsilon)), and the rows that miss epsilon are tried again as
+    one batch at double the bound until all are within it; a value that the
+    floats cannot hold, or a grid finer than the floats resolve t - sigma,
+    ends the doubling with ConstructionError, naming epsilon, the first
+    missing row and the last grid.  epsilon must be positive and at least
     2^-52 |(V, Z)|, the float resolution of the targets; an empty batch
     returns [].  r is kept at least e sigma / (4 |c|) from 0, e the smaller
     of epsilon and the target's size |(V, Z)|: this moves V by at most
-    about e / 4 and bounds the error of the pinned base point v by (1 /
-    bound) / (|r| s), s the least singular value of drift's linear part in
-    v.
+    about e / 4, so a huge epsilon still gives a state near the target, and
+    bounds the error of the pinned base point v by (1 / bound) / (|r| s), s
+    the least singular value of drift's linear part in v.
 
     Degenerate targets (on the cone c_k |c| (|c| - |c_k|) = 0) are
     rejected, naming the first such row: no commensurable precession
@@ -309,10 +315,12 @@ def _construct_once(data, target, epsilon, bound):
     """One attempt on the grid (1/bound) Z for a batch of targets: their
     closed geodesics, None where a row misses epsilon, and the distances.
     The base point is the target's, moved by the least change (`_pin`)
-    that puts the D and W coefficients of a_z on the grid.  Grid values
-    are Python-int numerators k (object arrays, exact at any size), read
-    in floats as k / bound; OverflowError where the floats cannot hold a
-    value or resolve t - sigma to a grid step of w1."""
+    that makes drift return the grid values P_D / r and (P_W + w1) / r.
+    t is raised, if needed, to the first grid point with t - sigma >
+    |c_k| / bound, and w1 clamped into c_k w1 in (0, t - sigma).  Grid
+    values are Python-int numerators k (object arrays, exact at any
+    size), read in floats as k / bound; OverflowError where the floats
+    cannot hold a value or resolve t - sigma to a grid step of w1."""
     def ints(x, f=round):
         if not np.isfinite(x).all():
             raise OverflowError("a grid value is not a finite float")
@@ -340,9 +348,8 @@ def _construct_once(data, target, epsilon, bound):
     r_f = floats(k_r)
 
     # |V_perp|^2 = 2 |c|^2 (t / sigma - 1) and |V_ck|^2 = 2 c_k |c|^2 w1 /
-    # sigma, so c_k w1 must lie in (0, t - sigma); t is raised to the first
-    # grid point with t - sigma > |c_k| / bound, which leaves that interval
-    # a grid point for w1, and w1 is its rounded target clamped into it
+    # sigma, so c_k w1 must lie in (0, t - sigma); t - sigma > |c_k| / bound
+    # leaves that interval a grid point for w1
     vperp_t = Vt - beta_bar[:, None] * y_c
     k_t = np.maximum(
         ints(sigma * (1.0 + np.vecdot(vperp_t, vperp_t) / (2.0 * n2)) * bound),
@@ -427,11 +434,12 @@ def family_kernel(jac):
 
 
 def invariant_fiber_codim(data, geo, null_rows):
-    """Rank of the integral gradients restricted to the family's tangent
-    space, spanned by `family_kernel` rows null_rows at geo; 1 means the
-    family is a one-parameter stack of invariant level sets.  Also returns
-    the largest projection of the three exact central integrals q_W, which
-    must vanish on the family: (rank, q_proj)."""
+    """Rank of the closed-form integral gradients of `integrals` restricted
+    to the family's tangent space, spanned by `family_kernel` rows
+    null_rows at geo; 1 means the family is a one-parameter stack of
+    invariant level sets.  Also returns the largest projection of the three
+    exact central integrals q_W, which must vanish on the family: (rank,
+    q_proj)."""
     # no integral reads z, so the left gradients (B, A) are the plain
     # coordinate gradients in the (v, z, V, Z) order of the Jacobian columns
     grads = np.concatenate(left_gradients_all(data.alg, geo.state), axis=-1)

@@ -20,6 +20,8 @@ from .report import Certificate
 
 def char_poly_batch_int(mats):
     """Faddeev-LeVerrier over int64 for a batch of small integer matrices.
+    Kept only as a name the benchmark traces and as a test subject: the
+    certificates take characteristic polynomials from `_skew_char_poly`.
 
     mats: (n, d, d) integer array.  Returns (n, d+1) coefficients, highest
     degree first.  Exact whenever s = max(1, d max|a_ij|) has
@@ -216,7 +218,8 @@ def _kernel_isometries(alg_p, cs, basis, dims):
     j'(Z_c) P b = 0 for every row b of the saturated kernel basis (basis,
     dims) of `j_kernels` for j, where dims equals the nullity of j'(Z_c);
     -1 where none does.  j'(Z_c) is skew, so its nullity is the number of
-    trailing zero coefficients of its characteristic polynomial.
+    trailing zero coefficients of its characteristic polynomial, and no
+    kernel basis of j'(Z_c) is built.
 
     A hit is an isometry of the kernel lattices: L = ker j ∩ Z^5 gives
     P(L) = Z^5 ∩ P(ker j), which lies in ker j' of the same dimension, so
@@ -261,7 +264,8 @@ def gw_certificate(pair, dual_bound):
         the kernel lattice of j(Z) onto that of j'(Z) (`_kernel_isometries`),
         an isometry, which makes their length spectra equal at every R;
         on the pair, j'(Z) = P j(Z) P^T at c_k = 0 for the swap X_a <-> Y_a,
-        and the kernel lattices are identical elsewhere.
+        and the kernel lattices are identical elsewhere, so the identity
+        settles every point but the 48 with c_k = 0 != c at dual bound 6.
     The dual of (1/2) Z^3 is (2Z)^3, and ker j(Z) meets Z^dim_v in the
     saturated integer kernel.
     """

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, wire format, determinism."""
 
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import time
@@ -602,6 +604,59 @@ def test_tolerances_are_not_configurable(argv, tmp_path, capsys):
 def test_out_path_io_error(tmp_path):
     assert main(["verify", "--suite", "algebra",
                  "--out", str(tmp_path / "no" / "dir" / "r.json")]) == EXIT_IO
+
+
+# one request per command and flow method; criteria on Mprime exits 1
+OUTPUT_REQUESTS = {
+    "verify": ["verify", "--suite", "algebra", "--seed", "7"],
+    "flow-exact": ["flow", "--method", "exact", "--state", PAIR_STATE],
+    "flow-rk4": ["flow", "--method", "rk4", "--state", PAIR_STATE],
+    "closed-geodesic": ["closed-geodesic", "--seed", "0"],
+    "integrals": ["integrals", "--state", PAIR_STATE],
+    "poisson": ["poisson", "--state", PAIR_STATE],
+    "criteria": ["criteria", "--manifold", "Mprime", "--seed", "0"],
+    "cih": ["cih", "--bound", "1"],
+}
+
+
+@pytest.mark.parametrize("request_id", sorted(OUTPUT_REQUESTS))
+def test_out_file_holds_what_stdout_prints(request_id, tmp_path, capsys):
+    argv = OUTPUT_REQUESTS[request_id]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    if argv[0] in ("verify", "criteria"):  # wall_time_s varies
+        printed, written = (json.loads(x)["body"] for x in (printed, written))
+    assert written == printed
+
+
+@pytest.mark.parametrize("request_id", sorted(OUTPUT_REQUESTS))
+def test_out_directory_is_io_error(request_id, tmp_path, capsys):
+    assert main(OUTPUT_REQUESTS[request_id]
+                + ["--out", str(tmp_path)]) == EXIT_IO
+    err = capsys.readouterr()
+    assert err.out == ""
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("I/O error: ")
+
+
+def test_only_main_writes_output_and_maps_the_verdict():
+    tree = ast.parse(inspect.getsource(cli))
+    banned = {"print", "open", "json"}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        if fn.name.startswith("cmd_"):
+            assert not names & banned, fn.name
+            assert not any(n.startswith("EXIT_") for n in names), fn.name
+            assert not any(isinstance(n, ast.Attribute) and n.attr == "out"
+                           for n in ast.walk(fn)), fn.name
+        elif fn.name != "main":
+            assert not names & {"EXIT_PASS", "EXIT_CHECK_FAILURE"}, fn.name
 
 
 def test_exit_constants_are_distinct():

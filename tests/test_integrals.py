@@ -124,6 +124,19 @@ def test_closed_form_f_rows_vanish_at_ck_zero():
     assert np.any(A[:, :6] != 0.0)
 
 
+def test_closed_form_gradients_at_z_zero_equal_the_fd_stencil():
+    # at c = 0 the h2 row's c e_2 / n2 is 0 / 0; h2 = O(|c|^4), so the
+    # true gradient there is 0
+    rng = np.random.default_rng(30)
+    s = sample_generic_state(M, rng, 100)
+    s.Z[:] = 0.0
+    with np.errstate(invalid="raise", divide="raise"):
+        closed = np.concatenate(left_gradients_all(M.alg, s), -1)
+    fd = np.concatenate(left_gradients_all(M.alg, s, evaluate_integrals), -1)
+    assert np.isfinite(closed).all()
+    assert np.max(np.abs(closed - fd)) <= 1e-9
+
+
 def test_closed_form_brackets_vanish_bilinearly():
     # {F_a, F_b} = B_a . base_b + A_a . fiber_b on the Hamiltonian fields,
     # with no finite difference anywhere
