@@ -364,7 +364,7 @@ def main(argv=None):
         return _fail("degenerate input", f"{e}{hint}", EXIT_DEGENERATE)
     except ConstructionError as e:
         return _fail("construction failure", e, EXIT_CONSTRUCTION)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         return _fail("usage error", e, EXIT_USAGE)
     except OSError as e:
         return _fail("I/O error", e, EXIT_IO)

@@ -70,8 +70,11 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     The integer Z are drawn through `flow.draw_rows`, and their kernels and
     kernel dimensions come from one `j_kernels` call, with no separate
     draw for the regular dimension; an empty sample has no regular pair.
-    Every pair of kernel vectors of the regular pairs is bracketed at once
-    from the zero-padded bases, one signed add per nonzero constant.
+    A rank-4 kernel is the raw sub-Pfaffian line k(Z), which no gcd pass
+    scales: scaling a line changes neither dims nor whether [k(Z), k(Z')]
+    vanishes.  Every pair of kernel vectors of the regular pairs is
+    bracketed at once from the zero-padded bases, one signed add per
+    nonzero constant.
     """
     cert = Certificate("butler_nonintegrability", "sampled")
     zs = draw_rows(2 * n_samples,
@@ -213,9 +216,9 @@ def _first_rows(keys):
     return order[new]
 
 
-# cih enumerates (2 bound + 1)^5 V: 13^5 ≈ 3.7e5 at bound 6 (about 0.2 s and
-# 160 MB peak on a 2-core x86_64 host); bound 10 would be 4.1e6 V and
-# several GB of span arrays.
+# cih enumerates (2 bound + 1)^5 V and projects half of them: 13^5 ≈ 3.7e5
+# at bound 6 (about 0.07 s and 100 MB peak for `nilflow cih --bound 6` on a
+# 2-core x86_64 host); bound 10 would be 4.1e6 V and GBs of span arrays.
 MAX_CIH_BOUND = 6
 CIH_RECORDS = 40
 
@@ -232,7 +235,10 @@ def cih_certificate(data, coord_bound, rng):
          nonzero eigenvalues of -j(Z_c)^2 are c_k^2 and |c|^2;
       2. for every enumerated V, the orthogonal projector onto the
          complement of the bracket span [V, n] is an exact rational matrix
-         N / d, read off the Gram matrix G of the span: where det G != 0
+         N / d, read off the Gram matrix G of the span.  [-V, n] = [V, n],
+         so each V with first nonzero coordinate < 0 has the projector and
+         checks of -V, and only the half box {V : first nonzero coordinate
+         > 0} ∪ {0} is projected (`_cih_table`).  Where det G != 0
          the span is all of z and N = 0, d = 1, for which symmetry,
          idempotence, trace 3 - rank = 0 and annihilation of the span all
          read 0 = 0; on the rows with det G = 0 (a sixth of them at bound
@@ -298,30 +304,44 @@ def _cih_table(structure, coord_bound):
     fails its check as a tuple or None, then per distinct span in sorted
     key order N (n, 3, 3), 2d (n,) and the span's primitive nonzero rows,
     sorted, printed).  Only the distinct spans are kept, not the (2 bound +
-    1)^dim_v bracket planes.  Every call at the key gets the same objects:
-    the witness and the rows are tuples, and callers read the two arrays
-    only through index arrays, which copy.  So a process that certifies
-    many seeds, as `scripts/run_verification.py --seed A:B` does, pays for
-    the table once per manifold and bound, and a `perfbench --trace 1`
-    run, whose traced passes follow its untraced ones, times it warm."""
+    1)^dim_v bracket planes.
+
+    The sign symmetry is an exact step: [-V, n] = [V, n] as a span, since
+    its rows are those of V negated, so -V has the same G, adj G, N / d and
+    checks, and only the half box {V : first nonzero coordinate > 0} ∪ {0}
+    is projected ((7^5 + 1) / 2 = 8,404 of 16,807 V at bound 3).  In the
+    box's lexicographic order that half is the upper half, and negation
+    reverses the order; so the last failing V of the half is the last of
+    the box, and each span's rows are printed from its last V in the half,
+    minus the first V of the box, whose primitive rows are the same.
+
+    Every call at the key gets the same objects: the witness and the rows
+    are tuples, and callers read the two arrays only through index arrays,
+    which copy.  So a process that certifies many seeds, as
+    `scripts/run_verification.py --seed A:B` does, pays for the table once
+    per manifold and bound, and a `perfbench --trace 1` run, whose traced
+    passes follow its untraced ones, times it warm."""
     alg = AlgebraData(structure)
     vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
                alg.dim_v)
+    n_v = len(vs)
+    vs = vs[n_v // 2:]  # V = 0, then the V after it in the order
     # the [V, e_q] rows as planes (dim_v, dim_z, n)
     planes = np.zeros((alg.dim_v, alg.dim_z, len(vs)), dtype=np.int64)
     for p, q, r, c in alg.terms:
         planes[q, r] += c * vs[:, p]
     proj, dens, rank, ok = _span_projectors(planes)
-    # one V per span, in sorted key order: the rank-3 spans share one key,
-    # so the rank-deficient V and the first rank-3 V hold every first V
+    # one V per span, the last in the half, in sorted key order: the
+    # rank-3 spans share one key, so the rank-deficient V and the last
+    # rank-3 V hold every last V; reversed, the first rows are the last
     heads = rank < 3
-    heads[np.argmax(rank == 3)] = True  # all rows are heads without rank 3
-    heads = np.flatnonzero(heads)
-    first_v = heads[_first_rows(np.concatenate(
+    heads[-1 - np.argmax(rank[::-1] == 3)] = True  # all heads without rank 3
+    heads = np.flatnonzero(heads)[::-1]
+    last_v = heads[_first_rows(np.concatenate(
         [proj[heads].reshape(-1, 9), dens[heads, None]], 1))]
     bad = None if ok.all() else tuple(vs[~ok][-1].tolist())
-    prims = _primitive_rows(planes[:, :, first_v].transpose(2, 0, 1))
+    prims = _primitive_rows(planes[:, :, last_v].transpose(2, 0, 1))
     spans = tuple(tuple(tuple(map(str, r)) for r in
                         sorted({tuple(r) for r in prim if any(r)}))
                   for prim in prims.tolist())
-    return len(vs), bad, proj[first_v], 2 * dens[first_v], spans
+    return n_v, bad, proj[last_v], 2 * dens[last_v], spans

@@ -107,10 +107,12 @@ def _abs_max(a):
 
 
 def _j_planes(alg, cs):
-    """Integer j(Z) for integer Z as entry planes: cs (..., dim_z) -> int64
-    (dim_v, dim_v, n), n the number of z-vectors, plane [q, p] holding
-    j(Z)_qp = T[p, q] . Z for every Z, built by one signed add of a
-    z-coordinate plane per nonzero constant."""
+    """Integer j(Z) for integer Z as strict upper-triangle entry planes: cs
+    (..., dim_z) -> int64 U (dim_v, dim_v, n), n the number of z-vectors,
+    plane [q, p] holding j(Z)_qp = T[p, q] . Z for q < p and the planes on
+    and below the diagonal 0, built by one signed add of a z-coordinate
+    plane per nonzero constant above the diagonal.  That triangle is all
+    that `_pfaffians` reads; j(Z) itself is U - U^T (`_skew_matrices`)."""
     cs = np.asarray(cs)
     if cs.shape[-1:] != (alg.dim_z,):
         raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
@@ -122,21 +124,29 @@ def _j_planes(alg, cs):
     zt = np.ascontiguousarray(cs.reshape(-1, alg.dim_z).T, dtype=np.int64)
     planes = np.zeros((alg.dim_v, alg.dim_v, zt.shape[1]), dtype=np.int64)
     for p, q, r, c in alg.terms:
-        planes[q, p] += c * zt[r]
+        if q < p:
+            planes[q, p] += c * zt[r]
     return planes
+
+
+def _skew_matrices(planes):
+    """The skew matrices U - U^T (n, d, d) of strict upper-triangle entry
+    planes U (d, d, n) of `_j_planes`."""
+    u = planes.transpose(2, 0, 1)
+    return u - u.transpose(0, 2, 1)
 
 
 def j_matrices(alg, cs):
     """Integer j(Z) for integer Z, batched: cs (..., dim_z) -> (..., dim_v,
-    dim_v) int64, a view of the entry planes of `_j_planes`."""
+    dim_v) int64, U - U^T of the entry planes U of `_j_planes`."""
     planes = _j_planes(alg, cs)
-    return planes.transpose(2, 0, 1).reshape(
-        np.shape(cs)[:-1] + planes.shape[:2])
+    return _skew_matrices(planes).reshape(np.shape(cs)[:-1] + planes.shape[:2])
 
 
 def _pfaffians(planes):
     """The Pfaffians of all even principal submatrices of skew integer
-    matrices held as entry planes (d, d, n): {S: (n,) int64} over the
+    matrices held as entry planes (d, d, n), of which only the strict upper
+    triangle is read (`_j_planes`): {S: (n,) int64} over the
     sorted index tuples S of size 2, 4, ..., d, each expanded along its
     first row, Pf(S) = sum_j (-1)^(j+1) a[s_0, s_j] Pf(S without s_0, s_j).
 
@@ -176,36 +186,46 @@ def _primitive_rows(rows):
     return rows // np.where(first < 0, -g, g)[..., None]
 
 
-def j_kernels(alg, cs):
-    """Saturated integer bases of ker j(Z) for integer Z, batched: cs
-    (n, dim_z) -> (basis, dims), basis int64 (n, k, dim_v) with the dims[i]
-    basis vectors of ker j(Z_i) in row i, then zero rows.
+def _kernel_lines(planes):
+    """The signed 4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and
+    column i) of 5x5 skew integer matrices held as entry planes (5, 5, n):
+    (n, 5) int64, as read off `_pfaffians`, with no gcd division and no
+    sign rule.  ker j(Z) is the line R k where rank j(Z) = 4, and k = 0
+    where the rank is less (Buchsbaum & Eisenbud, Amer. J. Math. 99,
+    1977)."""
+    sub = _pfaffians(planes)
+    lines = np.empty((5, planes.shape[2]), dtype=np.int64)
+    for i in range(5):
+        minor = sub[tuple(r for r in range(5) if r != i)]
+        lines[i] = -minor if i % 2 else minor
+    return lines.T
 
-    For dim_v = 5 and rank j(Z) = 4 the kernel is the line (k = 1) of the
-    signed 4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and column i)
-    (Buchsbaum & Eisenbud, Amer. J. Math. 99, 1977), read off `_pfaffians`,
-    primitive with its first nonzero entry positive.  Rank < 4 makes every
-    sub-Pfaffian 0; those rows, and every row when dim_v != 5, go to
-    lx.integer_kernel (Hermite reduction).
+
+def j_kernels(alg, cs):
+    """Integer bases of ker j(Z) for integer Z, batched: cs (n, dim_z) ->
+    (basis, dims), basis int64 (n, k, dim_v) with the dims[i] basis vectors
+    of ker j(Z_i) in row i, then zero rows.
+
+    For dim_v = 5 and rank j(Z) = 4 the kernel is the line (k = 1) of
+    `_kernel_lines`, the raw signed sub-Pfaffian vector, with no gcd pass:
+    every caller reads only the kernel subspaces, their dimensions and
+    which brackets or images vanish, none of which scaling a line changes.
+    Rank < 4 makes every sub-Pfaffian 0; those rows, and every row when
+    dim_v != 5, go to lx.integer_kernel (Hermite reduction).
     """
     if np.ndim(cs) != 2:
         raise ValueError("j_kernels takes a batch of z-vectors (n, dim_z)")
     planes = _j_planes(alg, cs)
     dv, n = alg.dim_v, planes.shape[2]
-    pf = np.zeros((dv, n), dtype=np.int64)
-    if dv == 5:
-        sub = _pfaffians(planes)
-        for i in range(5):
-            minor = sub[tuple(r for r in range(5) if r != i)]
-            pf[i] = -minor if i % 2 else minor
-    pf = _primitive_rows(pf.T)
-    fallback = np.flatnonzero(~np.any(pf != 0, axis=1))
-    kers = [lx.integer_kernel(planes[:, :, i].tolist())
-            for i in fallback.tolist()]
+    lines = (_kernel_lines(planes) if dv == 5
+             else np.zeros((n, dv), dtype=np.int64))
+    fallback = np.flatnonzero(~np.any(lines != 0, axis=1))
+    kers = [lx.integer_kernel(m.tolist())
+            for m in _skew_matrices(planes[:, :, fallback])]
     dims = np.ones(n, dtype=int)
     dims[fallback] = [len(ker) for ker in kers]
     basis = np.zeros((n, dims.max(initial=1), dv), np.int64)
-    basis[:, 0] = pf
+    basis[:, 0] = lines
     for i, ker in zip(fallback.tolist(), kers):
         if ker:
             basis[i, :len(ker)] = ker

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg_exact as lx
 from .lie_core import (AlgebraData, RationalLattice, _abs_max, _j_planes,
-                       _pfaffians, j_kernels)
+                       _pfaffians, _skew_matrices, j_kernels)
 from .report import Certificate
 
 
@@ -212,25 +212,33 @@ def _char_poly_mismatches(alg, cs):
     return np.flatnonzero(np.any(coeffs != _claimed_coeffs(cs), axis=1))
 
 
+# permutations tried per batched product of `_kernel_isometries`
+PERM_CHUNK = 12
+
+
 def _kernel_isometries(alg_p, cs, basis, dims):
     """Per integer row c of cs, the index in permutations(range(dim_v))
     (the identity first) of the first coordinate permutation P with
-    j'(Z_c) P b = 0 for every row b of the saturated kernel basis (basis,
-    dims) of `j_kernels` for j, where dims equals the nullity of j'(Z_c);
+    j'(Z_c) P b = 0 for every row b of the kernel basis (basis, dims) of
+    `j_kernels` for j, where dims equals the nullity of j'(Z_c);
     -1 where none does.  j'(Z_c) is skew, so its nullity is the number of
     trailing zero coefficients of its characteristic polynomial, and no
     kernel basis of j'(Z_c) is built.
 
-    A hit is an isometry of the kernel lattices: L = ker j ∩ Z^5 gives
-    P(L) = Z^5 ∩ P(ker j), which lies in ker j' of the same dimension, so
-    P(L) = Z^5 ∩ ker j' = L', and the orthogonal P restricts to an
-    isometry L -> L'.  Index 0 means L = L'.  A miss says only that no
-    coordinate permutation maps L onto L'.  The identity is tried on every
-    row, the other permutations only where it fails.  In int64, checked
-    against overflow.
+    A hit is an isometry of the kernel lattices: the rows b span ker j,
+    so P(ker j) lies in ker j' of the same dimension and equals it, and
+    L = ker j ∩ Z^5 gives P(L) = Z^5 ∩ P(ker j) = Z^5 ∩ ker j' = L'; the
+    orthogonal P restricts to an isometry L -> L'.  Only the subspace ker
+    j is read, so a basis that spans it without being saturated serves.
+    Index 0 means L = L'.  A miss says only that no coordinate permutation
+    maps L onto L'.  The identity is tried on every row; the other
+    permutations are tried in order, PERM_CHUNK at a time, only on the
+    rows that no earlier permutation serves, so the search stops at the
+    last row's first hit (permutation 60 of 120 at dual bound 6 on the
+    pair).  In int64, checked against overflow.
     """
     planes = _j_planes(alg_p, cs)
-    mats = planes.transpose(2, 0, 1)
+    mats = _skew_matrices(planes)
     bound = _abs_max(mats) * _abs_max(basis)
     if alg_p.dim_v * bound >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
@@ -239,13 +247,19 @@ def _kernel_isometries(alg_p, cs, basis, dims):
     index = np.where(dims == dims_p, 0, -1)
     moved = np.any(mats @ basis.transpose(0, 2, 1) != 0, axis=(1, 2))
     rows = np.flatnonzero(moved & (index == 0))
-    # j' applied to every permuted basis vector of those rows at once
-    permuted = basis[rows][:, :, perms]  # (rows, k, perms, dim_v)
-    r, k, n_perms, dv = permuted.shape
-    images = permuted.reshape(r, k * n_perms, dv) @ \
-        mats[rows].transpose(0, 2, 1)
-    killed = ~np.any(images.reshape(permuted.shape) != 0, axis=(1, 3))
-    index[rows] = np.where(killed.any(axis=1), killed.argmax(axis=1), -1)
+    index[rows] = -1
+    for start in range(1, len(perms), PERM_CHUNK):
+        if not rows.size:
+            break
+        # j' applied to every permuted basis vector of those rows at once
+        permuted = basis[rows][:, :, perms[start:start + PERM_CHUNK]]
+        r, k, n_perms, dv = permuted.shape  # (rows, k, perms, dim_v)
+        images = permuted.reshape(r, k * n_perms, dv) @ \
+            mats[rows].transpose(0, 2, 1)
+        killed = ~np.any(images.reshape(permuted.shape) != 0, axis=(1, 3))
+        hit = killed.any(axis=1)
+        index[rows[hit]] = start + killed[hit].argmax(axis=1)
+        rows = rows[~hit]
     return index
 
 
@@ -267,7 +281,7 @@ def gw_certificate(pair, dual_bound):
         and the kernel lattices are identical elsewhere, so the identity
         settles every point but the 48 with c_k = 0 != c at dual bound 6.
     The dual of (1/2) Z^3 is (2Z)^3, and ker j(Z) meets Z^dim_v in the
-    saturated integer kernel.
+    kernel lattice, the saturation of the basis that `j_kernels` gives.
     """
     m_data, mp_data = pair
     alg, alg_p = m_data.alg, mp_data.alg

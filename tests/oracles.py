@@ -4,6 +4,7 @@ paths against.  None of this is used by the package itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import ceil, hypot, sqrt
 
 import numpy as np
@@ -17,6 +18,7 @@ from nilflow.lie_core import (
     RationalLattice,
     _primitive_rows,
     bracket_v_np,
+    j_matrices,
     j_matrix,
     j_matrix_np,
 )
@@ -199,10 +201,28 @@ def kernel_subspace(alg, z):
 
 
 def kernel_rows(kers):
-    """The per-Z bases of a lie_core.j_kernels result (basis, dims), as
-    lists of Python-int rows without the zero padding."""
+    """The per-Z bases of a lie_core.j_kernels result (basis, dims),
+    saturated, as lists of Python-int rows without the zero padding: each
+    row divided by the gcd of its entries, first nonzero entry positive.
+    j_kernels leaves its sub-Pfaffian lines raw; its Hermite rows are
+    already primitive."""
     basis, dims = kers
-    return [b[:d].tolist() for b, d in zip(basis, dims)]
+    return [b[:d].tolist() for b, d in zip(_primitive_rows(basis), dims)]
+
+
+def kernel_isometries_all_permutations(alg_p, cs, basis, dims):
+    """Per integer row c of cs, the index in permutations(range(dim_v)) of
+    the first coordinate permutation P with j'(Z_c) P b = 0 for every row
+    b of basis, where dims equals the nullity of j'(Z_c) by exact rank;
+    -1 where none does.  One row at a time, every permutation in order
+    (the oracle for the chunked search of spectral._kernel_isometries)."""
+    perms = [list(p) for p in permutations(range(alg_p.dim_v))]
+    index = []
+    for m, b, d in zip(j_matrices(alg_p, cs), basis, dims):
+        hit = next((k for k, p in enumerate(perms)
+                    if not np.any(m @ b[:, p].T)), -1)
+        index.append(hit if d == alg_p.dim_v - lx.rank(m.tolist()) else -1)
+    return np.array(index)
 
 
 def commutator_nonzero(alg, lam, mu):
@@ -321,6 +341,30 @@ def cih_records(alg, coord_bound, rng, n_records):
             "theta_squared": [str(e) for e in eigs],
         })
     return records, len(vs) * len(z_vals) ** 3
+
+
+def cih_table_full_box(alg, coord_bound):
+    """The span table of criteria._cih_table over the whole box of (2
+    bound + 1)^dim_v V, with no sign symmetry: (enumerated V, the last V
+    whose projector fails its check as a tuple or None, then per distinct
+    span in sorted key order N, 2d and the printed primitive rows of its
+    first V, found by np.unique) (the oracle for the half box of
+    criteria._cih_table)."""
+    vals = np.arange(-coord_bound, coord_bound + 1)
+    vs = np.stack(np.meshgrid(*[vals] * alg.dim_v, indexing="ij"),
+                  -1).reshape(-1, alg.dim_v)
+    spans = np.einsum("np,pqr->nqr", vs, alg.int_tensor)
+    proj, dens, _, ok = _span_projectors(
+        np.ascontiguousarray(spans.transpose(1, 2, 0)))
+    keys = np.concatenate([proj.reshape(-1, 9), dens[:, None]], 1)
+    first_v = np.unique(keys, axis=0, return_index=True)[1]
+    bad = None if ok.all() else tuple(vs[~ok][-1].tolist())
+    rows = tuple(
+        tuple(tuple(map(str, r)) for r in
+              sorted({tuple(r) for r in _primitive_rows(spans[k]).tolist()
+                      if any(r)}))
+        for k in first_v)
+    return len(vs), bad, proj[first_v], 2 * dens[first_v], rows
 
 
 def span_projector(rows):

@@ -601,6 +601,20 @@ def test_tolerances_are_not_configurable(argv, tmp_path, capsys):
     assert "--config" in lines[0]
 
 
+def test_lookup_bug_in_a_command_propagates(monkeypatch, capsys):
+    # no input path raises KeyError (a bad manifold is a ValueError, a bad
+    # suite an argparse error), so a missing key inside a command is a
+    # bug: it propagates instead of passing as a usage error
+    def broken(args):
+        return {}["records"], True
+
+    monkeypatch.setitem(cli.COMMANDS, "cih", broken)
+    with pytest.raises(KeyError, match="records"):
+        main(["cih", "--bound", "1"])
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
+
+
 def test_out_path_io_error(tmp_path):
     assert main(["verify", "--suite", "algebra",
                  "--out", str(tmp_path / "no" / "dir" / "r.json")]) == EXIT_IO

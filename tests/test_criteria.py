@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_deformation, build_pair, get_manifold
-from nilflow import cli, criteria
+from nilflow import cli, criteria, lie_core
 from nilflow.criteria import (
     CIH_RECORDS,
     MAX_CIH_BOUND,
@@ -24,12 +24,13 @@ from nilflow.criteria import (
     cih_certificate,
 )
 from nilflow.flow import draw_rows
-from nilflow.lie_core import AlgebraData, j_kernels
+from nilflow.lie_core import AlgebraData, _primitive_rows, j_kernels
 from oracles import (
     annihilator_check,
     butler_sample_lists,
     centralizer_nlambda_bruteforce,
     cih_records,
+    cih_table_full_box,
     commutator_nonzero,
     draw_regular_z,
     mat_vec,
@@ -110,6 +111,80 @@ def test_butler_sample_matches_list_oracle():
                 butler_sample_lists(alg, 500, ref)
             assert cert.data["positive_dim_fraction"] == frac
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+class _AxisDraws:
+    """An rng whose integer draws have every coordinate but the last set to
+    0: Z = (0, 0, c_k), where the raw sub-Pfaffian line is c_k^2 e_5 up to
+    sign, the most a saturated line is scaled down."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, *args, size):
+        zs = self.rng.integers(*args, size=size)
+        zs[:, :-1] = 0
+        return zs
+
+
+def _butler_data(alg, n, rng):
+    cert, frac = butler_nonintegrability_sample(alg, n, rng)
+    return frac, {k: cert.data[k] for k in
+                  ("regular_dim", "regular_pairs", "first_flat_witness")}
+
+
+def test_butler_raw_lines_match_saturated_lines(monkeypatch):
+    # the sample reads raw sub-Pfaffian kernel lines; with them saturated
+    # it must report the same fraction, regular dimension, regular pairs
+    # and witness.  On the pair and on Z = (0, 0, c_k) draws; on the
+    # deformation and R^2 (+) so(3) every kernel is a Hermite fallback
+    # row, saturated either way
+    so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
+    cases = [(M.alg, np.random.default_rng), (MP.alg, np.random.default_rng),
+             (M.alg, _AxisDraws), (MP.alg, _AxisDraws),
+             (get_manifold("defo:1/3").alg, np.random.default_rng),
+             (so3, np.random.default_rng)]
+    raw = [_butler_data(alg, 400, gen(seed)) for alg, gen in cases
+           for seed in (0, 7, 42, 90210)]
+    real = criteria.j_kernels
+
+    def saturated(alg, cs):
+        basis, dims = real(alg, cs)
+        return _primitive_rows(basis), dims
+
+    monkeypatch.setattr(criteria, "j_kernels", saturated)
+    assert raw == [_butler_data(alg, 400, gen(seed)) for alg, gen in cases
+                   for seed in (0, 7, 42, 90210)]
+    assert raw[0][0] == 0.0 and raw[4][0] > 0.99  # M, then M'
+
+
+def test_certify_kernels_skip_the_work_they_never_read(monkeypatch):
+    # the Butler sample makes no gcd pass over its kernel lines, and the
+    # CIH span table projects only the half box, (7^5 + 1) / 2 V at bound 3
+    gcd_passes, spans = [], []
+
+    def counting_rows(rows):
+        gcd_passes.append(rows.shape)
+        return _primitive_rows(rows)
+
+    def counting_spans(planes):
+        spans.append(planes.shape[2])
+        return _span_projectors(planes)
+
+    monkeypatch.setattr(lie_core, "_primitive_rows", counting_rows)
+    monkeypatch.setattr(criteria, "_primitive_rows", counting_rows)
+    monkeypatch.setattr(criteria, "_span_projectors", counting_spans)
+    for alg in (M.alg, MP.alg):
+        butler_nonintegrability_sample(alg, 1000, np.random.default_rng(1))
+    assert gcd_passes == []
+    criteria._cih_table.cache_clear()
+    try:
+        for data in (M, MP):
+            cih_certificate(data, 3, np.random.default_rng(0))
+    finally:
+        criteria._cih_table.cache_clear()
+    assert spans == [(7**5 + 1) // 2] * 2
+    assert gcd_passes  # the span table's printed rows do make the pass
 
 
 def test_butler_empty_sample_has_no_regular_pair():
@@ -230,6 +305,51 @@ def test_cih_records_match_fraction_oracle(bound):
             assert cert.data["records"] == records
             assert cert.data["covered_elements"] == covered
             assert rng.integers(0, 2**62) == rng_o.integers(0, 2**62)
+
+
+def _assert_same_table(got, want):
+    assert got[:2] == want[:2] and got[4] == want[4]
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
+
+
+def _sparse_algebra(seed):
+    """A dim v = 5, dim z = 3 algebra with each bracket [X_p, X_q] (p < q)
+    set, with probability 0.4, to a random vector in {-1, 0, 1}^3."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((5, 5, 3), dtype=int)
+    for p, q in itertools.combinations(range(5), 2):
+        if rng.random() < 0.4:
+            t[p, q] = rng.integers(-1, 2, size=3)
+            t[q, p] = -t[p, q]
+    return AlgebraData(t.tolist())
+
+
+# on the pair every rank-deficient span prints the same rows from each of
+# its V; on these two it does not, so they fix which V prints them
+SPARSE_ALGEBRAS = [_sparse_algebra(seed) for seed in (3, 8)]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
+def test_cih_table_matches_the_full_box(bound):
+    # the half box with the sign symmetry against the whole box: the same
+    # enumerated V, spans, N, 2d and printed rows
+    for alg in (M.alg, MP.alg, *SPARSE_ALGEBRAS):
+        _assert_same_table(criteria._cih_table.__wrapped__(
+            alg.structure, bound), cih_table_full_box(alg, bound))
+
+
+def test_cih_table_witness_matches_the_full_box(monkeypatch):
+    # a check that fails every rank-2 span: the last failing V of the half
+    # box is the last of the whole box
+    real = criteria._projectors_exact
+    monkeypatch.setattr(criteria, "_projectors_exact",
+                        lambda proj, d, rank, spans:
+                        real(proj, d, rank, spans) & (rank != 2))
+    for data in (M, MP):
+        got = criteria._cih_table.__wrapped__(data.alg.structure, 2)
+        assert got[1] is not None
+        _assert_same_table(got, cih_table_full_box(data.alg, 2))
 
 
 def test_cih_certificate_rejects_a_bound_above_the_cap():

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_pair, get_manifold
+from nilflow.suites import _expected_j, _expected_jp
 from nilflow.lie_core import (
     AlgebraData,
     RationalLattice,
+    _j_planes,
     _primitive_rows,
+    _skew_matrices,
     bracket_v_np,
     j_kernels,
     j_matrices,
@@ -132,6 +135,18 @@ def test_j_matrices_equal_the_einsum(seed):
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
         assert np.array_equal(j_matrices(alg, zs[0, 0]), want[0, 0])
+
+
+def test_j_planes_hold_the_strict_upper_triangle():
+    # U holds j(Z) above the diagonal and 0 on and below it, and U - U^T
+    # is the printed golden matrix, on the grid {-3..3}^3
+    cs = np.array(np.meshgrid(*[np.arange(-3, 4)] * 3)).reshape(3, -1).T
+    lower = np.tril(np.ones((5, 5), dtype=bool))
+    for alg, golden in ((M.alg, _expected_j), (MP.alg, _expected_jp)):
+        planes = _j_planes(alg, cs)
+        assert not np.any(planes[lower])
+        assert _skew_matrices(planes).tolist() == \
+            [golden(c) for c in cs.tolist()]
 
 
 @pytest.mark.parametrize("scale_v, scale_z", [

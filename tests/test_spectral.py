@@ -21,6 +21,7 @@ from nilflow.lie_core import (
 from oracles import (
     char_poly,
     integer_lattice,
+    kernel_isometries_all_permutations,
     kernel_rows,
     kernel_subspace,
     manifold_lattices,
@@ -237,6 +238,24 @@ def test_permuted_rows_are_the_points_with_ck_zero():
         assert np.all(index >= 0)
         want = (pts[:, 2] == 0) & np.any(pts != 0, axis=1)
         assert (index > 0).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("bound", range(2, 9))
+def test_kernel_isometries_match_all_permutation_oracle(bound):
+    # the chunked search drops each row at its first hit; the oracle tries
+    # the permutations in order on every row.  Also on kernels that claim
+    # one vector too many, and on rank-3 kernels that no permutation moves
+    # into ker j'(Z), whose rows run through every chunk
+    pts = spectral._dual_z_points(bound)
+    basis, dims = j_kernels(M.alg, pts)
+    skewed = basis.copy()
+    skewed[dims == 3, :3] = [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0],
+                             [0, 1, -1, 0, 0]]
+    for kers in ((basis, dims), (basis, dims + 1), (skewed, dims)):
+        index = spectral._kernel_isometries(MP.alg, pts, *kers)
+        assert index.tolist() == \
+            kernel_isometries_all_permutations(MP.alg, pts, *kers).tolist()
+    assert np.any(index < 0)
 
 
 def test_kernel_isometries_need_equal_dims():
