@@ -70,11 +70,11 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     The integer Z are drawn through `flow.draw_rows`, and their kernels and
     kernel dimensions come from one `j_kernels` call, with no separate
     draw for the regular dimension; an empty sample has no regular pair.
-    A rank-4 kernel is the raw sub-Pfaffian line k(Z), which no gcd pass
-    scales: scaling a line changes neither dims nor whether [k(Z), k(Z')]
-    vanishes.  Every pair of kernel vectors of the regular pairs is
-    bracketed at once from the zero-padded bases, one signed add per
-    nonzero constant.
+    Each kernel basis is the raw Pfaffian basis of `j_kernels` (at rank 4
+    the sub-Pfaffian line k(Z)), which no gcd pass scales: its span alone
+    decides dims and whether a bracket of kernel vectors vanishes.  Every
+    pair of kernel vectors of the regular pairs is bracketed at once from
+    the zero-padded bases, one signed add per nonzero constant.
     """
     cert = Certificate("butler_nonintegrability", "sampled")
     zs = draw_rows(2 * n_samples,

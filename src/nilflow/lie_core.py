@@ -1,5 +1,6 @@
-"""Two-step metric Lie algebras, the skew maps j(Z) with their integer
-kernels, and rational lattices.
+"""Two-step metric Lie algebras, the skew maps j(Z) with integer bases of
+their kernels, read off the principal Pfaffians at every rank, and
+rational lattices.
 
 Scalars come in three modes: integers (int64 arrays or Python ints) for
 certificates on integer Z, exact fractions.Fraction where a certificate
@@ -117,7 +118,7 @@ def _j_planes(alg, cs):
     if cs.shape[-1:] != (alg.dim_z,):
         raise ValueError(f"expected z-vectors of dimension {alg.dim_z}")
     if not np.issubdtype(cs.dtype, np.integer):
-        raise ValueError("j_matrices takes integer z-vectors")
+        raise ValueError("j(Z) takes integer z-vectors")
     # |j(Z)_qp| <= max|Z| * sum_r |T[p, q, r]|, in Python ints
     if _abs_max(cs) * int(np.abs(alg.int_tensor).sum(axis=2).max()) >= 2**62:
         raise OverflowError("z-vector entries too large for int64 j(Z)")
@@ -186,49 +187,51 @@ def _primitive_rows(rows):
     return rows // np.where(first < 0, -g, g)[..., None]
 
 
-def _kernel_lines(planes):
-    """The signed 4x4 sub-Pfaffians k_i = (-1)^i Pf(j without row and
-    column i) of 5x5 skew integer matrices held as entry planes (5, 5, n):
-    (n, 5) int64, as read off `_pfaffians`, with no gcd division and no
-    sign rule.  ker j(Z) is the line R k where rank j(Z) = 4, and k = 0
-    where the rank is less (Buchsbaum & Eisenbud, Amer. J. Math. 99,
-    1977)."""
-    sub = _pfaffians(planes)
-    lines = np.empty((5, planes.shape[2]), dtype=np.int64)
-    for i in range(5):
-        minor = sub[tuple(r for r in range(5) if r != i)]
-        lines[i] = -minor if i % 2 else minor
-    return lines.T
-
-
 def j_kernels(alg, cs):
     """Integer bases of ker j(Z) for integer Z, batched: cs (n, dim_z) ->
     (basis, dims), basis int64 (n, k, dim_v) with the dims[i] basis vectors
     of ker j(Z_i) in row i, then zero rows.
 
-    For dim_v = 5 and rank j(Z) = 4 the kernel is the line (k = 1) of
-    `_kernel_lines`, the raw signed sub-Pfaffian vector, with no gcd pass:
-    every caller reads only the kernel subspaces, their dimensions and
-    which brackets or images vanish, none of which scaling a line changes.
-    Rank < 4 makes every sub-Pfaffian 0; those rows, and every row when
-    dim_v != 5, go to lx.integer_kernel (Hermite reduction).
+    One construction at every rank, read off the principal Pfaffians of
+    `_pfaffians` with Pf(()) = 1 (Buchsbaum & Eisenbud, Amer. J. Math. 99,
+    1977).  rank j(Z) is the size 2r of its largest nonzero principal
+    Pfaffian; S is the first such subset, the subsets walked largest first
+    in `_pfaffians` order over the rows not yet assigned.  The basis is
+    w(S + {i}) for each i not in S, in order, where w(I)_a = (-1)^(position
+    of a in I) Pf(I - {a}) on I and 0 off it: off I, j(Z) w(I) is a
+    Pfaffian of size 2r + 2, hence 0, and on I it is the expansion of a
+    Pfaffian with a repeated index.  w(S + {i}) is +-Pf(S) != 0 at i and 0
+    at every other index outside S, so the dim_v - 2r vectors are
+    independent.  Rank 0 gives the unit vectors; rank 4 at dim_v = 5 gives
+    the signed 4x4 sub-Pfaffian line k(Z).  The basis is not saturated and
+    no gcd pass scales it: every caller reads only the kernel subspaces,
+    their dimensions and which brackets or images vanish.
     """
     if np.ndim(cs) != 2:
         raise ValueError("j_kernels takes a batch of z-vectors (n, dim_z)")
     planes = _j_planes(alg, cs)
     dv, n = alg.dim_v, planes.shape[2]
-    lines = (_kernel_lines(planes) if dv == 5
-             else np.zeros((n, dv), dtype=np.int64))
-    fallback = np.flatnonzero(~np.any(lines != 0, axis=1))
-    kers = [lx.integer_kernel(m.tolist())
-            for m in _skew_matrices(planes[:, :, fallback])]
-    dims = np.ones(n, dtype=int)
-    dims[fallback] = [len(ker) for ker in kers]
+    pf = _pfaffians(planes)
+    pf[()] = np.ones(n, np.int64)
+    # rest: the rows not yet assigned, a plain slice while that is every
+    # row, so a batch that one subset takes whole is never gathered
+    dims = np.empty(n, int)
+    groups, index, rest = [], np.arange(n), slice(None)
+    for s in sorted(pf, key=len, reverse=True):
+        hit = pf[s][rest] != 0
+        rows = rest if hit.all() else index[rest][hit]
+        dims[rows] = dv - len(s)
+        groups.append((s, rows))
+        if rows is rest:
+            break
+        rest = index[rest][~hit]
     basis = np.zeros((n, dims.max(initial=1), dv), np.int64)
-    basis[:, 0] = lines
-    for i, ker in zip(fallback.tolist(), kers):
-        if ker:
-            basis[i, :len(ker)] = ker
+    for s, rows in groups:
+        for t, i in enumerate(x for x in range(dv) if x not in s):
+            big = sorted(s + (i,))
+            for pos, a in enumerate(big):
+                basis[rows, t, a] = (-1) ** pos * pf[
+                    tuple(big[:pos] + big[pos + 1:])][rows]
     return basis, dims
 
 

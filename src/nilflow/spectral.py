@@ -7,14 +7,14 @@ the certificate's permutation witnesses (`_kernel_isometries`) against.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, isqrt, prod
 
 import numpy as np
 
 from . import linalg_exact as lx
 from .lie_core import (AlgebraData, RationalLattice, _abs_max, _j_planes,
-                       _pfaffians, _skew_matrices, j_kernels)
+                       _pfaffians, _skew_matrices, j_kernels, j_matrices)
 from .report import Certificate
 
 
@@ -217,49 +217,56 @@ PERM_CHUNK = 12
 
 
 def _kernel_isometries(alg_p, cs, basis, dims):
-    """Per integer row c of cs, the index in permutations(range(dim_v))
-    (the identity first) of the first coordinate permutation P with
-    j'(Z_c) P b = 0 for every row b of the kernel basis (basis, dims) of
-    `j_kernels` for j, where dims equals the nullity of j'(Z_c);
-    -1 where none does.  j'(Z_c) is skew, so its nullity is the number of
-    trailing zero coefficients of its characteristic polynomial, and no
-    kernel basis of j'(Z_c) is built.
+    """Per integer row c of cs, the index of the first signed coordinate
+    permutation P with j'(Z_c) P b = 0 for every row b of the kernel basis
+    (basis, dims) of `j_kernels` for j, where dims equals the nullity of
+    j'(Z_c); -1 where none does.  Index t dim_v! + p is (P b)_i = s_i
+    b_(p_i) for p the p-th of permutations(range(dim_v)) (the identity
+    first) and s the t-th of product((1, -1), repeat=dim_v), so the
+    indices below dim_v! are the unsigned permutations.  j'(Z_c) is skew,
+    so its nullity is the number of trailing zero coefficients of its
+    characteristic polynomial, and no kernel basis of j'(Z_c) is built.
 
-    A hit is an isometry of the kernel lattices: the rows b span ker j,
+    A hit is an isometry of the kernel lattices: a signed permutation
+    matrix P is orthogonal and maps Z^5 onto Z^5; the rows b span ker j,
     so P(ker j) lies in ker j' of the same dimension and equals it, and
-    L = ker j ∩ Z^5 gives P(L) = Z^5 ∩ P(ker j) = Z^5 ∩ ker j' = L'; the
-    orthogonal P restricts to an isometry L -> L'.  Only the subspace ker
-    j is read, so a basis that spans it without being saturated serves.
-    Index 0 means L = L'.  A miss says only that no coordinate permutation
-    maps L onto L'.  The identity is tried on every row; the other
-    permutations are tried in order, PERM_CHUNK at a time, only on the
-    rows that no earlier permutation serves, so the search stops at the
-    last row's first hit (permutation 60 of 120 at dual bound 6 on the
-    pair).  In int64, checked against overflow.
+    L = ker j ∩ Z^5 gives P(L) = Z^5 ∩ P(ker j) = Z^5 ∩ ker j' = L'; P
+    restricts to an isometry L -> L'.  Only the subspace ker j is read,
+    so a basis that spans it without being saturated serves.  Index 0
+    means L = L'.  A miss says only that no signed coordinate permutation
+    maps L onto L'.  The identity is tried on every row; the others are
+    tried in order, PERM_CHUNK at a time, only on the rows that no earlier
+    one serves, so the signed ones run only on rows that no unsigned one
+    serves, and the search stops at the last row's first hit (permutation
+    60 of 120 at dual bound 6 on the pair, where no sign is needed).  In
+    int64, checked against overflow.
     """
     planes = _j_planes(alg_p, cs)
     mats = _skew_matrices(planes)
-    bound = _abs_max(mats) * _abs_max(basis)
-    if alg_p.dim_v * bound >= 2**62:
+    if alg_p.dim_v * _abs_max(mats) * _abs_max(basis) >= 2**62:
         raise OverflowError("kernel vectors too large for int64 products")
     dims_p = np.argmax(_skew_char_poly(planes)[:, ::-1] != 0, axis=1)
     perms = np.array(list(permutations(range(alg_p.dim_v))))
     index = np.where(dims == dims_p, 0, -1)
-    moved = np.any(mats @ basis.transpose(0, 2, 1) != 0, axis=(1, 2))
+    moved = np.any(mats @ basis.mT, axis=(1, 2))
     rows = np.flatnonzero(moved & (index == 0))
     index[rows] = -1
-    for start in range(1, len(perms), PERM_CHUNK):
-        if not rows.size:
-            break
-        # j' applied to every permuted basis vector of those rows at once
-        permuted = basis[rows][:, :, perms[start:start + PERM_CHUNK]]
-        r, k, n_perms, dv = permuted.shape  # (rows, k, perms, dim_v)
-        images = permuted.reshape(r, k * n_perms, dv) @ \
-            mats[rows].transpose(0, 2, 1)
-        killed = ~np.any(images.reshape(permuted.shape) != 0, axis=(1, 3))
-        hit = killed.any(axis=1)
-        index[rows[hit]] = start + killed[hit].argmax(axis=1)
-        rows = rows[~hit]
+    # start is the index of the next signed permutation to try, so a sign
+    # vector's permutations begin at start % dim_v!: at 1 for the
+    # unsigned ones, whose identity is tried above, else at 0
+    start = 1
+    for sign in product((1, -1), repeat=alg_p.dim_v):
+        for at in range(start % len(perms), len(perms), PERM_CHUNK):
+            if not rows.size:
+                return index
+            # (rows, k, perms, dim_v): every signed, permuted basis vector
+            # of those rows, and j' applied to each at once
+            permuted = basis[rows][:, :, perms[at:at + PERM_CHUNK]] * sign
+            killed = ~np.any(permuted @ mats[rows, None].mT, axis=(1, 3))
+            hit = killed.any(axis=1)
+            index[rows[hit]] = start + killed[hit].argmax(axis=1)
+            rows = rows[~hit]
+            start += permuted.shape[2]
     return index
 
 
@@ -274,14 +281,19 @@ def gw_certificate(pair, dual_bound):
         the lattice log Gamma = Z^dim_v (+) (1/2) Z^dim_z of every manifold
         it says only that every structure constant is an integer, and
         AlgebraData admits only integer constants;
-    (c) for bounded dual-lattice Z, a coordinate permutation P that maps
-        the kernel lattice of j(Z) onto that of j'(Z) (`_kernel_isometries`),
-        an isometry, which makes their length spectra equal at every R;
-        on the pair, j'(Z) = P j(Z) P^T at c_k = 0 for the swap X_a <-> Y_a,
-        and the kernel lattices are identical elsewhere, so the identity
-        settles every point but the 48 with c_k = 0 != c at dual bound 6.
+    (c) for bounded dual-lattice Z, a signed coordinate permutation P
+        that maps the kernel lattice of j(Z) onto that of j'(Z)
+        (`_kernel_isometries`), an isometry, which makes their length
+        spectra equal at every R, so a copy of M' written in a permuted
+        and signed V basis passes as M' does; on the pair, j'(Z) = P j(Z)
+        P^T at c_k = 0 for the swap X_a <-> Y_a, and the kernel lattices
+        are identical elsewhere, so the identity settles every point but
+        the 48 with c_k = 0 != c at dual bound 6.
     The dual of (1/2) Z^3 is (2Z)^3, and ker j(Z) meets Z^dim_v in the
     kernel lattice, the saturation of the basis that `j_kernels` gives.
+    That basis is held against j(Z) itself, and a point where j(Z) moves
+    it fails (c): a sign error in one coordinate of a kernel vector is a
+    signed permutation of the right vector, which (c) alone would accept.
     """
     m_data, mp_data = pair
     alg, alg_p = m_data.alg, mp_data.alg
@@ -296,7 +308,11 @@ def gw_certificate(pair, dual_bound):
     )
 
     dual_pts = _dual_z_points(dual_bound)
-    index = _kernel_isometries(alg_p, dual_pts, *j_kernels(alg, dual_pts))
+    basis, dims = j_kernels(alg, dual_pts)
+    index = _kernel_isometries(alg_p, dual_pts, basis, dims)
+    # held against j(Z) as well: a sign error in one kernel coordinate is
+    # itself a signed permutation
+    index[np.any(j_matrices(alg, dual_pts) @ basis.mT, axis=(1, 2))] = -1
     if np.any(index < 0):
         cert.add(
             "kernel_lattice_length_spectra",

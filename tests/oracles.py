@@ -4,7 +4,7 @@ paths against.  None of this is used by the package itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import ceil, hypot, sqrt
 
 import numpy as np
@@ -202,26 +202,48 @@ def kernel_subspace(alg, z):
 
 def kernel_rows(kers):
     """The per-Z bases of a lie_core.j_kernels result (basis, dims),
-    saturated, as lists of Python-int rows without the zero padding: each
-    row divided by the gcd of its entries, first nonzero entry positive.
-    j_kernels leaves its sub-Pfaffian lines raw; its Hermite rows are
-    already primitive."""
+    saturated (`saturated_rows`), as lists of Python-int rows without the
+    zero padding.  j_kernels returns a basis that spans ker j(Z) without
+    saturating it."""
     basis, dims = kers
-    return [b[:d].tolist() for b, d in zip(_primitive_rows(basis), dims)]
+    return [saturated_rows(b[:d].tolist(), basis.shape[2])
+            for b, d in zip(basis, dims)]
+
+
+def saturated_rows(rows, dim):
+    """A basis of the integer vectors in the span of independent integer
+    rows in Q^dim.  A line is divided by the gcd of its entries, first
+    nonzero entry positive (`_primitive_rows`); several rows give the
+    Hermite basis lx.integer_kernel of the integer vectors orthogonal to
+    them, or the unit vectors where they span all of Q^dim."""
+    if len(rows) <= 1:
+        line = np.array(rows, np.int64).reshape(-1, dim)
+        return _primitive_rows(line).tolist()
+    perp = lx.integer_kernel(rows)
+    return lx.integer_kernel(perp) if perp else np.eye(dim, dtype=int).tolist()
 
 
 def kernel_isometries_all_permutations(alg_p, cs, basis, dims):
-    """Per integer row c of cs, the index in permutations(range(dim_v)) of
-    the first coordinate permutation P with j'(Z_c) P b = 0 for every row
-    b of basis, where dims equals the nullity of j'(Z_c) by exact rank;
-    -1 where none does.  One row at a time, every permutation in order
-    (the oracle for the chunked search of spectral._kernel_isometries)."""
-    perms = [list(p) for p in permutations(range(alg_p.dim_v))]
+    """Per integer row c of cs, the index of the first signed coordinate
+    permutation with j'(Z_c) (s * b[p]) = 0 for every row b of basis,
+    where dims equals the nullity of j'(Z_c) by exact rank; -1 where none
+    does.  Sign vector s, the t-th of product((1, -1), repeat=dim_v), and
+    permutation p, the p-th of permutations(range(dim_v)), have index t
+    dim_v! + p, so the unsigned permutations come first.  One row at a
+    time, every permutation of a sign vector at once (the oracle for the
+    chunked search of spectral._kernel_isometries)."""
+    perms = np.array(list(permutations(range(alg_p.dim_v))))
     index = []
     for m, b, d in zip(j_matrices(alg_p, cs), basis, dims):
-        hit = next((k for k, p in enumerate(perms)
-                    if not np.any(m @ b[:, p].T)), -1)
-        index.append(hit if d == alg_p.dim_v - lx.rank(m.tolist()) else -1)
+        index.append(-1)
+        if d != alg_p.dim_v - lx.rank(m.tolist()):
+            continue
+        for t, s in enumerate(product((1, -1), repeat=alg_p.dim_v)):
+            # j'(Z_c) applied to s * b[p] for every row b and every p
+            killed = ~np.any((s * b[:, perms]) @ m.T != 0, axis=(0, 2))
+            if killed.any():
+                index[-1] = t * len(perms) + int(killed.argmax())
+                break
     return np.array(index)
 
 

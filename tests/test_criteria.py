@@ -25,6 +25,7 @@ from nilflow.criteria import (
 )
 from nilflow.flow import draw_rows
 from nilflow.lie_core import AlgebraData, _primitive_rows, j_kernels
+from nilflow.suites import run_suite
 from oracles import (
     annihilator_check,
     butler_sample_lists,
@@ -137,8 +138,8 @@ def test_butler_raw_lines_match_saturated_lines(monkeypatch):
     # the sample reads raw sub-Pfaffian kernel lines; with them saturated
     # it must report the same fraction, regular dimension, regular pairs
     # and witness.  On the pair and on Z = (0, 0, c_k) draws; on the
-    # deformation and R^2 (+) so(3) every kernel is a Hermite fallback
-    # row, saturated either way
+    # deformation and R^2 (+) so(3) the kernels have several raw Pfaffian
+    # vectors, each divided by its gcd here
     so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
     cases = [(M.alg, np.random.default_rng), (MP.alg, np.random.default_rng),
              (M.alg, _AxisDraws), (MP.alg, _AxisDraws),
@@ -187,6 +188,27 @@ def test_certify_kernels_skip_the_work_they_never_read(monkeypatch):
     assert gcd_passes  # the span table's printed rows do make the pass
 
 
+def test_certify_pass_reaches_hermite_only_for_the_hr_pairing_ranks():
+    # every kernel of j(Z) comes from the Pfaffians; integer_kernel is left
+    # to the three injective-presentation pairing ranks (M, M' and the
+    # deformation) of a certify pass at seed 42
+    calls, real = [], lx.integer_kernel
+
+    def counting_kernel(mat):
+        calls.append(mat)
+        return real(mat)
+
+    criteria._cih_table.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lx, "integer_kernel", counting_kernel)
+            for suite in ("algebra", "spectral", "criteria", "cih"):
+                assert run_suite(suite, 42).passed
+    finally:
+        criteria._cih_table.cache_clear()
+    assert len(calls) == 3
+
+
 def test_butler_empty_sample_has_no_regular_pair():
     for name in ("M", "Mprime", "defo:1/3"):
         alg = get_manifold(name).alg
@@ -215,8 +237,8 @@ def _algebra_5(dim_z, brackets):
 def test_butler_sample_brackets_every_kernel_vector_pair():
     # regular kernels of dimension 3 (rank j(Z) = 2, so no Pfaffian line):
     # on R^2 (+) so(3) only the rotation axes of the two kernels bracket
-    # (the last integer_kernel basis vector, not the first), on
-    # heisenberg (+) R^3 nothing does
+    # (the last kernel basis vector, not the first), on heisenberg (+) R^3
+    # nothing does
     so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
     heis = _algebra_5(1, {(0, 1): 0})
     for alg, n in ((so3, 60), (heis, 40)):

@@ -1,6 +1,8 @@
 """Group law, j-map duality, and lattice machinery."""
 
+import ast
 import dataclasses
+import inspect
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow import lie_core
 from nilflow import linalg_exact as lx
 from nilflow.catalog import build_pair, get_manifold
+from nilflow.spectral import _dual_z_points as spectral_dual_points
 from nilflow.suites import _expected_j, _expected_jp
 from nilflow.lie_core import (
     AlgebraData,
@@ -38,6 +42,7 @@ from oracles import (
     lattice_contains,
     lattice_coordinates,
     manifold_lattices,
+    saturated_rows,
     scaled_lattice,
 )
 
@@ -176,29 +181,91 @@ def test_lattice_brackets_in_twice_matches_membership(scale_v, scale_z):
         assert accepted == brackets_in_twice(alg, lat_v, lat_z)
 
 
+def _assert_kernel_bases(alg, zs):
+    """j_kernels(alg, zs) against lx.integer_kernel row by row: the same
+    dimension, independent rows that j(Z) kills, the same span, and zero
+    padding; with no integer_kernel call from j_kernels itself."""
+    with mock.patch.object(lx, "integer_kernel",
+                           wraps=lx.integer_kernel) as spy:
+        basis, dims = j_kernels(alg, zs)
+    assert spy.call_count == 0
+    assert basis.dtype == np.int64 and basis.shape[::2] == (len(zs), alg.dim_v)
+    for b, d, m in zip(basis, dims, j_matrices(alg, zs)):
+        ref = lx.integer_kernel(m.tolist())
+        assert d == len(ref)
+        assert not np.any(b[d:]) and not np.any(m @ b.T)
+        if d:
+            assert lx.rank(b[:d].tolist()) == d
+            assert lx.rref(b[:d].tolist())[0] == lx.rref(ref)[0]
+    return basis, dims
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_j_kernels_match_integer_kernel(data):
+    # the pair at generic, c_k = 0 and zero Z: the one Pfaffian
+    # construction at ranks 4, 2 and 0; saturated, a line is the Hermite
+    # line up to sign and a larger basis spans the Hermite lattice
     c = st.integers(-60, 60)
     zs = data.draw(st.lists(
         st.tuples(c, c, st.one_of(st.just(0), c)), min_size=1, max_size=8,
     )) + [(0, 0, 0)]
     for alg in (M.alg, MP.alg):
-        mats = j_matrices(alg, zs)
-        with mock.patch.object(lx, "integer_kernel",
-                               wraps=lx.integer_kernel) as spy:
-            kernels = kernel_rows(j_kernels(alg, zs))
-        # the Pfaffian line is used exactly where rank j(Z) = 4
-        fallbacks = [call.args[0] for call in spy.call_args_list]
-        assert fallbacks == [m.tolist() for m in mats
-                             if lx.rank(m.tolist()) < 4]
-        for m, ker in zip(mats, kernels):
-            assert not np.any(m @ np.array(ker).T)
+        kers = _assert_kernel_bases(alg, zs)
+        for m, ker in zip(j_matrices(alg, zs), kernel_rows(kers)):
             ref = lx.integer_kernel(m.tolist())
             if len(ref) == 1:
                 assert ker in (ref, [[-x for x in ref[0]]])
             else:
-                assert lx.rref(ker)[0] == lx.rref(ref)[0]
+                assert saturated_rows(ker, 5) == saturated_rows(ref, 5)
+
+
+@st.composite
+def _sparse_algebras(draw):
+    """A random integer algebra with dim_v 3..7, dim_z 1..3 and a few
+    nonzero constants in -3..3, so that many j(Z) are rank-deficient."""
+    dv, dz = draw(st.integers(3, 7)), draw(st.integers(1, 3))
+    table = np.zeros((dv, dv, dz), dtype=int)
+    pairs = st.tuples(st.integers(0, dv - 1), st.integers(0, dv - 1),
+                      st.integers(0, dz - 1), st.integers(-3, 3))
+    for p, q, r, c in draw(st.lists(pairs, max_size=2 * dv)):
+        if p != q:
+            table[p, q, r], table[q, p, r] = c, -c
+    return AlgebraData(table.tolist())
+
+
+@given(_sparse_algebras(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_j_kernels_on_sparse_algebras_match_integer_kernel(alg, data):
+    z = st.lists(st.integers(-2, 2), min_size=alg.dim_z, max_size=alg.dim_z)
+    zs = data.draw(st.lists(z, min_size=1, max_size=12)) + [[0] * alg.dim_z]
+    _, dims = _assert_kernel_bases(alg, zs)
+    assert dims[-1] == alg.dim_v  # Z = 0: the unit vectors
+
+
+def _signed_sub_pfaffian_line(m):
+    """k_i = (-1)^i Pf(m without row and column i) of a 5x5 skew matrix, in
+    Python ints, each 4x4 Pfaffian a01 a23 - a02 a13 + a03 a12."""
+    line = []
+    for i in range(5):
+        a, b, c, d = [r for r in range(5) if r != i]
+        pf = m[a][b] * m[c][d] - m[a][c] * m[b][d] + m[a][d] * m[b][c]
+        line.append(-pf if i % 2 else pf)
+    return line
+
+
+def test_j_kernels_rank_4_rows_are_the_raw_sub_pfaffian_line():
+    # item 11's k(lambda): no gcd pass, no sign rule, bit for bit
+    rng = np.random.default_rng(4)
+    zs = np.concatenate([spectral_dual_points(6),
+                         rng.integers(-50, 51, size=(200, 3))])
+    for alg in (M.alg, MP.alg):
+        basis, dims = j_kernels(alg, zs)
+        rank_4 = np.flatnonzero(dims == 1)
+        assert rank_4.tolist() == np.flatnonzero(zs[:, 2]).tolist()
+        for i in rank_4.tolist():
+            m = j_matrix(alg, zs[i].tolist())
+            assert basis[i, 0].tolist() == _signed_sub_pfaffian_line(m)
 
 
 def _primitive_reference(row):
@@ -252,18 +319,24 @@ def test_j_kernels_batch_shape_and_guards():
     assert kernel_rows(j_kernels(MP.alg, [[0, 0, 1]])) == [[[0, 0, 0, 0, 1]]]
     with pytest.raises(ValueError):
         j_kernels(MP.alg, [0, 0, 1])  # one Z is a batch of one: [[0, 0, 1]]
-    assert kernel_rows(j_kernels(M.alg, [[0, 0, 0]]))[0] == \
-        lx.integer_kernel([[0] * 5] * 5)
-    # dim v = 4: every row goes to integer_kernel
+    # rank 0: Pf(()) = 1 alone is nonzero, and the basis is the unit vectors
+    basis, dims = j_kernels(M.alg, [[0, 0, 0]])
+    assert dims.tolist() == [5] and basis[0].tolist() == np.eye(5).tolist()
+    # dim v = 4 takes the same construction, at ranks 4, 2 and 0
     defo = get_manifold("defo:1/3").alg
-    zs = [[1, 2], [0, 3], [0, 0]]
-    assert kernel_rows(j_kernels(defo, zs)) == [
-        lx.integer_kernel(m.tolist()) for m in j_matrices(defo, zs)
-    ]
+    basis, dims = _assert_kernel_bases(defo, [[1, 2], [0, 3], [0, 0]])
+    assert basis.shape == (3, 4, 4)
     with pytest.raises(OverflowError):
         j_kernels(M.alg, [[2**31, 0, 1]])  # j(Z) fits int64, Pfaffians not
     with pytest.raises(OverflowError):
         j_kernels(M.alg, [[2**62, 0, 1]])  # j(Z) itself does not fit
+
+
+def test_j_kernels_call_no_linalg_exact_routine():
+    # one construction from the Pfaffians: no Hermite fallback left
+    tree = ast.parse(inspect.getsource(lie_core.j_kernels))
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and n.id == "lx"]
 
 
 def test_j_guard_reads_the_most_negative_int64():

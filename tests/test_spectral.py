@@ -26,6 +26,7 @@ from oracles import (
     kernel_subspace,
     manifold_lattices,
 )
+from test_faults import _first_pair_doubled
 
 M, MP = build_pair()
 
@@ -293,6 +294,25 @@ def test_gw_certificate_reports_witness_of_non_isometric_kernels(monkeypatch):
     assert check.value == {"witness_c": [-6, -6, 0]}
 
 
+def test_gw_certificate_holds_kernel_bases_against_j(monkeypatch):
+    # the last coordinate of every kernel vector of M negated: a signed
+    # permutation of the right basis, which the search alone accepts, but
+    # j(Z) moves it at the first dual point whose kernel it changes
+    real = spectral.j_kernels
+
+    def flipped(alg, cs):
+        basis, dims = real(alg, cs)
+        return basis * [1, 1, 1, 1, -1], dims
+
+    pts = spectral._dual_z_points(6)
+    assert np.all(spectral._kernel_isometries(MP.alg, pts,
+                                              *flipped(M.alg, pts)) >= 0)
+    monkeypatch.setattr(spectral, "j_kernels", flipped)
+    check = spectral.gw_certificate((M, MP), 6).checks[-1]
+    assert check.name == "kernel_lattice_length_spectra" and not check.passed
+    assert check.value == {"witness_c": [-6, -6, -6]}
+
+
 def test_gw_certificate_small():
     cert = spectral.gw_certificate((M, MP), 2)
     assert cert.passed
@@ -331,6 +351,52 @@ def test_gw_kernel_lattices_are_lattice_intersections():
                           (6, {"enumerated": 48, "identical_lattices": 295})):
         cert = spectral.gw_certificate((M, MP), bound)
         assert cert.checks[-1].value == counts
+
+
+def _signed_v_copy(data, rng):
+    """data written in a V basis that rng permutes and signs: T'[p][q] =
+    s_p s_q T[P_p][P_q].  A signed permutation matrix is orthogonal and
+    maps Z^5 onto Z^5, so the copy is isometric to data, lattice and all."""
+    perm = rng.permutation(data.alg.dim_v)
+    sign = rng.choice([-1, 1], data.alg.dim_v)
+    table = np.array(data.alg.structure)[perm][:, perm] * \
+        np.multiply.outer(sign, sign)[..., None]
+    return dataclasses.replace(data, alg=AlgebraData(table.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gw_certificate_keeps_its_verdict_on_signed_v_copies(seed):
+    # metamorphic: a copy of M' or M in a signed, permuted V basis is
+    # isospectral to M, and a copy of the faulty M' still is not.  The Z
+    # basis is left as printed, since the claimed polynomial reads c_k as
+    # the third coordinate
+    rng = np.random.default_rng(seed)
+    for pair in ((M, _signed_v_copy(MP, rng)), (M, _signed_v_copy(M, rng)),
+                 (_signed_v_copy(M, rng), MP)):
+        assert spectral.gw_certificate(pair, 6).passed
+    faulty = _signed_v_copy(MP, rng)
+    faulty = dataclasses.replace(faulty, alg=_first_pair_doubled(faulty.alg))
+    assert not spectral.gw_certificate((M, faulty), 6).passed
+
+
+def test_signed_v_copies_need_the_signed_permutations():
+    # 27 of these 40 copies of M' have kernel lattices that only a signed
+    # permutation (an index past 5!) maps onto those of M; an unsigned
+    # search rejects them.  The signed indices against the oracle
+    rng = np.random.default_rng(0)
+    pts = spectral._dual_z_points(6)
+    kers = j_kernels(M.alg, pts)
+    signed = []
+    for _ in range(40):
+        copy = _signed_v_copy(MP, rng).alg
+        index = spectral._kernel_isometries(copy, pts, *kers)
+        assert np.all(index >= 0)
+        if np.any(index >= len(PERMS)):
+            signed.append((copy, index))
+    assert len(signed) == 27
+    for copy, index in signed[:3]:
+        assert index.tolist() == \
+            kernel_isometries_all_permutations(copy, pts, *kers).tolist()
 
 
 def test_kernel_isometries_overflow_guard():
