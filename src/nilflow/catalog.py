@@ -33,9 +33,10 @@ class NilmanifoldData:
     because every structure constant is an integer, which AlgebraData
     enforces, so Gamma is a group.  split = (X-block, Y-block, z-functional)
     indexes the injective presentation: ((0, 1), (2, 3, 4), 2) on the
-    pair, ((0, 1), (2, 3), 0) on the deformation family.  has_integrals
-    marks the manifold with the eight integrals of `integrals` (M only),
-    which `nilflow integrals` and `poisson` require.
+    pair, ((0, 1), (2, 3), 0) on the deformation family; every exact
+    certificate reads the z functional k there, as c_k = <Z, z_k>.
+    has_integrals marks the manifold with the eight integrals of
+    `integrals` (M only), which `nilflow integrals` and `poisson` require.
 
     frame(Z) -> (entries, (theta_1, theta_2)) is the printed invariant frame
     of j(Z), batched over leading axes of Z, as a table of the nonzero

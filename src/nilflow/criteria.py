@@ -16,7 +16,7 @@ Three independent diagnostics that separate the pair:
 """
 
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -24,19 +24,19 @@ from . import linalg_exact as lx
 from .flow import draw_rows
 from .lie_core import AlgebraData, _abs_max, _primitive_rows, j_kernels
 from .report import Certificate
-from .spectral import _grid, char_poly_identity_check
+from .spectral import char_poly_identity_check
 
 
-def check_hr_presentation(alg, split):
-    """Exact certificate for an injective presentation, read off the integer
-    structure tensor T on a split (x, y, k), a manifold's `split`:
-    [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x.  The
+def check_hr_presentation(data):
+    """Exact certificate for an injective presentation of a manifold, read
+    off the integer structure tensor T of its algebra on its `split` (x, y,
+    k): [x,x] = 0, [y,y] = 0, and X |-> <Z_k, [X, .]>|_y injective on x.  The
     witness of a block is its last nonzero bracket; the pairing's rank is
     |y| less the dimension of the integer kernel of T[x][y][k], and 0 for
     an empty x block."""
     cert = Certificate("hr_injective_presentation", "algebra")
-    x, y, k = split
-    t = alg.structure
+    x, y, k = data.split
+    t = data.alg.structure
 
     for name, idx in (("bracket_xx_zero", x), ("bracket_yy_zero", y)):
         nonzero = [t[a][b] for a in idx for b in idx if any(t[a][b])]
@@ -58,14 +58,16 @@ def check_hr_presentation(alg, split):
 # coadjoint centralizers
 
 
-def butler_nonintegrability_sample(alg, n_samples, rng):
-    """Sampled check of the positive-dimensional-commutator condition.
+def butler_nonintegrability_sample(data, n_samples, rng):
+    """Sampled check of the positive-dimensional-commutator condition on
+    the algebra of a manifold.
 
-    Draws pairs of integer covectors lambda = <V+Z, .>, mu with c_k != 0,
-    requires both centralizers to be regular (the least dimension dim
-    ker j(Z) + dim_z among the sample's own 2 n_samples kernels), and
-    tests dim [n_lambda, n_mu] >= 1.  Statistical evidence for an
-    open-dense condition, not a proof of density.
+    Draws pairs of integer covectors lambda = <V+Z, .>, mu with c_k =
+    <Z, z_k> != 0, for k = `split[2]` the z functional of the manifold's
+    injective presentation, requires both centralizers to be regular (the
+    least dimension dim ker j(Z) + dim_z among the sample's own 2 n_samples
+    kernels), and tests dim [n_lambda, n_mu] >= 1.  Statistical evidence
+    for an open-dense condition, not a proof of density.
 
     The integer Z are drawn through `flow.draw_rows`, and their kernels and
     kernel dimensions come from one `j_kernels` call, with no separate
@@ -77,9 +79,10 @@ def butler_nonintegrability_sample(alg, n_samples, rng):
     the zero-padded bases, one signed add per nonzero constant.
     """
     cert = Certificate("butler_nonintegrability", "sampled")
+    alg = data.alg
     zs = draw_rows(2 * n_samples,
                    lambda k: rng.integers(-50, 51, size=(k, alg.dim_z)),
-                   lambda z: z[:, -1] != 0)
+                   lambda z: z[:, data.split[2]] != 0)
     basis, dims = j_kernels(alg, zs)
     # dim n_lambda = dim ker j(Z) + dim_z; its least value over the sample
     # is the regular dimension, which an empty sample does not have
@@ -230,7 +233,8 @@ def cih_certificate(data, coord_bound, rng):
 
     Structure of the argument, each piece exact:
       1. the characteristic polynomial of j(Z_c) is
-         l^5 + (c_k^2+|c|^2) l^3 + c_k^2 |c|^2 l identically (pinned on an
+         l^5 + (c_k^2+|c|^2) l^3 + c_k^2 |c|^2 l identically, with c_k =
+         <Z_c, z_k> for k = `split[2]` of the manifold (pinned on an
          integer grid large enough to determine the coefficients), so the
          nonzero eigenvalues of -j(Z_c)^2 are c_k^2 and |c|^2;
       2. for every enumerated V, the orthogonal projector onto the
@@ -261,7 +265,7 @@ def cih_certificate(data, coord_bound, rng):
         raise ValueError(f"coord_bound must be in 0..{MAX_CIH_BOUND}, got {coord_bound}")
     cert = Certificate("clean_intersection", data.name)
     cert.add("char_poly_structure_identity",
-             *char_poly_identity_check(data.alg))
+             *char_poly_identity_check(data))
     n_v, bad, proj, dens2, spans = _cih_table(data.alg.structure,
                                               coord_bound)
     cert.add(
@@ -271,20 +275,21 @@ def cih_certificate(data, coord_bound, rng):
                "witness": bad},
     )
 
-    # eigenvalue records over the spans: one draw of (k, 2z + 2 bound) per
-    # record, all records at once; then, in integers, proj z = N (2z) / 2d
-    # and theta^2 = c_k^2, |c|^2 over (2d)^2
+    # eigenvalue records over the spans: one draw of (span, 2z + 2 bound)
+    # per record, all records at once; then, in integers, proj z = N (2z) /
+    # 2d and theta^2 = n_k^2, |n|^2 over (2d)^2 for n = N (2z), k = split[2]
+    k = data.split[2]
     sizes = (len(spans),) + (4 * coord_bound + 1,) * 3
     draws = rng.integers(0, sizes, size=(CIH_RECORDS, 4))
-    ks, z2 = draws[:, 0], draws[:, 1:] - 2 * coord_bound
-    num = np.einsum("nij,nj->ni", proj[ks], z2).tolist()
+    picks, z2 = draws[:, 0], draws[:, 1:] - 2 * coord_bound
+    num = np.einsum("nij,nj->ni", proj[picks], z2).tolist()
     cert.data.update(records=[{
-        "span": [list(r) for r in spans[k]],
+        "span": [list(r) for r in spans[s]],
         "z": [_ratio(x, 2) for x in z],
         "proj_z": [_ratio(x, d) for x in n],
         "theta_squared": [_ratio(e, d * d) for e in
-                          sorted({n[2] * n[2], sum(x * x for x in n)} - {0})],
-    } for k, n, d, z in zip(ks.tolist(), num, dens2[ks].tolist(),
+                          sorted({n[k] * n[k], sum(x * x for x in n)} - {0})],
+    } for s, n, d, z in zip(picks.tolist(), num, dens2[picks].tolist(),
                             z2.tolist())],
         covered_elements=n_v * sizes[1] ** 3)
     return cert
@@ -322,10 +327,12 @@ def _cih_table(structure, coord_bound):
     per manifold and bound, and a `perfbench --trace 1` run, whose traced
     passes follow its untraced ones, times it warm."""
     alg = AlgebraData(structure)
-    vs = _grid(np.arange(-coord_bound, coord_bound + 1, dtype=np.int64),
-               alg.dim_v)
-    n_v = len(vs)
-    vs = vs[n_v // 2:]  # V = 0, then the V after it in the order
+    # V = 0, then the V after it in the order: indices n_v // 2 .. n_v - 1
+    # of the box, written as dim_v digits in base 2 bound + 1
+    shape = (2 * coord_bound + 1,) * alg.dim_v
+    n_v = prod(shape)
+    vs = np.stack(np.unravel_index(np.arange(n_v // 2, n_v), shape),
+                  axis=1) - coord_bound
     # the [V, e_q] rows as planes (dim_v, dim_z, n)
     planes = np.zeros((alg.dim_v, alg.dim_z, len(vs)), dtype=np.int64)
     for p, q, r, c in alg.terms:

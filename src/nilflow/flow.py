@@ -226,6 +226,8 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
     # (a, q) is the block of 2^i steps; x has taken the lower bits of N so far
     x = np.concatenate([v, V], axis=-1)
     z = z + (steps * h) * Z
+    # the doubling writes (a^T q) a and a a into buffers made once
+    aq, aqa, a2 = np.empty_like(q), np.empty_like(q), np.empty_like(a)
     while True:
         if steps & 1:
             z = z + np.einsum("...i,...rij,...j->...r", x, q, x)
@@ -233,8 +235,9 @@ def _rk4_batch(alg, v, z, V, Z, t, steps):
         steps >>= 1
         if not steps:
             return x[..., :dv], z, x[..., dv:], Z
-        q = q + np.swapaxes(a, -1, -2)[..., None, :, :] @ q @ a[..., None, :, :]
-        a = a @ a
+        np.matmul(np.swapaxes(a, -1, -2)[..., None, :, :], q, out=aq)
+        q += np.matmul(aq, a[..., None, :, :], out=aqa)
+        a, a2 = np.matmul(a, a, out=a2), a
 
 
 def flow_rk4(alg, state, t, steps=None):

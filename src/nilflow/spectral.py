@@ -169,47 +169,53 @@ def _grid(vals, dim):
     return vals[np.indices((len(vals),) * dim).reshape(dim, -1).T]
 
 
-def _claimed_coeffs(cs):
+def _claimed_coeffs(cs, k):
     """lambda^5 + (c_k^2 + |c|^2) lambda^3 + c_k^2 |c|^2 lambda for each
-    integer row c of cs: (n, 3) -> (n, 6) coefficients, highest first."""
+    integer row c of cs, with c_k = <Z_c, z_k> its coordinate k, the z
+    functional of the manifold's injective presentation (`split[2]`):
+    (n, 3) -> (n, 6) coefficients, highest first."""
     cs = np.asarray(cs, dtype=np.int64)
-    ck2 = cs[:, 2] ** 2
+    ck2 = cs[:, k] ** 2
     n2 = np.einsum("ni,ni->n", cs, cs)
-    out = np.zeros((len(cs), 6), dtype=np.int64)
-    out[:, 0] = 1
-    out[:, 2] = ck2 + n2
-    out[:, 4] = ck2 * n2
-    return out
+    zero = np.zeros_like(n2)
+    return np.stack([zero + 1, zero, ck2 + n2, zero, ck2 * n2, zero], axis=1)
 
 
-def char_poly_identity_check(*algs):
-    """Exact check that each algebra's j(Z_c) has the claimed characteristic
-    polynomial.
+def char_poly_identity_check(*manifolds):
+    """Exact check that each manifold's j(Z_c) has the claimed characteristic
+    polynomial l^5 + (c_k^2 + |c|^2) l^3 + c_k^2 |c|^2 l, with c_k =
+    <Z_c, z_k> for k = `split[2]` of the first manifold, the z functional
+    of its injective presentation; so on a pair both maps are held against
+    one polynomial, and pass only where they share it.  The polynomial is
+    invariant under signed permutations of the z basis that carry k along,
+    so a copy of a manifold written in such a basis passes as it does.
 
     On the grid {0..5}^3, which proves it at every c: each coefficient has
     degree <= 4 per coordinate (e_4 = sum Pf^2).  Returns (ok, witness),
-    witness the first c of the grid where some algebra misses.  The proof
-    runs once per structure tensor in a process (`_char_poly_witness`).
+    witness the first c of the grid where some manifold misses.  The proof
+    runs once per structure tensor and k in a process
+    (`_char_poly_witness`).
     """
-    bad = {_char_poly_witness(alg.structure) for alg in algs} - {None}
+    k = manifolds[0].split[2]
+    bad = {_char_poly_witness(d.alg.structure, k) for d in manifolds} - {None}
     return not bad, min(bad, default=None)
 
 
 @cache
-def _char_poly_witness(structure):
+def _char_poly_witness(structure, k):
     """The first c of the grid {0..5}^3, in its lexicographic order, where
     char j(Z_c) of the algebra with this structure tensor misses the
-    claimed polynomial, as a tuple of ints; None where it holds."""
+    claimed polynomial in c_k, as a tuple of ints; None where it holds."""
     points = _grid(np.arange(6), 3)
-    miss = _char_poly_mismatches(AlgebraData(structure), points)
+    miss = _char_poly_mismatches(AlgebraData(structure), k, points)
     return next(map(tuple, points[miss].tolist()), None)
 
 
-def _char_poly_mismatches(alg, cs):
+def _char_poly_mismatches(alg, k, cs):
     """Indices of the integer rows c of cs where char j(Z_c) differs from
-    the claimed polynomial."""
+    the claimed polynomial in c_k."""
     coeffs = _skew_char_poly(_j_planes(alg, cs))
-    return np.flatnonzero(np.any(coeffs != _claimed_coeffs(cs), axis=1))
+    return np.flatnonzero(np.any(coeffs != _claimed_coeffs(cs, k), axis=1))
 
 
 # permutations tried per batched product of `_kernel_isometries`
@@ -273,10 +279,11 @@ def _kernel_isometries(alg_p, cs, basis, dims):
 def gw_certificate(pair, dual_bound):
     """Certificate for the isospectrality hypotheses of the pair.
 
-    (a) the claimed characteristic polynomial of j(Z) and of j'(Z) on the
-        grid {0..5}^3 of `char_poly_identity_check`: each coefficient has
-        degree <= 4 in each coordinate of c, so six points per variable
-        prove the identity, and the two polynomials agree, at every Z;
+    (a) the claimed characteristic polynomial of j(Z) and of j'(Z), in
+        c_k for k = `split[2]` of M, on the grid {0..5}^3 of
+        `char_poly_identity_check`: each coefficient has degree <= 4 in
+        each coordinate of c, so six points per variable prove the
+        identity, and the two polynomials agree, at every Z;
     (b) [M,M] inside 2*Lambda for both brackets holds by construction: on
         the lattice log Gamma = Z^dim_v (+) (1/2) Z^dim_z of every manifold
         it says only that every structure constant is an integer, and
@@ -299,7 +306,7 @@ def gw_certificate(pair, dual_bound):
     alg, alg_p = m_data.alg, mp_data.alg
     cert = Certificate("gordon_wilson_isospectrality", f"{m_data.name}/{mp_data.name}")
 
-    ok, witness = char_poly_identity_check(alg, alg_p)
+    ok, witness = char_poly_identity_check(m_data, mp_data)
     cert.add(
         "char_poly_identity_grid",
         ok,
@@ -318,8 +325,9 @@ def gw_certificate(pair, dual_bound):
             "kernel_lattice_length_spectra",
             False,
             value={"witness_c": dual_pts[np.argmax(index < 0)].tolist()},
-            note="no coordinate permutation maps the kernel lattice of j "
-                 "onto that of j' at witness_c",
+            note="at witness_c no signed coordinate permutation maps the "
+                 "kernel lattice of j onto that of j', or j(Z) moves its "
+                 "kernel basis",
         )
         return cert
     cert.add(

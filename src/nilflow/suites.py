@@ -124,10 +124,10 @@ def run_spectral(seed):
     rng = _rng(seed, "spectral")
     m, mp = build_pair()
 
-    ok, witness = spectral.char_poly_identity_check(m.alg, mp.alg)
+    ok, witness = spectral.char_poly_identity_check(m, mp)
     cs = _random_rational_cs(rng, 10_000)
-    rand_ok = all(spectral._char_poly_mismatches(a, cs).size == 0
-                  for a in (m.alg, mp.alg))
+    rand_ok = all(spectral._char_poly_mismatches(d.alg, m.split[2], cs).size
+                  == 0 for d in (m, mp))
     report.add(
         "char_poly_identity",
         ok and rand_ok,
@@ -352,7 +352,7 @@ def run_criteria(seed):
     m, mp = build_pair()
 
     defo = build_deformation(Fraction(1, 3))
-    cert_m, cert_mp, cert_defo = (check_hr_presentation(d.alg, d.split)
+    cert_m, cert_mp, cert_defo = (check_hr_presentation(d)
                                   for d in (m, mp, defo))
     report.add("hr_presentation_M_passes", cert_m.passed)
     report.add(
@@ -362,7 +362,7 @@ def run_criteria(seed):
     report.add("hr_presentation_deformation_passes", cert_defo.passed)
 
     samples, least = 10_000, 0.999
-    cert, frac_mp = butler_nonintegrability_sample(mp.alg, samples, rng)
+    cert, frac_mp = butler_nonintegrability_sample(mp, samples, rng)
     report.add(
         "butler_fraction_Mprime",
         frac_mp >= least,
@@ -370,7 +370,7 @@ def run_criteria(seed):
         tolerance=least,
         note=f"regular pairs: {cert.data['regular_pairs']}",
     )
-    cert, frac_m = butler_nonintegrability_sample(m.alg, samples, rng)
+    cert, frac_m = butler_nonintegrability_sample(m, samples, rng)
     report.add(
         "butler_fraction_M",
         frac_m == 0.0,

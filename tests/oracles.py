@@ -257,17 +257,17 @@ def commutator_nonzero(alg, lam, mu):
     return any(any(bracket_v(alg, a, b)) for a in ka for b in kb)
 
 
-def draw_regular_z(alg, rng):
-    """An integer Z with |coordinates| <= 50 and last coordinate nonzero,
-    one rng call per candidate (the oracle for the batched draw of
-    the Butler sample's `draw_rows`)."""
+def draw_regular_z(data, rng):
+    """An integer Z with |coordinates| <= 50 and coordinate k = split[2] of
+    the manifold nonzero, one rng call per candidate (the oracle for the
+    batched draw of the Butler sample's `draw_rows`)."""
     while True:
-        cand = [int(x) for x in rng.integers(-50, 51, size=alg.dim_z)]
-        if cand[-1] != 0:
+        cand = [int(x) for x in rng.integers(-50, 51, size=data.alg.dim_z)]
+        if cand[data.split[2]] != 0:
             return cand
 
 
-def butler_sample_lists(alg, n_samples, rng):
+def butler_sample_lists(data, n_samples, rng):
     """The Butler sample with one Python list per kernel, as
     (positive_dim_fraction, regular_pairs, first_flat_witness,
     regular_dim): per-call regular draws, each kernel from
@@ -276,7 +276,8 @@ def butler_sample_lists(alg, n_samples, rng):
     bracket over the zipped kernel-vector pairs of the regular pairs (the
     oracle for the padded-array path of
     criteria.butler_nonintegrability_sample)."""
-    zs = [draw_regular_z(alg, rng) for _ in range(2 * n_samples)]
+    alg = data.alg
+    zs = [draw_regular_z(data, rng) for _ in range(2 * n_samples)]
     kernels = [lx.integer_kernel(j_matrix(alg, z)) for z in zs]
     regular_dim = (min(len(k) for k in kernels) + alg.dim_z
                    if kernels else None)
@@ -330,13 +331,15 @@ def mat_vec(a, v):
     return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
 
 
-def cih_records(alg, coord_bound, rng, n_records):
+def cih_records(data, coord_bound, rng, n_records):
     """The eigenvalue records of criteria.cih_certificate one by one in
     Fraction arithmetic, with its covered_elements: per record the span
     drawn over the distinct complement projectors (first V of each, in
     sorted key order, by np.unique), then z as three half-integers in
-    [-bound, bound], proj z = N z / d and the nonzero theta^2 in
-    {c_k^2, |c|^2}, sorted, all printed as str."""
+    [-bound, bound], c = proj z = N z / d and the nonzero theta^2 in
+    {c_k^2, |c|^2} for k = split[2] of the manifold, sorted, all printed
+    as str."""
+    alg, k_z = data.alg, data.split[2]
     vals = np.arange(-coord_bound, coord_bound + 1)
     vs = np.stack(np.meshgrid(*[vals] * alg.dim_v, indexing="ij"),
                   -1).reshape(-1, alg.dim_v)
@@ -353,7 +356,7 @@ def cih_records(alg, coord_bound, rng, n_records):
         z = [z_vals[int(rng.integers(0, len(z_vals)))] for _ in range(3)]
         d = int(dens[k])
         c = [x / d for x in mat_vec(proj[k].tolist(), z)]
-        eigs = sorted({c[2] * c[2], sum(x * x for x in c)} - {Fraction(0)})
+        eigs = sorted({c[k_z] * c[k_z], sum(x * x for x in c)} - {Fraction(0)})
         prim = _primitive_rows(spans[k]).tolist()
         span = sorted({tuple(r) for r in prim if any(r)})
         records.append({

@@ -265,6 +265,11 @@ def test_report_body_hash_is_pinned_at_more_seeds(seed, want):
     assert hashlib.sha256(body.encode()).hexdigest() == want
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(KeyError):
+        run_suite("bogus", 1)
+
+
 def test_periodicity_work_is_bounded_at_seed_16():
     # suite seed 16 draws a family-dimension target with V almost
     # orthogonal to Y_c; it passes within the same budget as seed 42

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import linalg_exact as lx
-from nilflow.catalog import build_deformation, build_pair, get_manifold
+from nilflow.catalog import (NilmanifoldData, build_deformation, build_pair,
+                             get_manifold)
 from nilflow import cli, criteria, lie_core
 from nilflow.criteria import (
     CIH_RECORDS,
@@ -42,15 +43,15 @@ M, MP = build_pair()
 
 
 def test_hr_presentation_separates_the_pair():
-    assert check_hr_presentation(M.alg, M.split).passed
-    cert = check_hr_presentation(MP.alg, MP.split)
+    assert check_hr_presentation(M).passed
+    cert = check_hr_presentation(MP)
     assert not cert.passed
     assert cert.first_failure().name == "bracket_xx_zero"
 
 
 def test_hr_presentation_deformation():
     d = build_deformation(Fraction(1, 2))
-    assert check_hr_presentation(d.alg, d.split).passed
+    assert check_hr_presentation(d).passed
 
 
 def test_centralizer_example_Mprime_Zk():
@@ -87,10 +88,10 @@ def test_centralizer_dim_case_table():
 
 def test_butler_sample_separates_the_pair():
     rng = np.random.default_rng(33)
-    cert, frac_mp = butler_nonintegrability_sample(MP.alg, 300, rng)
+    cert, frac_mp = butler_nonintegrability_sample(MP, 300, rng)
     assert frac_mp >= 0.99
     assert cert.data["regular_dim"] == 4
-    _, frac_m = butler_nonintegrability_sample(M.alg, 300, rng)
+    _, frac_m = butler_nonintegrability_sample(M, 300, rng)
     assert frac_m == 0.0
 
 
@@ -100,16 +101,16 @@ def test_butler_sample_matches_list_oracle():
     # regular dimension, the least dim ker j(Z) + dim_z over the sample, is
     # a line plus z on the pair and ker 0 plus z on the deformation
     for name, regular_dim in (("M", 4), ("Mprime", 4), ("defo:1/3", 2)):
-        alg = get_manifold(name).alg
+        data = get_manifold(name)
         for seed in (0, 3, 42, 90210):
             rng = np.random.Generator(np.random.Philox(seed))
             ref = np.random.Generator(np.random.Philox(seed))
-            cert, frac = butler_nonintegrability_sample(alg, 500, rng)
+            cert, frac = butler_nonintegrability_sample(data, 500, rng)
             assert cert.data["regular_dim"] == regular_dim
             assert (frac, cert.data["regular_pairs"],
                     cert.data["first_flat_witness"],
                     cert.data["regular_dim"]) == \
-                butler_sample_lists(alg, 500, ref)
+                butler_sample_lists(data, 500, ref)
             assert cert.data["positive_dim_fraction"] == frac
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
@@ -128,8 +129,8 @@ class _AxisDraws:
         return zs
 
 
-def _butler_data(alg, n, rng):
-    cert, frac = butler_nonintegrability_sample(alg, n, rng)
+def _butler_data(data, n, rng):
+    cert, frac = butler_nonintegrability_sample(data, n, rng)
     return frac, {k: cert.data[k] for k in
                   ("regular_dim", "regular_pairs", "first_flat_witness")}
 
@@ -137,15 +138,16 @@ def _butler_data(alg, n, rng):
 def test_butler_raw_lines_match_saturated_lines(monkeypatch):
     # the sample reads raw sub-Pfaffian kernel lines; with them saturated
     # it must report the same fraction, regular dimension, regular pairs
-    # and witness.  On the pair and on Z = (0, 0, c_k) draws; on the
-    # deformation and R^2 (+) so(3) the kernels have several raw Pfaffian
-    # vectors, each divided by its gcd here
-    so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
-    cases = [(M.alg, np.random.default_rng), (MP.alg, np.random.default_rng),
-             (M.alg, _AxisDraws), (MP.alg, _AxisDraws),
-             (get_manifold("defo:1/3").alg, np.random.default_rng),
+    # and witness.  On the pair and on Z = (0, 0, c_k) draws; on R^2 (+)
+    # so(3) the kernels have several raw Pfaffian vectors, each divided by
+    # its gcd here; on the deformation every drawn Z has c_k = Z_1 != 0,
+    # rank 4 and an empty kernel
+    so3 = _last_k(_algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1}))
+    cases = [(M, np.random.default_rng), (MP, np.random.default_rng),
+             (M, _AxisDraws), (MP, _AxisDraws),
+             (get_manifold("defo:1/3"), np.random.default_rng),
              (so3, np.random.default_rng)]
-    raw = [_butler_data(alg, 400, gen(seed)) for alg, gen in cases
+    raw = [_butler_data(data, 400, gen(seed)) for data, gen in cases
            for seed in (0, 7, 42, 90210)]
     real = criteria.j_kernels
 
@@ -154,7 +156,7 @@ def test_butler_raw_lines_match_saturated_lines(monkeypatch):
         return _primitive_rows(basis), dims
 
     monkeypatch.setattr(criteria, "j_kernels", saturated)
-    assert raw == [_butler_data(alg, 400, gen(seed)) for alg, gen in cases
+    assert raw == [_butler_data(data, 400, gen(seed)) for data, gen in cases
                    for seed in (0, 7, 42, 90210)]
     assert raw[0][0] == 0.0 and raw[4][0] > 0.99  # M, then M'
 
@@ -175,8 +177,8 @@ def test_certify_kernels_skip_the_work_they_never_read(monkeypatch):
     monkeypatch.setattr(lie_core, "_primitive_rows", counting_rows)
     monkeypatch.setattr(criteria, "_primitive_rows", counting_rows)
     monkeypatch.setattr(criteria, "_span_projectors", counting_spans)
-    for alg in (M.alg, MP.alg):
-        butler_nonintegrability_sample(alg, 1000, np.random.default_rng(1))
+    for data in (M, MP):
+        butler_nonintegrability_sample(data, 1000, np.random.default_rng(1))
     assert gcd_passes == []
     criteria._cih_table.cache_clear()
     try:
@@ -209,18 +211,27 @@ def test_certify_pass_reaches_hermite_only_for_the_hr_pairing_ranks():
     assert len(calls) == 3
 
 
+def test_butler_bracket_guard_raises_before_int64_overflow():
+    # M' with every constant times 10^4: its kernel lines, 4x4 Pfaffians,
+    # grow by 10^8, so their brackets would leave int64
+    big = np.array(MP.alg.structure) * 10**4
+    data = NilmanifoldData("big", AlgebraData(big.tolist()), MP.split)
+    with pytest.raises(OverflowError, match="int64 brackets"):
+        butler_nonintegrability_sample(data, 100, np.random.default_rng(0))
+
+
 def test_butler_empty_sample_has_no_regular_pair():
     for name in ("M", "Mprime", "defo:1/3"):
-        alg = get_manifold(name).alg
+        data = get_manifold(name)
         rng = np.random.default_rng(5)
-        cert, frac = butler_nonintegrability_sample(alg, 0, rng)
+        cert, frac = butler_nonintegrability_sample(data, 0, rng)
         assert frac == 0.0 and not cert.passed
         assert [(c.name, c.passed, c.value) for c in cert.checks] == [
             ("regular_pairs_sampled", False, 0)]
         assert cert.data == {"samples": 0, "regular_dim": None,
                              "regular_pairs": 0, "positive_dim_fraction": 0.0,
                              "first_flat_witness": None}
-        assert butler_sample_lists(alg, 0, rng) == (0.0, 0, None, None)
+        assert butler_sample_lists(data, 0, rng) == (0.0, 0, None, None)
         # an empty sample draws nothing
         assert rng.integers(0, 2**62) == \
             np.random.default_rng(5).integers(0, 2**62)
@@ -234,20 +245,27 @@ def _algebra_5(dim_z, brackets):
     return AlgebraData(table)
 
 
+def _last_k(alg):
+    """alg as a manifold whose z functional k is the last z coordinate, the
+    coordinate that the Butler draw then keeps nonzero; its x and y blocks
+    are empty, since only k is read."""
+    return NilmanifoldData("bare", alg, ((), (), alg.dim_z - 1))
+
+
 def test_butler_sample_brackets_every_kernel_vector_pair():
     # regular kernels of dimension 3 (rank j(Z) = 2, so no Pfaffian line):
     # on R^2 (+) so(3) only the rotation axes of the two kernels bracket
     # (the last kernel basis vector, not the first), on heisenberg (+) R^3
     # nothing does
-    so3 = _algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1})
-    heis = _algebra_5(1, {(0, 1): 0})
-    for alg, n in ((so3, 60), (heis, 40)):
+    so3 = _last_k(_algebra_5(3, {(2, 3): 2, (3, 4): 0, (4, 2): 1}))
+    heis = _last_k(_algebra_5(1, {(0, 1): 0}))
+    for data, n in ((so3, 60), (heis, 40)):
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        cert, frac = butler_nonintegrability_sample(alg, n, rng)
-        assert cert.data["regular_dim"] == alg.dim_z + 3
-        pairs = [(draw_regular_z(alg, ref), draw_regular_z(alg, ref))
+        cert, frac = butler_nonintegrability_sample(data, n, rng)
+        assert cert.data["regular_dim"] == data.alg.dim_z + 3
+        pairs = [(draw_regular_z(data, ref), draw_regular_z(data, ref))
                  for _ in range(n)]
-        hits = [commutator_nonzero(alg, lam, mu) for lam, mu in pairs]
+        hits = [commutator_nonzero(data.alg, lam, mu) for lam, mu in pairs]
         flat = [p for p, h in zip(pairs, hits) if not h]
         assert cert.data["regular_pairs"] == n
         assert frac == sum(hits) / n
@@ -270,10 +288,10 @@ def test_batched_regular_draw_matches_per_call_oracle(monkeypatch):
             np.random.default_rng)
     for seed, gen in itertools.product((0, 3, 7, 11, 90210), gens):
         for name, n in (("M", 300), ("Mprime", 57), ("defo:1/3", 500)):
-            alg = get_manifold(name).alg
+            data = get_manifold(name)
             rng, ref = gen(seed), gen(seed)
-            cert, _ = butler_nonintegrability_sample(alg, n, rng)
-            want = [draw_regular_z(alg, ref) for _ in range(2 * n)]
+            cert, _ = butler_nonintegrability_sample(data, n, rng)
+            want = [draw_regular_z(data, ref) for _ in range(2 * n)]
             assert drawn.pop().tolist() == want
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
             # on M every regular pair is flat, so the first flat witness
@@ -322,7 +340,7 @@ def test_cih_records_match_fraction_oracle(bound):
             rng = np.random.Generator(np.random.Philox(seed))
             rng_o = np.random.Generator(np.random.Philox(seed))
             cert = cih_certificate(data, bound, rng)
-            records, covered = cih_records(data.alg, bound, rng_o,
+            records, covered = cih_records(data, bound, rng_o,
                                            CIH_RECORDS)
             assert cert.data["records"] == records
             assert cert.data["covered_elements"] == covered

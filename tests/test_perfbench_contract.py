@@ -159,7 +159,7 @@ def test_reference_graph_resolves_names_per_module():
     assert "linalg_exact.rank" not in graph["spectral.length_spectrum"]
     assert "linalg_exact.inverse" in graph["spectral.length_spectrum"]
     # a name from `from .m import n`, and a bare name of the module itself
-    assert {"spectral._grid", "criteria._span_projectors"} <= graph[
+    assert {"lie_core._primitive_rows", "criteria._span_projectors"} <= graph[
         "criteria._cih_table"]
 
 

@@ -336,6 +336,18 @@ def test_construction_out_of_float_reach_is_a_construction_error(capsys):
     assert err.startswith("construction failure: ")
 
 
+def test_non_finite_grid_value_is_a_construction_error():
+    # |V| = 1e153 squares past the floats, so the first grid values are
+    # not finite floats and the construction stops at its first grid
+    target = TangentState(np.zeros(5), np.zeros(3),
+                          np.array([1e153, 0.3, 0.2, 0.1, 0.5]),
+                          np.array([0.3, 0.4, 1.2]))
+    with pytest.raises(ConstructionError, match=r"1/\(16 \* 2\^0\)") as exc:
+        construct_closed_geodesic(M, target, epsilon=1e140)
+    assert isinstance(exc.value.__cause__, OverflowError)
+    assert str(exc.value.__cause__) == "a grid value is not a finite float"
+
+
 def test_run_periodicity_builds_one_jacobian_per_fd_step(monkeypatch):
     # the FD-step sweep 1e-4 / 1e-5 / 1e-6 on M and Mprime, one call (one
     # batched flow) per manifold, and the 1e-4 Jacobian reused by

@@ -26,6 +26,7 @@ from oracles import (
     kernel_subspace,
     manifold_lattices,
 )
+from test_basis_copies import transform
 from test_faults import _first_pair_doubled
 
 M, MP = build_pair()
@@ -311,6 +312,10 @@ def test_gw_certificate_holds_kernel_bases_against_j(monkeypatch):
     check = spectral.gw_certificate((M, MP), 6).checks[-1]
     assert check.name == "kernel_lattice_length_spectra" and not check.passed
     assert check.value == {"witness_c": [-6, -6, -6]}
+    # the note names both causes: no signed permutation, or a moved basis
+    assert check.note == ("at witness_c no signed coordinate permutation "
+                          "maps the kernel lattice of j onto that of j', or "
+                          "j(Z) moves its kernel basis")
 
 
 def test_gw_certificate_small():
@@ -330,7 +335,8 @@ def test_char_poly_identity_holds_on_the_dual_points():
     pts = pts[np.any(pts != 0, axis=1)]
     assert len(pts) == 342
     for data in (M, MP):
-        assert spectral._char_poly_mismatches(data.alg, pts).size == 0
+        assert spectral._char_poly_mismatches(data.alg, data.split[2],
+                                              pts).size == 0
 
 
 def test_gw_kernel_lattices_are_lattice_intersections():
@@ -354,22 +360,17 @@ def test_gw_kernel_lattices_are_lattice_intersections():
 
 
 def _signed_v_copy(data, rng):
-    """data written in a V basis that rng permutes and signs: T'[p][q] =
-    s_p s_q T[P_p][P_q].  A signed permutation matrix is orthogonal and
-    maps Z^5 onto Z^5, so the copy is isometric to data, lattice and all."""
-    perm = rng.permutation(data.alg.dim_v)
-    sign = rng.choice([-1, 1], data.alg.dim_v)
-    table = np.array(data.alg.structure)[perm][:, perm] * \
-        np.multiply.outer(sign, sign)[..., None]
-    return dataclasses.replace(data, alg=AlgebraData(table.tolist()))
+    """data written in a V basis that rng permutes and signs (`transform`):
+    T'[p][q] = s_p s_q T[P_p][P_q]."""
+    return transform(data, rng.permutation(data.alg.dim_v),
+                     rng.choice([-1, 1], data.alg.dim_v), range(3), (1, 1, 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_gw_certificate_keeps_its_verdict_on_signed_v_copies(seed):
     # metamorphic: a copy of M' or M in a signed, permuted V basis is
     # isospectral to M, and a copy of the faulty M' still is not.  The Z
-    # basis is left as printed, since the claimed polynomial reads c_k as
-    # the third coordinate
+    # basis is left as printed here; test_basis_copies moves it too
     rng = np.random.default_rng(seed)
     for pair in ((M, _signed_v_copy(MP, rng)), (M, _signed_v_copy(M, rng)),
                  (_signed_v_copy(M, rng), MP)):
@@ -412,16 +413,17 @@ def test_char_poly_identity_failure_path():
     t = [[list(row) for row in line] for line in M.alg.structure]
     t[p][q][r] *= 2
     t[q][p][r] *= 2
-    bad = AlgebraData(t)
+    bad = dataclasses.replace(M, alg=AlgebraData(t))
     # the first point of {0..5}^3 where char j(Z_c) misses the claim
     points = spectral._grid(np.arange(6), 3)
-    claimed = spectral._claimed_coeffs(points).tolist()
+    claimed = spectral._claimed_coeffs(points, M.split[2]).tolist()
     first = next(tuple(c) for c, want in zip(points.tolist(), claimed)
-                 if char_poly(j_matrix(bad, c)) != want)
-    assert spectral.char_poly_identity_check(M.alg) == (True, None)
+                 if char_poly(j_matrix(bad.alg, c)) != want)
+    assert spectral.char_poly_identity_check(M) == (True, None)
     assert spectral.char_poly_identity_check(bad) == (False, first)
-    assert spectral.char_poly_identity_check(M.alg, bad) == (False, first)
-    assert spectral.char_poly_identity_check(bad, MP.alg) == (False, first)
-    cert = spectral.gw_certificate((M, dataclasses.replace(MP, alg=bad)), 2)
+    assert spectral.char_poly_identity_check(M, bad) == (False, first)
+    assert spectral.char_poly_identity_check(bad, MP) == (False, first)
+    cert = spectral.gw_certificate((M, dataclasses.replace(MP, alg=bad.alg)),
+                                   2)
     rows = {check.name: check.passed for check in cert.checks}
     assert rows["char_poly_identity_grid"] is False
